@@ -13,6 +13,7 @@ package p2_test
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -454,7 +455,10 @@ func shardedRing(b *testing.B, n, shards int, spacing, settle float64) *harness.
 // benchSimulatedSecond meters virtual-second cost at each shard count:
 // events/sec is the simulator's throughput, events/sec/core the
 // parallel efficiency (identical virtual workload at every shard
-// count, so the ratio between shard counts is pure speedup).
+// count, so the ratio between shard counts is pure speedup). Shards
+// beyond the cores available time-share them, so events/sec/core is
+// reported only when every shard can have a core of its own; num_cpu
+// and gomaxprocs record what the run had.
 func benchSimulatedSecond(b *testing.B, n int, shardCounts []int, spacing, settle float64) {
 	for _, shards := range shardCounts {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
@@ -467,9 +471,14 @@ func benchSimulatedSecond(b *testing.B, n int, shardCounts []int, spacing, settl
 			}
 			if wall := time.Since(start).Seconds(); wall > 0 {
 				eps := float64(events) / wall
+				ncpu, procs := runtime.NumCPU(), runtime.GOMAXPROCS(0)
 				b.ReportMetric(eps, "events/sec")
-				b.ReportMetric(eps/float64(shards), "events/sec/core")
+				if shards <= min(ncpu, procs) {
+					b.ReportMetric(eps/float64(shards), "events/sec/core")
+				}
 				b.ReportMetric(float64(shards), "shards")
+				b.ReportMetric(float64(ncpu), "num_cpu")
+				b.ReportMetric(float64(procs), "gomaxprocs")
 			}
 		})
 	}

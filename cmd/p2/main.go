@@ -213,12 +213,12 @@ func renderTop(node *p2.Handle) string {
 			continue // textual plan, never touched — noise in a dashboard
 		}
 		if shown == 0 {
-			fmt.Fprintf(&sb, "\n%-24s %-12s %10s %8s\n", "PLAN", "ORDER", "COST", "REPLANS")
+			fmt.Fprintf(&sb, "\n%-24s %-24s %10s %8s\n", "PLAN", "ORDER", "COST", "REPLANS")
 		}
 		if shown++; shown > 10 {
 			break
 		}
-		fmt.Fprintf(&sb, "%-24s %-12s %10.4g %8d\n", p.Rule, p.Order, p.CostEst, p.Replans)
+		fmt.Fprintf(&sb, "%-24s %-24s %10.4g %8d\n", p.Rule, p.Order, p.CostEst, p.Replans)
 	}
 	fmt.Fprintf(&sb, "\n%-24s %8s %8s %10s %8s %6s %7s %7s %6s %6s\n",
 		"PEER", "SENT", "RECVD", "BYTES", "RETRY", "CWND", "RTO", "BACKLOG", "FILL", "DROPS")

@@ -2,8 +2,11 @@ package dataflow
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
+	"time"
 
+	"p2/internal/id"
 	"p2/internal/pel"
 	"p2/internal/table"
 	"p2/internal/tuple"
@@ -186,4 +189,112 @@ func BenchmarkMultiAssign(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ma.Push(0, in, nil)
 	}
+}
+
+// fingerScan is rule L2's fold over a full Chord finger table:
+// evt(NI, K, N) ++ finger(NI, I, B, BI), filter B in (N, K), input
+// K - B - 1, reading match column B alone. target names finger i's
+// node.
+func fingerScan(target func(i int) int, distinct []int) (*FoldJoin, *table.Table, *tuple.Tuple) {
+	tb := table.New("finger", table.Infinity, 0, []int{1}, &dfClock{})
+	for i := 0; i < 160; i++ {
+		tb.Insert(fingerRow(i, target(i)))
+	}
+	in := pel.NewBuilder().Field(5).Field(2).Field(1).In(false, false).Build()
+	dist := pel.NewBuilder().Field(1).Field(5).Op(pel.OpSub).Const(val.MakeID(id.One)).Op(pel.OpSub).Build()
+	f := NewFoldJoin("f", tb, []int{0}, []int{0}, AggMin, dist, []*pel.Program{in}, distinct, &pel.Env{})
+	f.ConnectOut(0, NewDiscard("sink"), 0)
+	ev := tuple.New("evt", val.Str("n0"), val.MakeID(id.Hash("key")), val.MakeID(id.Hash("n0")))
+	return f, tb, ev
+}
+
+func fingerRow(i, target int) *tuple.Tuple {
+	peer := fmt.Sprintf("peer%d", target)
+	return tuple.New("finger", val.Str("n0"), val.Int(int64(i)), val.MakeID(id.Hash(peer)), val.Str(peer))
+}
+
+// chordTarget gives a 128-node ring's finger table its shape: the low
+// 153 fingers all name the successor and the top 7 one node each, 8
+// distinct targets in all.
+func chordTarget(i int) int { return max(0, i-152) }
+
+// evalsPerProbe counts the rows one probe evaluates. Which rows are
+// passed over depends on the distinct columns and the bucket order, not
+// on the programs, so a filterless min over the same table counts them:
+// every row it evaluates bumps its match count.
+func evalsPerProbe(tb *table.Table, ev *tuple.Tuple, distinct []int) float64 {
+	f := NewFoldJoin("count", tb, []int{0}, []int{0}, AggMin, fieldProg(5), nil, distinct, &pel.Env{})
+	f.Push(0, ev, nil)
+	return float64(f.count)
+}
+
+// BenchmarkFoldJoinFingerScan measures one lookup hop's finger scan
+// (ns/op is per probe) and how many of the 160 rows it evaluates:
+// chord is the table eager finger population builds, churned the same
+// after 40 nodes were each replaced by a newcomer (every finger naming
+// the old node rewritten in finger order, so replacements swap-remove
+// and append in the bucket), all-distinct the case with nothing to pass
+// over, which must cost what evaluating every row costs.
+func BenchmarkFoldJoinFingerScan(b *testing.B) {
+	run := func(b *testing.B, f *FoldJoin, tb *table.Table, ev *tuple.Tuple) (evals float64) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			f.Push(0, ev, nil)
+			f.Flush(ev, nil)
+		}
+		b.StopTimer()
+		evals = evalsPerProbe(tb, ev, f.distinct)
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/probe")
+		b.ReportMetric(evals, "evals/probe")
+		return evals
+	}
+	b.Run("chord", func(b *testing.B) {
+		f, tb, ev := fingerScan(chordTarget, []int{2})
+		if e := run(b, f, tb, ev); e > 10 {
+			b.Fatalf("%v evals/probe over 8 distinct targets in insertion order, want <= 10", e)
+		}
+	})
+	b.Run("churned", func(b *testing.B) {
+		f, tb, ev := fingerScan(chordTarget, []int{2})
+		rng := rand.New(rand.NewSource(1))
+		targets := make([]int, 160)
+		for i := range targets {
+			targets[i] = chordTarget(i)
+		}
+		for fresh := 8; fresh < 48; fresh++ {
+			old := targets[rng.Intn(160)]
+			for i, t := range targets {
+				if t == old {
+					targets[i] = fresh
+					tb.Insert(fingerRow(i, fresh))
+				}
+			}
+		}
+		run(b, f, tb, ev)
+	})
+	b.Run("all-distinct", func(b *testing.B) {
+		f, tb, ev := fingerScan(func(i int) int { return i }, []int{2})
+		run(b, f, tb, ev)
+		// The same scan with no distinct columns is the code before the
+		// skip existed. Alternate short blocks of each and compare their
+		// best times: the comparison must survive a noisy host.
+		every, _, _ := fingerScan(func(i int) int { return i }, nil)
+		block := func(f *FoldJoin) time.Duration {
+			start := time.Now()
+			for i := 0; i < 200; i++ {
+				f.Push(0, ev, nil)
+				f.Flush(ev, nil)
+			}
+			return time.Since(start)
+		}
+		skip, plain := time.Duration(1<<62), time.Duration(1<<62)
+		for i := 0; i < 30; i++ {
+			skip, plain = min(skip, block(f)), min(plain, block(every))
+		}
+		b.ReportMetric(float64(skip)/float64(plain), "vs-no-skip")
+		if float64(skip) > 1.05*float64(plain) {
+			b.Fatalf("160 distinct targets: %v per 200 probes with the skip check, %v without: over 5%% slower", skip, plain)
+		}
+	})
 }

@@ -1,6 +1,7 @@
 package dataflow
 
 import (
+	"math/rand"
 	"testing"
 
 	"p2/internal/eventloop"
@@ -48,7 +49,7 @@ func TestFoldJoinMinMatchesJoinPlusAggStream(t *testing.T) {
 	j.Push(0, ev, nil)
 	agg.Flush(ev, nil)
 
-	f := NewFoldJoin("f", tbl, []int{0}, []int{0}, AggMin, fieldProg(3), nil, env(eventloop.NewSim()))
+	f := NewFoldJoin("f", tbl, []int{0}, []int{0}, AggMin, fieldProg(3), nil, nil, env(eventloop.NewSim()))
 	got := runFold(f, ev)
 
 	if len(ref) != 1 || len(got) != 1 {
@@ -72,7 +73,7 @@ func TestFoldJoinMaxAndFilters(t *testing.T) {
 	ev := tp("evt", val.Str("n1"), val.Int(7))
 	// Filter: concat position 3 (D) < 40, so the largest row is excluded.
 	filt := pel.NewBuilder().Field(3).Const(val.Int(40)).Op(pel.OpLt).Build()
-	f := NewFoldJoin("f", tbl, []int{0}, []int{0}, AggMax, fieldProg(3), []*pel.Program{filt}, env(eventloop.NewSim()))
+	f := NewFoldJoin("f", tbl, []int{0}, []int{0}, AggMax, fieldProg(3), []*pel.Program{filt}, nil, env(eventloop.NewSim()))
 	got := runFold(f, ev)
 	if len(got) != 1 || got[0].Field(2).AsInt() != 30 {
 		t.Fatalf("filtered max = %v, want 30", got)
@@ -82,7 +83,7 @@ func TestFoldJoinMaxAndFilters(t *testing.T) {
 func TestFoldJoinMinNoMatchesEmitsNothing(t *testing.T) {
 	tbl := foldFixture(t) // only the nX row
 	ev := tp("evt", val.Str("n1"), val.Int(7))
-	f := NewFoldJoin("f", tbl, []int{0}, []int{0}, AggMin, fieldProg(3), nil, env(eventloop.NewSim()))
+	f := NewFoldJoin("f", tbl, []int{0}, []int{0}, AggMin, fieldProg(3), nil, nil, env(eventloop.NewSim()))
 	if got := runFold(f, ev); len(got) != 0 {
 		t.Fatalf("min over zero matches emitted %v", got)
 	}
@@ -91,7 +92,7 @@ func TestFoldJoinMinNoMatchesEmitsNothing(t *testing.T) {
 func TestFoldJoinCountEmitsZero(t *testing.T) {
 	tbl := foldFixture(t) // no matching rows
 	ev := tp("evt", val.Str("n1"), val.Int(7))
-	f := NewFoldJoin("f", tbl, []int{0}, []int{0}, AggCount, nil, nil, env(eventloop.NewSim()))
+	f := NewFoldJoin("f", tbl, []int{0}, []int{0}, AggCount, nil, nil, nil, env(eventloop.NewSim()))
 	got := runFold(f, ev)
 	if len(got) != 1 || got[0].Field(2).AsInt() != 0 {
 		t.Fatalf("count over zero matches = %v, want event++0", got)
@@ -106,7 +107,7 @@ func TestFoldJoinErroringInputDropsRow(t *testing.T) {
 	// sees it, so the fold must count nothing — and still emit the
 	// count aggregate's zero.
 	input := pel.NewBuilder().Op(pel.OpAdd).Build()
-	f := NewFoldJoin("f", tbl, []int{0}, []int{0}, AggCount, input, nil, env(eventloop.NewSim()))
+	f := NewFoldJoin("f", tbl, []int{0}, []int{0}, AggCount, input, nil, nil, env(eventloop.NewSim()))
 	got := runFold(f, ev)
 	if len(got) != 1 || got[0].Field(2).AsInt() != 0 {
 		t.Fatalf("count with all rows erroring = %v, want event++0", got)
@@ -115,7 +116,7 @@ func TestFoldJoinErroringInputDropsRow(t *testing.T) {
 
 func TestFoldJoinResetsBetweenEvents(t *testing.T) {
 	tbl := foldFixture(t, 5, 9)
-	f := NewFoldJoin("f", tbl, []int{0}, []int{0}, AggMin, fieldProg(3), nil, env(eventloop.NewSim()))
+	f := NewFoldJoin("f", tbl, []int{0}, []int{0}, AggMin, fieldProg(3), nil, nil, env(eventloop.NewSim()))
 	var got []*tuple.Tuple
 	f.ConnectOut(0, collect(&got), 0)
 
@@ -131,5 +132,120 @@ func TestFoldJoinResetsBetweenEvents(t *testing.T) {
 	}
 	if got[0].Field(2).AsInt() != 5 {
 		t.Fatalf("first event min = %v, want 5", got[0])
+	}
+}
+
+// TestFoldJoinDistinctMatchesChain is the property behind the
+// duplicate-projection skip: on random rel(X, A, B, U) tables whose
+// (A, B) projections repeat, in random bucket order, a FoldJoin told
+// which match columns its programs read derives exactly what the
+// unfused Join+AggStream chain derives — same emission count, and an
+// aggregate identical in kind and payload.
+func TestFoldJoinDistinctMatchesChain(t *testing.T) {
+	// Concatenation evt(X, V) ++ rel(X, A, B, U): A is $3, B is $4.
+	half := pel.NewBuilder().Field(3).Const(val.Int(2)).Op(pel.OpDiv).Build() // Int(3)/2 = 1, Float(3)/2 = 1.5
+	bBelowV := pel.NewBuilder().Field(4).Field(1).Op(pel.OpLt).Build()
+	coin := pel.NewBuilder().Op(pel.OpRand).Const(val.Float(0.5)).Op(pel.OpLt).Build()
+	started := pel.NewBuilder().Op(pel.OpNow).Const(val.Int(0)).Op(pel.OpGe).Build()
+	broken := pel.NewBuilder().Field(3).Op(pel.OpAdd).Build() // errors on every row, duplicates included
+
+	cases := []struct {
+		name     string
+		fn       AggFunc
+		input    *pel.Program
+		filters  []*pel.Program
+		distinct []int // what planner.tryFold would record
+	}{
+		{"min", AggMin, half, []*pel.Program{bBelowV}, []int{1, 2}},
+		{"max", AggMax, half, []*pel.Program{bBelowV}, []int{1, 2}},
+		{"min unfiltered", AggMin, half, nil, []int{1}},
+		{"erroring input", AggMin, broken, nil, []int{1}},
+		{"f_rand filter", AggMin, half, []*pel.Program{coin}, nil},
+		{"f_now filter", AggMax, half, []*pel.Program{started, bBelowV}, nil},
+		{"count<*>", AggCount, nil, []*pel.Program{bBelowV}, nil},
+	}
+	aVals := []val.Value{val.Int(3), val.Float(3), val.Int(4), val.Float(4.5), val.Int(-2)}
+	rng := rand.New(rand.NewSource(15))
+	var rows, evaluated int64 // over the "min unfiltered" trials
+	for _, c := range cases {
+		for trial := 0; trial < 200; trial++ {
+			loop := eventloop.NewSim()
+			tbl := table.New("rel", table.Infinity, 0, []int{3}, loop)
+			ix := tbl.EnsureIndex([]int{0})
+			row := func(u int) *tuple.Tuple {
+				return tp("rel", val.Str("n1"), aVals[rng.Intn(len(aVals))], val.Int(int64(rng.Intn(3))), val.Int(int64(u)))
+			}
+			n := rng.Intn(40)
+			for u := 0; u < n; u++ {
+				tbl.Insert(row(u))
+			}
+			for k := rng.Intn(n + 1); k > 0; k-- { // swap-remove and re-append shuffle the bucket
+				u := rng.Intn(n)
+				tbl.Delete(tp("rel", val.Null, val.Null, val.Null, val.Int(int64(u))))
+				tbl.Insert(row(u))
+			}
+			ev := tp("evt", val.Str("n1"), val.Int(int64(rng.Intn(4))))
+			seed := rng.Int63()
+			envFor := func() *pel.Env {
+				return &pel.Env{Clock: loop, Rand: rand.New(rand.NewSource(seed)), Local: "n1"}
+			}
+
+			j, jenv := NewJoin("j", tbl, []int{0}, []int{0}, "w"), envFor()
+			for _, p := range c.filters {
+				j.AddFilter(p, jenv)
+			}
+			aggPos := -1
+			if c.input != nil {
+				j.AddAssigns([]*pel.Program{c.input}, jenv)
+				aggPos = 6
+			}
+			agg := NewAggStream("agg", c.fn, aggPos)
+			var ref, got []*tuple.Tuple
+			j.ConnectOut(0, agg, 0)
+			agg.ConnectOut(0, collect(&ref), 0)
+			f := NewFoldJoin("f", tbl, []int{0}, []int{0}, c.fn, c.input, c.filters, c.distinct, envFor())
+			f.ConnectOut(0, collect(&got), 0)
+
+			both := func() {
+				j.Push(0, ev, nil)
+				f.Push(0, ev, nil)
+			}
+			if trial%4 == 0 && n > 0 {
+				// Mid-probe delete: under a live outer probe removals leave
+				// tombstones in the bucket both elements then walk.
+				first := true
+				ix.Each([]byte(ev.Key([]int{0})), func(*tuple.Tuple) bool {
+					if first {
+						first = false
+						for k := rng.Intn(n); k > 0; k-- {
+							tbl.Delete(tp("rel", val.Null, val.Null, val.Null, val.Int(int64(rng.Intn(n)))))
+						}
+						both()
+					}
+					return true
+				})
+			} else {
+				both()
+			}
+			if c.name == "min unfiltered" {
+				rows += int64(tbl.Len())
+				evaluated += f.count
+			}
+			agg.Flush(ev, nil)
+			f.Flush(ev, nil)
+
+			if len(got) != len(ref) {
+				t.Fatalf("%s trial %d: fold emitted %d tuples, chain %d", c.name, trial, len(got), len(ref))
+			}
+			if len(ref) == 1 {
+				want := ref[0].Field(ref[0].Arity() - 1)
+				if have := got[0].Field(2); !val.Same(have, want) {
+					t.Fatalf("%s trial %d: fold %s = %v (%v), chain %v (%v)", c.name, trial, c.fn, have, have.Kind(), want, want.Kind())
+				}
+			}
+		}
+	}
+	if evaluated == 0 || evaluated >= rows {
+		t.Fatalf("skip never engaged: evaluated %d of %d rows", evaluated, rows)
 	}
 }

@@ -420,20 +420,21 @@ func NewAggStream(name string, fn AggFunc, aggPos int) *AggStream {
 func (a *AggStream) Push(_ int, t *tuple.Tuple, _ Poke) bool {
 	a.count++
 	switch a.fn {
-	case AggMin:
-		v := t.Field(a.aggPos)
-		if a.best == nil || v.Cmp(a.bestVal) < 0 {
-			a.best, a.bestVal = t, v
-		}
-	case AggMax:
-		v := t.Field(a.aggPos)
-		if a.best == nil || v.Cmp(a.bestVal) > 0 {
+	case AggMin, AggMax:
+		if v := t.Field(a.aggPos); a.best == nil || improves(a.fn, v, a.bestVal) {
 			a.best, a.bestVal = t, v
 		}
 	case AggSum, AggAvg:
 		a.sum += t.Field(a.aggPos).AsFloat()
 	}
 	return true
+}
+
+// improves reports whether v displaces cur as fn's extremum; ties keep
+// cur, so the first row to reach an extremum is its exemplar.
+func improves(fn AggFunc, v, cur val.Value) bool {
+	c := v.Cmp(cur)
+	return (fn == AggMin && c < 0) || (fn == AggMax && c > 0)
 }
 
 // Flush emits the aggregate result and resets for the next event.
@@ -485,12 +486,8 @@ type aggState struct {
 func (s *aggState) add(fn AggFunc, v val.Value) {
 	s.count++
 	switch fn {
-	case AggMin:
-		if s.best.IsNull() || v.Cmp(s.best) < 0 {
-			s.best = v
-		}
-	case AggMax:
-		if s.best.IsNull() || v.Cmp(s.best) > 0 {
+	case AggMin, AggMax:
+		if s.best.IsNull() || improves(fn, v, s.best) {
 			s.best = v
 		}
 	case AggSum, AggAvg:
@@ -665,20 +662,19 @@ func (a *AggTable) refresh(key string) {
 	var group []val.Value
 	var v val.Value
 	if a.exemplar() {
-		// Read the group's rows through PeekLookup: refresh runs inside
+		// Read the group's rows through PeekEach: refresh runs inside
 		// table notifications, where re-entering the expiry pass would
 		// recurse into this listener.
-		rows := a.groupIx.PeekLookup(key)
-		if len(rows) == 0 {
-			delete(a.last, key)
-			return
-		}
-		best := rows[0]
-		for _, t := range rows[1:] {
-			c := t.Field(a.aggPos).Cmp(best.Field(a.aggPos))
-			if (a.fn == AggMin && c < 0) || (a.fn == AggMax && c > 0) {
+		var best *tuple.Tuple
+		a.groupIx.PeekEach([]byte(key), func(t *tuple.Tuple) bool {
+			if best == nil || improves(a.fn, t.Field(a.aggPos), best.Field(a.aggPos)) {
 				best = t
 			}
+			return true
+		})
+		if best == nil {
+			delete(a.last, key)
+			return
 		}
 		v = best.Field(a.aggPos)
 		group = make([]val.Value, len(a.groupPos))

@@ -576,7 +576,7 @@ func (n *Node) buildChain(s *strand) {
 			elems = append(elems, dataflow.NewRange(label(fmt.Sprintf("range%d", i)), o.Lo, o.Hi, n.env))
 		case *planner.OpFoldJoin:
 			fj := dataflow.NewFoldJoin(label(fmt.Sprintf("foldjoin%d", i)),
-				n.tables[o.Table], o.StreamKey, o.TableKey, o.Fn, o.Input, o.Filters, n.env)
+				n.tables[o.Table], o.StreamKey, o.TableKey, o.Fn, o.Input, o.Filters, o.Distinct, n.env)
 			fj.CountProbes(&n.stats.Probes)
 			elems = append(elems, fj)
 			flush = fj

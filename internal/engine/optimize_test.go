@@ -8,6 +8,7 @@ package engine
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"p2/internal/eventloop"
@@ -145,6 +146,58 @@ func TestSharedProbeStrandsKeepOwnFilters(t *testing.T) {
 	}
 	if shared < 3 {
 		t.Fatalf("sharable strands wired = %d, want A1+A2+A3", shared)
+	}
+}
+
+// TestFoldSkipMatchesUnfusedChain runs a finger-table-shaped min and max
+// through the engine with the fold on and off: 60 hop(I, B, P) rows
+// naming 5 distinct (B, P), mixed Int and Float B for one of them, in a
+// bucket shuffled by replacements. The fold records its distinct
+// columns, derives what the unfused chain derives, and still counts
+// every row it visits as a probe.
+func TestFoldSkipMatchesUnfusedChain(t *testing.T) {
+	const src = `
+		materialize(hop, infinity, infinity, keys(2)).
+		materialize(nearest, infinity, infinity, keys(1,2)).
+		materialize(farthest, infinity, infinity, keys(1,2)).
+		F1 nearest@X(X, K, min<D>) :- probe@X(X, K), hop@X(X, I, B, P), D := (K - B) / 2, B < K.
+		F2 farthest@X(X, K, max<P>) :- probe@X(X, K), hop@X(X, I, B, P), B < K.
+	`
+	drive := func(opts Options) *Node {
+		loop, n := startOne(t, src, opts)
+		hop := func(i int64, b val.Value, p int64) {
+			n.InjectTuple(tuple.New("hop", val.Str("a"), val.Int(i), b, val.Int(p)))
+		}
+		for i := int64(0); i < 60; i++ {
+			hop(i, val.Int(i/12*3), i/12)
+		}
+		for i := int64(5); i < 60; i += 7 { // replacements swap-remove and append
+			hop(i, val.Float(float64(i/12*3)), i/12)
+		}
+		for k := int64(0); k < 16; k++ {
+			n.InjectTuple(tuple.New("probe", val.Str("a"), val.Int(k)))
+		}
+		loop.Run(1)
+		return n
+	}
+	// NoShare: the two unfused joins would otherwise answer one probe
+	// from the other's cache, which is not the difference under test.
+	chain := drive(Options{Seed: 1, NoJitter: true, Optimizer: &planner.OptimizerConfig{NoShare: true, NoFold: true}})
+	fold := drive(Options{Seed: 1, NoJitter: true, Optimizer: &planner.OptimizerConfig{NoShare: true}})
+
+	for _, ps := range fold.PlanStats() {
+		if !strings.Contains(ps.Order, " distinct[") {
+			t.Fatalf("%s plan %q records no distinct columns", ps.Rule, ps.Order)
+		}
+	}
+	for _, rel := range []string{"nearest", "farthest"} {
+		want, got := renderAll(chain.Table(rel).ScanSorted()), renderAll(fold.Table(rel).ScanSorted())
+		if len(want) == 0 || !reflect.DeepEqual(want, got) {
+			t.Fatalf("%s diverged:\n  chain %v\n  fold  %v", rel, want, got)
+		}
+	}
+	if cp, fp := chain.Stats().Probes, fold.Stats().Probes; cp != fp {
+		t.Fatalf("probes: fold %d, chain %d: a passed-over row is still a visited row", fp, cp)
 	}
 }
 

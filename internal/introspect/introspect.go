@@ -77,7 +77,7 @@ func Defs() []Def {
 		{Name: RuleRelation, Arity: 3, Keys: []int{0, 1},
 			Doc: "sysRule(@N, Rule, Fires): cumulative strand executions per compiled rule"},
 		{Name: PlanRelation, Arity: 5, Keys: []int{0, 1},
-			Doc: "sysPlan(@N, Rule, Order, CostEst, Replans): the query optimizer's current plan per rule — body term order (\"-\" when textual), estimated cost, and cumulative adaptive replans"},
+			Doc: "sysPlan(@N, Rule, Order, CostEst, Replans): the query optimizer's current plan per rule — body term order (\"-\" when textual; \" distinct[cols]\" appended when a fused min/max evaluates one match per run of rows equal on those table columns), estimated cost, and cumulative adaptive replans"},
 		{Name: NetRelation, Arity: 14, Keys: []int{0, 1},
 			Doc: "sysNet(@N, Dest, Sent, Recvd, Bytes, Retries, Cwnd, RTO, Backlog, BatchFill, DropsRetry, DropsClosed, DropsDead, DropsOverflow): per-peer transport accounting, live congestion state, and classified drop counters"},
 		{Name: NodeRelation, Arity: 4, Keys: []int{0},
@@ -105,9 +105,11 @@ type RuleStat struct {
 }
 
 // PlanStat is one rule's current optimizer plan: the body term order it
-// executes with ("-" when running the textual plan), the cost the
-// optimizer estimated for that order, and how many times the rule has
-// been adaptively re-planned since start.
+// executes with ("-" when running the textual plan; a fused min/max
+// that passes over matches equal on the table columns its programs read
+// appends " distinct[cols]"), the cost the optimizer estimated for that
+// order, and how many times the rule has been adaptively re-planned
+// since start.
 type PlanStat struct {
 	Rule    string
 	Order   string

@@ -9,6 +9,7 @@
 package pel
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -77,10 +78,14 @@ type Instr struct {
 	Arg int
 }
 
-// Program is a compiled PEL expression.
+// Program is a compiled PEL expression. Programs are straight-line, so
+// Build checks stack discipline once and records depth, the deepest the
+// operand stack gets; -1 marks a malformed program, whose Eval returns
+// what check finds.
 type Program struct {
 	code   []Instr
 	consts []val.Value
+	depth  int
 }
 
 // Env supplies the runtime context PEL built-ins read.
@@ -129,14 +134,56 @@ func (b *Builder) In(loClosed, hiClosed bool) *Builder {
 	return b.Emit(OpIn, arg)
 }
 
-// Build finalizes the program.
+// Build finalizes the program, checking it once.
 func (b *Builder) Build() *Program {
 	p := b.p
+	var err error
+	if p.depth, err = p.check(); err != nil {
+		p.depth = -1
+	}
 	return &p
+}
+
+var errEmptyStack = errors.New("pel: program left empty stack")
+
+// check walks the program: no instruction may find fewer operands than
+// it pops, and a result must be left. It returns the stack depth the VM
+// has to provide.
+func (p *Program) check() (maxDepth int, err error) {
+	depth := 0
+	for pc, ins := range p.code {
+		pops, pushes := stackEffect(ins.Op)
+		if depth < pops {
+			return 0, fmt.Errorf("pel: stack underflow at pc %d (%s)", pc, opNames[ins.Op])
+		}
+		depth += pushes - pops
+		maxDepth = max(maxDepth, depth)
+	}
+	if depth == 0 {
+		return 0, errEmptyStack
+	}
+	return maxDepth, nil
 }
 
 // Len returns the number of instructions.
 func (p *Program) Len() int { return len(p.code) }
+
+// Reads returns the input field positions the program references, in
+// code order, and whether it is pure: its value depends on nothing but
+// those fields (and the node's own address), so it may be evaluated
+// once for inputs that agree on them.
+func (p *Program) Reads() (fields []int, pure bool) {
+	pure = true
+	for _, ins := range p.code {
+		switch ins.Op {
+		case OpField:
+			fields = append(fields, ins.Arg)
+		case OpNow, OpRand, OpCoinFlip:
+			pure = false
+		}
+	}
+	return fields, pure
+}
 
 // String disassembles the program for the olgc inspector.
 func (p *Program) String() string {
@@ -172,19 +219,18 @@ type VM struct {
 	stack []val.Value
 }
 
-// NewVM returns a fresh VM. The operand stack starts nil and is grown
-// by the first Eval to exactly the depth its programs need, then
-// retained (run stores the grown slice back) — so steady-state
-// evaluation stays allocation-free without paying a fixed-size
-// preallocation on every VM. A dataflow graph holds one VM per
-// element, tens of thousands of them across a big deployment, and most
-// programs are a handful of slots deep; the old eager 16-slot stack
-// (16 fixed Value slots) was the single largest per-node heap line.
+// NewVM returns a fresh VM. The operand stack starts nil and run sizes
+// it to the depth Build measured for the deepest program evaluated so
+// far — steady-state evaluation is allocation-free without a fixed-size
+// preallocation on every VM. A dataflow graph holds one VM per element,
+// tens of thousands of them across a big deployment, and most programs
+// are a handful of slots deep.
 func NewVM() *VM { return &VM{} }
 
 // Eval runs p against the input tuple and environment, returning the
 // value left on top of the stack. Errors indicate malformed programs
-// (stack underflow, missing constant), which are planner bugs.
+// (the stack underflow Build found, a missing constant), which are
+// planner bugs.
 func (vm *VM) Eval(p *Program, in *tuple.Tuple, env *Env) (val.Value, error) {
 	return vm.run(p, in, nil, 0, env)
 }
@@ -199,18 +245,20 @@ func (vm *VM) EvalJoined(p *Program, left, right *tuple.Tuple, env *Env) (val.Va
 }
 
 func (vm *VM) run(p *Program, in, right *tuple.Tuple, split int, env *Env) (val.Value, error) {
-	st := vm.stack[:0]
+	if p.depth < 0 {
+		_, err := p.check()
+		return val.Null, err
+	}
+	if cap(vm.stack) < p.depth {
+		vm.stack = make([]val.Value, 0, p.depth)
+	}
+	st := vm.stack // every append below stays within p.depth
 	pop := func() val.Value {
 		v := st[len(st)-1]
 		st = st[:len(st)-1]
 		return v
 	}
 	for pc, ins := range p.code {
-		// Stack-depth checks for operand-consuming opcodes.
-		need := arity(ins.Op)
-		if len(st) < need {
-			return val.Null, fmt.Errorf("pel: stack underflow at pc %d (%s)", pc, opNames[ins.Op])
-		}
 		switch ins.Op {
 		case OpConst:
 			if ins.Arg >= len(p.consts) {
@@ -231,66 +279,51 @@ func (vm *VM) run(p *Program, in, right *tuple.Tuple, split int, env *Env) (val.
 			st[len(st)-1], st[len(st)-2] = st[len(st)-2], st[len(st)-1]
 		case OpAdd:
 			b := pop()
-			a := pop()
-			st = append(st, val.Add(a, b))
+			st[len(st)-1] = val.Add(st[len(st)-1], b)
 		case OpSub:
 			b := pop()
-			a := pop()
-			st = append(st, val.Sub(a, b))
+			st[len(st)-1] = val.Sub(st[len(st)-1], b)
 		case OpMul:
 			b := pop()
-			a := pop()
-			st = append(st, val.Mul(a, b))
+			st[len(st)-1] = val.Mul(st[len(st)-1], b)
 		case OpDiv:
 			b := pop()
-			a := pop()
-			st = append(st, val.Div(a, b))
+			st[len(st)-1] = val.Div(st[len(st)-1], b)
 		case OpMod:
 			b := pop()
-			a := pop()
-			st = append(st, val.Mod(a, b))
+			st[len(st)-1] = val.Mod(st[len(st)-1], b)
 		case OpShl:
 			b := pop()
-			a := pop()
-			st = append(st, val.Shl(a, b))
+			st[len(st)-1] = val.Shl(st[len(st)-1], b)
 		case OpShr:
 			b := pop()
-			a := pop()
-			st = append(st, val.Shr(a, b))
+			st[len(st)-1] = val.Shr(st[len(st)-1], b)
 		case OpNeg:
 			st[len(st)-1] = val.Neg(st[len(st)-1])
 		case OpEq:
 			b := pop()
-			a := pop()
-			st = append(st, val.Bool(a.Cmp(b) == 0))
+			st[len(st)-1] = val.Bool(st[len(st)-1].Cmp(b) == 0)
 		case OpNe:
 			b := pop()
-			a := pop()
-			st = append(st, val.Bool(a.Cmp(b) != 0))
+			st[len(st)-1] = val.Bool(st[len(st)-1].Cmp(b) != 0)
 		case OpLt:
 			b := pop()
-			a := pop()
-			st = append(st, val.Bool(a.Cmp(b) < 0))
+			st[len(st)-1] = val.Bool(st[len(st)-1].Cmp(b) < 0)
 		case OpLe:
 			b := pop()
-			a := pop()
-			st = append(st, val.Bool(a.Cmp(b) <= 0))
+			st[len(st)-1] = val.Bool(st[len(st)-1].Cmp(b) <= 0)
 		case OpGt:
 			b := pop()
-			a := pop()
-			st = append(st, val.Bool(a.Cmp(b) > 0))
+			st[len(st)-1] = val.Bool(st[len(st)-1].Cmp(b) > 0)
 		case OpGe:
 			b := pop()
-			a := pop()
-			st = append(st, val.Bool(a.Cmp(b) >= 0))
+			st[len(st)-1] = val.Bool(st[len(st)-1].Cmp(b) >= 0)
 		case OpAnd:
 			b := pop()
-			a := pop()
-			st = append(st, val.Bool(a.AsBool() && b.AsBool()))
+			st[len(st)-1] = val.Bool(st[len(st)-1].AsBool() && b.AsBool())
 		case OpOr:
 			b := pop()
-			a := pop()
-			st = append(st, val.Bool(a.AsBool() || b.AsBool()))
+			st[len(st)-1] = val.Bool(st[len(st)-1].AsBool() || b.AsBool())
 		case OpNot:
 			st[len(st)-1] = val.Bool(!st[len(st)-1].AsBool())
 		case OpIn:
@@ -330,23 +363,28 @@ func (vm *VM) run(p *Program, in, right *tuple.Tuple, split int, env *Env) (val.
 			return val.Null, fmt.Errorf("pel: unknown opcode %d at pc %d", ins.Op, pc)
 		}
 	}
-	vm.stack = st[:0] // retain capacity
 	if len(st) == 0 {
-		return val.Null, fmt.Errorf("pel: program left empty stack")
+		return val.Null, errEmptyStack
 	}
 	return st[len(st)-1], nil
 }
 
-// arity returns how many stack operands an opcode consumes.
-func arity(op Op) int {
+// stackEffect returns how many operands an opcode pops and pushes.
+func stackEffect(op Op) (pops, pushes int) {
 	switch op {
 	case OpAdd, OpSub, OpMul, OpDiv, OpMod, OpShl, OpShr,
-		OpEq, OpNe, OpLt, OpLe, OpGt, OpGe, OpAnd, OpOr, OpSwap:
-		return 2
-	case OpNeg, OpNot, OpPop, OpDup, OpCoinFlip, OpSha1, OpToID, OpToStr:
-		return 1
+		OpEq, OpNe, OpLt, OpLe, OpGt, OpGe, OpAnd, OpOr:
+		return 2, 1
+	case OpSwap:
+		return 2, 2
+	case OpNeg, OpNot, OpCoinFlip, OpSha1, OpToID, OpToStr:
+		return 1, 1
+	case OpDup:
+		return 1, 2
+	case OpPop:
+		return 1, 0
 	case OpIn:
-		return 3
+		return 3, 1
 	}
-	return 0
+	return 0, 1 // const, field, now, rand, local
 }

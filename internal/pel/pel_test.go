@@ -202,6 +202,41 @@ func TestVMReuseDoesNotLeakStack(t *testing.T) {
 	}
 }
 
+// A VM sized by a shallow program must regrow for a deeper one: Build
+// records each program's depth and run never appends past it.
+func TestVMStackFollowsProgramDepth(t *testing.T) {
+	vm := NewVM()
+	shallow := NewBuilder().Const(val.Int(1)).Build()
+	deep := NewBuilder().Const(val.Int(1)).Const(val.Int(2)).Const(val.Int(3)).Const(val.Int(4)).
+		Op(OpAdd).Op(OpAdd).Op(OpAdd).Build()
+	if shallow.depth != 1 || deep.depth != 4 {
+		t.Fatalf("depths = %d, %d, want 1, 4", shallow.depth, deep.depth)
+	}
+	for _, p := range []*Program{shallow, deep, shallow} {
+		if _, err := vm.Eval(p, tuple.New("x"), env()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if v, _ := vm.Eval(deep, tuple.New("x"), env()); v.AsInt() != 10 {
+		t.Fatalf("1+2+3+4 = %v", v)
+	}
+}
+
+func TestReads(t *testing.T) {
+	fields, pure := NewBuilder().Field(6).Op(OpLocal).Op(OpSha1).Field(1).In(false, false).Build().Reads()
+	if !pure || len(fields) != 2 || fields[0] != 6 || fields[1] != 1 {
+		t.Errorf("Reads = %v, %v, want [6 1], pure", fields, pure)
+	}
+	for _, op := range []Op{OpNow, OpRand} {
+		if _, pure := NewBuilder().Field(0).Op(op).Op(OpLt).Build().Reads(); pure {
+			t.Errorf("a program with %s is not pure", opNames[op])
+		}
+	}
+	if _, pure := NewBuilder().Field(0).Op(OpCoinFlip).Build().Reads(); pure {
+		t.Error("a program with coinflip is not pure")
+	}
+}
+
 func TestDisassembly(t *testing.T) {
 	p := NewBuilder().Field(2).Const(val.Int(1)).Op(OpAdd).In(false, true).Build()
 	s := p.String()

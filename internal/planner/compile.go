@@ -2,6 +2,7 @@ package planner
 
 import (
 	"fmt"
+	"slices"
 
 	"p2/internal/dataflow"
 	"p2/internal/introspect"
@@ -727,6 +728,7 @@ func (c *ruleCtx) tryFold(eventArity int) {
 	var filters []*pel.Program
 	var input *pel.Program
 	tail := c.ops[last+1:]
+	split := c.width - c.plan.Arities[join.Table] // where match columns start in stream++match
 	if len(tail) > 0 {
 		if asn, ok := tail[len(tail)-1].(*OpAssign); ok {
 			if aggPos != c.width-1 {
@@ -734,6 +736,7 @@ func (c *ruleCtx) tryFold(eventArity int) {
 			}
 			input = asn.Prog
 			tail = tail[:len(tail)-1]
+			split--
 		}
 	}
 	for _, op := range tail {
@@ -750,15 +753,39 @@ func (c *ruleCtx) tryFold(eventArity int) {
 		}
 		input = pel.NewBuilder().Field(aggPos).Build()
 	}
-	c.ops = append(c.ops[:last], &OpFoldJoin{
+	fold := &OpFoldJoin{
 		Table:     join.Table,
 		StreamKey: join.StreamKey,
 		TableKey:  join.TableKey,
 		Filters:   filters,
 		Input:     input,
 		Fn:        fn,
-	})
+	}
+	if fn != dataflow.AggCount && input != nil {
+		fold.Distinct = matchReads(split, append([]*pel.Program{input}, filters...))
+	}
+	c.ops = append(c.ops[:last], fold)
 	c.folded = true
+}
+
+// matchReads returns, sorted, the match columns the programs read from
+// the virtual concatenation stream++match (positions from split on,
+// shifted down), or nil if any program is impure.
+func matchReads(split int, progs []*pel.Program) []int {
+	var cols []int
+	for _, p := range progs {
+		fields, pure := p.Reads()
+		if !pure {
+			return nil
+		}
+		for _, f := range fields {
+			if f >= split && !slices.Contains(cols, f-split) {
+				cols = append(cols, f-split)
+			}
+		}
+	}
+	slices.Sort(cols)
+	return cols
 }
 
 // compileHead builds the head projection and aggregate specification.

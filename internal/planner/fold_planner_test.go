@@ -116,3 +116,42 @@ func TestFoldedPlanStringMentionsFold(t *testing.T) {
 		t.Fatalf("plan dump lacks foldjoin: %s", s)
 	}
 }
+
+// TestFoldRecordsDistinctColumns pins which finger columns the lookup
+// folds may skip on: L2's programs read B, L3's read B and BI
+// (finger(NI, I, B, BI): columns 2 and 3). A clock read in a fused
+// filter makes equal rows unequal, and count needs every row: neither
+// records any column.
+func TestFoldRecordsDistinctColumns(t *testing.T) {
+	opt := Optimize(compile(t, chordLookupSrc), nil, OptimizerConfig{})
+	for _, r := range opt.Rules {
+		want := map[string][]int{"L2": {2}, "L3": {2, 3}}[r.ID]
+		if want == nil {
+			continue
+		}
+		if f := foldOp(r); f == nil || !intsEqual(f.Distinct, want) {
+			t.Fatalf("%s fold = %+v, want distinct columns %v", r.ID, f, want)
+		}
+		if !strings.Contains(r.OrderString(), " distinct[2") {
+			t.Fatalf("%s sysPlan order %q lacks its distinct columns", r.ID, r.OrderString())
+		}
+	}
+	if s := opt.String(); !strings.Contains(s, "min distinct[2]") || !strings.Contains(s, "min distinct[2 3]") {
+		t.Fatalf("plan dump lacks the folds' distinct columns: %s", s)
+	}
+
+	for name, src := range map[string]string{
+		"f_now filter": `R1 out@X(X, min<S>) :- evt@X(X, A), small@X(X, S, T), f_now() - T < A.`,
+		"count":        `R1 out@X(X, count<*>) :- evt@X(X, A), small@X(X, S, T), S > A.`,
+	} {
+		p := compile(t, "materialize(small, 30, infinity, keys(2)).\n"+src)
+		r := Optimize(p, nil, OptimizerConfig{}).Rules[0]
+		f := foldOp(r)
+		if f == nil {
+			t.Fatalf("%s: rule should still fold: %v", name, r.Ops)
+		}
+		if f.Distinct != nil || strings.Contains(r.OrderString(), "distinct") {
+			t.Fatalf("%s: fold records distinct columns %v (order %q), want none", name, f.Distinct, r.OrderString())
+		}
+	}
+}

@@ -130,6 +130,10 @@ type OpRange struct {
 // whose Ops end in an OpFoldJoin emits through the fold's Flush, and
 // its HeadProgs use the event++aggregate layout (as count/sum/avg
 // always do).
+//
+// Distinct lists the table columns Filters and Input read, recorded
+// only for min/max over pure programs: matches that agree on them fold
+// identically, so the element evaluates one of each adjacent run.
 type OpFoldJoin struct {
 	Table     string
 	StreamKey []int
@@ -137,6 +141,7 @@ type OpFoldJoin struct {
 	Filters   []*pel.Program
 	Input     *pel.Program // nil for count<*>
 	Fn        dataflow.AggFunc
+	Distinct  []int
 }
 
 func (*OpJoin) op()     {}
@@ -190,9 +195,10 @@ type Rule struct {
 }
 
 // OrderString renders the optimizer-chosen body order ("0,2,1"), or
-// "-" for the naive textual order. This is the sysPlan Order column;
-// the introspection refresh calls it per strand per tick, hence the
-// memo.
+// "-" for the naive textual order, followed by " distinct[cols]" when
+// the rule ends in a fold that evaluates one match per run of equal
+// columns (OpFoldJoin.Distinct). This is the sysPlan Order column; the
+// introspection refresh calls it per strand per tick, hence the memo.
 func (r *Rule) OrderString() string {
 	if len(r.Order) == 0 {
 		return "-"
@@ -204,6 +210,9 @@ func (r *Rule) OrderString() string {
 				sb.WriteByte(',')
 			}
 			fmt.Fprintf(&sb, "%d", o)
+		}
+		if f, ok := r.Ops[len(r.Ops)-1].(*OpFoldJoin); ok && len(f.Distinct) > 0 {
+			fmt.Fprintf(&sb, " distinct%v", f.Distinct)
 		}
 		r.orderStr = sb.String()
 	}
@@ -290,6 +299,9 @@ func (p *Plan) String() string {
 					fmt.Fprintf(&sb, " where[%s]", f)
 				}
 				fmt.Fprintf(&sb, " %s", o.Fn)
+				if len(o.Distinct) > 0 {
+					fmt.Fprintf(&sb, " distinct%v", o.Distinct)
+				}
 			}
 		}
 		if r.Agg != nil {
@@ -303,7 +315,8 @@ func (p *Plan) String() string {
 		}
 		fmt.Fprintf(&sb, " -> %s %s/%d", verb, r.HeadName, len(r.HeadProgs))
 		if r.CostBasis != nil {
-			fmt.Fprintf(&sb, "  [order=%s cost=%.4g]", r.OrderString(), r.CostEst)
+			order, _, _ := strings.Cut(r.OrderString(), " ") // the fold above already shows its distinct columns
+			fmt.Fprintf(&sb, "  [order=%s cost=%.4g]", order, r.CostEst)
 		}
 		sb.WriteString("\n")
 	}

@@ -52,21 +52,6 @@ func TestIndexEachZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestIndexLookupAllocBudget pins the slice-returning form at its one
-// permitted allocation: the result slice.
-func TestIndexLookupAllocBudget(t *testing.T) {
-	_, ix, _ := benchTable(256)
-	key := tuple.New("probe", val.Str("x"), val.Int(3)).Key([]int{1})
-	allocs := testing.AllocsPerRun(200, func() {
-		if len(ix.Lookup(key)) == 0 {
-			t.Fatal("no rows")
-		}
-	})
-	if allocs > 1 {
-		t.Fatalf("Index.Lookup allocated %.1f/op, want <= 1", allocs)
-	}
-}
-
 // TestRefreshZeroAlloc pins the pure-refresh path — the steady state of
 // periodic re-derivation — at zero allocations: the primary key renders
 // into the table's scratch buffer and no row state changes.
@@ -93,7 +78,7 @@ func TestDeleteNoRerender(t *testing.T) {
 		t.Fatal("delete missed")
 	}
 	key := victim.Key([]int{1})
-	for _, m := range ix.Lookup(key) {
+	for _, m := range rowsAt(tb, ix.Positions(), key) {
 		if m.Equal(victim) {
 			t.Fatal("deleted row still indexed")
 		}
@@ -122,16 +107,6 @@ func BenchmarkIndexEach(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		buf = probe.AppendKey(buf[:0], []int{1})
 		ix.Each(buf, func(*tuple.Tuple) bool { return true })
-	}
-}
-
-func BenchmarkIndexHandleLookup(b *testing.B) {
-	_, ix, _ := benchTable(256)
-	key := tuple.New("probe", val.Str("x"), val.Int(3)).Key([]int{1})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ix.Lookup(key)
 	}
 }
 

@@ -37,8 +37,8 @@ func TestInternedReplaceIsExact(t *testing.T) {
 	if tb.Len() != 1 {
 		t.Fatalf("len after replace = %d; interning split the primary key", tb.Len())
 	}
-	if got := tb.LookupPK(privMember("a", 0).Key([]int{1})); got == nil || got.Field(2).AsInt() != 2 {
-		t.Fatalf("LookupPK via private key = %v", got)
+	if got := rowAtPK(tb, privMember("a", 0).Key([]int{1})); got == nil || got.Field(2).AsInt() != 2 {
+		t.Fatalf("primary-key probe via private key = %v", got)
 	}
 }
 
@@ -69,7 +69,7 @@ func TestInternedExpireAndEvict(t *testing.T) {
 	if tb.Len() != 1 {
 		t.Fatalf("len after expiry = %d, want 1 (only refreshed d alive)", tb.Len())
 	}
-	if got := tb.LookupPK(privMember("d", 0).Key([]int{1})); got == nil || got.Field(2).AsInt() != 99 {
+	if got := rowAtPK(tb, privMember("d", 0).Key([]int{1})); got == nil || got.Field(2).AsInt() != 99 {
 		t.Fatalf("survivor = %v, want refreshed d", got)
 	}
 	if len(deleted) != 4 {

@@ -28,7 +28,6 @@
 package table
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"strconv"
@@ -565,16 +564,6 @@ func indexSig(positions []int) string {
 	return strings.Join(parts, ",")
 }
 
-// index resolves positions to an existing index or panics — a missing
-// index flags a planner bug immediately.
-func (tb *Table) index(positions []int) *Index {
-	ix, ok := tb.bySig[indexSig(positions)]
-	if !ok {
-		panic(fmt.Sprintf("table %s: lookup on missing index %v", tb.name, positions))
-	}
-	return ix
-}
-
 // Positions returns the indexed field positions. Treat as read-only.
 func (ix *Index) Positions() []int { return ix.positions }
 
@@ -587,12 +576,11 @@ func (ix *Index) Positions() []int { return ix.positions }
 // Mid-visit mutation semantics: rows the visit's own side effects
 // insert are not visited (the probe sees the bucket as of entry), and
 // rows they remove are tombstoned in place, so no row is ever visited
-// twice. A removed-but-unvisited row is therefore SKIPPED — this
-// differs deliberately from the slice-returning Lookup, whose snapshot
-// would still yield a row retracted after the probe began. Not deriving
-// from a row the same event chain just retracted is the more faithful
-// reading of soft state; self-modifying rules that delete from the
-// table they are probing see the deletion immediately.
+// twice. A removed-but-unvisited row is therefore SKIPPED, where a
+// snapshot taken at entry would still yield it. Not deriving from a row
+// the same event chain just retracted is the more faithful reading of
+// soft state; self-modifying rules that delete from the table they are
+// probing see the deletion immediately.
 func (ix *Index) Each(key []byte, fn func(*tuple.Tuple) bool) {
 	ix.tb.Expire()
 	ix.PeekEach(key, fn)
@@ -644,61 +632,6 @@ func (ix *Index) Contains(key []byte) bool {
 		}
 	}
 	return false
-}
-
-// Lookup returns the live tuples whose indexed fields equal key. The
-// single allocation is the result slice; probes that can consume rows
-// in place should prefer Each.
-func (ix *Index) Lookup(key string) []*tuple.Tuple {
-	ix.tb.Expire()
-	return ix.peek(key)
-}
-
-// PeekLookup is Lookup without the expiry pass (see PeekEach).
-func (ix *Index) PeekLookup(key string) []*tuple.Tuple {
-	return ix.peek(key)
-}
-
-func (ix *Index) peek(key string) []*tuple.Tuple {
-	bucket := ix.m[key]
-	if len(bucket) == 0 {
-		return nil
-	}
-	out := make([]*tuple.Tuple, 0, len(bucket))
-	for _, r := range bucket {
-		if r != nil {
-			out = append(out, r.t)
-		}
-	}
-	return out
-}
-
-// Lookup returns the live tuples whose indexed fields equal key.
-// The index must have been created with EnsureIndex; looking up a
-// missing index panics, which flags a planner bug immediately.
-//
-// This positional form re-derives the index signature per call; hot
-// paths resolve the *Index handle once and use its methods instead.
-func (tb *Table) Lookup(positions []int, key string) []*tuple.Tuple {
-	return tb.index(positions).Lookup(key)
-}
-
-// PeekLookup is Lookup without the expiry pass — for listeners that
-// read the table while a mutation is in progress, where re-entering
-// Expire would recurse into the listener chain. Rows past their TTL but
-// not yet swept may be included; their own delete notifications follow.
-func (tb *Table) PeekLookup(positions []int, key string) []*tuple.Tuple {
-	return tb.index(positions).PeekLookup(key)
-}
-
-// LookupPK returns the live tuple with the given primary-key value, or
-// nil.
-func (tb *Table) LookupPK(key string) *tuple.Tuple {
-	tb.Expire()
-	if r, ok := tb.rows[key]; ok {
-		return r.t
-	}
-	return nil
 }
 
 // Scan returns all live tuples in insertion order.

@@ -16,6 +16,26 @@ func member(addr string, seq int64) *tuple.Tuple {
 	return mk("member", val.Str("n1"), val.Str(addr), val.Int(seq))
 }
 
+// rowsAt collects what an Each probe of the index over positions visits
+// for a rendered key, creating the index on first use.
+func rowsAt(tb *Table, positions []int, key string) []*tuple.Tuple {
+	var out []*tuple.Tuple
+	tb.EnsureIndex(positions).Each([]byte(key), func(t *tuple.Tuple) bool {
+		out = append(out, t)
+		return true
+	})
+	return out
+}
+
+// rowAtPK returns the live row with the given rendered primary key, or
+// nil.
+func rowAtPK(tb *Table, key string) *tuple.Tuple {
+	if rows := rowsAt(tb, tb.PrimaryKey(), key); len(rows) == 1 {
+		return rows[0]
+	}
+	return nil
+}
+
 func TestInsertAndLookupPK(t *testing.T) {
 	loop := eventloop.NewSim()
 	tb := New("member", Infinity, 0, []int{1}, loop)
@@ -26,11 +46,11 @@ func TestInsertAndLookupPK(t *testing.T) {
 	if tb.Len() != 1 {
 		t.Fatalf("len = %d", tb.Len())
 	}
-	got := tb.LookupPK(member("a", 1).Key([]int{1}))
+	got := rowAtPK(tb, member("a", 1).Key([]int{1}))
 	if got == nil || got.Field(2).AsInt() != 1 {
-		t.Fatalf("LookupPK = %v", got)
+		t.Fatalf("primary-key probe = %v", got)
 	}
-	if tb.LookupPK(member("zz", 0).Key([]int{1})) != nil {
+	if rowAtPK(tb, member("zz", 0).Key([]int{1})) != nil {
 		t.Error("missing key should be nil")
 	}
 }
@@ -166,19 +186,19 @@ func TestSecondaryIndex(t *testing.T) {
 	ins(1, "alice")
 	ins(2, "bob")
 	key := mk("k", val.Str("alice")).Key([]int{0})
-	got := tb.Lookup([]int{2}, key)
+	got := rowsAt(tb, []int{2}, key)
 	if len(got) != 2 {
 		t.Fatalf("index lookup = %v", got)
 	}
 	// Replacement must keep the index in sync.
 	ins(0, "bob")
-	got = tb.Lookup([]int{2}, key)
+	got = rowsAt(tb, []int{2}, key)
 	if len(got) != 1 {
 		t.Fatalf("after replace, alice rows = %v", got)
 	}
 	// Deletion too.
 	tb.Delete(mk("finger", val.Str("n1"), val.Int(1)))
-	if len(tb.Lookup([]int{2}, key)) != 0 {
+	if len(rowsAt(tb, []int{2}, key)) != 0 {
 		t.Fatal("index not updated on delete")
 	}
 }
@@ -190,21 +210,10 @@ func TestEnsureIndexBackfills(t *testing.T) {
 	tb.Insert(member("b", 7))
 	tb.EnsureIndex([]int{2}) // created after rows exist
 	key := mk("k", val.Int(7)).Key([]int{0})
-	if got := tb.Lookup([]int{2}, key); len(got) != 2 {
+	if got := rowsAt(tb, []int{2}, key); len(got) != 2 {
 		t.Fatalf("backfilled index lookup = %v", got)
 	}
 	tb.EnsureIndex([]int{2}) // idempotent
-}
-
-func TestLookupMissingIndexPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	loop := eventloop.NewSim()
-	tb := New("m", Infinity, 0, []int{1}, loop)
-	tb.Lookup([]int{3}, "k")
 }
 
 func TestIndexLookupSkipsExpired(t *testing.T) {
@@ -216,7 +225,7 @@ func TestIndexLookupSkipsExpired(t *testing.T) {
 	tb.Insert(member("b", 7))
 	loop.Run(10.5) // "a" dead, "b" alive
 	key := mk("k", val.Int(7)).Key([]int{0})
-	got := tb.Lookup([]int{2}, key)
+	got := rowsAt(tb, []int{2}, key)
 	if len(got) != 1 || got[0].Field(1).AsStr() != "b" {
 		t.Fatalf("lookup after expiry = %v", got)
 	}
@@ -287,7 +296,7 @@ func TestTableInvariants(t *testing.T) {
 			// Index agreement.
 			for s := int64(0); s < 3; s++ {
 				key := mk("k", val.Int(s)).Key([]int{0})
-				viaIndex := tb.Lookup([]int{2}, key)
+				viaIndex := rowsAt(tb, []int{2}, key)
 				count := 0
 				for _, row := range tb.Scan() {
 					if row.Field(2).AsInt() == s {
@@ -313,19 +322,5 @@ func BenchmarkInsertReplace(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		tb.Insert(tuples[i%2])
-	}
-}
-
-func BenchmarkIndexLookup(b *testing.B) {
-	loop := eventloop.NewSim()
-	tb := New("m", Infinity, 0, []int{1}, loop)
-	tb.EnsureIndex([]int{2})
-	for i := 0; i < 100; i++ {
-		tb.Insert(member(string(rune('a'+i%26))+string(rune('0'+i/26)), int64(i%10)))
-	}
-	key := mk("k", val.Int(5)).Key([]int{0})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tb.Lookup([]int{2}, key)
 	}
 }

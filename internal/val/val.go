@@ -12,10 +12,12 @@
 package val
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
 	"strconv"
+	"strings"
 
 	"p2/internal/id"
 )
@@ -195,65 +197,31 @@ func (v Value) AsID() id.ID {
 // AsTime returns the timestamp payload in seconds.
 func (v Value) AsTime() float64 { return v.AsFloat() }
 
-// Equal reports whether two values are identical in kind and payload.
+// Equal reports whether two values compare equal under Cmp — numeric
+// kinds by numeric value, so Int(3).Equal(Float(3.0)).
 func (v Value) Equal(o Value) bool { return v.Cmp(o) == 0 }
+
+// Same reports whether a and b are identical in kind and payload: any
+// pure computation gives the same result on either. Equal is not that
+// (Int(3) equals Float(3.0), yet 3/2 != 3.0/2).
+func Same(a, b Value) bool { return a.kind == b.kind && a.num == b.num && a.str == b.str }
 
 // Cmp totally orders values: by kind rank first, then payload.
 // Numeric kinds (bool, int, float, time) compare against each other by
 // numeric value so that Int(3) == Float(3.0); this is what joins on key
 // columns expect.
 func (v Value) Cmp(o Value) int {
-	vn, on := v.numericRank(), o.numericRank()
-	if vn && on {
-		a, b := v.AsFloat(), o.AsFloat()
-		// Exact integer comparison when both are integers, to avoid
-		// float rounding on large int64 values.
-		if v.kind == KInt && o.kind == KInt {
-			ai, bi := int64(v.num), int64(o.num)
-			switch {
-			case ai < bi:
-				return -1
-			case ai > bi:
-				return 1
-			}
-			return 0
-		}
-		switch {
-		case a < b:
-			return -1
-		case a > b:
-			return 1
-		}
-		return 0
+	switch {
+	case v.kind == KInt && o.kind == KInt:
+		return cmp.Compare(int64(v.num), int64(o.num)) // exact: floats would round large int64s
+	case v.numericRank() && o.numericRank():
+		return cmp.Compare(v.AsFloat(), o.AsFloat())
+	case v.kind != o.kind:
+		return cmp.Compare(v.kind, o.kind)
 	}
-	if v.kind != o.kind {
-		if v.kind < o.kind {
-			return -1
-		}
-		return 1
-	}
-	switch v.kind {
-	case KNull:
-		return 0
-	case KStr:
-		switch {
-		case v.str < o.str:
-			return -1
-		case v.str > o.str:
-			return 1
-		}
-		return 0
-	case KID:
-		// Big-endian payload bytes: lexicographic == numeric order.
-		switch {
-		case v.str < o.str:
-			return -1
-		case v.str > o.str:
-			return 1
-		}
-		return 0
-	}
-	return 0
+	// Strings, and IDs as big-endian payload bytes: lexicographic order
+	// is numeric order. Null equals Null.
+	return strings.Compare(v.str, o.str)
 }
 
 func (v Value) numericRank() bool {

@@ -148,6 +148,29 @@ func TestCmpNumericCrossKind(t *testing.T) {
 	}
 }
 
+// Same is the identity a computation may be reused under; Equal is not:
+// the two operands below are Equal yet divide to different results.
+func TestSame(t *testing.T) {
+	if !Int(3).Equal(Float(3)) || Same(Int(3), Float(3)) {
+		t.Error("Int(3) and Float(3) are Equal but not Same")
+	}
+	if Same(Div(Int(3), Int(2)), Div(Float(3), Int(2))) {
+		t.Error("3/2 and 3.0/2 differ")
+	}
+	x := id.Hash("n1")
+	for _, v := range []Value{Null, Bool(true), Int(-7), Float(2.5), Time(2.5), Str("a"), MakeID(x)} {
+		if !Same(v, v) {
+			t.Errorf("%v is not Same as itself", v)
+		}
+	}
+	if !Same(MakeID(x), MakeID(x)) || Same(MakeID(x), MakeID(x.Add(id.One))) {
+		t.Error("IDs are Same exactly when their payloads match")
+	}
+	if Same(Float(2.5), Time(2.5)) || Same(Str(""), Null) || Same(Bool(true), Int(1)) {
+		t.Error("equal payloads of different kinds are not Same")
+	}
+}
+
 func TestCmpAcrossNonNumericKinds(t *testing.T) {
 	if Str("z").Cmp(MakeID(id.Zero)) != -1 {
 		t.Error("str ranks below id")

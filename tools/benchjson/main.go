@@ -37,8 +37,10 @@ import (
 // Result is one benchmark's parsed measurements. Shards is lifted out
 // of the metrics (or the sub-benchmark name, e.g. ".../shards=8-4")
 // for the sharded-simulator benchmarks, and events/sec/core is derived
-// whenever events/sec and a shard count are both known, so trend
-// analysis can compare parallel efficiency across commits directly.
+// when events/sec, a shard count and the run's core count (the num_cpu
+// and gomaxprocs metrics) are all known and every shard had a core, so
+// trend analysis can compare parallel efficiency across commits
+// directly.
 type Result struct {
 	Name    string             `json:"name"`
 	Iters   int64              `json:"iters"`
@@ -47,6 +49,9 @@ type Result struct {
 }
 
 // finalize resolves the shard count and derives events/sec/core.
+// Shards beyond the cores time-share them, so with more shards than
+// cores — or an unknown core count — no per-core figure is emitted, and
+// one the benchmark reported itself is dropped.
 func (r *Result) finalize() {
 	if s, ok := r.Metrics["shards"]; ok {
 		r.Shards = int64(s)
@@ -64,21 +69,30 @@ func (r *Result) finalize() {
 			}
 		}
 	}
-	if ev, ok := r.Metrics["events/sec"]; ok && r.Shards > 0 {
-		if _, done := r.Metrics["events/sec/core"]; !done {
-			r.Metrics["events/sec/core"] = ev / float64(r.Shards)
-		}
+	ev, ok := r.Metrics["events/sec"]
+	if !ok || r.Shards <= 0 {
+		return
 	}
+	cores := int64(min(r.Metrics["num_cpu"], r.Metrics["gomaxprocs"])) // 0 when either is absent
+	if r.Shards > cores {
+		delete(r.Metrics, "events/sec/core")
+		return
+	}
+	r.Metrics["events/sec/core"] = ev / float64(r.Shards)
 }
 
 // Doc is the archived artifact.
 type Doc struct {
-	Commit    string   `json:"commit,omitempty"`
-	GoOS      string   `json:"goos,omitempty"`
-	GoArch    string   `json:"goarch,omitempty"`
-	CPU       string   `json:"cpu,omitempty"`
-	Timestamp string   `json:"timestamp"`
-	Results   []Result `json:"results"`
+	Commit string `json:"commit,omitempty"`
+	GoOS   string `json:"goos,omitempty"`
+	GoArch string `json:"goarch,omitempty"`
+	CPU    string `json:"cpu,omitempty"`
+	// NumCPU and GOMAXPROCS are what the benchmarks reported in their
+	// num_cpu and gomaxprocs metrics: the cores the numbers were taken on.
+	NumCPU     int      `json:"num_cpu,omitempty"`
+	GOMAXPROCS int      `json:"gomaxprocs,omitempty"`
+	Timestamp  string   `json:"timestamp"`
+	Results    []Result `json:"results"`
 }
 
 func main() {
@@ -128,6 +142,9 @@ func main() {
 			r.Metrics[fields[i+1]] = v
 		}
 		r.finalize()
+		if n, ok := r.Metrics["num_cpu"]; ok {
+			doc.NumCPU, doc.GOMAXPROCS = int(n), int(r.Metrics["gomaxprocs"])
+		}
 		doc.Results = append(doc.Results, r)
 	}
 	if err := sc.Err(); err != nil {

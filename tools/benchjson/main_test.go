@@ -114,3 +114,25 @@ func TestCompareBaselineIgnoresNonEventMetrics(t *testing.T) {
 		t.Fatal("benchmarks without events/sec are outside the gate")
 	}
 }
+
+// events/sec/core means one core per shard: it is derived only when
+// the run recorded its cores and had at least as many as shards.
+func TestFinalizePerCore(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		metrics map[string]float64
+		want    float64 // 0: no per-core figure
+	}{
+		{"BenchmarkSimulatedSecond128/shards=2-8", map[string]float64{"events/sec": 300, "num_cpu": 8, "gomaxprocs": 8}, 150},
+		{"BenchmarkSimulatedSecond128/shards=4-2", map[string]float64{"events/sec": 300, "num_cpu": 2, "gomaxprocs": 2}, 0},
+		{"BenchmarkSimulatedSecond128/shards=4-2", map[string]float64{"events/sec": 300, "num_cpu": 8, "gomaxprocs": 2}, 0},
+		{"BenchmarkSimulatedSecond128/shards=4-8", map[string]float64{"events/sec": 300, "events/sec/core": 75}, 0}, // cores unknown
+		{"BenchmarkX", map[string]float64{"events/sec": 300, "shards": 1, "num_cpu": 2, "gomaxprocs": 2}, 300},
+	} {
+		r := Result{Name: c.name, Metrics: c.metrics}
+		r.finalize()
+		if got, ok := r.Metrics["events/sec/core"]; got != c.want || ok != (c.want != 0) {
+			t.Errorf("%s %v: events/sec/core = %v (present %v), want %v", c.name, c.metrics, got, ok, c.want)
+		}
+	}
+}

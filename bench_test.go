@@ -4,7 +4,10 @@ package p2_test
 // or quantified claim. These wrap the generators in
 // internal/experiments at smoke scale so `go test -bench=.` finishes in
 // minutes; cmd/p2sim runs the same code at the published scale
-// (100-500 node static rings, 400-node 20-minute churn).
+// (100-500 node static rings, 400-node 20-minute churn). Throughput,
+// latency and heap per commit are not measured here: that is
+// `go run ./bench` (BENCHMARK.json), which CI compares against the
+// parent commit.
 //
 // Figure-shaped results are emitted as custom benchmark metrics
 // (hops/lookup, B/s/node, consistency) rather than ns/op, which is
@@ -13,9 +16,7 @@ package p2_test
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"testing"
-	"time"
 
 	"p2"
 	"p2/internal/chordref"
@@ -29,7 +30,6 @@ import (
 	"p2/internal/transport"
 	"p2/internal/tuple"
 	"p2/internal/val"
-	"p2/internal/workload"
 )
 
 // staticRing builds a converged P2 Chord ring for lookup benchmarks.
@@ -232,81 +232,6 @@ func BenchmarkNodeMemoryFootprint(b *testing.B) {
 	b.ReportMetric(float64(fp.BytesPerNode)/1024, "kB/node")
 }
 
-// BenchmarkFootprint is the scale-out memory gauge CI archives per
-// commit: amortized heap bytes per node at the paper's population and
-// at 1k, control-run-subtracted and double-GC'd (MeasureFootprint), so
-// the BENCH_*.json trajectory records whether per-node cost is drifting
-// toward or away from the 100k-in-125GB budget. kB/node is a gated
-// lower-is-better metric under tools/benchjson -baseline.
-func BenchmarkFootprint(b *testing.B) {
-	for _, n := range []int{8, 1000} {
-		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
-			var fp experiments.Footprint
-			for i := 0; i < b.N; i++ {
-				fp = experiments.MeasureFootprint(n, 30)
-			}
-			b.ReportMetric(float64(fp.BytesPerNode)/1024, "kB/node")
-			b.ReportMetric(float64(fp.InternEntries), "intern-entries")
-		})
-	}
-}
-
-// BenchmarkOpenLoopWorkload is the 1k-node open-loop smoke CI archives
-// per commit: a ramped-join build of a 1000-node ring on the
-// transit-stub WAN, then a 10-virtual-second Poisson lookup stream at
-// 100/s, reporting completion-weighted latency percentiles. p50/p99/
-// p999-ms are gated lower-is-better metrics under tools/benchjson
-// -baseline; the full 60-second 10k soak lives in internal/workload's
-// TestScale10k (CI: test-scale job).
-func BenchmarkOpenLoopWorkload(b *testing.B) {
-	wan := simnet.TransitStubWAN(4, 4, 17)
-	h := harness.NewChord(harness.Opts{N: 1000, Seed: 1, JoinSpacing: 0.01,
-		JoinRamp: true, Net: &wan})
-	b.Cleanup(h.Close)
-	h.Run(h.JoinDeadline() + 60)
-	if rc := h.RingCorrectness(); rc < 0.99 {
-		b.Fatalf("ring correctness %.3f before workload", rc)
-	}
-	b.ResetTimer()
-	var rep workload.Report
-	for i := 0; i < b.N; i++ {
-		rep = workload.Run(h, workload.Opts{Rate: 100, Duration: 10, Seed: 2})
-	}
-	b.ReportMetric(rep.LatencyP50*1000, "p50-ms")
-	b.ReportMetric(rep.LatencyP99*1000, "p99-ms")
-	b.ReportMetric(rep.LatencyP999*1000, "p999-ms")
-	b.ReportMetric(rep.MeanHops, "hops/lookup")
-	b.ReportMetric(rep.CompletionRate(), "done-frac")
-}
-
-// BenchmarkKVWorkload is the KV service's CI gauge: a 256-node KV
-// ring on the transit-stub WAN under the open-loop PUT/GET mix,
-// archiving throughput (ops/sec of virtual time), the staleness
-// fraction, and per-op latency percentiles. ops/sec (higher is
-// better) and stale-frac (lower) gate under tools/benchjson -baseline.
-func BenchmarkKVWorkload(b *testing.B) {
-	wan := simnet.TransitStubWAN(4, 4, 17)
-	h := harness.NewChord(harness.Opts{N: 256, Seed: 1, JoinSpacing: 0.05,
-		JoinRamp: true, Net: &wan, KV: true})
-	b.Cleanup(h.Close)
-	h.Run(h.JoinDeadline() + 120)
-	if rc := h.RingCorrectness(); rc < 0.99 {
-		b.Fatalf("ring correctness %.3f before workload", rc)
-	}
-	b.ResetTimer()
-	var rep workload.KVReport
-	const dur = 10.0
-	for i := 0; i < b.N; i++ {
-		rep = workload.RunKV(h, workload.KVOpts{Rate: 50, Duration: dur, Seed: 2})
-	}
-	done := float64(rep.PutsCompleted + rep.GetsCompleted)
-	b.ReportMetric(done/dur, "ops/sec")
-	b.ReportMetric(rep.StalenessRate(), "stale-frac")
-	b.ReportMetric(rep.CompletionRate(), "done-frac")
-	b.ReportMetric(rep.PutP99*1000, "put-p99-ms")
-	b.ReportMetric(rep.GetP99*1000, "get-p99-ms")
-}
-
 // BenchmarkLookupDeclarative measures wall-clock simulation cost of
 // lookups on the OverLog-driven engine — the "CPU usage comparable to
 // C++ implementations" axis, paired with BenchmarkLookupHandcoded.
@@ -369,134 +294,6 @@ func BenchmarkCompileChord(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkSimulatedSecond measures how much wall time one virtual
-// second of a 32-node Chord network costs — the simulator's speedup
-// over real time — and the raw event rate the loop sustains. This is
-// the hot-path gauge: strand triggers, equijoin probes, and deferred
-// procedure calls all meter through here.
-func BenchmarkSimulatedSecond(b *testing.B) {
-	h := staticRing(b, 32)
-	b.ResetTimer()
-	events := 0
-	start := time.Now()
-	for i := 0; i < b.N; i++ {
-		events += h.RunEvents(1)
-	}
-	if wall := time.Since(start).Seconds(); wall > 0 {
-		b.ReportMetric(float64(events)/wall, "events/sec")
-	}
-}
-
-// totalProbes sums the equijoin probe counters across every live node.
-func totalProbes(h *harness.Chord) int64 {
-	var total int64
-	for _, addr := range h.LiveAddrs() {
-		h.Node(addr).Do(func(n *p2.Node) { total += n.Stats().Probes })
-	}
-	return total
-}
-
-// BenchmarkOptimizedSecond is the query-optimizer gauge: one virtual
-// second of a converged 128-node Chord ring with the cost-based
-// optimizer on (the harness default) against the textual-plan baseline,
-// at identical seed and topology. events/sec is the headline;
-// probes/event shows where the win comes from — pushed-down selections
-// and shared probe caches retire join work before it reaches an index.
-func BenchmarkOptimizedSecond(b *testing.B) {
-	for _, mode := range []struct {
-		name  string
-		naive bool
-	}{{"optimized", false}, {"naive", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			cfg := simnet.DefaultConfig()
-			cfg.Domains = 16
-			h := harness.NewChord(harness.Opts{N: 128, Seed: 1, JoinSpacing: 0.1,
-				Net: &cfg, NoOptimizer: mode.naive})
-			b.Cleanup(h.Close)
-			h.Run(128*0.1 + 60)
-			b.ResetTimer()
-			events := 0
-			p0 := totalProbes(h)
-			start := time.Now()
-			for i := 0; i < b.N; i++ {
-				events += h.RunEvents(1)
-			}
-			wall := time.Since(start).Seconds()
-			if events > 0 {
-				b.ReportMetric(float64(totalProbes(h)-p0)/float64(events), "probes/event")
-			}
-			if wall > 0 {
-				b.ReportMetric(float64(events)/wall, "events/sec")
-			}
-		})
-	}
-}
-
-// shardedRing builds a Chord ring for the large simulator-throughput
-// benchmarks: tighter join staggering than the figure benchmarks (a
-// 512-node ring at paper spacing would spend minutes just joining) and
-// a 16-domain topology so common shard counts divide the domains — and
-// therefore the load — evenly.
-func shardedRing(b *testing.B, n, shards int, spacing, settle float64) *harness.Chord {
-	b.Helper()
-	cfg := simnet.DefaultConfig()
-	cfg.Domains = 16
-	h := harness.NewChord(harness.Opts{N: n, Seed: 1, JoinSpacing: spacing, Net: &cfg, Shards: shards})
-	b.Cleanup(h.Close)
-	h.Run(float64(n)*spacing + settle)
-	if rc := h.RingCorrectness(); rc < 0.5 {
-		b.Logf("ring correctness only %.2f at N=%d (throughput numbers still valid)", rc, n)
-	}
-	return h
-}
-
-// benchSimulatedSecond meters virtual-second cost at each shard count:
-// events/sec is the simulator's throughput, events/sec/core the
-// parallel efficiency (identical virtual workload at every shard
-// count, so the ratio between shard counts is pure speedup). Shards
-// beyond the cores available time-share them, so events/sec/core is
-// reported only when every shard can have a core of its own; num_cpu
-// and gomaxprocs record what the run had.
-func benchSimulatedSecond(b *testing.B, n int, shardCounts []int, spacing, settle float64) {
-	for _, shards := range shardCounts {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			h := shardedRing(b, n, shards, spacing, settle)
-			b.ResetTimer()
-			events := 0
-			start := time.Now()
-			for i := 0; i < b.N; i++ {
-				events += h.RunEvents(1)
-			}
-			if wall := time.Since(start).Seconds(); wall > 0 {
-				eps := float64(events) / wall
-				ncpu, procs := runtime.NumCPU(), runtime.GOMAXPROCS(0)
-				b.ReportMetric(eps, "events/sec")
-				if shards <= min(ncpu, procs) {
-					b.ReportMetric(eps/float64(shards), "events/sec/core")
-				}
-				b.ReportMetric(float64(shards), "shards")
-				b.ReportMetric(float64(ncpu), "num_cpu")
-				b.ReportMetric(float64(procs), "gomaxprocs")
-			}
-		})
-	}
-}
-
-// BenchmarkSimulatedSecond128 scales the hot-path gauge to a 128-node
-// ring and compares single-shard against 4-way sharded execution.
-func BenchmarkSimulatedSecond128(b *testing.B) {
-	benchSimulatedSecond(b, 128, []int{1, 4}, 0.1, 60)
-}
-
-// BenchmarkSimulatedSecond512 is the scale target the sharded simulator
-// exists for: a 512-node ring far beyond the paper's 100-node testbed,
-// at 1 shard vs 8. On an 8-core runner the 8-shard run should sustain
-// well over 2.5x the single-shard events/sec; CI archives both in
-// BENCH_<sha>.json so the trajectory is recorded per commit.
-func BenchmarkSimulatedSecond512(b *testing.B) {
-	benchSimulatedSecond(b, 512, []int{1, 8}, 0.05, 40)
 }
 
 // BenchmarkAblationSuccessorList reports ring survival after a 25%

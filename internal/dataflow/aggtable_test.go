@@ -19,8 +19,8 @@ func sumRig(fn AggFunc) (*table.Table, *[]*tuple.Tuple) {
 	loop := eventloop.NewSim()
 	tb := table.New("load", table.Infinity, 0, []int{1}, loop)
 	var got []*tuple.Tuple
-	agg := NewAggTable("agg", tb, fn, []int{0}, 2, "total")
-	agg.ConnectOut(0, collect(&got), 0)
+	agg := NewAggTable(tb, fn, []int{0}, 2, "total")
+	agg.Connect(collect(&got))
 	return tb, &got
 }
 
@@ -136,8 +136,8 @@ func TestAggTableFifoEviction(t *testing.T) {
 	loop := eventloop.NewSim()
 	tb := table.New("load", table.Infinity, 3, []int{1}, loop)
 	var got []*tuple.Tuple
-	agg := NewAggTable("agg", tb, AggCount, []int{0}, 2, "size")
-	agg.ConnectOut(0, collect(&got), 0)
+	agg := NewAggTable(tb, AggCount, []int{0}, 2, "size")
+	agg.Connect(collect(&got))
 	for i := 0; i < 3; i++ {
 		tb.Insert(tp("load", val.Str("n1"), val.Str(fmt.Sprintf("k%d", i)), val.Int(int64(i))))
 	}
@@ -156,8 +156,8 @@ func TestAggTableFifoEviction(t *testing.T) {
 	// Exemplar flavor: evicting the MIN row emits the new minimum once.
 	tb2 := table.New("load", table.Infinity, 3, []int{1}, loop)
 	var got2 []*tuple.Tuple
-	agg2 := NewAggTable("agg2", tb2, AggMin, []int{0}, 2, "best")
-	agg2.ConnectOut(0, collect(&got2), 0)
+	agg2 := NewAggTable(tb2, AggMin, []int{0}, 2, "best")
+	agg2.Connect(collect(&got2))
 	for i, c := range []int64{10, 30, 50} {
 		tb2.Insert(tp("load", val.Str("n1"), val.Str(fmt.Sprintf("k%d", i)), val.Int(c)))
 	}
@@ -176,8 +176,8 @@ func TestAggTableMatchesFullRecompute(t *testing.T) {
 		loop := eventloop.NewSim()
 		tb := table.New("load", table.Infinity, 0, []int{1}, loop)
 		var got []*tuple.Tuple
-		agg := NewAggTable("agg", tb, fn, []int{0}, 2, "out")
-		agg.ConnectOut(0, collect(&got), 0)
+		agg := NewAggTable(tb, fn, []int{0}, 2, "out")
+		agg.Connect(collect(&got))
 		for i := 0; i < 200; i++ {
 			g := fmt.Sprintf("g%d", i%7)
 			k := fmt.Sprintf("k%d", i%31) // collisions force replacements
@@ -222,8 +222,8 @@ func aggBenchTable(rows int) *table.Table {
 func BenchmarkAggTableIncrementalDelta(b *testing.B) {
 	tb := aggBenchTable(1000)
 	var got []*tuple.Tuple
-	agg := NewAggTable("agg", tb, AggSum, []int{0}, 2, "total")
-	agg.ConnectOut(0, collect(&got), 0)
+	agg := NewAggTable(tb, AggSum, []int{0}, 2, "total")
+	agg.Connect(collect(&got))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -239,8 +239,8 @@ func BenchmarkAggTableIncrementalDelta(b *testing.B) {
 func BenchmarkAggTableFullRecompute(b *testing.B) {
 	tb := aggBenchTable(1000)
 	var got []*tuple.Tuple
-	agg := NewAggTable("agg", tb, AggSum, []int{0}, 2, "total")
-	agg.ConnectOut(0, collect(&got), 0)
+	agg := NewAggTable(tb, AggSum, []int{0}, 2, "total")
+	agg.Connect(collect(&got))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

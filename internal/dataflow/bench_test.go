@@ -28,8 +28,8 @@ func joinFixture(rows, fanout int) (*Join, *table.Table) {
 		tb.Insert(tuple.New("t",
 			val.Str(fmt.Sprintf("addr%d", i%(rows/fanout))), val.Int(int64(i)), val.Int(int64(i*3))))
 	}
-	j := NewJoin("j", tb, []int{0}, []int{0}, "w")
-	j.ConnectOut(0, NewDiscard("sink"), 0)
+	j := NewJoin(tb, []int{0}, []int{0}, "w")
+	j.Connect(discard())
 	return j, tb
 }
 
@@ -40,7 +40,7 @@ func TestJoinPushAllocBudget(t *testing.T) {
 	j, _ := joinFixture(64, fanout)
 	event := tuple.New("e", val.Str("addr3"), val.Str("payload"))
 	allocs := testing.AllocsPerRun(200, func() {
-		j.Push(0, event, nil)
+		j.Push(event)
 	})
 	if allocs > 2*fanout {
 		t.Fatalf("Join.Push allocated %.1f per event (%d matches), want <= %d",
@@ -54,7 +54,7 @@ func TestJoinPushMissZeroAlloc(t *testing.T) {
 	j, _ := joinFixture(64, 8)
 	event := tuple.New("e", val.Str("nobody"), val.Str("payload"))
 	allocs := testing.AllocsPerRun(200, func() {
-		j.Push(0, event, nil)
+		j.Push(event)
 	})
 	if allocs != 0 {
 		t.Fatalf("no-match Join.Push allocated %.1f/op, want 0", allocs)
@@ -72,7 +72,7 @@ func TestJoinFilteredMatchesDoNotAllocate(t *testing.T) {
 	j.AddFilter(prog, &pel.Env{})
 	event := tuple.New("e", val.Str("addr3"), val.Str("payload"))
 	allocs := testing.AllocsPerRun(200, func() {
-		j.Push(0, event, nil)
+		j.Push(event)
 	})
 	if allocs != 0 {
 		t.Fatalf("fully-filtered Join.Push allocated %.1f/op, want 0", allocs)
@@ -80,7 +80,7 @@ func TestJoinFilteredMatchesDoNotAllocate(t *testing.T) {
 }
 
 // TestJoinFusionMatchesUnfusedChain checks that a join with fused
-// filter+assigns emits exactly what the unfused Join→Select→Assign
+// filter+assigns emits exactly what the unfused Join→Select→MultiAssign
 // chain emits.
 func TestJoinFusionMatchesUnfusedChain(t *testing.T) {
 	env := &pel.Env{}
@@ -94,20 +94,20 @@ func TestJoinFusionMatchesUnfusedChain(t *testing.T) {
 				val.Str(fmt.Sprintf("addr%d", i%8)), val.Int(int64(i)), val.Int(int64(i*3))))
 		}
 		var got []*tuple.Tuple
-		sink := NewSink("sink", func(tp *tuple.Tuple) { got = append(got, tp) })
-		j := NewJoin("j", tb, []int{0}, []int{0}, "w")
+		sink := NewSink(func(tp *tuple.Tuple) { got = append(got, tp) })
+		j := NewJoin(tb, []int{0}, []int{0}, "w")
 		if fused {
 			j.AddFilter(sel, env)
 			j.AddAssigns([]*pel.Program{asn}, env)
-			j.ConnectOut(0, sink, 0)
+			j.Connect(sink)
 		} else {
-			s := NewSelect("s", sel, env)
-			a := NewAssign("a", asn, env)
-			j.ConnectOut(0, s, 0)
-			s.ConnectOut(0, a, 0)
-			a.ConnectOut(0, sink, 0)
+			s := NewSelect(sel, env)
+			a := NewMultiAssign([]*pel.Program{asn}, env)
+			j.Connect(s)
+			s.Connect(a)
+			a.Connect(sink)
 		}
-		j.Push(0, tuple.New("e", val.Str("addr3"), val.Str("payload")), nil)
+		j.Push(tuple.New("e", val.Str("addr3"), val.Str("payload")))
 		return got
 	}
 
@@ -123,8 +123,8 @@ func TestJoinFusionMatchesUnfusedChain(t *testing.T) {
 }
 
 // TestMultiAssignMatchesAssignChain checks the fused assignment run
-// against the per-step chain, including later programs reading earlier
-// results.
+// against a chain of one-step elements, including later programs
+// reading earlier results.
 func TestMultiAssignMatchesAssignChain(t *testing.T) {
 	env := &pel.Env{}
 	p1 := pel.NewBuilder().Field(1).Const(val.Int(10)).Op(pel.OpAdd).Build()
@@ -132,15 +132,15 @@ func TestMultiAssignMatchesAssignChain(t *testing.T) {
 	in := tuple.New("e", val.Str("n"), val.Int(5))
 
 	var fused, chained *tuple.Tuple
-	ma := NewMultiAssign("ma", []*pel.Program{p1, p2}, env)
-	ma.ConnectOut(0, NewSink("s", func(tp *tuple.Tuple) { fused = tp }), 0)
-	ma.Push(0, in, nil)
+	ma := NewMultiAssign([]*pel.Program{p1, p2}, env)
+	ma.Connect(NewSink(func(tp *tuple.Tuple) { fused = tp }))
+	ma.Push(in)
 
-	a1 := NewAssign("a1", p1, env)
-	a2 := NewAssign("a2", p2, env)
-	a1.ConnectOut(0, a2, 0)
-	a2.ConnectOut(0, NewSink("s2", func(tp *tuple.Tuple) { chained = tp }), 0)
-	a1.Push(0, in, nil)
+	a1 := NewMultiAssign([]*pel.Program{p1}, env)
+	a2 := NewMultiAssign([]*pel.Program{p2}, env)
+	a1.Connect(a2)
+	a2.Connect(NewSink(func(tp *tuple.Tuple) { chained = tp }))
+	a1.Push(in)
 
 	if fused == nil || chained == nil || !fused.Equal(chained) {
 		t.Fatalf("fused %v != chained %v", fused, chained)
@@ -155,7 +155,7 @@ func BenchmarkJoinPush(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				j.Push(0, event, nil)
+				j.Push(event)
 			}
 		})
 	}
@@ -170,7 +170,7 @@ func BenchmarkJoinPushFiltered(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		j.Push(0, event, nil)
+		j.Push(event)
 	}
 }
 
@@ -181,13 +181,13 @@ func BenchmarkMultiAssign(b *testing.B) {
 		pel.NewBuilder().Field(2).Const(val.Int(2)).Op(pel.OpMul).Build(),
 		pel.NewBuilder().Field(3).Const(val.Int(1)).Op(pel.OpSub).Build(),
 	}
-	ma := NewMultiAssign("ma", progs, env)
-	ma.ConnectOut(0, NewDiscard("sink"), 0)
+	ma := NewMultiAssign(progs, env)
+	ma.Connect(discard())
 	in := tuple.New("e", val.Str("n"), val.Int(5))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ma.Push(0, in, nil)
+		ma.Push(in)
 	}
 }
 
@@ -202,8 +202,8 @@ func fingerScan(target func(i int) int, distinct []int) (*FoldJoin, *table.Table
 	}
 	in := pel.NewBuilder().Field(5).Field(2).Field(1).In(false, false).Build()
 	dist := pel.NewBuilder().Field(1).Field(5).Op(pel.OpSub).Const(val.MakeID(id.One)).Op(pel.OpSub).Build()
-	f := NewFoldJoin("f", tb, []int{0}, []int{0}, AggMin, dist, []*pel.Program{in}, distinct, &pel.Env{})
-	f.ConnectOut(0, NewDiscard("sink"), 0)
+	f := NewFoldJoin(tb, []int{0}, []int{0}, AggMin, dist, []*pel.Program{in}, distinct, &pel.Env{})
+	f.Connect(discard())
 	ev := tuple.New("evt", val.Str("n0"), val.MakeID(id.Hash("key")), val.MakeID(id.Hash("n0")))
 	return f, tb, ev
 }
@@ -223,8 +223,8 @@ func chordTarget(i int) int { return max(0, i-152) }
 // on the programs, so a filterless min over the same table counts them:
 // every row it evaluates bumps its match count.
 func evalsPerProbe(tb *table.Table, ev *tuple.Tuple, distinct []int) float64 {
-	f := NewFoldJoin("count", tb, []int{0}, []int{0}, AggMin, fieldProg(5), nil, distinct, &pel.Env{})
-	f.Push(0, ev, nil)
+	f := NewFoldJoin(tb, []int{0}, []int{0}, AggMin, fieldProg(5), nil, distinct, &pel.Env{})
+	f.Push(ev)
 	return float64(f.count)
 }
 
@@ -240,8 +240,8 @@ func BenchmarkFoldJoinFingerScan(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			f.Push(0, ev, nil)
-			f.Flush(ev, nil)
+			f.Push(ev)
+			f.Flush(ev)
 		}
 		b.StopTimer()
 		evals = evalsPerProbe(tb, ev, f.distinct)
@@ -283,8 +283,8 @@ func BenchmarkFoldJoinFingerScan(b *testing.B) {
 		block := func(f *FoldJoin) time.Duration {
 			start := time.Now()
 			for i := 0; i < 200; i++ {
-				f.Push(0, ev, nil)
-				f.Flush(ev, nil)
+				f.Push(ev)
+				f.Flush(ev)
 			}
 			return time.Since(start)
 		}

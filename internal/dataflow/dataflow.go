@@ -1,124 +1,39 @@
-// Package dataflow implements P2's element framework (§3.3) and its
-// library of dataflow elements (§3.4).
+// Package dataflow implements the elements a rule strand is built from
+// (§3.3–3.4): equijoins of a stream against a table, PEL-driven
+// selections, assignments and projections, aggregates, and the periodic
+// source.
 //
-// A dataflow graph is a set of elements connected port-to-port. Hand-off
-// between elements is either push (source invokes sink) or pull (sink
-// invokes source), mirroring Click. Both carry a Poke — a continuation
-// invoked if and only if the flow stalled as a result of the call: a
-// push that returned false signals "stop pushing until poked"; a pull
-// that returned nil signals "nothing now, poked when there is".
-//
-// Pokes are idempotent retry hints. An element may receive a poke it no
-// longer cares about; correct elements treat pokes as "try again" and
-// re-examine state. This is exactly the callback/continuation signaling
-// scheme the paper describes, which keeps scheduling policy out of
-// element implementations.
+// A strand is a linear push chain run to completion: the engine pushes
+// one event into the first element, each element pushes zero or more
+// tuples into the one element downstream of it, and the chain ends in a
+// Sink. Nothing in a strand queues or stalls, so there is no pull side
+// and no flow-control signal here. The one place in P2 that does stall —
+// a closed congestion window holding back the batching queue — is the
+// network stack, and internal/transport defines its own push/poke
+// contract over wire batches for it.
 //
 // Tuples are immutable and passed by reference. Elements that "modify"
 // tuples construct new ones.
 package dataflow
 
-import (
-	"fmt"
+import "p2/internal/tuple"
 
-	"p2/internal/tuple"
-)
-
-// Poke is an idempotent continuation used to restart a stalled flow.
-type Poke func()
-
-// Element is a node in a P2 dataflow graph.
-type Element interface {
-	// Name identifies the element in graph dumps and errors.
-	Name() string
-}
-
-// Pusher accepts tuples pushed into an input port. The return value is
-// the flow-control signal: false means "do not push again until poke
-// fires". The tuple itself is always accepted (§3.3: "push calls are
-// always assumed to succeed").
+// Pusher is an element's input: it accepts one tuple and has finished
+// with it, including everything it pushed downstream as a result, when
+// Push returns.
 type Pusher interface {
-	Element
-	Push(port int, t *tuple.Tuple, poke Poke) bool
+	Push(t *tuple.Tuple)
 }
 
-// Puller produces tuples on demand from an output port. A nil result
-// means no tuple is available; poke will be invoked when one may be.
-type Puller interface {
-	Element
-	Pull(port int, poke Poke) *tuple.Tuple
-}
-
-// PushTarget names a (Pusher, port) pair — the sink side of a push edge.
-type PushTarget struct {
-	To   Pusher
-	Port int
-}
-
-// PullSource names a (Puller, port) pair — the source side of a pull edge.
-type PullSource struct {
-	From Puller
-	Port int
-}
-
-// Base carries the bookkeeping common to all elements: a name and the
-// push-output / pull-input bindings. Embed it and use out/in helpers.
+// Base is the one binding every non-terminal element carries: the
+// element downstream of it. Embed it, Connect it once while wiring, and
+// emit through PushOut. Pushing through an unconnected Base panics.
 type Base struct {
-	name string
-	outs []PushTarget
-	ins  []PullSource
+	next Pusher
 }
 
-// NewBase returns a Base with room for nOut push outputs and nIn pull
-// inputs.
-func NewBase(name string, nOut, nIn int) Base {
-	return Base{name: name, outs: make([]PushTarget, nOut), ins: make([]PullSource, nIn)}
-}
+// Connect binds the element's output to next.
+func (b *Base) Connect(next Pusher) { b.next = next }
 
-// Name returns the element name.
-func (b *Base) Name() string { return b.name }
-
-// ConnectOut binds push output port i to the target.
-func (b *Base) ConnectOut(i int, to Pusher, port int) {
-	b.outs[i] = PushTarget{To: to, Port: port}
-}
-
-// ConnectIn binds pull input port i to the source.
-func (b *Base) ConnectIn(i int, from Puller, port int) {
-	b.ins[i] = PullSource{From: from, Port: port}
-}
-
-// PushOut pushes t through output port i, forwarding the poke.
-func (b *Base) PushOut(i int, t *tuple.Tuple, poke Poke) bool {
-	o := b.outs[i]
-	if o.To == nil {
-		panic(fmt.Sprintf("dataflow: element %q output %d not connected", b.name, i))
-	}
-	return o.To.Push(o.Port, t, poke)
-}
-
-// PullIn pulls from input port i, forwarding the poke.
-func (b *Base) PullIn(i int, poke Poke) *tuple.Tuple {
-	in := b.ins[i]
-	if in.From == nil {
-		panic(fmt.Sprintf("dataflow: element %q input %d not connected", b.name, i))
-	}
-	return in.From.Pull(in.Port, poke)
-}
-
-// pokeSlot stores at most one pending poke. Arming twice overwrites —
-// pokes are idempotent retry hints, so the latest continuation wins.
-type pokeSlot struct {
-	p Poke
-}
-
-func (s *pokeSlot) arm(p Poke) { s.p = p }
-
-// fire invokes and clears the pending poke, if any.
-func (s *pokeSlot) fire() {
-	if s.p != nil {
-		p := s.p
-		s.p = nil
-		p()
-	}
-}
+// PushOut pushes t into the downstream element.
+func (b *Base) PushOut(t *tuple.Tuple) { b.next.Push(t) }

@@ -25,7 +25,7 @@ import (
 // was never observable), or count. Match handling mirrors the unfused
 // chain exactly — a filter that fails or errors skips the row, and an
 // aggregate input that errors drops the row the way the corresponding
-// Assign would, before it is counted.
+// MultiAssign would, before it is counted.
 //
 // min/max are duplicate-insensitive, so when every program is pure the
 // planner also hands over distinct: the match columns the programs
@@ -61,10 +61,9 @@ type FoldJoin struct {
 // run before it, in order. distinct, when non-empty, promises that fn
 // is min or max and that filters and input are pure functions of the
 // event and those match columns.
-func NewFoldJoin(name string, tbl *table.Table, streamKey, tableKey []int,
+func NewFoldJoin(tbl *table.Table, streamKey, tableKey []int,
 	fn AggFunc, input *pel.Program, filters []*pel.Program, distinct []int, env *pel.Env) *FoldJoin {
 	return &FoldJoin{
-		Base:      NewBase(name, 1, 0),
 		tbl:       tbl,
 		ix:        tbl.EnsureIndex(tableKey),
 		streamKey: append([]int(nil), streamKey...),
@@ -83,7 +82,7 @@ func (f *FoldJoin) CountProbes(p *int64) { f.probes = p }
 
 // Push probes the table and folds every surviving match into the
 // accumulator. Nothing flows downstream until Flush.
-func (f *FoldJoin) Push(_ int, t *tuple.Tuple, _ Poke) bool {
+func (f *FoldJoin) Push(t *tuple.Tuple) {
 	f.keyBuf = t.AppendKey(f.keyBuf[:0], f.streamKey)
 	if f.probes != nil {
 		*f.probes++
@@ -108,7 +107,7 @@ func (f *FoldJoin) Push(_ int, t *tuple.Tuple, _ Poke) bool {
 		if f.input != nil {
 			v, err := f.vm.EvalJoined(f.input, t, m, f.env)
 			if err != nil {
-				return true // underivable match dropped, as Assign would
+				return true // underivable match dropped, as MultiAssign would
 			}
 			if !f.seen || improves(f.fn, v, f.acc) {
 				f.acc = v // count never reads it
@@ -118,7 +117,6 @@ func (f *FoldJoin) Push(_ int, t *tuple.Tuple, _ Poke) bool {
 		f.count++
 		return true
 	})
-	return true
 }
 
 // sameAt reports whether a and b hold identical values at every column
@@ -135,7 +133,7 @@ func sameAt(a, b *tuple.Tuple, cols []int) bool {
 // Flush emits the aggregate result for the event and resets. Semantics
 // match AggStream: min/max emit only when at least one match folded;
 // count emits its (possibly zero) total on every event.
-func (f *FoldJoin) Flush(event *tuple.Tuple, poke Poke) {
+func (f *FoldJoin) Flush(event *tuple.Tuple) {
 	defer f.reset()
 	if event == nil {
 		return
@@ -155,7 +153,7 @@ func (f *FoldJoin) Flush(event *tuple.Tuple, poke Poke) {
 	fields := make([]val.Value, 0, event.Arity()+1)
 	fields = append(fields, event.Fields()...)
 	fields = append(fields, result)
-	f.PushOut(0, tuple.New(event.Name(), fields...), poke)
+	f.PushOut(tuple.New(event.Name(), fields...))
 }
 
 func (f *FoldJoin) reset() {

@@ -30,9 +30,9 @@ func fieldProg(i int) *pel.Program { return pel.NewBuilder().Field(i).Build() }
 
 func runFold(f *FoldJoin, ev *tuple.Tuple) []*tuple.Tuple {
 	var got []*tuple.Tuple
-	f.ConnectOut(0, collect(&got), 0)
-	f.Push(0, ev, nil)
-	f.Flush(ev, nil)
+	f.Connect(collect(&got))
+	f.Push(ev)
+	f.Flush(ev)
 	return got
 }
 
@@ -41,15 +41,15 @@ func TestFoldJoinMinMatchesJoinPlusAggStream(t *testing.T) {
 	ev := tp("evt", val.Str("n1"), val.Int(7))
 
 	// Unfused reference: join then AggStream over the concat position 3.
-	j := NewJoin("j", tbl, []int{0}, []int{0}, "w")
-	agg := NewAggStream("agg", AggMin, 3)
+	j := NewJoin(tbl, []int{0}, []int{0}, "w")
+	agg := NewAggStream(AggMin, 3)
 	var ref []*tuple.Tuple
-	j.ConnectOut(0, agg, 0)
-	agg.ConnectOut(0, collect(&ref), 0)
-	j.Push(0, ev, nil)
-	agg.Flush(ev, nil)
+	j.Connect(agg)
+	agg.Connect(collect(&ref))
+	j.Push(ev)
+	agg.Flush(ev)
 
-	f := NewFoldJoin("f", tbl, []int{0}, []int{0}, AggMin, fieldProg(3), nil, nil, env(eventloop.NewSim()))
+	f := NewFoldJoin(tbl, []int{0}, []int{0}, AggMin, fieldProg(3), nil, nil, env(eventloop.NewSim()))
 	got := runFold(f, ev)
 
 	if len(ref) != 1 || len(got) != 1 {
@@ -73,7 +73,7 @@ func TestFoldJoinMaxAndFilters(t *testing.T) {
 	ev := tp("evt", val.Str("n1"), val.Int(7))
 	// Filter: concat position 3 (D) < 40, so the largest row is excluded.
 	filt := pel.NewBuilder().Field(3).Const(val.Int(40)).Op(pel.OpLt).Build()
-	f := NewFoldJoin("f", tbl, []int{0}, []int{0}, AggMax, fieldProg(3), []*pel.Program{filt}, nil, env(eventloop.NewSim()))
+	f := NewFoldJoin(tbl, []int{0}, []int{0}, AggMax, fieldProg(3), []*pel.Program{filt}, nil, env(eventloop.NewSim()))
 	got := runFold(f, ev)
 	if len(got) != 1 || got[0].Field(2).AsInt() != 30 {
 		t.Fatalf("filtered max = %v, want 30", got)
@@ -83,7 +83,7 @@ func TestFoldJoinMaxAndFilters(t *testing.T) {
 func TestFoldJoinMinNoMatchesEmitsNothing(t *testing.T) {
 	tbl := foldFixture(t) // only the nX row
 	ev := tp("evt", val.Str("n1"), val.Int(7))
-	f := NewFoldJoin("f", tbl, []int{0}, []int{0}, AggMin, fieldProg(3), nil, nil, env(eventloop.NewSim()))
+	f := NewFoldJoin(tbl, []int{0}, []int{0}, AggMin, fieldProg(3), nil, nil, env(eventloop.NewSim()))
 	if got := runFold(f, ev); len(got) != 0 {
 		t.Fatalf("min over zero matches emitted %v", got)
 	}
@@ -92,7 +92,7 @@ func TestFoldJoinMinNoMatchesEmitsNothing(t *testing.T) {
 func TestFoldJoinCountEmitsZero(t *testing.T) {
 	tbl := foldFixture(t) // no matching rows
 	ev := tp("evt", val.Str("n1"), val.Int(7))
-	f := NewFoldJoin("f", tbl, []int{0}, []int{0}, AggCount, nil, nil, nil, env(eventloop.NewSim()))
+	f := NewFoldJoin(tbl, []int{0}, []int{0}, AggCount, nil, nil, nil, env(eventloop.NewSim()))
 	got := runFold(f, ev)
 	if len(got) != 1 || got[0].Field(2).AsInt() != 0 {
 		t.Fatalf("count over zero matches = %v, want event++0", got)
@@ -107,7 +107,7 @@ func TestFoldJoinErroringInputDropsRow(t *testing.T) {
 	// sees it, so the fold must count nothing — and still emit the
 	// count aggregate's zero.
 	input := pel.NewBuilder().Op(pel.OpAdd).Build()
-	f := NewFoldJoin("f", tbl, []int{0}, []int{0}, AggCount, input, nil, nil, env(eventloop.NewSim()))
+	f := NewFoldJoin(tbl, []int{0}, []int{0}, AggCount, input, nil, nil, env(eventloop.NewSim()))
 	got := runFold(f, ev)
 	if len(got) != 1 || got[0].Field(2).AsInt() != 0 {
 		t.Fatalf("count with all rows erroring = %v, want event++0", got)
@@ -116,16 +116,16 @@ func TestFoldJoinErroringInputDropsRow(t *testing.T) {
 
 func TestFoldJoinResetsBetweenEvents(t *testing.T) {
 	tbl := foldFixture(t, 5, 9)
-	f := NewFoldJoin("f", tbl, []int{0}, []int{0}, AggMin, fieldProg(3), nil, nil, env(eventloop.NewSim()))
+	f := NewFoldJoin(tbl, []int{0}, []int{0}, AggMin, fieldProg(3), nil, nil, env(eventloop.NewSim()))
 	var got []*tuple.Tuple
-	f.ConnectOut(0, collect(&got), 0)
+	f.Connect(collect(&got))
 
 	ev1 := tp("evt", val.Str("n1"), val.Int(1))
-	f.Push(0, ev1, nil)
-	f.Flush(ev1, nil)
+	f.Push(ev1)
+	f.Flush(ev1)
 	ev2 := tp("evt", val.Str("nNone"), val.Int(2))
-	f.Push(0, ev2, nil)
-	f.Flush(ev2, nil)
+	f.Push(ev2)
+	f.Flush(ev2)
 
 	if len(got) != 1 {
 		t.Fatalf("second (matchless) event must emit nothing: %v", got)
@@ -190,7 +190,7 @@ func TestFoldJoinDistinctMatchesChain(t *testing.T) {
 				return &pel.Env{Clock: loop, Rand: rand.New(rand.NewSource(seed)), Local: "n1"}
 			}
 
-			j, jenv := NewJoin("j", tbl, []int{0}, []int{0}, "w"), envFor()
+			j, jenv := NewJoin(tbl, []int{0}, []int{0}, "w"), envFor()
 			for _, p := range c.filters {
 				j.AddFilter(p, jenv)
 			}
@@ -199,16 +199,16 @@ func TestFoldJoinDistinctMatchesChain(t *testing.T) {
 				j.AddAssigns([]*pel.Program{c.input}, jenv)
 				aggPos = 6
 			}
-			agg := NewAggStream("agg", c.fn, aggPos)
+			agg := NewAggStream(c.fn, aggPos)
 			var ref, got []*tuple.Tuple
-			j.ConnectOut(0, agg, 0)
-			agg.ConnectOut(0, collect(&ref), 0)
-			f := NewFoldJoin("f", tbl, []int{0}, []int{0}, c.fn, c.input, c.filters, c.distinct, envFor())
-			f.ConnectOut(0, collect(&got), 0)
+			j.Connect(agg)
+			agg.Connect(collect(&ref))
+			f := NewFoldJoin(tbl, []int{0}, []int{0}, c.fn, c.input, c.filters, c.distinct, envFor())
+			f.Connect(collect(&got))
 
 			both := func() {
-				j.Push(0, ev, nil)
-				f.Push(0, ev, nil)
+				j.Push(ev)
+				f.Push(ev)
 			}
 			if trial%4 == 0 && n > 0 {
 				// Mid-probe delete: under a live outer probe removals leave
@@ -231,8 +231,8 @@ func TestFoldJoinDistinctMatchesChain(t *testing.T) {
 				rows += int64(tbl.Len())
 				evaluated += f.count
 			}
-			agg.Flush(ev, nil)
-			f.Flush(ev, nil)
+			agg.Flush(ev)
+			f.Flush(ev)
 
 			if len(got) != len(ref) {
 				t.Fatalf("%s trial %d: fold emitted %d tuples, chain %d", c.name, trial, len(got), len(ref))

@@ -5,286 +5,16 @@ import (
 	"p2/internal/tuple"
 )
 
-// Queue is a bounded push-in / pull-out buffer. When full it blocks its
-// producer (Push returns false and the producer's poke fires when space
-// opens); when empty it blocks its consumer (Pull returns nil and the
-// consumer's poke fires when a tuple arrives). This is the blocking
-// queue of §3.3 — P2 queues block rather than drop.
-type Queue struct {
-	Base
-	buf      []*tuple.Tuple
-	capacity int
-	pushPoke pokeSlot
-	pullPoke pokeSlot
-}
-
-// NewQueue returns a queue holding at most capacity tuples (minimum 1).
-func NewQueue(name string, capacity int) *Queue {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Queue{Base: NewBase(name, 0, 0), capacity: capacity}
-}
-
-// Len returns the number of queued tuples.
-func (q *Queue) Len() int { return len(q.buf) }
-
-// Push enqueues t. Returns false when the queue has become full; the
-// poke fires when space opens.
-func (q *Queue) Push(_ int, t *tuple.Tuple, poke Poke) bool {
-	if len(q.buf) >= q.capacity {
-		// Tuple refused entirely: the producer must hold it and retry.
-		q.pushPoke.arm(poke)
-		return false
-	}
-	q.buf = append(q.buf, t)
-	q.pullPoke.fire()
-	if len(q.buf) >= q.capacity {
-		q.pushPoke.arm(poke)
-		return false
-	}
-	return true
-}
-
-// Pull dequeues the oldest tuple, or returns nil and arms poke.
-func (q *Queue) Pull(_ int, poke Poke) *tuple.Tuple {
-	if len(q.buf) == 0 {
-		q.pullPoke.arm(poke)
-		return nil
-	}
-	t := q.buf[0]
-	copy(q.buf, q.buf[1:])
-	q.buf = q.buf[:len(q.buf)-1]
-	q.pushPoke.fire()
-	return t
-}
-
-// TimedPullPush is the active element bridging a pull producer to a
-// push consumer: it pulls from its input and pushes downstream every
-// interval seconds (interval 0 = as fast as the loop allows, via
-// deferred procedure calls). It is the "TimedPullPush 0" element of
-// Figure 2.
-type TimedPullPush struct {
-	Base
-	loop     eventloop.Loop
-	interval float64
-	running  bool
-	waiting  bool // parked on a poke from either side
-	stopped  bool
-	runFn    func() // bound once; rescheduling allocates no closure
-	pokeFn   Poke
-}
-
-// NewTimedPullPush creates the element; call Start to begin transfers.
-func NewTimedPullPush(name string, loop eventloop.Loop, interval float64) *TimedPullPush {
-	tp := &TimedPullPush{Base: NewBase(name, 1, 1), loop: loop, interval: interval}
-	tp.runFn = tp.run
-	tp.pokeFn = tp.poke
-	return tp
-}
-
-// Start begins the transfer loop.
-func (tp *TimedPullPush) Start() {
-	if tp.running {
-		return
-	}
-	tp.running = true
-	tp.loop.Defer(tp.runFn)
-}
-
-// Stop halts transfers permanently.
-func (tp *TimedPullPush) Stop() { tp.stopped = true }
-
-// poke is the continuation handed to both neighbors.
-func (tp *TimedPullPush) poke() {
-	if tp.waiting && !tp.stopped {
-		tp.waiting = false
-		tp.loop.Defer(tp.runFn)
-	}
-}
-
-func (tp *TimedPullPush) run() {
-	if tp.stopped {
-		return
-	}
-	t := tp.PullIn(0, tp.pokeFn)
-	if t == nil {
-		tp.waiting = true
-		return
-	}
-	ok := tp.PushOut(0, t, tp.pokeFn)
-	if !ok {
-		// Downstream refused further pushes but accepted this tuple;
-		// wait for its poke before transferring more.
-		tp.waiting = true
-		return
-	}
-	if tp.interval > 0 {
-		eventloop.ScheduleFree(tp.loop, tp.interval, tp.runFn)
-	} else {
-		tp.loop.Defer(tp.runFn)
-	}
-}
-
-// Mux forwards pushes from any number of producers to one output.
-type Mux struct {
-	Base
-}
-
-// NewMux returns a push fan-in element.
-func NewMux(name string) *Mux { return &Mux{Base: NewBase(name, 1, 0)} }
-
-// Push forwards t downstream, propagating flow control.
-func (m *Mux) Push(_ int, t *tuple.Tuple, poke Poke) bool {
-	return m.PushOut(0, t, poke)
-}
-
-// Demux routes pushed tuples to an output selected by a key function
-// (typically the tuple name, as in Figure 2's big input demultiplexer).
-// Unrouted tuples go to the default output if present, else are dropped.
-type Demux struct {
-	Base
-	key      func(*tuple.Tuple) string
-	routes   map[string]int
-	def      int // default output port, -1 = drop
-	nOutputs int
-}
-
-// NewDemux creates a demux with nOutputs push outputs. Route keys map to
-// output ports via Route; def < 0 drops unrouted tuples.
-func NewDemux(name string, key func(*tuple.Tuple) string, nOutputs, def int) *Demux {
-	return &Demux{
-		Base:     NewBase(name, nOutputs, 0),
-		key:      key,
-		routes:   make(map[string]int),
-		def:      def,
-		nOutputs: nOutputs,
-	}
-}
-
-// Route directs tuples whose key equals k to output port.
-func (d *Demux) Route(k string, port int) { d.routes[k] = port }
-
-// Push routes t by key.
-func (d *Demux) Push(_ int, t *tuple.Tuple, poke Poke) bool {
-	port, ok := d.routes[d.key(t)]
-	if !ok {
-		if d.def < 0 {
-			return true // dropped; keep accepting
-		}
-		port = d.def
-	}
-	return d.PushOut(port, t, poke)
-}
-
-// Dup duplicates each pushed tuple to every output — used when one
-// event feeds several rule strands (the "Dup" element of Figure 2).
-// Tuples being immutable makes duplication a pointer copy.
-type Dup struct {
-	Base
-	n int
-}
-
-// NewDup returns a duplicator with n outputs.
-func NewDup(name string, n int) *Dup { return &Dup{Base: NewBase(name, n, 0), n: n} }
-
-// Push forwards t to all outputs. Flow control is the conjunction of
-// downstream signals.
-func (d *Dup) Push(_ int, t *tuple.Tuple, poke Poke) bool {
-	ok := true
-	for i := 0; i < d.n; i++ {
-		if !d.PushOut(i, t, poke) {
-			ok = false
-		}
-	}
-	return ok
-}
-
-// RoundRobin merges several pull inputs into one pull output, serving
-// inputs in rotating order — Figure 2's "RoundRobin" scheduler pulling
-// rule outputs toward the network.
-type RoundRobin struct {
-	Base
-	n    int
-	next int
-}
-
-// NewRoundRobin returns a pull fan-in over n inputs.
-func NewRoundRobin(name string, n int) *RoundRobin {
-	return &RoundRobin{Base: NewBase(name, 0, n), n: n}
-}
-
-// Pull tries each input once, starting after the last served one. When
-// every input is dry the consumer's poke is armed on all of them.
-func (r *RoundRobin) Pull(_ int, poke Poke) *tuple.Tuple {
-	for i := 0; i < r.n; i++ {
-		idx := (r.next + i) % r.n
-		if t := r.PullIn(idx, poke); t != nil {
-			r.next = (idx + 1) % r.n
-			return t
-		}
-	}
-	return nil
-}
-
 // Sink terminates a push chain by invoking a callback per tuple.
 type Sink struct {
-	Base
 	fn func(*tuple.Tuple)
 }
 
 // NewSink wraps fn as a push endpoint.
-func NewSink(name string, fn func(*tuple.Tuple)) *Sink {
-	return &Sink{Base: NewBase(name, 0, 0), fn: fn}
-}
+func NewSink(fn func(*tuple.Tuple)) *Sink { return &Sink{fn: fn} }
 
 // Push hands t to the callback.
-func (s *Sink) Push(_ int, t *tuple.Tuple, _ Poke) bool {
-	s.fn(t)
-	return true
-}
-
-// Discard silently drops everything pushed into it.
-type Discard struct{ Base }
-
-// NewDiscard returns a drop endpoint.
-func NewDiscard(name string) *Discard { return &Discard{Base: NewBase(name, 0, 0)} }
-
-// Push drops t.
-func (d *Discard) Push(int, *tuple.Tuple, Poke) bool { return true }
-
-// Tap invokes a callback on each tuple and passes it through unchanged —
-// the logging port facility of §3.5 and the engine's watch mechanism.
-type Tap struct {
-	Base
-	fn func(*tuple.Tuple)
-}
-
-// NewTap wraps fn as a pass-through observer.
-func NewTap(name string, fn func(*tuple.Tuple)) *Tap {
-	return &Tap{Base: NewBase(name, 1, 0), fn: fn}
-}
-
-// Push observes and forwards t.
-func (t *Tap) Push(_ int, tp *tuple.Tuple, poke Poke) bool {
-	t.fn(tp)
-	return t.PushOut(0, tp, poke)
-}
-
-// Source is a pull endpoint fed by a function returning the next tuple
-// (or nil). Useful in tests and hand-wired graphs.
-type Source struct {
-	Base
-	fn func() *tuple.Tuple
-}
-
-// NewSource wraps fn as a pull origin.
-func NewSource(name string, fn func() *tuple.Tuple) *Source {
-	return &Source{Base: NewBase(name, 0, 0), fn: fn}
-}
-
-// Pull returns the next tuple from the function.
-func (s *Source) Pull(_ int, _ Poke) *tuple.Tuple { return s.fn() }
+func (s *Sink) Push(t *tuple.Tuple) { s.fn(t) }
 
 // Periodic emits periodic(addr, eventID, period) tuples every period
 // seconds — OverLog's built-in periodic() stream (§2.3). A count > 0
@@ -302,18 +32,15 @@ type Periodic struct {
 	fireFn  func() // bound once; each tick re-arms on a pooled timer
 }
 
-// NewPeriodic creates a periodic source pushing to output 0 once
+// NewPeriodic creates a periodic source pushing downstream once
 // started. mk builds each emitted tuple (the planner supplies one that
 // matches the periodic predicate's arity).
-func NewPeriodic(name string, loop eventloop.Loop, addr string, period float64, count int64,
+func NewPeriodic(loop eventloop.Loop, addr string, period float64, count int64,
 	mk func(addr string, seq int64, period float64) *tuple.Tuple) *Periodic {
 	if count == 0 {
 		count = -1
 	}
-	p := &Periodic{
-		Base: NewBase(name, 1, 0), loop: loop, addr: addr,
-		period: period, count: count, mk: mk,
-	}
+	p := &Periodic{loop: loop, addr: addr, period: period, count: count, mk: mk}
 	p.fireFn = p.fire
 	return p
 }
@@ -333,10 +60,7 @@ func (p *Periodic) fire() {
 		return
 	}
 	p.seq++
-	t := p.mk(p.addr, p.seq, p.period)
-	// Periodic ignores downstream flow control: timers must not stall
-	// (a full downstream queue loses ticks, matching timer semantics).
-	p.PushOut(0, t, nil)
+	p.PushOut(p.mk(p.addr, p.seq, p.period))
 	if p.count > 0 {
 		p.count--
 	}
@@ -344,25 +68,3 @@ func (p *Periodic) fire() {
 		eventloop.ScheduleFree(p.loop, p.period, p.fireFn)
 	}
 }
-
-// Graph owns a set of elements and offers convenience wiring. It exists
-// for construction-time bookkeeping; at runtime elements call each other
-// directly.
-type Graph struct {
-	elements []Element
-}
-
-// NewGraph returns an empty graph.
-func NewGraph() *Graph { return &Graph{} }
-
-// Add registers an element and returns it unchanged.
-func Add[E Element](g *Graph, e E) E {
-	g.elements = append(g.elements, e)
-	return e
-}
-
-// Elements returns all registered elements in insertion order.
-func (g *Graph) Elements() []Element { return g.elements }
-
-// Size returns the element count.
-func (g *Graph) Size() int { return len(g.elements) }

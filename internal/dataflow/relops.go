@@ -11,9 +11,9 @@ import (
 
 // The relational elements below are the database half of P2 (§3.4):
 // equijoins of a stream against a table, PEL-driven selections and
-// projections, aggregations, and the bridge elements that move tuples
-// in and out of stored tables. They are push elements that may emit
-// zero or more tuples downstream per input.
+// projections, and aggregations. Each may emit zero or more tuples
+// downstream per input. Writing a derived tuple into a table, or
+// deleting one, is the engine's deliverHead, not an element.
 
 // Join is the stream×table equijoin at the core of OverLog execution
 // (§2.5). For each pushed tuple it looks up matches in the table's
@@ -45,9 +45,8 @@ type Join struct {
 
 // NewJoin builds an equijoin element and resolves the table's index
 // handle, creating the index if needed.
-func NewJoin(name string, tbl *table.Table, streamKey, tableKey []int, outName string) *Join {
+func NewJoin(tbl *table.Table, streamKey, tableKey []int, outName string) *Join {
 	return &Join{
-		Base:      NewBase(name, 1, 0),
 		tbl:       tbl,
 		ix:        tbl.EnsureIndex(tableKey),
 		streamKey: append([]int(nil), streamKey...),
@@ -58,8 +57,8 @@ func NewJoin(name string, tbl *table.Table, streamKey, tableKey []int, outName s
 // CountProbes points the element at a shared counter, bumped once per
 // index probe and once per candidate row examined. Probes answered
 // from a shared cache count nothing — that is the work the optimizer's
-// common-subexpression sharing eliminates, and the counter is how
-// BenchmarkOptimizedSecond observes it.
+// common-subexpression sharing eliminates, and the counter (the
+// engine's Stats.Probes) is how a run observes it.
 func (j *Join) CountProbes(p *int64) { j.probes = p }
 
 // ProbeCache shares one probe's raw match snapshot between joins on
@@ -123,10 +122,9 @@ func (j *Join) AddAssigns(progs []*pel.Program, env *pel.Env) {
 // Strands run one at a time to completion and downstream
 // re-derivations are deferred, so Push is never re-entered while active
 // and the scratch key buffer is safe to reuse.
-func (j *Join) Push(_ int, t *tuple.Tuple, poke Poke) bool {
+func (j *Join) Push(t *tuple.Tuple) {
 	j.keyBuf = t.AppendKey(j.keyBuf[:0], j.streamKey)
 	na := t.Arity()
-	ok := true
 	if c := j.share; c != nil {
 		if !c.valid || c.event != t || c.ver != j.tbl.Version() || !bytes.Equal(c.key, j.keyBuf) {
 			c.valid = false
@@ -153,11 +151,9 @@ func (j *Join) Push(_ int, t *tuple.Tuple, poke Poke) bool {
 		// fill's expiry pass), and the engine never shares a cache with
 		// a strand that writes the probed table synchronously.
 		for _, m := range c.matches {
-			if !j.emitMatch(t, na, m, poke) {
-				ok = false
-			}
+			j.emitMatch(t, na, m)
 		}
-		return ok
+		return
 	}
 	if j.probes != nil {
 		*j.probes++
@@ -166,23 +162,19 @@ func (j *Join) Push(_ int, t *tuple.Tuple, poke Poke) bool {
 		if j.probes != nil {
 			*j.probes++
 		}
-		if !j.emitMatch(t, na, m, poke) {
-			ok = false
-		}
+		j.emitMatch(t, na, m)
 		return true
 	})
-	return ok
 }
 
 // emitMatch runs the fused filters and assignments against one
-// candidate row and pushes the concatenated tuple. It returns false
-// only when a downstream element failed; filtered or underivable
-// matches are simply skipped.
-func (j *Join) emitMatch(t *tuple.Tuple, na int, m *tuple.Tuple, poke Poke) bool {
+// candidate row and pushes the concatenated tuple; filtered or
+// underivable matches are simply skipped.
+func (j *Join) emitMatch(t *tuple.Tuple, na int, m *tuple.Tuple) {
 	for _, f := range j.filters {
 		v, err := j.vm.EvalJoined(f, t, m, j.env)
 		if err != nil || !v.AsBool() {
-			return true // match filtered out
+			return // match filtered out
 		}
 	}
 	base := na + m.Arity()
@@ -195,11 +187,11 @@ func (j *Join) emitMatch(t *tuple.Tuple, na int, m *tuple.Tuple, poke Poke) bool
 		// tuple escapes only after every slot is in place.
 		v, err := j.vm.Eval(prog, out, j.env)
 		if err != nil {
-			return true // underivable match dropped, as Assign would
+			return // underivable match dropped, as MultiAssign would
 		}
 		fields[base+i] = v
 	}
-	return j.PushOut(0, out, poke)
+	j.PushOut(out)
 }
 
 // NotJoin is the antijoin used for "not pred(...)" bodies: the input
@@ -213,9 +205,8 @@ type NotJoin struct {
 }
 
 // NewNotJoin builds an antijoin element.
-func NewNotJoin(name string, tbl *table.Table, streamKey, tableKey []int) *NotJoin {
+func NewNotJoin(tbl *table.Table, streamKey, tableKey []int) *NotJoin {
 	return &NotJoin{
-		Base:      NewBase(name, 1, 0),
 		ix:        tbl.EnsureIndex(tableKey),
 		streamKey: append([]int(nil), streamKey...),
 	}
@@ -226,15 +217,15 @@ func NewNotJoin(name string, tbl *table.Table, streamKey, tableKey []int) *NotJo
 func (j *NotJoin) CountProbes(p *int64) { j.probes = p }
 
 // Push forwards t iff the table has no matching row.
-func (j *NotJoin) Push(_ int, t *tuple.Tuple, poke Poke) bool {
+func (j *NotJoin) Push(t *tuple.Tuple) {
 	j.keyBuf = t.AppendKey(j.keyBuf[:0], j.streamKey)
 	if j.probes != nil {
 		*j.probes++
 	}
 	if j.ix.Contains(j.keyBuf) {
-		return true // match exists: tuple eliminated
+		return // match exists: tuple eliminated
 	}
-	return j.PushOut(0, t, poke)
+	j.PushOut(t)
 }
 
 // Select filters tuples through a boolean PEL program.
@@ -246,49 +237,25 @@ type Select struct {
 }
 
 // NewSelect builds a PEL-parameterized filter.
-func NewSelect(name string, prog *pel.Program, env *pel.Env) *Select {
-	return &Select{Base: NewBase(name, 1, 0), prog: prog, vm: pel.NewVM(), env: env}
+func NewSelect(prog *pel.Program, env *pel.Env) *Select {
+	return &Select{prog: prog, vm: pel.NewVM(), env: env}
 }
 
 // Push forwards t iff the program evaluates truthy. Evaluation errors
 // drop the tuple — a rule body that fails to evaluate derives nothing.
-func (s *Select) Push(_ int, t *tuple.Tuple, poke Poke) bool {
+func (s *Select) Push(t *tuple.Tuple) {
 	v, err := s.vm.Eval(s.prog, t, s.env)
 	if err != nil || !v.AsBool() {
-		return true
+		return
 	}
-	return s.PushOut(0, t, poke)
+	s.PushOut(t)
 }
 
-// Assign evaluates a PEL expression and appends the result as a new
-// trailing field — how "X := expr" extends a rule's binding environment.
-type Assign struct {
-	Base
-	prog *pel.Program
-	vm   *pel.VM
-	env  *pel.Env
-}
-
-// NewAssign builds an appending evaluator.
-func NewAssign(name string, prog *pel.Program, env *pel.Env) *Assign {
-	return &Assign{Base: NewBase(name, 1, 0), prog: prog, vm: pel.NewVM(), env: env}
-}
-
-// Push emits t extended with the evaluated value. Errors drop the tuple.
-func (a *Assign) Push(_ int, t *tuple.Tuple, poke Poke) bool {
-	v, err := a.vm.Eval(a.prog, t, a.env)
-	if err != nil {
-		return true
-	}
-	fields := make([]val.Value, 0, t.Arity()+1)
-	fields = append(fields, t.Fields()...)
-	fields = append(fields, v)
-	return a.PushOut(0, tuple.New(t.Name(), fields...), poke)
-}
-
-// MultiAssign fuses a run of consecutive assignments into one element:
-// where a chain of k Assigns would build k intermediate tuples of
-// growing arity, MultiAssign extends the binding environment once.
+// MultiAssign evaluates a run of consecutive "X := expr" steps, each
+// appending its result as a new trailing field — how assignments extend
+// a rule's binding environment. Where one element per step would build
+// k intermediate tuples of growing arity, the fused run extends the
+// binding environment once.
 // OverLog rule bodies routinely carry several ":=" steps (Chord's
 // lookup rules compute hashes, ranges, and candidate successors in
 // sequence), so the fusion removes most of a strand's intermediate
@@ -302,18 +269,19 @@ type MultiAssign struct {
 
 // NewMultiAssign builds a fused run of appending evaluators; each
 // program appends one trailing field, in order.
-func NewMultiAssign(name string, progs []*pel.Program, env *pel.Env) *MultiAssign {
-	return &MultiAssign{Base: NewBase(name, 1, 0), progs: progs, vm: pel.NewVM(), env: env}
+func NewMultiAssign(progs []*pel.Program, env *pel.Env) *MultiAssign {
+	return &MultiAssign{progs: progs, vm: pel.NewVM(), env: env}
 }
 
 // Push emits t extended with every evaluated value. Later programs see
-// the fields earlier ones appended, exactly as the unfused chain would:
+// the fields earlier ones appended, exactly as a chain of one-step
+// elements would:
 // the output tuple is built first (unset trailing fields read as Null)
 // and each evaluation fills the next slot before the following program
 // runs. The tuple does not escape until every field is in place, so the
 // in-place writes never touch a tuple another element can observe. Any
 // evaluation error drops the tuple.
-func (a *MultiAssign) Push(_ int, t *tuple.Tuple, poke Poke) bool {
+func (a *MultiAssign) Push(t *tuple.Tuple) {
 	n := t.Arity()
 	fields := make([]val.Value, n+len(a.progs))
 	copy(fields, t.Fields())
@@ -321,11 +289,11 @@ func (a *MultiAssign) Push(_ int, t *tuple.Tuple, poke Poke) bool {
 	for i, prog := range a.progs {
 		v, err := a.vm.Eval(prog, out, a.env)
 		if err != nil {
-			return true
+			return
 		}
 		fields[n+i] = v
 	}
-	return a.PushOut(0, out, poke)
+	a.PushOut(out)
 }
 
 // Project constructs the rule-head tuple: one PEL program per output
@@ -339,21 +307,21 @@ type Project struct {
 }
 
 // NewProject builds a head constructor.
-func NewProject(name, outName string, progs []*pel.Program, env *pel.Env) *Project {
-	return &Project{Base: NewBase(name, 1, 0), outName: outName, progs: progs, vm: pel.NewVM(), env: env}
+func NewProject(outName string, progs []*pel.Program, env *pel.Env) *Project {
+	return &Project{outName: outName, progs: progs, vm: pel.NewVM(), env: env}
 }
 
 // Push emits the projected head tuple.
-func (p *Project) Push(_ int, t *tuple.Tuple, poke Poke) bool {
+func (p *Project) Push(t *tuple.Tuple) {
 	fields := make([]val.Value, len(p.progs))
 	for i, prog := range p.progs {
 		v, err := p.vm.Eval(prog, t, p.env)
 		if err != nil {
-			return true // head underivable; drop
+			return // head underivable; drop
 		}
 		fields[i] = v
 	}
-	return p.PushOut(0, tuple.New(p.outName, fields...), poke)
+	p.PushOut(tuple.New(p.outName, fields...))
 }
 
 // AggFunc names an aggregate function.
@@ -412,12 +380,12 @@ type AggStream struct {
 }
 
 // NewAggStream builds a per-event aggregator.
-func NewAggStream(name string, fn AggFunc, aggPos int) *AggStream {
-	return &AggStream{Base: NewBase(name, 1, 0), fn: fn, aggPos: aggPos}
+func NewAggStream(fn AggFunc, aggPos int) *AggStream {
+	return &AggStream{fn: fn, aggPos: aggPos}
 }
 
 // Push accumulates one working tuple.
-func (a *AggStream) Push(_ int, t *tuple.Tuple, _ Poke) bool {
+func (a *AggStream) Push(t *tuple.Tuple) {
 	a.count++
 	switch a.fn {
 	case AggMin, AggMax:
@@ -427,7 +395,6 @@ func (a *AggStream) Push(_ int, t *tuple.Tuple, _ Poke) bool {
 	case AggSum, AggAvg:
 		a.sum += t.Field(a.aggPos).AsFloat()
 	}
-	return true
 }
 
 // improves reports whether v displaces cur as fn's extremum; ties keep
@@ -441,12 +408,12 @@ func improves(fn AggFunc, v, cur val.Value) bool {
 // For min/max the winning working tuple flows downstream unchanged (its
 // aggPos field already holds the extremum). For count/sum/avg the event
 // tuple flows with the aggregate appended as a trailing field.
-func (a *AggStream) Flush(event *tuple.Tuple, poke Poke) {
+func (a *AggStream) Flush(event *tuple.Tuple) {
 	defer a.reset()
 	switch a.fn {
 	case AggMin, AggMax:
 		if a.best != nil {
-			a.PushOut(0, a.best, poke)
+			a.PushOut(a.best)
 		}
 	case AggCount:
 		if event == nil {
@@ -455,7 +422,7 @@ func (a *AggStream) Flush(event *tuple.Tuple, poke Poke) {
 		fields := make([]val.Value, 0, event.Arity()+1)
 		fields = append(fields, event.Fields()...)
 		fields = append(fields, val.Int(a.count))
-		a.PushOut(0, tuple.New(event.Name(), fields...), poke)
+		a.PushOut(tuple.New(event.Name(), fields...))
 	case AggSum, AggAvg:
 		if event == nil || a.count == 0 {
 			return
@@ -467,7 +434,7 @@ func (a *AggStream) Flush(event *tuple.Tuple, poke Poke) {
 		fields := make([]val.Value, 0, event.Arity()+1)
 		fields = append(fields, event.Fields()...)
 		fields = append(fields, val.Float(v))
-		a.PushOut(0, tuple.New(event.Name(), fields...), poke)
+		a.PushOut(tuple.New(event.Name(), fields...))
 	}
 }
 
@@ -560,10 +527,9 @@ type AggTable struct {
 // rows, connect the output and then call Recompute, which both seeds
 // the state and emits the current groups (the engine's install path
 // does exactly this).
-func NewAggTable(name string, tbl *table.Table, fn AggFunc, groupPos []int, aggPos int,
+func NewAggTable(tbl *table.Table, fn AggFunc, groupPos []int, aggPos int,
 	outName string) *AggTable {
 	a := &AggTable{
-		Base:     NewBase(name, 1, 0),
 		tbl:      tbl,
 		fn:       fn,
 		groupPos: append([]int(nil), groupPos...),
@@ -697,7 +663,7 @@ func (a *AggTable) refresh(key string) {
 	fields := make([]val.Value, 0, len(group)+1)
 	fields = append(fields, group...)
 	fields = append(fields, v)
-	a.PushOut(0, tuple.New(a.outName, fields...), nil)
+	a.PushOut(tuple.New(a.outName, fields...))
 }
 
 // Recompute rebuilds the accumulators from a full scan and emits every
@@ -725,46 +691,6 @@ func (a *AggTable) Recompute() {
 	a.refreshEach(order)
 }
 
-// Insert stores pushed tuples into a table and forwards the tuple
-// downstream only when the insertion changed the table — the delta
-// stream that re-enters the strand demultiplexer in Figure 2.
-type Insert struct {
-	Base
-	tbl *table.Table
-}
-
-// NewInsert builds a table-insert bridge.
-func NewInsert(name string, tbl *table.Table) *Insert {
-	return &Insert{Base: NewBase(name, 1, 0), tbl: tbl}
-}
-
-// Push inserts t; deltas propagate downstream.
-func (e *Insert) Push(_ int, t *tuple.Tuple, poke Poke) bool {
-	res := e.tbl.Insert(t)
-	if !res.Delta {
-		return true
-	}
-	return e.PushOut(0, t, poke)
-}
-
-// Delete removes pushed tuples (by primary key) from a table — the
-// action of OverLog's "delete" rule heads.
-type Delete struct {
-	Base
-	tbl *table.Table
-}
-
-// NewDelete builds a table-delete bridge.
-func NewDelete(name string, tbl *table.Table) *Delete {
-	return &Delete{Base: NewBase(name, 0, 0), tbl: tbl}
-}
-
-// Push deletes t's primary-key match, if any.
-func (e *Delete) Push(_ int, t *tuple.Tuple, _ Poke) bool {
-	e.tbl.Delete(t)
-	return true
-}
-
 // Range is the range(I, Lo, Hi) generator: for each input tuple it
 // evaluates the bounds and emits one copy per integer in [lo, hi] with
 // the iteration value appended — how the naive finger-fixing rule F1
@@ -777,61 +703,24 @@ type Range struct {
 }
 
 // NewRange builds a range generator.
-func NewRange(name string, lo, hi *pel.Program, env *pel.Env) *Range {
-	return &Range{Base: NewBase(name, 1, 0), lo: lo, hi: hi, vm: pel.NewVM(), env: env}
+func NewRange(lo, hi *pel.Program, env *pel.Env) *Range {
+	return &Range{lo: lo, hi: hi, vm: pel.NewVM(), env: env}
 }
 
 // Push expands t over the iteration range.
-func (r *Range) Push(_ int, t *tuple.Tuple, poke Poke) bool {
+func (r *Range) Push(t *tuple.Tuple) {
 	loV, err := r.vm.Eval(r.lo, t, r.env)
 	if err != nil {
-		return true
+		return
 	}
 	hiV, err := r.vm.Eval(r.hi, t, r.env)
 	if err != nil {
-		return true
+		return
 	}
-	ok := true
 	for v := loV.AsInt(); v <= hiV.AsInt(); v++ {
 		fields := make([]val.Value, 0, t.Arity()+1)
 		fields = append(fields, t.Fields()...)
 		fields = append(fields, val.Int(v))
-		if !r.PushOut(0, tuple.New(t.Name(), fields...), poke) {
-			ok = false
-		}
+		r.PushOut(tuple.New(t.Name(), fields...))
 	}
-	return ok
-}
-
-// Dedup suppresses tuples identical to one already seen, using a
-// private table keyed on the full tuple (§3.4: "the element responsible
-// for eliminating duplicate results ... uses a table to keep track of
-// what it has seen so far"). The TTL bounds memory.
-type Dedup struct {
-	Base
-	seen *table.Table
-}
-
-// NewDedup builds a duplicate eliminator whose memory lasts ttl seconds.
-func NewDedup(name string, ttl float64, clock interface{ Now() float64 }, arity int) *Dedup {
-	pk := make([]int, arity)
-	for i := range pk {
-		pk[i] = i
-	}
-	return &Dedup{
-		Base: NewBase(name, 1, 0),
-		seen: table.New(name+".seen", ttl, 0, pk, clockAdapter{clock}),
-	}
-}
-
-type clockAdapter struct{ c interface{ Now() float64 } }
-
-func (a clockAdapter) Now() float64 { return a.c.Now() }
-
-// Push forwards t only the first time it is seen within the TTL.
-func (d *Dedup) Push(_ int, t *tuple.Tuple, poke Poke) bool {
-	if !d.seen.Insert(t).Delta {
-		return true
-	}
-	return d.PushOut(0, t, poke)
 }

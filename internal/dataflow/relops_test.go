@@ -16,8 +16,11 @@ func env(loop eventloop.Loop) *pel.Env {
 }
 
 func collect(out *[]*tuple.Tuple) *Sink {
-	return NewSink("collect", func(t *tuple.Tuple) { *out = append(*out, t) })
+	return NewSink(func(t *tuple.Tuple) { *out = append(*out, t) })
 }
+
+// discard ends a chain whose output a benchmark or alloc pin ignores.
+func discard() *Sink { return NewSink(func(*tuple.Tuple) {}) }
 
 func TestJoinEmitsAllMatches(t *testing.T) {
 	loop := eventloop.NewSim()
@@ -28,10 +31,10 @@ func TestJoinEmitsAllMatches(t *testing.T) {
 	nb.Insert(tp("neighbor", val.Str("nX"), val.Str("n4"))) // different X
 
 	// Join refreshSeq(X, S) with neighbor(X, Y) on X.
-	j := NewJoin("j", nb, []int{0}, []int{0}, "r_j1")
+	j := NewJoin(nb, []int{0}, []int{0}, "r_j1")
 	var got []*tuple.Tuple
-	j.ConnectOut(0, collect(&got), 0)
-	j.Push(0, tp("refreshSeq", val.Str("n1"), val.Int(7)), nil)
+	j.Connect(collect(&got))
+	j.Push(tp("refreshSeq", val.Str("n1"), val.Int(7)))
 
 	if len(got) != 2 {
 		t.Fatalf("join emitted %d tuples, want 2", len(got))
@@ -52,10 +55,10 @@ func TestJoinEmitsAllMatches(t *testing.T) {
 func TestJoinNoMatchEmitsNothing(t *testing.T) {
 	loop := eventloop.NewSim()
 	nb := table.New("neighbor", table.Infinity, 0, []int{1}, loop)
-	j := NewJoin("j", nb, []int{0}, []int{0}, "out")
+	j := NewJoin(nb, []int{0}, []int{0}, "out")
 	var got []*tuple.Tuple
-	j.ConnectOut(0, collect(&got), 0)
-	j.Push(0, tp("evt", val.Str("n1")), nil)
+	j.Connect(collect(&got))
+	j.Push(tp("evt", val.Str("n1")))
 	if len(got) != 0 {
 		t.Fatalf("empty table join emitted %v", got)
 	}
@@ -67,10 +70,10 @@ func TestJoinMultiFieldKey(t *testing.T) {
 	member.Insert(tp("member", val.Str("n1"), val.Str("a"), val.Int(1)))
 	member.Insert(tp("member", val.Str("n1"), val.Str("b"), val.Int(2)))
 	// Join on (field0, field1) of stream against (0, 1) of table.
-	j := NewJoin("j", member, []int{0, 1}, []int{0, 1}, "out")
+	j := NewJoin(member, []int{0, 1}, []int{0, 1}, "out")
 	var got []*tuple.Tuple
-	j.ConnectOut(0, collect(&got), 0)
-	j.Push(0, tp("refresh", val.Str("n1"), val.Str("b")), nil)
+	j.Connect(collect(&got))
+	j.Push(tp("refresh", val.Str("n1"), val.Str("b")))
 	if len(got) != 1 || got[0].Field(4).AsInt() != 2 {
 		t.Fatalf("multi-key join got %v", got)
 	}
@@ -80,16 +83,16 @@ func TestNotJoin(t *testing.T) {
 	loop := eventloop.NewSim()
 	member := table.New("member", table.Infinity, 0, []int{1}, loop)
 	member.Insert(tp("member", val.Str("n1"), val.Str("a")))
-	nj := NewNotJoin("nj", member, []int{1}, []int{1})
+	nj := NewNotJoin(member, []int{1}, []int{1})
 	var got []*tuple.Tuple
-	nj.ConnectOut(0, collect(&got), 0)
+	nj.Connect(collect(&got))
 	// "a" is known: eliminated.
-	nj.Push(0, tp("candidate", val.Str("n1"), val.Str("a")), nil)
+	nj.Push(tp("candidate", val.Str("n1"), val.Str("a")))
 	if len(got) != 0 {
 		t.Fatal("antijoin must eliminate matches")
 	}
 	// "z" unknown: passes.
-	nj.Push(0, tp("candidate", val.Str("n1"), val.Str("z")), nil)
+	nj.Push(tp("candidate", val.Str("n1"), val.Str("z")))
 	if len(got) != 1 {
 		t.Fatal("antijoin must pass non-matches")
 	}
@@ -99,11 +102,11 @@ func TestSelectFilters(t *testing.T) {
 	loop := eventloop.NewSim()
 	// Keep tuples with field1 > 10.
 	prog := pel.NewBuilder().Field(1).Const(val.Int(10)).Op(pel.OpGt).Build()
-	sel := NewSelect("sel", prog, env(loop))
+	sel := NewSelect(prog, env(loop))
 	var got []*tuple.Tuple
-	sel.ConnectOut(0, collect(&got), 0)
-	sel.Push(0, tp("x", val.Str("n1"), val.Int(5)), nil)
-	sel.Push(0, tp("x", val.Str("n1"), val.Int(15)), nil)
+	sel.Connect(collect(&got))
+	sel.Push(tp("x", val.Str("n1"), val.Int(5)))
+	sel.Push(tp("x", val.Str("n1"), val.Int(15)))
 	if len(got) != 1 || got[0].Field(1).AsInt() != 15 {
 		t.Fatalf("select got %v", got)
 	}
@@ -112,12 +115,10 @@ func TestSelectFilters(t *testing.T) {
 func TestSelectErrorDropsTuple(t *testing.T) {
 	loop := eventloop.NewSim()
 	bad := pel.NewBuilder().Op(pel.OpAdd).Build() // underflow
-	sel := NewSelect("sel", bad, env(loop))
+	sel := NewSelect(bad, env(loop))
 	var got []*tuple.Tuple
-	sel.ConnectOut(0, collect(&got), 0)
-	if !sel.Push(0, tp("x"), nil) {
-		t.Fatal("errors must not block flow")
-	}
+	sel.Connect(collect(&got))
+	sel.Push(tp("x"))
 	if len(got) != 0 {
 		t.Fatal("error must drop the tuple")
 	}
@@ -127,10 +128,10 @@ func TestAssignAppends(t *testing.T) {
 	loop := eventloop.NewSim()
 	// NewSeq := Seq + 1 where Seq is field 1.
 	prog := pel.NewBuilder().Field(1).Const(val.Int(1)).Op(pel.OpAdd).Build()
-	a := NewAssign("a", prog, env(loop))
+	a := NewMultiAssign([]*pel.Program{prog}, env(loop))
 	var got []*tuple.Tuple
-	a.ConnectOut(0, collect(&got), 0)
-	a.Push(0, tp("seq", val.Str("n1"), val.Int(41)), nil)
+	a.Connect(collect(&got))
+	a.Push(tp("seq", val.Str("n1"), val.Int(41)))
 	if len(got) != 1 || got[0].Arity() != 3 || got[0].Field(2).AsInt() != 42 {
 		t.Fatalf("assign got %v", got)
 	}
@@ -142,10 +143,10 @@ func TestProjectBuildsHead(t *testing.T) {
 		pel.NewBuilder().Field(2).Build(),
 		pel.NewBuilder().Field(0).Build(),
 	}
-	p := NewProject("p", "head", progs, env(loop))
+	p := NewProject("head", progs, env(loop))
 	var got []*tuple.Tuple
-	p.ConnectOut(0, collect(&got), 0)
-	p.Push(0, tp("work", val.Str("a"), val.Str("b"), val.Str("c")), nil)
+	p.Connect(collect(&got))
+	p.Push(tp("work", val.Str("a"), val.Str("b"), val.Str("c")))
 	if len(got) != 1 || got[0].Name() != "head" {
 		t.Fatalf("project got %v", got)
 	}
@@ -156,13 +157,13 @@ func TestProjectBuildsHead(t *testing.T) {
 
 func TestAggStreamMinIsExemplar(t *testing.T) {
 	// L2-style: min<D> with D at field 1; the WHOLE winning row flows.
-	agg := NewAggStream("agg", AggMin, 1)
+	agg := NewAggStream(AggMin, 1)
 	var got []*tuple.Tuple
-	agg.ConnectOut(0, collect(&got), 0)
-	agg.Push(0, tp("w", val.Str("fingerA"), val.Int(30)), nil)
-	agg.Push(0, tp("w", val.Str("fingerB"), val.Int(10)), nil)
-	agg.Push(0, tp("w", val.Str("fingerC"), val.Int(99)), nil)
-	agg.Flush(tp("evt"), nil)
+	agg.Connect(collect(&got))
+	agg.Push(tp("w", val.Str("fingerA"), val.Int(30)))
+	agg.Push(tp("w", val.Str("fingerB"), val.Int(10)))
+	agg.Push(tp("w", val.Str("fingerC"), val.Int(99)))
+	agg.Flush(tp("evt"))
 	if len(got) != 1 {
 		t.Fatalf("agg emitted %d, want 1", len(got))
 	}
@@ -172,7 +173,7 @@ func TestAggStreamMinIsExemplar(t *testing.T) {
 	}
 	// Flush resets state.
 	got = nil
-	agg.Flush(tp("evt"), nil)
+	agg.Flush(tp("evt"))
 	if len(got) != 0 {
 		t.Fatal("second flush must be empty")
 	}
@@ -181,23 +182,23 @@ func TestAggStreamMinIsExemplar(t *testing.T) {
 func TestAggStreamMaxPicksWinnerRow(t *testing.T) {
 	// Narada P0: pick the member with the max random number — the
 	// member address rides along with the winning row.
-	agg := NewAggStream("agg", AggMax, 1)
+	agg := NewAggStream(AggMax, 1)
 	var got []*tuple.Tuple
-	agg.ConnectOut(0, collect(&got), 0)
-	agg.Push(0, tp("w", val.Str("memberA"), val.Float(0.2)), nil)
-	agg.Push(0, tp("w", val.Str("memberB"), val.Float(0.9)), nil)
-	agg.Push(0, tp("w", val.Str("memberC"), val.Float(0.5)), nil)
-	agg.Flush(tp("evt"), nil)
+	agg.Connect(collect(&got))
+	agg.Push(tp("w", val.Str("memberA"), val.Float(0.2)))
+	agg.Push(tp("w", val.Str("memberB"), val.Float(0.9)))
+	agg.Push(tp("w", val.Str("memberC"), val.Float(0.5)))
+	agg.Flush(tp("evt"))
 	if len(got) != 1 || got[0].Field(0).AsStr() != "memberB" {
 		t.Fatalf("max exemplar = %v", got)
 	}
 }
 
 func TestAggStreamMinMaxNoRowsEmitsNothing(t *testing.T) {
-	agg := NewAggStream("agg", AggMin, 0)
+	agg := NewAggStream(AggMin, 0)
 	var got []*tuple.Tuple
-	agg.ConnectOut(0, collect(&got), 0)
-	agg.Flush(tp("evt"), nil)
+	agg.Connect(collect(&got))
+	agg.Flush(tp("evt"))
 	if len(got) != 0 {
 		t.Fatal("min with no rows must emit nothing")
 	}
@@ -206,13 +207,13 @@ func TestAggStreamMinMaxNoRowsEmitsNothing(t *testing.T) {
 func TestAggStreamCountSumAvg(t *testing.T) {
 	event := tp("refresh", val.Str("n1"), val.Str("addr9"))
 	check := func(fn AggFunc, want val.Value) {
-		agg := NewAggStream("agg", fn, 0)
+		agg := NewAggStream(fn, 0)
 		var got []*tuple.Tuple
-		agg.ConnectOut(0, collect(&got), 0)
+		agg.Connect(collect(&got))
 		for _, v := range []int64{4, 9, 2} {
-			agg.Push(0, tp("w", val.Int(v)), nil)
+			agg.Push(tp("w", val.Int(v)))
 		}
-		agg.Flush(event, nil)
+		agg.Flush(event)
 		if len(got) != 1 {
 			t.Fatalf("%v emitted %d", fn, len(got))
 		}
@@ -232,11 +233,11 @@ func TestAggStreamCountSumAvg(t *testing.T) {
 
 func TestAggStreamZeroCount(t *testing.T) {
 	// Narada R5/R6: count<*> with no matching rows emits C == 0.
-	agg := NewAggStream("agg", AggCount, -1)
+	agg := NewAggStream(AggCount, -1)
 	var got []*tuple.Tuple
-	agg.ConnectOut(0, collect(&got), 0)
+	agg.Connect(collect(&got))
 	event := tp("refresh", val.Str("n1"), val.Str("addr9"))
-	agg.Flush(event, nil)
+	agg.Flush(event)
 	if len(got) != 1 {
 		t.Fatalf("zero count not emitted: %v", got)
 	}
@@ -245,19 +246,19 @@ func TestAggStreamZeroCount(t *testing.T) {
 	}
 	// Sum/avg with no rows stay silent.
 	for _, fn := range []AggFunc{AggSum, AggAvg} {
-		agg := NewAggStream("agg", fn, 0)
+		agg := NewAggStream(fn, 0)
 		var out []*tuple.Tuple
-		agg.ConnectOut(0, collect(&out), 0)
-		agg.Flush(event, nil)
+		agg.Connect(collect(&out))
+		agg.Flush(event)
 		if len(out) != 0 {
 			t.Fatalf("%v with no rows emitted %v", fn, out)
 		}
 	}
 	// Nil event (defensive): nothing emitted.
-	agg2 := NewAggStream("agg", AggCount, -1)
+	agg2 := NewAggStream(AggCount, -1)
 	var out2 []*tuple.Tuple
-	agg2.ConnectOut(0, collect(&out2), 0)
-	agg2.Flush(nil, nil)
+	agg2.Connect(collect(&out2))
+	agg2.Flush(nil)
 	if len(out2) != 0 {
 		t.Fatal("nil event must emit nothing")
 	}
@@ -277,8 +278,8 @@ func TestAggTableEmitsOnChange(t *testing.T) {
 	succ := table.New("succDist", table.Infinity, 0, []int{1}, loop)
 	var got []*tuple.Tuple
 	// min<D> grouped by node address (field 0), D at field 2.
-	agg := NewAggTable("agg", succ, AggMin, []int{0}, 2, "bestSuccDist")
-	agg.ConnectOut(0, collect(&got), 0)
+	agg := NewAggTable(succ, AggMin, []int{0}, 2, "bestSuccDist")
+	agg.Connect(collect(&got))
 
 	succ.Insert(tp("succDist", val.Str("n1"), val.Str("s1"), val.Int(40)))
 	if len(got) != 1 || got[0].Field(1).AsInt() != 40 {
@@ -305,8 +306,8 @@ func TestAggTableExpiryTriggersRecompute(t *testing.T) {
 	loop := eventloop.NewSim()
 	succ := table.New("succDist", 10, 0, []int{1}, loop)
 	var got []*tuple.Tuple
-	agg := NewAggTable("agg", succ, AggMin, []int{0}, 2, "best")
-	agg.ConnectOut(0, collect(&got), 0)
+	agg := NewAggTable(succ, AggMin, []int{0}, 2, "best")
+	agg.Connect(collect(&got))
 	succ.Insert(tp("succDist", val.Str("n1"), val.Str("s1"), val.Int(5)))
 	loop.Run(5)
 	succ.Insert(tp("succDist", val.Str("n1"), val.Str("s2"), val.Int(50)))
@@ -314,62 +315,6 @@ func TestAggTableExpiryTriggersRecompute(t *testing.T) {
 	succ.Expire()
 	if len(got) != 2 || got[1].Field(1).AsInt() != 50 {
 		t.Fatalf("expiry recompute = %v", got)
-	}
-}
-
-func TestInsertEmitsDeltasOnly(t *testing.T) {
-	loop := eventloop.NewSim()
-	tb := table.New("member", table.Infinity, 0, []int{1}, loop)
-	ins := NewInsert("ins", tb)
-	var got []*tuple.Tuple
-	ins.ConnectOut(0, collect(&got), 0)
-	row := tp("member", val.Str("n1"), val.Str("a"))
-	ins.Push(0, row, nil)
-	ins.Push(0, row, nil) // refresh, no delta
-	if len(got) != 1 {
-		t.Fatalf("insert deltas = %d, want 1", len(got))
-	}
-	if tb.Len() != 1 {
-		t.Fatal("tuple not stored")
-	}
-}
-
-func TestDeleteElement(t *testing.T) {
-	loop := eventloop.NewSim()
-	tb := table.New("neighbor", table.Infinity, 0, []int{1}, loop)
-	tb.Insert(tp("neighbor", val.Str("n1"), val.Str("a")))
-	del := NewDelete("del", tb)
-	del.Push(0, tp("neighbor", val.Str("n1"), val.Str("a")), nil)
-	if tb.Len() != 0 {
-		t.Fatal("delete element failed")
-	}
-}
-
-func TestDedup(t *testing.T) {
-	loop := eventloop.NewSim()
-	d := NewDedup("d", 100, loop, 2)
-	var got []*tuple.Tuple
-	d.ConnectOut(0, collect(&got), 0)
-	a := tp("x", val.Str("n1"), val.Int(1))
-	d.Push(0, a, nil)
-	d.Push(0, a, nil)
-	d.Push(0, tp("x", val.Str("n1"), val.Int(2)), nil)
-	if len(got) != 2 {
-		t.Fatalf("dedup passed %d, want 2", len(got))
-	}
-}
-
-func TestDedupTTLForgets(t *testing.T) {
-	loop := eventloop.NewSim()
-	d := NewDedup("d", 10, loop, 1)
-	var got []*tuple.Tuple
-	d.ConnectOut(0, collect(&got), 0)
-	a := tp("x", val.Int(1))
-	d.Push(0, a, nil)
-	loop.Run(11)
-	d.Push(0, a, nil) // memory expired: passes again
-	if len(got) != 2 {
-		t.Fatalf("dedup with expired memory passed %d", len(got))
 	}
 }
 
@@ -384,10 +329,10 @@ func TestHandWiredRuleStrand(t *testing.T) {
 	neighbor.Insert(tp("neighbor", val.Str("n1"), val.Str("n2")))
 	neighbor.Insert(tp("neighbor", val.Str("n1"), val.Str("n3")))
 
-	join := NewJoin("r6.join", neighbor, []int{0}, []int{0}, "r6_w")
+	join := NewJoin(neighbor, []int{0}, []int{0}, "r6_w")
 	// Work tuple layout after join: [X, S, X', Y] — project head
 	// member(Y, X, S, f_now, true).
-	head := NewProject("r6.head", "member", []*pel.Program{
+	head := NewProject("member", []*pel.Program{
 		pel.NewBuilder().Field(3).Build(),
 		pel.NewBuilder().Field(0).Build(),
 		pel.NewBuilder().Field(1).Build(),
@@ -395,11 +340,11 @@ func TestHandWiredRuleStrand(t *testing.T) {
 		pel.NewBuilder().Const(val.Bool(true)).Build(),
 	}, e)
 	var got []*tuple.Tuple
-	join.ConnectOut(0, head, 0)
-	head.ConnectOut(0, collect(&got), 0)
+	join.Connect(head)
+	head.Connect(collect(&got))
 
 	loop.Run(3.5)
-	join.Push(0, tp("refreshSeq", val.Str("n1"), val.Int(8)), nil)
+	join.Push(tp("refreshSeq", val.Str("n1"), val.Int(8)))
 
 	if len(got) != 2 {
 		t.Fatalf("strand derived %d tuples, want 2", len(got))
@@ -423,12 +368,12 @@ func BenchmarkJoinProbe(b *testing.B) {
 	for i := 0; i < 8; i++ {
 		nb.Insert(tp("neighbor", val.Str("n1"), val.Str("p"+string(rune('a'+i)))))
 	}
-	j := NewJoin("j", nb, []int{0}, []int{0}, "out")
-	j.ConnectOut(0, NewDiscard("d"), 0)
+	j := NewJoin(nb, []int{0}, []int{0}, "out")
+	j.Connect(discard())
 	evt := tp("refreshSeq", val.Str("n1"), val.Int(1))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		j.Push(0, evt, nil)
+		j.Push(evt)
 	}
 }

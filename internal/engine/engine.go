@@ -174,17 +174,25 @@ type Node struct {
 	health      *health.Evaluator // condition engine, fed by the refresh
 }
 
-// strand is one rule's compiled element chain plus its trigger runner:
-// a preallocated FIFO of pending events and a single func value handed
-// to the loop's DPC lane, so triggering a strand allocates nothing —
-// no per-tuple closure, no Timer.
 // flusher is the end-of-event hook shared by the two aggregate
 // elements: a plain AggStream stage, or a FoldJoin carrying the fused
 // aggregate. Exactly one (or neither) terminates a strand.
 type flusher interface {
-	Flush(event *tuple.Tuple, poke dataflow.Poke)
+	Flush(event *tuple.Tuple)
 }
 
+// stage is a strand-internal element: it takes pushes and has one
+// downstream binding. buildChain collects stages, so wiring the chain
+// is checked at compile time.
+type stage interface {
+	dataflow.Pusher
+	Connect(next dataflow.Pusher)
+}
+
+// strand is one rule's compiled element chain plus its trigger runner:
+// a preallocated FIFO of pending events and a single func value handed
+// to the loop's DPC lane, so triggering a strand allocates nothing —
+// no per-tuple closure, no Timer.
 type strand struct {
 	rule  *planner.Rule
 	entry dataflow.Pusher
@@ -508,8 +516,7 @@ func (n *Node) buildStrand(r *planner.Rule) {
 // counter, and pending queue across swaps, only the elements change.
 func (n *Node) buildChain(s *strand) {
 	r := s.rule
-	var elems []dataflow.Pusher
-	label := func(kind string) string { return fmt.Sprintf("%s.%s.%s", n.addr, r.ID, kind) }
+	var elems []stage
 
 	var flush flusher
 	shareIdx := -1
@@ -525,11 +532,11 @@ func (n *Node) buildChain(s *strand) {
 		case *planner.OpJoin:
 			tbl := n.tables[o.Table]
 			if o.Neg {
-				nj := dataflow.NewNotJoin(label(fmt.Sprintf("antijoin%d", i)), tbl, o.StreamKey, o.TableKey)
+				nj := dataflow.NewNotJoin(tbl, o.StreamKey, o.TableKey)
 				nj.CountProbes(&n.stats.Probes)
 				elems = append(elems, nj)
 			} else {
-				j := dataflow.NewJoin(label(fmt.Sprintf("join%d", i)), tbl, o.StreamKey, o.TableKey, "w")
+				j := dataflow.NewJoin(tbl, o.StreamKey, o.TableKey, "w")
 				j.CountProbes(&n.stats.Probes)
 				if i == shareIdx {
 					s.firstJoin = j
@@ -558,7 +565,7 @@ func (n *Node) buildChain(s *strand) {
 				elems = append(elems, j)
 			}
 		case *planner.OpSelect:
-			elems = append(elems, dataflow.NewSelect(label(fmt.Sprintf("select%d", i)), o.Prog, n.env))
+			elems = append(elems, dataflow.NewSelect(o.Prog, n.env))
 		case *planner.OpAssign:
 			// Fuse the whole run of consecutive assignments into one
 			// element: one extended tuple instead of one per ":=" step.
@@ -571,12 +578,12 @@ func (n *Node) buildChain(s *strand) {
 				progs = append(progs, next.Prog)
 				i++
 			}
-			elems = append(elems, dataflow.NewMultiAssign(label(fmt.Sprintf("assign%d", i)), progs, n.env))
+			elems = append(elems, dataflow.NewMultiAssign(progs, n.env))
 		case *planner.OpRange:
-			elems = append(elems, dataflow.NewRange(label(fmt.Sprintf("range%d", i)), o.Lo, o.Hi, n.env))
+			elems = append(elems, dataflow.NewRange(o.Lo, o.Hi, n.env))
 		case *planner.OpFoldJoin:
-			fj := dataflow.NewFoldJoin(label(fmt.Sprintf("foldjoin%d", i)),
-				n.tables[o.Table], o.StreamKey, o.TableKey, o.Fn, o.Input, o.Filters, o.Distinct, n.env)
+			fj := dataflow.NewFoldJoin(n.tables[o.Table], o.StreamKey, o.TableKey,
+				o.Fn, o.Input, o.Filters, o.Distinct, n.env)
 			fj.CountProbes(&n.stats.Probes)
 			elems = append(elems, fj)
 			flush = fj
@@ -584,19 +591,19 @@ func (n *Node) buildChain(s *strand) {
 	}
 
 	if r.Agg != nil {
-		agg := dataflow.NewAggStream(label("agg"), r.Agg.Fn, r.Agg.AggPos)
+		agg := dataflow.NewAggStream(r.Agg.Fn, r.Agg.AggPos)
 		elems = append(elems, agg)
 		flush = agg
 	}
-	project := dataflow.NewProject(label("head"), r.HeadName, r.HeadProgs, n.env)
+	project := dataflow.NewProject(r.HeadName, r.HeadProgs, n.env)
 	elems = append(elems, project)
-	sink := dataflow.NewSink(label("sink"), func(t *tuple.Tuple) { n.deliverHead(r, t) })
+	sink := dataflow.NewSink(func(t *tuple.Tuple) { n.deliverHead(r, t) })
 
-	// Wire the chain: each element's output 0 feeds the next.
+	// Wire the chain: each element feeds the next, the last the sink.
 	for i := 0; i < len(elems)-1; i++ {
-		connect(elems[i], elems[i+1])
+		elems[i].Connect(elems[i+1])
 	}
-	connect(elems[len(elems)-1], sink)
+	elems[len(elems)-1].Connect(sink)
 
 	s.entry, s.agg = elems[0], flush
 	n.buildDrift(s)
@@ -635,15 +642,6 @@ func (n *Node) wireShares() {
 	}
 }
 
-// connect binds src output 0 to dst input 0. All strand-internal
-// elements are push elements.
-func connect(src, dst dataflow.Pusher) {
-	type outConnector interface {
-		ConnectOut(i int, to dataflow.Pusher, port int)
-	}
-	src.(outConnector).ConnectOut(0, dst, 0)
-}
-
 func (n *Node) startPeriodic(r *planner.Rule, s *strand) {
 	trig := r.Trigger
 	extra := trig.Extra
@@ -656,11 +654,8 @@ func (n *Node) startPeriodic(r *planner.Rule, s *strand) {
 		fields = append(fields, extra...)
 		return tuple.New("periodic", fields...)
 	}
-	p := dataflow.NewPeriodic(fmt.Sprintf("%s.%s.periodic", n.addr, r.ID),
-		n.loop, n.addr, trig.Period, trig.Count, mk)
-	p.ConnectOut(0, dataflow.NewSink(fmt.Sprintf("%s.%s.trigger", n.addr, r.ID), func(t *tuple.Tuple) {
-		n.runStrand(s, t)
-	}), 0)
+	p := dataflow.NewPeriodic(n.loop, n.addr, trig.Period, trig.Count, mk)
+	p.Connect(dataflow.NewSink(func(t *tuple.Tuple) { n.runStrand(s, t) }))
 	n.periodics = append(n.periodics, p)
 	// The first firing lands one period out; with jitter enabled the
 	// phase is uniformly random in (0, period] so nodes do not tick in
@@ -674,19 +669,17 @@ func (n *Node) startPeriodic(r *planner.Rule, s *strand) {
 
 func (n *Node) buildTableAgg(ta *planner.TableAggRule) {
 	tbl := n.tables[ta.Table]
-	agg := dataflow.NewAggTable(fmt.Sprintf("%s.%s.tableagg", n.addr, ta.ID),
-		tbl, ta.Fn, ta.GroupPos, ta.AggPos, "g")
-	project := dataflow.NewProject(fmt.Sprintf("%s.%s.head", n.addr, ta.ID),
-		ta.HeadName, ta.HeadProgs, n.env)
+	agg := dataflow.NewAggTable(tbl, ta.Fn, ta.GroupPos, ta.AggPos, "g")
+	project := dataflow.NewProject(ta.HeadName, ta.HeadProgs, n.env)
 	rule := &planner.Rule{ID: ta.ID, HeadName: ta.HeadName, Materialized: ta.Materialized}
 	rf := &ruleFires{id: ta.ID}
 	n.aggFires = append(n.aggFires, rf)
-	sink := dataflow.NewSink(fmt.Sprintf("%s.%s.sink", n.addr, ta.ID), func(t *tuple.Tuple) {
+	sink := dataflow.NewSink(func(t *tuple.Tuple) {
 		rf.fires++
 		n.deliverHead(rule, t)
 	})
-	agg.ConnectOut(0, project, 0)
-	project.ConnectOut(0, sink, 0)
+	agg.Connect(project)
+	project.Connect(sink)
 	// Rules installed at runtime aggregate over tables that may already
 	// hold rows; surface the current groups now that the chain is wired.
 	// At node start tables are empty and this is a no-op.
@@ -700,9 +693,9 @@ func (n *Node) runStrand(s *strand, event *tuple.Tuple) {
 	}
 	n.stats.RulesFired++
 	s.fires++
-	s.entry.Push(0, event, nil)
+	s.entry.Push(event)
 	if s.agg != nil {
-		s.agg.Flush(event, nil)
+		s.agg.Flush(event)
 	}
 }
 

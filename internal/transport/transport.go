@@ -9,11 +9,14 @@
 // admitted through a per-destination AIMD congestion window, remembered
 // for RTO-driven retransmission, and framed onto a netif.Endpoint. The
 // receive path mirrors it: Deframe → Ack → Dedup → Deliver. Elements
-// hand batches to each other with the dataflow push/poke discipline: a
+// hand batches to each other with the push/poke discipline of §3.3: a
 // push that returns false means "no capacity — the poke fires when some
 // frees", which is how a closed congestion window backpressures the
 // batching queue (and how backpressure naturally produces fuller
-// datagrams).
+// datagrams). This chain is the one place in P2 that stalls, so the
+// contract (poke, batchSink) is defined here; rule strands in
+// internal/dataflow run to completion and carry tuples, not wire
+// batches, and have no flow-control signal.
 //
 // Acknowledgments are cumulative and ride in data-frame headers: every
 // data frame toward a peer carries the highest contiguous sequence
@@ -232,8 +235,9 @@ type Stats struct {
 	Dropped         DropCounts // every OnDrop upcall, classified by cause
 }
 
-// poke is the idempotent "capacity freed — try again" continuation the
-// elements hand each other, mirroring dataflow.Poke.
+// poke is the "capacity freed — try again" continuation the elements
+// hand each other. Pokes are idempotent retry hints: an element may
+// receive one it no longer cares about, and re-examines its state.
 type poke func()
 
 // batchSink is the downstream port type on the send path: the Batch

@@ -105,13 +105,17 @@
 // chains (Unreliable drops the reliability elements, NoBatch the
 // coalescing). The chain's live state — congestion window, RTO,
 // backlog, batch fill — surfaces per peer in sysNet, so OverLog rules
-// can observe and react to the stack itself.
+// can observe and react to the stack itself. This chain is also the one
+// place that stalls (a closed congestion window), so it alone carries a
+// push/poke backpressure contract; a rule strand is a push-only chain
+// run to completion per event.
 //
 // The subsystems live in internal packages: the OverLog
 // lexer/parser (internal/overlog), the planner that compiles rules to
-// dataflow strands (internal/planner), the element library
-// (internal/dataflow), soft-state tables (internal/table), the PEL
-// expression VM (internal/pel), the transport element chain
+// dataflow strands (internal/planner), the elements a strand is a
+// linear chain of — joins, selections, assignments, projections,
+// aggregates (internal/dataflow) — soft-state tables (internal/table),
+// the PEL expression VM (internal/pel), the transport element chain
 // (internal/transport), and the network simulator (internal/simnet).
 // This package re-exports what applications need.
 package p2

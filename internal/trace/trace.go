@@ -33,8 +33,12 @@ import (
 // Magic opens every trace file, followed by the format version.
 const Magic = "P2WIRE"
 
-// Version is the current trace-file format version.
-const Version uint16 = 1
+// Version is the current trace-file format version. A trace stores raw
+// transport frames, so the version also names their codec: 2 is the
+// varint frame layout (internal/transport/frame.go). Version-1 files
+// hold fixed-width frames this build cannot decode, and no reader for
+// them is kept.
+const Version uint16 = 2
 
 // Dir is a record's direction relative to the recording node.
 type Dir uint8
@@ -158,7 +162,7 @@ func Read(r io.Reader) (*Trace, error) {
 	}
 	tr := &Trace{Version: binary.BigEndian.Uint16(hdr[len(Magic):])}
 	if tr.Version != Version {
-		return nil, fmt.Errorf("trace: unsupported version %d (have %d)", tr.Version, Version)
+		return nil, fmt.Errorf("trace: file is format version %d, this build reads only version %d", tr.Version, Version)
 	}
 	for {
 		var rh [1 + 8]byte

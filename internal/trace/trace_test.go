@@ -2,8 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"p2/internal/netif"
@@ -69,11 +71,14 @@ func TestRejectsBadHeader(t *testing.T) {
 	if _, err := Read(bytes.NewReader([]byte("NOTP2X\x00\x01"))); err == nil {
 		t.Fatal("bad magic accepted")
 	}
-	var buf closeBuf
-	buf.WriteString(Magic)
-	buf.Write([]byte{0x00, 0x63}) // version 99
-	if _, err := Read(bytes.NewReader(buf.Bytes())); err == nil {
-		t.Fatal("unknown version accepted")
+	// Version 1 held fixed-width frames; recordings made with it must be
+	// refused by name, not misread.
+	for _, v := range []byte{1, 99} {
+		_, err := Read(strings.NewReader(Magic + string([]byte{0, v})))
+		want := fmt.Sprintf("version %d, this build reads only version %d", v, Version)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("version-%d header: err = %v, want one naming both versions (%q)", v, err, want)
+		}
 	}
 }
 

@@ -15,8 +15,8 @@ package transport
 // queued and the poke re-enters the flush when the window opens, which
 // means backpressure automatically produces fuller datagrams.
 
-// maxBatchRecords caps records per datagram at what the frame header's
-// u16 count field can carry.
+// maxBatchRecords caps records per datagram; Deframe drops a frame whose
+// count field claims more.
 const maxBatchRecords = 65535
 
 // sendQueue is one destination's backlog.
@@ -29,7 +29,7 @@ type sendQueue struct {
 type Batch struct {
 	tr       *Transport
 	next     batchSink
-	maxBytes int // record bytes per datagram (MTU minus frame header)
+	maxBytes int // record bytes per datagram (MTU minus maxDataHeaderLen)
 	maxRecs  int // records per datagram; 1 disables coalescing
 	capacity int // backlog bound per destination; 0 = unbounded
 	qs       map[string]*sendQueue

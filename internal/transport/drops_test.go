@@ -6,7 +6,6 @@ package transport
 // drops must classify as SessionClosed, never RetryExhausted.
 
 import (
-	"encoding/binary"
 	"testing"
 
 	"p2/internal/tuple"
@@ -222,10 +221,7 @@ func TestCloseMidBurstUnderDupReorder(t *testing.T) {
 	// The closed side torn down the other way: a closes with reordered
 	// acks still in flight toward it.
 	r.a.Close()
-	late := make([]byte, ackFrameLen)
-	late[0] = frameAck
-	binary.BigEndian.PutUint64(late[5:13], 5)
-	r.a.Deliver("b", late)
+	r.a.Deliver("b", appendAck(nil, 0, 5))
 	if len(r.a.srcs) != 0 || len(r.a.cc.dests) != 0 || len(r.a.rty.dests) != 0 {
 		t.Fatal("late traffic resurrected sender state after Close")
 	}

@@ -9,7 +9,6 @@ package transport
 // keeps falsely confirming delivery.
 
 import (
-	"encoding/binary"
 	"testing"
 
 	"p2/internal/eventloop"
@@ -17,16 +16,12 @@ import (
 	"p2/internal/tuple"
 )
 
-// mkDataFrame hand-assembles a data frame for hostile-input tests.
+// mkDataFrame assembles a data frame for hostile-input tests through
+// the production header encoder.
 func mkDataFrame(epoch, ackEpoch uint32, cum, skip, first uint64, tuples ...*tuple.Tuple) []byte {
-	buf := make([]byte, dataHeaderLen)
-	buf[0] = frameData
-	binary.BigEndian.PutUint32(buf[1:5], epoch)
-	binary.BigEndian.PutUint32(buf[5:9], ackEpoch)
-	binary.BigEndian.PutUint64(buf[9:17], cum)
-	binary.BigEndian.PutUint64(buf[17:25], skip)
-	binary.BigEndian.PutUint64(buf[25:33], first)
-	binary.BigEndian.PutUint16(buf[33:35], uint16(len(tuples)))
+	buf := appendDataHeader(nil, dataHeader{
+		epoch: epoch, ackEpoch: ackEpoch, cumAck: cum, skip: skip, first: first, count: len(tuples),
+	})
 	for _, t := range tuples {
 		buf = append(buf, t.Marshal()...)
 	}
@@ -131,20 +126,12 @@ func TestStaleEpochAckIgnored(t *testing.T) {
 		t.Fatal("test needs flight state")
 	}
 
-	stale := make([]byte, ackFrameLen)
-	stale[0] = frameAck
-	binary.BigEndian.PutUint32(stale[1:5], 6<<16) // previous incarnation
-	binary.BigEndian.PutUint64(stale[5:13], 1000)
-	r.a.Deliver("ghost", stale)
+	r.a.Deliver("ghost", appendAck(nil, 6<<16, 1000)) // previous incarnation
 	if got := r.a.InFlight("ghost"); got != inflight {
 		t.Fatalf("stale ack cleared flight state: %d -> %d", inflight, got)
 	}
 
-	fresh := make([]byte, ackFrameLen)
-	fresh[0] = frameAck
-	binary.BigEndian.PutUint32(fresh[1:5], 7<<16) // the wire epoch of an unevicted flow
-	binary.BigEndian.PutUint64(fresh[5:13], 1000)
-	r.a.Deliver("ghost", fresh)
+	r.a.Deliver("ghost", appendAck(nil, 7<<16, 1000)) // the wire epoch of an unevicted flow
 	if got := r.a.InFlight("ghost"); got != 0 {
 		t.Fatalf("current-epoch ack ignored: %d still in flight", got)
 	}

@@ -4,21 +4,29 @@ import (
 	"encoding/binary"
 
 	"p2/internal/tuple"
+	"p2/internal/val"
 )
 
-// Wire format (all integers big-endian):
+// Wire format; every field is a canonical uvarint (val.Uvarint), so it
+// costs what its value needs and not what its type could hold:
 //
-//	data frame: | 0x00 | epoch u32 | ackEpoch u32 | cumAck u64 | skip u64 | firstSeq u64 | count u16 | records... |
-//	ack frame:  | 0x01 | ackEpoch u32 | cumAck u64 |
+//	data frame: | 0x00 | epoch | ackEpoch | cumAck | firstSeq | gap | count | records... |
+//	ack frame:  | 0x01 | ackEpoch | cumAck |
+//
+// An epoch is two uvarints, its high then its low 16-bit half; gap is
+// firstSeq-1-skip. With incarnations and flow restarts below 128 and
+// sequence numbers below 2^14 a data header is 9-11 bytes and a bare ack
+// 4-5. TestGoldenFrames spells a frame of each type out byte by byte.
 //
 // epoch identifies the sender's flow session: the node's incarnation
 // (Config.Epoch) in the high 16 bits and the flow's restart count in
-// the low 16 (see Config.FlowIdleTTL). A node restarted at the same
-// address — or a flow resumed after idle eviction — begins a fresh
-// sequence space, so the receiver keys its Dedup/Ack state to the
-// epoch: a frame carrying a *newer* epoch resets that peer's receive
-// state, and a frame from a *stale* epoch (a datagram of the previous
-// incarnation still in flight) is discarded. Without this, a replaced
+// the low 16 (see Config.FlowIdleTTL) — two small numbers, hence two
+// one-byte varints. A node restarted at the same address — or a flow
+// resumed after idle eviction — begins a fresh sequence space, so the
+// receiver keys its Dedup/Ack state to the epoch: a frame carrying a
+// *newer* epoch resets that peer's receive state, and a frame from a
+// *stale* epoch (a datagram of the previous incarnation still in
+// flight) is discarded. Without this, a replaced
 // node's restarted sequence numbers fall below the peer's cumulative
 // counter: every frame is suppressed as a duplicate while the
 // cumulative ack keeps (falsely) confirming delivery — a silent
@@ -39,6 +47,10 @@ import (
 // filled and the receiver may advance its cumulative counter across it.
 // Without this, one abandoned frame would pin the receiver's cum
 // forever and deadlock the session after, e.g., a healed partition.
+// It travels as its gap below firstSeq, which it trails only by the
+// records in flight: zero whenever this frame is the oldest unacked
+// one. A gap of firstSeq or more names no sequence number; decoding
+// wraps it to a skip at or above firstSeq, which Ack.push rejects.
 //
 // firstSeq numbers the first record; the count records that follow are
 // consecutively numbered and each is a self-delimiting tuple.Marshal
@@ -48,9 +60,80 @@ const (
 	frameData = 0x00
 	frameAck  = 0x01
 
-	dataHeaderLen = 1 + 4 + 4 + 8 + 8 + 8 + 2
-	ackFrameLen   = 1 + 4 + 8
+	// maxDataHeaderLen is the widest header the encoder can write: type,
+	// four epoch halves, cumAck, firstSeq and gap at their types' limits,
+	// count at maxBatchRecords. It is what the MTU budget reserves.
+	maxDataHeaderLen = 1 + 4*binary.MaxVarintLen16 + 3*binary.MaxVarintLen64 + binary.MaxVarintLen16
 )
+
+// dataHeader is a data frame's header, decoded.
+type dataHeader struct {
+	epoch, ackEpoch     uint32
+	cumAck, first, skip uint64
+	count               int
+}
+
+func appendEpoch(b []byte, e uint32) []byte {
+	return binary.AppendUvarint(binary.AppendUvarint(b, uint64(e>>16)), uint64(e&0xffff))
+}
+
+// appendDataHeader is the one header encoder: Frame's, and the tests'.
+func appendDataHeader(b []byte, h dataHeader) []byte {
+	b = appendEpoch(append(b, frameData), h.epoch)
+	b = appendEpoch(b, h.ackEpoch)
+	b = binary.AppendUvarint(b, h.cumAck)
+	b = binary.AppendUvarint(b, h.first)
+	b = binary.AppendUvarint(b, h.first-1-h.skip)
+	return binary.AppendUvarint(b, uint64(h.count))
+}
+
+func appendAck(b []byte, ackEpoch uint32, cumAck uint64) []byte {
+	return binary.AppendUvarint(appendEpoch(append(b, frameAck), ackEpoch), cumAck)
+}
+
+// headerReader decodes consecutive fields of an untrusted datagram; a
+// malformed one latches bad, so a parser checks once at the end.
+type headerReader struct {
+	b   []byte
+	bad bool
+}
+
+func (r *headerReader) uvarint() uint64 {
+	x, n, err := val.Uvarint(r.b) // 0, 0 on error
+	r.bad = r.bad || err != nil
+	r.b = r.b[n:]
+	return x
+}
+
+func (r *headerReader) epoch() uint32 {
+	hi, lo := r.uvarint(), r.uvarint()
+	r.bad = r.bad || hi > 0xffff || lo > 0xffff
+	return uint32(hi)<<16 | uint32(lo)
+}
+
+// parseAck decodes an ack frame after its type byte; nothing may follow.
+func parseAck(b []byte) (ackEpoch uint32, cumAck uint64, ok bool) {
+	r := headerReader{b: b}
+	ackEpoch, cumAck = r.epoch(), r.uvarint()
+	return ackEpoch, cumAck, !r.bad && len(r.b) == 0
+}
+
+// parseDataHeader decodes a data frame's header after its type byte and
+// returns the record bytes behind it. count is held to 1..the batching
+// cap and to the bytes left (a record is at least two), so the caller
+// may allocate by it.
+func parseDataHeader(b []byte) (h dataHeader, recs []byte, ok bool) {
+	r := headerReader{b: b}
+	h.epoch, h.ackEpoch = r.epoch(), r.epoch()
+	h.cumAck, h.first = r.uvarint(), r.uvarint()
+	h.skip = h.first - 1 - r.uvarint()
+	count := r.uvarint()
+	if r.bad || count == 0 || count > maxBatchRecords || 2*count > uint64(len(r.b)) {
+		return h, nil, false
+	}
+	h.count = int(count)
+	return h, r.b, true
+}
 
 // Frame is the bottom send-path element — §3.4's socket handling: it
 // encodes batches into datagrams (stamping the piggybacked cumulative
@@ -62,18 +145,22 @@ type Frame struct {
 
 func (f *Frame) pushBatch(wb *wireBatch, _ poke) bool {
 	tr := f.tr
-	buf := make([]byte, dataHeaderLen, dataHeaderLen+wb.bytes)
-	buf[0] = frameData
-	binary.BigEndian.PutUint32(buf[1:5], tr.wireEpoch(wb.dst))
-	binary.BigEndian.PutUint32(buf[5:9], tr.peerEpoch(wb.dst))
+	h := dataHeader{
+		epoch:    tr.wireEpoch(wb.dst),
+		ackEpoch: tr.peerEpoch(wb.dst),
+		first:    wb.first,
+		skip:     wb.first - 1, // gap 0: all an unreliable chain, with no sequence space, sends
+		count:    len(wb.recs),
+	}
 	if tr.ack != nil {
-		binary.BigEndian.PutUint64(buf[9:17], tr.ack.piggyback(wb.dst))
+		h.cumAck = tr.ack.piggyback(wb.dst)
 	}
 	if tr.rty != nil {
-		binary.BigEndian.PutUint64(buf[17:25], tr.rty.skipFor(wb.dst))
+		h.skip = tr.rty.skipFor(wb.dst)
 	}
-	binary.BigEndian.PutUint64(buf[25:33], wb.first)
-	binary.BigEndian.PutUint16(buf[33:35], uint16(len(wb.recs)))
+	var hb [maxDataHeaderLen]byte // on the stack, so the datagram is allocated at its exact size
+	hdr := len(appendDataHeader(hb[:0], h))
+	buf := append(make([]byte, 0, hdr+wb.bytes), hb[:hdr]...)
 	for _, rec := range wb.recs {
 		buf = append(buf, rec.wire...)
 	}
@@ -92,7 +179,7 @@ func (f *Frame) pushBatch(wb *wireBatch, _ poke) bool {
 		a.retries += n
 	}
 	if tr.onSent != nil {
-		hdr := dataHeaderLen // charged to the datagram's first tuple
+		// hdr, the header bytes written, is charged to the first tuple.
 		for _, rec := range wb.recs {
 			tr.onSent(wb.dst, rec.t, len(rec.wire)+hdr, wb.rexmit)
 			hdr = 0
@@ -105,11 +192,7 @@ func (f *Frame) pushBatch(wb *wireBatch, _ poke) bool {
 // when no reverse-path data frame showed up to piggyback on. epoch names
 // the peer incarnation whose stream cum counts.
 func (f *Frame) sendAck(dst string, cum uint64, epoch uint32) {
-	buf := make([]byte, ackFrameLen)
-	buf[0] = frameAck
-	binary.BigEndian.PutUint32(buf[1:5], epoch)
-	binary.BigEndian.PutUint64(buf[5:13], cum)
-	f.tr.ep.Send(dst, buf)
+	f.tr.ep.Send(dst, appendAck(nil, epoch, cum))
 	f.tr.stats.AcksSent++
 }
 
@@ -129,26 +212,21 @@ func (d *Deframe) deliver(from string, frame []byte) {
 	}
 	switch frame[0] {
 	case frameAck:
-		if len(frame) < ackFrameLen || tr.cc == nil {
+		epoch, cum, ok := parseAck(frame[1:])
+		if !ok || tr.cc == nil {
 			return
 		}
-		if binary.BigEndian.Uint32(frame[1:5]) != tr.wireEpoch(from) {
+		if epoch != tr.wireEpoch(from) {
 			return // a dead incarnation's (or evicted flow's) stream; must not clear ours
 		}
-		tr.cc.onAck(from, binary.BigEndian.Uint64(frame[5:13]))
+		tr.cc.onAck(from, cum)
 	case frameData:
-		if len(frame) < dataHeaderLen {
+		h, rest, ok := parseDataHeader(frame[1:])
+		if !ok {
 			return
 		}
-		epoch := binary.BigEndian.Uint32(frame[1:5])
-		ackEpoch := binary.BigEndian.Uint32(frame[5:9])
-		cum := binary.BigEndian.Uint64(frame[9:17])
-		skip := binary.BigEndian.Uint64(frame[17:25])
-		first := binary.BigEndian.Uint64(frame[25:33])
-		count := int(binary.BigEndian.Uint16(frame[33:35]))
-		tuples := make([]*tuple.Tuple, 0, count)
-		rest := frame[dataHeaderLen:]
-		for i := 0; i < count; i++ {
+		tuples := make([]*tuple.Tuple, 0, h.count)
+		for range h.count {
 			t, n, err := tuple.Unmarshal(rest)
 			if err != nil {
 				return // corrupt datagram; a real network could produce these
@@ -156,23 +234,23 @@ func (d *Deframe) deliver(from string, frame []byte) {
 			tuples = append(tuples, t)
 			rest = rest[n:]
 		}
-		if len(tuples) == 0 {
-			return
+		if len(rest) > 0 {
+			return // bytes after the last record: not a frame this encoder wrote
 		}
 		if tr.ack != nil {
 			rs := tr.src(from)
-			if rs.epochSet && epoch < rs.epoch {
+			if rs.epochSet && h.epoch < rs.epoch {
 				return // datagram of a previous incarnation, still in flight
 			}
-			if !rs.epochSet || epoch > rs.epoch {
-				rs.rebind(epoch) // new incarnation: fresh sequence space
+			if !rs.epochSet || h.epoch > rs.epoch {
+				rs.rebind(h.epoch) // new incarnation: fresh sequence space
 			}
 		}
-		if tr.cc != nil && ackEpoch == tr.wireEpoch(from) {
-			tr.cc.onAck(from, cum) // the piggybacked ack
+		if tr.cc != nil && h.ackEpoch == tr.wireEpoch(from) {
+			tr.cc.onAck(from, h.cumAck) // the piggybacked ack
 		}
 		if tr.ack != nil {
-			tr.ack.push(from, skip, first, tuples)
+			tr.ack.push(from, h.skip, h.first, tuples)
 		} else {
 			tr.deliverUp(from, tuples) // unreliable chain: no ack, no dedup
 		}

@@ -344,7 +344,7 @@ func New(loop eventloop.Loop, ep netif.Endpoint, cfg Config) *Transport {
 		sink = tr.cc
 		capacity = cfg.QueueCap
 	}
-	tr.bat = newBatch(tr, sink, mtu-dataHeaderLen, maxRecs, capacity)
+	tr.bat = newBatch(tr, sink, mtu-maxDataHeaderLen, maxRecs, capacity)
 	tr.ser = &Serialize{tr: tr, next: tr.bat}
 	return tr
 }

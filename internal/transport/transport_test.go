@@ -1,7 +1,9 @@
 package transport
 
 import (
+	"bytes"
 	"encoding/binary"
+	"slices"
 	"testing"
 	"time"
 
@@ -329,20 +331,26 @@ func TestAccountingTap(t *testing.T) {
 	if taps != 1 || bytes <= tp(1).EncodedSize() {
 		t.Fatalf("taps=%d bytes=%d", taps, bytes)
 	}
-	// Multi-tuple frames tap once per tuple; the sizes sum to the exact
-	// data bytes on the wire.
-	taps, bytes = 0, 0
+	// Multi-tuple frames tap once per tuple, and the first tuple of each
+	// frame is charged the header bytes actually written (they vary with
+	// the sequence numbers): the sizes sum to the exact data bytes on the
+	// wire, by the transport's own ledger and by the network's.
 	for i := int64(0); i < 5; i++ {
 		r.a.Send("b", tp(i))
 	}
 	r.loop.Run(5)
-	st := r.a.PerDest()
-	if taps != 5 {
-		t.Fatalf("taps = %d, want 5", taps)
+	if taps != 6 {
+		t.Fatalf("taps = %d, want 6", taps)
 	}
-	wantBytes := st[0].Bytes // cumulative; subtract the first frame
-	if int64(bytes) != wantBytes-int64(tp(1).EncodedSize()+dataHeaderLen) {
-		t.Fatalf("tap bytes %d do not sum to wire bytes", bytes)
+	if st := r.a.PerDest(); int64(bytes) != st[0].Bytes {
+		t.Fatalf("tap bytes %d do not sum to the %d wire bytes PerDest reports", bytes, st[0].Bytes)
+	}
+	// a sent nothing but those two data frames (b never sends data, so a
+	// owes no acks): the network carried the same bytes plus its own
+	// per-packet header.
+	ns := r.net.Stats("a")
+	if carried := ns.BytesSent - ns.PacketsSent*int64(simnet.DefaultConfig().HeaderBytes); int64(bytes) != carried {
+		t.Fatalf("tap bytes %d do not sum to the %d bytes simnet carried", bytes, carried)
 	}
 }
 
@@ -373,16 +381,46 @@ func TestUnreliableMode(t *testing.T) {
 
 func TestCorruptFrameIgnored(t *testing.T) {
 	r := newRig(t, 0, DefaultConfig())
-	r.b.Deliver("a", []byte{})               // empty
-	r.b.Deliver("a", []byte{frameData, 1})   // truncated header
-	r.b.Deliver("a", []byte{frameAck, 9, 9}) // truncated ack
-	corrupt := make([]byte, dataHeaderLen+3)
-	corrupt[0] = frameData
-	corrupt[dataHeaderLen-1] = 1 // one record, but garbage bytes follow
-	corrupt[dataHeaderLen] = 0xff
-	r.b.Deliver("a", corrupt)
-	if len(r.got) != 0 {
-		t.Fatal("corrupt frames must be dropped")
+	r.a.Send("b", tp(1))
+	r.loop.Run(5)
+	good := mkDataFrame(0, 0, 0, 1, 2, tp(7))
+	ack := appendAck(nil, 0, 1)
+	uv := func(x uint64) []byte { return binary.AppendUvarint(nil, x) }
+	// raw spells a one-record data frame field by field, so a case can
+	// break exactly one of them: good is raw with every field honest.
+	raw := func(epochHi, cum, count []byte, rec ...byte) []byte {
+		return slices.Concat([]byte{frameData}, epochHi, uv(0), uv(0), uv(0), cum, uv(2), uv(0), count, rec)
+	}
+	rec := tp(7).Marshal()
+	if !bytes.Equal(raw(uv(0), uv(0), uv(1), rec...), good) {
+		t.Fatal("raw() does not spell the frame the encoder writes")
+	}
+	for name, frame := range map[string][]byte{
+		"empty":                 {},
+		"unknown type":          {9, 0, 0},
+		"truncated header":      good[:5],
+		"truncated ack":         ack[:len(ack)-1],
+		"ack with a tail":       append(ack[:len(ack):len(ack)], 0),
+		"truncated record":      good[:len(good)-1],
+		"bytes after records":   append(good[:len(good):len(good)], 0),
+		"garbage record":        raw(uv(0), uv(0), uv(1), 0xff, 0xff, 0xff),
+		"count beyond the data": raw(uv(0), uv(0), uv(40), rec...),
+		"count beyond the cap":  raw(uv(0), uv(0), uv(maxBatchRecords+1), make([]byte, 3*maxBatchRecords)...),
+		"epoch half too wide":   raw(uv(0x10000), uv(0), uv(1), rec...),
+		"overflowing varint":    raw(uv(0), append(bytes.Repeat([]byte{0xff}, 9), 2), uv(1), rec...),
+		"non-minimal varint":    raw(uv(0), []byte{0x80, 0}, uv(1), rec...),
+		"huge arity":            raw(uv(0), uv(0), uv(1), 1, 't', 0xff, 0xff, 0x03),
+		"huge string length":    raw(uv(0), uv(0), uv(1), 1, 't', 1, byte(val.KStr), 0xff, 0xff, 0xff, 0xff, 0x0f),
+	} {
+		r.b.Deliver("a", frame)
+		if len(r.got) != 1 || r.b.srcs["a"].cum != 1 {
+			t.Fatalf("%s: corrupt frame was not dropped whole: got %v, cum %d", name, r.got, r.b.srcs["a"].cum)
+		}
+	}
+	// The frame the cases were cut from is itself well-formed.
+	r.b.Deliver("a", good)
+	if len(r.got) != 2 || r.got[1] != 7 {
+		t.Fatalf("well-formed frame dropped: %v", r.got)
 	}
 }
 
@@ -457,19 +495,22 @@ func TestCorruptSkipIgnored(t *testing.T) {
 	r := newRig(t, 0, DefaultConfig())
 	r.a.Send("b", tp(1))
 	r.loop.Run(5)
-	rec := tp(9).Marshal()
-	frame := make([]byte, dataHeaderLen, dataHeaderLen+len(rec))
-	frame[0] = frameData
-	binary.BigEndian.PutUint64(frame[17:25], 1<<63) // hostile skip
-	binary.BigEndian.PutUint64(frame[25:33], 500)   // first < skip: malformed
-	binary.BigEndian.PutUint16(frame[33:35], 1)
-	frame = append(frame, rec...)
+	// On the wire the field is the gap firstSeq-1-skip; a skip at or
+	// above firstSeq is a gap of firstSeq or more, and both spellings
+	// must be refused.
+	r.b.Deliver("a", mkDataFrame(0, 0, 0, 1<<63, 500, tp(9)))
+	gap := binary.AppendUvarint(nil, 500)
+	frame := append([]byte{frameData, 0, 0, 0, 0, 0}, binary.AppendUvarint(nil, 501)...)
+	frame = append(append(append(frame, gap...), 1), tp(10).Marshal()...)
 	r.b.Deliver("a", frame)
+	if cum := r.b.srcs["a"].cum; cum != 1 {
+		t.Fatalf("hostile skip dragged cum to %d", cum)
+	}
 	// Later in-order traffic still flows: cum was not wedged at 2^63.
 	r.a.Send("b", tp(2))
 	r.loop.Run(10)
-	want := []int64{1, 9, 2}
-	if len(r.got) != 3 || r.got[0] != want[0] || r.got[1] != want[1] || r.got[2] != want[2] {
+	want := []int64{1, 9, 10, 2}
+	if !slices.Equal(r.got, want) {
 		t.Fatalf("got %v, want %v", r.got, want)
 	}
 }

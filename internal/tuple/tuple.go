@@ -110,17 +110,15 @@ func (t *Tuple) String() string {
 	return sb.String()
 }
 
-// Marshal encodes the tuple: name length, name, field count, fields.
-// The encoding is the on-the-wire format and also what the simulator
-// charges against link capacity.
+// Marshal encodes the tuple as uvarint nameLen | name | uvarint arity |
+// fields, each field in val's AppendBinary encoding. It is the
+// on-the-wire format and also what the simulator charges against link
+// capacity.
 func (t *Tuple) Marshal() []byte {
 	b := make([]byte, 0, t.EncodedSize())
-	var hdr [4]byte
-	binary.BigEndian.PutUint16(hdr[:2], uint16(len(t.name)))
-	b = append(b, hdr[:2]...)
+	b = binary.AppendUvarint(b, uint64(len(t.name)))
 	b = append(b, t.name...)
-	binary.BigEndian.PutUint16(hdr[:2], uint16(len(t.fields)))
-	b = append(b, hdr[:2]...)
+	b = binary.AppendUvarint(b, uint64(len(t.fields)))
 	for _, f := range t.fields {
 		b = f.AppendBinary(b)
 	}
@@ -130,7 +128,7 @@ func (t *Tuple) Marshal() []byte {
 // EncodedSize returns the marshaled size in bytes — the figure used for
 // bandwidth accounting in the evaluation harness.
 func (t *Tuple) EncodedSize() int {
-	n := 2 + len(t.name) + 2
+	n := val.UvarintLen(uint64(len(t.name))) + len(t.name) + val.UvarintLen(uint64(len(t.fields)))
 	for _, f := range t.fields {
 		n += f.EncodedSize()
 	}
@@ -138,24 +136,25 @@ func (t *Tuple) EncodedSize() int {
 }
 
 // Unmarshal decodes one tuple from b, returning the tuple and bytes
-// consumed.
+// consumed. b is untrusted (the wire has no checksum): the name length
+// and the arity are held to the bytes that remain — a field takes at
+// least its kind byte — before anything is allocated.
 func Unmarshal(b []byte) (*Tuple, int, error) {
-	if len(b) < 2 {
-		return nil, 0, fmt.Errorf("tuple: truncated name length")
-	}
-	nameLen := int(binary.BigEndian.Uint16(b))
-	off := 2
-	if len(b) < off+nameLen+2 {
-		return nil, 0, fmt.Errorf("tuple: truncated name/arity")
+	nameLen, off, err := val.Uvarint(b)
+	if err != nil || nameLen > uint64(len(b)-off) {
+		return nil, 0, fmt.Errorf("tuple: name length malformed or beyond the %d bytes present", len(b))
 	}
 	// Relation names are a small closed set; interning keeps every
 	// decoded tuple of a relation pointing at one backing array.
-	name := val.InternBytes(b[off : off+nameLen])
-	off += nameLen
-	arity := int(binary.BigEndian.Uint16(b[off:]))
-	off += 2
+	name := val.InternBytes(b[off : off+int(nameLen)])
+	off += int(nameLen)
+	arity, n, err := val.Uvarint(b[off:])
+	off += n
+	if err != nil || arity > uint64(len(b)-off) {
+		return nil, 0, fmt.Errorf("tuple %s: arity malformed or beyond the %d bytes left", name, len(b)-off)
+	}
 	fields := make([]val.Value, arity)
-	for i := 0; i < arity; i++ {
+	for i := range fields {
 		v, n, err := val.DecodeValue(b[off:])
 		if err != nil {
 			return nil, 0, fmt.Errorf("tuple %s field %d: %v", name, i, err)

@@ -1,8 +1,10 @@
 package tuple
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -87,7 +89,7 @@ func randTuple(r *rand.Rand) *Tuple {
 	for i := range fields {
 		switch r.Intn(5) {
 		case 0:
-			fields[i] = val.Int(r.Int63())
+			fields[i] = val.Int(r.Int63() >> r.Intn(64))
 		case 1:
 			fields[i] = val.Str("addr:" + string(rune('a'+r.Intn(26))))
 		case 2:
@@ -128,6 +130,19 @@ func TestUnmarshalErrors(t *testing.T) {
 			t.Errorf("truncation at %d should fail", cut)
 		}
 	}
+	// A corrupt count must cost an error, not an allocation sized by it.
+	for name, b := range map[string][]byte{
+		"name longer than the data":  {9, 't', 0},
+		"name length past int":       {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 't'},
+		"non-minimal name length":    {0x81, 0x00, 't', 0},
+		"arity longer than the data": {1, 't', 0xff, 0xff, 0x03, 0, 0},
+		"overflowing arity":          {1, 't', 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02},
+	} {
+		var err error
+		if got := allocBytes(func() { _, _, err = Unmarshal(b) }); err == nil || got > 1024 {
+			t.Errorf("%s: err = %v after allocating %d bytes", name, err, got)
+		}
+	}
 }
 
 func TestMarshalConcatenation(t *testing.T) {
@@ -162,4 +177,42 @@ func BenchmarkUnmarshal(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		Unmarshal(buf)
 	}
+}
+
+// allocBytes reports the heap bytes one call of f allocates: the lesser
+// of two runs, so that one-off growth (an interner shard's table) is
+// not charged to the input that happened to trigger it.
+func allocBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	best := ^uint64(0)
+	for range 2 {
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		best = min(best, after.TotalAlloc-before.TotalAlloc)
+	}
+	return best
+}
+
+// FuzzUnmarshal: on arbitrary bytes the decoder never panics, never
+// allocates more than a small multiple of its input (a one-byte null
+// field becomes a 32-byte Value, the worst ratio), and whatever it
+// accepts re-marshals to exactly the bytes it consumed.
+func FuzzUnmarshal(f *testing.F) {
+	f.Add(mk("t").Marshal())
+	f.Add(mk("lookup", val.Str("10.0.0.1:4000"), val.MakeID(id.Hash("k")), val.Int(-7), val.Time(1.5), val.Null, val.Bool(true)).Marshal())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var tp *Tuple
+		var n int
+		var err error
+		if got := allocBytes(func() { tp, n, err = Unmarshal(data) }); got > uint64(64*len(data)+1024) {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), got)
+		}
+		if err != nil {
+			return
+		}
+		if enc := tp.Marshal(); n != tp.EncodedSize() || !bytes.Equal(enc, data[:n]) {
+			t.Fatalf("decoded %v from % x, which re-marshals to % x (EncodedSize %d)", tp, data[:n], enc, tp.EncodedSize())
+		}
+	})
 }

@@ -14,8 +14,10 @@ package val
 import (
 	"cmp"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"strconv"
 	"strings"
 
@@ -381,23 +383,30 @@ func In(k, lo, hi Value, loClosed, hiClosed bool) bool {
 }
 
 // codec -----------------------------------------------------------------
+//
+// One encoding serves the wire (tuple.Marshal) and table and index keys
+// (tuple.AppendKey): a kind byte, then nothing for null, one 0/1 byte
+// for bool, a zigzag uvarint for int, the 8 IEEE-754 bytes big-endian
+// for float and time, uvarint length | bytes for str, 20 raw big-endian
+// bytes for id. Each value is self-delimiting, so distinct values never
+// encode to equal bytes or to a prefix of one another and concatenated
+// fields form an injective key. Decoding is canonical — a bool byte
+// above 1 or a uvarint with a redundant trailing group is an error — so
+// whatever decodes re-encodes to the bytes consumed.
 
-// AppendBinary appends the canonical binary encoding of v to dst:
-// a kind byte followed by a fixed or length-prefixed payload.
+// AppendBinary appends the canonical binary encoding of v to dst.
 func (v Value) AppendBinary(dst []byte) []byte {
 	dst = append(dst, byte(v.kind))
 	switch v.kind {
 	case KNull:
 	case KBool:
 		dst = append(dst, byte(v.num&1))
-	case KInt, KFloat, KTime:
-		var b [8]byte
-		binary.BigEndian.PutUint64(b[:], v.num)
-		dst = append(dst, b[:]...)
+	case KInt:
+		dst = binary.AppendUvarint(dst, zigzag(v.num))
+	case KFloat, KTime:
+		dst = binary.BigEndian.AppendUint64(dst, v.num)
 	case KStr:
-		var b [4]byte
-		binary.BigEndian.PutUint32(b[:], uint32(len(v.str)))
-		dst = append(dst, b[:]...)
+		dst = binary.AppendUvarint(dst, uint64(len(v.str)))
 		dst = append(dst, v.str...)
 	case KID:
 		dst = append(dst, v.str...)
@@ -405,22 +414,45 @@ func (v Value) AppendBinary(dst []byte) []byte {
 	return dst
 }
 
+// zigzag folds an int64 bit pattern so small negatives stay short.
+func zigzag(n uint64) uint64 { return n<<1 ^ uint64(int64(n)>>63) }
+
+// UvarintLen returns the number of bytes binary.AppendUvarint writes for x.
+func UvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
 // EncodedSize returns the number of bytes AppendBinary will produce.
 func (v Value) EncodedSize() int {
 	switch v.kind {
-	case KNull:
-		return 1
 	case KBool:
 		return 2
-	case KInt, KFloat, KTime:
+	case KInt:
+		return 1 + UvarintLen(zigzag(v.num))
+	case KFloat, KTime:
 		return 9
 	case KStr:
-		return 5 + len(v.str)
+		return 1 + UvarintLen(uint64(len(v.str))) + len(v.str)
 	case KID:
 		return 1 + id.Bytes
 	}
 	return 1
 }
+
+// Uvarint decodes one canonical uvarint from the front of b, returning
+// the value and the bytes consumed. Truncation, overflow of 64 bits and
+// a redundant final zero group are errors: the wire has no checksum, so
+// decoders reject what their encoder cannot have written.
+func Uvarint(b []byte) (uint64, int, error) {
+	if len(b) > 0 && b[0] < 0x80 {
+		return uint64(b[0]), 1, nil
+	}
+	x, n := binary.Uvarint(b)
+	if n <= 0 || b[n-1] == 0 {
+		return 0, 0, errVarint
+	}
+	return x, n, nil
+}
+
+var errVarint = errors.New("val: truncated, overflowing or non-minimal varint")
 
 // DecodeValue decodes one value from b, returning the value and the
 // number of bytes consumed.
@@ -434,28 +466,34 @@ func DecodeValue(b []byte) (Value, int, error) {
 	case KNull:
 		return Null, 1, nil
 	case KBool:
-		if len(rest) < 1 {
-			return Null, 0, fmt.Errorf("val: truncated bool")
+		if len(rest) < 1 || rest[0] > 1 {
+			return Null, 0, fmt.Errorf("val: truncated or malformed bool")
 		}
 		return Bool(rest[0] != 0), 2, nil
-	case KInt, KFloat, KTime:
+	case KInt:
+		u, n, err := Uvarint(rest)
+		if err != nil {
+			return Null, 0, err
+		}
+		return Int(int64(u>>1) ^ -int64(u&1)), 1 + n, nil
+	case KFloat, KTime:
 		if len(rest) < 8 {
 			return Null, 0, fmt.Errorf("val: truncated %v", k)
 		}
-		n := binary.BigEndian.Uint64(rest)
-		return Value{kind: k, num: n}, 9, nil
+		return Value{kind: k, num: binary.BigEndian.Uint64(rest)}, 9, nil
 	case KStr:
-		if len(rest) < 4 {
-			return Null, 0, fmt.Errorf("val: truncated string header")
+		u, n, err := Uvarint(rest)
+		if err != nil {
+			return Null, 0, err
 		}
-		n := int(binary.BigEndian.Uint32(rest))
-		if len(rest) < 4+n {
-			return Null, 0, fmt.Errorf("val: truncated string body")
+		if u > uint64(len(rest)-n) { // in uint64: a hostile length must not wrap an int
+			return Null, 0, fmt.Errorf("val: string length %d exceeds the %d bytes left", u, len(rest)-n)
 		}
+		end := n + int(u)
 		// Decoded strings intern: the wire re-delivers the same
 		// addresses and identifiers endlessly, and rows built from
 		// received tuples would otherwise each hold a private copy.
-		return Str(InternBytes(rest[4 : 4+n])), 5 + n, nil
+		return Str(InternBytes(rest[n:end])), 1 + end, nil
 	case KID:
 		if len(rest) < id.Bytes {
 			return Null, 0, fmt.Errorf("val: truncated id")

@@ -1,9 +1,12 @@
 package val
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -19,11 +22,11 @@ func (Value) Generate(r *rand.Rand, size int) reflect.Value {
 	case 1:
 		v = Bool(r.Intn(2) == 1)
 	case 2:
-		v = Int(r.Int63() - r.Int63())
+		v = Int((r.Int63() - r.Int63()) >> r.Intn(64)) // every varint length, both signs
 	case 3:
 		v = Float(r.NormFloat64() * 1000)
 	case 4:
-		b := make([]byte, r.Intn(20))
+		b := make([]byte, r.Intn(20)+r.Intn(2)*r.Intn(300)) // some past the one-byte length
 		for i := range b {
 			b[i] = byte('a' + r.Intn(26))
 		}
@@ -324,24 +327,72 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCodecSizes pins the encoded size at each varint boundary.
+func TestCodecSizes(t *testing.T) {
+	for _, c := range []struct {
+		v    Value
+		size int
+	}{
+		{Null, 1}, {Bool(true), 2}, {Float(1), 9}, {Time(1), 9}, {MakeID(id.One), 21},
+		{Int(0), 2}, {Int(-1), 2}, {Int(63), 2}, {Int(-64), 2}, {Int(64), 3}, {Int(-65), 3},
+		{Int(math.MaxInt64), 11}, {Int(math.MinInt64), 11},
+		{Str(""), 2}, {Str(strings.Repeat("x", 127)), 129}, {Str(strings.Repeat("x", 128)), 131},
+	} {
+		b := c.v.AppendBinary(nil)
+		got, n, err := DecodeValue(b)
+		if len(b) != c.size || c.v.EncodedSize() != c.size || err != nil || n != c.size || !Same(got, c.v) {
+			t.Errorf("%v: %d bytes (EncodedSize %d), want %d; decoded %v, %d, %v", c.v, len(b), c.v.EncodedSize(), c.size, got, n, err)
+		}
+	}
+}
+
+// TestCodecPrefixFree is the property table and index keys rest on
+// (tuple.AppendKey concatenates these encodings): distinct values never
+// encode to equal bytes, nor one to a prefix of the other.
+func TestCodecPrefixFree(t *testing.T) {
+	f := func(a, b Value) bool {
+		ea, eb := a.AppendBinary(nil), b.AppendBinary(nil)
+		return Same(a, b) || !(bytes.HasPrefix(ea, eb) || bytes.HasPrefix(eb, ea))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Error(err)
+	}
+	// The near misses a random draw seldom makes: same kind, payloads
+	// that share leading bytes.
+	near := []Value{Null, Bool(false), Bool(true), Int(0), Int(1), Int(-1), Int(64), Int(128), Int(1 << 14),
+		Float(0), Time(0), Str(""), Str("a"), Str("ab"), Str("\x01a"), Str(strings.Repeat("a", 128)), MakeID(id.Zero), MakeID(id.One)}
+	for _, a := range near {
+		for _, b := range near {
+			if !f(a, b) {
+				t.Errorf("%v and %v: one encoding prefixes the other", a, b)
+			}
+		}
+	}
+}
+
 func TestDecodeErrors(t *testing.T) {
-	if _, _, err := DecodeValue(nil); err == nil {
-		t.Error("empty decode should fail")
-	}
-	if _, _, err := DecodeValue([]byte{byte(KInt), 1, 2}); err == nil {
-		t.Error("truncated int should fail")
-	}
-	if _, _, err := DecodeValue([]byte{byte(KStr), 0, 0, 0, 9, 'x'}); err == nil {
-		t.Error("truncated string should fail")
-	}
-	if _, _, err := DecodeValue([]byte{byte(KBool)}); err == nil {
-		t.Error("truncated bool should fail")
-	}
-	if _, _, err := DecodeValue([]byte{byte(KID), 1, 2, 3}); err == nil {
-		t.Error("truncated id should fail")
-	}
-	if _, _, err := DecodeValue([]byte{200}); err == nil {
-		t.Error("unknown kind should fail")
+	for name, b := range map[string][]byte{
+		"empty":                 nil,
+		"unknown kind":          {200},
+		"truncated bool":        {byte(KBool)},
+		"bool above 1":          {byte(KBool), 2},
+		"int with no payload":   {byte(KInt)},
+		"truncated int varint":  {byte(KInt), 0x80, 0x80},
+		"overflowing int":       append([]byte{byte(KInt)}, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02),
+		"non-minimal int":       {byte(KInt), 0x81, 0x00},
+		"truncated float":       {byte(KFloat), 1, 2},
+		"truncated time":        {byte(KTime), 1, 2, 3, 4, 5, 6, 7},
+		"truncated string":      {byte(KStr), 9, 'x'},
+		"string with no length": {byte(KStr)},
+		"truncated length":      {byte(KStr), 0x80},
+		"non-minimal length":    {byte(KStr), 0x81, 0x00, 'x'},
+		"overlong length":       {byte(KStr), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, 'x'},
+		"length past int":       {byte(KStr), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 'x'},
+		"truncated id":          {byte(KID), 1, 2, 3},
+	} {
+		if v, n, err := DecodeValue(b); err == nil {
+			t.Errorf("%s: decoded %v from %d bytes, want an error", name, v, n)
+		}
 	}
 }
 
@@ -380,4 +431,42 @@ func BenchmarkEncodeDecodeID(b *testing.B) {
 		buf = v.AppendBinary(buf)
 		DecodeValue(buf)
 	}
+}
+
+// allocBytes reports the heap bytes one call of f allocates: the lesser
+// of two runs, so that one-off growth (an interner shard's table) is
+// not charged to the input that happened to trigger it.
+func allocBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	best := ^uint64(0)
+	for range 2 {
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		best = min(best, after.TotalAlloc-before.TotalAlloc)
+	}
+	return best
+}
+
+// FuzzDecodeValue: on arbitrary bytes the decoder never panics, never
+// allocates more than a small multiple of its input, and whatever it
+// accepts re-encodes to exactly the bytes it consumed.
+func FuzzDecodeValue(f *testing.F) {
+	for _, v := range []Value{Null, Bool(true), Int(-3), Int(1 << 40), Float(2.5), Time(1.5), Str("10.0.0.1:7"), MakeID(id.One)} {
+		f.Add(v.AppendBinary(nil))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var v Value
+		var n int
+		var err error
+		if got := allocBytes(func() { v, n, err = DecodeValue(data) }); got > uint64(4*len(data)+512) {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), got)
+		}
+		if err != nil {
+			return
+		}
+		if enc := v.AppendBinary(nil); n != v.EncodedSize() || !bytes.Equal(enc, data[:n]) {
+			t.Fatalf("decoded %v from % x, which re-encodes to % x (EncodedSize %d)", v, data[:n], enc, v.EncodedSize())
+		}
+	})
 }

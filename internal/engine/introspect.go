@@ -198,11 +198,11 @@ func (n *Node) armIntrospect(iv float64) {
 // on the system tables, exactly as application-table deltas would. The
 // engine calls it on a timer; tests and tools may call it directly.
 //
-// The refresh is incremental: rows are delivered in the same
-// deterministic order as introspect.Snapshot (sysNode, then sysTable /
-// sysRule / sysNet), but a row whose counters match the previous
-// refresh reuses the cached tuple, so steady-state refreshes only
-// build tuples for rows that actually changed.
+// The refresh is incremental: rows are delivered in a deterministic
+// order (sysNode, then sysTable / sysRule / sysNet, each sorted by its
+// key), but a row whose counters match the previous refresh reuses the
+// cached tuple, so steady-state refreshes only build tuples for rows
+// that actually changed.
 func (n *Node) RefreshSystemTables() {
 	sr := n.sysref
 	sr.ensureCaches()

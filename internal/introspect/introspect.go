@@ -28,12 +28,11 @@
 //
 // The planner registers these schemas in every Plan (so rules joining
 // them classify as stream×table equijoins); the engine instantiates
-// them per node and feeds them from a Source — the split keeps this
-// package free of engine dependencies and cycle-free.
+// them per node and feeds them from its own counters — the split keeps
+// this package free of engine dependencies and cycle-free.
 package introspect
 
 import (
-	"sort"
 	"strings"
 
 	"p2/internal/tuple"
@@ -89,7 +88,7 @@ func Defs() []Def {
 	}
 }
 
-// TableStat is one relation's counters, as reported by a Source.
+// TableStat is one relation's counters, as the engine reports them.
 type TableStat struct {
 	Name      string
 	Tuples    int   // live rows right now
@@ -169,22 +168,11 @@ type KVStat struct {
 	Pending  int   // in-flight client ops parked in the pending tables
 }
 
-// Source supplies the runtime counters a snapshot is built from. The
-// engine's Node implements it.
-type Source interface {
-	Addr() string
-	NodeStat() NodeStat
-	TableStats() []TableStat
-	RuleStats() []RuleStat
-	PlanStats() []PlanStat
-	NetStats() []NetStat
-}
-
 // The render helpers below are the single source of truth for each
-// system relation's field order and arity. Snapshot composes them, and
-// so does the engine's incremental refresh (which caches rendered
-// tuples per row and only re-renders when a row's counters change) —
-// a schema change edits exactly one function per relation.
+// system relation's field order and arity. The engine's incremental
+// refresh composes them (it caches rendered tuples per row and only
+// re-renders when a row's counters change) — a schema change edits
+// exactly one function per relation.
 
 // NodeTuple renders one sysNode row.
 func NodeTuple(addr val.Value, ns NodeStat) *tuple.Tuple {
@@ -234,35 +222,4 @@ func HealthTuple(addr val.Value, hs HealthStat) *tuple.Tuple {
 	return tuple.New(HealthRelation,
 		addr, val.Str(hs.Type), val.Str(hs.Status), val.Str(hs.Reason),
 		val.Float(hs.SinceS))
-}
-
-// Snapshot renders src's current state as system-table tuples, in
-// deterministic order (sysNode, then sysTable, sysRule, sysNet rows
-// sorted by their reporting Source). Inserting them into the node's
-// tables is the caller's job — the engine routes them through its
-// normal local-delivery path so deltas trigger listening rules.
-func Snapshot(src Source) []*tuple.Tuple {
-	addr := val.Str(src.Addr())
-	out := []*tuple.Tuple{NodeTuple(addr, src.NodeStat())}
-
-	tstats := src.TableStats()
-	sort.Slice(tstats, func(i, j int) bool { return tstats[i].Name < tstats[j].Name })
-	for _, ts := range tstats {
-		if IsReserved(ts.Name) {
-			continue
-		}
-		out = append(out, TableTuple(addr, ts))
-	}
-	for _, rs := range src.RuleStats() {
-		out = append(out, RuleTuple(addr, rs))
-	}
-	for _, ps := range src.PlanStats() {
-		out = append(out, PlanTuple(addr, ps))
-	}
-	nstats := src.NetStats()
-	sort.Slice(nstats, func(i, j int) bool { return nstats[i].Dest < nstats[j].Dest })
-	for _, st := range nstats {
-		out = append(out, NetTuple(addr, st))
-	}
-	return out
 }

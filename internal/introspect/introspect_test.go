@@ -3,69 +3,52 @@ package introspect
 import (
 	"testing"
 
+	"p2/internal/tuple"
 	"p2/internal/val"
 )
 
-// fakeSource is a canned counter provider.
-type fakeSource struct{}
-
-func (fakeSource) Addr() string { return "n1" }
-func (fakeSource) NodeStat() NodeStat {
-	return NodeStat{UptimeS: 2.5, Events: 7, Queue: 3}
-}
-func (fakeSource) TableStats() []TableStat {
-	return []TableStat{
-		{Name: "zeta", Tuples: 2, Inserts: 5, Deletes: 1, Refreshes: 4},
-		{Name: "alpha", Tuples: 1, Inserts: 1},
-		{Name: "sysTable", Tuples: 9}, // must be filtered out
-	}
-}
-func (fakeSource) RuleStats() []RuleStat { return []RuleStat{{ID: "R1", Fires: 6}} }
-func (fakeSource) PlanStats() []PlanStat {
-	return []PlanStat{{Rule: "R1", Order: "1,0", CostEst: 42.5, Replans: 2}}
-}
-func (fakeSource) NetStats() []NetStat {
-	return []NetStat{{
+// TestRenderersMatchDefs: every system relation in the catalog has a
+// renderer, and each renderer emits the relation's name at the catalog's
+// arity, located at the reporting node, fields in the documented order.
+func TestRenderersMatchDefs(t *testing.T) {
+	addr := val.Str("n1")
+	plan := PlanTuple(addr, PlanStat{Rule: "R1", Order: "1,0", CostEst: 42.5, Replans: 2})
+	net := NetTuple(addr, NetStat{
 		Dest: "n2", Sent: 3, Recvd: 2, Bytes: 99, Retries: 1,
 		Cwnd: 4.5, RTO: 0.2, Backlog: 7, BatchFill: 1.5,
 		Drops: [4]int64{11, 12, 13, 14},
-	}}
-}
-
-func TestSnapshotShapes(t *testing.T) {
-	tuples := Snapshot(fakeSource{})
-	// 1 sysNode + 2 sysTable (sys-prefixed filtered) + 1 sysRule +
-	// 1 sysPlan + 1 sysNet.
-	if len(tuples) != 6 {
-		t.Fatalf("snapshot = %d tuples: %v", len(tuples), tuples)
+	})
+	rendered := map[string]*tuple.Tuple{}
+	for _, tp := range []*tuple.Tuple{
+		NodeTuple(addr, NodeStat{UptimeS: 2.5, Events: 7, Queue: 3}),
+		TableTuple(addr, TableStat{Name: "zeta", Tuples: 2, Inserts: 5, Deletes: 1, Refreshes: 4}),
+		RuleTuple(addr, RuleStat{ID: "R1", Fires: 6}),
+		plan, net,
+		KVTuple(addr, KVStat{Keys: 1}),
+		HealthTuple(addr, HealthStat{Type: "Partitioned"}),
+	} {
+		rendered[tp.Name()] = tp
 	}
-	arities := map[string]int{}
+	if len(rendered) != len(Defs()) {
+		t.Fatalf("%d renderers for %d catalog relations", len(rendered), len(Defs()))
+	}
 	for _, d := range Defs() {
-		arities[d.Name] = d.Arity
-	}
-	for _, tp := range tuples {
-		if !IsReserved(tp.Name()) {
-			t.Fatalf("snapshot emitted non-system tuple %v", tp)
+		tp := rendered[d.Name]
+		if tp == nil {
+			t.Fatalf("no renderer emits %s", d.Name)
 		}
-		if tp.Arity() != arities[tp.Name()] {
-			t.Fatalf("%s arity %d, catalog says %d", tp.Name(), tp.Arity(), arities[tp.Name()])
+		if !IsReserved(tp.Name()) || tp.Arity() != d.Arity {
+			t.Fatalf("%s renders at arity %d, catalog says %d", d.Name, tp.Arity(), d.Arity)
 		}
 		if tp.Loc() != "n1" {
 			t.Fatalf("tuple not located at the node: %v", tp)
 		}
 	}
-	// Table rows are sorted by name for deterministic event order.
-	if tuples[1].Field(1).AsStr() != "alpha" || tuples[2].Field(1).AsStr() != "zeta" {
-		t.Fatalf("table rows unsorted: %v %v", tuples[1], tuples[2])
-	}
-	plan := tuples[4]
-	if plan.Name() != PlanRelation || plan.Field(1).AsStr() != "R1" ||
-		plan.Field(2).AsStr() != "1,0" || plan.Field(3).AsFloat() != 42.5 ||
-		plan.Field(4).AsInt() != 2 {
+	if plan.Field(1).AsStr() != "R1" || plan.Field(2).AsStr() != "1,0" ||
+		plan.Field(3).AsFloat() != 42.5 || plan.Field(4).AsInt() != 2 {
 		t.Fatalf("sysPlan row = %v", plan)
 	}
-	net := tuples[5]
-	if net.Name() != NetRelation || net.Field(1).AsStr() != "n2" || net.Field(4).AsInt() != 99 {
+	if net.Field(1).AsStr() != "n2" || net.Field(4).AsInt() != 99 {
 		t.Fatalf("sysNet row = %v", net)
 	}
 	if net.Field(6).AsFloat() != 4.5 || net.Field(8).AsInt() != 7 || net.Field(9).AsFloat() != 1.5 {

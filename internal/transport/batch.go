@@ -32,7 +32,6 @@ type Batch struct {
 	maxBytes int // record bytes per datagram (MTU minus maxDataHeaderLen)
 	maxRecs  int // records per datagram; 1 disables coalescing
 	capacity int // backlog bound per destination; 0 = unbounded
-	qs       map[string]*sendQueue
 }
 
 func newBatch(tr *Transport, next batchSink, maxBytes, maxRecs, capacity int) *Batch {
@@ -45,27 +44,17 @@ func newBatch(tr *Transport, next batchSink, maxBytes, maxRecs, capacity int) *B
 		maxBytes: maxBytes,
 		maxRecs:  maxRecs,
 		capacity: capacity,
-		qs:       make(map[string]*sendQueue),
 	}
-}
-
-func (b *Batch) q(dst string) *sendQueue {
-	q, ok := b.qs[dst]
-	if !ok {
-		q = &sendQueue{}
-		b.qs[dst] = q
-	}
-	return q
 }
 
 // push queues one record and arms the end-of-handler flush. A full
 // backlog refuses the record and reports it dropped with cause
 // BacklogOverflow — admission failure, classified like any other drop.
-func (b *Batch) push(dst string, rec record) {
-	q := b.q(dst)
+func (b *Batch) push(p *peer, rec record) {
+	q := &p.q
 	if b.capacity > 0 && len(q.recs) >= b.capacity {
 		b.tr.stats.QueueDrops++
-		b.tr.dropUp(dst, rec.t, BacklogOverflow)
+		b.tr.dropUp(p, rec.t, BacklogOverflow)
 		return
 	}
 	q.recs = append(q.recs, rec)
@@ -73,21 +62,18 @@ func (b *Batch) push(dst string, rec record) {
 		q.armed = true
 		b.tr.loop.Defer(func() {
 			q.armed = false
-			b.flush(dst)
+			b.flush(p)
 		})
 	}
 }
 
 // flush packs the queue into batches and pushes them downstream until
 // the queue drains or the stage below stalls.
-func (b *Batch) flush(dst string) {
+func (b *Batch) flush(p *peer) {
 	if b.tr.closed {
 		return
 	}
-	q := b.qs[dst]
-	if q == nil {
-		return
-	}
+	q := &p.q
 	for len(q.recs) > 0 {
 		// Pack from the front without consuming: a refused batch's
 		// records must stay queued. A single over-budget record still
@@ -97,8 +83,8 @@ func (b *Batch) flush(dst string) {
 			bytes += len(q.recs[n].wire)
 			n++
 		}
-		wb := &wireBatch{dst: dst, recs: append([]record(nil), q.recs[:n]...), bytes: bytes}
-		if !b.next.pushBatch(wb, func() { b.flush(dst) }) {
+		wb := &wireBatch{dst: p, recs: append([]record(nil), q.recs[:n]...), bytes: bytes}
+		if !b.next.pushBatch(wb, func() { b.flush(p) }) {
 			return // window full; the poke re-enters flush
 		}
 		q.recs = q.recs[n:]
@@ -106,13 +92,10 @@ func (b *Batch) flush(dst string) {
 	q.recs = nil // release the drained backing array
 }
 
-// close drops every queued record, reporting each through OnDrop with
-// cause SessionClosed.
-func (b *Batch) close() {
-	for _, dst := range sortedKeys(b.qs) {
-		for _, rec := range b.qs[dst].recs {
-			b.tr.dropUp(dst, rec.t, SessionClosed)
-		}
+// close drops every record queued toward p, reporting each through
+// OnDrop with cause SessionClosed.
+func (b *Batch) close(p *peer) {
+	for _, rec := range p.q.recs {
+		b.tr.dropUp(p, rec.t, SessionClosed)
 	}
-	b.qs = make(map[string]*sendQueue)
 }

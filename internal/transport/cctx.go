@@ -10,9 +10,8 @@ import "math"
 // poke) when it does not; acknowledgments and drops reopen the window
 // and fire the poke.
 type CCTx struct {
-	tr    *Transport
-	next  *Retry
-	dests map[string]*ccState
+	tr   *Transport
+	next *Retry
 }
 
 // ccState is one destination's sender-side control state.
@@ -27,28 +26,11 @@ type ccState struct {
 	stalled  poke // armed by a refused push; fired when the window opens
 }
 
-func newCCTx(tr *Transport) *CCTx {
-	return &CCTx{tr: tr, dests: make(map[string]*ccState)}
-}
-
-func (c *CCTx) state(dst string) *ccState {
-	st, ok := c.dests[dst]
-	if !ok {
-		st = &ccState{
-			cwnd:     c.tr.cfg.WindowInit,
-			ssthresh: c.tr.cfg.WindowMax,
-			rto:      c.tr.cfg.InitialRTO,
-		}
-		c.dests[dst] = st
-	}
-	return st
-}
-
 // pushBatch admits wb into the window or refuses it. On admission the
 // batch's records receive consecutive sequence numbers and the batch
 // moves down to Retry.
 func (c *CCTx) pushBatch(wb *wireBatch, pk poke) bool {
-	st := c.state(wb.dst)
+	st := &wb.dst.cc
 	if float64(st.inflight) >= st.cwnd {
 		st.stalled = pk
 		return false
@@ -60,19 +42,16 @@ func (c *CCTx) pushBatch(wb *wireBatch, pk poke) bool {
 	return true
 }
 
-// onAck processes a cumulative acknowledgment from dst — piggybacked in
+// onAck processes a cumulative acknowledgment from p — piggybacked in
 // a data-frame header or carried by a bare ack frame. Every batch fully
 // covered by cum leaves flight and contributes additive window growth.
 // Only the most recently transmitted of them supplies an RTT sample
 // (plus Karn's rule: never a retransmitted batch): a cumulative ack can
 // clear batches whose acknowledgment was stalled behind a hole, and
 // their inflated wait times are queueing artifacts, not path RTT.
-func (c *CCTx) onAck(dst string, cum uint64) {
-	st, ok := c.dests[dst]
-	if !ok {
-		return
-	}
-	cleared := c.tr.rty.clear(dst, cum)
+func (c *CCTx) onAck(p *peer, cum uint64) {
+	st := &p.cc
+	cleared := c.tr.rty.clear(p, cum)
 	if len(cleared) == 0 {
 		return
 	}
@@ -118,19 +97,17 @@ func (c *CCTx) sample(st *ccState, rtt float64) {
 
 // onTimeout applies multiplicative decrease and restarts slow start —
 // called by Retry before each retransmission.
-func (c *CCTx) onTimeout(dst string) {
-	st := c.state(dst)
+func (c *CCTx) onTimeout(p *peer) {
+	st := &p.cc
 	st.ssthresh = math.Max(float64(st.inflight)/2, 2)
 	st.cwnd = 1
 }
 
 // onGiveUp frees the window slot of a batch dropped after the retry
 // budget and pokes the backlog.
-func (c *CCTx) onGiveUp(dst string) {
-	if st, ok := c.dests[dst]; ok {
-		st.inflight--
-		c.open(st)
-	}
+func (c *CCTx) onGiveUp(p *peer) {
+	p.cc.inflight--
+	c.open(&p.cc)
 }
 
 // open fires the stalled poke, if any — capacity freed, try again.
@@ -140,12 +117,4 @@ func (c *CCTx) open(st *ccState) {
 		st.stalled = nil
 		pk()
 	}
-}
-
-// rtoFor returns the current retransmission timeout toward dst.
-func (c *CCTx) rtoFor(dst string) float64 {
-	if st, ok := c.dests[dst]; ok {
-		return st.rto
-	}
-	return c.tr.cfg.InitialRTO
 }

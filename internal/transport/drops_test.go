@@ -200,8 +200,8 @@ func TestCloseMidBurstUnderDupReorder(t *testing.T) {
 	r.b.Deliver("a", mkDataFrame(0, 0, 0, 0, 1, tp(0)))
 	r.loop.RunFor(60)
 
-	if n := len(r.b.srcs); n != 0 {
-		t.Fatalf("closed transport resurrected receiver state for %d peers", n)
+	if n := len(r.b.peers); n != 0 || len(r.b.PerDest()) != 0 {
+		t.Fatalf("closed transport holds state for %d peers, reports %d", n, len(r.b.PerDest()))
 	}
 	if got := r.b.Stats().AcksSent; got != acksAtClose {
 		t.Fatalf("closed transport sent %d acks after Close", got-acksAtClose)
@@ -222,8 +222,8 @@ func TestCloseMidBurstUnderDupReorder(t *testing.T) {
 	// acks still in flight toward it.
 	r.a.Close()
 	r.a.Deliver("b", appendAck(nil, 0, 5))
-	if len(r.a.srcs) != 0 || len(r.a.cc.dests) != 0 || len(r.a.rty.dests) != 0 {
-		t.Fatal("late traffic resurrected sender state after Close")
+	if len(r.a.peers) != 0 || len(r.a.PerDest()) != 0 {
+		t.Fatal("late traffic resurrected peer state after Close")
 	}
 }
 

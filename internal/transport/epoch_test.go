@@ -99,7 +99,7 @@ func TestStaleEpochFrameDiscarded(t *testing.T) {
 	if len(r.got) != 1 {
 		t.Fatalf("stale-epoch frame delivered: %v", r.got)
 	}
-	if rs := r.b.srcs["a"]; rs.epoch != 5 || rs.cum != 1 {
+	if rs := r.b.peers["a"].rcv; rs.epoch != 5 || rs.cum != 1 {
 		t.Fatalf("stale frame disturbed receive state: epoch=%d cum=%d", rs.epoch, rs.cum)
 	}
 	// The current incarnation still flows.
@@ -149,7 +149,7 @@ func TestCorruptFirstSeqBounded(t *testing.T) {
 	if len(r.got) != 1 {
 		t.Fatalf("hostile frame delivered: %v", r.got)
 	}
-	if rs := r.b.srcs["a"]; len(rs.high) != 0 {
+	if rs := r.b.peers["a"].rcv; len(rs.high) != 0 {
 		t.Fatalf("hostile firstSeq poisoned the out-of-order set: %v", rs.high)
 	}
 	r.a.Send("b", tp(2))

@@ -144,19 +144,27 @@ type Frame struct {
 }
 
 func (f *Frame) pushBatch(wb *wireBatch, _ poke) bool {
-	tr := f.tr
+	tr, p := f.tr, wb.dst
 	h := dataHeader{
-		epoch:    tr.wireEpoch(wb.dst),
-		ackEpoch: tr.peerEpoch(wb.dst),
+		epoch: tr.wireEpoch(p),
+		// The epoch learned for p's inbound stream, so p can tell whether
+		// the ack describes its current incarnation. Zero until a data
+		// frame from p arrives; a zero-epoch ack always carries cum 0,
+		// which clears nothing.
+		ackEpoch: p.rcv.epoch,
 		first:    wb.first,
 		skip:     wb.first - 1, // gap 0: all an unreliable chain, with no sequence space, sends
 		count:    len(wb.recs),
 	}
 	if tr.ack != nil {
-		h.cumAck = tr.ack.piggyback(wb.dst)
+		h.cumAck = tr.ack.piggyback(p)
 	}
 	if tr.rty != nil {
-		h.skip = tr.rty.skipFor(wb.dst)
+		// The sequence number below which nothing toward p remains in
+		// flight, so the receiver can advance its cumulative counter
+		// across abandoned holes. The ledger always contains the batch
+		// being framed, so skip never reaches into it.
+		h.skip = p.rty.pend[0].first - 1
 	}
 	var hb [maxDataHeaderLen]byte // on the stack, so the datagram is allocated at its exact size
 	hdr := len(appendDataHeader(hb[:0], h))
@@ -165,12 +173,12 @@ func (f *Frame) pushBatch(wb *wireBatch, _ poke) bool {
 		buf = append(buf, rec.wire...)
 	}
 	wb.sentAt = tr.loop.Now()
-	tr.ep.Send(wb.dst, buf)
+	tr.ep.Send(p.addr, buf)
 
 	n := int64(len(wb.recs))
 	tr.stats.TuplesSent += n
 	tr.stats.Frames++
-	a := tr.acct(wb.dst)
+	a := &p.acct
 	a.sent += n
 	a.frames++
 	a.sentBytes += int64(len(buf))
@@ -181,7 +189,7 @@ func (f *Frame) pushBatch(wb *wireBatch, _ poke) bool {
 	if tr.onSent != nil {
 		// hdr, the header bytes written, is charged to the first tuple.
 		for _, rec := range wb.recs {
-			tr.onSent(wb.dst, rec.t, len(rec.wire)+hdr, wb.rexmit)
+			tr.onSent(p.addr, rec.t, len(rec.wire)+hdr, wb.rexmit)
 			hdr = 0
 		}
 	}
@@ -191,16 +199,18 @@ func (f *Frame) pushBatch(wb *wireBatch, _ poke) bool {
 // sendAck emits a bare cumulative-ack frame — the Ack element's fallback
 // when no reverse-path data frame showed up to piggyback on. epoch names
 // the peer incarnation whose stream cum counts.
-func (f *Frame) sendAck(dst string, cum uint64, epoch uint32) {
-	f.tr.ep.Send(dst, appendAck(nil, epoch, cum))
+func (f *Frame) sendAck(p *peer, cum uint64, epoch uint32) {
+	f.tr.ep.Send(p.addr, appendAck(nil, epoch, cum))
 	f.tr.stats.AcksSent++
 }
 
 // Deframe is the top receive-path element — §3.4's dispatch: it parses
-// inbound datagrams, feeds piggybacked and bare cumulative acks to the
-// send side's CCTx, and pushes decoded data frames into the receive
-// chain (Ack → Dedup → Deliver in reliable chains; straight to Deliver
-// otherwise).
+// inbound datagrams, resolves the sender's record, feeds piggybacked
+// and bare cumulative acks to the send side's CCTx, and pushes decoded
+// data frames into the receive chain (Ack → Dedup → Deliver in reliable
+// chains; straight to Deliver otherwise). Only a well-formed data frame
+// creates a record; an ack from an address with none acknowledges
+// nothing.
 type Deframe struct {
 	tr *Transport
 }
@@ -216,10 +226,11 @@ func (d *Deframe) deliver(from string, frame []byte) {
 		if !ok || tr.cc == nil {
 			return
 		}
-		if epoch != tr.wireEpoch(from) {
+		p := tr.peers[from]
+		if p == nil || epoch != tr.wireEpoch(p) {
 			return // a dead incarnation's (or evicted flow's) stream; must not clear ours
 		}
-		tr.cc.onAck(from, cum)
+		tr.cc.onAck(p, cum)
 	case frameData:
 		h, rest, ok := parseDataHeader(frame[1:])
 		if !ok {
@@ -237,22 +248,21 @@ func (d *Deframe) deliver(from string, frame []byte) {
 		if len(rest) > 0 {
 			return // bytes after the last record: not a frame this encoder wrote
 		}
-		if tr.ack != nil {
-			rs := tr.src(from)
-			if rs.epochSet && h.epoch < rs.epoch {
-				return // datagram of a previous incarnation, still in flight
-			}
-			if !rs.epochSet || h.epoch > rs.epoch {
-				rs.rebind(h.epoch) // new incarnation: fresh sequence space
-			}
+		p := tr.receiver(from)
+		if tr.ack == nil {
+			tr.deliverUp(p, tuples) // unreliable chain: no ack, no dedup
+			return
 		}
-		if tr.cc != nil && h.ackEpoch == tr.wireEpoch(from) {
-			tr.cc.onAck(from, h.cumAck) // the piggybacked ack
+		rs := &p.rcv
+		if rs.epochSet && h.epoch < rs.epoch {
+			return // datagram of a previous incarnation, still in flight
 		}
-		if tr.ack != nil {
-			tr.ack.push(from, h.skip, h.first, tuples)
-		} else {
-			tr.deliverUp(from, tuples) // unreliable chain: no ack, no dedup
+		if !rs.epochSet || h.epoch > rs.epoch {
+			rs.rebind(h.epoch) // new incarnation: fresh sequence space
 		}
+		if h.ackEpoch == tr.wireEpoch(p) {
+			tr.cc.onAck(p, h.cumAck) // the piggybacked ack
+		}
+		tr.ack.push(p, h.skip, h.first, tuples)
 	}
 }

@@ -110,14 +110,15 @@ func TestWorstCaseHeaderFitsMTU(t *testing.T) {
 	tr := New(loop, ep, cfg)
 	// The peer's stream: epoch 0xffffffff, delivered up to 2^63.
 	tr.Deliver("peer", mkDataFrame(math.MaxUint32, 0, 0, 0, 1, tp(0)))
-	tr.srcs["peer"].cum = 1 << 63
+	p := tr.peers["peer"]
+	p.rcv.cum = 1 << 63
 	// Our stream toward it: flow restarts exhausted, one record in flight
 	// at sequence 1 (so skip stays 0 and the gap is as wide as firstSeq),
 	// the next numbered from 2^63.
 	tr.Send("peer", tp(0))
 	loop.RunFor(0)
-	tr.flows["peer"].bump = 0xffff
-	tr.cc.dests["peer"].nextSeq = 1 << 63
+	p.bump = 0xffff
+	p.cc.nextSeq = 1 << 63
 	ep.sent = nil
 	for i := int64(0); i < 2000; i++ {
 		tr.Send("peer", tp(i))

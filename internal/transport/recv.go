@@ -97,9 +97,8 @@ type Ack struct {
 // cumulative acknowledgment, runs the Dedup check (frames retransmit
 // whole, so the first sequence number decides), and forwards fresh
 // frames to Deliver.
-func (a *Ack) push(from string, skip, first uint64, tuples []*tuple.Tuple) {
-	tr := a.tr
-	rs := tr.src(from)
+func (a *Ack) push(p *peer, skip, first uint64, tuples []*tuple.Tuple) {
+	rs := &p.rcv
 	if first > rs.cum+seqSanityWindow {
 		return // corrupt firstSeq: would poison the out-of-order set
 	}
@@ -111,19 +110,20 @@ func (a *Ack) push(from string, skip, first uint64, tuples []*tuple.Tuple) {
 	}
 	// Acknowledge even duplicates: the frame that carried the previous
 	// ack may have been lost.
-	a.schedule(from, rs)
+	a.schedule(p)
 	if rs.seen(first) {
-		tr.stats.DupsSuppressed += int64(len(tuples))
+		a.tr.stats.DupsSuppressed += int64(len(tuples))
 		return
 	}
 	rs.mark(first, len(tuples))
-	tr.deliverUp(from, tuples)
+	a.tr.deliverUp(p, tuples)
 }
 
 // schedule marks the peer's cum as owed and arms the delayed-ack
 // callback. If a data frame toward the peer goes out first, piggyback
 // claims the ack and the callback becomes a no-op.
-func (a *Ack) schedule(from string, rs *recvState) {
+func (a *Ack) schedule(p *peer) {
+	rs := &p.rcv
 	rs.ackPending = true
 	if rs.ackArmed {
 		return
@@ -134,7 +134,7 @@ func (a *Ack) schedule(from string, rs *recvState) {
 		rs.ackTimer = nil
 		if rs.ackPending && !a.tr.closed {
 			rs.ackPending = false
-			a.tr.frm.sendAck(from, rs.cum, rs.epoch)
+			a.tr.frm.sendAck(p, rs.cum, rs.epoch)
 		}
 	}
 	if d := a.tr.cfg.AckDelay; d > 0 {
@@ -145,13 +145,10 @@ func (a *Ack) schedule(from string, rs *recvState) {
 }
 
 // piggyback returns the cumulative ack to stamp into a data frame
-// toward dst and cancels any pending bare ack — the data frame carries
-// it instead.
-func (a *Ack) piggyback(dst string) uint64 {
-	rs, ok := a.tr.srcs[dst]
-	if !ok {
-		return 0
-	}
+// toward p and cancels any pending bare ack — the data frame carries
+// it instead. With no receive half there is nothing owed and cum is 0.
+func (a *Ack) piggyback(p *peer) uint64 {
+	rs := &p.rcv
 	if rs.ackPending {
 		a.tr.stats.AcksPiggybacked++
 	}

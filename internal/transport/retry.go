@@ -2,7 +2,7 @@ package transport
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"p2/internal/eventloop"
 )
@@ -12,7 +12,7 @@ import (
 // and the unit of retransmission. Its records carry the consecutive
 // sequence numbers first..first+len(recs)-1.
 type wireBatch struct {
-	dst   string
+	dst   *peer
 	recs  []record
 	bytes int // sum of record bytes (frame payload minus header)
 
@@ -26,13 +26,16 @@ type wireBatch struct {
 func (wb *wireBatch) last() uint64 { return wb.first + uint64(len(wb.recs)) - 1 }
 
 // destRetry is one destination's retransmission state: the outstanding
-// batches and the single timer guarding the oldest of them. timeoutFn
-// is built once per destination so re-arming allocates no closure.
-// strikes counts consecutive batches abandoned after the retry budget
-// with no acknowledgment between — the failure classifier's dead-peer
-// evidence (see Config.DeadStrikes).
+// batches, oldest first, and the single timer guarding the oldest of
+// them. CCTx numbers batches in order, acks are cumulative and a
+// give-up abandons the oldest, so the ledger is a queue: batches join
+// at the back and leave from the front. timeoutFn is built once per
+// destination so re-arming allocates no closure. strikes counts
+// consecutive batches abandoned after the retry budget with no
+// acknowledgment between — the failure classifier's dead-peer evidence
+// (see Config.DeadStrikes).
 type destRetry struct {
-	pend      map[uint64]*wireBatch
+	pend      []*wireBatch
 	timer     *eventloop.Timer
 	timeoutFn func()
 	strikes   int
@@ -48,45 +51,18 @@ type destRetry struct {
 // the receiver buffered above the hole. A batch that exhausts the
 // retry budget is dropped, each of its tuples reported through OnDrop.
 type Retry struct {
-	tr    *Transport
-	next  *Frame
-	dests map[string]*destRetry
-}
-
-func newRetry(tr *Transport) *Retry {
-	return &Retry{tr: tr, dests: make(map[string]*destRetry)}
-}
-
-func (r *Retry) dest(dst string) *destRetry {
-	d, ok := r.dests[dst]
-	if !ok {
-		d = &destRetry{pend: make(map[uint64]*wireBatch)}
-		d.timeoutFn = func() { r.onTimeout(dst) }
-		r.dests[dst] = d
-	}
-	return d
-}
-
-// oldest returns the outstanding batch with the lowest first sequence
-// number, or nil.
-func (d *destRetry) oldest() *wireBatch {
-	var o *wireBatch
-	for _, wb := range d.pend {
-		if o == nil || wb.first < o.first {
-			o = wb
-		}
-	}
-	return o
+	tr   *Transport
+	next *Frame
 }
 
 // pushBatch records wb as in flight, transmits it, and ensures the
 // destination's timer is armed.
 func (r *Retry) pushBatch(wb *wireBatch, _ poke) bool {
-	d := r.dest(wb.dst)
-	d.pend[wb.first] = wb
+	p := wb.dst
+	p.rty.pend = append(p.rty.pend, wb)
 	r.next.pushBatch(wb, nil)
-	if d.timer == nil {
-		r.arm(wb.dst, d)
+	if p.rty.timer == nil {
+		r.arm(p)
 	}
 	return true
 }
@@ -94,40 +70,40 @@ func (r *Retry) pushBatch(wb *wireBatch, _ poke) bool {
 // arm points the destination's timer at its oldest outstanding batch.
 // The disarmed timer's struct is released to the loop's pool — acks
 // re-arm on every cleared batch, so this path churns constantly.
-func (r *Retry) arm(dst string, d *destRetry) {
+func (r *Retry) arm(p *peer) {
+	d := &p.rty
 	if d.timer != nil {
 		d.timer.CancelFree()
 		d.timer = nil
 	}
-	o := d.oldest()
-	if o == nil {
+	if len(d.pend) == 0 {
 		return
+	}
+	if d.timeoutFn == nil {
+		d.timeoutFn = func() { r.onTimeout(p) }
 	}
 	// Exponential backoff, capped at MaxRTO like the estimate itself —
 	// the cap also bounds the whole episode to MaxRTO*(MaxRetries+1)
 	// seconds, which is what lets the receive side forget idle flows on
 	// a schedule no late retransmission can outrun.
-	delay := math.Min(r.tr.cc.rtoFor(dst)*math.Pow(2, float64(o.retries)), r.tr.cfg.MaxRTO)
+	delay := math.Min(p.cc.rto*math.Pow(2, float64(d.pend[0].retries)), r.tr.cfg.MaxRTO)
 	d.timer = r.tr.loop.After(delay, d.timeoutFn)
 }
 
 // onTimeout handles the destination timer: the oldest batch is presumed
 // lost — retransmit it (or give it up) and re-arm.
-func (r *Retry) onTimeout(dst string) {
+func (r *Retry) onTimeout(p *peer) {
 	if r.tr.closed {
 		return
 	}
-	d := r.dests[dst]
-	if d == nil {
-		return
-	}
+	d := &p.rty
 	d.timer = nil
-	o := d.oldest()
-	if o == nil {
+	if len(d.pend) == 0 {
 		return
 	}
+	o := d.pend[0]
 	if o.retries >= r.tr.cfg.MaxRetries {
-		delete(d.pend, o.first)
+		d.pend = slices.Delete(d.pend, 0, 1)
 		r.tr.stats.Drops += int64(len(o.recs))
 		// Classify the give-up: the first few exhausted batches read as
 		// loss or congestion; past DeadStrikes consecutive exhaustions
@@ -138,97 +114,48 @@ func (r *Retry) onTimeout(dst string) {
 			cause = PeerDead
 		}
 		for _, rec := range o.recs {
-			r.tr.dropUp(dst, rec.t, cause)
+			r.tr.dropUp(p, rec.t, cause)
 		}
-		r.tr.cc.onGiveUp(dst)
-		r.arm(dst, d)
+		r.tr.cc.onGiveUp(p)
+		r.arm(p)
 		return
 	}
-	r.tr.cc.onTimeout(dst)
+	r.tr.cc.onTimeout(p)
 	o.retries++
 	o.rexmit = true
 	r.next.pushBatch(o, nil)
-	r.arm(dst, d)
+	r.arm(p)
 }
 
-// skipFor returns the sequence number below which nothing toward dst
-// remains in flight — stamped into data-frame headers so the receiver
-// can advance its cumulative counter across abandoned holes. Called
-// mid-transmission, the pending set always contains the batch being
-// framed, so the result never reaches into it.
-func (r *Retry) skipFor(dst string) uint64 {
-	d := r.dests[dst]
-	if d == nil {
-		return 0
+// clear removes every batch toward p fully covered by the cumulative
+// acknowledgment — always a prefix of the ledger — returns them in
+// sequence order, and re-arms the timer for whatever is left.
+func (r *Retry) clear(p *peer, cum uint64) []*wireBatch {
+	d := &p.rty
+	n := 0
+	for n < len(d.pend) && d.pend[n].last() <= cum {
+		n++
 	}
-	o := d.oldest()
-	if o == nil {
-		return 0
-	}
-	return o.first - 1
-}
-
-// clear cancels and removes every batch toward dst fully covered by the
-// cumulative acknowledgment, returned in sequence order, and re-arms
-// the timer for whatever is left.
-func (r *Retry) clear(dst string, cum uint64) []*wireBatch {
-	d := r.dests[dst]
-	if d == nil {
+	if n == 0 {
 		return nil
 	}
-	var out []*wireBatch
-	for first, wb := range d.pend {
-		if wb.last() <= cum {
-			delete(d.pend, first)
-			out = append(out, wb)
-		}
-	}
-	if len(out) > 0 {
-		d.strikes = 0 // the peer acknowledged — it is alive
-		sort.Slice(out, func(i, j int) bool { return out[i].first < out[j].first })
-		r.arm(dst, d)
-	}
+	out := slices.Clone(d.pend[:n])
+	d.pend = slices.Delete(d.pend, 0, n)
+	d.strikes = 0 // the peer acknowledged — it is alive
+	r.arm(p)
 	return out
 }
 
-// close cancels every timer and reports all in-flight tuples dropped
-// with cause SessionClosed — teardown is not a retry failure, and must
-// never masquerade as one.
-func (r *Retry) close() {
-	for _, dst := range sortedKeys(r.dests) {
-		d := r.dests[dst]
-		if d.timer != nil {
-			d.timer.Cancel()
-		}
-		firsts := make([]uint64, 0, len(d.pend))
-		for first := range d.pend {
-			firsts = append(firsts, first)
-		}
-		sort.Slice(firsts, func(i, j int) bool { return firsts[i] < firsts[j] })
-		for _, first := range firsts {
-			for _, rec := range d.pend[first].recs {
-				r.tr.dropUp(dst, rec.t, SessionClosed)
-			}
+// close cancels p's timer and reports its in-flight tuples dropped with
+// cause SessionClosed — teardown is not a retry failure, and must never
+// masquerade as one.
+func (r *Retry) close(p *peer) {
+	if p.rty.timer != nil {
+		p.rty.timer.Cancel()
+	}
+	for _, wb := range p.rty.pend {
+		for _, rec := range wb.recs {
+			r.tr.dropUp(p, rec.t, SessionClosed)
 		}
 	}
-	r.dests = make(map[string]*destRetry)
-}
-
-// pending returns the outstanding batches toward dst (nil if none).
-func (r *Retry) pending(dst string) map[uint64]*wireBatch {
-	if d := r.dests[dst]; d != nil {
-		return d.pend
-	}
-	return nil
-}
-
-// sortedKeys returns a map's string keys in sorted order — Close paths
-// report drops deterministically.
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

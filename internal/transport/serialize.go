@@ -18,6 +18,6 @@ type Serialize struct {
 	next *Batch
 }
 
-func (s *Serialize) push(dst string, t *tuple.Tuple) {
-	s.next.push(dst, record{t: t, wire: t.Marshal()})
+func (s *Serialize) push(p *peer, t *tuple.Tuple) {
+	s.next.push(p, record{t: t, wire: t.Marshal()})
 }

@@ -24,10 +24,23 @@
 // needs no ack datagrams at all; a delayed-ack timer emits a bare ack
 // only when no reverse-path data shows up in time.
 //
-// Which elements a node composes is chosen by a StackSpec, so the
-// Unreliable mode is merely a shorter chain (Serialize → Batch → Frame,
-// Deframe → Deliver) rather than branches inside a monolith, and future
-// policies (priority scheduling, per-rule QoS) are new elements.
+// Which elements a node composes is read off Config where New assembles
+// the chain, so the Unreliable mode is merely a shorter chain (Serialize
+// → Batch → Frame, Deframe → Deliver) rather than branches inside a
+// monolith, and future policies (priority scheduling, per-rule QoS) are
+// new elements.
+//
+// Elements are behaviour; a peer is their shared per-destination state.
+// Send and Deliver resolve the remote address to its record once and
+// the chain hands the record along, so no element keeps a map of its
+// own. A record has three lifetimes (peer.go states the rule): the send
+// half goes after FlowIdleTTL with nothing toward the peer outstanding,
+// because a node's state should track its working set of peers and not
+// its history; the receive half stays at least twice as long, and past
+// the longest retransmission episode, so a resuming sender has always
+// opened a fresh epoch and no late retransmission finds the dedup
+// memory gone; the 16-bit restart count outlives both, because an epoch
+// that went backwards would be discarded as stale.
 //
 // One Transport lives per P2 node. All state transitions happen on the
 // node's event loop.
@@ -36,8 +49,6 @@ package transport
 import (
 	"fmt"
 	"math"
-	"slices"
-	"sort"
 
 	"p2/internal/eventloop"
 	"p2/internal/netif"
@@ -140,30 +151,6 @@ func DefaultConfig() Config {
 	}
 }
 
-// StackSpec names the element chain a transport composes. It is derived
-// from Config today; keeping it a first-class value means new scenarios
-// (priority schedulers, per-rule QoS elements) extend the spec instead
-// of growing conditionals inside a monolithic transport.
-type StackSpec struct {
-	Reliable bool // CCTx + Retry on the send path, Ack + Dedup on receive
-	Batching bool // MTU-budget coalescing in the Batch element
-}
-
-// Spec derives the element chain from the configuration.
-func (c Config) Spec() StackSpec {
-	return StackSpec{Reliable: !c.Unreliable, Batching: !c.NoBatch}
-}
-
-// String renders the composed chains, send then receive.
-func (s StackSpec) String() string {
-	send, recv := "Serialize→Batch", "Deframe"
-	if s.Reliable {
-		send += "→CCTx→Retry"
-		recv += "→Ack→Dedup"
-	}
-	return send + "→Frame / " + recv + "→Deliver"
-}
-
 // DropCause classifies why the transport abandoned a tuple — the
 // structured failure taxonomy the OnDrop upcall and the per-cause drop
 // counters carry. The constant order is the wire order of the sysNet
@@ -264,7 +251,6 @@ type Transport struct {
 	loop eventloop.Loop
 	ep   netif.Endpoint
 	cfg  Config
-	spec StackSpec
 
 	onReceive func(from string, t *tuple.Tuple)
 	onSent    func(to string, t *tuple.Tuple, wireBytes int, retransmit bool)
@@ -281,46 +267,30 @@ type Transport struct {
 	dfr *Deframe
 	ack *Ack
 
-	srcs   map[string]*recvState
-	accts  map[string]*destAcct
-	stats  Stats
-	closed bool
+	// Every remote address the transport holds state for (see peer.go),
+	// and the same records sorted by address: the order PerDest reports
+	// in and Close drops in.
+	peers map[string]*peer
+	order []*peer
+	// retired keeps the restart count of each reclaimed peer that has
+	// one: the one piece of per-peer state that is O(peers ever
+	// contacted) rather than O(working set).
+	retired map[string]uint16
 
-	// Peer registry for allocation-free accounting snapshots: every
-	// address currently present in a sender or receiver map, kept
-	// sorted. Additions are incremental; the flow janitor removes an
-	// address once its state is fully reclaimed, so PerDestInto walks
-	// the live working set without building a merge map per call.
-	peerSet   map[string]bool
-	peerOrder []string
-
-	// Per-peer flow metadata: the send-path idle stamp and the flow
-	// restart count (the low 16 bits of the wire epoch). Entries are
-	// tiny and survive eviction — the restart count must only ever
-	// grow — so this map is the one piece of per-peer state that is
-	// O(peers ever contacted) rather than O(working set).
-	flows    map[string]*flowSend
-	janArmed bool
-	janTimer *eventloop.Timer
+	stats    Stats
+	closed   bool
+	janTimer *eventloop.Timer // the pending flow sweep, if any
 }
 
-// flowSend is one peer's send-path flow metadata.
-type flowSend struct {
-	last float64 // loop time of the most recent Send toward the peer
-	bump uint16  // flow restarts; low half of the wire epoch
-}
-
-// New assembles the element chain cfg.Spec() names, bound to ep. Wire
-// ep's delivery callback to Deliver.
+// New assembles the element chain cfg names, bound to ep. Wire ep's
+// delivery callback to Deliver.
 func New(loop eventloop.Loop, ep netif.Endpoint, cfg Config) *Transport {
 	tr := &Transport{
-		loop:  loop,
-		ep:    ep,
-		cfg:   cfg,
-		spec:  cfg.Spec(),
-		srcs:  make(map[string]*recvState),
-		accts: make(map[string]*destAcct),
-		flows: make(map[string]*flowSend),
+		loop:    loop,
+		ep:      ep,
+		cfg:     cfg,
+		peers:   make(map[string]*peer),
+		retired: make(map[string]uint16),
 	}
 	tr.frm = &Frame{tr: tr}
 	tr.dfr = &Deframe{tr: tr}
@@ -329,18 +299,17 @@ func New(loop eventloop.Loop, ep netif.Endpoint, cfg Config) *Transport {
 	if mtu <= 0 {
 		mtu = netif.DefaultMTU
 	}
-	maxRecs := 1
-	if tr.spec.Batching {
-		maxRecs = maxBatchRecords
+	maxRecs := maxBatchRecords
+	if cfg.NoBatch {
+		maxRecs = 1
 	}
 	var sink batchSink = tr.frm
 	capacity := 0 // the unreliable chain drains every turn; no bound needed
-	if tr.spec.Reliable {
-		tr.cc = newCCTx(tr)
-		tr.rty = newRetry(tr)
+	if !cfg.Unreliable {
+		tr.cc = &CCTx{tr: tr}
+		tr.rty = &Retry{tr: tr, next: tr.frm}
 		tr.ack = &Ack{tr: tr}
 		tr.cc.next = tr.rty
-		tr.rty.next = tr.frm
 		sink = tr.cc
 		capacity = cfg.QueueCap
 	}
@@ -348,9 +317,6 @@ func New(loop eventloop.Loop, ep netif.Endpoint, cfg Config) *Transport {
 	tr.ser = &Serialize{tr: tr, next: tr.bat}
 	return tr
 }
-
-// Spec returns the element chain this transport composes.
-func (tr *Transport) Spec() StackSpec { return tr.spec }
 
 // OnReceive sets the upcall for tuples arriving from the network.
 func (tr *Transport) OnReceive(fn func(from string, t *tuple.Tuple)) { tr.onReceive = fn }
@@ -378,148 +344,27 @@ func (tr *Transport) Stats() Stats { return tr.stats }
 // it.
 func (tr *Transport) Config() Config { return tr.cfg }
 
-// Send queues t for delivery to the given address through the send chain.
+// Send queues t for delivery to the given address through the send
+// chain. It stamps the peer's send-path activity clock; a flow resuming
+// after sitting idle past the TTL is reclaimed first — right here, not
+// just by the janitor — so a resumed flow always starts under a fresh
+// epoch instead of continuing a sequence space the peer may have
+// forgotten.
 func (tr *Transport) Send(to string, t *tuple.Tuple) {
 	if tr.closed {
 		return
 	}
-	tr.touchFlow(to)
-	tr.ser.push(to, t)
-}
-
-// touchFlow stamps the send-path activity clock for one peer. A flow
-// resuming after sitting idle past the TTL is evicted first — right
-// here, not just by the janitor — so a resumed flow always starts
-// under a fresh epoch instead of continuing a sequence space the peer
-// may have forgotten.
-func (tr *Transport) touchFlow(dst string) {
-	ttl := tr.cfg.flowTTL()
-	if ttl <= 0 {
-		return
-	}
-	now := tr.loop.Now()
-	fs, ok := tr.flows[dst]
-	if !ok {
-		fs = &flowSend{}
-		tr.flows[dst] = fs
-	} else if now-fs.last >= ttl {
-		tr.evictFlow(dst, fs)
-	}
-	fs.last = now
-	tr.armJanitor()
-}
-
-// evictFlow reclaims one peer's sender-side state: backlog queue,
-// congestion window, RTT estimate, retransmission ledger, and wire
-// accounting. It refuses while anything toward the peer is still live
-// (queued records, a scheduled flush, batches in flight, a stalled
-// window poke) — sequence continuity must hold while frames can still
-// reach the peer; the janitor simply retries next sweep. If sequence
-// space was consumed, the flow's restart count bumps so the next frame
-// carries a higher epoch and the peer rebinds.
-func (tr *Transport) evictFlow(dst string, fs *flowSend) {
-	if q, ok := tr.bat.qs[dst]; ok && (len(q.recs) > 0 || q.armed) {
-		return
-	}
-	if tr.rty != nil {
-		if d, ok := tr.rty.dests[dst]; ok && (len(d.pend) > 0 || d.timer != nil) {
-			return
+	p := tr.peer(to)
+	if ttl := tr.cfg.flowTTL(); ttl > 0 {
+		now := tr.loop.Now()
+		if p.sending && now-p.sentAt >= ttl {
+			tr.reclaimSend(p)
 		}
-	}
-	needBump := false
-	if tr.cc != nil {
-		if st, ok := tr.cc.dests[dst]; ok {
-			if st.inflight > 0 || st.stalled != nil {
-				return
-			}
-			needBump = st.nextSeq > 0
-		}
-	}
-	if needBump {
-		if fs.bump == 0xffff {
-			return // flow-epoch space exhausted: keep the state instead
-		}
-		fs.bump++
-	}
-	delete(tr.bat.qs, dst)
-	if tr.rty != nil {
-		delete(tr.rty.dests, dst)
-	}
-	if tr.cc != nil {
-		delete(tr.cc.dests, dst)
-	}
-	delete(tr.accts, dst)
-	tr.unregisterPeer(dst)
-}
-
-// armJanitor schedules the flow sweep if one is not already pending.
-func (tr *Transport) armJanitor() {
-	if tr.janArmed || tr.closed {
-		return
-	}
-	ttl := tr.cfg.flowTTL()
-	if ttl <= 0 {
-		return
-	}
-	tr.janArmed = true
-	tr.janTimer = tr.loop.After(ttl/2, tr.sweepFlows)
-}
-
-// sweepFlows is the flow janitor: it evicts sender-side state idle past
-// the TTL and receiver-side state idle past twice the TTL. The doubled
-// receive lifetime is the ordering argument that makes eviction safe
-// with no handshake: by the time this node forgets a peer's inbound
-// stream, a sender resuming toward it has always sat idle past its own
-// (shorter) TTL and therefore opens a fresh epoch, which rebinds the
-// newly created receive state instead of resuming into it.
-func (tr *Transport) sweepFlows() {
-	tr.janArmed = false
-	tr.janTimer = nil
-	if tr.closed {
-		return
-	}
-	ttl := tr.cfg.flowTTL()
-	now := tr.loop.Now()
-	for _, dst := range sortedKeys(tr.flows) {
-		fs := tr.flows[dst]
-		if now-fs.last >= ttl {
-			tr.evictFlow(dst, fs)
-		}
-	}
-	// Receive state must additionally outlive the longest possible
-	// retransmission episode: a delivered-but-unacked batch can arrive
-	// again as late as the full backoff span (MaxRTO-capped, so
-	// MaxRTO*(MaxRetries+1) plus flight slack) after its first
-	// transmission, and forgetting the dedup memory before then would
-	// deliver it twice.
-	recvTTL := 2 * ttl
-	if span := tr.cfg.MaxRTO * float64(tr.cfg.MaxRetries+2); span > recvTTL {
-		recvTTL = span
-	}
-	for _, from := range sortedKeys(tr.srcs) {
-		rs := tr.srcs[from]
-		if now-rs.lastAt >= recvTTL && !rs.ackPending && !rs.ackArmed {
-			delete(tr.srcs, from)
-			tr.unregisterPeer(from)
-		}
-	}
-	// Keep sweeping while any reclaimable state remains.
-	if len(tr.accts) > 0 || len(tr.srcs) > 0 || len(tr.bat.qs) > 0 ||
-		(tr.cc != nil && len(tr.cc.dests) > 0) {
+		p.sentAt = now
 		tr.armJanitor()
 	}
-}
-
-// wireEpoch is the epoch stamped on data frames toward dst: the node's
-// session incarnation (Config.Epoch) in the high 16 bits, the flow's
-// restart count in the low 16. Both components only grow, so peers
-// need one comparison to order incarnations and flow restarts alike.
-func (tr *Transport) wireEpoch(dst string) uint32 {
-	e := tr.cfg.Epoch << 16
-	if fs, ok := tr.flows[dst]; ok {
-		e |= uint32(fs.bump)
-	}
-	return e
+	p.sending = true
+	tr.ser.push(p, t)
 }
 
 // Deliver is the network's inbound entry point; wire it as the
@@ -528,9 +373,9 @@ func (tr *Transport) Deliver(from string, frame []byte) {
 	tr.dfr.deliver(from, frame)
 }
 
-// Close tears the stack down: every tuple still in the backlog or in
-// flight is reported through OnDrop (it will never be delivered), all
-// timers stop, and receiver state is discarded — a closed transport
+// Close tears the stack down: every tuple still in flight or in the
+// backlog is reported through OnDrop (it will never be delivered), all
+// timers stop, and every peer record is dropped — a closed transport
 // holds no state for any peer.
 func (tr *Transport) Close() {
 	if tr.closed {
@@ -538,41 +383,38 @@ func (tr *Transport) Close() {
 	}
 	tr.closed = true
 	if tr.rty != nil {
-		tr.rty.close()
-	}
-	tr.bat.close()
-	for _, rs := range tr.srcs {
-		if rs.ackTimer != nil {
-			rs.ackTimer.Cancel()
+		for _, p := range tr.order {
+			tr.rty.close(p)
 		}
 	}
-	tr.srcs = make(map[string]*recvState)
-	if tr.cc != nil {
-		tr.cc.dests = make(map[string]*ccState)
+	for _, p := range tr.order {
+		tr.bat.close(p)
+		if p.rcv.ackTimer != nil {
+			p.rcv.ackTimer.Cancel()
+		}
 	}
+	tr.peers, tr.order = nil, nil
 	if tr.janTimer != nil {
 		tr.janTimer.Cancel()
 		tr.janTimer = nil
 	}
-	tr.janArmed = false
 }
 
 // dropUp is the failure classifier's choke point: every abandoned tuple
 // passes through here exactly once with its cause, feeding the global
 // and per-destination cause vectors before the application upcall.
-func (tr *Transport) dropUp(dst string, t *tuple.Tuple, cause DropCause) {
+func (tr *Transport) dropUp(p *peer, t *tuple.Tuple, cause DropCause) {
 	tr.stats.Dropped[cause]++
-	tr.acct(dst).drops[cause]++
+	p.acct.drops[cause]++
 	if tr.onDrop != nil {
-		tr.onDrop(dst, t, cause)
+		tr.onDrop(p.addr, t, cause)
 	}
 }
 
 // deliverUp is the Deliver stage: it hands received tuples to the
 // application and keeps the per-source delivery counter.
-func (tr *Transport) deliverUp(from string, tuples []*tuple.Tuple) {
-	rs := tr.src(from)
-	rs.recvd += int64(len(tuples))
+func (tr *Transport) deliverUp(p *peer, tuples []*tuple.Tuple) {
+	p.rcv.recvd += int64(len(tuples))
 	if tr.onReceive == nil {
 		return
 	}
@@ -580,44 +422,8 @@ func (tr *Transport) deliverUp(from string, tuples []*tuple.Tuple) {
 		if tr.closed {
 			return
 		}
-		tr.onReceive(from, t)
+		tr.onReceive(p.addr, t)
 	}
-}
-
-// peerEpoch returns the session epoch this node has learned for dst's
-// inbound stream — stamped into outgoing acknowledgments so dst can
-// tell whether they describe its current incarnation. Zero until a data
-// frame from dst arrives; a zero-epoch ack always carries cum 0, which
-// clears nothing.
-func (tr *Transport) peerEpoch(dst string) uint32 {
-	if rs, ok := tr.srcs[dst]; ok && rs.epochSet {
-		return rs.epoch
-	}
-	return 0
-}
-
-// src returns (creating if needed) the receive state for one peer and
-// stamps its activity clock — every call sits on an inbound data path,
-// so the stamp is exactly "last data from this peer".
-func (tr *Transport) src(from string) *recvState {
-	rs, ok := tr.srcs[from]
-	if !ok {
-		rs = &recvState{high: make(map[uint64]bool)}
-		tr.srcs[from] = rs
-		tr.armJanitor()
-	}
-	rs.lastAt = tr.loop.Now()
-	return rs
-}
-
-// acct returns (creating if needed) the wire accounting for one peer.
-func (tr *Transport) acct(dst string) *destAcct {
-	a, ok := tr.accts[dst]
-	if !ok {
-		a = &destAcct{}
-		tr.accts[dst] = a
-	}
-	return a
 }
 
 // DestStats is per-peer wire accounting plus live control state, merged
@@ -638,142 +444,77 @@ type DestStats struct {
 }
 
 // PerDest returns per-peer accounting for every address this transport
-// has sent to or received from, sorted by address.
+// holds state for, sorted by address.
 func (tr *Transport) PerDest() []DestStats {
 	return tr.PerDestInto(nil)
 }
 
 // PerDestInto is PerDest writing into a caller-owned buffer — the
 // introspection refresh runs it once a second per node, so the steady
-// state must not allocate. The peer registry is reconciled
-// incrementally (additions here, removals by the flow janitor); the
-// sorted walk then reads each accounting map directly.
+// state must not allocate.
 func (tr *Transport) PerDestInto(out []DestStats) []DestStats {
-	if tr.peerSet == nil {
-		tr.peerSet = make(map[string]bool)
-	}
-	for addr := range tr.accts {
-		tr.registerPeer(addr)
-	}
-	if tr.cc != nil {
-		for addr := range tr.cc.dests {
-			tr.registerPeer(addr)
-		}
-	}
-	for addr := range tr.bat.qs {
-		tr.registerPeer(addr)
-	}
-	for addr := range tr.srcs {
-		tr.registerPeer(addr)
-	}
 	out = out[:0]
-	for _, addr := range tr.peerOrder {
-		st := DestStats{Addr: addr, Cwnd: tr.cfg.WindowInit, RTO: tr.cfg.InitialRTO}
-		if a, ok := tr.accts[addr]; ok {
-			st.Sent, st.Bytes, st.Retries, st.Frames = a.sent, a.sentBytes, a.retries, a.frames
-			st.Drops = a.drops
-			if a.frames > 0 {
-				st.BatchFill = float64(a.sent) / float64(a.frames)
-			}
+	for _, p := range tr.order {
+		a := &p.acct
+		st := DestStats{
+			Addr: p.addr, Sent: a.sent, Recvd: p.rcv.recvd, Bytes: a.sentBytes,
+			Retries: a.retries, Frames: a.frames, Cwnd: p.cc.cwnd, RTO: p.cc.rto,
+			Backlog: len(p.q.recs), Drops: a.drops,
 		}
-		if tr.cc != nil {
-			if cs, ok := tr.cc.dests[addr]; ok {
-				st.Cwnd, st.RTO = cs.cwnd, cs.rto
-			}
-		}
-		if q, ok := tr.bat.qs[addr]; ok {
-			st.Backlog = len(q.recs)
-		}
-		if rs, ok := tr.srcs[addr]; ok {
-			st.Recvd = rs.recvd
+		if a.frames > 0 {
+			st.BatchFill = float64(a.sent) / float64(a.frames)
 		}
 		out = append(out, st)
 	}
 	return out
 }
 
-// registerPeer adds addr to the sorted peer registry on first sight.
-func (tr *Transport) registerPeer(addr string) {
-	if tr.peerSet[addr] {
-		return
-	}
-	tr.peerSet[addr] = true
-	i := sort.SearchStrings(tr.peerOrder, addr)
-	tr.peerOrder = slices.Insert(tr.peerOrder, i, addr)
-}
-
-// unregisterPeer removes addr from the peer registry once no state map
-// knows it — the flow is fully reclaimed, the accounting snapshot stops
-// reporting it, and its sysNet row ages out of the soft-state table.
-func (tr *Transport) unregisterPeer(addr string) {
-	if _, ok := tr.accts[addr]; ok {
-		return
-	}
-	if tr.cc != nil {
-		if _, ok := tr.cc.dests[addr]; ok {
-			return
-		}
-	}
-	if _, ok := tr.bat.qs[addr]; ok {
-		return
-	}
-	if _, ok := tr.srcs[addr]; ok {
-		return
-	}
-	if !tr.peerSet[addr] {
-		return
-	}
-	delete(tr.peerSet, addr)
-	if i := sort.SearchStrings(tr.peerOrder, addr); i < len(tr.peerOrder) && tr.peerOrder[i] == addr {
-		tr.peerOrder = slices.Delete(tr.peerOrder, i, i+1)
-	}
-}
-
 // Window reports the current congestion window toward to — exposed for
 // tests and the olgc inspector.
 func (tr *Transport) Window(to string) float64 {
-	if tr.cc != nil {
-		if st, ok := tr.cc.dests[to]; ok {
-			return st.cwnd
-		}
+	if p := tr.peers[to]; p != nil {
+		return p.cc.cwnd
 	}
 	return tr.cfg.WindowInit
 }
 
 // RTO reports the current retransmission timeout toward to.
 func (tr *Transport) RTO(to string) float64 {
-	if tr.cc != nil {
-		if st, ok := tr.cc.dests[to]; ok {
-			return st.rto
-		}
+	if p := tr.peers[to]; p != nil {
+		return p.cc.rto
 	}
 	return tr.cfg.InitialRTO
 }
 
 // InFlight reports unacknowledged tuples toward to.
 func (tr *Transport) InFlight(to string) int {
-	if tr.rty == nil {
-		return 0
-	}
 	n := 0
-	for _, wb := range tr.rty.pending(to) {
-		n += len(wb.recs)
+	if p := tr.peers[to]; p != nil {
+		for _, wb := range p.rty.pend {
+			n += len(wb.recs)
+		}
 	}
 	return n
 }
 
 // Backlog reports tuples queued toward to behind the congestion window.
 func (tr *Transport) Backlog(to string) int {
-	if q, ok := tr.bat.qs[to]; ok {
-		return len(q.recs)
+	if p := tr.peers[to]; p != nil {
+		return len(p.q.recs)
 	}
 	return 0
 }
 
-// String summarizes transport state for diagnostics.
+// String summarizes transport state for diagnostics: the composed
+// chains, send then receive, and the headline counters.
 func (tr *Transport) String() string {
-	return fmt.Sprintf("transport{%s dests=%d sent=%d frames=%d rexmit=%d drops=%d}",
-		tr.spec, len(tr.accts), tr.stats.TuplesSent, tr.stats.Frames,
+	send, recv := "Serialize→Batch", "Deframe"
+	if !tr.cfg.Unreliable {
+		send += "→CCTx→Retry"
+		recv += "→Ack→Dedup"
+	}
+	return fmt.Sprintf("transport{%s→Frame / %s→Deliver peers=%d sent=%d frames=%d rexmit=%d drops=%d}",
+		send, recv, len(tr.peers), tr.stats.TuplesSent, tr.stats.Frames,
 		tr.stats.Retransmits, tr.stats.Drops)
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -413,8 +414,8 @@ func TestCorruptFrameIgnored(t *testing.T) {
 		"huge string length":    raw(uv(0), uv(0), uv(1), 1, 't', 1, byte(val.KStr), 0xff, 0xff, 0xff, 0xff, 0x0f),
 	} {
 		r.b.Deliver("a", frame)
-		if len(r.got) != 1 || r.b.srcs["a"].cum != 1 {
-			t.Fatalf("%s: corrupt frame was not dropped whole: got %v, cum %d", name, r.got, r.b.srcs["a"].cum)
+		if cum := r.b.peers["a"].rcv.cum; len(r.got) != 1 || cum != 1 {
+			t.Fatalf("%s: corrupt frame was not dropped whole: got %v, cum %d", name, r.got, cum)
 		}
 	}
 	// The frame the cases were cut from is itself well-formed.
@@ -438,6 +439,9 @@ func TestCloseStopsActivity(t *testing.T) {
 	}
 	if r.a.String() == "" {
 		t.Fatal("String() should describe state")
+	}
+	if pd := r.a.PerDest(); len(pd) != 0 {
+		t.Fatalf("closed transport still reports peers: %+v", pd)
 	}
 }
 
@@ -477,9 +481,10 @@ func TestCloseDropsBacklogAndInflight(t *testing.T) {
 		}
 		seen[v] = true
 	}
-	// Receiver state from b is gone: PerDest reports nothing.
-	if pd := r.a.PerDest(); len(pd) != 1 || pd[0].Addr != "b" || pd[0].Recvd != 0 {
-		t.Fatalf("closed transport still holds receiver state: %+v", pd)
+	// Every record is gone, receiver state from b included: PerDest
+	// reports nothing.
+	if pd := r.a.PerDest(); len(pd) != 0 {
+		t.Fatalf("closed transport still holds peer state: %+v", pd)
 	}
 	r.loop.Run(60) // pending retransmit timers must all be inert
 	if r.a.Stats().Drops != 0 {
@@ -503,7 +508,7 @@ func TestCorruptSkipIgnored(t *testing.T) {
 	frame := append([]byte{frameData, 0, 0, 0, 0, 0}, binary.AppendUvarint(nil, 501)...)
 	frame = append(append(append(frame, gap...), 1), tp(10).Marshal()...)
 	r.b.Deliver("a", frame)
-	if cum := r.b.srcs["a"].cum; cum != 1 {
+	if cum := r.b.peers["a"].rcv.cum; cum != 1 {
 		t.Fatalf("hostile skip dragged cum to %d", cum)
 	}
 	// Later in-order traffic still flows: cum was not wedged at 2^63.
@@ -546,27 +551,16 @@ func TestRecvStateCumulativeCompaction(t *testing.T) {
 	}
 }
 
-func TestStackSpecString(t *testing.T) {
-	full := DefaultConfig().Spec()
-	if !full.Reliable || !full.Batching {
-		t.Fatalf("default spec = %+v", full)
+// TestStringRendersChain: String names the chain the configuration
+// composed, and the unreliable configuration composes the short one.
+func TestStringRendersChain(t *testing.T) {
+	ucfg := DefaultConfig()
+	ucfg.Unreliable = true
+	full, short := newRig(t, 0, DefaultConfig()).a.String(), newRig(t, 0, ucfg).a.String()
+	if !strings.Contains(full, "Serialize→Batch→CCTx→Retry→Frame / Deframe→Ack→Dedup→Deliver") {
+		t.Fatalf("default chain renders as %q", full)
 	}
-	short := Config{Unreliable: true}.Spec()
-	if short.Reliable {
-		t.Fatal("unreliable config must select the short chain")
-	}
-	if full.String() == short.String() {
-		t.Fatal("chain renderings should differ")
-	}
-}
-
-func BenchmarkSendReceive(b *testing.B) {
-	r := newRig(b, 0, DefaultConfig())
-	msg := tp(1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.a.Send("b", msg)
-		r.loop.Run(r.loop.Now() + 1)
+	if !strings.Contains(short, "Serialize→Batch→Frame / Deframe→Deliver") {
+		t.Fatalf("unreliable config must select the short chain, renders as %q", short)
 	}
 }

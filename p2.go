@@ -153,11 +153,9 @@ type (
 	NodeOptions = engine.Options
 	// TransportConfig tunes the transport element chain: reliability,
 	// congestion control, tuple batching, and ack policy. Set it via
-	// NodeOptions.Transport; its Spec determines which elements the
-	// node composes.
+	// NodeOptions.Transport; its Unreliable and NoBatch fields determine
+	// which elements the node composes.
 	TransportConfig = transport.Config
-	// StackSpec names which transport elements a node's chain composes.
-	StackSpec = transport.StackSpec
 	// WatchEvent is delivered to Watch callbacks.
 	WatchEvent = engine.WatchEvent
 	// WatchFunc observes watch events (see Handle.Watch).

@@ -163,7 +163,7 @@ type KVStat struct {
 	Replicas int64 // configured replica factor (owner + successor list)
 	Quorum   int64 // write quorum a PUT waits for
 	Succs    int   // live distinct successors — the reachable replica fan-out
-	Repairs  int64 // cumulative repair-rule fires (read-repair, anti-entropy, churn pulls)
+	Repairs  int64 // cumulative repair-rule fires: one per replica read-repair pushed to, per anti-entropy round, per pull answered
 	Expiries int64 // cumulative kvStore lease expiries and evictions
 	Pending  int   // in-flight client ops parked in the pending tables
 }

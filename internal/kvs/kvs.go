@@ -8,9 +8,10 @@
 // tuple out to its successor list (an R-way replica set), and every
 // replica acks back to the requester; the client observes success when
 // a quorum of acks arrives. A GET routes to the owner the same way and
-// reads the owner's copy; serving a read also pushes the owner's row
-// back out to the replica set, so reads repair stale or missing
-// replicas as a side effect. Re-replication on churn is driven off the
+// reads the owner's copy; serving a read also pushes the owner's row to
+// each successor the owner has not already sent that version in the
+// last 15 s (read-repair), so a GET costs repair traffic only where a
+// replica may be behind. Re-replication on churn is driven off the
 // overlay itself: a bestSucc delta (Chord noticing a new successor)
 // triggers a pull request, and the anti-entropy cycle re-pushes every
 // owned key to the current successor list each tKvSync seconds.
@@ -56,9 +57,10 @@ const (
 )
 
 // RepairRules names the rules whose firings count as replica repair
-// work: read-repair pushes, anti-entropy pushes, and churn-triggered
-// pulls. The sysKV introspection column sums their fire counters.
-var RepairRules = map[string]bool{"KG6": true, "KS2": true, "KC2": true}
+// work, and what one firing is: a read-repair push to one replica
+// (KG8), one anti-entropy round (KS2), one answered pull request
+// (KC2). The sysKV Repairs column sums their fire counters.
+var RepairRules = map[string]bool{"KG8": true, "KS2": true, "KC2": true}
 
 // Source is the KV service in OverLog. It declares only kv* relations
 // and builds on the Chord spec's node/pred/succ/bestSucc/lookup/
@@ -76,6 +78,7 @@ materialize(kvPutPending, 30, infinity, keys(2)).
 materialize(kvGetPending, 30, infinity, keys(2)).
 materialize(kvAcked, 30, infinity, keys(2,3)).
 materialize(kvParam, infinity, 1, keys(1)).
+materialize(kvPushed, 15, infinity, keys(2,3)).
 
 define(kvReplicas, 5).
 define(kvQuorum, 2).
@@ -117,8 +120,7 @@ KA2 kvAckCount@AI(AI, E, count<*>) :- kvAcked@AI(AI, E, SI).
 KA3 kvPutResp@Req(Req, E, K, Ver) :- kvAckCount@AI(AI, E, C),
     kvPutPending@AI(AI, E, K, V, Ver, Req), C == kvQuorum.
 
-/* GET: route to the owner, read its copy ("-"/0 marks a miss), and
-   repair the replica set with the authoritative row on the way out. */
+/* GET: route to the owner and read its copy ("-"/0 marks a miss). */
 KG1 kvGetPending@AI(AI, E, K, Req) :- kvGet@AI(AI, K, Req, E).
 KG2 lookup@AI(AI, K, AI, E) :- kvGet@AI(AI, K, Req, E).
 KG3 kvRead@SI(SI, K, AI, E) :- lookupResults@AI(AI, K, S, SI, E),
@@ -127,10 +129,22 @@ KG4 kvReadResult@AI(AI, E, K, V, Ver) :- kvRead@NI(NI, K, AI, E),
     kvStore@NI(NI, K, V, Ver).
 KG5 kvReadResult@AI(AI, E, K, V, Ver) :- kvRead@NI(NI, K, AI, E),
     not kvStore@NI(NI, K, V0, Ver0), V := "-", Ver := 0.
-KG6 kvRepl@SI(SI, K, V, Ver, "-", E) :- kvRead@NI(NI, K, AI, E),
-    kvStore@NI(NI, K, V, Ver), succ@NI(NI, S, SI), SI != NI.
 KG7 kvGetResp@Req(Req, E, K, V, Ver) :- kvReadResult@AI(AI, E, K, V, Ver),
     kvGetPending@AI(AI, E, K2, Req).
+
+/* Read-repair: serving a read pushes the owner's row to each successor
+   the owner has not already sent this version, and kvPushed remembers
+   the push for 15 s (the default tKvSync). The record is enough: a push
+   rides the reliable session, retransmitted until acked or given up
+   only for a peer the failure detector then drops from succ. A replica
+   restarted at the same address, or a push abandoned across a
+   partition, is refilled by anti-entropy (KS2) within tKvSync, or by
+   the first GET after the record expires. */
+KG6 kvRepair@NI(NI, SI, K, V, Ver, E) :- kvRead@NI(NI, K, AI, E),
+    kvStore@NI(NI, K, V, Ver), succ@NI(NI, S, SI), SI != NI,
+    not kvPushed@NI(NI, K, SI, Ver).
+KG8 kvRepl@SI(SI, K, V, Ver, "-", E) :- kvRepair@NI(NI, SI, K, V, Ver, E).
+KG9 kvPushed@NI(NI, K, SI, Ver) :- kvRepair@NI(NI, SI, K, V, Ver, E).
 
 /* Anti-entropy and leases: every tKvSync the owner re-pushes each key
    in its range (pred, node] to the current successor list and renews

@@ -98,7 +98,7 @@ type KVClient struct {
 
 	mu      sync.Mutex
 	seq     int64
-	pending map[string]*KVOp // eid -> op
+	pending map[string]*KVOp // eid -> op still awaiting its answer
 	acked   map[string]int64 // key -> highest quorum-acked version
 	bound   map[*Handle]bool // handles with response watchers installed
 }
@@ -142,7 +142,8 @@ func (c *KVClient) Put(h *Handle, key, value string) (*KVOp, error) {
 }
 
 // Get reads key through node h: the request routes to the key's owner
-// and returns its copy (repairing the replica set as a side effect).
+// and returns its copy; the owner also pushes its row to any replica
+// it has not already sent that version (read-repair).
 // A miss reports Found=false; Stale reports whether the result
 // predates the last quorum-acked Put of the key.
 func (c *KVClient) Get(h *Handle, key string) (*KVOp, error) {
@@ -206,21 +207,24 @@ func (c *KVClient) bind(h *Handle) error {
 	return h.Watch(kvs.GetRespEvent, c.onGetResp)
 }
 
-// respOf filters one response delivery down to the pending op it
-// answers: the tuple must arrive at its requester (field 0), carry a
-// known eid (field 1), and be the first answer — quorum re-crossings
-// and duplicate deliveries are dropped here. Caller holds c.mu.
-func (c *KVClient) respOf(ev WatchEvent) *KVOp {
+// respOf filters one response delivery down to the pending op of the
+// given kind it answers, and forgets that op: the tuple must arrive at
+// its requester (field 0) and carry a pending eid (field 1). Only the
+// first answer finds the op, so quorum re-crossings and duplicate
+// deliveries are dropped here. Caller holds c.mu.
+func (c *KVClient) respOf(ev WatchEvent, kind string) *KVOp {
 	if ev.Dir != DirReceived && ev.Dir != DirDerived {
 		return nil
 	}
 	if ev.Node != ev.Tuple.Field(0).AsStr() {
 		return nil
 	}
-	op := c.pending[ev.Tuple.Field(1).AsStr()]
-	if op == nil || op.Done {
+	eid := ev.Tuple.Field(1).AsStr()
+	op := c.pending[eid]
+	if op == nil || op.Kind != kind {
 		return nil
 	}
+	delete(c.pending, eid)
 	return op
 }
 
@@ -228,8 +232,8 @@ func (c *KVClient) respOf(ev WatchEvent) *KVOp {
 func (c *KVClient) onPutResp(ev WatchEvent) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	op := c.respOf(ev)
-	if op == nil || op.Kind != "put" {
+	op := c.respOf(ev, "put")
+	if op == nil {
 		return
 	}
 	op.Done, op.Completed = true, ev.Time
@@ -244,8 +248,8 @@ func (c *KVClient) onPutResp(ev WatchEvent) {
 func (c *KVClient) onGetResp(ev WatchEvent) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	op := c.respOf(ev)
-	if op == nil || op.Kind != "get" {
+	op := c.respOf(ev, "get")
+	if op == nil {
 		return
 	}
 	op.Done, op.Completed = true, ev.Time

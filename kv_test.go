@@ -2,8 +2,10 @@ package p2_test
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"p2"
@@ -13,7 +15,13 @@ import (
 // kvRing boots an n-node simulated Chord+KV ring and settles it.
 func kvRing(t *testing.T, n, shards int, seed int64) (*p2.Deployment, []*p2.Handle) {
 	t.Helper()
-	plan, err := p2.CompileMulti(nil, p2.ChordSource, p2.KVSource)
+	return kvRingDefines(t, n, shards, seed, nil)
+}
+
+// kvRingDefines is kvRing with the specs compiled under defines.
+func kvRingDefines(t *testing.T, n, shards int, seed int64, defines map[string]p2.Value) (*p2.Deployment, []*p2.Handle) {
+	t.Helper()
+	plan, err := p2.CompileMulti(defines, p2.ChordSource, p2.KVSource)
 	if err != nil {
 		t.Fatalf("compile chord+kv: %v", err)
 	}
@@ -220,5 +228,122 @@ func TestKVBitIdenticalAcrossShards(t *testing.T) {
 	a, b := session(1), session(4)
 	if a != b {
 		t.Fatalf("KV session differs across shard counts:\nshards=1:\n%s\nshards=4:\n%s", a, b)
+	}
+}
+
+// TestKVReadRepairPushesOnlyWhatIsNew pins the read-repair gate. The
+// KV rules are compiled with anti-entropy pushed out of the run, so
+// only a GET can refill a replica. A replica made to miss a PUT gets
+// the version from the next GET; a second GET within the owner's 15 s
+// push record sends no kvRepl at all; a GET after the record expires
+// pushes once per replica again. The session is bit-identical at 1
+// and 4 shards.
+func TestKVReadRepairPushesOnlyWhatIsNew(t *testing.T) {
+	const key = "rr"
+	session := func(shards int) string {
+		d, nodes := kvRingDefines(t, 10, shards, 41, map[string]p2.Value{"tKvSync": p2.Int(1e7)})
+		var sb strings.Builder
+		put, err := nodes[2].Put(key, "v1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.Run(5)
+		if !put.Done {
+			t.Fatal("put never reached quorum")
+		}
+
+		owner := d.Node(chordref.Owner(p2.Hash(key), d.Addrs()))
+		var replicas []string
+		for _, row := range owner.ScanSorted("succ") {
+			if si := row.Field(2).AsStr(); si != owner.Addr() && !slices.Contains(replicas, si) {
+				replicas = append(replicas, si)
+			}
+		}
+		if len(replicas) < 2 {
+			t.Fatalf("owner %s has %d replicas", owner.Addr(), len(replicas))
+		}
+		var mu sync.Mutex
+		pushes := map[string]int{}
+		owner.Watch("kvRepl", func(ev p2.WatchEvent) {
+			if ev.Dir == p2.DirSent {
+				mu.Lock()
+				pushes[ev.Peer]++
+				mu.Unlock()
+			}
+		})
+		fires := func(h *p2.Handle, rule string) int64 {
+			for _, rs := range h.RuleStats() {
+				if rs.ID == rule {
+					return rs.Fires
+				}
+			}
+			return 0
+		}
+		check := func(phase string, want int) {
+			t.Helper()
+			mu.Lock()
+			defer mu.Unlock()
+			for _, si := range replicas {
+				if pushes[si] != want {
+					t.Fatalf("%s: owner pushed %d times to %s, want %d (all: %v)", phase, pushes[si], si, want, pushes)
+				}
+			}
+			if len(pushes) != len(replicas) && want > 0 {
+				t.Fatalf("%s: owner pushed to %v, replicas are %v", phase, pushes, replicas)
+			}
+			if got := fires(owner, "KG8"); got != int64(want*len(replicas)) {
+				t.Fatalf("%s: KG8 fired %d times, want %d", phase, got, want*len(replicas))
+			}
+			fmt.Fprintf(&sb, "%s t=%.6f pushes=%v\n", phase, d.Now(), pushes)
+		}
+		get := func(phase string) {
+			t.Helper()
+			op, err := nodes[7].Get(key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d.Run(5)
+			if !op.Done || op.Value != "v1" || op.Ver != put.Ver || op.Stale {
+				t.Fatalf("%s: done=%v value=%q ver=%d stale=%v", phase, op.Done, op.Value, op.Ver, op.Stale)
+			}
+			fmt.Fprintf(&sb, "%s completed=%.6f\n", phase, op.Completed)
+		}
+
+		// The victim loses its copy, as if the PUT's push had not reached it.
+		victim := d.Node(replicas[len(replicas)-1])
+		victim.Do(func(n *p2.Node) {
+			tb := n.Table("kvStore")
+			for _, row := range tb.Scan() {
+				tb.Delete(row)
+			}
+		})
+		if victim.TableLen("kvStore") != 0 {
+			t.Fatal("victim still holds the key")
+		}
+		check("after put", 0)
+
+		get("first get")
+		check("first get", 1)
+		if rows := victim.Scan("kvStore"); len(rows) != 1 || rows[0].Field(2).AsStr() != "v1" {
+			t.Fatalf("read-repair did not refill %s: %v", victim.Addr(), rows)
+		}
+
+		get("second get")
+		check("second get", 1)
+
+		d.Run(15) // the owner's 15 s push records expire
+		get("third get")
+		check("third get", 2)
+
+		for _, h := range nodes {
+			if f := fires(h, "KS2"); f != 0 {
+				t.Fatalf("anti-entropy ran on %s (%d rounds): the test cannot tell who repaired", h.Addr(), f)
+			}
+		}
+		return sb.String()
+	}
+	a, b := session(1), session(4)
+	if a != b {
+		t.Fatalf("read-repair session differs across shard counts:\nshards=1:\n%s\nshards=4:\n%s", a, b)
 	}
 }

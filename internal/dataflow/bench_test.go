@@ -13,10 +13,14 @@ import (
 	"p2/internal/val"
 )
 
-// Join.Push is the hottest element in OverLog execution. The pinned
-// budget is two allocations per *emitted* match — the concatenated
-// field slice and the tuple header — with the probe itself (key render,
-// index consult, filter evaluation) allocation-free.
+// A strand allocates only its head. Join, MultiAssign, Range, the
+// folds' flushes and the accumulators build their outputs in a Scratch
+// and release them when the downstream Push returns, so the pins below
+// hold every one of them at zero allocations and a whole strand at the
+// two Project's head costs — its field slice and tuple header.
+// BenchmarkFoldJoinFingerScan pins what a lookup hop's finger fold
+// evaluates and visits: about 8 of 160 rows evaluated, and none visited
+// once its row cache is warm.
 
 type dfClock struct{ now float64 }
 
@@ -28,23 +32,88 @@ func joinFixture(rows, fanout int) (*Join, *table.Table) {
 		tb.Insert(tuple.New("t",
 			val.Str(fmt.Sprintf("addr%d", i%(rows/fanout))), val.Int(int64(i)), val.Int(int64(i*3))))
 	}
-	j := NewJoin(tb, []int{0}, []int{0}, "w")
+	j := NewJoin(tb, []int{0}, []int{0}, "w", new(Scratch))
 	j.Connect(discard())
 	return j, tb
 }
 
-// TestJoinPushAllocBudget pins the equijoin at two allocations per
-// emitted match and zero for the probe itself.
+// TestJoinPushAllocBudget pins the equijoin at zero allocations per
+// event, emitted matches included: each is a working tuple in scratch.
 func TestJoinPushAllocBudget(t *testing.T) {
-	const fanout = 8
-	j, _ := joinFixture(64, fanout)
+	j, _ := joinFixture(64, 8)
 	event := tuple.New("e", val.Str("addr3"), val.Str("payload"))
 	allocs := testing.AllocsPerRun(200, func() {
 		j.Push(event)
 	})
-	if allocs > 2*fanout {
-		t.Fatalf("Join.Push allocated %.1f per event (%d matches), want <= %d",
-			allocs, fanout, 2*fanout)
+	if allocs != 0 {
+		t.Fatalf("Join.Push allocated %.1f per event (8 matches), want 0", allocs)
+	}
+}
+
+// TestStrandAllocatesOnlyTheHead pins a Join → Join → Project strand at
+// the head's two allocations per head derived: the intermediate joined
+// tuples live in the shared scratch.
+func TestStrandAllocatesOnlyTheHead(t *testing.T) {
+	sc := new(Scratch)
+	tb := table.New("t", table.Infinity, 0, []int{0, 1}, &dfClock{})
+	for i := 0; i < 4; i++ {
+		tb.Insert(tuple.New("t", val.Str("a"), val.Int(int64(i))))
+	}
+	// e(a) ++ t(a, i) ++ t(a, j): 16 heads h(i, j) per event.
+	j1 := NewJoin(tb, []int{0}, []int{0}, "w", sc)
+	j2 := NewJoin(tb, []int{0}, []int{0}, "w", sc)
+	head := NewProject("h", []*pel.Program{fieldProg(2), fieldProg(4)}, &pel.Env{})
+	heads := 0
+	j1.Connect(j2)
+	j2.Connect(head)
+	head.Connect(NewSink(func(*tuple.Tuple) { heads++ }))
+	event := tuple.New("e", val.Str("a"))
+	allocs := testing.AllocsPerRun(100, func() {
+		heads = 0
+		j1.Push(event)
+	})
+	if heads != 16 || allocs != 2*16 {
+		t.Fatalf("Join → Join → Project allocated %.1f per event for %d heads, want 2 per head", allocs, heads)
+	}
+}
+
+// TestMultiAssignPushZeroAlloc pins the fused assignment run at zero
+// allocations: its extended tuple is a working tuple.
+func TestMultiAssignPushZeroAlloc(t *testing.T) {
+	ma := NewMultiAssign([]*pel.Program{
+		pel.NewBuilder().Field(1).Const(val.Int(10)).Op(pel.OpAdd).Build(),
+		pel.NewBuilder().Field(2).Const(val.Int(2)).Op(pel.OpMul).Build(),
+	}, &pel.Env{}, new(Scratch))
+	ma.Connect(discard())
+	in := tuple.New("e", val.Str("n"), val.Int(5))
+	if allocs := testing.AllocsPerRun(200, func() { ma.Push(in) }); allocs != 0 {
+		t.Fatalf("MultiAssign.Push allocated %.1f/op, want 0", allocs)
+	}
+}
+
+// TestFoldJoinFlushAllocatesOnlyTheHead pins a fold's Push and Flush
+// into Project at the head's two allocations: the event ++ aggregate
+// tuple Flush emits is a working tuple. (The programs are integer
+// arithmetic: ID arithmetic allocates its results in package val.)
+func TestFoldJoinFlushAllocatesOnlyTheHead(t *testing.T) {
+	tb := table.New("dist", table.Infinity, 0, []int{0, 1}, &dfClock{})
+	for d := int64(0); d < 16; d++ {
+		tb.Insert(tuple.New("dist", val.Str("n1"), val.Int(d%5), val.Int(d)))
+	}
+	// evt(X, V) ++ dist(X, D, U): min over V - D where D < V.
+	in := pel.NewBuilder().Field(3).Field(1).Op(pel.OpLt).Build()
+	gap := pel.NewBuilder().Field(1).Field(3).Op(pel.OpSub).Build()
+	f := NewFoldJoin(tb, []int{0}, []int{0}, AggMin, gap, []*pel.Program{in}, []int{1}, &pel.Env{}, new(Scratch))
+	head := NewProject("h", []*pel.Program{fieldProg(0), fieldProg(2)}, &pel.Env{})
+	f.Connect(head)
+	head.Connect(discard())
+	ev := tuple.New("evt", val.Str("n1"), val.Int(3))
+	allocs := testing.AllocsPerRun(200, func() {
+		f.Push(ev)
+		f.Flush(ev)
+	})
+	if allocs != 2 {
+		t.Fatalf("FoldJoin Push+Flush into Project allocated %.1f per event, want 2 (the head)", allocs)
 	}
 }
 
@@ -94,15 +163,16 @@ func TestJoinFusionMatchesUnfusedChain(t *testing.T) {
 				val.Str(fmt.Sprintf("addr%d", i%8)), val.Int(int64(i)), val.Int(int64(i*3))))
 		}
 		var got []*tuple.Tuple
-		sink := NewSink(func(tp *tuple.Tuple) { got = append(got, tp) })
-		j := NewJoin(tb, []int{0}, []int{0}, "w")
+		sink := collect(&got)
+		sc := new(Scratch)
+		j := NewJoin(tb, []int{0}, []int{0}, "w", sc)
 		if fused {
 			j.AddFilter(sel, env)
 			j.AddAssigns([]*pel.Program{asn}, env)
 			j.Connect(sink)
 		} else {
 			s := NewSelect(sel, env)
-			a := NewMultiAssign([]*pel.Program{asn}, env)
+			a := NewMultiAssign([]*pel.Program{asn}, env, sc)
 			j.Connect(s)
 			s.Connect(a)
 			a.Connect(sink)
@@ -131,18 +201,19 @@ func TestMultiAssignMatchesAssignChain(t *testing.T) {
 	p2 := pel.NewBuilder().Field(2).Const(val.Int(2)).Op(pel.OpMul).Build() // reads p1's result
 	in := tuple.New("e", val.Str("n"), val.Int(5))
 
-	var fused, chained *tuple.Tuple
-	ma := NewMultiAssign([]*pel.Program{p1, p2}, env)
-	ma.Connect(NewSink(func(tp *tuple.Tuple) { fused = tp }))
+	var fused, chained []*tuple.Tuple
+	sc := new(Scratch)
+	ma := NewMultiAssign([]*pel.Program{p1, p2}, env, sc)
+	ma.Connect(collect(&fused))
 	ma.Push(in)
 
-	a1 := NewMultiAssign([]*pel.Program{p1}, env)
-	a2 := NewMultiAssign([]*pel.Program{p2}, env)
+	a1 := NewMultiAssign([]*pel.Program{p1}, env, sc)
+	a2 := NewMultiAssign([]*pel.Program{p2}, env, sc)
 	a1.Connect(a2)
-	a2.Connect(NewSink(func(tp *tuple.Tuple) { chained = tp }))
+	a2.Connect(collect(&chained))
 	a1.Push(in)
 
-	if fused == nil || chained == nil || !fused.Equal(chained) {
+	if len(fused) != 1 || len(chained) != 1 || !fused[0].Equal(chained[0]) {
 		t.Fatalf("fused %v != chained %v", fused, chained)
 	}
 }
@@ -181,7 +252,7 @@ func BenchmarkMultiAssign(b *testing.B) {
 		pel.NewBuilder().Field(2).Const(val.Int(2)).Op(pel.OpMul).Build(),
 		pel.NewBuilder().Field(3).Const(val.Int(1)).Op(pel.OpSub).Build(),
 	}
-	ma := NewMultiAssign(progs, env)
+	ma := NewMultiAssign(progs, env, new(Scratch))
 	ma.Connect(discard())
 	in := tuple.New("e", val.Str("n"), val.Int(5))
 	b.ReportAllocs()
@@ -194,23 +265,28 @@ func BenchmarkMultiAssign(b *testing.B) {
 // fingerScan is rule L2's fold over a full Chord finger table:
 // evt(NI, K, N) ++ finger(NI, I, B, BI), filter B in (N, K), input
 // K - B - 1, reading match column B alone. target names finger i's
-// node.
-func fingerScan(target func(i int) int, distinct []int) (*FoldJoin, *table.Table, *tuple.Tuple) {
-	tb := table.New("finger", table.Infinity, 0, []int{1}, &dfClock{})
-	for i := 0; i < 160; i++ {
-		tb.Insert(fingerRow(i, target(i)))
+// node. Two nodes' tables share the relation; evs holds a lookup event
+// for each, and the fold is on n0's.
+func fingerScan(target func(i int) int, distinct []int) (*FoldJoin, *table.Table, [2]*tuple.Tuple) {
+	tb := table.New("finger", table.Infinity, 0, []int{0, 1}, &dfClock{})
+	var evs [2]*tuple.Tuple
+	for n := range evs {
+		node := fmt.Sprintf("n%d", n)
+		for i := 0; i < 160; i++ {
+			tb.Insert(fingerRow(node, i, target(i)))
+		}
+		evs[n] = tuple.New("evt", val.Str(node), val.MakeID(id.Hash("key")), val.MakeID(id.Hash(node)))
 	}
 	in := pel.NewBuilder().Field(5).Field(2).Field(1).In(false, false).Build()
 	dist := pel.NewBuilder().Field(1).Field(5).Op(pel.OpSub).Const(val.MakeID(id.One)).Op(pel.OpSub).Build()
-	f := NewFoldJoin(tb, []int{0}, []int{0}, AggMin, dist, []*pel.Program{in}, distinct, &pel.Env{})
+	f := NewFoldJoin(tb, []int{0}, []int{0}, AggMin, dist, []*pel.Program{in}, distinct, &pel.Env{}, new(Scratch))
 	f.Connect(discard())
-	ev := tuple.New("evt", val.Str("n0"), val.MakeID(id.Hash("key")), val.MakeID(id.Hash("n0")))
-	return f, tb, ev
+	return f, tb, evs
 }
 
-func fingerRow(i, target int) *tuple.Tuple {
+func fingerRow(node string, i, target int) *tuple.Tuple {
 	peer := fmt.Sprintf("peer%d", target)
-	return tuple.New("finger", val.Str("n0"), val.Int(int64(i)), val.MakeID(id.Hash(peer)), val.Str(peer))
+	return tuple.New("finger", val.Str(node), val.Int(int64(i)), val.MakeID(id.Hash(peer)), val.Str(peer))
 }
 
 // chordTarget gives a 128-node ring's finger table its shape: the low
@@ -223,20 +299,29 @@ func chordTarget(i int) int { return max(0, i-152) }
 // on the programs, so a filterless min over the same table counts them:
 // every row it evaluates bumps its match count.
 func evalsPerProbe(tb *table.Table, ev *tuple.Tuple, distinct []int) float64 {
-	f := NewFoldJoin(tb, []int{0}, []int{0}, AggMin, fieldProg(5), nil, distinct, &pel.Env{})
+	f := NewFoldJoin(tb, []int{0}, []int{0}, AggMin, fieldProg(5), nil, distinct, &pel.Env{}, new(Scratch))
 	f.Push(ev)
 	return float64(f.count)
 }
 
 // BenchmarkFoldJoinFingerScan measures one lookup hop's finger scan
-// (ns/op is per probe) and how many of the 160 rows it evaluates:
-// chord is the table eager finger population builds, churned the same
-// after 40 nodes were each replaced by a newcomer (every finger naming
-// the old node rewritten in finger order, so replacements swap-remove
-// and append in the bucket), all-distinct the case with nothing to pass
-// over, which must cost what evaluating every row costs.
+// (ns/op is per probe), how many of the 160 rows it evaluates, and how
+// many it visits once the fold's row cache is warm: chord is the table
+// eager finger population builds, churned the same after 40 nodes were
+// each replaced by a newcomer (every finger naming the old node
+// rewritten in finger order, so replacements swap-remove and append in
+// the bucket), all-distinct the case with nothing to pass over. There a
+// cold probe — the cache missing on every probe, as two nodes' lookups
+// alternate — must cost what evaluating every row costs.
 func BenchmarkFoldJoinFingerScan(b *testing.B) {
-	run := func(b *testing.B, f *FoldJoin, tb *table.Table, ev *tuple.Tuple) (evals float64) {
+	run := func(b *testing.B, f *FoldJoin, tb *table.Table, ev *tuple.Tuple) (evals, visits float64) {
+		var probes int64
+		f.CountProbes(&probes)
+		for range 2 { // the second miss at a key and version records the rows
+			f.Push(ev)
+			f.Flush(ev)
+		}
+		probes = 0
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -244,19 +329,26 @@ func BenchmarkFoldJoinFingerScan(b *testing.B) {
 			f.Flush(ev)
 		}
 		b.StopTimer()
+		f.CountProbes(nil)
 		evals = evalsPerProbe(tb, ev, f.distinct)
+		visits = float64(probes-int64(b.N)) / float64(b.N)
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/probe")
 		b.ReportMetric(evals, "evals/probe")
-		return evals
+		b.ReportMetric(visits, "visits/probe")
+		return evals, visits
 	}
 	b.Run("chord", func(b *testing.B) {
-		f, tb, ev := fingerScan(chordTarget, []int{2})
-		if e := run(b, f, tb, ev); e > 10 {
+		f, tb, evs := fingerScan(chordTarget, []int{2})
+		e, v := run(b, f, tb, evs[0])
+		if e > 10 {
 			b.Fatalf("%v evals/probe over 8 distinct targets in insertion order, want <= 10", e)
+		}
+		if v > 10 {
+			b.Fatalf("%v visits/probe on a warm row cache, want <= 10", v)
 		}
 	})
 	b.Run("churned", func(b *testing.B) {
-		f, tb, ev := fingerScan(chordTarget, []int{2})
+		f, tb, evs := fingerScan(chordTarget, []int{2})
 		rng := rand.New(rand.NewSource(1))
 		targets := make([]int, 160)
 		for i := range targets {
@@ -267,34 +359,40 @@ func BenchmarkFoldJoinFingerScan(b *testing.B) {
 			for i, t := range targets {
 				if t == old {
 					targets[i] = fresh
-					tb.Insert(fingerRow(i, fresh))
+					tb.Insert(fingerRow("n0", i, fresh))
 				}
 			}
 		}
-		run(b, f, tb, ev)
+		run(b, f, tb, evs[0])
 	})
+	var skip, plain time.Duration // measured once, in the first round
 	b.Run("all-distinct", func(b *testing.B) {
-		f, tb, ev := fingerScan(func(i int) int { return i }, []int{2})
-		run(b, f, tb, ev)
-		// The same scan with no distinct columns is the code before the
-		// skip existed. Alternate short blocks of each and compare their
-		// best times: the comparison must survive a noisy host.
-		every, _, _ := fingerScan(func(i int) int { return i }, nil)
-		block := func(f *FoldJoin) time.Duration {
-			start := time.Now()
-			for i := 0; i < 200; i++ {
-				f.Push(ev)
-				f.Flush(ev)
+		f, tb, evs := fingerScan(func(i int) int { return i }, []int{2})
+		run(b, f, tb, evs[0])
+		if plain == 0 {
+			// The same scan with no distinct columns is the code before
+			// the skip existed. Alternate many short blocks of each and
+			// compare their best times: the comparison must survive a
+			// noisy host, and it is made once, however many rounds the
+			// benchmark runs.
+			every, _, _ := fingerScan(func(i int) int { return i }, nil)
+			block := func(f *FoldJoin) time.Duration {
+				start := time.Now()
+				for i := 0; i < 50; i++ {
+					ev := evs[i%2] // alternating keys: every distinct probe misses its cache
+					f.Push(ev)
+					f.Flush(ev)
+				}
+				return time.Since(start)
 			}
-			return time.Since(start)
-		}
-		skip, plain := time.Duration(1<<62), time.Duration(1<<62)
-		for i := 0; i < 30; i++ {
-			skip, plain = min(skip, block(f)), min(plain, block(every))
+			skip, plain = time.Duration(1<<62), time.Duration(1<<62)
+			for i := 0; i < 120; i++ {
+				skip, plain = min(skip, block(f)), min(plain, block(every))
+			}
 		}
 		b.ReportMetric(float64(skip)/float64(plain), "vs-no-skip")
 		if float64(skip) > 1.05*float64(plain) {
-			b.Fatalf("160 distinct targets: %v per 200 probes with the skip check, %v without: over 5%% slower", skip, plain)
+			b.Fatalf("160 distinct targets, cold: %v per 50 probes with the skip and its cache, %v without: over 5%% slower", skip, plain)
 		}
 	})
 }

@@ -12,8 +12,10 @@
 // network stack, and internal/transport defines its own push/poke
 // contract over wire batches for it.
 //
-// Tuples are immutable and passed by reference. Elements that "modify"
-// tuples construct new ones.
+// Tuples are passed by reference. The event a strand starts from and the
+// head it ends in are immutable; everything between is a working tuple
+// an element builds in the node's Scratch, valid only until the Push it
+// was handed to returns (see package tuple). Only Project allocates.
 package dataflow
 
 import "p2/internal/tuple"

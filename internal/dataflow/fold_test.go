@@ -41,15 +41,16 @@ func TestFoldJoinMinMatchesJoinPlusAggStream(t *testing.T) {
 	ev := tp("evt", val.Str("n1"), val.Int(7))
 
 	// Unfused reference: join then AggStream over the concat position 3.
-	j := NewJoin(tbl, []int{0}, []int{0}, "w")
-	agg := NewAggStream(AggMin, 3)
+	sc := new(Scratch)
+	j := NewJoin(tbl, []int{0}, []int{0}, "w", sc)
+	agg := NewAggStream(AggMin, 3, sc)
 	var ref []*tuple.Tuple
 	j.Connect(agg)
 	agg.Connect(collect(&ref))
 	j.Push(ev)
 	agg.Flush(ev)
 
-	f := NewFoldJoin(tbl, []int{0}, []int{0}, AggMin, fieldProg(3), nil, nil, env(eventloop.NewSim()))
+	f := NewFoldJoin(tbl, []int{0}, []int{0}, AggMin, fieldProg(3), nil, nil, env(eventloop.NewSim()), new(Scratch))
 	got := runFold(f, ev)
 
 	if len(ref) != 1 || len(got) != 1 {
@@ -73,7 +74,7 @@ func TestFoldJoinMaxAndFilters(t *testing.T) {
 	ev := tp("evt", val.Str("n1"), val.Int(7))
 	// Filter: concat position 3 (D) < 40, so the largest row is excluded.
 	filt := pel.NewBuilder().Field(3).Const(val.Int(40)).Op(pel.OpLt).Build()
-	f := NewFoldJoin(tbl, []int{0}, []int{0}, AggMax, fieldProg(3), []*pel.Program{filt}, nil, env(eventloop.NewSim()))
+	f := NewFoldJoin(tbl, []int{0}, []int{0}, AggMax, fieldProg(3), []*pel.Program{filt}, nil, env(eventloop.NewSim()), new(Scratch))
 	got := runFold(f, ev)
 	if len(got) != 1 || got[0].Field(2).AsInt() != 30 {
 		t.Fatalf("filtered max = %v, want 30", got)
@@ -83,7 +84,7 @@ func TestFoldJoinMaxAndFilters(t *testing.T) {
 func TestFoldJoinMinNoMatchesEmitsNothing(t *testing.T) {
 	tbl := foldFixture(t) // only the nX row
 	ev := tp("evt", val.Str("n1"), val.Int(7))
-	f := NewFoldJoin(tbl, []int{0}, []int{0}, AggMin, fieldProg(3), nil, nil, env(eventloop.NewSim()))
+	f := NewFoldJoin(tbl, []int{0}, []int{0}, AggMin, fieldProg(3), nil, nil, env(eventloop.NewSim()), new(Scratch))
 	if got := runFold(f, ev); len(got) != 0 {
 		t.Fatalf("min over zero matches emitted %v", got)
 	}
@@ -92,7 +93,7 @@ func TestFoldJoinMinNoMatchesEmitsNothing(t *testing.T) {
 func TestFoldJoinCountEmitsZero(t *testing.T) {
 	tbl := foldFixture(t) // no matching rows
 	ev := tp("evt", val.Str("n1"), val.Int(7))
-	f := NewFoldJoin(tbl, []int{0}, []int{0}, AggCount, nil, nil, nil, env(eventloop.NewSim()))
+	f := NewFoldJoin(tbl, []int{0}, []int{0}, AggCount, nil, nil, nil, env(eventloop.NewSim()), new(Scratch))
 	got := runFold(f, ev)
 	if len(got) != 1 || got[0].Field(2).AsInt() != 0 {
 		t.Fatalf("count over zero matches = %v, want event++0", got)
@@ -107,7 +108,7 @@ func TestFoldJoinErroringInputDropsRow(t *testing.T) {
 	// sees it, so the fold must count nothing — and still emit the
 	// count aggregate's zero.
 	input := pel.NewBuilder().Op(pel.OpAdd).Build()
-	f := NewFoldJoin(tbl, []int{0}, []int{0}, AggCount, input, nil, nil, env(eventloop.NewSim()))
+	f := NewFoldJoin(tbl, []int{0}, []int{0}, AggCount, input, nil, nil, env(eventloop.NewSim()), new(Scratch))
 	got := runFold(f, ev)
 	if len(got) != 1 || got[0].Field(2).AsInt() != 0 {
 		t.Fatalf("count with all rows erroring = %v, want event++0", got)
@@ -116,7 +117,7 @@ func TestFoldJoinErroringInputDropsRow(t *testing.T) {
 
 func TestFoldJoinResetsBetweenEvents(t *testing.T) {
 	tbl := foldFixture(t, 5, 9)
-	f := NewFoldJoin(tbl, []int{0}, []int{0}, AggMin, fieldProg(3), nil, nil, env(eventloop.NewSim()))
+	f := NewFoldJoin(tbl, []int{0}, []int{0}, AggMin, fieldProg(3), nil, nil, env(eventloop.NewSim()), new(Scratch))
 	var got []*tuple.Tuple
 	f.Connect(collect(&got))
 
@@ -190,7 +191,8 @@ func TestFoldJoinDistinctMatchesChain(t *testing.T) {
 				return &pel.Env{Clock: loop, Rand: rand.New(rand.NewSource(seed)), Local: "n1"}
 			}
 
-			j, jenv := NewJoin(tbl, []int{0}, []int{0}, "w"), envFor()
+			sc := new(Scratch)
+			j, jenv := NewJoin(tbl, []int{0}, []int{0}, "w", sc), envFor()
 			for _, p := range c.filters {
 				j.AddFilter(p, jenv)
 			}
@@ -199,11 +201,11 @@ func TestFoldJoinDistinctMatchesChain(t *testing.T) {
 				j.AddAssigns([]*pel.Program{c.input}, jenv)
 				aggPos = 6
 			}
-			agg := NewAggStream(c.fn, aggPos)
+			agg := NewAggStream(c.fn, aggPos, sc)
 			var ref, got []*tuple.Tuple
 			j.Connect(agg)
 			agg.Connect(collect(&ref))
-			f := NewFoldJoin(tbl, []int{0}, []int{0}, c.fn, c.input, c.filters, c.distinct, envFor())
+			f := NewFoldJoin(tbl, []int{0}, []int{0}, c.fn, c.input, c.filters, c.distinct, envFor(), sc)
 			f.Connect(collect(&got))
 
 			both := func() {
@@ -247,5 +249,126 @@ func TestFoldJoinDistinctMatchesChain(t *testing.T) {
 	}
 	if evaluated == 0 || evaluated >= rows {
 		t.Fatalf("skip never engaged: evaluated %d of %d rows", evaluated, rows)
+	}
+}
+
+// TestFoldJoinCacheTracksTable probes one distinct FoldJoin over and
+// over with the same key while the table takes random steps between
+// probes: identical refreshes (re-inserting an Int as its equal Float
+// where the row has one), primary-key replacements, deletes, inserts,
+// and clock advances that expire rows with nothing else mutating. Each
+// step is followed by two probes, so the second miss at the new version
+// has recorded its rows. Every probe must emit exactly what a fresh
+// FoldJoin and the unfused Join+AggStream chain emit, and the probe after
+// a refresh must be answered from the cache: one probe, no row visited.
+func TestFoldJoinCacheTracksTable(t *testing.T) {
+	// Concatenation evt(X, V) ++ rel(X, A, B, U): A is $3, B is $4.
+	half := pel.NewBuilder().Field(3).Const(val.Int(2)).Op(pel.OpDiv).Build() // Int(3)/2 = 1, Float(3)/2 = 1.5
+	bBelowV := pel.NewBuilder().Field(4).Field(1).Op(pel.OpLt).Build()
+	aVals := []val.Value{val.Int(3), val.Float(3), val.Int(4), val.Float(4.5), val.Int(-2)}
+	twin := func(v val.Value) val.Value { // the equal value of the other kind
+		if v.Kind() == val.KInt {
+			return val.Float(float64(v.AsInt()))
+		}
+		if f := v.AsFloat(); f == float64(int64(f)) {
+			return val.Int(int64(f))
+		}
+		return v
+	}
+	for _, fn := range []AggFunc{AggMin, AggMax} {
+		rng := rand.New(rand.NewSource(27))
+		loop := eventloop.NewSim()
+		tbl := table.New("rel", 5, 0, []int{3}, loop)
+		e := &pel.Env{Clock: loop, Local: "n1"}
+		row := func(u int64) *tuple.Tuple {
+			return tp("rel", val.Str("n1"), aVals[rng.Intn(len(aVals))], val.Int(int64(rng.Intn(3))), val.Int(u))
+		}
+		for u := int64(0); u < 24; u++ {
+			tbl.Insert(row(u))
+		}
+		tbl.Insert(tp("rel", val.Str("nX"), val.Int(-9), val.Int(0), val.Int(99))) // another key, never folded
+
+		var probes int64
+		cached := NewFoldJoin(tbl, []int{0}, []int{0}, fn, half, []*pel.Program{bBelowV}, []int{1, 2}, e, new(Scratch))
+		cached.CountProbes(&probes)
+		var got []*tuple.Tuple
+		cached.Connect(collect(&got))
+
+		refreshes, expiries := 0, 0
+		for step := 0; step < 400; step++ {
+			refreshed := false
+			rows, k := tbl.Scan(), rng.Intn(6)
+			switch {
+			case k == 0 && len(rows) > 0: // identical refresh
+				r := rows[rng.Intn(len(rows))]
+				fs := append([]val.Value(nil), r.Fields()...)
+				fs[1] = twin(fs[1])
+				if res := tbl.Insert(tuple.New("rel", fs...)); res.Delta {
+					t.Fatalf("step %d: re-inserting %v as %v was not a refresh", step, r, fs)
+				}
+				refreshed = true
+			case k == 1 && len(rows) > 0: // primary-key replacement
+				tbl.Insert(row(rows[rng.Intn(len(rows))].Field(3).AsInt()))
+			case k == 2 && len(rows) > 0:
+				tbl.Delete(rows[rng.Intn(len(rows))])
+			case k == 3:
+				tbl.Insert(row(int64(100 + step)))
+			default: // the clock moves on; the probe itself expires what is due
+				loop.Run(loop.Now() + rng.Float64()*2)
+			}
+			resident := tbl.LenRaw()
+
+			if refreshed {
+				refreshes++
+			}
+			for probe := 0; probe < 2; probe++ {
+				ev := tp("evt", val.Str("n1"), val.Int(int64(rng.Intn(4))))
+				got = got[:0]
+				before := probes
+				cached.Push(ev)
+				cached.Flush(ev)
+				if refreshed && probe == 0 && probes-before != 1 {
+					t.Fatalf("step %d: probe after an identical refresh counted %d, want 1 (cache kept)", step, probes-before)
+				}
+				checkFold(t, step, fn, half, bBelowV, tbl, e, ev, got)
+			}
+			if k > 3 && tbl.LenRaw() < resident {
+				expiries++
+			}
+		}
+		if refreshes == 0 || expiries == 0 {
+			t.Fatalf("%v: %d refreshes and %d expiring clock steps: the walk proves nothing", fn, refreshes, expiries)
+		}
+	}
+}
+
+// checkFold holds got, what a cached fold emitted for ev, to what a
+// fresh FoldJoin and the unfused chain emit for it.
+func checkFold(t *testing.T, step int, fn AggFunc, input, filter *pel.Program, tbl *table.Table, e *pel.Env, ev *tuple.Tuple, got []*tuple.Tuple) {
+	t.Helper()
+	var fresh, ref []*tuple.Tuple
+	sc := new(Scratch)
+	f := NewFoldJoin(tbl, []int{0}, []int{0}, fn, input, []*pel.Program{filter}, []int{1, 2}, e, sc)
+	f.Connect(collect(&fresh))
+	f.Push(ev)
+	f.Flush(ev)
+	j := NewJoin(tbl, []int{0}, []int{0}, "w", sc)
+	j.AddFilter(filter, e)
+	j.AddAssigns([]*pel.Program{input}, e)
+	agg := NewAggStream(fn, 6, sc)
+	j.Connect(agg)
+	agg.Connect(collect(&ref))
+	j.Push(ev)
+	agg.Flush(ev)
+
+	if len(got) != len(fresh) || len(got) != len(ref) {
+		t.Fatalf("step %d %v: cached fold emitted %d, fresh fold %d, chain %d", step, fn, len(got), len(fresh), len(ref))
+	}
+	if len(got) == 1 {
+		have, again, want := got[0].Field(2), fresh[0].Field(2), ref[0].Field(6)
+		if !val.Same(have, want) || !val.Same(again, want) {
+			t.Fatalf("step %d %v: cached %v (%v), fresh %v (%v), chain %v (%v)",
+				step, fn, have, have.Kind(), again, again.Kind(), want, want.Kind())
+		}
 	}
 }

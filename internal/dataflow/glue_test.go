@@ -70,5 +70,5 @@ func TestUnconnectedPortPanics(t *testing.T) {
 			t.Fatal("expected panic on unconnected port")
 		}
 	}()
-	NewMultiAssign(nil, nil).Push(tp("x"))
+	NewMultiAssign(nil, nil, new(Scratch)).Push(tp("x"))
 }

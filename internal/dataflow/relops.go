@@ -20,10 +20,11 @@ import (
 // secondary index and emits one concatenated tuple per match:
 // fields(input) ++ fields(match), under the configured output name.
 //
-// The probe is allocation-free beyond the emitted tuples: the index
-// handle is resolved once at construction, the probe key renders into a
-// reusable scratch buffer, and matches are visited in place via
-// Index.Each rather than collected into a result slice.
+// The probe allocates nothing: the index handle is resolved once at
+// construction, the probe key renders into a reusable buffer, matches
+// are visited in place via Index.Each rather than collected into a
+// result slice, and each emitted tuple is a working tuple taken from
+// the node's Scratch and released once the downstream Push returns.
 type Join struct {
 	Base
 	tbl       *table.Table
@@ -31,6 +32,7 @@ type Join struct {
 	streamKey []int // key positions in the incoming tuple
 	keyBuf    []byte
 	outName   string
+	sc        *Scratch
 
 	// Fused selection predicates and trailing assignments (see
 	// AddFilter / AddAssigns).
@@ -43,22 +45,24 @@ type Join struct {
 	share  *ProbeCache // optional shared match snapshot (see Share)
 }
 
-// NewJoin builds an equijoin element and resolves the table's index
-// handle, creating the index if needed.
-func NewJoin(tbl *table.Table, streamKey, tableKey []int, outName string) *Join {
+// NewJoin builds an equijoin element emitting into sc and resolves the
+// table's index handle, creating the index if needed.
+func NewJoin(tbl *table.Table, streamKey, tableKey []int, outName string, sc *Scratch) *Join {
 	return &Join{
 		tbl:       tbl,
 		ix:        tbl.EnsureIndex(tableKey),
 		streamKey: append([]int(nil), streamKey...),
 		outName:   outName,
+		sc:        sc,
 	}
 }
 
-// CountProbes points the element at a shared counter, bumped once per
-// index probe and once per candidate row examined. Probes answered
-// from a shared cache count nothing — that is the work the optimizer's
-// common-subexpression sharing eliminates, and the counter (the
-// engine's Stats.Probes) is how a run observes it.
+// CountProbes points the element at a shared counter: one per probe,
+// plus one per candidate row visited when the probe walks the index. A
+// probe answered from a shared cache counts its one and visits no rows
+// — the walk it skipped is the work the optimizer's common-subexpression
+// sharing eliminates, and the counter (the engine's Stats.Probes) is how
+// a run observes it. FoldJoin's row cache counts the same way.
 func (j *Join) CountProbes(p *int64) { j.probes = p }
 
 // ProbeCache shares one probe's raw match snapshot between joins on
@@ -74,13 +78,52 @@ func (j *Join) CountProbes(p *int64) { j.probes = p }
 // the same rendered key bytes, and the same table content version
 // (table.Version advances on every row add/remove and never on pure
 // TTL refreshes). Any synchronous write to the table between two
-// strands of the same event therefore forces a refill.
+// strands of the same event therefore forces a refill. Pointer identity
+// names the event only because a shared join's input is the strand's
+// event itself: planner.ShareableJoin admits only selections ahead of
+// it. A working tuple (see Scratch) reuses its address across events
+// and could never be told apart this way.
 type ProbeCache struct {
-	event   *tuple.Tuple
-	key     []byte
-	ver     uint64
-	matches []*tuple.Tuple
-	valid   bool
+	event *tuple.Tuple
+	rowMemo
+}
+
+// rowMemo is the rows one walk of an index bucket kept, exact while the
+// probe key and the table's Version are the ones it was filled at.
+type rowMemo struct {
+	key   []byte
+	ver   uint64
+	rows  []*tuple.Tuple
+	valid bool // rows answer a probe for key at ver
+	noted bool // a probe for key at ver missed and kept nothing
+}
+
+// holds reports whether the memo answers a probe for key at version ver.
+func (c *rowMemo) holds(key []byte, ver uint64) bool { return c.valid && c.at(key, ver) }
+
+// missed reports whether the last probe for key at version ver was noted
+// as a miss.
+func (c *rowMemo) missed(key []byte, ver uint64) bool { return c.noted && c.at(key, ver) }
+
+func (c *rowMemo) at(key []byte, ver uint64) bool {
+	return c.ver == ver && bytes.Equal(c.key, key)
+}
+
+// note records a miss for key at version ver that kept no rows.
+func (c *rowMemo) note(key []byte, ver uint64) {
+	c.key = append(c.key[:0], key...)
+	c.ver, c.valid, c.noted = ver, false, true
+}
+
+// fill records the rows eachKept hands over for key.
+func (c *rowMemo) fill(tbl *table.Table, ix *table.Index, key []byte, probes *int64, distinct []int) {
+	c.valid, c.noted = false, false
+	c.key = append(c.key[:0], key...)
+	rows := c.rows[:0]
+	eachKept(ix, key, probes, distinct, func(m *tuple.Tuple) { rows = append(rows, m) })
+	// Each's own expiry pass may remove rows; stamp the version after the
+	// fill so the memo is exact as of completion.
+	c.rows, c.ver, c.valid = rows, tbl.Version(), true
 }
 
 // Share points the join at a cache shared with its prefix-identical
@@ -121,42 +164,26 @@ func (j *Join) AddAssigns(progs []*pel.Program, env *pel.Env) {
 // Push probes the table and emits all surviving matches downstream.
 // Strands run one at a time to completion and downstream
 // re-derivations are deferred, so Push is never re-entered while active
-// and the scratch key buffer is safe to reuse.
+// and the key buffer is safe to reuse.
 func (j *Join) Push(t *tuple.Tuple) {
 	j.keyBuf = t.AppendKey(j.keyBuf[:0], j.streamKey)
 	na := t.Arity()
+	if j.probes != nil {
+		*j.probes++
+	}
 	if c := j.share; c != nil {
-		if !c.valid || c.event != t || c.ver != j.tbl.Version() || !bytes.Equal(c.key, j.keyBuf) {
-			c.valid = false
+		if c.event != t || !c.holds(j.keyBuf, j.tbl.Version()) {
 			c.event = t
-			c.key = append(c.key[:0], j.keyBuf...)
-			c.matches = c.matches[:0]
-			if j.probes != nil {
-				*j.probes++
-			}
-			j.ix.Each(j.keyBuf, func(m *tuple.Tuple) bool {
-				if j.probes != nil {
-					*j.probes++
-				}
-				c.matches = append(c.matches, m)
-				return true
-			})
-			// Each's own expiry pass may remove rows; stamp the version
-			// after the fill so the snapshot is exact as of completion.
-			c.ver = j.tbl.Version()
-			c.valid = true
+			c.fill(j.tbl, j.ix, j.keyBuf, j.probes, nil)
 		}
 		// The snapshot stays exact through the emit loop: the clock is
 		// frozen while a strand runs (nothing new can expire after the
 		// fill's expiry pass), and the engine never shares a cache with
 		// a strand that writes the probed table synchronously.
-		for _, m := range c.matches {
+		for _, m := range c.rows {
 			j.emitMatch(t, na, m)
 		}
 		return
-	}
-	if j.probes != nil {
-		*j.probes++
 	}
 	j.ix.Each(j.keyBuf, func(m *tuple.Tuple) bool {
 		if j.probes != nil {
@@ -168,7 +195,7 @@ func (j *Join) Push(t *tuple.Tuple) {
 }
 
 // emitMatch runs the fused filters and assignments against one
-// candidate row and pushes the concatenated tuple; filtered or
+// candidate row and pushes the concatenated working tuple; filtered or
 // underivable matches are simply skipped.
 func (j *Join) emitMatch(t *tuple.Tuple, na int, m *tuple.Tuple) {
 	for _, f := range j.filters {
@@ -178,13 +205,13 @@ func (j *Join) emitMatch(t *tuple.Tuple, na int, m *tuple.Tuple) {
 		}
 	}
 	base := na + m.Arity()
-	fields := make([]val.Value, base+len(j.assigns))
+	out, fields, mk := j.sc.take(j.outName, base+len(j.assigns))
+	defer j.sc.release(mk)
 	copy(fields, t.Fields())
 	copy(fields[na:], m.Fields())
-	out := tuple.New(j.outName, fields...)
 	for i, prog := range j.assigns {
 		// Each assignment sees the fields earlier ones filled; the
-		// tuple escapes only after every slot is in place.
+		// tuple goes downstream only after every slot is in place.
 		v, err := j.vm.Eval(prog, out, j.env)
 		if err != nil {
 			return // underivable match dropped, as MultiAssign would
@@ -265,27 +292,28 @@ type MultiAssign struct {
 	progs []*pel.Program
 	vm    *pel.VM
 	env   *pel.Env
+	sc    *Scratch
 }
 
-// NewMultiAssign builds a fused run of appending evaluators; each
-// program appends one trailing field, in order.
-func NewMultiAssign(progs []*pel.Program, env *pel.Env) *MultiAssign {
-	return &MultiAssign{progs: progs, vm: pel.NewVM(), env: env}
+// NewMultiAssign builds a fused run of appending evaluators emitting
+// into sc; each program appends one trailing field, in order.
+func NewMultiAssign(progs []*pel.Program, env *pel.Env, sc *Scratch) *MultiAssign {
+	return &MultiAssign{progs: progs, vm: pel.NewVM(), env: env, sc: sc}
 }
 
 // Push emits t extended with every evaluated value. Later programs see
 // the fields earlier ones appended, exactly as a chain of one-step
 // elements would:
-// the output tuple is built first (unset trailing fields read as Null)
+// the working tuple is taken first (unset trailing fields read as Null)
 // and each evaluation fills the next slot before the following program
-// runs. The tuple does not escape until every field is in place, so the
-// in-place writes never touch a tuple another element can observe. Any
-// evaluation error drops the tuple.
+// runs. The tuple goes downstream only once every field is in place, so
+// the in-place writes never touch a tuple another element can observe.
+// Any evaluation error drops the tuple.
 func (a *MultiAssign) Push(t *tuple.Tuple) {
 	n := t.Arity()
-	fields := make([]val.Value, n+len(a.progs))
+	out, fields, mk := a.sc.take(t.Name(), n+len(a.progs))
+	defer a.sc.release(mk)
 	copy(fields, t.Fields())
-	out := tuple.New(t.Name(), fields...)
 	for i, prog := range a.progs {
 		v, err := a.vm.Eval(prog, out, a.env)
 		if err != nil {
@@ -297,7 +325,9 @@ func (a *MultiAssign) Push(t *tuple.Tuple) {
 }
 
 // Project constructs the rule-head tuple: one PEL program per output
-// field, evaluated against the incoming (joined, extended) tuple.
+// field, evaluated against the incoming (joined, extended) working
+// tuple. It is the one strand element that allocates: the head is the
+// only tuple that leaves the strand.
 type Project struct {
 	Base
 	outName string
@@ -363,7 +393,10 @@ func (f AggFunc) String() string {
 //   - min/max are EXEMPLAR aggregates: Flush emits the entire working
 //     tuple of the row that achieved the extremum. Non-event-bound head
 //     fields (like the member address Y in P0's "pick the member with
-//     the max random number") therefore come from the winning row.
+//     the max random number") therefore come from the winning row. The
+//     rows arrive as working tuples that are rewritten once their Push
+//     returns, so the exemplar is a copy in a buffer of the element's
+//     own.
 //   - count/sum/avg are accumulators: Flush emits the event tuple with
 //     the aggregate value appended. count emits even when zero rows
 //     arrived — Narada's R5/R6 "membersFound ... C == 0" idiom; sum and
@@ -372,16 +405,20 @@ type AggStream struct {
 	Base
 	fn     AggFunc
 	aggPos int // aggregated field position in the working tuple; -1 for count<*>
+	sc     *Scratch
 
 	count   int64
 	sum     float64
-	best    *tuple.Tuple
+	seen    bool
+	best    tuple.Tuple // the exemplar, over bestBuf
+	bestBuf []val.Value
 	bestVal val.Value
 }
 
-// NewAggStream builds a per-event aggregator.
-func NewAggStream(fn AggFunc, aggPos int) *AggStream {
-	return &AggStream{fn: fn, aggPos: aggPos}
+// NewAggStream builds a per-event aggregator; count/sum/avg emit into
+// sc.
+func NewAggStream(fn AggFunc, aggPos int, sc *Scratch) *AggStream {
+	return &AggStream{fn: fn, aggPos: aggPos, sc: sc}
 }
 
 // Push accumulates one working tuple.
@@ -389,8 +426,10 @@ func (a *AggStream) Push(t *tuple.Tuple) {
 	a.count++
 	switch a.fn {
 	case AggMin, AggMax:
-		if v := t.Field(a.aggPos); a.best == nil || improves(a.fn, v, a.bestVal) {
-			a.best, a.bestVal = t, v
+		if v := t.Field(a.aggPos); !a.seen || improves(a.fn, v, a.bestVal) {
+			a.bestBuf = append(a.bestBuf[:0], t.Fields()...)
+			a.best.Reset(t.Name(), a.bestBuf)
+			a.seen, a.bestVal = true, v
 		}
 	case AggSum, AggAvg:
 		a.sum += t.Field(a.aggPos).AsFloat()
@@ -405,24 +444,20 @@ func improves(fn AggFunc, v, cur val.Value) bool {
 }
 
 // Flush emits the aggregate result and resets for the next event.
-// For min/max the winning working tuple flows downstream unchanged (its
-// aggPos field already holds the extremum). For count/sum/avg the event
-// tuple flows with the aggregate appended as a trailing field.
+// For min/max the winning row's copy flows downstream (its aggPos field
+// already holds the extremum). For count/sum/avg the event tuple flows
+// with the aggregate appended as a trailing field, in a working tuple.
 func (a *AggStream) Flush(event *tuple.Tuple) {
 	defer a.reset()
 	switch a.fn {
 	case AggMin, AggMax:
-		if a.best != nil {
-			a.PushOut(a.best)
+		if a.seen {
+			a.PushOut(&a.best)
 		}
 	case AggCount:
-		if event == nil {
-			return
+		if event != nil {
+			emitAppended(&a.Base, a.sc, event, val.Int(a.count))
 		}
-		fields := make([]val.Value, 0, event.Arity()+1)
-		fields = append(fields, event.Fields()...)
-		fields = append(fields, val.Int(a.count))
-		a.PushOut(tuple.New(event.Name(), fields...))
 	case AggSum, AggAvg:
 		if event == nil || a.count == 0 {
 			return
@@ -431,15 +466,22 @@ func (a *AggStream) Flush(event *tuple.Tuple) {
 		if a.fn == AggAvg {
 			v /= float64(a.count)
 		}
-		fields := make([]val.Value, 0, event.Arity()+1)
-		fields = append(fields, event.Fields()...)
-		fields = append(fields, val.Float(v))
-		a.PushOut(tuple.New(event.Name(), fields...))
+		emitAppended(&a.Base, a.sc, event, val.Float(v))
 	}
 }
 
 func (a *AggStream) reset() {
-	a.count, a.sum, a.best, a.bestVal = 0, 0, nil, val.Null
+	a.count, a.sum, a.seen, a.bestVal = 0, 0, false, val.Null
+}
+
+// emitAppended pushes event ++ v through b as a working tuple taken
+// from sc — the output of every per-event accumulator.
+func emitAppended(b *Base, sc *Scratch, event *tuple.Tuple, v val.Value) {
+	out, fields, mk := sc.take(event.Name(), event.Arity()+1)
+	defer sc.release(mk)
+	copy(fields, event.Fields())
+	fields[len(fields)-1] = v
+	b.PushOut(out)
 }
 
 // aggState accumulates one table-aggregate group.
@@ -700,14 +742,17 @@ type Range struct {
 	lo, hi *pel.Program
 	vm     *pel.VM
 	env    *pel.Env
+	sc     *Scratch
 }
 
-// NewRange builds a range generator.
-func NewRange(lo, hi *pel.Program, env *pel.Env) *Range {
-	return &Range{lo: lo, hi: hi, vm: pel.NewVM(), env: env}
+// NewRange builds a range generator emitting into sc.
+func NewRange(lo, hi *pel.Program, env *pel.Env, sc *Scratch) *Range {
+	return &Range{lo: lo, hi: hi, vm: pel.NewVM(), env: env, sc: sc}
 }
 
-// Push expands t over the iteration range.
+// Push expands t over the iteration range. One working tuple carries
+// every copy: downstream is done with it when its Push returns, so
+// only the iteration field changes between emissions.
 func (r *Range) Push(t *tuple.Tuple) {
 	loV, err := r.vm.Eval(r.lo, t, r.env)
 	if err != nil {
@@ -717,10 +762,15 @@ func (r *Range) Push(t *tuple.Tuple) {
 	if err != nil {
 		return
 	}
-	for v := loV.AsInt(); v <= hiV.AsInt(); v++ {
-		fields := make([]val.Value, 0, t.Arity()+1)
-		fields = append(fields, t.Fields()...)
-		fields = append(fields, val.Int(v))
-		r.PushOut(tuple.New(t.Name(), fields...))
+	lo, hi := loV.AsInt(), hiV.AsInt()
+	if lo > hi {
+		return
+	}
+	out, fields, mk := r.sc.take(t.Name(), t.Arity()+1)
+	defer r.sc.release(mk)
+	copy(fields, t.Fields())
+	for v := lo; v <= hi; v++ {
+		fields[len(fields)-1] = val.Int(v)
+		r.PushOut(out)
 	}
 }

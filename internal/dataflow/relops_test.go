@@ -15,8 +15,15 @@ func env(loop eventloop.Loop) *pel.Env {
 	return &pel.Env{Clock: loop, Rand: rand.New(rand.NewSource(7)), Local: "n1"}
 }
 
+// collect ends a chain in a sink that keeps a copy of every tuple it
+// receives: what reaches a sink may be a working tuple, rewritten once
+// the sink returns.
 func collect(out *[]*tuple.Tuple) *Sink {
-	return NewSink(func(t *tuple.Tuple) { *out = append(*out, t) })
+	return NewSink(func(t *tuple.Tuple) { *out = append(*out, clone(t)) })
+}
+
+func clone(t *tuple.Tuple) *tuple.Tuple {
+	return tuple.New(t.Name(), append([]val.Value(nil), t.Fields()...)...)
 }
 
 // discard ends a chain whose output a benchmark or alloc pin ignores.
@@ -31,7 +38,7 @@ func TestJoinEmitsAllMatches(t *testing.T) {
 	nb.Insert(tp("neighbor", val.Str("nX"), val.Str("n4"))) // different X
 
 	// Join refreshSeq(X, S) with neighbor(X, Y) on X.
-	j := NewJoin(nb, []int{0}, []int{0}, "r_j1")
+	j := NewJoin(nb, []int{0}, []int{0}, "r_j1", new(Scratch))
 	var got []*tuple.Tuple
 	j.Connect(collect(&got))
 	j.Push(tp("refreshSeq", val.Str("n1"), val.Int(7)))
@@ -55,7 +62,7 @@ func TestJoinEmitsAllMatches(t *testing.T) {
 func TestJoinNoMatchEmitsNothing(t *testing.T) {
 	loop := eventloop.NewSim()
 	nb := table.New("neighbor", table.Infinity, 0, []int{1}, loop)
-	j := NewJoin(nb, []int{0}, []int{0}, "out")
+	j := NewJoin(nb, []int{0}, []int{0}, "out", new(Scratch))
 	var got []*tuple.Tuple
 	j.Connect(collect(&got))
 	j.Push(tp("evt", val.Str("n1")))
@@ -70,7 +77,7 @@ func TestJoinMultiFieldKey(t *testing.T) {
 	member.Insert(tp("member", val.Str("n1"), val.Str("a"), val.Int(1)))
 	member.Insert(tp("member", val.Str("n1"), val.Str("b"), val.Int(2)))
 	// Join on (field0, field1) of stream against (0, 1) of table.
-	j := NewJoin(member, []int{0, 1}, []int{0, 1}, "out")
+	j := NewJoin(member, []int{0, 1}, []int{0, 1}, "out", new(Scratch))
 	var got []*tuple.Tuple
 	j.Connect(collect(&got))
 	j.Push(tp("refresh", val.Str("n1"), val.Str("b")))
@@ -128,7 +135,7 @@ func TestAssignAppends(t *testing.T) {
 	loop := eventloop.NewSim()
 	// NewSeq := Seq + 1 where Seq is field 1.
 	prog := pel.NewBuilder().Field(1).Const(val.Int(1)).Op(pel.OpAdd).Build()
-	a := NewMultiAssign([]*pel.Program{prog}, env(loop))
+	a := NewMultiAssign([]*pel.Program{prog}, env(loop), new(Scratch))
 	var got []*tuple.Tuple
 	a.Connect(collect(&got))
 	a.Push(tp("seq", val.Str("n1"), val.Int(41)))
@@ -157,7 +164,7 @@ func TestProjectBuildsHead(t *testing.T) {
 
 func TestAggStreamMinIsExemplar(t *testing.T) {
 	// L2-style: min<D> with D at field 1; the WHOLE winning row flows.
-	agg := NewAggStream(AggMin, 1)
+	agg := NewAggStream(AggMin, 1, new(Scratch))
 	var got []*tuple.Tuple
 	agg.Connect(collect(&got))
 	agg.Push(tp("w", val.Str("fingerA"), val.Int(30)))
@@ -182,7 +189,7 @@ func TestAggStreamMinIsExemplar(t *testing.T) {
 func TestAggStreamMaxPicksWinnerRow(t *testing.T) {
 	// Narada P0: pick the member with the max random number — the
 	// member address rides along with the winning row.
-	agg := NewAggStream(AggMax, 1)
+	agg := NewAggStream(AggMax, 1, new(Scratch))
 	var got []*tuple.Tuple
 	agg.Connect(collect(&got))
 	agg.Push(tp("w", val.Str("memberA"), val.Float(0.2)))
@@ -194,8 +201,37 @@ func TestAggStreamMaxPicksWinnerRow(t *testing.T) {
 	}
 }
 
+// TestAggStreamExemplarOutlivesWorkingTuple feeds min and max a better
+// row, then worse ones, all through one working tuple rewritten in place
+// between pushes, as a strand's scratch does: the exemplar must keep the
+// better row's fields.
+func TestAggStreamExemplarOutlivesWorkingTuple(t *testing.T) {
+	for _, c := range []struct {
+		fn         AggFunc
+		best, rest int64
+	}{{AggMin, 10, 40}, {AggMax, 40, 10}} {
+		agg := NewAggStream(c.fn, 1, new(Scratch))
+		var got []*tuple.Tuple
+		agg.Connect(collect(&got))
+		var w tuple.Tuple
+		fields := make([]val.Value, 2)
+		w.Reset("w", fields)
+		push := func(name string, d int64) {
+			fields[0], fields[1] = val.Str(name), val.Int(d)
+			agg.Push(&w)
+		}
+		push("better", c.best)
+		push("worse1", c.rest)
+		push("worse2", c.rest+1)
+		agg.Flush(tp("evt"))
+		if len(got) != 1 || got[0].Field(0).AsStr() != "better" || got[0].Field(1).AsInt() != c.best {
+			t.Fatalf("%v exemplar = %v, want w(better, %d)", c.fn, got, c.best)
+		}
+	}
+}
+
 func TestAggStreamMinMaxNoRowsEmitsNothing(t *testing.T) {
-	agg := NewAggStream(AggMin, 0)
+	agg := NewAggStream(AggMin, 0, new(Scratch))
 	var got []*tuple.Tuple
 	agg.Connect(collect(&got))
 	agg.Flush(tp("evt"))
@@ -207,7 +243,7 @@ func TestAggStreamMinMaxNoRowsEmitsNothing(t *testing.T) {
 func TestAggStreamCountSumAvg(t *testing.T) {
 	event := tp("refresh", val.Str("n1"), val.Str("addr9"))
 	check := func(fn AggFunc, want val.Value) {
-		agg := NewAggStream(fn, 0)
+		agg := NewAggStream(fn, 0, new(Scratch))
 		var got []*tuple.Tuple
 		agg.Connect(collect(&got))
 		for _, v := range []int64{4, 9, 2} {
@@ -233,7 +269,7 @@ func TestAggStreamCountSumAvg(t *testing.T) {
 
 func TestAggStreamZeroCount(t *testing.T) {
 	// Narada R5/R6: count<*> with no matching rows emits C == 0.
-	agg := NewAggStream(AggCount, -1)
+	agg := NewAggStream(AggCount, -1, new(Scratch))
 	var got []*tuple.Tuple
 	agg.Connect(collect(&got))
 	event := tp("refresh", val.Str("n1"), val.Str("addr9"))
@@ -246,7 +282,7 @@ func TestAggStreamZeroCount(t *testing.T) {
 	}
 	// Sum/avg with no rows stay silent.
 	for _, fn := range []AggFunc{AggSum, AggAvg} {
-		agg := NewAggStream(fn, 0)
+		agg := NewAggStream(fn, 0, new(Scratch))
 		var out []*tuple.Tuple
 		agg.Connect(collect(&out))
 		agg.Flush(event)
@@ -255,7 +291,7 @@ func TestAggStreamZeroCount(t *testing.T) {
 		}
 	}
 	// Nil event (defensive): nothing emitted.
-	agg2 := NewAggStream(AggCount, -1)
+	agg2 := NewAggStream(AggCount, -1, new(Scratch))
 	var out2 []*tuple.Tuple
 	agg2.Connect(collect(&out2))
 	agg2.Flush(nil)
@@ -329,7 +365,7 @@ func TestHandWiredRuleStrand(t *testing.T) {
 	neighbor.Insert(tp("neighbor", val.Str("n1"), val.Str("n2")))
 	neighbor.Insert(tp("neighbor", val.Str("n1"), val.Str("n3")))
 
-	join := NewJoin(neighbor, []int{0}, []int{0}, "r6_w")
+	join := NewJoin(neighbor, []int{0}, []int{0}, "r6_w", new(Scratch))
 	// Work tuple layout after join: [X, S, X', Y] — project head
 	// member(Y, X, S, f_now, true).
 	head := NewProject("member", []*pel.Program{
@@ -368,7 +404,7 @@ func BenchmarkJoinProbe(b *testing.B) {
 	for i := 0; i < 8; i++ {
 		nb.Insert(tp("neighbor", val.Str("n1"), val.Str("p"+string(rune('a'+i)))))
 	}
-	j := NewJoin(nb, []int{0}, []int{0}, "out")
+	j := NewJoin(nb, []int{0}, []int{0}, "out", new(Scratch))
 	j.Connect(discard())
 	evt := tp("refreshSeq", val.Str("n1"), val.Int(1))
 	b.ReportAllocs()

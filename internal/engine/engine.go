@@ -125,10 +125,12 @@ type Stats struct {
 	TuplesSent    int64
 	TuplesRecv    int64
 	TuplesDropped int64 // no table, strand, or watcher wanted them
-	// Probes counts equijoin work: one per index probe plus one per
-	// candidate row examined (antijoins count one per existence check).
-	// Probes answered from a shared cache count nothing — this is the
-	// work the optimizer exists to avoid.
+	// Probes counts equijoin work: one per probe, plus one per candidate
+	// row visited when the probe walks the index (antijoins count one per
+	// existence check). A probe answered from a cache — a ProbeCache
+	// shared across strands, or a distinct fold's row cache — counts its
+	// one and visits no rows: the walks skipped are the work the
+	// optimizer exists to avoid.
 	Probes int64
 }
 
@@ -172,6 +174,11 @@ type Node struct {
 	sysConsumer bool
 	sysref      *sysRefresh       // incremental system-table refresh cache
 	health      *health.Evaluator // condition engine, fed by the refresh
+
+	// scratch holds every strand's working tuples (see dataflow.Scratch);
+	// scratchBound is the most any built strand can hold in it at once.
+	scratch      dataflow.Scratch
+	scratchBound dataflow.ScratchSize
 }
 
 // flusher is the end-of-event hook shared by the two aggregate
@@ -287,6 +294,14 @@ func (n *Node) Addr() string { return n.addr }
 
 // Stats returns a copy of the node's counters.
 func (n *Node) Stats() Stats { return n.stats }
+
+// ScratchCap reports how far the node's strand scratch has grown and
+// the bound its plan fixes for it: the most any one strand built on
+// this node holds at once (see scratchUse). The scratch never shrinks,
+// and grows only to what a take needs, so capacity stays within bound.
+func (n *Node) ScratchCap() (capacity, bound dataflow.ScratchSize) {
+	return n.scratch.Cap(), n.scratchBound
+}
 
 // Transport exposes the node's transport for accounting taps.
 func (n *Node) Transport() *transport.Transport { return n.trans }
@@ -526,6 +541,7 @@ func (n *Node) buildChain(s *strand) {
 		}
 	}
 	s.firstJoin, s.shareKey = nil, ""
+	use := scratchUse{width: r.Trigger.Arity}
 
 	for i := 0; i < len(r.Ops); i++ {
 		switch o := r.Ops[i].(type) {
@@ -536,7 +552,7 @@ func (n *Node) buildChain(s *strand) {
 				nj.CountProbes(&n.stats.Probes)
 				elems = append(elems, nj)
 			} else {
-				j := dataflow.NewJoin(tbl, o.StreamKey, o.TableKey, "w")
+				j := dataflow.NewJoin(tbl, o.StreamKey, o.TableKey, "w", &n.scratch)
 				j.CountProbes(&n.stats.Probes)
 				if i == shareIdx {
 					s.firstJoin = j
@@ -554,15 +570,18 @@ func (n *Node) buildChain(s *strand) {
 					j.AddFilter(sel.Prog, n.env)
 					i++
 				}
+				extra := n.plan.Arities[o.Table]
 				for i+1 < len(r.Ops) {
 					asn, ok := r.Ops[i+1].(*planner.OpAssign)
 					if !ok {
 						break
 					}
 					j.AddAssigns([]*pel.Program{asn.Prog}, n.env)
+					extra++
 					i++
 				}
 				elems = append(elems, j)
+				use.take(extra)
 			}
 		case *planner.OpSelect:
 			elems = append(elems, dataflow.NewSelect(o.Prog, n.env))
@@ -578,12 +597,14 @@ func (n *Node) buildChain(s *strand) {
 				progs = append(progs, next.Prog)
 				i++
 			}
-			elems = append(elems, dataflow.NewMultiAssign(progs, n.env))
+			elems = append(elems, dataflow.NewMultiAssign(progs, n.env, &n.scratch))
+			use.take(len(progs))
 		case *planner.OpRange:
-			elems = append(elems, dataflow.NewRange(o.Lo, o.Hi, n.env))
+			elems = append(elems, dataflow.NewRange(o.Lo, o.Hi, n.env, &n.scratch))
+			use.take(1)
 		case *planner.OpFoldJoin:
 			fj := dataflow.NewFoldJoin(n.tables[o.Table], o.StreamKey, o.TableKey,
-				o.Fn, o.Input, o.Filters, o.Distinct, n.env)
+				o.Fn, o.Input, o.Filters, o.Distinct, n.env, &n.scratch)
 			fj.CountProbes(&n.stats.Probes)
 			elems = append(elems, fj)
 			flush = fj
@@ -591,7 +612,7 @@ func (n *Node) buildChain(s *strand) {
 	}
 
 	if r.Agg != nil {
-		agg := dataflow.NewAggStream(r.Agg.Fn, r.Agg.AggPos)
+		agg := dataflow.NewAggStream(r.Agg.Fn, r.Agg.AggPos, &n.scratch)
 		elems = append(elems, agg)
 		flush = agg
 	}
@@ -606,7 +627,40 @@ func (n *Node) buildChain(s *strand) {
 	elems[len(elems)-1].Connect(sink)
 
 	s.entry, s.agg = elems[0], flush
+	if _, fold := flush.(*dataflow.FoldJoin); fold || r.Agg != nil && r.Agg.Fn != dataflow.AggMin && r.Agg.Fn != dataflow.AggMax {
+		use.flush(r.Trigger.Arity + 1)
+	}
+	n.scratchBound.Vals = max(n.scratchBound.Vals, use.most.Vals)
+	n.scratchBound.Tuples = max(n.scratchBound.Tuples, use.most.Tuples)
 	n.buildDrift(s)
+}
+
+// scratchUse tallies, from the plan's arities, the most of the node's
+// scratch one run of a strand holds at once. Every element that takes a
+// working tuple holds it until its downstream Push returns, so along the
+// push chain the takes nest and their arities add up: a join's input ++
+// match ++ fused assignments, an assignment run's input ++ one slot per
+// step, a range's input ++ 1. The flush that ends an aggregate strand —
+// a fold's, or a count/sum/avg AggStream's event ++ aggregate — runs
+// after the chain has released everything, so it only has to fit alone.
+// A tuple longer than its relation's planned arity raises the use by the
+// excess; no compiled rule derives one.
+type scratchUse struct {
+	width int                  // arity of the working tuple so far
+	most  dataflow.ScratchSize // what the strand holds at its deepest
+}
+
+// take records an element extending the working tuple by extra fields.
+func (u *scratchUse) take(extra int) {
+	u.width += extra
+	u.most.Vals += u.width
+	u.most.Tuples++
+}
+
+// flush records the end-of-event emission of an arity-wide tuple.
+func (u *scratchUse) flush(arity int) {
+	u.most.Vals = max(u.most.Vals, arity)
+	u.most.Tuples = max(u.most.Tuples, 1)
 }
 
 // wireShares scans each trigger's strands for identical leading probes

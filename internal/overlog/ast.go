@@ -2,6 +2,7 @@ package overlog
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"p2/internal/val"
@@ -149,11 +150,31 @@ func (v *VarRef) String() string   { return v.Name }
 func (*Wildcard) String() string   { return "_" }
 func (c *ConstRef) String() string { return c.Name }
 
-func (l *Lit) String() string {
-	if l.Val.Kind() == val.KStr {
-		return fmt.Sprintf("%q", l.Val.AsStr())
+func (l *Lit) String() string { return litString(l.Val) }
+
+// litString renders a literal so that the lexer reads it back as the
+// same value. A string goes between quotes exactly as written: the
+// lexer has no escapes, so a parsed string holds neither a quote nor a
+// newline, and Go's %q would add backslashes it keeps. A float is
+// digits with a decimal point, the only float form the lexer knows.
+func litString(v val.Value) string {
+	switch v.Kind() {
+	case val.KStr:
+		return `"` + v.AsStr() + `"`
+	case val.KFloat:
+		return floatString(v.AsFloat())
 	}
-	return l.Val.String()
+	return v.String()
+}
+
+// floatString renders a finite float as digits with a decimal point and
+// no exponent: 1000000.0, not 1e+06.
+func floatString(f float64) string {
+	s := strconv.FormatFloat(f, 'f', -1, 64)
+	if !strings.Contains(s, ".") {
+		s += ".0"
+	}
+	return s
 }
 
 func (c *Call) String() string {
@@ -168,10 +189,13 @@ func (c *Call) String() string {
 	return fmt.Sprintf("%s%s(%s)", c.Name, loc, strings.Join(args, ", "))
 }
 
-func (u *Unary) String() string { return u.Op + u.X.String() }
+func (u *Unary) String() string { return u.Op + operand(u.X) }
 
 func (b *Binary) String() string {
-	return fmt.Sprintf("(%s %s %s)", b.X.String(), b.Op, b.Y.String())
+	if b.Op == "&&" || b.Op == "||" {
+		return fmt.Sprintf("(%s %s %s)", b.X.String(), b.Op, b.Y.String())
+	}
+	return fmt.Sprintf("(%s %s %s)", operand(b.X), b.Op, operand(b.Y))
 }
 
 func (r *RangeTest) String() string {
@@ -182,7 +206,17 @@ func (r *RangeTest) String() string {
 	if r.HiClosed {
 		hi = "]"
 	}
-	return fmt.Sprintf("%s in %s%s, %s%s", r.K.String(), lo, r.Lo.String(), r.Hi.String(), hi)
+	return fmt.Sprintf("%s in %s%s, %s%s", operand(r.K), lo, operand(r.Lo), operand(r.Hi), hi)
+}
+
+// operand renders e where an operator other than && and || reads it. A
+// range test binds looser than all of those, so it goes in parentheses
+// there; everything else prints its own.
+func operand(e Expr) string {
+	if _, ok := e.(*RangeTest); ok {
+		return "(" + e.String() + ")"
+	}
+	return e.String()
 }
 
 func (a *AggRef) String() string { return fmt.Sprintf("%s<%s>", a.Fn, a.Var) }
@@ -236,7 +270,7 @@ func (f *Fact) String() string {
 func (m *Materialize) String() string {
 	life := "infinity"
 	if !m.Infinite {
-		life = fmt.Sprintf("%g", m.Lifetime)
+		life = strconv.FormatFloat(m.Lifetime, 'f', -1, 64)
 	}
 	size := "infinity"
 	if m.Size > 0 {
@@ -258,11 +292,7 @@ func (p *Program) String() string {
 		sb.WriteByte('\n')
 	}
 	for _, d := range p.Defines {
-		v := d.Value.String()
-		if d.Value.Kind() == val.KStr {
-			v = fmt.Sprintf("%q", d.Value.AsStr())
-		}
-		fmt.Fprintf(&sb, "define(%s, %s).\n", d.Name, v)
+		fmt.Fprintf(&sb, "define(%s, %s).\n", d.Name, litString(d.Value))
 	}
 	for _, w := range p.Watches {
 		fmt.Fprintf(&sb, "watch(%s).\n", w)

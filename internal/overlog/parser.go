@@ -109,7 +109,10 @@ func (p *parser) materialize(prog *Program) error {
 			return err
 		}
 	case p.cur.kind == tokInt || p.cur.kind == tokFloat:
-		f, _ := strconv.ParseFloat(p.cur.text, 64)
+		f, err := strconv.ParseFloat(p.cur.text, 64)
+		if err != nil {
+			return p.errf("materialize(%s): bad lifetime %q", m.Name, p.cur.text)
+		}
 		m.Lifetime = f
 		if err := p.advance(); err != nil {
 			return err
@@ -128,7 +131,10 @@ func (p *parser) materialize(prog *Program) error {
 			return err
 		}
 	case p.cur.kind == tokInt:
-		n, _ := strconv.Atoi(p.cur.text)
+		n, err := strconv.Atoi(p.cur.text)
+		if err != nil {
+			return p.errf("materialize(%s): bad size %q", m.Name, p.cur.text)
+		}
 		m.Size = n
 		if err := p.advance(); err != nil {
 			return err
@@ -154,8 +160,8 @@ func (p *parser) materialize(prog *Program) error {
 		if err != nil {
 			return err
 		}
-		k, _ := strconv.Atoi(n.text)
-		if k < 1 {
+		k, err := strconv.Atoi(n.text)
+		if err != nil || k < 1 {
 			return p.errf("materialize(%s): key positions are 1-based", m.Name)
 		}
 		m.Keys = append(m.Keys, k)
@@ -219,19 +225,24 @@ func (p *parser) literal() (val.Value, error) {
 	}
 	switch p.cur.kind {
 	case tokInt:
-		n, _ := strconv.ParseInt(p.cur.text, 10, 64)
+		text := p.cur.text
 		if neg {
-			n = -n
+			text = "-" + text // so the most negative int64 parses
 		}
-		err := p.advance()
-		return val.Int(n), err
+		n, err := strconv.ParseInt(text, 10, 64)
+		if err != nil {
+			return val.Null, p.errf("bad integer %q", text)
+		}
+		return val.Int(n), p.advance()
 	case tokFloat:
-		f, _ := strconv.ParseFloat(p.cur.text, 64)
+		f, err := strconv.ParseFloat(p.cur.text, 64)
+		if err != nil {
+			return val.Null, p.errf("bad float %q", p.cur.text)
+		}
 		if neg {
 			f = -f
 		}
-		err := p.advance()
-		return val.Float(f), err
+		return val.Float(f), p.advance()
 	case tokString:
 		if neg {
 			return val.Null, p.errf("cannot negate a string")

@@ -1,8 +1,11 @@
 package overlog
 
 import (
+	"math"
 	"strings"
 	"testing"
+
+	"p2/internal/val"
 )
 
 func parse(t *testing.T, src string) *Program {
@@ -455,5 +458,65 @@ func BenchmarkParseChordLookupRules(b *testing.B) {
 		if _, err := Parse(src); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// FuzzParse feeds arbitrary text to the parser, which reads -monitor
+// files and Install strings. It must never panic, and whatever parses
+// must print (Program.String) as OverLog that parses again to the same
+// printed form. The seed corpus in testdata/fuzz/FuzzParse holds the
+// shipped Chord, KV and health-monitor specifications.
+func FuzzParse(f *testing.F) {
+	f.Add(`r out@X(X, K) :- in@X(X, K), K in (1, 2], D := K - 1.`)
+	f.Fuzz(func(t *testing.T, src string) {
+		prog, err := Parse(src)
+		if err != nil {
+			return
+		}
+		printed := prog.String()
+		again, err := Parse(printed)
+		if err != nil {
+			t.Fatalf("%q parses, but its printed form does not: %v\n%s", src, err, printed)
+		}
+		if reprinted := again.String(); reprinted != printed {
+			t.Fatalf("%q prints as\n%s\nwhich re-parses and prints as\n%s", src, printed, reprinted)
+		}
+	})
+}
+
+// TestNumberLiteralsHoldTheirValue pins the number handling FuzzParse's
+// contract needs: a literal that does not fit is an error, not a
+// silently clamped value, and the most negative integer is a literal.
+func TestNumberLiteralsHoldTheirValue(t *testing.T) {
+	p := parse(t, `define(lo, -9223372036854775808). define(big, 1000000.0).`)
+	if v := p.Defines[0].Value; v.Kind() != val.KInt || v.AsInt() != math.MinInt64 {
+		t.Fatalf("lo = %v (%v), want the most negative int64", v, v.Kind())
+	}
+	if got := p.String(); !strings.Contains(got, "define(big, 1000000.0).") {
+		t.Fatalf("a float prints as digits and a point, got:\n%s", got)
+	}
+	for _, src := range []string{
+		`define(x, 9223372036854775808).`,
+		`materialize(t, 1` + strings.Repeat("0", 400) + `, infinity, keys(1)).`,
+		`materialize(t, 10, 99999999999999999999, keys(1)).`,
+		`materialize(t, 10, infinity, keys(99999999999999999999)).`,
+	} {
+		if _, err := Parse(src); err == nil {
+			t.Errorf("%.60s... parsed; want an out-of-range error", src)
+		}
+	}
+}
+
+// TestNestedRangeTestKeepsItsShape: a range test under another operator
+// prints in parentheses, so the printed rule parses to the same tree.
+func TestNestedRangeTestKeepsItsShape(t *testing.T) {
+	p := parse(t, `r a(X) :- b(X), Y := -(X in (1, 2]).`)
+	u, ok := p.Rules[0].Body[1].(*Assign).Expr.(*Unary)
+	if !ok {
+		t.Fatalf("parsed %v, want a negated range test", p.Rules[0].Body[1])
+	}
+	again := parse(t, p.String())
+	if _, ok := again.Rules[0].Body[1].(*Assign).Expr.(*Unary); !ok || u.String() != "-(X in (1, 2])" {
+		t.Fatalf("%s re-parsed as %v", u, again.Rules[0].Body[1])
 	}
 }

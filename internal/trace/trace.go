@@ -24,6 +24,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 
@@ -183,8 +184,7 @@ func Read(r io.Reader) (*Trace, error) {
 		if _, err := io.ReadFull(br, plen[:]); err != nil {
 			return nil, fmt.Errorf("trace: record %d payload length: %w", len(tr.Recs), err)
 		}
-		rec.Payload = make([]byte, binary.BigEndian.Uint32(plen[:]))
-		if _, err := io.ReadFull(br, rec.Payload); err != nil {
+		if rec.Payload, err = readN(br, int(binary.BigEndian.Uint32(plen[:]))); err != nil {
 			return nil, fmt.Errorf("trace: record %d payload: %w", len(tr.Recs), err)
 		}
 		tr.Recs = append(tr.Recs, rec)
@@ -196,11 +196,28 @@ func readStr(br *bufio.Reader) (string, error) {
 	if _, err := io.ReadFull(br, l[:]); err != nil {
 		return "", err
 	}
-	b := make([]byte, binary.BigEndian.Uint16(l[:]))
-	if _, err := io.ReadFull(br, b); err != nil {
-		return "", err
+	b, err := readN(br, int(binary.BigEndian.Uint16(l[:])))
+	return string(b), err
+}
+
+// readN reads exactly n bytes. A length field is a claim the file makes,
+// not an allocation size: the buffer starts at one chunk and doubles as
+// the bytes actually arrive, so a record claiming more than the file
+// holds costs about what the file holds.
+func readN(r io.Reader, n int) ([]byte, error) {
+	const chunk = 4096
+	b := make([]byte, 0, min(n, chunk))
+	for len(b) < n {
+		if len(b) == cap(b) {
+			b = slices.Grow(b, min(n-len(b), cap(b)))
+		}
+		m, err := io.ReadFull(r, b[len(b):min(n, cap(b))])
+		b = b[:len(b)+m]
+		if err != nil {
+			return nil, err
+		}
 	}
-	return string(b), nil
+	return b, nil
 }
 
 // ReadFile reads a trace file.

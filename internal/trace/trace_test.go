@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -156,4 +157,54 @@ func TestWrapNetworkRecordsBothDirections(t *testing.T) {
 		t.Fatalf("recv rec: %+v", r)
 	}
 	_ = os.Remove(path)
+}
+
+// allocBytes reports the bytes f allocates, the smaller of two runs so
+// a background allocation on the first does not count.
+func allocBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	best := ^uint64(0)
+	for range 2 {
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		best = min(best, after.TotalAlloc-before.TotalAlloc)
+	}
+	return best
+}
+
+// FuzzRead feeds arbitrary bytes to the trace reader, which replays
+// files a user hands p2sim -replay. It must never panic, must allocate
+// in proportion to the bytes it was given — a length field is a claim,
+// not an allocation size — and whatever it reads must write back to
+// the bytes it consumed. The seed corpus in testdata/fuzz/FuzzRead holds
+// a recording of two Chord nodes on loopback UDP.
+func FuzzRead(f *testing.F) {
+	var buf closeBuf
+	w := NewWriter(&buf)
+	w.Record(Send, 0.5, "a", "b", []byte{1, 2, 3})
+	w.Record(Recv, 0.75, "b", "a", nil)
+	w.Close()
+	f.Add(buf.Bytes())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var tr *Trace
+		var err error
+		if n := allocBytes(func() { tr, err = Read(bytes.NewReader(data)) }); n > uint64(64*len(data)+16384) {
+			t.Fatalf("reading %d bytes allocated %d", len(data), n)
+		}
+		if err != nil {
+			return
+		}
+		var out closeBuf
+		w := NewWriter(&out)
+		for _, r := range tr.Recs {
+			w.Record(r.Dir, r.T, r.Src, r.Dst, r.Payload)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out.Bytes(), data) {
+			t.Fatalf("read %d records from % x, which write back as % x", len(tr.Recs), data, out.Bytes())
+		}
+	})
 }

@@ -1,11 +1,20 @@
 // Package tuple implements P2's basic unit of data transfer.
 //
-// A Tuple is a named vector of Values. Tuples are treated as immutable
-// once created — dataflow elements pass them by reference, exactly as
-// the paper describes (§3.3: "tuples in P2 are completely immutable once
-// they are created ... reference-counted and passed between P2 elements
-// by reference"; Go's garbage collector plays the reference-count role).
-// Anything that needs a modified tuple builds a new one.
+// A Tuple is a named vector of Values. Every tuple that leaves a rule
+// strand — a derived head, a stored row, a tuple sent or received — is
+// immutable once created, and dataflow elements pass it by reference,
+// exactly as the paper describes (§3.3: "tuples in P2 are completely
+// immutable once they are created ... reference-counted and passed
+// between P2 elements by reference"; Go's garbage collector plays the
+// reference-count role). Anything that needs a modified tuple builds a
+// new one.
+//
+// Working tuples are the one exception: the intermediates a strand
+// builds between its event and its head (a join's concatenation, an
+// assignment's extension) live in the node's dataflow.Scratch and are
+// rewritten in place with Reset. A working tuple is valid only while
+// the downstream Push it was handed to runs; an element that needs it
+// afterwards copies its fields.
 package tuple
 
 import (
@@ -27,6 +36,13 @@ type Tuple struct {
 // owned by the tuple afterwards; callers must not mutate it.
 func New(name string, fields ...val.Value) *Tuple {
 	return &Tuple{name: name, fields: fields}
+}
+
+// Reset re-points t at name and fields, which t owns afterwards. It is
+// for working tuples only (see the package comment): a tuple that has
+// left its strand is never reset.
+func (t *Tuple) Reset(name string, fields []val.Value) {
+	t.name, t.fields = name, fields
 }
 
 // Name returns the tuple's relation name.

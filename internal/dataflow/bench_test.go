@@ -265,23 +265,18 @@ func BenchmarkMultiAssign(b *testing.B) {
 // fingerScan is rule L2's fold over a full Chord finger table:
 // evt(NI, K, N) ++ finger(NI, I, B, BI), filter B in (N, K), input
 // K - B - 1, reading match column B alone. target names finger i's
-// node. Two nodes' tables share the relation; evs holds a lookup event
-// for each, and the fold is on n0's.
-func fingerScan(target func(i int) int, distinct []int) (*FoldJoin, *table.Table, [2]*tuple.Tuple) {
+// node; the fold and its event are node n0's.
+func fingerScan(target func(i int) int, distinct []int) (*FoldJoin, *table.Table, *tuple.Tuple) {
 	tb := table.New("finger", table.Infinity, 0, []int{0, 1}, &dfClock{})
-	var evs [2]*tuple.Tuple
-	for n := range evs {
-		node := fmt.Sprintf("n%d", n)
-		for i := 0; i < 160; i++ {
-			tb.Insert(fingerRow(node, i, target(i)))
-		}
-		evs[n] = tuple.New("evt", val.Str(node), val.MakeID(id.Hash("key")), val.MakeID(id.Hash(node)))
+	for i := 0; i < 160; i++ {
+		tb.Insert(fingerRow("n0", i, target(i)))
 	}
 	in := pel.NewBuilder().Field(5).Field(2).Field(1).In(false, false).Build()
 	dist := pel.NewBuilder().Field(1).Field(5).Op(pel.OpSub).Const(val.MakeID(id.One)).Op(pel.OpSub).Build()
 	f := NewFoldJoin(tb, []int{0}, []int{0}, AggMin, dist, []*pel.Program{in}, distinct, &pel.Env{}, new(Scratch))
 	f.Connect(discard())
-	return f, tb, evs
+	ev := tuple.New("evt", val.Str("n0"), val.MakeID(id.Hash("key")), val.MakeID(id.Hash("n0")))
+	return f, tb, ev
 }
 
 func fingerRow(node string, i, target int) *tuple.Tuple {
@@ -311,16 +306,15 @@ func evalsPerProbe(tb *table.Table, ev *tuple.Tuple, distinct []int) float64 {
 // each replaced by a newcomer (every finger naming the old node
 // rewritten in finger order, so replacements swap-remove and append in
 // the bucket), all-distinct the case with nothing to pass over. There a
-// cold probe — the cache missing on every probe, as two nodes' lookups
-// alternate — must cost what evaluating every row costs.
+// cold probe — the table changed since the last one, so the cache
+// misses and the walk records its rows — must cost what evaluating
+// every row costs.
 func BenchmarkFoldJoinFingerScan(b *testing.B) {
 	run := func(b *testing.B, f *FoldJoin, tb *table.Table, ev *tuple.Tuple) (evals, visits float64) {
 		var probes int64
 		f.CountProbes(&probes)
-		for range 2 { // the second miss at a key and version records the rows
-			f.Push(ev)
-			f.Flush(ev)
-		}
+		f.Push(ev) // the first probe records the rows
+		f.Flush(ev)
 		probes = 0
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -338,8 +332,8 @@ func BenchmarkFoldJoinFingerScan(b *testing.B) {
 		return evals, visits
 	}
 	b.Run("chord", func(b *testing.B) {
-		f, tb, evs := fingerScan(chordTarget, []int{2})
-		e, v := run(b, f, tb, evs[0])
+		f, tb, ev := fingerScan(chordTarget, []int{2})
+		e, v := run(b, f, tb, ev)
 		if e > 10 {
 			b.Fatalf("%v evals/probe over 8 distinct targets in insertion order, want <= 10", e)
 		}
@@ -348,7 +342,7 @@ func BenchmarkFoldJoinFingerScan(b *testing.B) {
 		}
 	})
 	b.Run("churned", func(b *testing.B) {
-		f, tb, evs := fingerScan(chordTarget, []int{2})
+		f, tb, ev := fingerScan(chordTarget, []int{2})
 		rng := rand.New(rand.NewSource(1))
 		targets := make([]int, 160)
 		for i := range targets {
@@ -363,31 +357,43 @@ func BenchmarkFoldJoinFingerScan(b *testing.B) {
 				}
 			}
 		}
-		run(b, f, tb, evs[0])
+		run(b, f, tb, ev)
 	})
 	var skip, plain time.Duration // measured once, in the first round
 	b.Run("all-distinct", func(b *testing.B) {
-		f, tb, evs := fingerScan(func(i int) int { return i }, []int{2})
-		run(b, f, tb, evs[0])
+		f, tb, ev := fingerScan(func(i int) int { return i }, []int{2})
+		run(b, f, tb, ev)
 		if plain == 0 {
 			// The same scan with no distinct columns is the code before
-			// the skip existed. Alternate many short blocks of each and
-			// compare their best times: the comparison must survive a
-			// noisy host, and it is made once, however many rounds the
-			// benchmark runs.
-			every, _, _ := fingerScan(func(i int) int { return i }, nil)
-			block := func(f *FoldJoin) time.Duration {
-				start := time.Now()
+			// the skip existed. Before every probe, another node's finger
+			// is replaced: the table's Version advances, as a real strand
+			// sees it do, so every distinct probe misses its cache. Only
+			// the probes are timed. Alternate many short blocks of each,
+			// taking turns to go first, and compare their best times: the
+			// comparison must survive a noisy host, and it is made once,
+			// however many rounds the benchmark runs.
+			every, everyTb, _ := fingerScan(func(i int) int { return i }, nil)
+			other := [2]*tuple.Tuple{fingerRow("n1", 0, 0), fingerRow("n1", 0, 1)}
+			block := func(f *FoldJoin, tb *table.Table) time.Duration {
+				var d time.Duration
 				for i := 0; i < 50; i++ {
-					ev := evs[i%2] // alternating keys: every distinct probe misses its cache
+					tb.Insert(other[i%2])
+					start := time.Now()
 					f.Push(ev)
 					f.Flush(ev)
+					d += time.Since(start)
 				}
-				return time.Since(start)
+				return d
 			}
 			skip, plain = time.Duration(1<<62), time.Duration(1<<62)
-			for i := 0; i < 120; i++ {
-				skip, plain = min(skip, block(f)), min(plain, block(every))
+			for i := 0; i < 240; i++ {
+				if i%2 == 0 { // neither side always goes first
+					skip = min(skip, block(f, tb))
+				}
+				plain = min(plain, block(every, everyTb))
+				if i%2 == 1 {
+					skip = min(skip, block(f, tb))
+				}
 			}
 		}
 		b.ReportMetric(float64(skip)/float64(plain), "vs-no-skip")

@@ -42,13 +42,8 @@ import (
 // pass — the validity rule ProbeCache relies on. Adds, removes, expiry
 // and primary-key replacement all advance Version; identical refreshes
 // do not, and keep the cache. A warm lookup hop folds its ~8 rows and
-// visits no others. The first probe to miss at a key and version walks
-// exactly as an uncached probe does and records nothing; the second
-// records its walk. Recording every row of a 160-distinct bucket costs a
-// cold probe about 5% while the collector marks (a write barrier per
-// row), repaid only if the next probe reuses the rows — and keys that
-// alternate, or a table that changes between probes, would overwrite a
-// one-entry cache unread.
+// visits no others; a miss walks exactly as an uncached probe does and
+// records the rows it evaluates.
 type FoldJoin struct {
 	Base
 	tbl       *table.Table
@@ -65,7 +60,7 @@ type FoldJoin struct {
 	env      *pel.Env
 
 	probes *int64
-	memo   rowMemo // the distinct rows of a recorded walk
+	memo   rowMemo // the distinct rows of the last walk
 
 	seen  bool
 	count int64
@@ -106,25 +101,23 @@ func (f *FoldJoin) Push(t *tuple.Tuple) {
 	if f.probes != nil {
 		*f.probes++
 	}
-	fold := func(m *tuple.Tuple) { f.fold(t, m) }
 	if len(f.distinct) == 0 {
-		eachKept(f.ix, f.keyBuf, f.probes, nil, fold)
+		eachKept(f.ix, f.keyBuf, f.probes, nil, func(m *tuple.Tuple) { f.fold(t, m) })
 		return
 	}
 	f.tbl.Expire() // so Version below already counts what this probe would expire
-	ver := f.tbl.Version()
-	switch {
-	case f.memo.holds(f.keyBuf, ver):
-	case f.memo.missed(f.keyBuf, ver):
-		f.memo.fill(f.tbl, f.ix, f.keyBuf, f.probes, f.distinct)
-	default:
-		f.memo.note(f.keyBuf, ver)
-		eachKept(f.ix, f.keyBuf, f.probes, f.distinct, fold)
+	if f.memo.holds(f.keyBuf, f.tbl.Version()) {
+		for _, m := range f.memo.rows {
+			f.fold(t, m)
+		}
 		return
 	}
-	for _, m := range f.memo.rows {
+	rows := f.memo.rows[:0]
+	eachKept(f.ix, f.keyBuf, f.probes, f.distinct, func(m *tuple.Tuple) {
+		rows = append(rows, m)
 		f.fold(t, m)
-	}
+	})
+	f.memo.keep(f.keyBuf, f.tbl.Version(), rows)
 }
 
 // eachKept walks ix's bucket for key, counting one probe per row

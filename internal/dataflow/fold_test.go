@@ -257,10 +257,11 @@ func TestFoldJoinDistinctMatchesChain(t *testing.T) {
 // probes: identical refreshes (re-inserting an Int as its equal Float
 // where the row has one), primary-key replacements, deletes, inserts,
 // and clock advances that expire rows with nothing else mutating. Each
-// step is followed by two probes, so the second miss at the new version
-// has recorded its rows. Every probe must emit exactly what a fresh
-// FoldJoin and the unfused Join+AggStream chain emit, and the probe after
-// a refresh must be answered from the cache: one probe, no row visited.
+// step is followed by two probes. Every probe must emit exactly what a
+// fresh FoldJoin and the unfused Join+AggStream chain emit, and two
+// must be answered from the cache — one probe, no row visited: the
+// first after a refresh, and the second of every step, since a miss
+// records its walk.
 func TestFoldJoinCacheTracksTable(t *testing.T) {
 	// Concatenation evt(X, V) ++ rel(X, A, B, U): A is $3, B is $4.
 	half := pel.NewBuilder().Field(3).Const(val.Int(2)).Op(pel.OpDiv).Build() // Int(3)/2 = 1, Float(3)/2 = 1.5
@@ -329,6 +330,9 @@ func TestFoldJoinCacheTracksTable(t *testing.T) {
 				cached.Flush(ev)
 				if refreshed && probe == 0 && probes-before != 1 {
 					t.Fatalf("step %d: probe after an identical refresh counted %d, want 1 (cache kept)", step, probes-before)
+				}
+				if probe == 1 && probes-before != 1 {
+					t.Fatalf("step %d: second probe at one version counted %d, want 1 (the first recorded its walk)", step, probes-before)
 				}
 				checkFold(t, step, fn, half, bBelowV, tbl, e, ev, got)
 			}

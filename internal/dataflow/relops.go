@@ -94,36 +94,20 @@ type rowMemo struct {
 	key   []byte
 	ver   uint64
 	rows  []*tuple.Tuple
-	valid bool // rows answer a probe for key at ver
-	noted bool // a probe for key at ver missed and kept nothing
+	valid bool
 }
 
 // holds reports whether the memo answers a probe for key at version ver.
-func (c *rowMemo) holds(key []byte, ver uint64) bool { return c.valid && c.at(key, ver) }
-
-// missed reports whether the last probe for key at version ver was noted
-// as a miss.
-func (c *rowMemo) missed(key []byte, ver uint64) bool { return c.noted && c.at(key, ver) }
-
-func (c *rowMemo) at(key []byte, ver uint64) bool {
-	return c.ver == ver && bytes.Equal(c.key, key)
+func (c *rowMemo) holds(key []byte, ver uint64) bool {
+	return c.valid && c.ver == ver && bytes.Equal(c.key, key)
 }
 
-// note records a miss for key at version ver that kept no rows.
-func (c *rowMemo) note(key []byte, ver uint64) {
+// keep makes rows, what a walk of key's bucket kept, the memo's answer
+// at version ver. Each's own expiry pass may remove rows, so callers
+// read ver after the walk: the memo is exact as of its completion.
+func (c *rowMemo) keep(key []byte, ver uint64, rows []*tuple.Tuple) {
 	c.key = append(c.key[:0], key...)
-	c.ver, c.valid, c.noted = ver, false, true
-}
-
-// fill records the rows eachKept hands over for key.
-func (c *rowMemo) fill(tbl *table.Table, ix *table.Index, key []byte, probes *int64, distinct []int) {
-	c.valid, c.noted = false, false
-	c.key = append(c.key[:0], key...)
-	rows := c.rows[:0]
-	eachKept(ix, key, probes, distinct, func(m *tuple.Tuple) { rows = append(rows, m) })
-	// Each's own expiry pass may remove rows; stamp the version after the
-	// fill so the memo is exact as of completion.
-	c.rows, c.ver, c.valid = rows, tbl.Version(), true
+	c.ver, c.rows, c.valid = ver, rows, true
 }
 
 // Share points the join at a cache shared with its prefix-identical
@@ -174,7 +158,9 @@ func (j *Join) Push(t *tuple.Tuple) {
 	if c := j.share; c != nil {
 		if c.event != t || !c.holds(j.keyBuf, j.tbl.Version()) {
 			c.event = t
-			c.fill(j.tbl, j.ix, j.keyBuf, j.probes, nil)
+			rows := c.rows[:0]
+			eachKept(j.ix, j.keyBuf, j.probes, nil, func(m *tuple.Tuple) { rows = append(rows, m) })
+			c.keep(j.keyBuf, j.tbl.Version(), rows)
 		}
 		// The snapshot stays exact through the emit loop: the clock is
 		// frozen while a strand runs (nothing new can expire after the

@@ -43,11 +43,13 @@
 package simnet
 
 import (
+	"cmp"
 	"fmt"
 	"hash/fnv"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
+	"strings"
 
 	"p2/internal/eventloop"
 	"p2/internal/netif"
@@ -263,6 +265,8 @@ type Net struct {
 	// time. Always >= 0, so a sharded run stays sound: added delay only
 	// pushes arrivals further past the barrier, never inside the epoch.
 	extraLatency float64
+	// merge is Exchange's buffer, reused across barriers.
+	merge []datagram
 }
 
 // shardNet is the slice of the network owned by one shard: its node
@@ -603,26 +607,22 @@ func (n *Net) send(src *node, to string, payload []byte) {
 // whatever the shard count — and schedules each on its destination
 // shard. Liveness is judged at delivery time by the owning shard.
 func (n *Net) Exchange(now float64) {
-	var all []datagram
+	all := n.merge[:0]
 	for _, sh := range n.shards {
 		all = append(all, sh.outbox...)
-		for i := range sh.outbox {
-			sh.outbox[i] = datagram{}
-		}
+		clear(sh.outbox)
 		sh.outbox = sh.outbox[:0]
 	}
-	if len(all) == 0 {
-		return
-	}
-	sort.Slice(all, func(i, j int) bool {
-		a, b := &all[i], &all[j]
-		if a.arrive != b.arrive {
-			return a.arrive < b.arrive
+	// (sender, sender-sequence) names one datagram, so the order is
+	// total and the sort's algorithm cannot show in the result.
+	slices.SortFunc(all, func(a, b datagram) int {
+		if c := cmp.Compare(a.arrive, b.arrive); c != 0 {
+			return c
 		}
-		if a.from != b.from {
-			return a.from < b.from
+		if c := strings.Compare(a.from, b.from); c != 0 {
+			return c
 		}
-		return a.seq < b.seq
+		return cmp.Compare(a.seq, b.seq)
 	})
 	for i := range all {
 		d := all[i]
@@ -642,6 +642,8 @@ func (n *Net) Exchange(now float64) {
 			dst.deliver(d.from, d.payload)
 		})
 	}
+	clear(all) // the scheduled closures hold their own copies
+	n.merge = all[:0]
 }
 
 type endpoint struct {

@@ -11,7 +11,10 @@
 // The dump is syntactic (go/ast, no type checking), which keeps the
 // tool dependency-free: signatures are printed exactly as declared,
 // unexported struct fields and interface methods are elided, and
-// everything is sorted so the output is stable across file moves.
+// everything is sorted so the output is stable across file moves. An
+// alias of a struct declared elsewhere in the module (type X = pkg.Y)
+// is followed to Y's declaration and printed with Y's exported fields,
+// so removing a field behind an alias shows in the diff too.
 package main
 
 import (
@@ -23,7 +26,10 @@ import (
 	"go/printer"
 	"go/token"
 	"os"
+	"path"
+	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -71,9 +77,11 @@ func fatal(format string, args ...any) {
 // item.
 func dump(dir string) (string, error) {
 	fset := token.NewFileSet()
-	pkgs, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool {
-		return !strings.HasSuffix(fi.Name(), "_test.go")
-	}, parser.SkipObjectResolution)
+	pkgs, err := parseDir(fset, dir)
+	if err != nil {
+		return "", err
+	}
+	mod, err := findModule(fset, dir)
 	if err != nil {
 		return "", err
 	}
@@ -83,7 +91,7 @@ func dump(dir string) (string, error) {
 		pkgName = name
 		for _, file := range pkg.Files {
 			for _, decl := range file.Decls {
-				lines = append(lines, declLines(fset, decl)...)
+				lines = append(lines, declLines(mod, file, decl)...)
 			}
 		}
 	}
@@ -99,8 +107,106 @@ func dump(dir string) (string, error) {
 	return sb.String(), nil
 }
 
+func parseDir(fset *token.FileSet, dir string) (map[string]*ast.Package, error) {
+	return parser.ParseDir(fset, dir, func(fi os.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, parser.SkipObjectResolution)
+}
+
+// module resolves import paths inside the module that holds the dumped
+// package to the struct types they declare.
+type module struct {
+	fset    *token.FileSet
+	path    string                                // module path, from go.mod
+	root    string                                // directory holding go.mod
+	structs map[string]map[string]*ast.StructType // import path → type name → struct
+}
+
+// findModule walks up from dir to the nearest go.mod.
+func findModule(fset *token.FileSet, dir string) (*module, error) {
+	d, err := filepath.Abs(dir)
+	if err != nil {
+		return nil, err
+	}
+	for {
+		if data, err := os.ReadFile(filepath.Join(d, "go.mod")); err == nil {
+			for _, line := range strings.Split(string(data), "\n") {
+				if f := strings.Fields(line); len(f) == 2 && f[0] == "module" {
+					return &module{fset: fset, path: f[1], root: d,
+						structs: make(map[string]map[string]*ast.StructType)}, nil
+				}
+			}
+			return nil, fmt.Errorf("%s/go.mod names no module", d)
+		}
+		parent := filepath.Dir(d)
+		if parent == d {
+			return nil, fmt.Errorf("no go.mod above %s", dir)
+		}
+		d = parent
+	}
+}
+
+// aliasedStruct returns the struct that an alias's target sel names, or
+// nil when sel is not a struct declared in this module.
+func (m *module) aliasedStruct(file *ast.File, sel *ast.SelectorExpr) *ast.StructType {
+	pkg, ok := sel.X.(*ast.Ident)
+	if !ok {
+		return nil
+	}
+	for _, imp := range file.Imports {
+		ipath, err := strconv.Unquote(imp.Path.Value)
+		if err != nil {
+			continue
+		}
+		name := path.Base(ipath)
+		if imp.Name != nil {
+			name = imp.Name.Name
+		}
+		if name == pkg.Name {
+			return m.load(ipath)[sel.Sel.Name]
+		}
+	}
+	return nil
+}
+
+// load parses the module package at ipath once and indexes its struct
+// declarations by name.
+func (m *module) load(ipath string) map[string]*ast.StructType {
+	if s, ok := m.structs[ipath]; ok {
+		return s
+	}
+	s := make(map[string]*ast.StructType)
+	m.structs[ipath] = s
+	rel, ok := strings.CutPrefix(ipath, m.path+"/")
+	if !ok {
+		return s
+	}
+	pkgs, err := parseDir(m.fset, filepath.Join(m.root, filepath.FromSlash(rel)))
+	if err != nil {
+		fatal("%v", err)
+	}
+	for _, pkg := range pkgs {
+		for _, file := range pkg.Files {
+			for _, decl := range file.Decls {
+				gd, ok := decl.(*ast.GenDecl)
+				if !ok || gd.Tok != token.TYPE {
+					continue
+				}
+				for _, spec := range gd.Specs {
+					ts := spec.(*ast.TypeSpec)
+					if st, ok := ts.Type.(*ast.StructType); ok && ts.Assign == 0 {
+						s[ts.Name.Name] = st
+					}
+				}
+			}
+		}
+	}
+	return s
+}
+
 // declLines renders one top-level declaration's exported items.
-func declLines(fset *token.FileSet, decl ast.Decl) []string {
+func declLines(mod *module, file *ast.File, decl ast.Decl) []string {
+	fset := mod.fset
 	switch d := decl.(type) {
 	case *ast.FuncDecl:
 		if !d.Name.IsExported() {
@@ -134,7 +240,13 @@ func declLines(fset *token.FileSet, decl ast.Decl) []string {
 				ts := *s
 				ts.Doc, ts.Comment = nil, nil
 				ts.Type = elideUnexported(s.Type)
-				out = append(out, render(fset, &ast.GenDecl{Tok: token.TYPE, Specs: []ast.Spec{&ts}}))
+				line := render(fset, &ast.GenDecl{Tok: token.TYPE, Specs: []ast.Spec{&ts}})
+				if sel, ok := s.Type.(*ast.SelectorExpr); ok && s.Assign != 0 {
+					if st := mod.aliasedStruct(file, sel); st != nil {
+						line += " " + render(fset, elideUnexported(st))
+					}
+				}
+				out = append(out, line)
 			}
 		}
 		return out

@@ -209,16 +209,16 @@ func renderTop(node *p2.Handle) string {
 	sort.Slice(s.plans, func(i, j int) bool { return s.plans[i].Rule < s.plans[j].Rule })
 	shown := 0
 	for _, p := range s.plans {
-		if p.Order == "-" && p.Replans == 0 {
-			continue // textual plan, never touched — noise in a dashboard
+		if p.Order == "-" {
+			continue // textual plan — noise in a dashboard
 		}
 		if shown == 0 {
-			fmt.Fprintf(&sb, "\n%-24s %-24s %10s %8s\n", "PLAN", "ORDER", "COST", "REPLANS")
+			fmt.Fprintf(&sb, "\n%-24s %-24s %10s\n", "PLAN", "ORDER", "COST")
 		}
 		if shown++; shown > 10 {
 			break
 		}
-		fmt.Fprintf(&sb, "%-24s %-24s %10.4g %8d\n", p.Rule, p.Order, p.CostEst, p.Replans)
+		fmt.Fprintf(&sb, "%-24s %-24s %10.4g\n", p.Rule, p.Order, p.CostEst)
 	}
 	fmt.Fprintf(&sb, "\n%-24s %8s %8s %10s %8s %6s %7s %7s %6s %6s\n",
 		"PEER", "SENT", "RECVD", "BYTES", "RETRY", "CWND", "RTO", "BACKLOG", "FILL", "DROPS")

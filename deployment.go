@@ -163,11 +163,12 @@ func WithNodeDefaults(o NodeOptions) Option {
 
 // WithOptimizer enables the cost-based query optimizer on every node
 // the deployment spawns: rule bodies are re-ordered and filtered by
-// estimated cost, identical probe prefixes are shared across rules on
-// the same trigger, and each introspection refresh adaptively re-plans
-// rules whose live table statistics drifted from the values their plan
-// was costed with. The zero OptimizerConfig enables everything with
-// default tuning; its No* fields switch individual optimizations off.
+// estimated cost, and identical probe prefixes are shared across rules
+// on the same trigger. The program is planned once, from catalog
+// statistics, and every node runs that plan unchanged; rules installed
+// later are planned from the node's live statistics. The zero
+// OptimizerConfig enables everything; its No* fields switch individual
+// optimizations off.
 // Per-node SpawnOpts with an explicit NodeOptions.Optimizer override
 // this default. Current plans surface in the sysPlan system table and
 // via Handle.PlanStats.
@@ -931,9 +932,8 @@ func (h *Handle) RuleStats() []RuleStat {
 	return out
 }
 
-// PlanStats snapshots the optimizer's current plan per rule (sysPlan).
-// Without WithOptimizer every rule reports the textual plan: order "-",
-// cost 0, no replans.
+// PlanStats snapshots the optimizer's plan per rule (sysPlan). Without
+// WithOptimizer every rule reports the textual plan: order "-", cost 0.
 func (h *Handle) PlanStats() []PlanStat {
 	var out []PlanStat
 	h.Do(func(n *Node) { out = n.PlanStats() })

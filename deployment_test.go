@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"p2"
+	"p2/internal/planner"
 	"p2/internal/udpnet"
 )
 
@@ -274,5 +275,72 @@ func TestChurnedDeploymentBitIdentical(t *testing.T) {
 	}
 	if e1 == 0 || t1.BytesSent == 0 || !strings.Contains(d1, "->d") {
 		t.Fatalf("workload too trivial: events=%d bytes=%d", e1, t1.BytesSent)
+	}
+}
+
+// TestOneTemplatePerDeployment: the optimizer plans a deployment's
+// program once, and every node runs the same planned rules — on any
+// shard, since a planned rule never changes. Only the Rules slice is a
+// node's own, so an Install on one node leaves every other untouched.
+func TestOneTemplatePerDeployment(t *testing.T) {
+	d, err := p2.NewDeployment(p2.Simulated, p2.WithSeed(1), p2.WithShards(2),
+		p2.WithOptimizer(p2.OptimizerConfig{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	var addrs []string
+	for i := 0; len(addrs) < 2; i++ {
+		a := fmt.Sprintf("t%d:p2", i)
+		if len(addrs) == 0 || d.ShardOf(a) != d.ShardOf(addrs[0]) {
+			addrs = append(addrs, a)
+		}
+	}
+	plan := p2.MustCompile(p2.ChordSource, nil)
+	var hs []*p2.Handle
+	var plans []*p2.Plan
+	for _, a := range addrs {
+		h, err := d.Spawn(a, plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hs = append(hs, h)
+		h.Do(func(n *p2.Node) { plans = append(plans, n.Plan()) })
+	}
+	a, b := plans[0], plans[1]
+	if len(a.Rules) != len(b.Rules) || &a.Rules[0] == &b.Rules[0] {
+		t.Fatalf("%s and %s share one Rules slice; each node needs its own", addrs[0], addrs[1])
+	}
+	planned := 0
+	for i, r := range a.Rules {
+		if r.Order == nil {
+			continue
+		}
+		planned++
+		if b.Rules[i] != r {
+			t.Errorf("rule %s: %s and %s on shards %d and %d run different copies",
+				r.ID, addrs[0], addrs[1], d.ShardOf(addrs[0]), d.ShardOf(addrs[1]))
+		}
+	}
+	if planned == 0 {
+		t.Fatal("the optimizer planned no Chord rule; the check is vacuous")
+	}
+
+	before := append([]*planner.Rule(nil), b.Rules...)
+	if err := hs[0].Install(`I1 fingerSeen@N(N, B) :- lookup@N(N, K, R, E), finger@N(N, I, B, BI).`); err != nil {
+		t.Fatal(err)
+	}
+	hs[0].Do(func(n *p2.Node) { a = n.Plan() })
+	hs[1].Do(func(n *p2.Node) { b = n.Plan() })
+	if len(a.Rules) != len(before)+1 {
+		t.Fatalf("%s runs %d rules after Install, want %d", addrs[0], len(a.Rules), len(before)+1)
+	}
+	if len(b.Rules) != len(before) {
+		t.Fatalf("Install on %s changed %s's rule count to %d", addrs[0], addrs[1], len(b.Rules))
+	}
+	for i, r := range b.Rules {
+		if r != before[i] {
+			t.Fatalf("Install on %s replaced %s's rule %s", addrs[0], addrs[1], r.ID)
+		}
 	}
 }

@@ -317,7 +317,7 @@ func TestFoldJoinCacheTracksTable(t *testing.T) {
 			default: // the clock moves on; the probe itself expires what is due
 				loop.Run(loop.Now() + rng.Float64()*2)
 			}
-			resident := tbl.LenRaw()
+			deletes := tbl.Stats().Deletes
 
 			if refreshed {
 				refreshes++
@@ -336,7 +336,7 @@ func TestFoldJoinCacheTracksTable(t *testing.T) {
 				}
 				checkFold(t, step, fn, half, bBelowV, tbl, e, ev, got)
 			}
-			if k > 3 && tbl.LenRaw() < resident {
+			if k > 3 && tbl.Stats().Deletes > deletes {
 				expiries++
 			}
 		}

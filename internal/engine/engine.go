@@ -49,10 +49,8 @@ type Options struct {
 	// demand-driven: the periodic snapshot runs only when something
 	// actually consumes the rows — a rule or watch over a sys*
 	// relation, compiled in, Installed later, or Watched at the Go
-	// level. A node nothing introspects never pays for the snapshot
-	// (the optimizer's adaptive re-planner keeps its own tick at this
-	// interval; it reads counters directly and delivers no rows).
-	// Setting the interval to an explicit positive value forces the
+	// level. A node nothing introspects arms no timer for it and never
+	// pays for the snapshot. Setting the interval to an explicit positive value forces the
 	// refresh always-on at that period; negative disables
 	// introspection entirely, leaving the system tables empty.
 	IntrospectInterval float64
@@ -69,11 +67,11 @@ type Options struct {
 	// debugging").
 	TraceWriter io.Writer
 	// Optimizer enables the cost-based query optimizer: rule strands
-	// are re-planned at start against the catalog heuristics, identical
-	// probe prefixes are shared across strands, and every introspection
-	// refresh re-plans rules whose live table cardinalities drifted
-	// from the values they were costed with. Nil disables optimization
-	// (the naive textual plans). See planner.OptimizerConfig.
+	// are planned once at start against the catalog heuristics (rules
+	// installed later against live table statistics), and identical
+	// probe prefixes are shared across strands. Nil disables
+	// optimization (the naive textual plans). See
+	// planner.OptimizerConfig.
 	Optimizer *planner.OptimizerConfig
 }
 
@@ -208,18 +206,9 @@ type strand struct {
 
 	// firstJoin is the strand's leading probe when its prefix is
 	// eligible for cross-strand sharing (see wireShares); shareKey
-	// identifies the (table, key) probe it performs. replans counts
-	// adaptive plan swaps; the strand object itself — its identity,
-	// fire counter, and pending queue — survives every swap.
+	// identifies the (table, key) probe it performs.
 	firstJoin *dataflow.Join
 	shareKey  string
-	replans   int64
-
-	// drift is the precompiled form of rule.CostBasis: one entry per
-	// costed relation, resolved to the node's table handle, so the
-	// per-refresh drift scan is a flat slice walk instead of map
-	// iteration and lookups. Rebuilt with the chain on every replan.
-	drift []driftEntry
 
 	node  *Node
 	queue []*tuple.Tuple // pending trigger events; one Defer per entry
@@ -361,11 +350,9 @@ func (n *Node) Start() error {
 	// The optimizer rewrites the plan before any strand is built. At
 	// start there are no live statistics yet, so ordering comes from the
 	// catalog heuristics — deliberately state-independent, so every node
-	// (and every shard count) starts from an identical plan. Live
-	// statistics take over at introspection refreshes (maybeReplan).
-	// OptimizeShared runs that catalog pass once per (plan, config)
-	// process-wide: all nodes of a deployment share the compiled
-	// template and receive private views of the mutable parts.
+	// (and every shard count) runs an identical plan, which never
+	// changes. OptimizeShared runs that catalog pass once per (plan,
+	// config) process-wide: all nodes of a deployment share its rules.
 	if n.opts.Optimizer != nil {
 		n.plan = planner.OptimizeShared(n.plan, *n.opts.Optimizer)
 	}
@@ -525,10 +512,8 @@ func (n *Node) buildStrand(r *planner.Rule) {
 	}
 }
 
-// buildChain (re)builds the dataflow element chain for s.rule and
-// installs it on the strand. It runs once per strand at build time and
-// again on every adaptive replan — the strand keeps its identity, fire
-// counter, and pending queue across swaps, only the elements change.
+// buildChain builds the dataflow element chain for s.rule and installs
+// it on the strand.
 func (n *Node) buildChain(s *strand) {
 	r := s.rule
 	var elems []stage
@@ -540,7 +525,6 @@ func (n *Node) buildChain(s *strand) {
 			shareIdx = idx
 		}
 	}
-	s.firstJoin, s.shareKey = nil, ""
 	use := scratchUse{width: r.Trigger.Arity}
 
 	for i := 0; i < len(r.Ops); i++ {
@@ -632,7 +616,6 @@ func (n *Node) buildChain(s *strand) {
 	}
 	n.scratchBound.Vals = max(n.scratchBound.Vals, use.most.Vals)
 	n.scratchBound.Tuples = max(n.scratchBound.Tuples, use.most.Tuples)
-	n.buildDrift(s)
 }
 
 // scratchUse tallies, from the plan's arities, the most of the node's
@@ -669,9 +652,9 @@ func (u *scratchUse) flush(arity int) {
 // table on the same key, the probe runs once and its raw matches are
 // reused by the rest of the group — common-subexpression sharing across
 // rule strands. Eligibility is decided by planner.ShareableJoin at
-// chain-build time. Safe to call repeatedly: each call rebuilds the
-// grouping from scratch, so replans that change a strand's leading
-// probe dissolve or re-form groups as needed.
+// chain-build time. Each call rebuilds the grouping from scratch, so
+// Install calls it again to let grafted strands join their trigger's
+// groups.
 func (n *Node) wireShares() {
 	if n.opts.Optimizer == nil || n.opts.Optimizer.NoShare {
 		return

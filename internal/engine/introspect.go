@@ -35,8 +35,7 @@ type sysRefresh struct {
 	tableTup   map[string]*tuple.Tuple
 	ruleLast   map[string]int64
 	ruleTup    map[string]*tuple.Tuple
-	planLast   map[string]introspect.PlanStat
-	planTup    map[string]*tuple.Tuple
+	planTup    map[string]*tuple.Tuple // a rule's plan never changes
 	netLast    map[string]introspect.NetStat
 	netTup     map[string]*tuple.Tuple
 	netBuf     []transport.DestStats
@@ -66,7 +65,6 @@ func (sr *sysRefresh) ensureCaches() {
 	sr.tableTup = make(map[string]*tuple.Tuple)
 	sr.ruleLast = make(map[string]int64)
 	sr.ruleTup = make(map[string]*tuple.Tuple)
-	sr.planLast = make(map[string]introspect.PlanStat)
 	sr.planTup = make(map[string]*tuple.Tuple)
 	sr.netLast = make(map[string]introspect.NetStat)
 	sr.netTup = make(map[string]*tuple.Tuple)
@@ -136,21 +134,16 @@ func planReadsSys(p *planner.Plan) bool {
 
 // scheduleIntrospect arms the periodic introspection tick if anyone
 // wants it and it is not already armed. Introspection is demand-driven:
-// the tick runs the full sys* snapshot only when the rows have an
-// audience (n.sysConsumer — an explicit IntrospectInterval, a plan
-// reading a system relation, a Go-level Watch on one); with just the
-// optimizer configured it runs only the adaptive-replanning drift scan,
-// which reads table cardinalities directly and delivers nothing. On a
-// 10k-node deployment where no node monitors itself, the once-a-second
-// snapshot — the engine's single largest allocator — never runs.
-// Called at Start, and again whenever a consumer can appear later
-// (Install, Watch).
+// the tick exists only when the sys* rows have an audience
+// (n.sysConsumer — an explicit IntrospectInterval, a plan reading a
+// system relation, a Go-level Watch on one). On a 10k-node deployment
+// where no node monitors itself, the once-a-second snapshot — the
+// engine's single largest allocator — never runs, and no timer waits
+// for it. Called at Start, and again whenever a consumer can appear
+// later (Install, Watch).
 func (n *Node) scheduleIntrospect() {
 	iv := n.introspectInterval()
-	if iv <= 0 || n.stopped || n.introTimer != nil {
-		return
-	}
-	if !n.sysConsumer && n.opts.Optimizer == nil {
+	if iv <= 0 || n.stopped || n.introTimer != nil || !n.sysConsumer {
 		return
 	}
 	n.armIntrospect(iv)
@@ -180,14 +173,7 @@ func (n *Node) armIntrospect(iv float64) {
 		if n.stopped {
 			return
 		}
-		// The consumer flag is re-read every tick: a Watch or Install
-		// between ticks upgrades an optimizer-only tick to the full
-		// snapshot without touching the timer.
-		if n.sysConsumer {
-			n.RefreshSystemTables()
-		} else {
-			n.maybeReplan()
-		}
+		n.RefreshSystemTables()
 		n.armIntrospect(iv)
 	})
 }
@@ -243,22 +229,17 @@ func (n *Node) RefreshSystemTables() {
 		emitRule(rf.id, rf.fires)
 	}
 
-	// Adaptive replanning rides the refresh: drift checks and plan swaps
-	// happen here, then sysPlan reports the (possibly new) plan of every
-	// rule strand. Rows exist whether or not the optimizer is enabled —
-	// an unoptimized rule reports order "-", cost 0, replans 0 — so
-	// monitoring programs can rely on the relation on both runtimes.
-	n.maybeReplan()
+	// sysPlan reports the plan of every rule strand. Rows exist whether
+	// or not the optimizer is enabled — an unoptimized rule reports order
+	// "-", cost 0 — so monitoring programs can rely on the relation on
+	// both runtimes. A plan is fixed when its strand is built, so each
+	// row renders once and every refresh only renews its TTL.
 	for _, s := range n.allStrands {
-		ps := introspect.PlanStat{
-			Rule: s.rule.ID, Order: s.rule.OrderString(),
-			CostEst: s.rule.CostEst, Replans: s.replans,
+		t := sr.planTup[s.rule.ID]
+		if t == nil {
+			t = introspect.PlanTuple(addr, planStat(s.rule))
+			sr.planTup[s.rule.ID] = t
 		}
-		if sr.planTup[ps.Rule] != nil && ps == sr.planLast[ps.Rule] {
-			continue // rows are infinite-TTL; only changes need delivery
-		}
-		t := introspect.PlanTuple(addr, ps)
-		sr.planTup[ps.Rule], sr.planLast[ps.Rule] = t, ps
 		n.deliverLocal(t, DirDerived)
 	}
 
@@ -484,18 +465,22 @@ func (n *Node) RuleStats() []introspect.RuleStat {
 	return out
 }
 
-// PlanStats reports the optimizer's current plan per rule strand, in
-// build order. Without the optimizer every rule reports the textual
-// plan: order "-", cost 0, no replans.
+// PlanStats reports the optimizer's plan per rule strand, in build
+// order. Without the optimizer every rule reports the textual plan:
+// order "-", cost 0.
 func (n *Node) PlanStats() []introspect.PlanStat {
 	out := make([]introspect.PlanStat, 0, len(n.allStrands))
 	for _, s := range n.allStrands {
-		out = append(out, introspect.PlanStat{
-			Rule: s.rule.ID, Order: s.rule.OrderString(),
-			CostEst: s.rule.CostEst, Replans: s.replans,
-		})
+		out = append(out, planStat(s.rule))
 	}
 	return out
+}
+
+// planStat maps one rule's plan into its sysPlan row — the single
+// mapping shared by PlanStats and the incremental refresh. Replans
+// stays 0: plans never change after they are made.
+func planStat(r *planner.Rule) introspect.PlanStat {
+	return introspect.PlanStat{Rule: r.ID, Order: r.OrderString(), CostEst: r.CostEst}
 }
 
 // NetStats reports per-peer transport accounting and the live state of
@@ -554,10 +539,8 @@ func (n *Node) Install(src string) error {
 		n.sysConsumer = true
 		n.ensureSysTables()
 	}
-	// Installed rules are optimized against live statistics — by the time
-	// a monitoring query arrives the node's tables hold real data, so its
-	// plan can be right from the first firing instead of waiting for a
-	// drift-triggered replan.
+	// Installed rules are optimized against live statistics: by the time
+	// a monitoring query arrives the node's tables hold real data.
 	for _, r := range delta.Rules {
 		rr := r
 		if n.opts.Optimizer != nil {

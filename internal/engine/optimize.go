@@ -1,20 +1,15 @@
 package engine
 
-// This file is the engine half of the query optimizer: live statistics
-// from the node's own tables feed the planner's cost decisions, and the
-// periodic introspection refresh doubles as the adaptive replanning
-// tick — the runtime observing itself through the same machinery that
-// fills the sys* tables, and reacting to what it sees.
+// This file is the engine half of the query optimizer: a rule installed
+// into a running node is planned from statistics of the node's own
+// tables, which by then hold real data. Rules the node started with are
+// planned from the catalog alone (planner.OptimizeShared), once.
 
-import (
-	"p2/internal/planner"
-	"p2/internal/table"
-)
+import "p2/internal/planner"
 
 // liveStats implements planner.Stats from the node's live tables, with
-// the catalog heuristics as cold-start fallback: a relation that holds
-// no rows yet (or has no index on the asked-for key) costs the same as
-// it did at start, so plans only move once real data has arrived.
+// the catalog heuristics as fallback: a relation that holds no rows yet
+// (or has no index on the asked-for key) costs what it did at start.
 type liveStats struct {
 	n   *Node
 	cat planner.Stats
@@ -40,97 +35,4 @@ func (ls liveStats) DistinctKeys(name string, key []int) float64 {
 
 func (n *Node) liveStats() planner.Stats {
 	return liveStats{n: n, cat: planner.NewCatalogStats(n.plan)}
-}
-
-// driftEntry is one relation of a rule's cost basis, resolved against
-// the node: live table handle (nil for relations without one) and the
-// catalog fallback that stands in while the table is empty.
-type driftEntry struct {
-	tb       *table.Table
-	costed   float64
-	fallback float64
-}
-
-// buildDrift precompiles s.rule.CostBasis into the flat slice the
-// per-refresh drift scan walks. Runs with every chain (re)build.
-func (n *Node) buildDrift(s *strand) {
-	s.drift = s.drift[:0]
-	if len(s.rule.CostBasis) == 0 {
-		return
-	}
-	cat := planner.NewCatalogStats(n.plan)
-	for name, costed := range s.rule.CostBasis {
-		s.drift = append(s.drift, driftEntry{
-			tb: n.tables[name], costed: costed, fallback: cat.Cardinality(name),
-		})
-	}
-}
-
-// maybeReplan re-plans every optimized rule whose live table
-// cardinalities have drifted past the configured factor from the values
-// its current plan was costed with. It runs on each introspection
-// refresh, just before the sysPlan rows are emitted, so a freshly
-// swapped plan is visible in the very refresh that produced it.
-//
-// Swaps happen in place: the strand keeps its identity, rule ID, fire
-// counter, and pending event queue — sysRule continuity survives a
-// swap, and events queued against the old chain simply execute through
-// the new one (the plans are tuple-equivalent by construction). Replans
-// are deterministic under sharding because they depend only on the
-// node's own sim-clock refresh schedule and table state, both of which
-// are identical across shard counts.
-func (n *Node) maybeReplan() {
-	cfg := n.opts.Optimizer
-	if cfg == nil || cfg.NoReplan {
-		return
-	}
-	// The drift scan runs every refresh on every optimized rule, so it
-	// walks precompiled slices (see buildDrift) and raw row counts (no
-	// expiry walk — the sweeper keeps those near-exact). A replan
-	// decision then re-reads accurately through liveStats.
-	var st planner.Stats
-	swapped := false
-	for _, s := range n.allStrands {
-		drifted := false
-		for i := range s.drift {
-			e := &s.drift[i]
-			cur := e.fallback
-			if e.tb != nil {
-				if l := e.tb.LenRaw(); l > 0 {
-					cur = float64(l)
-				}
-			}
-			if cfg.Drifted(e.costed, cur) {
-				drifted = true
-				break
-			}
-		}
-		if !drifted {
-			continue
-		}
-		if st == nil {
-			st = n.liveStats()
-		}
-		nr, changed := n.plan.Reoptimize(s.rule, st, *cfg)
-		if !changed {
-			// Same order still wins; the cost basis was refreshed in
-			// place, so recompile the drift slice or this rule would
-			// re-plan on every refresh until the order finally moved.
-			n.buildDrift(s)
-			continue
-		}
-		for i, pr := range n.plan.Rules {
-			if pr == s.rule {
-				n.plan.Rules[i] = nr
-				break
-			}
-		}
-		s.rule = nr
-		n.buildChain(s)
-		s.replans++
-		swapped = true
-	}
-	if swapped {
-		n.wireShares()
-	}
 }

@@ -2,8 +2,8 @@ package engine
 
 // Tests for the cost-based query optimizer's engine integration:
 // tuple equivalence between textual and optimized plans (including
-// shared probe caches), adaptive replanning driven by the
-// introspection refresh, and the sysPlan system table.
+// shared probe caches), plans fixed at start, and the sysPlan system
+// table.
 
 import (
 	"fmt"
@@ -213,24 +213,21 @@ func TestFoldSkipMatchesUnfusedChain(t *testing.T) {
 	}
 }
 
-const replanSrc = `
+const bigSmallSrc = `
 	materialize(big, infinity, infinity, keys(1,2)).
 	materialize(small, infinity, infinity, keys(1,2)).
 	materialize(out, infinity, infinity, keys(1,2,3)).
 	R1 out@X(X, B, S) :- evt@X(X), big@X(X, B), small@X(X, S).
 `
 
-// TestReplanKeepsRuleIdentity is the replan regression test: growing a
-// relation far past the cardinality its plan was costed with must swap
-// the strand's plan in place on the next introspection refresh — same
-// rule ID, monotonic sysRule fire counter, Replans visible in sysPlan.
-func TestReplanKeepsRuleIdentity(t *testing.T) {
-	// Explicit interval: the test ends by reading sysPlan rows, and
-	// optimizer-only ticks don't deliver them.
-	loop, n := startOne(t, replanSrc, Options{Seed: 1, NoJitter: true,
-		IntrospectInterval: 1, Optimizer: &planner.OptimizerConfig{}})
-
-	planOf := func() introspect.PlanStat {
+// TestPlansAreFixedAtStart: a rule is planned once, when its node
+// starts. A node nothing introspects keeps no timer for its plans, and
+// a relation growing far past the catalog estimate its rule was costed
+// with leaves the plan as it was — with or without the sys* refresh
+// running. The strand keeps its rule ID and fire counter throughout,
+// and sysPlan reports the plan from OverLog.
+func TestPlansAreFixedAtStart(t *testing.T) {
+	planOf := func(n *Node) introspect.PlanStat {
 		t.Helper()
 		for _, ps := range n.PlanStats() {
 			if ps.Rule == "R1" {
@@ -240,7 +237,7 @@ func TestReplanKeepsRuleIdentity(t *testing.T) {
 		t.Fatal("R1 missing from PlanStats")
 		return introspect.PlanStat{}
 	}
-	firesOf := func() int64 {
+	firesOf := func(n *Node) int64 {
 		t.Helper()
 		for _, rs := range n.RuleStats() {
 			if rs.ID == "R1" {
@@ -249,52 +246,57 @@ func TestReplanKeepsRuleIdentity(t *testing.T) {
 		}
 		return -1
 	}
-
-	// At start the catalog sees both tables as equals: textual order.
-	before := planOf()
-	if before.Order != "0,1" || before.Replans != 0 {
-		t.Fatalf("start plan = %+v, want order 0,1 with no replans", before)
+	// grow fills big to 140 rows, 4x past the 32 the catalog costed it
+	// at, which would have favoured probing small first (order 1,0).
+	grow := func(loop *eventloop.Sim, n *Node) {
+		for i := 0; i < 140; i++ {
+			n.InjectTuple(tuple.New("big", val.Str("a"), val.Int(int64(i))))
+		}
+		loop.Run(loop.Now() + 3)
 	}
 
-	// Fire the rule once against small tables.
+	// Default interval, no sys* consumer: the optimizer arms no timer of
+	// its own, so the node has exactly its unoptimized twin's.
+	twinLoop, _ := startOne(t, bigSmallSrc, Options{Seed: 1, NoJitter: true})
+	loop, n := startOne(t, bigSmallSrc, Options{Seed: 1, NoJitter: true,
+		Optimizer: &planner.OptimizerConfig{}})
+	if got, want := loop.Pending(), twinLoop.Pending(); got != want {
+		t.Fatalf("optimized node has %d pending timers and calls, its unoptimized twin %d", got, want)
+	}
+	start := planOf(n)
+	if start.Order != "0,1" || start.CostEst <= 0 {
+		t.Fatalf("start plan = %+v, want the catalog's order 0,1 at a positive cost", start)
+	}
+	grow(loop, n)
+	if got := planOf(n); got != start {
+		t.Fatalf("plan after growth = %+v, want it unchanged from %+v", got, start)
+	}
+
+	// With the sys* refresh running every second, the same growth leaves
+	// the same plan, and the strand fires on under one ID.
+	loop, n = startOne(t, bigSmallSrc, Options{Seed: 1, NoJitter: true,
+		IntrospectInterval: 1, Optimizer: &planner.OptimizerConfig{}})
 	n.InjectTuple(tuple.New("small", val.Str("a"), val.Int(1)))
 	n.InjectTuple(tuple.New("small", val.Str("a"), val.Int(2)))
 	n.InjectTuple(tuple.New("evt", val.Str("a")))
 	loop.Run(2)
-	if firesOf() != 1 {
-		t.Fatalf("fires before replan = %d, want 1", firesOf())
+	if firesOf(n) != 1 {
+		t.Fatalf("fires before growth = %d, want 1", firesOf(n))
 	}
-
-	// Grow big to 140 rows — 4x past the costed basis of 32 — and let
-	// the next refresh notice.
-	for i := 0; i < 140; i++ {
-		n.InjectTuple(tuple.New("big", val.Str("a"), val.Int(int64(i))))
+	grow(loop, n)
+	if got := planOf(n); got != start {
+		t.Fatalf("plan after growth with the refresh on = %+v, want %+v", got, start)
 	}
-	loop.Run(2)
-
-	after := planOf()
-	if after.Replans < 1 {
-		t.Fatalf("plan after growth = %+v, want a replan", after)
-	}
-	if after.Order != "1,0" {
-		t.Fatalf("replanned order = %q, want small probed first (1,0)", after.Order)
-	}
-	if after.Rule != "R1" {
-		t.Fatalf("replan changed the rule ID: %q", after.Rule)
-	}
-
-	// The swapped strand keeps its identity: the fire counter continues
-	// from where it was, and the rule still derives tuples.
 	n.InjectTuple(tuple.New("evt", val.Str("a")))
-	loop.Run(1)
-	if firesOf() != 2 {
-		t.Fatalf("fires after replan = %d, want 2 (monotonic across swap)", firesOf())
+	loop.Run(loop.Now() + 1)
+	if firesOf(n) != 2 {
+		t.Fatalf("fires after growth = %d, want 2", firesOf(n))
 	}
 	if got := n.Table("out").Len(); got != 280 {
 		t.Fatalf("out rows = %d, want 140x2", got)
 	}
 
-	// And the whole story is queryable from OverLog via sysPlan.
+	// And the plan is queryable from OverLog via sysPlan.
 	var row *tuple.Tuple
 	for _, r := range n.Table(introspect.PlanRelation).ScanSorted() {
 		if r.Field(1).AsStr() == "R1" {
@@ -304,11 +306,8 @@ func TestReplanKeepsRuleIdentity(t *testing.T) {
 	if row == nil {
 		t.Fatal("no sysPlan row for R1")
 	}
-	if row.Field(2).AsStr() != "1,0" || row.Field(4).AsInt() < 1 {
-		t.Fatalf("sysPlan row = %v, want order 1,0 and replans >= 1", row)
-	}
-	if row.Field(3).AsFloat() <= 0 {
-		t.Fatalf("sysPlan cost = %v, want > 0", row.Field(3))
+	if row.Field(2).AsStr() != "0,1" || row.Field(3).AsFloat() <= 0 || row.Field(4).AsInt() != 0 {
+		t.Fatalf("sysPlan row = %v, want order 0,1, cost > 0 and replans 0", row)
 	}
 }
 
@@ -316,10 +315,9 @@ func TestReplanKeepsRuleIdentity(t *testing.T) {
 // even when no optimizer is configured — rules just report the textual
 // plan markers.
 func TestSysPlanWithoutOptimizer(t *testing.T) {
-	// Explicit interval: without the optimizer (or a sys* consumer) the
-	// demand-driven refresh would never run and the relation would stay
-	// empty.
-	loop, n := startOne(t, replanSrc, Options{Seed: 1, NoJitter: true,
+	// Explicit interval: without a sys* consumer the demand-driven
+	// refresh would never run and the relation would stay empty.
+	loop, n := startOne(t, bigSmallSrc, Options{Seed: 1, NoJitter: true,
 		IntrospectInterval: 1})
 	loop.Run(2)
 	rows := n.Table(introspect.PlanRelation).ScanSorted()
@@ -336,7 +334,7 @@ func TestSysPlanWithoutOptimizer(t *testing.T) {
 // TestInstallOptimizesNewRules: rules grafted in at runtime go through
 // the optimizer against live statistics immediately.
 func TestInstallOptimizesNewRules(t *testing.T) {
-	loop, n := startOne(t, replanSrc, Options{Seed: 1, NoJitter: true,
+	loop, n := startOne(t, bigSmallSrc, Options{Seed: 1, NoJitter: true,
 		Optimizer: &planner.OptimizerConfig{}})
 	for i := 0; i < 100; i++ {
 		n.InjectTuple(tuple.New("big", val.Str("a"), val.Int(int64(i))))

@@ -69,7 +69,7 @@ type Opts struct {
 	// NoOptimizer disables the cost-based query optimizer, which the
 	// harness otherwise enables with default tuning — the measurement
 	// configuration, and the reason the sharded-determinism suite
-	// exercises optimized plans and adaptive replans for free. Set it
+	// exercises optimized plans for free. Set it
 	// for naive-plan baselines and ablation runs.
 	NoOptimizer bool
 	// Shards selects the parallel shard count: >= 1 is explicit, 0

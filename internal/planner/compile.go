@@ -332,7 +332,7 @@ func (p *Plan) compileRuleWith(r *overlog.Rule, order []int, fold bool) (*Rule, 
 		Ops:          c.ops,
 		Materialized: p.IsTable(r.Head.Name),
 		Src:          r,
-		Order:        append([]int(nil), order...),
+		Order:        order,
 	}
 	if r.Delete && !rule.Materialized {
 		return nil, false, c.errf("delete head %s is not a materialized table", r.Head.Name)

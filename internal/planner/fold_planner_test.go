@@ -1,6 +1,7 @@
 package planner
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -129,7 +130,7 @@ func TestFoldRecordsDistinctColumns(t *testing.T) {
 		if want == nil {
 			continue
 		}
-		if f := foldOp(r); f == nil || !intsEqual(f.Distinct, want) {
+		if f := foldOp(r); f == nil || !slices.Equal(f.Distinct, want) {
 			t.Fatalf("%s fold = %+v, want distinct columns %v", r.ID, f, want)
 		}
 		if !strings.Contains(r.OrderString(), " distinct[2") {

@@ -54,15 +54,14 @@ const (
 	costAssign = 0.5  // PEL eval + working-tuple extension
 )
 
-// Optimize returns a copy of p whose rules have been re-planned
-// against st (nil means the catalog heuristics). Rules the equivalence
-// analysis freezes — and rules without source ASTs — are shared with
-// the input plan untouched; every rule the optimizer does touch is
-// recompiled into a fresh, single-node-private object carrying its
-// cost basis, even when the chosen order matches the textual one, so
-// the adaptive re-planner can later adjust it without racing other
-// nodes. Rule IDs are preserved: sysRule and sysPlan counters keyed on
-// them survive optimization and every subsequent replan.
+// Optimize returns a copy of p whose rules have been planned against
+// st (nil means the catalog heuristics). Rules the equivalence analysis
+// freezes — and rules without source ASTs — are shared with the input
+// plan untouched; every rule the optimizer does touch is recompiled
+// into a fresh object with a non-nil Order, even when the chosen order
+// matches the textual one. Rule IDs are preserved, so sysRule and
+// sysPlan rows keyed on them name the same rules with or without the
+// optimizer.
 func Optimize(p *Plan, st Stats, cfg OptimizerConfig) *Plan {
 	if st == nil {
 		st = NewCatalogStats(p)
@@ -76,12 +75,12 @@ func Optimize(p *Plan, st Stats, cfg OptimizerConfig) *Plan {
 	return out
 }
 
-// OptimizeRule re-plans a single rule, returning the recompiled
+// OptimizeRule plans a single rule, returning the recompiled
 // replacement (same ID) or nil when the rule is frozen, source-less,
 // or fails to recompile. The engine uses this for rules installed at
 // runtime through Extend.
 func (p *Plan) OptimizeRule(r *Rule, st Stats, cfg OptimizerConfig) *Rule {
-	order, cost, basis, fold, ok := p.planRule(r, st, &cfg)
+	order, cost, fold, ok := p.planRule(r, st, &cfg)
 	if !ok {
 		return nil
 	}
@@ -91,33 +90,7 @@ func (p *Plan) OptimizeRule(r *Rule, st Stats, cfg OptimizerConfig) *Rule {
 	}
 	nr.ID = r.ID
 	nr.CostEst = cost
-	nr.CostBasis = basis
 	return nr
-}
-
-// Reoptimize re-costs one rule against fresh statistics. When the
-// chosen order differs from the rule's current one it returns a
-// recompiled replacement (same ID) and true; otherwise it refreshes
-// the rule's cost basis in place — the rule is node-private, see
-// Optimize — and returns it unchanged.
-func (p *Plan) Reoptimize(r *Rule, st Stats, cfg OptimizerConfig) (*Rule, bool) {
-	order, cost, basis, fold, ok := p.planRule(r, st, &cfg)
-	if !ok {
-		return r, false
-	}
-	if intsEqual(order, r.Order) {
-		r.CostEst = cost
-		r.CostBasis = basis
-		return r, false
-	}
-	nr, isAgg, err := p.compileRuleWith(r.Src, order, fold)
-	if err != nil || isAgg || nr == nil {
-		return r, false
-	}
-	nr.ID = r.ID
-	nr.CostEst = cost
-	nr.CostBasis = basis
-	return nr, true
 }
 
 // planRule chooses a body order for r. ok is false when the rule must
@@ -126,14 +99,14 @@ func (p *Plan) Reoptimize(r *Rule, st Stats, cfg OptimizerConfig) (*Rule, bool) 
 // aggregate-into-join fusion: fully reorderable (so the aggregate is
 // already known order-insensitive with an event-bound head) and
 // carrying a head aggregate — tryFold validates the structural shape.
-func (p *Plan) planRule(r *Rule, st Stats, cfg *OptimizerConfig) (order []int, cost float64, basis map[string]float64, fold, ok bool) {
+func (p *Plan) planRule(r *Rule, st Stats, cfg *OptimizerConfig) (order []int, cost float64, fold, ok bool) {
 	if r.Src == nil {
-		return nil, 0, nil, false, false
+		return nil, 0, false, false
 	}
 	c := &ruleCtx{plan: p, rule: r.Src, env: make(map[string]int)}
 	event, rest, _, isAgg, err := c.classify()
 	if err != nil || isAgg {
-		return nil, 0, nil, false, false
+		return nil, 0, false, false
 	}
 	infos := p.termInfos(rest)
 	bound := make(map[string]bool)
@@ -144,7 +117,7 @@ func (p *Plan) planRule(r *Rule, st Stats, cfg *OptimizerConfig) (order []int, c
 	}
 	mode := p.ruleMode(r.Src, r.Materialized || r.Delete, bound)
 	if mode == modeFrozen {
-		return nil, 0, nil, false, false
+		return nil, 0, false, false
 	}
 	if mode == modeFull && !cfg.NoFold {
 		for _, a := range r.Src.Head.Args {
@@ -163,16 +136,9 @@ func (p *Plan) planRule(r *Rule, st Stats, cfg *OptimizerConfig) (order []int, c
 		order, ok = pushdownOrder(infos, bound), true
 	}
 	if !ok {
-		return nil, 0, nil, false, false
+		return nil, 0, false, false
 	}
-	cost = p.costOrder(infos, order, bound, st)
-	basis = make(map[string]float64)
-	for _, ti := range infos {
-		if ti.kind == termJoin || ti.kind == termAntiJoin {
-			basis[ti.table] = st.Cardinality(ti.table)
-		}
-	}
-	return order, cost, basis, fold, true
+	return order, p.costOrder(infos, order, bound, st), fold, true
 }
 
 // ruleMode classifies r; headWrites reports whether the head inserts
@@ -620,18 +586,6 @@ func copyBound(m map[string]bool) map[string]bool {
 		out[k] = v
 	}
 	return out
-}
-
-func intsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // ShareKind classifies whether a strand's leading probe can share its

@@ -176,21 +176,18 @@ type Rule struct {
 	// constructed programmatically) disables optimization.
 	Src *overlog.Rule
 	// Order is the optimizer-chosen visit order of the non-event body
-	// terms, as indices into their textual sequence. Nil means the
-	// naive textual order.
+	// terms, as indices into their textual sequence. It is non-nil
+	// exactly when the optimizer planned the rule (empty for a rule whose
+	// body is its event alone); nil means the naive textual order.
 	Order []int
 	// CostEst is the cost-model estimate of the chosen order (abstract
 	// tuple-touch units; comparable only within one rule).
 	CostEst float64
-	// CostBasis records the per-relation cardinality each joined table
-	// was costed with, so the adaptive re-planner can detect drift.
-	// Non-nil exactly when the rule went through the optimizer — such
-	// rules are private to one node and safe to re-plan in place.
-	CostBasis map[string]float64
 
-	// orderStr memoizes OrderString. Order is immutable once set, and
-	// rules with a non-nil Order are node-private, so the lazy fill is
-	// single-threaded.
+	// orderStr memoizes OrderString. A planned rule never changes, and
+	// OptimizeShared fills the memo before the nodes of a deployment
+	// share the rule, so the lazy fill only ever runs on a rule one node
+	// owns (one planned by Install).
 	orderStr string
 }
 
@@ -314,7 +311,7 @@ func (p *Plan) String() string {
 			verb = "store"
 		}
 		fmt.Fprintf(&sb, " -> %s %s/%d", verb, r.HeadName, len(r.HeadProgs))
-		if r.CostBasis != nil {
+		if r.Order != nil {
 			order, _, _ := strings.Cut(r.OrderString(), " ") // the fold above already shows its distinct columns
 			fmt.Fprintf(&sb, "  [order=%s cost=%.4g]", order, r.CostEst)
 		}

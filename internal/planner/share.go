@@ -1,23 +1,13 @@
 package planner
 
-// Plan sharing across nodes of one deployment. Every simulated node
-// used to run the full catalog optimization pass at Start — cloning the
-// plan, classifying and recompiling every optimizer-eligible rule —
-// even though the result is a pure function of (input plan, optimizer
-// config): the catalog heuristics consult no per-node state. At 10k
-// nodes that is 10k identical compilations and 10k copies of every
-// recompiled strand's programs. OptimizeShared computes the optimized
-// plan once per (plan, config) pair process-wide and hands each caller
-// a cheap node-private view.
-//
-// What must stay private per node: the adaptive re-planner mutates
-// optimizer-touched rules in place (Reoptimize refreshes CostEst and
-// the CostBasis map; maybeReplan swaps Rules[i] for a recompiled
-// strand). Exactly those rules — the ones carrying a non-nil CostBasis
-// — are therefore shallow-copied per node with a fresh basis map, and
-// the Rules slice and plan maps are fresh so structural extension
-// (Install) stays node-local. Everything immutable is shared: frozen
-// rules, compiled ops, PEL programs, head constructors, source ASTs.
+// Plan sharing across nodes of one deployment. Planning is a pure
+// function of (input plan, optimizer config): the catalog heuristics
+// consult no per-node state, and a planned rule is never changed
+// afterwards. So OptimizeShared plans once per (plan, config) pair
+// process-wide, and every node runs the same rules — compiled ops, PEL
+// programs, head constructors, source ASTs. Only the plan's Rules slice
+// and maps are per node, so structural extension (Install) stays
+// node-local.
 
 import "sync"
 
@@ -38,9 +28,8 @@ var (
 const shareMemoCap = 64
 
 // OptimizeShared returns Optimize(p, NewCatalogStats(p), cfg) computed
-// at most once per (p, cfg) process-wide, as a node-private view: safe
-// for this caller to re-plan and extend without affecting any other
-// node sharing the same template.
+// at most once per (p, cfg) process-wide, as a view this caller may
+// extend without affecting any other node sharing the same template.
 func OptimizeShared(p *Plan, cfg OptimizerConfig) *Plan {
 	key := shareKey{p, cfg}
 	shareMu.Lock()
@@ -64,25 +53,5 @@ func OptimizeShared(p *Plan, cfg OptimizerConfig) *Plan {
 		}
 		shareMu.Unlock()
 	}
-	return tmpl.cloneNodePrivate()
-}
-
-// cloneNodePrivate returns a view of p owned by one node: fresh plan
-// maps and slices, and a private copy of every rule the adaptive
-// re-planner may mutate in place (non-nil CostBasis). Immutable
-// compiled artifacts stay shared.
-func (p *Plan) cloneNodePrivate() *Plan {
-	c := p.clone()
-	for i, r := range c.Rules {
-		if r.CostBasis == nil {
-			continue
-		}
-		rc := *r
-		rc.CostBasis = make(map[string]float64, len(r.CostBasis))
-		for k, v := range r.CostBasis {
-			rc.CostBasis[k] = v
-		}
-		c.Rules[i] = &rc
-	}
-	return c
+	return tmpl.clone()
 }

@@ -1,16 +1,16 @@
 package planner
 
 // The statistics layer of the cost-based optimizer. A Stats supplies
-// per-relation cardinality and distinct-key estimates; the engine feeds
-// one from live table counters (table.Len, index bucket counts), and
-// CatalogStats provides the cold-start fallback derived purely from the
-// plan's materialize() declarations — so the first compilation of a
-// node that has never run still picks sensible join orders.
+// per-relation cardinality and distinct-key estimates. CatalogStats
+// derives them purely from the plan's materialize() declarations; every
+// node plans its program with it at start, so all nodes of a deployment
+// run one plan. Rules installed into a running node are planned from
+// its live table counters (table.Len, index bucket counts) instead,
+// with the catalog as fallback for relations still empty.
 
 // Stats supplies the per-relation estimates the cost model consumes.
-// Implementations must be cheap: the optimizer queries them once per
-// candidate join per rule, and the adaptive re-planner once per rule
-// per introspection refresh.
+// The optimizer queries them once per candidate join per rule, when it
+// plans the rule.
 type Stats interface {
 	// Cardinality estimates the number of live rows in the relation.
 	Cardinality(table string) float64
@@ -21,19 +21,10 @@ type Stats interface {
 }
 
 // OptimizerConfig tunes the cost-based optimizer. The zero value
-// enables every transformation with default thresholds — pass it to
-// p2.WithOptimizer to turn the optimizer on.
+// enables every transformation — pass it to p2.WithOptimizer to turn
+// the optimizer on. A rule is planned once, when its node starts or when
+// it is installed, and its plan never changes afterwards.
 type OptimizerConfig struct {
-	// DriftFactor is the multiplicative cardinality change that
-	// triggers adaptive re-planning: a rule is recompiled when any
-	// joined relation's live cardinality grows or shrinks by this
-	// factor relative to the value its current plan was costed with.
-	// 0 means the default (2). The default must be tight enough that
-	// overlay working tables moving between a handful of rows still
-	// re-plan: with +1 smoothing, a 1-row table growing to 4 rows is a
-	// ratio of 2.5, and plans frozen at the 1-row instant are exactly
-	// the ones worth revisiting. Values <= 1 disable drift re-planning.
-	DriftFactor float64
 	// NoReorder disables greedy cost-based join reordering.
 	NoReorder bool
 	// NoPushdown disables selection pushdown past joins.
@@ -41,31 +32,8 @@ type OptimizerConfig struct {
 	// NoShare disables common-subexpression sharing of identical
 	// (relation, key) probe prefixes across strands on one trigger.
 	NoShare bool
-	// NoReplan disables the adaptive re-planning hook on the
-	// introspection refresh; plans are chosen once at start.
-	NoReplan bool
 	// NoFold disables aggregate-into-join fusion (dataflow.FoldJoin).
 	NoFold bool
-}
-
-// driftFactor resolves the default threshold.
-func (c *OptimizerConfig) driftFactor() float64 {
-	if c.DriftFactor == 0 {
-		return 2
-	}
-	return c.DriftFactor
-}
-
-// Drifted reports whether cur has moved beyond the configured factor
-// relative to the costed value. Both are smoothed by +1 so empty
-// relations do not divide by zero or flap on the first row.
-func (c *OptimizerConfig) Drifted(costed, cur float64) bool {
-	f := c.driftFactor()
-	if f <= 1 {
-		return false
-	}
-	ratio := (cur + 1) / (costed + 1)
-	return ratio >= f || ratio <= 1/f
 }
 
 // Default sizing heuristics for relations whose live size is unknown.

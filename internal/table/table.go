@@ -160,12 +160,6 @@ func (tb *Table) Len() int {
 	return len(tb.rows)
 }
 
-// LenRaw returns the resident row count without an expiry pass — rows
-// past their TTL but not yet swept are included. For hot paths that
-// only need an approximate cardinality (the optimizer's per-refresh
-// drift checks) and must not pay an expiry walk per call.
-func (tb *Table) LenRaw() int { return len(tb.rows) }
-
 // Version returns the content-mutation counter: it advances whenever a
 // row is added or removed and never on pure refreshes. Two reads that
 // observe the same version are guaranteed to see identical contents.

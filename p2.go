@@ -68,16 +68,14 @@
 // rules on the same trigger that begin with the same table probe share
 // it through one cached lookup, and fully-reorderable min/max/count
 // rules fuse their final join with the aggregate into a fold that
-// never materializes a per-match tuple. At spawn time plans are costed
-// from catalog heuristics; thereafter the introspection refresh doubles
-// as an adaptive feedback loop — rules whose live table cardinalities
-// drift past OptimizerConfig.DriftFactor from the values their plan was
-// costed with are re-planned in place, preserving rule identity.
-// Current plans are queryable per rule via the sysPlan system table
-// ("@N, Rule, Order, CostEst, Replans"). Optimized and textual plans
-// are tuple-equivalent; on a simulated deployment replans are
-// deterministic, so bit-identical results at every shard count extend
-// to optimized runs.
+// never materializes a per-match tuple. Plans are made once, at spawn,
+// from catalog heuristics, so every node of a deployment runs the same
+// plan and it never changes; a rule installed later is planned from the
+// node's live table statistics. Plans are queryable per rule via the
+// sysPlan system table ("@N, Rule, Order, CostEst, Replans"; Replans is
+// always 0, kept until the benchmark retires planner.replans).
+// Optimized and textual plans are tuple-equivalent, and bit-identical
+// results at every shard count extend to optimized runs.
 //
 // # Observability
 //
@@ -173,8 +171,7 @@ type (
 	NetStat   = introspect.NetStat
 	NodeStat  = introspect.NodeStat
 	// OptimizerConfig tunes the cost-based query optimizer (see
-	// WithOptimizer); its zero value enables every optimization with
-	// the default replanning drift factor.
+	// WithOptimizer); its zero value enables every optimization.
 	OptimizerConfig = planner.OptimizerConfig
 	// FaultConfig tunes the seeded datagram-level fault injector a UDP
 	// deployment installs with WithFaults: drop, duplicate, reorder, and

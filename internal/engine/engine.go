@@ -50,9 +50,10 @@ type Options struct {
 	// actually consumes the rows — a rule or watch over a sys*
 	// relation, compiled in, Installed later, or Watched at the Go
 	// level. A node nothing introspects arms no timer for it and never
-	// pays for the snapshot. Setting the interval to an explicit positive value forces the
-	// refresh always-on at that period; negative disables
-	// introspection entirely, leaving the system tables empty.
+	// pays for the snapshot. Setting the interval to an explicit
+	// positive value forces the refresh always-on at that period;
+	// negative disables introspection entirely, leaving the system
+	// tables empty.
 	IntrospectInterval float64
 	// Health overrides the health evaluator's thresholds; nil uses
 	// health.DefaultConfig(). Conditions are evaluated on every
@@ -668,7 +669,6 @@ func (n *Node) wireShares() {
 		}
 		for _, joins := range byKey {
 			if len(joins) < 2 {
-				joins[0].Share(nil)
 				continue
 			}
 			c := &dataflow.ProbeCache{}

@@ -186,8 +186,8 @@ type Rule struct {
 
 	// orderStr memoizes OrderString. A planned rule never changes, and
 	// OptimizeShared fills the memo before the nodes of a deployment
-	// share the rule, so the lazy fill only ever runs on a rule one node
-	// owns (one planned by Install).
+	// share the rule, so the lazy fill never runs on a rule that two
+	// shards can reach.
 	orderStr string
 }
 

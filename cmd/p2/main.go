@@ -60,7 +60,6 @@ func main() {
 	faultDrop := flag.Float64("fault-drop", 0, "inject seeded datagram loss at this probability (enables the fault layer)")
 	faultDup := flag.Float64("fault-dup", 0, "inject seeded datagram duplication at this probability")
 	faultReorder := flag.Float64("fault-reorder", 0, "inject seeded datagram reordering at this probability")
-	optimize := flag.Bool("optimize", true, "enable the cost-based query optimizer (sysPlan shows each rule's plan)")
 	top := flag.Bool("top", false, "render a live p2top view of the sys* system tables")
 	topEvery := flag.Duration("top-interval", 2*time.Second, "refresh period of the -top view")
 	var facts factList
@@ -100,9 +99,6 @@ func main() {
 			DupRate:     *faultDup,
 			ReorderRate: *faultReorder,
 		}))
-	}
-	if *optimize {
-		opts = append(opts, p2.WithOptimizer(p2.OptimizerConfig{}))
 	}
 	dep, err := p2.NewDeployment(p2.UDP, opts...)
 	if err != nil {
@@ -210,7 +206,7 @@ func renderTop(node *p2.Handle) string {
 	shown := 0
 	for _, p := range s.plans {
 		if p.Order == "-" {
-			continue // textual plan — noise in a dashboard
+			continue // a frozen rule's textual plan — noise in a dashboard
 		}
 		if shown == 0 {
 			fmt.Fprintf(&sb, "\n%-24s %-24s %10s\n", "PLAN", "ORDER", "COST")

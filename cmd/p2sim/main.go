@@ -25,7 +25,6 @@ import (
 	"p2/internal/experiments"
 	"p2/internal/harness"
 	"p2/internal/overlays"
-	"p2/internal/planner"
 	"p2/internal/scenario"
 	"p2/internal/simnet"
 	"p2/internal/trace"
@@ -41,7 +40,7 @@ func main() {
 	shards := flag.Int("shards", runtime.NumCPU(),
 		"parallel simulation shards (1 = sharded machinery on one core; metrics are identical at every count)")
 	placement := flag.Bool("placement", false, "dump the node→shard placement map before running")
-	explain := flag.Bool("explain", false, "print the Chord plan as the query optimizer would execute it, then exit")
+	explain := flag.Bool("explain", false, "print the Chord plan every node executes, then exit")
 	replay := flag.String("replay", "", "replay a recorded wire trace (p2 -record) through the simulator and print the ring digest, then exit")
 	replayUntil := flag.Float64("replay-until", 0, "virtual seconds to run the replay for (default: the trace's own end)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -219,16 +218,14 @@ func replayTrace(w io.Writer, path string, seed int64, until float64) error {
 	return nil
 }
 
-// explainChord prints the Chord plan exactly as a node would execute it
-// under the query optimizer at start: each rule annotated with the body
-// term order chosen (indices into the textual body) and the estimated
-// cost under the catalog statistics. Rules without an annotation are
-// frozen (non-deterministic functions pin them to textual order).
+// explainChord prints the Chord plan exactly as every node executes it:
+// each rule annotated with the body term order the planner chose
+// (indices into the textual body) and the estimated cost under the
+// catalog statistics. Rules without an annotation are frozen
+// (non-deterministic functions pin them to textual order).
 func explainChord(w io.Writer) {
-	plan := overlays.ChordPlan(nil)
-	opt := planner.Optimize(plan, planner.NewCatalogStats(plan), planner.OptimizerConfig{})
 	fmt.Fprintf(w, "== Chord plan, optimized (catalog statistics, start-time plans) ==\n\n")
-	fmt.Fprintln(w, opt.String())
+	fmt.Fprintln(w, overlays.ChordPlan(nil).String())
 }
 
 // dumpPlacement prints where every node of the largest configured

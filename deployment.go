@@ -44,7 +44,6 @@ import (
 	"p2/internal/engine"
 	"p2/internal/eventloop"
 	"p2/internal/netif"
-	"p2/internal/planner"
 	"p2/internal/seed"
 	"p2/internal/simnet"
 	"p2/internal/trace"
@@ -111,7 +110,6 @@ type config struct {
 	transport *TransportConfig
 	defines   map[string]Value
 	nodeOpts  NodeOptions
-	optimizer *planner.OptimizerConfig
 	metrics   string // Prometheus listen address; "" disables
 	faults    *netif.FaultConfig
 	record    string // wire-trace file path; "" disables
@@ -154,26 +152,20 @@ func WithDefines(defines map[string]Value) Option {
 // WithNodeDefaults sets the NodeOptions (sweep interval, introspection
 // interval, jitter, tracing) Spawn applies to every node. SpawnOpts
 // ignores these defaults and uses its explicit options instead — with
-// three exceptions that are filled in either way: a zero Seed derives
-// from (Seed, addr), a nil Transport picks up WithTransport, and a nil
-// Optimizer picks up WithOptimizer.
+// two exceptions that are filled in either way: a zero Seed derives
+// from (Seed, addr), and a nil Transport picks up WithTransport. No
+// option chooses a node's plan: every node runs the plan Spawn is
+// handed, planned when it was compiled.
 func WithNodeDefaults(o NodeOptions) Option {
 	return func(c *config) { c.nodeOpts = o }
 }
 
-// WithOptimizer enables the cost-based query optimizer on every node
-// the deployment spawns: rule bodies are re-ordered and filtered by
-// estimated cost, and identical probe prefixes are shared across rules
-// on the same trigger. The program is planned once, from catalog
-// statistics, and every node runs that plan unchanged; rules installed
-// later are planned from the node's live statistics. The zero
-// OptimizerConfig enables everything; its No* fields switch individual
-// optimizations off.
-// Per-node SpawnOpts with an explicit NodeOptions.Optimizer override
-// this default. Current plans surface in the sysPlan system table and
-// via Handle.PlanStats.
-func WithOptimizer(cfg OptimizerConfig) Option {
-	return func(c *config) { c.optimizer = &cfg }
+// WithOptimizer does nothing: Compile plans every rule, so there is no
+// optimizer to enable. It and OptimizerConfig are kept only because the
+// benchmark rig still calls them; the next benchmark change drops those
+// calls and both names go.
+func WithOptimizer(OptimizerConfig) Option {
+	return func(*config) {}
 }
 
 // WithMetrics serves Prometheus text metrics for every live node at
@@ -422,10 +414,6 @@ func (d *Deployment) SpawnOpts(addr string, plan *Plan, opts NodeOptions) (*Hand
 	if opts.Transport == nil && d.cfg.transport != nil {
 		tc := *d.cfg.transport
 		opts.Transport = &tc
-	}
-	if opts.Optimizer == nil && d.cfg.optimizer != nil {
-		oc := *d.cfg.optimizer
-		opts.Optimizer = &oc
 	}
 	// Stamp this incarnation's transport epoch: strictly increasing per
 	// address over the deployment's life, so a replaced node's restarted
@@ -932,8 +920,8 @@ func (h *Handle) RuleStats() []RuleStat {
 	return out
 }
 
-// PlanStats snapshots the optimizer's plan per rule (sysPlan). Without
-// WithOptimizer every rule reports the textual plan: order "-", cost 0.
+// PlanStats snapshots the planner's plan per rule (sysPlan). A frozen
+// rule reports its textual plan: order "-", cost 0.
 func (h *Handle) PlanStats() []PlanStat {
 	var out []PlanStat
 	h.Do(func(n *Node) { out = n.PlanStats() })

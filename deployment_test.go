@@ -151,20 +151,12 @@ func TestDeploymentConformance(t *testing.T) {
 
 	results := make(map[string]confResult)
 	for _, shards := range []int{1, 4} {
-		for _, optimized := range []bool{false, true} {
-			dopts := []p2.Option{p2.WithSeed(17), p2.WithShards(shards)}
-			name := fmt.Sprintf("sim/shards=%d", shards)
-			if optimized {
-				dopts = append(dopts, p2.WithOptimizer(p2.OptimizerConfig{}))
-				name = fmt.Sprintf("sim+opt/shards=%d", shards)
-			}
-			d, err := p2.NewDeployment(p2.Simulated, dopts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			results[name] = runConformance(t, d, []string{"c0:p2", "c1:p2", "c2:p2", "c3:p2"})
-			d.Close()
+		d, err := p2.NewDeployment(p2.Simulated, p2.WithSeed(17), p2.WithShards(shards))
+		if err != nil {
+			t.Fatal(err)
 		}
+		results[fmt.Sprintf("sim/shards=%d", shards)] = runConformance(t, d, []string{"c0:p2", "c1:p2", "c2:p2", "c3:p2"})
+		d.Close()
 	}
 
 	var udpAddrs []string
@@ -192,14 +184,11 @@ func TestDeploymentConformance(t *testing.T) {
 			t.Errorf("%s: installed echoTotal = %d, want 3", name, r.echo)
 		}
 	}
-	// The simulated variants are bit-identical, not merely equivalent —
-	// with and without the query optimizer.
-	for _, prefix := range []string{"sim", "sim+opt"} {
-		s1, s4 := results[prefix+"/shards=1"], results[prefix+"/shards=4"]
-		if s1.events != s4.events || s1.bytes != s4.bytes || s1.clock != s4.clock {
-			t.Errorf("%s shards=1 vs 4 diverged: events %d vs %d, bytes %d vs %d, clock %v vs %v",
-				prefix, s1.events, s4.events, s1.bytes, s4.bytes, s1.clock, s4.clock)
-		}
+	// The simulated variants are bit-identical, not merely equivalent.
+	s1, s4 := results["sim/shards=1"], results["sim/shards=4"]
+	if s1.events != s4.events || s1.bytes != s4.bytes || s1.clock != s4.clock {
+		t.Errorf("sim shards=1 vs 4 diverged: events %d vs %d, bytes %d vs %d, clock %v vs %v",
+			s1.events, s4.events, s1.bytes, s4.bytes, s1.clock, s4.clock)
 	}
 }
 
@@ -278,13 +267,12 @@ func TestChurnedDeploymentBitIdentical(t *testing.T) {
 	}
 }
 
-// TestOneTemplatePerDeployment: the optimizer plans a deployment's
-// program once, and every node runs the same planned rules — on any
-// shard, since a planned rule never changes. Only the Rules slice is a
-// node's own, so an Install on one node leaves every other untouched.
+// TestOneTemplatePerDeployment: Compile plans a program once, and every
+// node runs the plan it was spawned with — on any shard, since a
+// compiled plan never changes. An Install gives its node an extended
+// copy and leaves every other node's plan untouched.
 func TestOneTemplatePerDeployment(t *testing.T) {
-	d, err := p2.NewDeployment(p2.Simulated, p2.WithSeed(1), p2.WithShards(2),
-		p2.WithOptimizer(p2.OptimizerConfig{}))
+	d, err := p2.NewDeployment(p2.Simulated, p2.WithSeed(1), p2.WithShards(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,36 +295,34 @@ func TestOneTemplatePerDeployment(t *testing.T) {
 		hs = append(hs, h)
 		h.Do(func(n *p2.Node) { plans = append(plans, n.Plan()) })
 	}
-	a, b := plans[0], plans[1]
-	if len(a.Rules) != len(b.Rules) || &a.Rules[0] == &b.Rules[0] {
-		t.Fatalf("%s and %s share one Rules slice; each node needs its own", addrs[0], addrs[1])
+	d.Run(3) // both shards run the shared rules at once (go test -race)
+	if plans[0] != plan || plans[1] != plan {
+		t.Fatalf("%s and %s on shards %d and %d run their own plans, not the one they were spawned with",
+			addrs[0], addrs[1], d.ShardOf(addrs[0]), d.ShardOf(addrs[1]))
 	}
 	planned := 0
-	for i, r := range a.Rules {
-		if r.Order == nil {
-			continue
-		}
-		planned++
-		if b.Rules[i] != r {
-			t.Errorf("rule %s: %s and %s on shards %d and %d run different copies",
-				r.ID, addrs[0], addrs[1], d.ShardOf(addrs[0]), d.ShardOf(addrs[1]))
+	for _, r := range plan.Rules {
+		if r.Order != nil {
+			planned++
 		}
 	}
 	if planned == 0 {
-		t.Fatal("the optimizer planned no Chord rule; the check is vacuous")
+		t.Fatal("Compile planned no Chord rule; the check is vacuous")
 	}
 
-	before := append([]*planner.Rule(nil), b.Rules...)
+	before := append([]*planner.Rule(nil), plan.Rules...)
 	if err := hs[0].Install(`I1 fingerSeen@N(N, B) :- lookup@N(N, K, R, E), finger@N(N, I, B, BI).`); err != nil {
 		t.Fatal(err)
 	}
+	d.Run(3)
+	var a, b *p2.Plan
 	hs[0].Do(func(n *p2.Node) { a = n.Plan() })
 	hs[1].Do(func(n *p2.Node) { b = n.Plan() })
-	if len(a.Rules) != len(before)+1 {
-		t.Fatalf("%s runs %d rules after Install, want %d", addrs[0], len(a.Rules), len(before)+1)
+	if a == plan || len(a.Rules) != len(before)+1 || a.Rules[len(before)].Order == nil {
+		t.Fatalf("%s runs %d rules after Install, want its own plan of %d with I1 planned", addrs[0], len(a.Rules), len(before)+1)
 	}
-	if len(b.Rules) != len(before) {
-		t.Fatalf("Install on %s changed %s's rule count to %d", addrs[0], addrs[1], len(b.Rules))
+	if b != plan || len(b.Rules) != len(before) {
+		t.Fatalf("Install on %s moved %s off the shared plan (%d rules)", addrs[0], addrs[1], len(b.Rules))
 	}
 	for i, r := range b.Rules {
 		if r != before[i] {

@@ -67,13 +67,6 @@ type Options struct {
 	// facility (§3.5's logging ports, §7 "On-line distributed
 	// debugging").
 	TraceWriter io.Writer
-	// Optimizer enables the cost-based query optimizer: rule strands
-	// are planned once at start against the catalog heuristics (rules
-	// installed later against live table statistics), and identical
-	// probe prefixes are shared across strands. Nil disables
-	// optimization (the naive textual plans). See
-	// planner.OptimizerConfig.
-	Optimizer *planner.OptimizerConfig
 }
 
 // Direction classifies watch events.
@@ -248,7 +241,9 @@ type ruleFires struct {
 }
 
 // NewNode builds a node for addr executing plan over net, scheduling on
-// loop. Call Start to attach and begin execution.
+// loop. Call Start to attach and begin execution. The node runs plan as
+// compiled and never modifies it, so every node of a deployment may
+// share one plan (Install moves a node onto its own extended copy).
 func NewNode(addr string, loop eventloop.Loop, net netif.Network, plan *planner.Plan, opts Options) *Node {
 	if opts.SweepInterval <= 0 {
 		opts.SweepInterval = 1.0
@@ -348,15 +343,6 @@ func (n *Node) Start() error {
 		hcfg = *n.opts.Health
 	}
 	n.health = health.NewEvaluator(hcfg, n.startTime)
-	// The optimizer rewrites the plan before any strand is built. At
-	// start there are no live statistics yet, so ordering comes from the
-	// catalog heuristics — deliberately state-independent, so every node
-	// (and every shard count) runs an identical plan, which never
-	// changes. OptimizeShared runs that catalog pass once per (plan,
-	// config) process-wide: all nodes of a deployment share its rules.
-	if n.opts.Optimizer != nil {
-		n.plan = planner.OptimizeShared(n.plan, *n.opts.Optimizer)
-	}
 	// A Go-level Watch on a sys* relation registered before Start also
 	// counts as a consumer, so OR rather than overwrite.
 	n.sysConsumer = n.sysConsumer || n.opts.IntrospectInterval > 0 || planReadsSys(n.plan)
@@ -520,11 +506,9 @@ func (n *Node) buildChain(s *strand) {
 	var elems []stage
 
 	var flush flusher
-	shareIdx := -1
-	if n.opts.Optimizer != nil && !n.opts.Optimizer.NoShare {
-		if idx, ok := n.plan.ShareableJoin(r); ok {
-			shareIdx = idx
-		}
+	shareIdx, ok := n.plan.ShareableJoin(r)
+	if !ok {
+		shareIdx = -1
 	}
 	use := scratchUse{width: r.Trigger.Arity}
 
@@ -657,9 +641,6 @@ func (u *scratchUse) flush(arity int) {
 // Install calls it again to let grafted strands join their trigger's
 // groups.
 func (n *Node) wireShares() {
-	if n.opts.Optimizer == nil || n.opts.Optimizer.NoShare {
-		return
-	}
 	for _, group := range n.strands {
 		byKey := make(map[string][]*dataflow.Join)
 		for _, s := range group {

@@ -50,7 +50,7 @@ type sysRefresh struct {
 
 func newSysRefresh() *sysRefresh {
 	// Only tableNames is maintained unconditionally (registerTable at
-	// table creation; evalHealthNow's churn walk reads it). The row
+	// table creation; healthSample's churn walk reads it). The row
 	// caches allocate on the first actual refresh — most nodes of a
 	// large deployment never run one.
 	return &sysRefresh{}
@@ -198,14 +198,12 @@ func (n *Node) RefreshSystemTables() {
 	ns := n.NodeStat() // uptime always moves; sysNode rebuilds every pass
 	n.deliverLocal(introspect.NodeTuple(addr, ns), DirDerived)
 
-	var churn int64 // cumulative inserts+deletes across application tables
 	for _, name := range sr.tableNames {
 		tb := n.tables[name]
 		if tb == nil {
 			continue
 		}
 		ts := tableStat(name, tb)
-		churn += ts.Inserts + ts.Deletes
 		t := sr.tableTup[name]
 		if t == nil || ts != sr.tableLast[name] {
 			t = introspect.TableTuple(addr, ts)
@@ -229,11 +227,10 @@ func (n *Node) RefreshSystemTables() {
 		emitRule(rf.id, rf.fires)
 	}
 
-	// sysPlan reports the plan of every rule strand. Rows exist whether
-	// or not the optimizer is enabled — an unoptimized rule reports order
-	// "-", cost 0 — so monitoring programs can rely on the relation on
-	// both runtimes. A plan is fixed when its strand is built, so each
-	// row renders once and every refresh only renews its TTL.
+	// sysPlan reports the plan of every rule strand; a frozen rule, which
+	// the planner leaves in textual order, reports order "-", cost 0. A
+	// plan is fixed when its rule is compiled, so each row renders once
+	// and every refresh only renews its TTL.
 	for _, s := range n.allStrands {
 		t := sr.planTup[s.rule.ID]
 		if t == nil {
@@ -243,11 +240,10 @@ func (n *Node) RefreshSystemTables() {
 		n.deliverLocal(t, DirDerived)
 	}
 
-	sample := health.Sample{Now: n.loop.Now(), Churn: churn}
+	// The health sample and the sysNet and sysKV rows read the same
+	// counters: healthSample leaves the per-peer stats in sr.netBuf.
+	sample, ks, kvOK := n.healthSample()
 	if n.trans != nil {
-		sample.QueueCap = n.trans.Config().QueueCap
-		sr.netBuf = n.trans.PerDestInto(sr.netBuf)
-		sr.healthPeers = sr.healthPeers[:0]
 		for i := range sr.netBuf {
 			d := &sr.netBuf[i]
 			st := netStat(d)
@@ -257,11 +253,7 @@ func (n *Node) RefreshSystemTables() {
 				sr.netTup[d.Addr], sr.netLast[d.Addr] = t, st
 			}
 			n.deliverLocal(t, DirDerived)
-			sr.healthPeers = append(sr.healthPeers, health.PeerSample{
-				Addr: d.Addr, Backlog: d.Backlog, Drops: d.Drops,
-			})
 		}
-		sample.Peers = sr.healthPeers
 		// The transport's flow janitor reclaims idle peers; drop their
 		// cached row renderings too, or the caches regrow the O(peers
 		// ever contacted) footprint the janitor exists to bound. The
@@ -277,14 +269,9 @@ func (n *Node) RefreshSystemTables() {
 		}
 	}
 
-	// The key-value service's row, on nodes running it: delivered like
-	// the rest, and folded into the health sample so KVUnderReplicated
-	// judges the same counters sysKV reports.
-	ks, kvOK := n.KVStats()
+	// The key-value service's row, on nodes running it: the counters
+	// KVUnderReplicated judges in the health sample.
 	if kvOK {
-		sample.KV = &health.KVSample{
-			Keys: ks.Keys, Replicas: ks.Replicas, Quorum: ks.Quorum, Succs: ks.Succs,
-		}
 		t := sr.kvTup
 		if t == nil || ks != sr.kvLast {
 			t = introspect.KVTuple(addr, ks)
@@ -330,21 +317,29 @@ func (n *Node) Conditions() []health.Condition {
 	return slices.Clone(n.health.Conditions())
 }
 
-// evalHealthNow feeds the health evaluator the same sample a refresh
-// would build — cumulative application-table churn plus per-peer
-// backlog and drops — without rendering or delivering any sys* rows.
-// It runs on the node's loop (Conditions is reached via Handle.Do or
-// between Run calls), and reuses the refresh cache's buffers.
+// evalHealthNow feeds the health evaluator the sample a refresh would
+// build, without rendering or delivering any sys* rows. It runs on the
+// node's loop (Conditions is reached via Handle.Do or between Run
+// calls).
 func (n *Node) evalHealthNow() {
+	sample, _, _ := n.healthSample()
+	n.health.Eval(sample)
+}
+
+// healthSample builds the health evaluator's input from the live
+// counters: cumulative application-table churn, per-peer backlog and
+// drops, and the key-value service's replication state. The per-peer
+// transport stats stay in the refresh cache's netBuf for the sysNet
+// rows; ks is the sysKV row the KV sample comes from, valid when kvOK.
+func (n *Node) healthSample() (sample health.Sample, ks introspect.KVStat, kvOK bool) {
 	sr := n.sysref
-	var churn int64
+	sample.Now = n.loop.Now()
 	for _, name := range sr.tableNames {
 		if tb := n.tables[name]; tb != nil {
 			st := tb.Stats()
-			churn += st.Inserts + st.Deletes
+			sample.Churn += st.Inserts + st.Deletes
 		}
 	}
-	sample := health.Sample{Now: n.loop.Now(), Churn: churn}
 	if n.trans != nil {
 		sample.QueueCap = n.trans.Config().QueueCap
 		sr.netBuf = n.trans.PerDestInto(sr.netBuf)
@@ -357,12 +352,12 @@ func (n *Node) evalHealthNow() {
 		}
 		sample.Peers = sr.healthPeers
 	}
-	if ks, ok := n.KVStats(); ok {
+	if ks, kvOK = n.KVStats(); kvOK {
 		sample.KV = &health.KVSample{
 			Keys: ks.Keys, Replicas: ks.Replicas, Quorum: ks.Quorum, Succs: ks.Succs,
 		}
 	}
-	n.health.Eval(sample)
+	return sample, ks, kvOK
 }
 
 // The Source implementation below exposes the counters the snapshot is
@@ -465,9 +460,8 @@ func (n *Node) RuleStats() []introspect.RuleStat {
 	return out
 }
 
-// PlanStats reports the optimizer's plan per rule strand, in build
-// order. Without the optimizer every rule reports the textual plan:
-// order "-", cost 0.
+// PlanStats reports the planner's plan per rule strand, in build order.
+// A frozen rule reports its textual plan: order "-", cost 0.
 func (n *Node) PlanStats() []introspect.PlanStat {
 	out := make([]introspect.PlanStat, 0, len(n.allStrands))
 	for _, s := range n.allStrands {
@@ -539,22 +533,8 @@ func (n *Node) Install(src string) error {
 		n.sysConsumer = true
 		n.ensureSysTables()
 	}
-	// Installed rules are optimized against live statistics: by the time
-	// a monitoring query arrives the node's tables hold real data.
 	for _, r := range delta.Rules {
-		rr := r
-		if n.opts.Optimizer != nil {
-			if nr := n.plan.OptimizeRule(r, n.liveStats(), *n.opts.Optimizer); nr != nil {
-				for i, pr := range n.plan.Rules {
-					if pr == r {
-						n.plan.Rules[i] = nr
-						break
-					}
-				}
-				rr = nr
-			}
-		}
-		n.buildStrand(rr)
+		n.buildStrand(r)
 	}
 	for _, ta := range delta.TableAggs {
 		n.buildTableAgg(ta)

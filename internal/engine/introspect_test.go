@@ -96,8 +96,8 @@ func TestSystemTablesPopulate(t *testing.T) {
 
 // TestIntrospectionLazy pins the demand-driven default: a node whose
 // program never reads a sys* relation arms no introspection timer at
-// all, with or without the optimizer (TestPlansAreFixedAtStart), so the
-// tables stay empty; health conditions still evaluate on demand, and a
+// all, so the tables stay empty; health conditions still evaluate on
+// demand, and a
 // Go-level Watch on a system table arms the refresh after the fact.
 func TestIntrospectionLazy(t *testing.T) {
 	r := newRig(t, pingPongSrc, "a", "b")

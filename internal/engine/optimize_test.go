@@ -1,12 +1,10 @@
 package engine
 
-// Tests for the cost-based query optimizer's engine integration:
-// tuple equivalence between textual and optimized plans (including
-// shared probe caches), plans fixed at start, and the sysPlan system
-// table.
+// Tests for the engine's side of the query planner: tuple equivalence
+// between textual and planned strands (including shared probe caches),
+// plans fixed when compiled, and the sysPlan system table.
 
 import (
-	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -20,15 +18,25 @@ import (
 	"p2/internal/val"
 )
 
-// startOne builds a single node running src with the given options on
-// its own simulated world.
+// compileFunc is planner.Compile, or planner.CompileTextual for the
+// reference plan a planned strand is checked against.
+type compileFunc func(*overlog.Program, map[string]val.Value) (*planner.Plan, error)
+
+// startOne builds a single node running src, as Compile plans it, with
+// the given options on its own simulated world.
 func startOne(t *testing.T, src string, opts Options) (*eventloop.Sim, *Node) {
+	t.Helper()
+	return startWith(t, planner.Compile, src, opts)
+}
+
+// startWith is startOne with the compiler chosen by the caller.
+func startWith(t *testing.T, compile compileFunc, src string, opts Options) (*eventloop.Sim, *Node) {
 	t.Helper()
 	prog, err := overlog.Parse(src)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	plan, err := planner.Compile(prog, nil)
+	plan, err := compile(prog, nil)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -43,9 +51,21 @@ func startOne(t *testing.T, src string, opts Options) (*eventloop.Sim, *Node) {
 	return loop, n
 }
 
+// planOf returns the node's sysPlan row for rule id.
+func planOf(t *testing.T, n *Node, id string) introspect.PlanStat {
+	t.Helper()
+	for _, ps := range n.PlanStats() {
+		if ps.Rule == id {
+			return ps
+		}
+	}
+	t.Fatalf("%s missing from PlanStats", id)
+	return introspect.PlanStat{}
+}
+
 // diffSrc is a confluent program (head tables keyed on every column,
 // infinite TTL, no deletes or aggregates), so any execution order must
-// converge to the same table contents. It exercises every optimizer
+// converge to the same table contents. It exercises every planner
 // transformation at once: A1 is a two-table join with an arithmetic
 // assign and a filter (reorder + pushdown), and A1-A3 all open with the
 // same probe of link on the same key (probe sharing), each with a
@@ -90,9 +110,8 @@ func driveDiff(loop *eventloop.Sim, n *Node) {
 }
 
 func TestOptimizedPlanIsTupleEquivalent(t *testing.T) {
-	nLoop, naive := startOne(t, diffSrc, Options{Seed: 1, NoJitter: true})
-	oLoop, opt := startOne(t, diffSrc, Options{Seed: 1, NoJitter: true,
-		Optimizer: &planner.OptimizerConfig{}})
+	nLoop, naive := startWith(t, planner.CompileTextual, diffSrc, Options{Seed: 1, NoJitter: true})
+	oLoop, opt := startOne(t, diffSrc, Options{Seed: 1, NoJitter: true})
 	driveDiff(nLoop, naive)
 	driveDiff(oLoop, opt)
 
@@ -108,9 +127,9 @@ func TestOptimizedPlanIsTupleEquivalent(t *testing.T) {
 		}
 	}
 
-	// The optimizer node answered the A2/A3 probes from A1's shared
-	// cache and pushed filters ahead of joins, so it must have done
-	// strictly less probe work for identical output.
+	// Both nodes answer the A2/A3 probes from A1's shared cache, and the
+	// planned node pushed A2's filter ahead of its join, so it must have
+	// done strictly less probe work for identical output.
 	if np, op := naive.Stats().Probes, opt.Stats().Probes; op >= np {
 		t.Fatalf("probes: optimized %d >= naive %d", op, np)
 	}
@@ -125,52 +144,61 @@ func renderAll(rows []*tuple.Tuple) []string {
 }
 
 // TestSharedProbeStrandsKeepOwnFilters pins the sharing machinery
-// directly: with only NoReorder/NoPushdown left on, strands still share
-// the first probe, and each applies its own residual selection.
+// directly: strands on one trigger that open with the same probe share
+// it whatever their plan, textual or planned, and each applies its own
+// residual selection.
 func TestSharedProbeStrandsKeepOwnFilters(t *testing.T) {
-	_, n := startOne(t, diffSrc, Options{Seed: 1, NoJitter: true,
-		Optimizer: &planner.OptimizerConfig{NoReorder: true, NoPushdown: true}})
-	shared := 0
-	for _, group := range n.strands {
-		keys := map[string]int{}
-		for _, s := range group {
-			if s.firstJoin != nil {
-				keys[s.shareKey]++
+	for name, compile := range map[string]compileFunc{"textual": planner.CompileTextual, "planned": planner.Compile} {
+		_, n := startWith(t, compile, diffSrc, Options{Seed: 1, NoJitter: true})
+		shared := 0
+		for _, group := range n.strands {
+			keys := map[string]int{}
+			for _, s := range group {
+				if s.firstJoin != nil {
+					keys[s.shareKey]++
+				}
+			}
+			for _, c := range keys {
+				if c >= 2 {
+					shared += c
+				}
 			}
 		}
-		for _, c := range keys {
-			if c >= 2 {
-				shared += c
-			}
+		if shared < 3 {
+			t.Fatalf("%s: sharable strands wired = %d, want A1+A2+A3", name, shared)
 		}
-	}
-	if shared < 3 {
-		t.Fatalf("sharable strands wired = %d, want A1+A2+A3", shared)
 	}
 }
 
 // TestFoldSkipMatchesUnfusedChain runs a finger-table-shaped min and max
-// through the engine with the fold on and off: 60 hop(I, B, P) rows
-// naming 5 distinct (B, P), mixed Int and Float B for one of them, in a
-// bucket shuffled by replacements. The fold records its distinct
-// columns and derives what the unfused chain derives. Its first probe
-// walks the bucket and counts every row it visits, as the chain does;
-// the later ones are answered from its row cache, so they count
-// strictly less.
+// through the engine planned (folded) and textual (the unfused chain):
+// 60 hop(I, B, P) rows naming 5 distinct (B, P), mixed Int and Float B
+// for one of them, in a bucket shuffled by replacements. The fold
+// records its distinct columns and derives what the unfused chain
+// derives. Its first probe walks the bucket and counts every row it
+// visits, as the chain does; the later ones are answered from its row
+// cache, so they count strictly less.
 func TestFoldSkipMatchesUnfusedChain(t *testing.T) {
+	// Each rule has its own trigger: two unfused joins on one trigger
+	// would answer one probe from the other's cache, which is not the
+	// difference under test.
 	const src = `
 		materialize(hop, infinity, infinity, keys(2)).
 		materialize(nearest, infinity, infinity, keys(1,2)).
 		materialize(farthest, infinity, infinity, keys(1,2)).
-		F1 nearest@X(X, K, min<D>) :- probe@X(X, K), hop@X(X, I, B, P), D := (K - B) / 2, B < K.
-		F2 farthest@X(X, K, max<P>) :- probe@X(X, K), hop@X(X, I, B, P), B < K.
+		F1 nearest@X(X, K, min<D>) :- near@X(X, K), hop@X(X, I, B, P), D := (K - B) / 2, B < K.
+		F2 farthest@X(X, K, max<P>) :- far@X(X, K), hop@X(X, I, B, P), B < K.
 	`
-	// drive returns the probes counted by the first lookup and by the
-	// fifteen after it.
-	drive := func(opts Options) (n *Node, first, rest int64) {
-		loop, n := startOne(t, src, opts)
+	// drive returns the probes counted by the first lookup pair and by
+	// the fifteen pairs after it.
+	drive := func(compile compileFunc) (n *Node, first, rest int64) {
+		loop, n := startWith(t, compile, src, Options{Seed: 1, NoJitter: true})
 		hop := func(i int64, b val.Value, p int64) {
 			n.InjectTuple(tuple.New("hop", val.Str("a"), val.Int(i), b, val.Int(p)))
+		}
+		lookup := func(k int64) {
+			n.InjectTuple(tuple.New("near", val.Str("a"), val.Int(k)))
+			n.InjectTuple(tuple.New("far", val.Str("a"), val.Int(k)))
 		}
 		for i := int64(0); i < 60; i++ {
 			hop(i, val.Int(i/12*3), i/12)
@@ -180,19 +208,17 @@ func TestFoldSkipMatchesUnfusedChain(t *testing.T) {
 		}
 		loop.Run(1)
 		before := n.Stats().Probes
-		n.InjectTuple(tuple.New("probe", val.Str("a"), val.Int(0)))
+		lookup(0)
 		loop.Run(2)
 		first = n.Stats().Probes - before
 		for k := int64(1); k < 16; k++ {
-			n.InjectTuple(tuple.New("probe", val.Str("a"), val.Int(k)))
+			lookup(k)
 		}
 		loop.Run(3)
 		return n, first, n.Stats().Probes - before - first
 	}
-	// NoShare: the two unfused joins would otherwise answer one probe
-	// from the other's cache, which is not the difference under test.
-	chain, chainFirst, chainRest := drive(Options{Seed: 1, NoJitter: true, Optimizer: &planner.OptimizerConfig{NoShare: true, NoFold: true}})
-	fold, foldFirst, foldRest := drive(Options{Seed: 1, NoJitter: true, Optimizer: &planner.OptimizerConfig{NoShare: true}})
+	chain, chainFirst, chainRest := drive(planner.CompileTextual)
+	fold, foldFirst, foldRest := drive(planner.Compile)
 
 	for _, ps := range fold.PlanStats() {
 		if !strings.Contains(ps.Order, " distinct[") {
@@ -220,23 +246,13 @@ const bigSmallSrc = `
 	R1 out@X(X, B, S) :- evt@X(X), big@X(X, B), small@X(X, S).
 `
 
-// TestPlansAreFixedAtStart: a rule is planned once, when its node
-// starts. A node nothing introspects keeps no timer for its plans, and
-// a relation growing far past the catalog estimate its rule was costed
-// with leaves the plan as it was — with or without the sys* refresh
-// running. The strand keeps its rule ID and fire counter throughout,
-// and sysPlan reports the plan from OverLog.
+// TestPlansAreFixedAtStart: a rule is planned once, when it is
+// compiled. A node nothing introspects keeps no timer, and a relation
+// growing far past the catalog estimate its rule was costed with leaves
+// the plan as it was — with or without the sys* refresh running. The
+// strand keeps its rule ID and fire counter throughout, and sysPlan
+// reports the plan from OverLog.
 func TestPlansAreFixedAtStart(t *testing.T) {
-	planOf := func(n *Node) introspect.PlanStat {
-		t.Helper()
-		for _, ps := range n.PlanStats() {
-			if ps.Rule == "R1" {
-				return ps
-			}
-		}
-		t.Fatal("R1 missing from PlanStats")
-		return introspect.PlanStat{}
-	}
 	firesOf := func(n *Node) int64 {
 		t.Helper()
 		for _, rs := range n.RuleStats() {
@@ -255,27 +271,24 @@ func TestPlansAreFixedAtStart(t *testing.T) {
 		loop.Run(loop.Now() + 3)
 	}
 
-	// Default interval, no sys* consumer: the optimizer arms no timer of
-	// its own, so the node has exactly its unoptimized twin's.
-	twinLoop, _ := startOne(t, bigSmallSrc, Options{Seed: 1, NoJitter: true})
-	loop, n := startOne(t, bigSmallSrc, Options{Seed: 1, NoJitter: true,
-		Optimizer: &planner.OptimizerConfig{}})
-	if got, want := loop.Pending(), twinLoop.Pending(); got != want {
-		t.Fatalf("optimized node has %d pending timers and calls, its unoptimized twin %d", got, want)
+	// Default interval, no sys* consumer: the node arms no introspection
+	// timer.
+	loop, n := startOne(t, bigSmallSrc, Options{Seed: 1, NoJitter: true})
+	if n.introTimer != nil {
+		t.Fatal("a node nothing introspects armed the introspection timer")
 	}
-	start := planOf(n)
+	start := planOf(t, n, "R1")
 	if start.Order != "0,1" || start.CostEst <= 0 {
 		t.Fatalf("start plan = %+v, want the catalog's order 0,1 at a positive cost", start)
 	}
 	grow(loop, n)
-	if got := planOf(n); got != start {
+	if got := planOf(t, n, "R1"); got != start {
 		t.Fatalf("plan after growth = %+v, want it unchanged from %+v", got, start)
 	}
 
 	// With the sys* refresh running every second, the same growth leaves
 	// the same plan, and the strand fires on under one ID.
-	loop, n = startOne(t, bigSmallSrc, Options{Seed: 1, NoJitter: true,
-		IntrospectInterval: 1, Optimizer: &planner.OptimizerConfig{}})
+	loop, n = startOne(t, bigSmallSrc, Options{Seed: 1, NoJitter: true, IntrospectInterval: 1})
 	n.InjectTuple(tuple.New("small", val.Str("a"), val.Int(1)))
 	n.InjectTuple(tuple.New("small", val.Str("a"), val.Int(2)))
 	n.InjectTuple(tuple.New("evt", val.Str("a")))
@@ -284,7 +297,7 @@ func TestPlansAreFixedAtStart(t *testing.T) {
 		t.Fatalf("fires before growth = %d, want 1", firesOf(n))
 	}
 	grow(loop, n)
-	if got := planOf(n); got != start {
+	if got := planOf(t, n, "R1"); got != start {
 		t.Fatalf("plan after growth with the refresh on = %+v, want %+v", got, start)
 	}
 	n.InjectTuple(tuple.New("evt", val.Str("a")))
@@ -311,52 +324,63 @@ func TestPlansAreFixedAtStart(t *testing.T) {
 	}
 }
 
-// TestSysPlanWithoutOptimizer: the relation exists and is queryable
-// even when no optimizer is configured — rules just report the textual
-// plan markers.
-func TestSysPlanWithoutOptimizer(t *testing.T) {
+// TestFrozenRuleReportsTextualPlan: a rule that draws randomness is
+// frozen in its textual order, and sysPlan says so — order "-", cost 0 —
+// beside the planned rules of the same program.
+func TestFrozenRuleReportsTextualPlan(t *testing.T) {
 	// Explicit interval: without a sys* consumer the demand-driven
 	// refresh would never run and the relation would stay empty.
-	loop, n := startOne(t, bigSmallSrc, Options{Seed: 1, NoJitter: true,
-		IntrospectInterval: 1})
+	loop, n := startOne(t, bigSmallSrc+`
+		R2 out@X(X, B, C) :- evt@X(X), big@X(X, B), C := f_rand().
+	`, Options{Seed: 1, NoJitter: true, IntrospectInterval: 1})
 	loop.Run(2)
-	rows := n.Table(introspect.PlanRelation).ScanSorted()
-	if len(rows) == 0 {
-		t.Fatal("sysPlan empty without optimizer")
+	rows := map[string]*tuple.Tuple{}
+	for _, r := range n.Table(introspect.PlanRelation).ScanSorted() {
+		rows[r.Field(1).AsStr()] = r
 	}
-	for _, r := range rows {
-		if r.Field(2).AsStr() != "-" || r.Field(4).AsInt() != 0 {
-			t.Fatalf("unoptimized sysPlan row = %v, want order - and 0 replans", r)
-		}
+	if r := rows["R2"]; r == nil || r.Field(2).AsStr() != "-" || r.Field(3).AsFloat() != 0 || r.Field(4).AsInt() != 0 {
+		t.Fatalf("frozen rule's sysPlan row = %v, want order -, cost 0 and 0 replans", r)
+	}
+	if r := rows["R1"]; r == nil || r.Field(2).AsStr() != "0,1" || r.Field(3).AsFloat() <= 0 {
+		t.Fatalf("planned rule's sysPlan row = %v, want order 0,1 at a positive cost", r)
 	}
 }
 
-// TestInstallOptimizesNewRules: rules grafted in at runtime go through
-// the optimizer against live statistics immediately.
-func TestInstallOptimizesNewRules(t *testing.T) {
-	loop, n := startOne(t, bigSmallSrc, Options{Seed: 1, NoJitter: true,
-		Optimizer: &planner.OptimizerConfig{}})
-	for i := 0; i < 100; i++ {
-		n.InjectTuple(tuple.New("big", val.Str("a"), val.Int(int64(i))))
-	}
-	n.InjectTuple(tuple.New("small", val.Str("a"), val.Int(1)))
-	loop.Run(1)
-	if err := n.Install(fmt.Sprintf(`
+// TestInstalledPlanIgnoresTableSizes: a plan is a function of its
+// source. A rule installed on a node whose big table holds 100 rows and
+// small one row gets the plan it gets on a node with empty tables, and
+// the plan Compile gives it as part of the start program.
+func TestInstalledPlanIgnoresTableSizes(t *testing.T) {
+	const i1 = `
 		materialize(out2, infinity, infinity, keys(1,2,3)).
 		I1 out2@X(X, B, S) :- evt@X(X), big@X(X, B), small@X(X, S).
-	`)); err != nil {
-		t.Fatal(err)
-	}
-	loop.Run(1)
-	for _, ps := range n.PlanStats() {
-		if ps.Rule == "I1" {
-			// Live stats at install time: big is 100x small, so the
-			// installed rule probes small first from the start.
-			if ps.Order != "1,0" {
-				t.Fatalf("installed plan = %+v, want order 1,0", ps)
+	`
+	installed := func(fill bool) introspect.PlanStat {
+		t.Helper()
+		loop, n := startOne(t, bigSmallSrc, Options{Seed: 1, NoJitter: true})
+		if fill {
+			for i := 0; i < 100; i++ {
+				n.InjectTuple(tuple.New("big", val.Str("a"), val.Int(int64(i))))
 			}
-			return
+			n.InjectTuple(tuple.New("small", val.Str("a"), val.Int(1)))
 		}
+		loop.Run(1)
+		if got := n.Table("big").Len(); fill && got != 100 {
+			t.Fatalf("big holds %d rows, want 100", got)
+		}
+		if err := n.Install(i1); err != nil {
+			t.Fatal(err)
+		}
+		return planOf(t, n, "I1")
 	}
-	t.Fatal("installed rule I1 missing from PlanStats")
+	full, empty := installed(true), installed(false)
+	_, n := startOne(t, bigSmallSrc+i1, Options{Seed: 1, NoJitter: true})
+	compiled := planOf(t, n, "I1")
+	if full != empty || full != compiled {
+		t.Fatalf("I1's plan: installed beside 100 big rows %+v, installed on empty tables %+v, compiled at start %+v; want all three equal",
+			full, empty, compiled)
+	}
+	if full.Order != "0,1" || full.CostEst <= 0 {
+		t.Fatalf("I1's plan = %+v, want the catalog's order 0,1 at a positive cost", full)
+	}
 }

@@ -109,19 +109,17 @@ func NewCDF(samples []float64) CDF {
 	return c
 }
 
-// Percentile returns the p-quantile (0..1) by nearest rank.
+// Percentile returns the p-quantile (0..1) by nearest rank: the
+// smallest sample at or above which lie at least p of the samples, the
+// ceil(p·n)-th in sorted order (p=0 gives the minimum). NaN when there
+// are no samples. This is the one percentile outside the benchmark rig;
+// the workload reports use it too.
 func (c CDF) Percentile(p float64) float64 {
 	if len(c) == 0 {
 		return math.NaN()
 	}
-	i := int(p*float64(len(c))) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(c) {
-		i = len(c) - 1
-	}
-	return c[i]
+	i := int(math.Ceil(p*float64(len(c)))) - 1
+	return c[min(max(i, 0), len(c)-1)]
 }
 
 // FractionBelow returns the CDF value at x.

@@ -27,6 +27,38 @@ func TestCDF(t *testing.T) {
 	}
 }
 
+// TestPercentileNearestRank pins the nearest rank, the ceil(p·n)-th
+// sample, where an index of int(p·n) is one rank high whenever p·n is
+// whole and int(p·n)-1 one rank low whenever it is not.
+func TestPercentileNearestRank(t *testing.T) {
+	upTo := func(n int) []float64 {
+		s := make([]float64, n)
+		for i := range s {
+			s[i] = float64(n - i) // reversed: NewCDF must sort
+		}
+		return s
+	}
+	for _, tc := range []struct {
+		name    string
+		samples []float64
+		p, want float64
+	}{
+		{"p99.9 of 1000 is the 999th, not the maximum", upTo(1000), 0.999, 999},
+		{"p95 of 10 is the 10th", upTo(10), 0.95, 10},
+		{"p50 of 4 is the 2nd", upTo(4), 0.5, 2},
+		{"p99 of 100 is the 99th", upTo(100), 0.99, 99},
+		{"p=0 is the minimum", []float64{3, 1, 2}, 0, 1},
+		{"p=1 is the maximum", []float64{3, 1, 2}, 1, 3},
+		{"one sample", []float64{7}, 0.5, 7},
+		{"empty", nil, 0.5, math.NaN()},
+	} {
+		got := NewCDF(tc.samples).Percentile(tc.p)
+		if got != tc.want && !(math.IsNaN(got) && math.IsNaN(tc.want)) {
+			t.Errorf("%s: got %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
 func TestScaleByName(t *testing.T) {
 	for _, name := range []string{"paper", "medium", "quick"} {
 		sc, err := ScaleByName(name)

@@ -66,12 +66,6 @@ type Opts struct {
 	// defaults). Scale experiments use it to vary FlowIdleTTL and the
 	// reliability knobs without re-plumbing every option.
 	Transport *p2.TransportConfig
-	// NoOptimizer disables the cost-based query optimizer, which the
-	// harness otherwise enables with default tuning — the measurement
-	// configuration, and the reason the sharded-determinism suite
-	// exercises optimized plans for free. Set it
-	// for naive-plan baselines and ablation runs.
-	NoOptimizer bool
 	// Shards selects the parallel shard count: >= 1 is explicit, 0
 	// defers to the P2_SIM_SHARDS environment variable (absent: 1).
 	Shards int
@@ -166,9 +160,6 @@ func NewChord(opts Opts) *Chord {
 		tc := p2.DefaultTransportConfig()
 		tc.Unreliable = true
 		dopts = append(dopts, p2.WithTransport(tc))
-	}
-	if !opts.NoOptimizer {
-		dopts = append(dopts, p2.WithOptimizer(p2.OptimizerConfig{}))
 	}
 	d, err := p2.NewDeployment(p2.Simulated, dopts...)
 	if err != nil {

@@ -76,7 +76,7 @@ func Defs() []Def {
 		{Name: RuleRelation, Arity: 3, Keys: []int{0, 1},
 			Doc: "sysRule(@N, Rule, Fires): cumulative strand executions per compiled rule"},
 		{Name: PlanRelation, Arity: 5, Keys: []int{0, 1},
-			Doc: "sysPlan(@N, Rule, Order, CostEst, Replans): the query optimizer's plan per rule, fixed when the rule was planned — body term order (\"-\" when textual; \" distinct[cols]\" appended when a fused min/max evaluates one match per run of rows equal on those table columns), estimated cost, and Replans, always 0 (kept until the benchmark retires planner.replans)"},
+			Doc: "sysPlan(@N, Rule, Order, CostEst, Replans): the query optimizer's plan per rule, fixed when the rule was compiled — body term order (\"-\" for a frozen rule, left in textual order; \" distinct[cols]\" appended when a fused min/max evaluates one match per run of rows equal on those table columns), estimated cost, and Replans, always 0 (kept until the benchmark retires planner.replans)"},
 		{Name: NetRelation, Arity: 14, Keys: []int{0, 1},
 			Doc: "sysNet(@N, Dest, Sent, Recvd, Bytes, Retries, Cwnd, RTO, Backlog, BatchFill, DropsRetry, DropsClosed, DropsDead, DropsOverflow): per-peer transport accounting, live congestion state, and classified drop counters"},
 		{Name: NodeRelation, Arity: 4, Keys: []int{0},
@@ -104,8 +104,8 @@ type RuleStat struct {
 }
 
 // PlanStat is one rule's optimizer plan, fixed when the rule was
-// planned: the body term order it executes with ("-" when running the
-// textual plan; a fused min/max that passes over matches equal on the
+// compiled: the body term order it executes with ("-" for a frozen rule
+// left in textual order; a fused min/max that passes over matches equal on the
 // table columns its programs read appends " distinct[cols]") and the
 // cost the optimizer estimated for that order. Replans is always 0;
 // it is kept until the benchmark retires planner.replans.

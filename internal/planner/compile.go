@@ -12,10 +12,24 @@ import (
 	"p2/internal/val"
 )
 
-// Compile translates a parsed program into a Plan. extra supplies or
-// overrides symbolic constants (the programmatic equivalent of define
-// statements).
+// Compile translates a parsed program into a Plan and plans every rule
+// from the catalog (see Optimize): the result is a function of prog and
+// extra alone, and it never changes afterwards, so any number of nodes
+// may run it at once. extra supplies or overrides symbolic constants
+// (the programmatic equivalent of define statements).
 func Compile(prog *overlog.Program, extra map[string]val.Value) (*Plan, error) {
+	p, err := CompileTextual(prog, extra)
+	if err != nil {
+		return nil, err
+	}
+	p.planRules(0, NewCatalogStats(p))
+	return p, nil
+}
+
+// CompileTextual is Compile without the planning pass: every rule body
+// is visited in its textual order. It is the reference plan the tests
+// check planned strands against, and no runtime option selects it.
+func CompileTextual(prog *overlog.Program, extra map[string]val.Value) (*Plan, error) {
 	p := &Plan{
 		Source:  prog,
 		Tables:  make(map[string]*TableSpec),
@@ -344,6 +358,7 @@ func (p *Plan) compileRuleWith(r *overlog.Rule, order []int, fold bool) (*Rule, 
 		// The fused op carries the aggregate; no AggStream stage runs.
 		rule.Agg = nil
 	}
+	rule.orderStr = rule.renderOrder()
 	return rule, false, nil
 }
 

@@ -23,7 +23,10 @@ type Delta struct {
 // table base already declares — including the sys* system tables — and
 // may declare new tables of their own. base is not mutated; the result
 // is a new Plan sharing base's compiled rules plus the delta, which is
-// also returned separately. This is the compiler half of runtime rule
+// also returned separately. The new rules are planned from the extended
+// plan's catalog, as Compile plans a start program, so an installed
+// rule's plan depends on its source and the declarations it sees, never
+// on the rows a node holds. This is the compiler half of runtime rule
 // installation (the paper's §3.5 vision of monitoring queries "written
 // in OverLog themselves" and added to a running node).
 //
@@ -92,6 +95,7 @@ func Extend(base *Plan, prog *overlog.Program, extra map[string]val.Value) (*Pla
 		taken[ta.ID] = true
 	}
 	p.ensureRuleIDs(baseRules, baseAggs, taken)
+	p.planRules(baseRules, NewCatalogStats(p))
 	delta.Rules = p.Rules[baseRules:]
 	delta.TableAggs = p.TableAggs[baseAggs:]
 

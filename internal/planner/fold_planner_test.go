@@ -51,19 +51,6 @@ func TestFoldChordLookupRules(t *testing.T) {
 	}
 }
 
-func TestFoldDisabledByConfig(t *testing.T) {
-	p := compile(t, chordLookupSrc)
-	opt := Optimize(p, nil, OptimizerConfig{NoFold: true})
-	for _, r := range opt.Rules {
-		if foldOp(r) != nil {
-			t.Fatalf("%s folded despite NoFold", r.ID)
-		}
-		if r.ID != "L1" && r.Agg == nil {
-			t.Fatalf("%s lost its aggregate", r.ID)
-		}
-	}
-}
-
 func TestFoldDeclinesNonEventBoundExemplar(t *testing.T) {
 	// The head projects S from the small join, so the rule is
 	// pushdown-only — and pushdown-only rules never fold.

@@ -4,15 +4,16 @@ import (
 	"p2/internal/overlog"
 )
 
-// The cost-based optimizer. Optimize rewrites a compiled plan's rule
-// strands under a simple nested-loop cost model: selections are pushed
-// past joins so fused filters run as early as their variables allow,
-// and (where equivalence permits) body atoms are greedily reordered
-// smallest-estimated-fan-out first. Both transformations are realized
-// by recompiling the parsed rule (Rule.Src) under a permuted body
-// order — the compiler's variable-environment machinery re-derives
-// every working-tuple position, join key, and head projection, so an
-// optimized strand is correct by construction, not by patching.
+// The cost-based planner, the last pass of Compile and Extend. It
+// rewrites the compiled rule strands under a simple nested-loop cost
+// model: selections are pushed past joins so fused filters run as early
+// as their variables allow, and (where equivalence permits) body atoms
+// are greedily reordered smallest-estimated-fan-out first. Both
+// transformations are realized by recompiling the parsed rule
+// (Rule.Src) under a permuted body order — the compiler's
+// variable-environment machinery re-derives every working-tuple
+// position, join key, and head projection, so a planned strand is
+// correct by construction, not by patching.
 //
 // Equivalence discipline. Each rule is classified before any rewrite:
 //
@@ -55,42 +56,41 @@ const (
 )
 
 // Optimize returns a copy of p whose rules have been planned against
-// st (nil means the catalog heuristics). Rules the equivalence analysis
-// freezes — and rules without source ASTs — are shared with the input
-// plan untouched; every rule the optimizer does touch is recompiled
-// into a fresh object with a non-nil Order, even when the chosen order
-// matches the textual one. Rule IDs are preserved, so sysRule and
-// sysPlan rows keyed on them name the same rules with or without the
-// optimizer.
-func Optimize(p *Plan, st Stats, cfg OptimizerConfig) *Plan {
-	if st == nil {
-		st = NewCatalogStats(p)
-	}
+// st (nil means the catalog heuristics, the estimates Compile plans
+// with). Planning works from each rule's source, so re-planning a
+// compiled plan with nil stats returns the plan Compile made. The
+// configuration argument is ignored (see OptimizerConfig).
+func Optimize(p *Plan, st Stats, _ OptimizerConfig) *Plan {
 	out := p.clone()
-	for i, r := range out.Rules {
-		if nr := out.OptimizeRule(r, st, cfg); nr != nil {
-			out.Rules[i] = nr
-		}
+	if st == nil {
+		st = NewCatalogStats(out)
 	}
+	out.planRules(0, st)
 	return out
 }
 
-// OptimizeRule plans a single rule, returning the recompiled
-// replacement (same ID) or nil when the rule is frozen, source-less,
-// or fails to recompile. The engine uses this for rules installed at
-// runtime through Extend.
-func (p *Plan) OptimizeRule(r *Rule, st Stats, cfg OptimizerConfig) *Rule {
-	order, cost, fold, ok := p.planRule(r, st, &cfg)
-	if !ok {
-		return nil
+// planRules replaces every rule from p.Rules[from] on by its planned
+// form. Rules the equivalence analysis freezes — and rules without
+// source ASTs — keep their textual strand; every rule the planner does
+// touch is recompiled into a fresh object with a non-nil Order, even
+// when the chosen order matches the textual one. Rule IDs are
+// preserved, so sysRule and sysPlan rows keyed on them name the same
+// rules as the textual plan does.
+func (p *Plan) planRules(from int, st Stats) {
+	for i := from; i < len(p.Rules); i++ {
+		r := p.Rules[i]
+		order, cost, fold, ok := p.planRule(r, st)
+		if !ok {
+			continue
+		}
+		nr, isAgg, err := p.compileRuleWith(r.Src, order, fold)
+		if err != nil || isAgg || nr == nil {
+			continue
+		}
+		nr.ID = r.ID
+		nr.CostEst = cost
+		p.Rules[i] = nr
 	}
-	nr, isAgg, err := p.compileRuleWith(r.Src, order, fold)
-	if err != nil || isAgg || nr == nil {
-		return nil
-	}
-	nr.ID = r.ID
-	nr.CostEst = cost
-	return nr
 }
 
 // planRule chooses a body order for r. ok is false when the rule must
@@ -99,7 +99,7 @@ func (p *Plan) OptimizeRule(r *Rule, st Stats, cfg OptimizerConfig) *Rule {
 // aggregate-into-join fusion: fully reorderable (so the aggregate is
 // already known order-insensitive with an event-bound head) and
 // carrying a head aggregate — tryFold validates the structural shape.
-func (p *Plan) planRule(r *Rule, st Stats, cfg *OptimizerConfig) (order []int, cost float64, fold, ok bool) {
+func (p *Plan) planRule(r *Rule, st Stats) (order []int, cost float64, fold, ok bool) {
 	if r.Src == nil {
 		return nil, 0, false, false
 	}
@@ -119,24 +119,17 @@ func (p *Plan) planRule(r *Rule, st Stats, cfg *OptimizerConfig) (order []int, c
 	if mode == modeFrozen {
 		return nil, 0, false, false
 	}
-	if mode == modeFull && !cfg.NoFold {
+	if mode == modePushdown {
+		order = pushdownOrder(infos, bound)
+	} else {
 		for _, a := range r.Src.Head.Args {
 			if _, isAgg := a.(*overlog.AggRef); isAgg {
 				fold = true
 			}
 		}
-	}
-
-	switch {
-	case mode == modeFull && !cfg.NoReorder:
-		order, ok = greedyOrder(infos, bound, st, cfg)
-	case cfg.NoPushdown:
-		order, ok = identityOrder(len(infos)), true
-	default:
-		order, ok = pushdownOrder(infos, bound), true
-	}
-	if !ok {
-		return nil, 0, false, false
+		if order, ok = greedyOrder(infos, bound, st); !ok {
+			return nil, 0, false, false
+		}
 	}
 	return order, p.costOrder(infos, order, bound, st), fold, true
 }
@@ -408,24 +401,9 @@ func (ti *termInfo) joinKey(bound map[string]bool) []int {
 }
 
 // fanout estimates the per-probe output multiplicity of placing the
-// join here: live rows divided by the distinct values of the probed
-// key columns.
+// join here, probing with the key the bound variables make.
 func (ti *termInfo) fanout(bound map[string]bool, st Stats) float64 {
-	key := ti.joinKey(bound)
-	card := st.Cardinality(ti.table)
-	d := st.DistinctKeys(ti.table, key)
-	if d < 1 {
-		d = 1
-	}
-	return card / d
-}
-
-func identityOrder(n int) []int {
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	return order
+	return st.Fanout(ti.table, ti.joinKey(bound))
 }
 
 // pushdownOrder keeps non-selection terms textual and floats each
@@ -476,30 +454,14 @@ func pushdownOrder(infos []termInfo, boundInit map[string]bool) []int {
 // whatever needed its variable. Ties break on textual position, which
 // keeps the choice deterministic for identical stats — the property
 // sharded determinism rests on.
-func greedyOrder(infos []termInfo, boundInit map[string]bool, st Stats, cfg *OptimizerConfig) ([]int, bool) {
+func greedyOrder(infos []termInfo, boundInit map[string]bool, st Stats) ([]int, bool) {
 	bound := copyBound(boundInit)
 	order := make([]int, 0, len(infos))
 	placed := make([]bool, len(infos))
-	condEligible := func(i int) bool {
-		if !depsBound(infos[i].deps, bound) {
-			return false
-		}
-		if !cfg.NoPushdown {
-			return true
-		}
-		// Pushdown disabled: a selection may not overtake any term that
-		// textually precedes it.
-		for j := 0; j < i; j++ {
-			if !placed[j] {
-				return false
-			}
-		}
-		return true
-	}
 	for len(order) < len(infos) {
 		pick := -1
 		for i := range infos { // selections, textual order
-			if !placed[i] && infos[i].kind == termCond && condEligible(i) {
+			if !placed[i] && infos[i].kind == termCond && depsBound(infos[i].deps, bound) {
 				pick = i
 				break
 			}

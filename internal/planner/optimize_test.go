@@ -6,21 +6,21 @@ import (
 	"strings"
 	"testing"
 
+	"p2/internal/overlog"
 	"p2/internal/pel"
 )
 
 // stubStats is a hand-set statistics source for steering the greedy
-// planner in tests. Unlisted relations report cardinality 1; every key
-// is fully selective (distinct = 1 → fanout = cardinality).
+// planner in tests: a probe of a listed relation returns its
+// cardinality whatever the key, and of an unlisted one a single row.
 type stubStats struct{ card map[string]float64 }
 
-func (s stubStats) Cardinality(t string) float64 {
+func (s stubStats) Fanout(t string, key []int) float64 {
 	if c, ok := s.card[t]; ok {
 		return c
 	}
 	return 1
 }
-func (s stubStats) DistinctKeys(t string, key []int) float64 { return 1 }
 
 // opCounts summarizes a rule's compiled ops for multiset comparison:
 // joins and antijoins per table, and counts of the remaining op kinds.
@@ -147,6 +147,28 @@ func TestOptimizePreservesRuleStructure(t *testing.T) {
 	}
 }
 
+// TestCompilePlansEveryRule: Compile ends with the catalog planning
+// pass, so its plan is the textual plan planned, and planning it again
+// changes nothing.
+func TestCompilePlansEveryRule(t *testing.T) {
+	planned, err := Compile(overlog.MustParse(chordLookupSrc), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Optimize(compile(t, chordLookupSrc), nil, OptimizerConfig{}).String()
+	if got := planned.String(); got != want {
+		t.Fatalf("Compile's plan:\n%s\nwant the planned textual plan:\n%s", got, want)
+	}
+	if got := Optimize(planned, nil, OptimizerConfig{}).String(); got != want {
+		t.Fatalf("re-planning a compiled plan changed it:\n%s\nwant:\n%s", got, want)
+	}
+	for _, r := range planned.Rules {
+		if r.Order == nil || r.OrderString() == "-" {
+			t.Fatalf("%s left unplanned", r.ID)
+		}
+	}
+}
+
 // TestOptimizeRandomRulesProperty is the plan-equivalence property
 // test: randomly generated (compilable) rule bodies, optimized under
 // randomly skewed statistics, must always yield a valid permutation of
@@ -214,22 +236,16 @@ func TestPushdownMovesFilterBeforeJoin(t *testing.T) {
 		R1 out@X(X, Y) :- evt@X(X, A), m@X(X, Y), A > 5.
 	`)
 	// Textually the filter sits after the join; its only variable is
-	// bound by the event, so both the pushdown-only and the full planner
-	// must float it ahead of the probe.
-	for _, cfg := range []OptimizerConfig{{}, {NoReorder: true}} {
-		opt := Optimize(p, nil, cfg)
-		r := opt.Rules[0]
-		if r.Order == nil {
-			t.Fatalf("cfg %+v: rule not optimized", cfg)
-		}
-		if _, ok := r.Ops[0].(*OpSelect); !ok {
-			t.Fatalf("cfg %+v: first op = %T, want pushed-down select", cfg, r.Ops[0])
-		}
+	// bound by the event, so the planner floats it ahead of the probe.
+	if _, ok := p.Rules[0].Ops[0].(*OpJoin); !ok {
+		t.Fatalf("textual plan: first op = %T, want the join", p.Rules[0].Ops[0])
 	}
-	// With pushdown disabled the textual shape survives.
-	opt := Optimize(p, nil, OptimizerConfig{NoReorder: true, NoPushdown: true})
-	if _, ok := opt.Rules[0].Ops[0].(*OpJoin); !ok {
-		t.Fatalf("NoPushdown violated: first op = %T", opt.Rules[0].Ops[0])
+	r := Optimize(p, nil, OptimizerConfig{}).Rules[0]
+	if r.Order == nil {
+		t.Fatal("rule not planned")
+	}
+	if _, ok := r.Ops[0].(*OpSelect); !ok {
+		t.Fatalf("first op = %T, want pushed-down select", r.Ops[0])
 	}
 }
 
@@ -436,16 +452,23 @@ func TestCatalogStatsHeuristics(t *testing.T) {
 	if cs.Cardinality("sysTable") != catalogSystemRows {
 		t.Fatalf("system = %v", cs.Cardinality("sysTable"))
 	}
-	// Key covering the PK → unique per row.
-	if cs.DistinctKeys("capped", []int{0, 1}) != 16 {
-		t.Fatalf("pk distinct = %v", cs.DistinctKeys("capped", []int{0, 1}))
+	// Key covering the PK → one row per probe.
+	if got := cs.Fanout("capped", []int{0, 1}); got != 1 {
+		t.Fatalf("pk fanout = %v", got)
 	}
-	// Location-only key: one value per node.
-	if cs.DistinctKeys("capped", []int{0}) != 1 {
-		t.Fatalf("loc distinct = %v", cs.DistinctKeys("capped", []int{0}))
+	// Location-only key: every row of the node.
+	if got := cs.Fanout("capped", []int{0}); got != 16 {
+		t.Fatalf("loc fanout = %v", got)
 	}
-	// Anything else: mildly skewed.
-	if got := cs.DistinctKeys("open", []int{2}); got != catalogDefaultRows/defaultKeySkew {
-		t.Fatalf("skew distinct = %v", got)
+	// Anything else: mildly skewed, but never more rows than there are.
+	if got := cs.Fanout("open", []int{2}); got != defaultKeySkew {
+		t.Fatalf("skew fanout = %v", got)
+	}
+	if got := cs.Fanout("one", []int{1}); got != 1 {
+		t.Fatalf("skew fanout of a one-row table = %v", got)
+	}
+	// An event stream holds one tuple.
+	if got := cs.Fanout("someStream", []int{0}); got != 1 {
+		t.Fatalf("stream fanout = %v", got)
 	}
 }

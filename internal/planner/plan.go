@@ -123,7 +123,7 @@ type OpRange struct {
 }
 
 // OpFoldJoin is the rule's final join fused with its per-event
-// aggregate — produced only by the optimizer, and only when the fusion
+// aggregate — produced only by the planner, and only when the fusion
 // is invisible in the derived tuples (see dataflow.FoldJoin). Filters
 // and the aggregate Input evaluate over the virtual concatenation
 // stream++match; no working tuple is materialized per match. A rule
@@ -172,48 +172,48 @@ type Rule struct {
 	Materialized bool
 
 	// Src is the parsed rule this strand was compiled from. The
-	// optimizer recompiles it under different body orders; nil (rules
-	// constructed programmatically) disables optimization.
+	// planner recompiles it under different body orders; nil (rules
+	// constructed programmatically) leaves the strand as built.
 	Src *overlog.Rule
-	// Order is the optimizer-chosen visit order of the non-event body
+	// Order is the planner-chosen visit order of the non-event body
 	// terms, as indices into their textual sequence. It is non-nil
-	// exactly when the optimizer planned the rule (empty for a rule whose
-	// body is its event alone); nil means the naive textual order.
+	// exactly when the planner planned the rule (empty for a rule whose
+	// body is its event alone); nil means the textual order of a frozen
+	// rule.
 	Order []int
 	// CostEst is the cost-model estimate of the chosen order (abstract
 	// tuple-touch units; comparable only within one rule).
 	CostEst float64
 
-	// orderStr memoizes OrderString. A planned rule never changes, and
-	// OptimizeShared fills the memo before the nodes of a deployment
-	// share the rule, so the lazy fill never runs on a rule that two
-	// shards can reach.
+	// orderStr is OrderString's text, rendered when the rule is compiled:
+	// a compiled rule never changes, and every node running it may read
+	// it at once.
 	orderStr string
 }
 
-// OrderString renders the optimizer-chosen body order ("0,2,1"), or
-// "-" for the naive textual order, followed by " distinct[cols]" when
-// the rule ends in a fold that evaluates one match per run of equal
-// columns (OpFoldJoin.Distinct). This is the sysPlan Order column; the
-// introspection refresh calls it per strand per tick, hence the memo.
-func (r *Rule) OrderString() string {
+// OrderString returns the planner-chosen body order ("0,2,1"), or "-"
+// for the textual order of a rule the planner leaves alone, followed by
+// " distinct[cols]" when the rule ends in a fold that evaluates one
+// match per run of equal columns (OpFoldJoin.Distinct). This is the
+// sysPlan Order column.
+func (r *Rule) OrderString() string { return r.orderStr }
+
+// renderOrder renders OrderString's text from the finished rule.
+func (r *Rule) renderOrder() string {
 	if len(r.Order) == 0 {
 		return "-"
 	}
-	if r.orderStr == "" {
-		var sb strings.Builder
-		for i, o := range r.Order {
-			if i > 0 {
-				sb.WriteByte(',')
-			}
-			fmt.Fprintf(&sb, "%d", o)
+	var sb strings.Builder
+	for i, o := range r.Order {
+		if i > 0 {
+			sb.WriteByte(',')
 		}
-		if f, ok := r.Ops[len(r.Ops)-1].(*OpFoldJoin); ok && len(f.Distinct) > 0 {
-			fmt.Fprintf(&sb, " distinct%v", f.Distinct)
-		}
-		r.orderStr = sb.String()
+		fmt.Fprintf(&sb, "%d", o)
 	}
-	return r.orderStr
+	if f, ok := r.Ops[len(r.Ops)-1].(*OpFoldJoin); ok && len(f.Distinct) > 0 {
+		fmt.Fprintf(&sb, " distinct%v", f.Distinct)
+	}
+	return sb.String()
 }
 
 // TableAggRule is a continuous aggregate over a single table.

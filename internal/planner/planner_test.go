@@ -10,13 +10,15 @@ import (
 	"p2/internal/val"
 )
 
+// compile returns src's textual plan, the reference the planner tests
+// lay out by hand and check planned strands against.
 func compile(t *testing.T, src string) *Plan {
 	t.Helper()
 	prog, err := overlog.Parse(src)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	plan, err := Compile(prog, nil)
+	plan, err := CompileTextual(prog, nil)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}

@@ -7,6 +7,7 @@ import (
 	"p2/internal/overlays"
 	"p2/internal/overlog"
 	"p2/internal/planner"
+	"p2/internal/val"
 )
 
 // TestShareableJoinFollowsOnlySelections pins the premise of
@@ -15,17 +16,15 @@ import (
 // which pass the event through untouched — may precede it. A join,
 // assignment or range ahead of it would hand it a working tuple, whose
 // address repeats across events. Checked over the Chord and Chord+KV
-// plans as compiled and as the optimizer reorders them.
+// plans, textual and planned.
 func TestShareableJoinFollowsOnlySelections(t *testing.T) {
 	plans := map[string][]string{
 		"chord":    {overlays.ChordSource},
 		"chord+kv": {overlays.ChordSource, kvs.Source},
 	}
-	configs := map[string]*planner.OptimizerConfig{
-		"textual":     nil,
-		"optimized":   {},
-		"no-reorder":  {NoReorder: true},
-		"no-pushdown": {NoPushdown: true},
+	compilers := map[string]func(*overlog.Program, map[string]val.Value) (*planner.Plan, error){
+		"textual": planner.CompileTextual,
+		"planned": planner.Compile,
 	}
 	for name, srcs := range plans {
 		var progs []*overlog.Program
@@ -36,14 +35,10 @@ func TestShareableJoinFollowsOnlySelections(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		base, err := planner.Compile(merged, nil)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		for cname, cfg := range configs {
-			p := base
-			if cfg != nil {
-				p = planner.Optimize(base, nil, *cfg)
+		for cname, compile := range compilers {
+			p, err := compile(merged, nil)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", name, cname, err)
 			}
 			shared := 0
 			for _, r := range p.Rules {

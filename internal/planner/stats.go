@@ -1,40 +1,24 @@
 package planner
 
-// The statistics layer of the cost-based optimizer. A Stats supplies
-// per-relation cardinality and distinct-key estimates. CatalogStats
-// derives them purely from the plan's materialize() declarations; every
-// node plans its program with it at start, so all nodes of a deployment
-// run one plan. Rules installed into a running node are planned from
-// its live table counters (table.Len, index bucket counts) instead,
-// with the catalog as fallback for relations still empty.
+// The statistics layer of the cost-based planner. A Stats supplies the
+// per-join fan-out estimates the cost model consumes. CatalogStats
+// derives them purely from the plan's materialize() declarations, and
+// it is the only estimator Compile and Extend plan with: a plan is a
+// function of its source, never of the rows a node happens to hold.
 
-// Stats supplies the per-relation estimates the cost model consumes.
-// The optimizer queries them once per candidate join per rule, when it
-// plans the rule.
+// Stats supplies the estimate the cost model consumes. The planner
+// queries it once per candidate join per rule, when it plans the rule.
 type Stats interface {
-	// Cardinality estimates the number of live rows in the relation.
-	Cardinality(table string) float64
-	// DistinctKeys estimates the number of distinct values the given
-	// key columns (0-based field positions) take in the relation.
-	// Returns at least 1.
-	DistinctKeys(table string, key []int) float64
+	// Fanout estimates how many rows one probe of the relation returns
+	// when the given key columns (0-based field positions) are bound.
+	Fanout(table string, key []int) float64
 }
 
-// OptimizerConfig tunes the cost-based optimizer. The zero value
-// enables every transformation — pass it to p2.WithOptimizer to turn
-// the optimizer on. A rule is planned once, when its node starts or when
-// it is installed, and its plan never changes afterwards.
-type OptimizerConfig struct {
-	// NoReorder disables greedy cost-based join reordering.
-	NoReorder bool
-	// NoPushdown disables selection pushdown past joins.
-	NoPushdown bool
-	// NoShare disables common-subexpression sharing of identical
-	// (relation, key) probe prefixes across strands on one trigger.
-	NoShare bool
-	// NoFold disables aggregate-into-join fusion (dataflow.FoldJoin).
-	NoFold bool
-}
+// OptimizerConfig has no fields: planning is part of compiling and has
+// no settings. The type and p2.WithOptimizer, which accepts it and does
+// nothing, are kept only because the benchmark rig still names them;
+// the next benchmark change drops those calls and both names go.
+type OptimizerConfig struct{}
 
 // Default sizing heuristics for relations whose live size is unknown.
 const (
@@ -45,11 +29,10 @@ const (
 	defaultKeySkew     = 4.0 // rows per distinct non-key value
 )
 
-// CatalogStats estimates sizes from the plan's declarations alone — the
-// cold-start fallback when tables are empty. Event streams have
-// cardinality 1 (one tuple in flight), sys* tables are small, size
-// bounds cap the estimate, and a key that covers the primary key is
-// unique by construction.
+// CatalogStats estimates sizes from the plan's declarations alone. Event
+// streams have cardinality 1 (one tuple in flight), sys* tables are
+// small, size bounds cap the estimate, and a key that covers the
+// primary key is unique by construction.
 type CatalogStats struct {
 	p *Plan
 }
@@ -75,27 +58,20 @@ func (cs *CatalogStats) Cardinality(table string) float64 {
 	return catalogDefaultRows
 }
 
-// DistinctKeys estimates key selectivity structurally: a key covering
-// the primary key is unique per row; a key that is only the location
-// column has a single value on any one node (every local row shares
-// it); anything else is assumed mildly skewed.
-func (cs *CatalogStats) DistinctKeys(table string, key []int) float64 {
+// Fanout estimates key selectivity structurally: a key covering the
+// primary key matches one row; a key that is only the location column
+// matches every row (all of a node's rows share it); anything else
+// matches defaultKeySkew rows, or every row of a smaller relation.
+func (cs *CatalogStats) Fanout(table string, key []int) float64 {
 	card := cs.Cardinality(table)
 	ts, ok := cs.p.Tables[table]
-	if !ok {
+	switch {
+	case !ok || coversPK(key, ts.Keys):
 		return 1
-	}
-	if coversPK(key, ts.Keys) {
+	case locationOnly(key):
 		return card
 	}
-	if locationOnly(key) {
-		return 1
-	}
-	d := card / defaultKeySkew
-	if d < 1 {
-		return 1
-	}
-	return d
+	return min(card, defaultKeySkew)
 }
 
 // coversPK reports whether key includes every primary-key position.

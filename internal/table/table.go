@@ -165,20 +165,6 @@ func (tb *Table) Len() int {
 // observe the same version are guaranteed to see identical contents.
 func (tb *Table) Version() uint64 { return tb.version }
 
-// DistinctKeys returns the number of distinct values the given field
-// positions currently take — the bucket count of the matching
-// secondary index. It returns 0 (unknown) when no such index exists;
-// it never creates one, so the optimizer can ask about arbitrary keys
-// without growing per-insert maintenance work.
-func (tb *Table) DistinctKeys(positions []int) int {
-	ix, ok := tb.bySig[indexSig(positions)]
-	if !ok {
-		return 0
-	}
-	tb.Expire()
-	return len(ix.m)
-}
-
 // OnInsert registers fn to run whenever a genuinely new or changed
 // tuple is stored. Refreshes of identical tuples do not fire it — this
 // is what keeps recursive rules from deriving forever, matching

@@ -22,8 +22,8 @@ package workload
 
 import (
 	"math/rand"
-	"sort"
 
+	"p2/internal/experiments"
 	"p2/internal/harness"
 	"p2/internal/id"
 )
@@ -115,18 +115,9 @@ func Run(h *harness.Chord, o Opts) Report {
 	return rep
 }
 
-// percentiles returns the nearest-rank p50/p99/p999 of samples.
+// percentiles returns the nearest-rank p50/p99/p999 of samples (see
+// experiments.CDF.Percentile): NaN when there are none.
 func percentiles(samples []float64) (p50, p99, p999 float64) {
-	if len(samples) == 0 {
-		return 0, 0, 0
-	}
-	sort.Float64s(samples)
-	at := func(p float64) float64 {
-		i := int(p * float64(len(samples)))
-		if i >= len(samples) {
-			i = len(samples) - 1
-		}
-		return samples[i]
-	}
-	return at(0.50), at(0.99), at(0.999)
+	c := experiments.NewCDF(samples)
+	return c.Percentile(0.50), c.Percentile(0.99), c.Percentile(0.999)
 }

@@ -63,19 +63,22 @@
 //
 // # Query optimizer
 //
-// WithOptimizer enables a cost-based query optimizer: rule bodies are
-// re-ordered (cheapest join first), selections are pushed past joins,
-// rules on the same trigger that begin with the same table probe share
-// it through one cached lookup, and fully-reorderable min/max/count
-// rules fuse their final join with the aggregate into a fold that
-// never materializes a per-match tuple. Plans are made once, at spawn,
-// from catalog heuristics, so every node of a deployment runs the same
-// plan and it never changes; a rule installed later is planned from the
-// node's live table statistics. Plans are queryable per rule via the
-// sysPlan system table ("@N, Rule, Order, CostEst, Replans"; Replans is
-// always 0, kept until the benchmark retires planner.replans).
-// Optimized and textual plans are tuple-equivalent, and bit-identical
-// results at every shard count extend to optimized runs.
+// Compile plans every rule with a cost-based query optimizer: rule
+// bodies are re-ordered (cheapest join first), selections are pushed
+// past joins, and fully-reorderable min/max/count rules fuse their
+// final join with the aggregate into a fold that never materializes a
+// per-match tuple. At run time, rules on the same trigger that begin
+// with the same table probe share it through one cached lookup. Plans
+// are made once, from catalog heuristics, so a plan is a function of
+// its source: every node of a deployment runs the plan it was spawned
+// with, and it never changes. Node.Install plans the rules it grafts
+// the same way. No option selects the textual plan; a frozen rule (one
+// that draws randomness) keeps its textual order and reports Order "-".
+// Plans are queryable per rule via the sysPlan system table ("@N,
+// Rule, Order, CostEst, Replans"; Replans is always 0, kept until the
+// benchmark retires planner.replans). Planned and textual plans are
+// tuple-equivalent, and the simulator is bit-identical at every shard
+// count.
 //
 // # Observability
 //
@@ -170,8 +173,9 @@ type (
 	PlanStat  = introspect.PlanStat
 	NetStat   = introspect.NetStat
 	NodeStat  = introspect.NodeStat
-	// OptimizerConfig tunes the cost-based query optimizer (see
-	// WithOptimizer); its zero value enables every optimization.
+	// OptimizerConfig has no fields and WithOptimizer ignores it:
+	// Compile always plans. Both names remain only for the benchmark
+	// rig, which still calls them.
 	OptimizerConfig = planner.OptimizerConfig
 	// FaultConfig tunes the seeded datagram-level fault injector a UDP
 	// deployment installs with WithFaults: drop, duplicate, reorder, and

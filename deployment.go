@@ -271,7 +271,7 @@ func NewDeployment(rt Runtime, opts ...Option) (*Deployment, error) {
 		nc.Seed = cfg.seed
 		la := nc.Lookahead()
 		if la <= 0 {
-			return nil, fmt.Errorf("p2: topology has no positive link latency; cannot derive a conservative lookahead")
+			return nil, fmt.Errorf("p2: topology has a non-positive cross-domain latency; cannot derive a conservative lookahead")
 		}
 		d.coord = eventloop.NewShardedSim(cfg.shards, la)
 		d.net = simnet.NewSharded(d.coord, nc)
@@ -372,9 +372,10 @@ func (d *Deployment) RunCtx(ctx context.Context) error {
 
 // At schedules fn on the deployment's structural control lane at
 // deployment time t (clamped to now if past): the epoch-barrier lane of
-// a simulated deployment — fn runs on the driver goroutine at the first
-// barrier at or after t, while every shard is quiescent — or the
-// control loop of a UDP one. This is the lane for driver-level actions
+// a simulated deployment — the epoch in progress ends at t, and fn runs
+// on the driver goroutine at exactly t, after every node event due at
+// or before t, while every shard is quiescent — or the control loop of
+// a UDP one. This is the lane for driver-level actions
 // that touch deployment-wide state: staggered Spawns, scheduled Kills,
 // partitions. Callbacks may call any Deployment or Handle method.
 func (d *Deployment) At(t float64, fn func()) Canceler {

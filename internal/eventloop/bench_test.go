@@ -156,3 +156,25 @@ func BenchmarkSimCancelHeavy(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkShardedEpoch measures one epoch of a two-shard sim with a
+// few timer events per shard: the coordinator/worker handoff and the
+// barrier are most of its cost.
+func BenchmarkShardedEpoch(b *testing.B) {
+	const epoch, perEpoch = 0.001, 4
+	ss := NewShardedSim(2, epoch)
+	defer ss.Close()
+	for i := 0; i < ss.Shards(); i++ {
+		s := ss.Shard(i)
+		var tick func()
+		tick = func() { s.AfterFree(epoch/perEpoch, tick) }
+		for k := 0; k < perEpoch; k++ {
+			s.AfterFree(float64(k)*epoch/perEpoch, tick)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ss.RunFor(epoch)
+	}
+}

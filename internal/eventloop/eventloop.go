@@ -243,8 +243,8 @@ const maxTimerPool = 256
 // use: at any moment exactly one goroutine may touch a Sim. In a
 // single-loop simulation that is the simulation goroutine; under a
 // ShardedSim each shard's Sim is owned by its worker during an epoch
-// and by the coordinator at barriers, with the epoch channel handshake
-// serializing the handoff (the shard-ownership rule — see the package
+// and by the coordinator at barriers, with the epoch handoff's atomic
+// generation and done counters serializing the handoff (the shard-ownership rule — see the package
 // documentation in sharded.go). Everything pinned to a shard (nodes,
 // tables, transports) inherits the same rule.
 type Sim struct {

@@ -1,9 +1,11 @@
 package eventloop
 
 import (
+	"runtime"
 	"sort"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestShardedEpochGrid checks that shards advance in lockstep epochs
@@ -59,9 +61,8 @@ func TestShardedRunCountsEvents(t *testing.T) {
 	}
 }
 
-// TestAtBarrierOrdering checks the control lane: callbacks run at the
-// first barrier at or after their time, in (time, schedule order), and
-// Cancel suppresses them.
+// TestAtBarrierOrdering checks the control lane: callbacks run in
+// (time, schedule order), and Cancel suppresses them.
 func TestAtBarrierOrdering(t *testing.T) {
 	ss := NewShardedSim(2, 0.002)
 	defer ss.Close()
@@ -86,16 +87,74 @@ func TestAtBarrierOrdering(t *testing.T) {
 	}
 }
 
-// TestAtBarrierRunsAtEpochBoundary checks a control callback due
-// mid-epoch fires at the next boundary, not before.
-func TestAtBarrierRunsAtEpochBoundary(t *testing.T) {
-	ss := NewShardedSim(1, 0.002)
+// TestAtBarrierRunsAtItsTime checks a control callback due mid-epoch
+// ends the epoch early and runs at exactly its time, with every shard
+// clock reading that time.
+func TestAtBarrierRunsAtItsTime(t *testing.T) {
+	for _, p := range []int{1, 2} {
+		ss := NewShardedSim(p, 0.002)
+		defer ss.Close()
+		at := -1.0
+		ss.AtBarrier(0.0031, func() {
+			at = ss.Now()
+			for i := 0; i < ss.Shards(); i++ {
+				if got := ss.Shard(i).Now(); got != 0.0031 {
+					t.Errorf("shards=%d: shard %d clock %g at the control, want 0.0031", p, i, got)
+				}
+			}
+		})
+		ss.Run(0.01)
+		if at != 0.0031 {
+			t.Fatalf("shards=%d: control ran at %g, want 0.0031", p, at)
+		}
+	}
+}
+
+// TestShardedWorkersParkWhenIdle checks that an idle sharded sim burns
+// no core: shortly after Run returns, every worker is parked on its
+// wake channel rather than spinning.
+func TestShardedWorkersParkWhenIdle(t *testing.T) {
+	ss := NewShardedSim(2, 0.001)
 	defer ss.Close()
-	at := -1.0
-	ss.AtBarrier(0.0031, func() { at = ss.Now() })
+	ss.Shard(1).After(0.0005, func() {})
 	ss.Run(0.01)
-	if at != 0.004 {
-		t.Fatalf("control ran at %g, want 0.004", at)
+	deadline := time.Now().Add(50 * time.Millisecond)
+	for i, w := range ss.workers {
+		for !w.parked.Load() {
+			if time.Now().After(deadline) {
+				t.Fatalf("worker %d still spinning 50 ms after Run returned", i+1)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	// A parked worker still picks up the next epoch.
+	ran := false
+	ss.Shard(1).After(0.0005, func() { ran = true })
+	ss.Run(0.02)
+	if !ran {
+		t.Fatal("parked worker did not run the next epoch")
+	}
+}
+
+// TestShardedCloseReleasesWorkers checks Close ends every worker
+// goroutine, whether it is parked or still spinning.
+func TestShardedCloseReleasesWorkers(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for _, idle := range []bool{false, true} {
+		ss := NewShardedSim(4, 0.001)
+		ss.Run(0.01)
+		if idle {
+			time.Sleep(20 * time.Millisecond) // let the workers park
+		}
+		ss.Close()
+		ss.Close() // idempotent
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > base {
+			if time.Now().After(deadline) {
+				t.Fatalf("idle=%v: %d goroutines after Close, want %d", idle, runtime.NumGoroutine(), base)
+			}
+			time.Sleep(time.Millisecond)
+		}
 	}
 }
 

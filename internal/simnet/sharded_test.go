@@ -38,10 +38,21 @@ func shardedNet(t *testing.T, p int, cfg Config, addrs []string) (*eventloop.Sha
 
 // TestShardedMatchesSingleShard is the package's core guarantee: the
 // same seeded workload, run across 1 shard and across 4, produces
-// bit-identical per-node delivery traces and byte counters.
+// bit-identical per-node delivery traces and byte counters — on the
+// uniform model and on a transit-stub WAN where some domains share a
+// shard, so intra-domain datagrams (delivered directly) and
+// cross-domain ones (merged at barriers) meet on the same loops.
 func TestShardedMatchesSingleShard(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.LossRate = 0.2 // exercise the per-node loss streams too
+	wan := TransitStubWAN(2, 3, 7)
+	wan.LossRate = 0.2
+	uniform := DefaultConfig()
+	uniform.LossRate = 0.2 // exercise the per-node loss streams too
+	for name, cfg := range map[string]Config{"uniform": uniform, "wan": wan} {
+		t.Run(name, func(t *testing.T) { checkShardedMatchesSingleShard(t, cfg) })
+	}
+}
+
+func checkShardedMatchesSingleShard(t *testing.T, cfg Config) {
 	var addrs []string
 	for i := 0; i < 12; i++ {
 		addrs = append(addrs, fmt.Sprintf("n%d:p2", i))
@@ -68,6 +79,19 @@ func TestShardedMatchesSingleShard(t *testing.T) {
 			got[a] = *tr
 		}
 		return got, n.TotalStats()
+	}
+	// The workload must mix both send paths to test anything.
+	probe := newNet(cfg)
+	intra := 0
+	for i, a := range addrs {
+		for _, d := range []int{1, 5} {
+			if probe.DomainOf(a) == probe.DomainOf(addrs[(i+d)%len(addrs)]) {
+				intra++
+			}
+		}
+	}
+	if intra == 0 || intra == 2*len(addrs) {
+		t.Fatalf("%d of %d neighbor pairs are intra-domain; want a mix", intra, 2*len(addrs))
 	}
 	t1, s1 := run(1)
 	t4, s4 := run(4)

@@ -19,15 +19,20 @@
 //   - Sharded (NewSharded): nodes are partitioned across the shards of
 //     an eventloop.ShardedSim by domain (shard = domain mod P), each
 //     node's record owned by its shard per the shard-ownership rule.
-//     Every datagram — local or remote — is staged in the sending
-//     shard's outbox and merged at the next epoch barrier in canonical
-//     (arrival time, sender, sender sequence) order before being
-//     scheduled on the destination shard. Because the coordinator's
-//     lookahead equals the minimum link latency, a datagram's arrival
-//     always falls at or beyond the barrier doing the scheduling, so
-//     staging never delays delivery; it only fixes a deterministic
-//     merge order. That order is independent of the shard count, which
-//     is what makes a P-shard run bit-identical to a 1-shard run.
+//     An intra-domain datagram never leaves its shard, so it is
+//     scheduled directly on the sending shard at its arrival time. A
+//     cross-domain datagram is staged in the sending shard's outbox and
+//     merged at the next epoch barrier in canonical (arrival time,
+//     sender, sender sequence) order before being scheduled on the
+//     destination shard. Because the coordinator's lookahead is the
+//     minimum cross-domain latency (Config.Lookahead), a staged
+//     datagram's arrival always falls at or beyond the barrier doing
+//     the scheduling, so staging never delays delivery; it only fixes a
+//     deterministic merge order. Every event of a domain runs on one
+//     shard at every P, and whatever schedules it (the domain's own
+//     handlers, a canonical merge, the coordinator) does so in an order
+//     independent of the shard count, which is what makes a P-shard run
+//     bit-identical to a 1-shard run.
 //
 // Liveness bookkeeping differs slightly between the modes: the
 // single-loop sender short-circuits datagrams to addresses already dead
@@ -76,9 +81,10 @@ type Config struct {
 	// with a measured one-way propagation matrix: Matrix[i][j] is the
 	// base delay (seconds) from a node in domain i to a node in domain
 	// j, and the diagonal is the intra-domain delay. The domain count
-	// becomes len(Matrix), overriding Domains. Every entry must be
-	// positive for sharded runs (MinLatency is the conservative
-	// lookahead). TransitStubWAN builds one with transit-stub structure.
+	// becomes len(Matrix), overriding Domains. Every off-diagonal entry
+	// must be positive for sharded runs (their minimum is the
+	// conservative lookahead). TransitStubWAN builds one with
+	// transit-stub structure.
 	Matrix [][]float64
 
 	// Jitter adds per-datagram delay variation: each datagram's
@@ -123,30 +129,29 @@ func DefaultConfig() Config {
 	}
 }
 
-// MinLatency returns the smallest one-way propagation delay any
-// datagram can experience — the sound conservative lookahead for a
-// sharded run, whatever the node-to-shard placement. Jitter and
-// queuing delay are strictly additive, and serialization only pushes
-// arrivals later, so the minimum base entry is a true lower bound on
-// every sampled link delay.
-func (c Config) MinLatency() float64 {
+// Lookahead returns the smallest base delay between two different
+// domains — the sound conservative epoch bound for a sharded run. Pass
+// NewShardedSim this value when building the coordinator for a sharded
+// net. Placement is shard = domain mod P, so any datagram that crosses
+// shards crosses domains; jitter, queuing, serialization and extra
+// latency only add delay, so no such datagram arrives sooner. With a
+// single domain nothing crosses shards and the bound is +Inf.
+func (c Config) Lookahead() float64 {
+	min := math.Inf(1)
 	if len(c.Matrix) > 0 {
-		min := math.Inf(1)
-		for _, row := range c.Matrix {
-			for _, v := range row {
-				if v < min {
+		for i, row := range c.Matrix {
+			for j, v := range row {
+				if i != j && v < min {
 					min = v
 				}
 			}
 		}
 		return min
 	}
-	intra := c.IntraLatency
-	inter := c.InterLatency + 2*c.IntraLatency
-	if c.Domains <= 1 || intra <= inter {
-		return intra
+	if c.Domains > 1 {
+		min = c.InterLatency + 2*c.IntraLatency
 	}
-	return inter
+	return min
 }
 
 // domains resolves the effective domain count: the matrix dimension
@@ -293,7 +298,7 @@ type node struct {
 	stats    Stats
 }
 
-// datagram is one in-flight cross-barrier message.
+// datagram is one in-flight message of a sharded net.
 type datagram struct {
 	arrive  float64
 	from    string
@@ -314,15 +319,15 @@ func New(loop *eventloop.Sim, cfg Config) *Net {
 
 // NewSharded creates a simulated network spread across the shards of
 // ss. The caller must have built ss with a lookahead no larger than
-// cfg.MinLatency() (Lookahead reports the right value); anything larger
-// would let a datagram arrive inside the epoch that sent it, which the
-// barrier exchange cannot express.
+// cfg.Lookahead(); anything larger would let a cross-domain datagram
+// arrive inside the epoch that sent it, which the barrier exchange
+// cannot express.
 func NewSharded(ss *eventloop.ShardedSim, cfg Config) *Net {
 	n := newNet(cfg)
-	if la := n.cfg.MinLatency(); la <= 0 {
-		panic("simnet: sharded mode requires positive link latencies")
+	if la := n.cfg.Lookahead(); la <= 0 {
+		panic("simnet: sharded mode requires positive cross-domain latencies")
 	} else if ss.Lookahead() > la {
-		panic(fmt.Sprintf("simnet: lookahead %g exceeds minimum link latency %g", ss.Lookahead(), la))
+		panic(fmt.Sprintf("simnet: lookahead %g exceeds minimum cross-domain latency %g", ss.Lookahead(), la))
 	}
 	n.ss = ss
 	for i := 0; i < ss.Shards(); i++ {
@@ -336,11 +341,6 @@ func newNet(cfg Config) *Net {
 	cfg.Domains = cfg.domains()
 	return &Net{cfg: cfg, cuts: make(map[string]bool)}
 }
-
-// Lookahead returns the conservative epoch bound for this topology —
-// pass NewShardedSim this value when building the coordinator for a
-// sharded net.
-func (c Config) Lookahead() float64 { return c.MinLatency() }
 
 // Sharded reports whether the net runs across a ShardedSim.
 func (n *Net) Sharded() bool { return n.ss != nil }
@@ -591,13 +591,19 @@ func (n *Net) send(src *node, to string, payload []byte) {
 		})
 		return
 	}
-	// Sharded: stage in the sending shard's outbox; the barrier exchange
-	// merges and schedules it. arrive >= the next barrier because the
-	// lookahead never exceeds any link latency.
-	sh.outbox = append(sh.outbox, datagram{
+	d := datagram{
 		arrive: arrive, from: src.addr, seq: src.sendSeq,
 		to: to, dstSh: n.ShardOf(to), size: size, payload: payload,
-	})
+	}
+	if !crossDomain {
+		// The destination shares the sender's shard: deliver directly.
+		n.schedule(d)
+		return
+	}
+	// Stage in the sending shard's outbox; the barrier exchange merges
+	// and schedules it. arrive >= the next barrier because the lookahead
+	// never exceeds any cross-domain latency.
+	sh.outbox = append(sh.outbox, d)
 }
 
 // Exchange implements eventloop.Exchanger: at each epoch barrier the
@@ -605,7 +611,7 @@ func (n *Net) send(src *node, to string, payload []byte) {
 // canonical (arrival, sender, sender-sequence) order — an ordering
 // computed entirely from sender-deterministic values, hence identical
 // whatever the shard count — and schedules each on its destination
-// shard. Liveness is judged at delivery time by the owning shard.
+// shard.
 func (n *Net) Exchange(now float64) {
 	all := n.merge[:0]
 	for _, sh := range n.shards {
@@ -625,25 +631,30 @@ func (n *Net) Exchange(now float64) {
 		return cmp.Compare(a.seq, b.seq)
 	})
 	for i := range all {
-		d := all[i]
-		sh := n.shards[d.dstSh]
-		sh.loop.At(d.arrive, func() {
-			dst := sh.nodes[d.to]
-			if dst == nil {
-				sh.orphaned++
-				return
-			}
-			if dst.dead {
-				dst.stats.PacketsLost++
-				return
-			}
-			dst.stats.BytesReceived += d.size
-			dst.stats.PacketsRecv++
-			dst.deliver(d.from, d.payload)
-		})
+		n.schedule(all[i])
 	}
 	clear(all) // the scheduled closures hold their own copies
 	n.merge = all[:0]
+}
+
+// schedule queues d's delivery on its destination shard. Liveness is
+// judged at delivery time by the owning shard.
+func (n *Net) schedule(d datagram) {
+	sh := n.shards[d.dstSh]
+	sh.loop.At(d.arrive, func() {
+		dst := sh.nodes[d.to]
+		if dst == nil {
+			sh.orphaned++
+			return
+		}
+		if dst.dead {
+			dst.stats.PacketsLost++
+			return
+		}
+		dst.stats.BytesReceived += d.size
+		dst.stats.PacketsRecv++
+		dst.deliver(d.from, d.payload)
+	})
 }
 
 type endpoint struct {

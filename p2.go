@@ -30,8 +30,10 @@
 // shard or loop — the simulator's shard-ownership rule, enforced by
 // the API. Deployments also carry the structural dynamics first-class:
 // Kill and Replace route through the epoch-barrier control lane, At
-// schedules driver actions on it, and EnableChurn runs Bamboo-style
-// session churn with deterministic per-address session lengths.
+// schedules driver actions on it (the epoch in progress ends at the
+// action's time, so it runs at exactly that time while every shard is
+// quiescent), and EnableChurn runs Bamboo-style session churn with
+// deterministic per-address session lengths.
 //
 // # Introspection
 //

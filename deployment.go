@@ -375,9 +375,9 @@ func (d *Deployment) RunCtx(ctx context.Context) error {
 // a simulated deployment — the epoch in progress ends at t, and fn runs
 // on the driver goroutine at exactly t, after every node event due at
 // or before t, while every shard is quiescent — or the control loop of
-// a UDP one. This is the lane for driver-level actions
-// that touch deployment-wide state: staggered Spawns, scheduled Kills,
-// partitions. Callbacks may call any Deployment or Handle method.
+// a UDP one. This is the lane for driver-level actions that touch
+// deployment-wide state: staggered Spawns, scheduled Kills, partitions.
+// Callbacks may call any Deployment or Handle method.
 func (d *Deployment) At(t float64, fn func()) Canceler {
 	if d.coord != nil {
 		return d.coord.AtBarrier(t, fn)

@@ -158,8 +158,8 @@ func BenchmarkSimCancelHeavy(b *testing.B) {
 }
 
 // BenchmarkShardedEpoch measures one epoch of a two-shard sim with a
-// few timer events per shard: the coordinator/worker handoff and the
-// barrier are most of its cost.
+// few timer events per shard: the coordinator/worker handoff, the
+// barrier and the cache traffic of two shards running on two cores.
 func BenchmarkShardedEpoch(b *testing.B) {
 	const epoch, perEpoch = 0.001, 4
 	ss := NewShardedSim(2, epoch)

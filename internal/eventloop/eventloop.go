@@ -244,9 +244,10 @@ const maxTimerPool = 256
 // single-loop simulation that is the simulation goroutine; under a
 // ShardedSim each shard's Sim is owned by its worker during an epoch
 // and by the coordinator at barriers, with the epoch handoff's atomic
-// generation and done counters serializing the handoff (the shard-ownership rule — see the package
-// documentation in sharded.go). Everything pinned to a shard (nodes,
-// tables, transports) inherits the same rule.
+// generation and done counters serializing the handoff (the
+// shard-ownership rule — see the package documentation in sharded.go).
+// Everything pinned to a shard (nodes, tables, transports) inherits the
+// same rule.
 type Sim struct {
 	now   float64
 	seq   uint64

@@ -25,13 +25,9 @@ func TestLookaheadBoundsMatrix(t *testing.T) {
 		min := math.Inf(1)
 		for i, row := range cfg.Matrix {
 			for j, v := range row {
-				if i == j {
-					continue
+				if i != j {
+					min = math.Min(min, v)
 				}
-				if la > v {
-					t.Fatalf("seed %d: Lookahead %g exceeds matrix[%d][%d]=%g", seed, la, i, j, v)
-				}
-				min = math.Min(min, v)
 			}
 		}
 		if la != min {

@@ -298,7 +298,7 @@ func BenchmarkCompileChord(b *testing.B) {
 
 // BenchmarkAblationSuccessorList reports ring survival after a 25%
 // burst failure for successor-list sizes 1 (MACEDON-style) and 4 — the
-// design-choice ablation DESIGN.md calls out.
+// successor-list ablation in internal/experiments.
 func BenchmarkAblationSuccessorList(b *testing.B) {
 	var rows []experiments.SuccessorAblationRow
 	for i := 0; i < b.N; i++ {

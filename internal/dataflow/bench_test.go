@@ -308,7 +308,19 @@ func evalsPerProbe(tb *table.Table, ev *tuple.Tuple, distinct []int) float64 {
 // the bucket), all-distinct the case with nothing to pass over. There a
 // cold probe — the table changed since the last one, so the cache
 // misses and the walk records its rows — must cost what evaluating
-// every row costs.
+// every row costs, within 12%.
+//
+// The bound was 5% while evaluating a row cost about 400 ns on a 2-core
+// Xeon VM. Ring arithmetic on the payload's own words cut that to about
+// 125 ns. The walk's own cost per row (comparing the distinct column,
+// recording the row) read 9.9 ns against the parent's 6.7 in 12
+// alternating runs until the recording walk became one closure over a
+// peek; after that skip-ns/row, the difference per row, had a median of
+// 7.2 ns before the arithmetic change and 7.7 ns after it, over 36
+// alternating runs of each, with run-to-run quartiles about 2 ns apart.
+// The ratio it makes with the cheaper rows read 1.04–1.10 in 20 runs,
+// so the bound moved to 12%: about 15 ns a row, still under the 20 ns
+// that 5% allowed before.
 func BenchmarkFoldJoinFingerScan(b *testing.B) {
 	run := func(b *testing.B, f *FoldJoin, tb *table.Table, ev *tuple.Tuple) (evals, visits float64) {
 		var probes int64
@@ -396,9 +408,11 @@ func BenchmarkFoldJoinFingerScan(b *testing.B) {
 				}
 			}
 		}
+		perRow := float64(skip-plain) / (50 * 160)
 		b.ReportMetric(float64(skip)/float64(plain), "vs-no-skip")
-		if float64(skip) > 1.05*float64(plain) {
-			b.Fatalf("160 distinct targets, cold: %v per 50 probes with the skip and its cache, %v without: over 5%% slower", skip, plain)
+		b.ReportMetric(perRow, "skip-ns/row")
+		if float64(skip) > 1.12*float64(plain) {
+			b.Fatalf("160 distinct targets, cold: %v per 50 probes with the skip and its cache, %v without (%.1f ns per row): over 12%% slower", skip, plain, perRow)
 		}
 	})
 }

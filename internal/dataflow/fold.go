@@ -102,7 +102,7 @@ func (f *FoldJoin) Push(t *tuple.Tuple) {
 		*f.probes++
 	}
 	if len(f.distinct) == 0 {
-		eachKept(f.ix, f.keyBuf, f.probes, nil, func(m *tuple.Tuple) { f.fold(t, m) })
+		eachCounted(f.ix, f.keyBuf, f.probes, func(m *tuple.Tuple) { f.fold(t, m) })
 		return
 	}
 	f.tbl.Expire() // so Version below already counts what this probe would expire
@@ -112,28 +112,34 @@ func (f *FoldJoin) Push(t *tuple.Tuple) {
 		}
 		return
 	}
+	// The recording walk is what an all-distinct bucket pays over no
+	// skip, per row, so it is one closure over a peek (this probe's
+	// expiry pass ran above) and compares the first distinct column
+	// inline: that column decides almost every row.
 	rows := f.memo.rows[:0]
-	eachKept(f.ix, f.keyBuf, f.probes, f.distinct, func(m *tuple.Tuple) {
+	var prev *tuple.Tuple
+	first, rest := f.distinct[0], f.distinct[1:]
+	f.ix.PeekEach(f.keyBuf, func(m *tuple.Tuple) bool {
+		if f.probes != nil {
+			*f.probes++
+		}
+		if prev != nil && val.Same(prev.Field(first), m.Field(first)) && sameAt(prev, m, rest) {
+			return true
+		}
+		prev = m
 		rows = append(rows, m)
 		f.fold(t, m)
+		return true
 	})
 	f.memo.keep(f.keyBuf, f.tbl.Version(), rows)
 }
 
-// eachKept walks ix's bucket for key, counting one probe per row
-// visited on probes, and hands fn every row — or, given distinct
-// columns, every row that differs there from the last one handed over.
-func eachKept(ix *table.Index, key []byte, probes *int64, distinct []int, fn func(*tuple.Tuple)) {
-	var prev *tuple.Tuple
+// eachCounted walks ix's bucket for key, counting one probe per row
+// visited on probes, and hands fn every row.
+func eachCounted(ix *table.Index, key []byte, probes *int64, fn func(*tuple.Tuple)) {
 	ix.Each(key, func(m *tuple.Tuple) bool {
 		if probes != nil {
 			*probes++
-		}
-		if len(distinct) > 0 {
-			if prev != nil && sameAt(prev, m, distinct) {
-				return true
-			}
-			prev = m
 		}
 		fn(m)
 		return true

@@ -159,7 +159,7 @@ func (j *Join) Push(t *tuple.Tuple) {
 		if c.event != t || !c.holds(j.keyBuf, j.tbl.Version()) {
 			c.event = t
 			rows := c.rows[:0]
-			eachKept(j.ix, j.keyBuf, j.probes, nil, func(m *tuple.Tuple) { rows = append(rows, m) })
+			eachCounted(j.ix, j.keyBuf, j.probes, func(m *tuple.Tuple) { rows = append(rows, m) })
 			c.keep(j.keyBuf, j.tbl.Version(), rows)
 		}
 		// The snapshot stays exact through the emit loop: the clock is

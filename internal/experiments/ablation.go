@@ -9,7 +9,7 @@ import (
 	"p2/internal/val"
 )
 
-// Ablations probe the design choices DESIGN.md calls out: the bounded
+// Ablations probe two design choices of this reproduction: the bounded
 // successor list (the paper criticises MACEDON's single-successor Chord
 // as "highly likely that the ring becomes partitioned", §5.2) and the
 // reliable transport layer (§3.4's retransmission elements).

@@ -6,6 +6,11 @@
 // total ordering, and circular-interval membership with every
 // open/closed bound combination, which is how Chord expresses
 // "K in (N, S]" on the identifier circle.
+//
+// ID is the public p2.ID and what the Chord oracle (chordref) and the
+// scenario checks compute with. The runtime's own ring arithmetic lives
+// in package val, which works on a value's 20-byte payload directly;
+// this package is the reference semantics val is tested against.
 package id
 
 import (
@@ -103,6 +108,7 @@ func FromString(s string) ID {
 	if len(s) != Bytes {
 		return FromBytes([]byte(s))
 	}
+	_ = s[Bytes-1]
 	var x ID
 	for i := 0; i < 5; i++ {
 		x[i] = uint32(s[i*4])<<24 | uint32(s[i*4+1])<<16 |

@@ -20,7 +20,9 @@
 //     and detects failure by elapsed time, the same mechanism Narada's
 //     L2 uses.
 //   - Timer constants are defines (the paper does not publish its
-//     values); EXPERIMENTS.md records the settings used for each run.
+//     values): the settings every run uses are the define lines below,
+//     overridden per deployment through harness.Opts.Defines where an
+//     experiment varies one (the successor-list ablation's succSize).
 package overlays
 
 import (

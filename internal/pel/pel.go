@@ -356,7 +356,9 @@ func (vm *VM) run(p *Program, in, right *tuple.Tuple, split int, env *Env) (val.
 			}
 			st = append(st, val.Str(env.Local))
 		case OpToID:
-			st[len(st)-1] = val.MakeID(st[len(st)-1].AsID())
+			if v := st[len(st)-1]; v.Kind() != val.KID {
+				st[len(st)-1] = val.MakeID(v.AsID())
+			}
 		case OpToStr:
 			st[len(st)-1] = val.Str(st[len(st)-1].AsStr())
 		default:

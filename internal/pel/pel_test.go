@@ -291,3 +291,65 @@ func BenchmarkEvalSelect(b *testing.B) {
 		}
 	}
 }
+
+// foldRow is one lookup hop's row in Chord's L2 and L3 folds: the event
+// ++ node(NI, N) on the left, finger(NI, I, B, BI) on the right. L2's
+// event is lookup(NI, K, R, E), L3's is bestLookupDist(NI, K, R, E, D),
+// with D the distance L2 folded for this finger.
+type foldRow struct {
+	l2, l3, finger *tuple.Tuple
+	in, dist, eq   *Program
+}
+
+func newFoldRow() foldRow {
+	ni, k, n, b := val.Str("n1:1234"), val.MakeID(id.Hash("key")), val.MakeID(id.Hash("n1:1234")), id.Hash("n9:1234")
+	d := val.Sub(val.Sub(k, val.MakeID(b)), val.Int(1))
+	return foldRow{
+		l2:     tuple.New("lookup", ni, k, val.Str("r:1"), val.Int(7), ni, n),
+		l3:     tuple.New("bestLookupDist", ni, k, val.Str("r:1"), val.Int(7), d, ni, n),
+		finger: tuple.New("finger", ni, val.Int(159), val.MakeID(b), val.Str("n9:1234")),
+		// L2: B in (N,K), then the fold input D := K - B - 1.
+		in:   NewBuilder().Field(8).Field(5).Field(1).In(false, false).Build(),
+		dist: NewBuilder().Field(1).Field(8).Op(OpSub).Const(val.Int(1)).Op(OpSub).Build(),
+		// L3: D == K - B - 1.
+		eq: NewBuilder().Field(4).Field(1).Field(9).Op(OpSub).Const(val.Int(1)).Op(OpSub).Op(OpEq).Build(),
+	}
+}
+
+// eval runs the row's three programs as the folds do, reporting whether
+// both filters held.
+func (r foldRow) eval(vm *VM, e *Env) bool {
+	in, _ := vm.EvalJoined(r.in, r.l2, r.finger, e)
+	vm.EvalJoined(r.dist, r.l2, r.finger, e)
+	eq, _ := vm.EvalJoined(r.eq, r.l3, r.finger, e)
+	return in.AsBool() && eq.AsBool()
+}
+
+// TestRingOpAllocsInVM pins the hop's arithmetic inside the VM: L2's
+// K - B - 1 allocates its two results and nothing else, and f_toID on
+// an ID passes it through.
+func TestRingOpAllocsInVM(t *testing.T) {
+	r, vm, e := newFoldRow(), NewVM(), env()
+	if !r.eval(vm, e) {
+		t.Fatal("the finger must pass both filters")
+	}
+	if got := testing.AllocsPerRun(100, func() { vm.EvalJoined(r.dist, r.l2, r.finger, e) }); got != 2 {
+		t.Errorf("K - B - 1 allocated %v, want 2", got)
+	}
+	toID := NewBuilder().Field(1).Op(OpToID).Build()
+	if got := testing.AllocsPerRun(100, func() { vm.Eval(toID, r.l2, e) }); got != 0 {
+		t.Errorf("f_toID on an ID allocated %v, want 0", got)
+	}
+}
+
+// BenchmarkFoldRow is the cost of one finger row in a lookup hop: L2's
+// B in (N,K) and K - B - 1, and L3's D == K - B - 1.
+func BenchmarkFoldRow(b *testing.B) {
+	r, vm, e := newFoldRow(), NewVM(), env()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if !r.eval(vm, e) {
+			b.Fatal("the finger must pass both filters")
+		}
+	}
+}

@@ -60,6 +60,9 @@ func (k Kind) String() string {
 // collapses all copies of one identifier into one 20-byte allocation.
 // Big-endian byte order makes lexicographic comparison of the payload
 // strings coincide with numeric ID order, so comparisons never decode.
+// Ring arithmetic (Add, Sub, Shl, Shr, Neg, In) reads the payload as
+// three machine words and renders each result once (see ring); package
+// id is the reference semantics it is tested against.
 type Value struct {
 	str  string // KStr payload; KID payload as 20 big-endian bytes (interned)
 	num  uint64 // bool/int/float/time payload (bit pattern)
@@ -267,7 +270,7 @@ func Add(v, o Value) Value {
 	case v.kind == KStr || o.kind == KStr:
 		return Str(v.AsStr() + o.AsStr())
 	case v.kind == KID || o.kind == KID:
-		return MakeID(v.AsID().Add(o.AsID()))
+		return v.ring().add(o.ring()).value()
 	case v.kind == KTime || o.kind == KTime:
 		return Time(v.AsFloat() + o.AsFloat())
 	case v.kind == KFloat || o.kind == KFloat:
@@ -282,7 +285,7 @@ func Add(v, o Value) Value {
 func Sub(v, o Value) Value {
 	switch {
 	case v.kind == KID || o.kind == KID:
-		return MakeID(v.AsID().Sub(o.AsID()))
+		return v.ring().sub(o.ring()).value()
 	case v.kind == KTime && o.kind == KTime:
 		return Float(v.AsFloat() - o.AsFloat())
 	case v.kind == KTime || o.kind == KTime:
@@ -332,21 +335,20 @@ func Mod(v, o Value) Value {
 // shift as int64 promoted through ID when they would overflow.
 func Shl(v, o Value) Value {
 	n := uint(o.AsInt())
-	if v.kind == KID {
-		return MakeID(id.FromString(v.str).Shl(n))
+	if v.kind != KID {
+		iv := v.AsInt()
+		if n < 63 && iv >= 0 && iv < (1<<(62-n)) {
+			return Int(iv << n)
+		}
 	}
-	iv := v.AsInt()
-	if n < 63 && iv >= 0 && iv < (1<<(62-n)) {
-		return Int(iv << n)
-	}
-	return MakeID(v.AsID().Shl(n))
+	return v.ring().shl(n).value()
 }
 
 // Shr returns v >> o.
 func Shr(v, o Value) Value {
 	n := uint(o.AsInt())
 	if v.kind == KID {
-		return MakeID(id.FromString(v.str).Shr(n))
+		return v.ring().shr(n).value()
 	}
 	return Int(v.AsInt() >> n)
 }
@@ -357,7 +359,7 @@ func Neg(v Value) Value {
 	case KFloat, KTime:
 		return Float(-v.AsFloat())
 	case KID:
-		return MakeID(id.Zero.Sub(v.AsID()))
+		return ring{}.sub(v.ring()).value()
 	default:
 		return Int(-v.AsInt())
 	}
@@ -369,17 +371,11 @@ func Neg(v Value) Value {
 // their integer value, which for ordinary positive ints matches linear
 // interval logic whenever lo <= hi.
 func In(k, lo, hi Value, loClosed, hiClosed bool) bool {
-	kk, ll, hh := k.AsID(), lo.AsID(), hi.AsID()
-	switch {
-	case loClosed && hiClosed:
-		return id.BetweenCC(kk, ll, hh)
-	case loClosed:
-		return id.BetweenCO(kk, ll, hh)
-	case hiClosed:
-		return id.BetweenOC(kk, ll, hh)
-	default:
-		return id.BetweenOO(kk, ll, hh)
+	x, a, b := k.ring(), lo.ring(), hi.ring()
+	if loClosed && x == a || hiClosed && x == b {
+		return true
 	}
+	return x.inOpen(a, b)
 }
 
 // codec -----------------------------------------------------------------

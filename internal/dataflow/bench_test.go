@@ -26,13 +26,13 @@ type dfClock struct{ now float64 }
 
 func (c *dfClock) Now() float64 { return c.now }
 
-func joinFixture(rows, fanout int) (*Join, *table.Table) {
+func joinFixture(rows, fanout int, filters ...*pel.Program) (*Join, *table.Table) {
 	tb := table.New("t", table.Infinity, 0, []int{0, 1}, &dfClock{})
 	for i := 0; i < rows; i++ {
 		tb.Insert(tuple.New("t",
 			val.Str(fmt.Sprintf("addr%d", i%(rows/fanout))), val.Int(int64(i)), val.Int(int64(i*3))))
 	}
-	j := NewJoin(tb, []int{0}, []int{0}, "w", new(Scratch))
+	j := NewJoin(tb, []int{0}, []int{0}, filters, nil, &pel.Env{}, "w", new(Scratch))
 	j.Connect(discard())
 	return j, tb
 }
@@ -60,8 +60,8 @@ func TestStrandAllocatesOnlyTheHead(t *testing.T) {
 		tb.Insert(tuple.New("t", val.Str("a"), val.Int(int64(i))))
 	}
 	// e(a) ++ t(a, i) ++ t(a, j): 16 heads h(i, j) per event.
-	j1 := NewJoin(tb, []int{0}, []int{0}, "w", sc)
-	j2 := NewJoin(tb, []int{0}, []int{0}, "w", sc)
+	j1 := NewJoin(tb, []int{0}, []int{0}, nil, nil, nil, "w", sc)
+	j2 := NewJoin(tb, []int{0}, []int{0}, nil, nil, nil, "w", sc)
 	head := NewProject("h", []*pel.Program{fieldProg(2), fieldProg(4)}, &pel.Env{})
 	heads := 0
 	j1.Connect(j2)
@@ -134,11 +134,10 @@ func TestJoinPushMissZeroAlloc(t *testing.T) {
 // path: matches killed by the predicate must never materialize a
 // concatenated tuple.
 func TestJoinFilteredMatchesDoNotAllocate(t *testing.T) {
-	j, _ := joinFixture(64, 8)
 	// Predicate over the concatenation e(loc, pay) ++ t(loc, i, i*3):
 	// field 3 (t's i) < 0 is always false, so every match is filtered.
 	prog := pel.NewBuilder().Field(3).Const(val.Int(0)).Op(pel.OpLt).Build()
-	j.AddFilter(prog, &pel.Env{})
+	j, _ := joinFixture(64, 8, prog)
 	event := tuple.New("e", val.Str("addr3"), val.Str("payload"))
 	allocs := testing.AllocsPerRun(200, func() {
 		j.Push(event)
@@ -165,10 +164,12 @@ func TestJoinFusionMatchesUnfusedChain(t *testing.T) {
 		var got []*tuple.Tuple
 		sink := collect(&got)
 		sc := new(Scratch)
-		j := NewJoin(tb, []int{0}, []int{0}, "w", sc)
+		var filters, assigns []*pel.Program
 		if fused {
-			j.AddFilter(sel, env)
-			j.AddAssigns([]*pel.Program{asn}, env)
+			filters, assigns = []*pel.Program{sel}, []*pel.Program{asn}
+		}
+		j := NewJoin(tb, []int{0}, []int{0}, filters, assigns, env, "w", sc)
+		if fused {
 			j.Connect(sink)
 		} else {
 			s := NewSelect(sel, env)
@@ -233,10 +234,9 @@ func BenchmarkJoinPush(b *testing.B) {
 }
 
 func BenchmarkJoinPushFiltered(b *testing.B) {
-	j, _ := joinFixture(64, 8)
 	// Keep ~1 of 8 matches, Chord-style.
 	prog := pel.NewBuilder().Field(3).Const(val.Int(8)).Op(pel.OpLt).Build()
-	j.AddFilter(prog, &pel.Env{})
+	j, _ := joinFixture(64, 8, prog)
 	event := tuple.New("e", val.Str("addr0"), val.Str("payload"))
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -1,23 +1,25 @@
 package dataflow
 
 import (
+	"bytes"
+
 	"p2/internal/pel"
 	"p2/internal/table"
 	"p2/internal/tuple"
 	"p2/internal/val"
 )
 
-// FoldJoin is the optimizer's fusion of a rule's final equijoin with
+// FoldJoin is the planner's fusion of a rule's final equijoin with
 // its per-event stream aggregate. A plain Join materializes one
 // concatenated tuple per surviving match and hands each to a downstream
 // AggStream, which immediately reduces them to a single value — for
 // aggregate-heavy rules (Chord's bestLookupDist min<> over the whole
 // finger table, per lookup) that is one short-lived allocation per
 // candidate row, and the dominant GC pressure of a steady-state
-// overlay. FoldJoin instead evaluates the fused filters and the
-// aggregate input over the virtual concatenation input++match — no
-// tuple is built — and folds the value into an accumulator; Flush then
-// emits a single event++aggregate tuple per trigger.
+// overlay. FoldJoin instead evaluates the filters and the aggregate
+// input over the virtual concatenation input++match — no tuple is
+// built — and folds the value into an accumulator; Flush then emits a
+// single event++aggregate tuple per trigger.
 //
 // The planner only produces a FoldJoin when the reduction is invisible
 // in the derived tuples: min/max with every non-aggregate head field
@@ -38,29 +40,28 @@ import (
 //
 // Which rows a distinct walk evaluates depends on the bucket alone,
 // never on the event, so the walk is cached: the rows it evaluated,
-// keyed by the probe key and the table's Version read after its expiry
-// pass — the validity rule ProbeCache relies on. Adds, removes, expiry
-// and primary-key replacement all advance Version; identical refreshes
-// do not, and keep the cache. A warm lookup hop folds its ~8 rows and
-// visits no others; a miss walks exactly as an uncached probe does and
-// records the rows it evaluates.
+// exact while the probe key and the table's Version (read after the
+// walk's expiry pass) are the ones it was filled at. Adds, removes,
+// expiry and primary-key replacement all advance Version; identical
+// refreshes do not, and keep the cache. A warm lookup hop folds its ~8
+// rows and visits no others; a miss walks exactly as an uncached probe
+// does and records the rows it evaluates.
 type FoldJoin struct {
 	Base
-	tbl       *table.Table
-	ix        *table.Index
-	streamKey []int
-	keyBuf    []byte
-	sc        *Scratch
+	probe
+	tbl *table.Table
+	sc  *Scratch
 
-	filters  []*pel.Program
 	input    *pel.Program // aggregate input; nil for count<*>
 	distinct []int        // match columns the programs read; nil: evaluate every match
 	fn       AggFunc
-	vm       *pel.VM
-	env      *pel.Env
 
-	probes *int64
-	memo   rowMemo // the distinct rows of the last walk
+	// The distinct rows of the last walk, and the key and Version they
+	// were recorded at.
+	memoKey  []byte
+	memoVer  uint64
+	memoRows []*tuple.Tuple
+	memoOK   bool
 
 	seen  bool
 	count int64
@@ -74,40 +75,36 @@ type FoldJoin struct {
 // functions of the event and those match columns.
 func NewFoldJoin(tbl *table.Table, streamKey, tableKey []int,
 	fn AggFunc, input *pel.Program, filters []*pel.Program, distinct []int, env *pel.Env, sc *Scratch) *FoldJoin {
-	return &FoldJoin{
-		tbl:       tbl,
-		ix:        tbl.EnsureIndex(tableKey),
-		streamKey: append([]int(nil), streamKey...),
-		sc:        sc,
-		filters:   filters,
-		input:     input,
-		distinct:  distinct,
-		fn:        fn,
-		vm:        pel.NewVM(),
-		env:       env,
-		acc:       val.Null,
+	f := &FoldJoin{
+		probe:    newProbe(tbl, streamKey, tableKey, filters, env),
+		tbl:      tbl,
+		sc:       sc,
+		input:    input,
+		distinct: distinct,
+		fn:       fn,
+		acc:      val.Null,
 	}
+	if f.vm == nil {
+		f.vm = pel.NewVM()
+	}
+	return f
 }
-
-// CountProbes points the element at a shared counter, as Join.CountProbes:
-// a walk counts one plus one per row it visits, an answer from the row
-// cache counts one.
-func (f *FoldJoin) CountProbes(p *int64) { f.probes = p }
 
 // Push probes the table and folds every surviving match into the
 // accumulator. Nothing flows downstream until Flush.
 func (f *FoldJoin) Push(t *tuple.Tuple) {
-	f.keyBuf = t.AppendKey(f.keyBuf[:0], f.streamKey)
-	if f.probes != nil {
-		*f.probes++
-	}
+	key := f.key(t)
 	if len(f.distinct) == 0 {
-		eachCounted(f.ix, f.keyBuf, f.probes, func(m *tuple.Tuple) { f.fold(t, m) })
+		f.ix.Each(key, func(m *tuple.Tuple) bool {
+			f.visit()
+			f.fold(t, m)
+			return true
+		})
 		return
 	}
 	f.tbl.Expire() // so Version below already counts what this probe would expire
-	if f.memo.holds(f.keyBuf, f.tbl.Version()) {
-		for _, m := range f.memo.rows {
+	if f.memoOK && f.memoVer == f.tbl.Version() && bytes.Equal(f.memoKey, key) {
+		for _, m := range f.memoRows {
 			f.fold(t, m)
 		}
 		return
@@ -116,13 +113,11 @@ func (f *FoldJoin) Push(t *tuple.Tuple) {
 	// skip, per row, so it is one closure over a peek (this probe's
 	// expiry pass ran above) and compares the first distinct column
 	// inline: that column decides almost every row.
-	rows := f.memo.rows[:0]
+	rows := f.memoRows[:0]
 	var prev *tuple.Tuple
 	first, rest := f.distinct[0], f.distinct[1:]
-	f.ix.PeekEach(f.keyBuf, func(m *tuple.Tuple) bool {
-		if f.probes != nil {
-			*f.probes++
-		}
+	f.ix.PeekEach(key, func(m *tuple.Tuple) bool {
+		f.visit()
 		if prev != nil && val.Same(prev.Field(first), m.Field(first)) && sameAt(prev, m, rest) {
 			return true
 		}
@@ -131,29 +126,15 @@ func (f *FoldJoin) Push(t *tuple.Tuple) {
 		f.fold(t, m)
 		return true
 	})
-	f.memo.keep(f.keyBuf, f.tbl.Version(), rows)
-}
-
-// eachCounted walks ix's bucket for key, counting one probe per row
-// visited on probes, and hands fn every row.
-func eachCounted(ix *table.Index, key []byte, probes *int64, fn func(*tuple.Tuple)) {
-	ix.Each(key, func(m *tuple.Tuple) bool {
-		if probes != nil {
-			*probes++
-		}
-		fn(m)
-		return true
-	})
+	f.memoKey = append(f.memoKey[:0], key...)
+	f.memoVer, f.memoRows, f.memoOK = f.tbl.Version(), rows, true
 }
 
 // fold evaluates one match over input++match and folds it into the
 // accumulator.
 func (f *FoldJoin) fold(t, m *tuple.Tuple) {
-	for _, p := range f.filters {
-		v, err := f.vm.EvalJoined(p, t, m, f.env)
-		if err != nil || !v.AsBool() {
-			return // match filtered out
-		}
+	if !f.pass(t, m) {
+		return // match filtered out
 	}
 	if f.input != nil {
 		v, err := f.vm.EvalJoined(f.input, t, m, f.env)

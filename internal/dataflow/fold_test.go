@@ -42,7 +42,7 @@ func TestFoldJoinMinMatchesJoinPlusAggStream(t *testing.T) {
 
 	// Unfused reference: join then AggStream over the concat position 3.
 	sc := new(Scratch)
-	j := NewJoin(tbl, []int{0}, []int{0}, "w", sc)
+	j := NewJoin(tbl, []int{0}, []int{0}, nil, nil, nil, "w", sc)
 	agg := NewAggStream(AggMin, 3, sc)
 	var ref []*tuple.Tuple
 	j.Connect(agg)
@@ -192,15 +192,13 @@ func TestFoldJoinDistinctMatchesChain(t *testing.T) {
 			}
 
 			sc := new(Scratch)
-			j, jenv := NewJoin(tbl, []int{0}, []int{0}, "w", sc), envFor()
-			for _, p := range c.filters {
-				j.AddFilter(p, jenv)
-			}
+			var assigns []*pel.Program
 			aggPos := -1
 			if c.input != nil {
-				j.AddAssigns([]*pel.Program{c.input}, jenv)
+				assigns = []*pel.Program{c.input}
 				aggPos = 6
 			}
+			j := NewJoin(tbl, []int{0}, []int{0}, c.filters, assigns, envFor(), "w", sc)
 			agg := NewAggStream(c.fn, aggPos, sc)
 			var ref, got []*tuple.Tuple
 			j.Connect(agg)
@@ -356,9 +354,7 @@ func checkFold(t *testing.T, step int, fn AggFunc, input, filter *pel.Program, t
 	f.Connect(collect(&fresh))
 	f.Push(ev)
 	f.Flush(ev)
-	j := NewJoin(tbl, []int{0}, []int{0}, "w", sc)
-	j.AddFilter(filter, e)
-	j.AddAssigns([]*pel.Program{input}, e)
+	j := NewJoin(tbl, []int{0}, []int{0}, []*pel.Program{filter}, []*pel.Program{input}, e, "w", sc)
 	agg := NewAggStream(fn, 6, sc)
 	j.Connect(agg)
 	agg.Connect(collect(&ref))

@@ -1,8 +1,6 @@
 package dataflow
 
 import (
-	"bytes"
-
 	"p2/internal/pel"
 	"p2/internal/table"
 	"p2/internal/tuple"
@@ -15,10 +13,84 @@ import (
 // downstream per input. Writing a derived tuple into a table, or
 // deleting one, is the engine's deliverHead, not an element.
 
+// probe is the index lookup Join, FoldJoin and NotJoin share: the
+// probe key, rendered from the input into a reusable buffer; the probe
+// counter; and the fused filters, run over the virtual concatenation
+// input++match before any tuple is built. OverLog join bodies are
+// dominated by range predicates that keep one match in many (Chord's
+// "K in (N, S]" finger walks), so filtering during the probe removes
+// most of a strand's tuple construction. A filter that fails or errors
+// skips the match, exactly as a Select after the join would.
+type probe struct {
+	ix        *table.Index
+	streamKey []int
+	keyBuf    []byte
+	probes    *int64
+	filters   []*pel.Program
+	vm        *pel.VM // nil until the element has a program to run
+	env       *pel.Env
+}
+
+func newProbe(tbl *table.Table, streamKey, tableKey []int, filters []*pel.Program, env *pel.Env) probe {
+	p := probe{
+		ix:        tbl.EnsureIndex(tableKey),
+		streamKey: append([]int(nil), streamKey...),
+		filters:   filters,
+		env:       env,
+	}
+	if len(filters) > 0 {
+		p.vm = pel.NewVM()
+	}
+	return p
+}
+
+// CountProbes points the element at a shared counter: one per probe,
+// plus one per candidate row visited when the probe walks the index (an
+// antijoin's existence check visits none). A probe FoldJoin answers
+// from its row cache counts its one and visits no rows: the walk it
+// skipped is the work the cache exists to avoid, and the counter (the
+// engine's Stats.Probes) is how a run observes it.
+func (p *probe) CountProbes(c *int64) { p.probes = c }
+
+// key renders t's probe key into the buffer and counts the probe.
+// Strands run one at a time to completion and downstream re-derivations
+// are deferred, so an element is never re-entered while it probes and
+// the buffer is safe to reuse.
+func (p *probe) key(t *tuple.Tuple) []byte {
+	p.keyBuf = t.AppendKey(p.keyBuf[:0], p.streamKey)
+	if p.probes != nil {
+		*p.probes++
+	}
+	return p.keyBuf
+}
+
+// visit counts one candidate row the walk visits.
+func (p *probe) visit() {
+	if p.probes != nil {
+		*p.probes++
+	}
+}
+
+// pass reports whether match m survives every filter over t++m.
+func (p *probe) pass(t, m *tuple.Tuple) bool {
+	for _, f := range p.filters {
+		v, err := p.vm.EvalJoined(f, t, m, p.env)
+		if err != nil || !v.AsBool() {
+			return false
+		}
+	}
+	return true
+}
+
 // Join is the stream×table equijoin at the core of OverLog execution
 // (§2.5). For each pushed tuple it looks up matches in the table's
-// secondary index and emits one concatenated tuple per match:
-// fields(input) ++ fields(match), under the configured output name.
+// secondary index and emits one concatenated tuple per match that
+// passes its filters: fields(input) ++ fields(match), under the
+// configured output name, extended by its assignments. Those are the
+// run of "X := expr" steps that follows the join in the rule: the tuple
+// is built once at its final arity and each program fills the next
+// slot, exactly as a downstream MultiAssign would — minus that
+// element's second tuple construction per match.
 //
 // The probe allocates nothing: the index handle is resolved once at
 // construction, the probe key renders into a reusable buffer, matches
@@ -27,168 +99,40 @@ import (
 // the node's Scratch and released once the downstream Push returns.
 type Join struct {
 	Base
-	tbl       *table.Table
-	ix        *table.Index
-	streamKey []int // key positions in the incoming tuple
-	keyBuf    []byte
-	outName   string
-	sc        *Scratch
-
-	// Fused selection predicates and trailing assignments (see
-	// AddFilter / AddAssigns).
-	filters []*pel.Program
+	probe
 	assigns []*pel.Program
-	vm      *pel.VM
-	env     *pel.Env
-
-	probes *int64      // optional probe counter (see CountProbes)
-	share  *ProbeCache // optional shared match snapshot (see Share)
+	outName string
+	sc      *Scratch
 }
 
-// NewJoin builds an equijoin element emitting into sc and resolves the
-// table's index handle, creating the index if needed.
-func NewJoin(tbl *table.Table, streamKey, tableKey []int, outName string, sc *Scratch) *Join {
-	return &Join{
-		tbl:       tbl,
-		ix:        tbl.EnsureIndex(tableKey),
-		streamKey: append([]int(nil), streamKey...),
-		outName:   outName,
-		sc:        sc,
-	}
-}
-
-// CountProbes points the element at a shared counter: one per probe,
-// plus one per candidate row visited when the probe walks the index. A
-// probe answered from a shared cache counts its one and visits no rows
-// — the walk it skipped is the work the optimizer's common-subexpression
-// sharing eliminates, and the counter (the engine's Stats.Probes) is how
-// a run observes it. FoldJoin's row cache counts the same way.
-func (j *Join) CountProbes(p *int64) { j.probes = p }
-
-// ProbeCache shares one probe's raw match snapshot between joins on
-// the same (table, key): when several strands triggered by the same
-// event open with an identical probe, the first fills the cache and
-// the rest reuse it. The snapshot holds unfiltered candidate rows —
-// each strand still applies its own fused filters and assignments — so
-// sharing is purely an execution-cost optimization, invisible in the
-// derived tuples.
-//
-// Validity is exact, not heuristic: a hit requires the same event
-// tuple (pointer identity — selections pass tuples through untouched),
-// the same rendered key bytes, and the same table content version
-// (table.Version advances on every row add/remove and never on pure
-// TTL refreshes). Any synchronous write to the table between two
-// strands of the same event therefore forces a refill. Pointer identity
-// names the event only because a shared join's input is the strand's
-// event itself: planner.ShareableJoin admits only selections ahead of
-// it. A working tuple (see Scratch) reuses its address across events
-// and could never be told apart this way.
-type ProbeCache struct {
-	event *tuple.Tuple
-	rowMemo
-}
-
-// rowMemo is the rows one walk of an index bucket kept, exact while the
-// probe key and the table's Version are the ones it was filled at.
-type rowMemo struct {
-	key   []byte
-	ver   uint64
-	rows  []*tuple.Tuple
-	valid bool
-}
-
-// holds reports whether the memo answers a probe for key at version ver.
-func (c *rowMemo) holds(key []byte, ver uint64) bool {
-	return c.valid && c.ver == ver && bytes.Equal(c.key, key)
-}
-
-// keep makes rows, what a walk of key's bucket kept, the memo's answer
-// at version ver. Each's own expiry pass may remove rows, so callers
-// read ver after the walk: the memo is exact as of its completion.
-func (c *rowMemo) keep(key []byte, ver uint64, rows []*tuple.Tuple) {
-	c.key = append(c.key[:0], key...)
-	c.ver, c.rows, c.valid = ver, rows, true
-}
-
-// Share points the join at a cache shared with its prefix-identical
-// peers. The engine only wires caches across joins probing the same
-// table with the same key positions, on strands that cannot write that
-// table synchronously while they run.
-func (j *Join) Share(c *ProbeCache) { j.share = c }
-
-// AddFilter fuses a selection predicate into the probe. The program is
-// evaluated over the virtual concatenation input++match (the same
-// binding environment a downstream Select would see); matches that fail
-// — by evaluating false or erroring — are skipped before the
-// concatenated tuple is built. OverLog join bodies are dominated by
-// range predicates that keep one match in many (Chord's "K in (N, S]"
-// finger walks), so filtering during the probe removes most of a
-// strand's tuple construction. Semantics are identical to a Select
-// element placed immediately after the join.
-func (j *Join) AddFilter(prog *pel.Program, env *pel.Env) {
-	if j.vm == nil {
+// NewJoin builds an equijoin element with its filters and assignments,
+// emitting into sc, and resolves the table's index handle, creating the
+// index if needed.
+func NewJoin(tbl *table.Table, streamKey, tableKey []int, filters, assigns []*pel.Program,
+	env *pel.Env, outName string, sc *Scratch) *Join {
+	j := &Join{probe: newProbe(tbl, streamKey, tableKey, filters, env), assigns: assigns, outName: outName, sc: sc}
+	if j.vm == nil && len(assigns) > 0 {
 		j.vm = pel.NewVM()
-		j.env = env
 	}
-	j.filters = append(j.filters, prog)
-}
-
-// AddAssigns fuses a run of trailing assignments into the emit: the
-// concatenated tuple is built once at its final arity and each program
-// fills the next slot, exactly as a downstream MultiAssign would —
-// minus that element's second tuple construction per match.
-func (j *Join) AddAssigns(progs []*pel.Program, env *pel.Env) {
-	if j.vm == nil {
-		j.vm = pel.NewVM()
-		j.env = env
-	}
-	j.assigns = append(j.assigns, progs...)
+	return j
 }
 
 // Push probes the table and emits all surviving matches downstream.
-// Strands run one at a time to completion and downstream
-// re-derivations are deferred, so Push is never re-entered while active
-// and the key buffer is safe to reuse.
 func (j *Join) Push(t *tuple.Tuple) {
-	j.keyBuf = t.AppendKey(j.keyBuf[:0], j.streamKey)
 	na := t.Arity()
-	if j.probes != nil {
-		*j.probes++
-	}
-	if c := j.share; c != nil {
-		if c.event != t || !c.holds(j.keyBuf, j.tbl.Version()) {
-			c.event = t
-			rows := c.rows[:0]
-			eachCounted(j.ix, j.keyBuf, j.probes, func(m *tuple.Tuple) { rows = append(rows, m) })
-			c.keep(j.keyBuf, j.tbl.Version(), rows)
-		}
-		// The snapshot stays exact through the emit loop: the clock is
-		// frozen while a strand runs (nothing new can expire after the
-		// fill's expiry pass), and the engine never shares a cache with
-		// a strand that writes the probed table synchronously.
-		for _, m := range c.rows {
-			j.emitMatch(t, na, m)
-		}
-		return
-	}
-	j.ix.Each(j.keyBuf, func(m *tuple.Tuple) bool {
-		if j.probes != nil {
-			*j.probes++
-		}
+	j.ix.Each(j.key(t), func(m *tuple.Tuple) bool {
+		j.visit()
 		j.emitMatch(t, na, m)
 		return true
 	})
 }
 
-// emitMatch runs the fused filters and assignments against one
-// candidate row and pushes the concatenated working tuple; filtered or
-// underivable matches are simply skipped.
+// emitMatch runs the filters and assignments against one candidate row
+// and pushes the concatenated working tuple; filtered or underivable
+// matches are simply skipped.
 func (j *Join) emitMatch(t *tuple.Tuple, na int, m *tuple.Tuple) {
-	for _, f := range j.filters {
-		v, err := j.vm.EvalJoined(f, t, m, j.env)
-		if err != nil || !v.AsBool() {
-			return // match filtered out
-		}
+	if !j.pass(t, m) {
+		return
 	}
 	base := na + m.Arity()
 	out, fields, mk := j.sc.take(j.outName, base+len(j.assigns))
@@ -211,31 +155,17 @@ func (j *Join) emitMatch(t *tuple.Tuple, na int, m *tuple.Tuple) {
 // passes through unchanged iff the table contains no match.
 type NotJoin struct {
 	Base
-	ix        *table.Index
-	streamKey []int
-	keyBuf    []byte
-	probes    *int64
+	probe
 }
 
 // NewNotJoin builds an antijoin element.
 func NewNotJoin(tbl *table.Table, streamKey, tableKey []int) *NotJoin {
-	return &NotJoin{
-		ix:        tbl.EnsureIndex(tableKey),
-		streamKey: append([]int(nil), streamKey...),
-	}
+	return &NotJoin{probe: newProbe(tbl, streamKey, tableKey, nil, nil)}
 }
-
-// CountProbes points the element at a shared counter bumped once per
-// existence probe.
-func (j *NotJoin) CountProbes(p *int64) { j.probes = p }
 
 // Push forwards t iff the table has no matching row.
 func (j *NotJoin) Push(t *tuple.Tuple) {
-	j.keyBuf = t.AppendKey(j.keyBuf[:0], j.streamKey)
-	if j.probes != nil {
-		*j.probes++
-	}
-	if j.ix.Contains(j.keyBuf) {
+	if j.ix.Contains(j.key(t)) {
 		return // match exists: tuple eliminated
 	}
 	j.PushOut(t)
@@ -272,7 +202,7 @@ func (s *Select) Push(t *tuple.Tuple) {
 // OverLog rule bodies routinely carry several ":=" steps (Chord's
 // lookup rules compute hashes, ranges, and candidate successors in
 // sequence), so the fusion removes most of a strand's intermediate
-// tuple construction. The engine's strand builder performs the fusion.
+// tuple construction. The planner lowers each run to one element.
 type MultiAssign struct {
 	Base
 	progs []*pel.Program

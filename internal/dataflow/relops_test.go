@@ -38,7 +38,7 @@ func TestJoinEmitsAllMatches(t *testing.T) {
 	nb.Insert(tp("neighbor", val.Str("nX"), val.Str("n4"))) // different X
 
 	// Join refreshSeq(X, S) with neighbor(X, Y) on X.
-	j := NewJoin(nb, []int{0}, []int{0}, "r_j1", new(Scratch))
+	j := NewJoin(nb, []int{0}, []int{0}, nil, nil, nil, "r_j1", new(Scratch))
 	var got []*tuple.Tuple
 	j.Connect(collect(&got))
 	j.Push(tp("refreshSeq", val.Str("n1"), val.Int(7)))
@@ -62,7 +62,7 @@ func TestJoinEmitsAllMatches(t *testing.T) {
 func TestJoinNoMatchEmitsNothing(t *testing.T) {
 	loop := eventloop.NewSim()
 	nb := table.New("neighbor", table.Infinity, 0, []int{1}, loop)
-	j := NewJoin(nb, []int{0}, []int{0}, "out", new(Scratch))
+	j := NewJoin(nb, []int{0}, []int{0}, nil, nil, nil, "out", new(Scratch))
 	var got []*tuple.Tuple
 	j.Connect(collect(&got))
 	j.Push(tp("evt", val.Str("n1")))
@@ -77,7 +77,7 @@ func TestJoinMultiFieldKey(t *testing.T) {
 	member.Insert(tp("member", val.Str("n1"), val.Str("a"), val.Int(1)))
 	member.Insert(tp("member", val.Str("n1"), val.Str("b"), val.Int(2)))
 	// Join on (field0, field1) of stream against (0, 1) of table.
-	j := NewJoin(member, []int{0, 1}, []int{0, 1}, "out", new(Scratch))
+	j := NewJoin(member, []int{0, 1}, []int{0, 1}, nil, nil, nil, "out", new(Scratch))
 	var got []*tuple.Tuple
 	j.Connect(collect(&got))
 	j.Push(tp("refresh", val.Str("n1"), val.Str("b")))
@@ -365,7 +365,7 @@ func TestHandWiredRuleStrand(t *testing.T) {
 	neighbor.Insert(tp("neighbor", val.Str("n1"), val.Str("n2")))
 	neighbor.Insert(tp("neighbor", val.Str("n1"), val.Str("n3")))
 
-	join := NewJoin(neighbor, []int{0}, []int{0}, "r6_w", new(Scratch))
+	join := NewJoin(neighbor, []int{0}, []int{0}, nil, nil, nil, "r6_w", new(Scratch))
 	// Work tuple layout after join: [X, S, X', Y] — project head
 	// member(Y, X, S, f_now, true).
 	head := NewProject("member", []*pel.Program{
@@ -404,7 +404,7 @@ func BenchmarkJoinProbe(b *testing.B) {
 	for i := 0; i < 8; i++ {
 		nb.Insert(tp("neighbor", val.Str("n1"), val.Str("p"+string(rune('a'+i)))))
 	}
-	j := NewJoin(nb, []int{0}, []int{0}, "out", new(Scratch))
+	j := NewJoin(nb, []int{0}, []int{0}, nil, nil, nil, "out", new(Scratch))
 	j.Connect(discard())
 	evt := tp("refreshSeq", val.Str("n1"), val.Int(1))
 	b.ReportAllocs()

@@ -119,10 +119,9 @@ type Stats struct {
 	TuplesDropped int64 // no table, strand, or watcher wanted them
 	// Probes counts equijoin work: one per probe, plus one per candidate
 	// row visited when the probe walks the index (antijoins count one per
-	// existence check). A probe answered from a cache — a ProbeCache
-	// shared across strands, or a distinct fold's row cache — counts its
-	// one and visits no rows: the walks skipped are the work the
-	// optimizer exists to avoid.
+	// existence check). A probe a distinct fold answers from its row
+	// cache counts its one and visits no rows: the walks skipped are the
+	// work the cache exists to avoid.
 	Probes int64
 }
 
@@ -197,12 +196,6 @@ type strand struct {
 	entry dataflow.Pusher
 	agg   flusher
 	fires int64
-
-	// firstJoin is the strand's leading probe when its prefix is
-	// eligible for cross-strand sharing (see wireShares); shareKey
-	// identifies the (table, key) probe it performs.
-	firstJoin *dataflow.Join
-	shareKey  string
 
 	node  *Node
 	queue []*tuple.Tuple // pending trigger events; one Defer per entry
@@ -375,7 +368,6 @@ func (n *Node) Start() error {
 	for _, ta := range n.plan.TableAggs {
 		n.buildTableAgg(ta)
 	}
-	n.wireShares()
 	if n.opts.TraceWriter != nil {
 		for _, name := range n.plan.Watches {
 			n.watchTrace(name)
@@ -499,87 +491,45 @@ func (n *Node) buildStrand(r *planner.Rule) {
 	}
 }
 
-// buildChain builds the dataflow element chain for s.rule and installs
-// it on the strand.
+// buildChain builds the dataflow element chain for s.rule, one element
+// per op, and installs it on the strand.
 func (n *Node) buildChain(s *strand) {
 	r := s.rule
 	var elems []stage
-
 	var flush flusher
-	shareIdx, ok := n.plan.ShareableJoin(r)
-	if !ok {
-		shareIdx = -1
-	}
 	use := scratchUse{width: r.Trigger.Arity}
 
-	for i := 0; i < len(r.Ops); i++ {
-		switch o := r.Ops[i].(type) {
+	for _, op := range r.Ops {
+		switch o := op.(type) {
 		case *planner.OpJoin:
 			tbl := n.tables[o.Table]
-			if o.Neg {
+			switch {
+			case o.Neg:
 				nj := dataflow.NewNotJoin(tbl, o.StreamKey, o.TableKey)
 				nj.CountProbes(&n.stats.Probes)
 				elems = append(elems, nj)
-			} else {
-				j := dataflow.NewJoin(tbl, o.StreamKey, o.TableKey, "w", &n.scratch)
+			case o.Fold != nil:
+				fj := dataflow.NewFoldJoin(tbl, o.StreamKey, o.TableKey,
+					o.Fold.Fn, o.Fold.Input, o.Filters, o.Fold.Distinct, n.env, &n.scratch)
+				fj.CountProbes(&n.stats.Probes)
+				elems = append(elems, fj)
+				flush = fj
+			default:
+				j := dataflow.NewJoin(tbl, o.StreamKey, o.TableKey, o.Filters, o.Assigns, n.env, "w", &n.scratch)
 				j.CountProbes(&n.stats.Probes)
-				if i == shareIdx {
-					s.firstJoin = j
-					s.shareKey = fmt.Sprintf("%s|%v|%v", o.Table, o.StreamKey, o.TableKey)
-				}
-				// Fuse immediately-following selections into the probe
-				// (filtered matches never materialize a concatenated
-				// tuple), then the assignment run after them into the
-				// emit (one tuple at final arity per surviving match).
-				for i+1 < len(r.Ops) {
-					sel, ok := r.Ops[i+1].(*planner.OpSelect)
-					if !ok {
-						break
-					}
-					j.AddFilter(sel.Prog, n.env)
-					i++
-				}
-				extra := n.plan.Arities[o.Table]
-				for i+1 < len(r.Ops) {
-					asn, ok := r.Ops[i+1].(*planner.OpAssign)
-					if !ok {
-						break
-					}
-					j.AddAssigns([]*pel.Program{asn.Prog}, n.env)
-					extra++
-					i++
-				}
 				elems = append(elems, j)
-				use.take(extra)
+				use.take(n.plan.Arities[o.Table] + len(o.Assigns))
 			}
 		case *planner.OpSelect:
 			elems = append(elems, dataflow.NewSelect(o.Prog, n.env))
 		case *planner.OpAssign:
-			// Fuse the whole run of consecutive assignments into one
-			// element: one extended tuple instead of one per ":=" step.
-			progs := []*pel.Program{o.Prog}
-			for i+1 < len(r.Ops) {
-				next, ok := r.Ops[i+1].(*planner.OpAssign)
-				if !ok {
-					break
-				}
-				progs = append(progs, next.Prog)
-				i++
-			}
-			elems = append(elems, dataflow.NewMultiAssign(progs, n.env, &n.scratch))
-			use.take(len(progs))
+			elems = append(elems, dataflow.NewMultiAssign(o.Progs, n.env, &n.scratch))
+			use.take(len(o.Progs))
 		case *planner.OpRange:
 			elems = append(elems, dataflow.NewRange(o.Lo, o.Hi, n.env, &n.scratch))
 			use.take(1)
-		case *planner.OpFoldJoin:
-			fj := dataflow.NewFoldJoin(n.tables[o.Table], o.StreamKey, o.TableKey,
-				o.Fn, o.Input, o.Filters, o.Distinct, n.env, &n.scratch)
-			fj.CountProbes(&n.stats.Probes)
-			elems = append(elems, fj)
-			flush = fj
 		}
 	}
-
 	if r.Agg != nil {
 		agg := dataflow.NewAggStream(r.Agg.Fn, r.Agg.AggPos, &n.scratch)
 		elems = append(elems, agg)
@@ -629,35 +579,6 @@ func (u *scratchUse) take(extra int) {
 func (u *scratchUse) flush(arity int) {
 	u.most.Vals = max(u.most.Vals, arity)
 	u.most.Tuples = max(u.most.Tuples, 1)
-}
-
-// wireShares scans each trigger's strands for identical leading probes
-// and hands every such group one shared dataflow.ProbeCache: when
-// several rules fired by the same event all begin by probing the same
-// table on the same key, the probe runs once and its raw matches are
-// reused by the rest of the group — common-subexpression sharing across
-// rule strands. Eligibility is decided by planner.ShareableJoin at
-// chain-build time. Each call rebuilds the grouping from scratch, so
-// Install calls it again to let grafted strands join their trigger's
-// groups.
-func (n *Node) wireShares() {
-	for _, group := range n.strands {
-		byKey := make(map[string][]*dataflow.Join)
-		for _, s := range group {
-			if s.firstJoin != nil {
-				byKey[s.shareKey] = append(byKey[s.shareKey], s.firstJoin)
-			}
-		}
-		for _, joins := range byKey {
-			if len(joins) < 2 {
-				continue
-			}
-			c := &dataflow.ProbeCache{}
-			for _, j := range joins {
-				j.Share(c)
-			}
-		}
-	}
 }
 
 func (n *Node) startPeriodic(r *planner.Rule, s *strand) {

@@ -99,7 +99,7 @@ func (n *Node) introspectInterval() float64 {
 }
 
 // planReadsSys reports whether any part of the plan consumes a sys*
-// relation: a rule triggered by one, a join or fold probing one, a
+// relation: a rule triggered by one, a join probing one, a
 // table aggregate over one, or a watch() directive tapping one.
 func planReadsSys(p *planner.Plan) bool {
 	for _, r := range p.Rules {
@@ -107,15 +107,8 @@ func planReadsSys(p *planner.Plan) bool {
 			return true
 		}
 		for _, op := range r.Ops {
-			switch o := op.(type) {
-			case *planner.OpJoin:
-				if introspect.IsReserved(o.Table) {
-					return true
-				}
-			case *planner.OpFoldJoin:
-				if introspect.IsReserved(o.Table) {
-					return true
-				}
+			if o, ok := op.(*planner.OpJoin); ok && introspect.IsReserved(o.Table) {
+				return true
 			}
 		}
 	}
@@ -539,7 +532,6 @@ func (n *Node) Install(src string) error {
 	for _, ta := range delta.TableAggs {
 		n.buildTableAgg(ta)
 	}
-	n.wireShares()
 	if n.opts.TraceWriter != nil {
 		for _, name := range delta.Watches {
 			n.watchTrace(name)

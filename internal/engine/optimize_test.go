@@ -1,8 +1,8 @@
 package engine
 
 // Tests for the engine's side of the query planner: tuple equivalence
-// between textual and planned strands (including shared probe caches),
-// plans fixed when compiled, and the sysPlan system table.
+// between textual and planned strands, plans fixed when compiled, and
+// the sysPlan system table.
 
 import (
 	"reflect"
@@ -68,8 +68,8 @@ func planOf(t *testing.T, n *Node, id string) introspect.PlanStat {
 // converge to the same table contents. It exercises every planner
 // transformation at once: A1 is a two-table join with an arithmetic
 // assign and a filter (reorder + pushdown), and A1-A3 all open with the
-// same probe of link on the same key (probe sharing), each with a
-// different residual filter.
+// same probe of link on the same key, each with a different residual
+// filter.
 const diffSrc = `
 	materialize(link, infinity, infinity, keys(1,2)).
 	materialize(weight, infinity, infinity, keys(1,2)).
@@ -82,8 +82,8 @@ const diffSrc = `
 `
 
 // driveDiff injects the same fact-and-event script into a node:
-// some base rows, a burst of probes, a mid-stream table mutation (to
-// force shared-cache invalidation), and a second burst.
+// some base rows, a burst of probes, a mid-stream table mutation, and a
+// second burst.
 func driveDiff(loop *eventloop.Sim, n *Node) {
 	ins := func(name string, vals ...int64) {
 		fs := []val.Value{val.Str("a")}
@@ -127,9 +127,8 @@ func TestOptimizedPlanIsTupleEquivalent(t *testing.T) {
 		}
 	}
 
-	// Both nodes answer the A2/A3 probes from A1's shared cache, and the
-	// planned node pushed A2's filter ahead of its join, so it must have
-	// done strictly less probe work for identical output.
+	// The planned node pushed A2's filter ahead of its join, so it must
+	// have done strictly less probe work for identical output.
 	if np, op := naive.Stats().Probes, opt.Stats().Probes; op >= np {
 		t.Fatalf("probes: optimized %d >= naive %d", op, np)
 	}
@@ -143,33 +142,6 @@ func renderAll(rows []*tuple.Tuple) []string {
 	return out
 }
 
-// TestSharedProbeStrandsKeepOwnFilters pins the sharing machinery
-// directly: strands on one trigger that open with the same probe share
-// it whatever their plan, textual or planned, and each applies its own
-// residual selection.
-func TestSharedProbeStrandsKeepOwnFilters(t *testing.T) {
-	for name, compile := range map[string]compileFunc{"textual": planner.CompileTextual, "planned": planner.Compile} {
-		_, n := startWith(t, compile, diffSrc, Options{Seed: 1, NoJitter: true})
-		shared := 0
-		for _, group := range n.strands {
-			keys := map[string]int{}
-			for _, s := range group {
-				if s.firstJoin != nil {
-					keys[s.shareKey]++
-				}
-			}
-			for _, c := range keys {
-				if c >= 2 {
-					shared += c
-				}
-			}
-		}
-		if shared < 3 {
-			t.Fatalf("%s: sharable strands wired = %d, want A1+A2+A3", name, shared)
-		}
-	}
-}
-
 // TestFoldSkipMatchesUnfusedChain runs a finger-table-shaped min and max
 // through the engine planned (folded) and textual (the unfused chain):
 // 60 hop(I, B, P) rows naming 5 distinct (B, P), mixed Int and Float B
@@ -179,9 +151,6 @@ func TestSharedProbeStrandsKeepOwnFilters(t *testing.T) {
 // visits, as the chain does; the later ones are answered from its row
 // cache, so they count strictly less.
 func TestFoldSkipMatchesUnfusedChain(t *testing.T) {
-	// Each rule has its own trigger: two unfused joins on one trigger
-	// would answer one probe from the other's cache, which is not the
-	// difference under test.
 	const src = `
 		materialize(hop, infinity, infinity, keys(2)).
 		materialize(nearest, infinity, infinity, keys(1,2)).

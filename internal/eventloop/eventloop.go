@@ -152,9 +152,6 @@ func (t *Timer) take() bool {
 // canceled reports whether Cancel has been called.
 func (t *Timer) canceled() bool { return t.state.Load()&stCanceled != 0 }
 
-// When returns the scheduled absolute time.
-func (t *Timer) When() float64 { return t.at }
-
 // timerHeap orders timers by (time, insertion sequence) so simultaneous
 // events fire deterministically in scheduling order.
 type timerHeap []*Timer

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"p2"
 	"p2/internal/harness"
 	"p2/internal/simnet"
 	"p2/internal/val"
@@ -89,9 +90,10 @@ func RunTransportAblation(n int, lossRates []float64, lookups int, seed int64) [
 		for _, reliable := range []bool{true, false} {
 			cfg := simnet.DefaultConfig()
 			cfg.LossRate = loss
+			tc := p2.DefaultTransportConfig()
+			tc.Unreliable = !reliable
 			h := harness.NewChord(harness.Opts{
-				N: n, Seed: seed, JoinSpacing: 0.5, Net: &cfg,
-				Unreliable: !reliable,
+				N: n, Seed: seed, JoinSpacing: 0.5, Net: &cfg, Transport: &tc,
 			})
 			h.Run(float64(n)*0.5 + 250)
 			row := TransportAblationRow{LossRate: loss, Reliable: reliable}

@@ -58,10 +58,9 @@ type Opts struct {
 	// islands that only the landmark's 60s anti-entropy slowly merges;
 	// ramping keeps every prefix of the build converged. Use
 	// JoinDeadline for the time of the last scheduled join.
-	JoinRamp   bool
-	Defines    map[string]val.Value
-	Net        *simnet.Config // nil = paper topology
-	Unreliable bool           // fire-and-forget transport (ablation)
+	JoinRamp bool
+	Defines  map[string]val.Value
+	Net      *simnet.Config // nil = paper topology
 	// Transport overrides the deployment's transport tuning (nil =
 	// defaults). Scale experiments use it to vary FlowIdleTTL and the
 	// reliability knobs without re-plumbing every option.
@@ -153,13 +152,7 @@ func NewChord(opts Opts) *Chord {
 		dopts = append(dopts, p2.WithTopology(*opts.Net))
 	}
 	if opts.Transport != nil {
-		tc := *opts.Transport
-		tc.Unreliable = tc.Unreliable || opts.Unreliable
-		dopts = append(dopts, p2.WithTransport(tc))
-	} else if opts.Unreliable {
-		tc := p2.DefaultTransportConfig()
-		tc.Unreliable = true
-		dopts = append(dopts, p2.WithTransport(tc))
+		dopts = append(dopts, p2.WithTransport(*opts.Transport))
 	}
 	d, err := p2.NewDeployment(p2.Simulated, dopts...)
 	if err != nil {
@@ -468,15 +461,4 @@ func (h *Chord) ConsistencyProbe(sample int, timeout float64) float64 {
 		}
 	}
 	return float64(best) / float64(sample)
-}
-
-// CompletedLookups returns results that finished.
-func (h *Chord) CompletedLookups() []*LookupResult {
-	var out []*LookupResult
-	for _, lr := range h.Results {
-		if lr.Done {
-			out = append(out, lr)
-		}
-	}
-	return out
 }

@@ -122,11 +122,6 @@ func (x ID) Uint64() uint64 {
 	return uint64(x[3])<<32 | uint64(x[4])
 }
 
-// IsZero reports whether x == 0.
-func (x ID) IsZero() bool {
-	return x == Zero
-}
-
 // Cmp compares x and y as unsigned integers: -1 if x < y, 0 if equal,
 // +1 if x > y.
 func (x ID) Cmp(y ID) int {

@@ -12,24 +12,26 @@ import (
 	"p2/internal/val"
 )
 
-// Compile translates a parsed program into a Plan and plans every rule
+// Compile translates a parsed program into a Plan, planning every rule
 // from the catalog (see Optimize): the result is a function of prog and
 // extra alone, and it never changes afterwards, so any number of nodes
 // may run it at once. extra supplies or overrides symbolic constants
 // (the programmatic equivalent of define statements).
 func Compile(prog *overlog.Program, extra map[string]val.Value) (*Plan, error) {
-	p, err := CompileTextual(prog, extra)
-	if err != nil {
-		return nil, err
-	}
-	p.planRules(0, NewCatalogStats(p))
-	return p, nil
+	return compileProg(prog, extra, true, nil)
 }
 
-// CompileTextual is Compile without the planning pass: every rule body
-// is visited in its textual order. It is the reference plan the tests
-// check planned strands against, and no runtime option selects it.
+// CompileTextual is Compile without planning: every rule body is lowered
+// in its textual order, and nothing folds. It is the reference plan the
+// tests check planned strands against, and no runtime option selects it.
 func CompileTextual(prog *overlog.Program, extra map[string]val.Value) (*Plan, error) {
+	return compileProg(prog, extra, false, nil)
+}
+
+// compileProg builds the plan for prog. With plan set every rule is planned
+// against st, or against the catalog when st is nil; without it every
+// rule is lowered textually.
+func compileProg(prog *overlog.Program, extra map[string]val.Value, plan bool, st Stats) (*Plan, error) {
 	p := &Plan{
 		Source:  prog,
 		Tables:  make(map[string]*TableSpec),
@@ -67,10 +69,11 @@ func CompileTextual(prog *overlog.Program, extra map[string]val.Value) (*Plan, e
 		p.Facts = append(p.Facts, spec)
 	}
 
-	for _, r := range prog.Rules {
-		if err := p.compileRule(r); err != nil {
-			return nil, err
-		}
+	if plan && st == nil {
+		st = NewCatalogStats(p)
+	}
+	if err := p.addRules(prog.Rules, st); err != nil {
+		return nil, err
 	}
 	p.ensureRuleIDs(0, 0, nil)
 	return p, nil
@@ -223,15 +226,15 @@ func (p *Plan) resolve(e overlog.Expr) overlog.Expr {
 	return e
 }
 
-// ruleCtx tracks the variable environment while compiling one rule.
+// ruleCtx tracks the variable environment while lowering one rule.
 type ruleCtx struct {
 	plan  *Plan
 	rule  *overlog.Rule
 	env   map[string]int
 	width int
 	ops   []Op
-	// folded is set when tryFold rewrote the trailing ops into an
-	// OpFoldJoin; compileHead then uses the event++aggregate layout for
+	// folded is set when tryFold fused the rule's aggregate into its
+	// final join; compileHead then uses the event++aggregate layout for
 	// min/max heads (the accumulator path count/sum/avg always use).
 	folded bool
 }
@@ -244,98 +247,117 @@ func (c *ruleCtx) errf(format string, args ...any) error {
 	return fmt.Errorf("planner: rule %s: %s", id, fmt.Sprintf(format, args...))
 }
 
-func (p *Plan) compileRule(r *overlog.Rule) error {
-	rule, isTableAgg, err := p.compileRuleWith(r, nil, false)
-	if err != nil {
-		return err
+// ruleShape is a rule as classification leaves it: its event, the body
+// terms after it in textual order, and its trigger kind; or the error
+// that rejects it. A continuous table aggregate has no event: it is
+// compiled when classified.
+type ruleShape struct {
+	rule  *overlog.Rule
+	event *overlog.Atom
+	rest  []overlog.Term
+	kind  TriggerKind
+	err   error
+}
+
+// addRules compiles rules into p, each stream rule lowered once, in the
+// body order planned under st (textual when st is nil). Every rule is
+// classified first, so all table aggregates are registered before any
+// rule is planned: planning reads them (syncWrites), wherever in the
+// source they stand. Errors are reported in source order.
+func (p *Plan) addRules(rules []*overlog.Rule, st Stats) error {
+	shapes := make([]ruleShape, len(rules))
+	for i, r := range rules {
+		shapes[i] = p.classify(r)
 	}
-	if isTableAgg {
-		return nil // compileTableAgg already appended it
+	for i := range shapes {
+		s := &shapes[i]
+		if s.err != nil {
+			return s.err
+		}
+		if s.event == nil {
+			continue
+		}
+		rule, err := p.lower(s, st)
+		if err != nil {
+			return err
+		}
+		p.Rules = append(p.Rules, rule)
 	}
-	p.Rules = append(p.Rules, rule)
 	return nil
 }
 
-// compileRuleWith compiles one rule, visiting the non-event body terms
-// in the given order (indices into their textual sequence; nil means
-// textual). The optimizer re-enters here to realize a reordered plan:
-// the variable-environment machinery lays out working-tuple positions
-// for whatever order it is handed, so join keys, selections, and head
-// projections stay consistent by construction. Rules that classify as
-// continuous table aggregates are appended to p.TableAggs and reported
-// via the second return value.
-//
-// fold asks for the aggregate-into-join fusion (see OpFoldJoin): the
-// optimizer sets it only for rules whose equivalence class permits it,
-// and the structural pattern check in tryFold may still decline — the
-// rule then compiles through the ordinary chain.
-func (p *Plan) compileRuleWith(r *overlog.Rule, order []int, fold bool) (*Rule, bool, error) {
-	c := &ruleCtx{plan: p, rule: r, env: make(map[string]int)}
-
-	// Rules may join and aggregate the sys* system tables but never
-	// write them: the runtime owns their contents, and a spoofed or
-	// deleted row would silently corrupt every monitor built on them.
-	if introspect.IsReserved(r.Head.Name) {
-		return nil, false, c.errf("head %s writes into the reserved system-table namespace (%q prefix); system tables are read-only from OverLog", r.Head.Name, introspect.ReservedPrefix)
-	}
-
-	if err := c.checkCollocation(); err != nil {
-		return nil, false, err
-	}
-
-	event, rest, kind, isTableAgg, err := c.classify()
-	if err != nil {
-		return nil, false, err
-	}
-	if isTableAgg {
-		return nil, true, p.compileTableAgg(r, event)
-	}
-
-	if order != nil {
-		rest, err = permuteTerms(rest, order)
-		if err != nil {
-			return nil, false, c.errf("%v", err)
+// lower lowers s in the order the planner picks for it under st, or
+// textually when st is nil or the rule is not planned. The planned order
+// can bind a variable twice where the textual one does not; such a rule
+// is lowered textually instead, so Compile accepts exactly the programs
+// CompileTextual accepts.
+func (p *Plan) lower(s *ruleShape, st Stats) (*Rule, error) {
+	if st != nil {
+		if order, cost, fold, ok := p.planRule(s, st); ok {
+			if r, err := p.lowerRule(s, order, fold); err == nil {
+				r.CostEst = cost
+				return r, nil
+			}
 		}
 	}
+	return p.lowerRule(s, nil, false)
+}
 
-	trig, err := c.compileTrigger(event, kind)
+// lowerRule lowers one stream rule into its strand, visiting the
+// non-event body terms in the given order (indices into their textual
+// sequence; nil means textual). The variable environment lays out
+// working-tuple positions for whatever order it is handed, so join keys,
+// selections and head projections are consistent by construction. fold
+// asks for the aggregate-into-join fusion (see Fold); the structural
+// check in tryFold may still decline it.
+func (p *Plan) lowerRule(s *ruleShape, order []int, fold bool) (*Rule, error) {
+	r := s.rule
+	c := &ruleCtx{plan: p, rule: r, env: make(map[string]int)}
+	trig, err := c.compileTrigger(s.event, s.kind)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	// Bind event atom arguments.
-	if err := c.bindAtomArgs(event, 0, true); err != nil {
-		return nil, false, err
+	if err := c.bindAtomArgs(s.event, 0, true); err != nil {
+		return nil, err
 	}
-	c.width = len(event.Args)
+	c.width = len(s.event.Args)
 
-	for _, t := range rest {
+	terms := s.rest
+	if order != nil {
+		terms = make([]overlog.Term, len(order))
+		for i, idx := range order {
+			terms[i] = s.rest[idx]
+		}
+	}
+	for _, t := range terms {
 		switch term := t.(type) {
 		case *overlog.Atom:
 			if err := c.compileBodyAtom(term); err != nil {
-				return nil, false, err
+				return nil, err
 			}
 		case *overlog.Assign:
 			if _, dup := c.env[term.Var]; dup {
-				return nil, false, c.errf("variable %s assigned twice", term.Var)
+				return nil, c.errf("variable %s assigned twice", term.Var)
 			}
 			prog, err := c.compileExpr(term.Expr)
 			if err != nil {
-				return nil, false, err
+				return nil, err
 			}
-			c.ops = append(c.ops, &OpAssign{Prog: prog})
+			c.assign(prog)
 			c.env[term.Var] = c.width
 			c.width++
 		case *overlog.Cond:
 			prog, err := c.compileExpr(term.Expr)
 			if err != nil {
-				return nil, false, err
+				return nil, err
 			}
-			c.ops = append(c.ops, &OpSelect{Prog: prog})
+			c.sel(prog)
 		}
 	}
 
 	if fold {
-		c.tryFold(len(event.Args))
+		c.tryFold(len(s.event.Args))
 	}
 
 	rule := &Rule{
@@ -345,39 +367,59 @@ func (p *Plan) compileRuleWith(r *overlog.Rule, order []int, fold bool) (*Rule, 
 		Trigger:      trig,
 		Ops:          c.ops,
 		Materialized: p.IsTable(r.Head.Name),
-		Src:          r,
 		Order:        order,
 	}
 	if r.Delete && !rule.Materialized {
-		return nil, false, c.errf("delete head %s is not a materialized table", r.Head.Name)
+		return nil, c.errf("delete head %s is not a materialized table", r.Head.Name)
 	}
-	if err := c.compileHead(rule, len(event.Args)); err != nil {
-		return nil, false, err
+	if err := c.compileHead(rule, len(s.event.Args)); err != nil {
+		return nil, err
 	}
 	if c.folded {
-		// The fused op carries the aggregate; no AggStream stage runs.
+		// The folded join carries the aggregate; no AggStream stage runs.
 		rule.Agg = nil
 	}
 	rule.orderStr = rule.renderOrder()
-	return rule, false, nil
+	return rule, nil
 }
 
-// permuteTerms applies the optimizer-chosen visit order to the
-// non-event body terms, validating that order is a permutation.
-func permuteTerms(rest []overlog.Term, order []int) ([]overlog.Term, error) {
-	if len(order) != len(rest) {
-		return nil, fmt.Errorf("body order has %d entries for %d terms", len(order), len(rest))
+// lastJoin returns the strand's last op if it is a positive join, the
+// op the selections and assignments after it fuse into.
+func (c *ruleCtx) lastJoin() *OpJoin {
+	if len(c.ops) == 0 {
+		return nil
 	}
-	out := make([]overlog.Term, len(rest))
-	seen := make([]bool, len(rest))
-	for i, idx := range order {
-		if idx < 0 || idx >= len(rest) || seen[idx] {
-			return nil, fmt.Errorf("body order %v is not a permutation", order)
+	if j, ok := c.ops[len(c.ops)-1].(*OpJoin); ok && !j.Neg {
+		return j
+	}
+	return nil
+}
+
+// sel appends a selection. Right after a positive join it is fused into
+// the probe, so filtered matches never build a concatenated tuple.
+func (c *ruleCtx) sel(prog *pel.Program) {
+	if j := c.lastJoin(); j != nil && len(j.Assigns) == 0 {
+		j.Filters = append(j.Filters, prog)
+		return
+	}
+	c.ops = append(c.ops, &OpSelect{Prog: prog})
+}
+
+// assign appends an assignment extending the working tuple by one field.
+// It joins the positive join or the assignment run right before it, so
+// a run of assignments builds one tuple, not one per step.
+func (c *ruleCtx) assign(prog *pel.Program) {
+	if j := c.lastJoin(); j != nil {
+		j.Assigns = append(j.Assigns, prog)
+		return
+	}
+	if len(c.ops) > 0 {
+		if a, ok := c.ops[len(c.ops)-1].(*OpAssign); ok {
+			a.Progs = append(a.Progs, prog)
+			return
 		}
-		seen[idx] = true
-		out[i] = rest[idx]
 	}
-	return out, nil
+	c.ops = append(c.ops, &OpAssign{Progs: []*pel.Program{prog}})
 }
 
 // checkCollocation enforces the single-location-variable restriction on
@@ -448,14 +490,26 @@ func findMislocatedCall(e overlog.Expr, loc string) string {
 	return ""
 }
 
-// classify finds the rule's event. Returns the event atom, the
-// remaining body terms in order, and the trigger kind; or flags the
-// rule as a continuous table aggregate.
-func (c *ruleCtx) classify() (event *overlog.Atom, rest []overlog.Term, kind TriggerKind, tableAgg bool, err error) {
+// classify checks the rule's order-independent restrictions and finds
+// its event and trigger kind, or compiles it as a continuous table
+// aggregate.
+func (p *Plan) classify(r *overlog.Rule) ruleShape {
+	c := &ruleCtx{plan: p, rule: r, env: make(map[string]int)}
+	s := ruleShape{rule: r}
+	// Rules may join and aggregate the sys* system tables but never
+	// write them: the runtime owns their contents, and a spoofed or
+	// deleted row would silently corrupt every monitor built on them.
+	if introspect.IsReserved(r.Head.Name) {
+		s.err = c.errf("head %s writes into the reserved system-table namespace (%q prefix); system tables are read-only from OverLog", r.Head.Name, introspect.ReservedPrefix)
+		return s
+	}
+	if s.err = c.checkCollocation(); s.err != nil {
+		return s
+	}
 	var streams []*overlog.Atom
 	var firstTable *overlog.Atom
 	atomCount := 0
-	for _, t := range c.rule.Body {
+	for _, t := range r.Body {
 		a, ok := t.(*overlog.Atom)
 		if !ok || a.Neg {
 			continue
@@ -466,7 +520,7 @@ func (c *ruleCtx) classify() (event *overlog.Atom, rest []overlog.Term, kind Tri
 			streams = append(streams, a)
 		case a.Name == "range":
 			// generator, never a trigger
-		case c.plan.IsTable(a.Name):
+		case p.IsTable(a.Name):
 			if firstTable == nil {
 				firstTable = a
 			}
@@ -475,33 +529,36 @@ func (c *ruleCtx) classify() (event *overlog.Atom, rest []overlog.Term, kind Tri
 		}
 	}
 	if len(streams) > 1 {
-		return nil, nil, 0, false, c.errf("two event streams (%s, %s) in one body: only stream x table equijoins are supported; split the rule", streams[0].Name, streams[1].Name)
+		s.err = c.errf("two event streams (%s, %s) in one body: only stream x table equijoins are supported; split the rule", streams[0].Name, streams[1].Name)
+		return s
 	}
 	if len(streams) == 1 {
-		event = streams[0]
-		kind = TrigStream
-		if event.Name == "periodic" {
-			kind = TrigPeriodic
+		s.event = streams[0]
+		s.kind = TrigStream
+		if s.event.Name == "periodic" {
+			s.kind = TrigPeriodic
 		}
 	} else {
 		if firstTable == nil {
-			return nil, nil, 0, false, c.errf("no triggering predicate in body")
+			s.err = c.errf("no triggering predicate in body")
+			return s
 		}
 		// A lone-table body with an aggregate head is a continuous
 		// table aggregate.
-		if headHasAgg(c.rule.Head) && atomCount == 1 && len(c.rule.Body) == 1 {
-			return firstTable, nil, 0, true, nil
+		if headHasAgg(r.Head) && atomCount == 1 && len(r.Body) == 1 {
+			s.err = p.compileTableAgg(r, firstTable)
+			return s
 		}
-		event = firstTable
-		kind = TrigDelta
+		s.event = firstTable
+		s.kind = TrigDelta
 	}
-	for _, t := range c.rule.Body {
-		if a, ok := t.(*overlog.Atom); ok && a == event {
+	for _, t := range r.Body {
+		if a, ok := t.(*overlog.Atom); ok && a == s.event {
 			continue
 		}
-		rest = append(rest, t)
+		s.rest = append(s.rest, t)
 	}
-	return event, rest, kind, false, nil
+	return s
 }
 
 func headHasAgg(h *overlog.Atom) bool {
@@ -561,14 +618,12 @@ func (c *ruleCtx) bindAtomArgs(a *overlog.Atom, base int, isEvent bool) error {
 			// don't care
 		case *overlog.VarRef:
 			if prev, bound := c.env[arg.Name]; bound {
-				prog := pel.NewBuilder().Field(pos).Field(prev).Op(pel.OpEq).Build()
-				c.ops = append(c.ops, &OpSelect{Prog: prog})
+				c.sel(pel.NewBuilder().Field(pos).Field(prev).Op(pel.OpEq).Build())
 			} else {
 				c.env[arg.Name] = pos
 			}
 		case *overlog.Lit:
-			prog := pel.NewBuilder().Field(pos).Const(arg.Val).Op(pel.OpEq).Build()
-			c.ops = append(c.ops, &OpSelect{Prog: prog})
+			c.sel(pel.NewBuilder().Field(pos).Const(arg.Val).Op(pel.OpEq).Build())
 		case *overlog.ConstRef:
 			return c.errf("undefined constant %q in %s", arg.Name, a.Name)
 		default:
@@ -622,7 +677,7 @@ func (c *ruleCtx) compileBodyAtom(a *overlog.Atom) error {
 		case *overlog.Lit:
 			// Extend the working tuple with the constant so it can
 			// participate in the index key.
-			c.ops = append(c.ops, &OpAssign{Prog: pel.NewBuilder().Const(arg.Val).Build()})
+			c.assign(pel.NewBuilder().Const(arg.Val).Build())
 			streamKey = append(streamKey, c.width)
 			c.width++
 			tableKey = append(tableKey, i)
@@ -652,8 +707,7 @@ func (c *ruleCtx) compileBodyAtom(a *overlog.Atom) error {
 	base := c.width
 	c.ops = append(c.ops, &OpJoin{Table: a.Name, StreamKey: streamKey, TableKey: tableKey})
 	for _, pair := range dupPairs {
-		prog := pel.NewBuilder().Field(base + pair[0]).Field(base + pair[1]).Op(pel.OpEq).Build()
-		c.ops = append(c.ops, &OpSelect{Prog: prog})
+		c.sel(pel.NewBuilder().Field(base + pair[0]).Field(base + pair[1]).Op(pel.OpEq).Build())
 	}
 	for _, nv := range newVars {
 		c.env[nv.name] = base + nv.pos
@@ -687,16 +741,16 @@ func (c *ruleCtx) compileRange(a *overlog.Atom) error {
 	return nil
 }
 
-// tryFold rewrites the rule's trailing [join, selections..., assign?]
-// ops into a single OpFoldJoin — the aggregate-into-join fusion — when
-// the head carries one min/max/count aggregate and every non-aggregate
-// head field is event-bound, so the per-match working tuples the fusion
-// skips were never observable. Structural requirements: the rule's last
-// join is a plain equijoin; after it come only selections, plus at most
-// one trailing assignment which must define the aggregate's value (it
-// becomes the fold input, evaluated over the virtual concatenation —
-// an erroring input drops the match exactly as the Assign would). Any
-// other shape declines silently and the rule compiles unfused.
+// tryFold fuses the rule's aggregate into its final join (see Fold)
+// when the head carries one min/max/count aggregate and every
+// non-aggregate head field is event-bound, so the per-match working
+// tuples the fusion skips were never observable. Structural
+// requirements: the strand ends in a positive join whose fused steps
+// are selections plus at most one assignment, which must define the
+// aggregate's value (it becomes the fold input, evaluated over the
+// virtual concatenation — an erroring input drops the match exactly as
+// the assignment would). Any other shape declines silently and the rule
+// keeps its aggregate stage.
 func (c *ruleCtx) tryFold(eventArity int) {
 	var aggArg *overlog.AggRef
 	for _, a := range c.rule.Head.Args {
@@ -730,56 +784,25 @@ func (c *ruleCtx) tryFold(eventArity int) {
 		}
 		aggPos = pos
 	}
-	last := -1
-	for i, op := range c.ops {
-		if j, ok := op.(*OpJoin); ok && !j.Neg {
-			last = i
+	join := c.lastJoin()
+	if join == nil || len(join.Assigns) > 1 {
+		return // antijoin, range, selection or assignments after the last join
+	}
+	fold := &Fold{Fn: fn}
+	switch {
+	case len(join.Assigns) == 1:
+		if aggPos != c.width-1 {
+			return // the assignment is not the aggregate input
 		}
+		fold.Input = join.Assigns[0]
+	case aggPos >= 0:
+		fold.Input = pel.NewBuilder().Field(aggPos).Build()
 	}
-	if last < 0 {
-		return
+	if fn != dataflow.AggCount && fold.Input != nil {
+		split := c.width - len(join.Assigns) - c.plan.Arities[join.Table] // where match columns start in input++match
+		fold.Distinct = matchReads(split, append([]*pel.Program{fold.Input}, join.Filters...))
 	}
-	join := c.ops[last].(*OpJoin)
-	var filters []*pel.Program
-	var input *pel.Program
-	tail := c.ops[last+1:]
-	split := c.width - c.plan.Arities[join.Table] // where match columns start in stream++match
-	if len(tail) > 0 {
-		if asn, ok := tail[len(tail)-1].(*OpAssign); ok {
-			if aggPos != c.width-1 {
-				return // trailing assign is not the aggregate input
-			}
-			input = asn.Prog
-			tail = tail[:len(tail)-1]
-			split--
-		}
-	}
-	for _, op := range tail {
-		sel, ok := op.(*OpSelect)
-		if !ok {
-			return // antijoin, range, or non-input assign after the last join
-		}
-		filters = append(filters, sel.Prog)
-	}
-	if input == nil && aggPos >= 0 {
-		concat := c.width
-		if aggPos >= concat {
-			return
-		}
-		input = pel.NewBuilder().Field(aggPos).Build()
-	}
-	fold := &OpFoldJoin{
-		Table:     join.Table,
-		StreamKey: join.StreamKey,
-		TableKey:  join.TableKey,
-		Filters:   filters,
-		Input:     input,
-		Fn:        fn,
-	}
-	if fn != dataflow.AggCount && input != nil {
-		fold.Distinct = matchReads(split, append([]*pel.Program{input}, filters...))
-	}
-	c.ops = append(c.ops[:last], fold)
+	join.Assigns, join.Fold = nil, fold
 	c.folded = true
 }
 

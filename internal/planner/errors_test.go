@@ -2,79 +2,81 @@ package planner
 
 import "testing"
 
-// Exhaustive compile-error coverage: every diagnostic the planner can
-// produce should fire on a minimal program, with an actionable message.
-func TestCompileDiagnostics(t *testing.T) {
-	cases := []struct {
-		name, src, want string
-	}{
-		{"delete of stream", `r delete foo@X(X) :- bar@X(X).`, "not a materialized table"},
-		{"two streams", `r out@X(X) :- a@X(X), b@X(X).`, "two event streams"},
-		{"stream after event", `
+// diagnosticCases is exhaustive compile-error coverage: every
+// diagnostic the planner can produce, fired by a minimal program, with
+// the text of its actionable message.
+var diagnosticCases = []struct {
+	name, src, want string
+}{
+	{"delete of stream", `r delete foo@X(X) :- bar@X(X).`, "not a materialized table"},
+	{"two streams", `r out@X(X) :- a@X(X), b@X(X).`, "two event streams"},
+	{"stream after event", `
 			materialize(t, 10, 10, keys(1)).
 			r out@X(X) :- a@X(X), t@X(X), b@X(X).`, "two event streams"},
-		{"no trigger", `r out@X(X) :- X := 1 + 2.`, "no triggering predicate"},
-		{"multi-node", `r out@X(X) :- a@X(X), b@Y(Y).`, "multi-node rule body"},
-		{"mislocated call", `r out@X(X, T) :- a@X(X), T := f_now@Z().`, "located off the rule body"},
-		{"remote delete", `
+	{"no trigger", `r out@X(X) :- X := 1 + 2.`, "no triggering predicate"},
+	{"multi-node", `r out@X(X) :- a@X(X), b@Y(Y).`, "multi-node rule body"},
+	{"mislocated call", `r out@X(X, T) :- a@X(X), T := f_now@Z().`, "located off the rule body"},
+	{"remote delete", `
 			materialize(t, 10, 10, keys(1)).
 			r delete t@Y(Y) :- a@X(X), t@X(Y).`, "local to the rule body"},
-		{"unbound head var", `r out@X(X, Q) :- a@X(X).`, "unbound variable Q"},
-		{"unbound cond var", `r out@X(X) :- a@X(X), Q > 3.`, "unbound variable Q"},
-		{"double assign", `r out@X(X) :- a@X(X), V := 1, V := 2.`, "assigned twice"},
-		{"undefined const in expr", `r out@X(X, C) :- a@X(X), C := boop.`, "undefined constant"},
-		{"undefined const in atom", `
+	{"unbound head var", `r out@X(X, Q) :- a@X(X).`, "unbound variable Q"},
+	{"unbound cond var", `r out@X(X) :- a@X(X), Q > 3.`, "unbound variable Q"},
+	{"double assign", `r out@X(X) :- a@X(X), V := 1, V := 2.`, "assigned twice"},
+	{"undefined const in expr", `r out@X(X, C) :- a@X(X), C := boop.`, "undefined constant"},
+	{"undefined const in atom", `
 			materialize(t, 10, 10, keys(1)).
 			r out@X(X) :- a@X(X), t@X(X, boop).`, "undefined constant"},
-		{"undefined const in event", `r out@X(X) :- a@X(X, boop).`, "undefined constant"},
-		{"periodic missing period", `r out@X(X) :- periodic@X(X, E).`, "periodic needs"},
-		{"periodic var period", `r out@X(X) :- periodic@X(X, E, P).`, "must be a constant"},
-		{"periodic var count", `r out@X(X) :- periodic@X(X, E, 1, C2).`, "must be a constant"},
-		{"range arity", `r out@X(X, I) :- a@X(X), range(I, 3).`, "range needs"},
-		{"range non-var", `r out@X(X) :- a@X(X), range(7, 0, 3).`, "fresh variable"},
-		{"range bound var", `r out@X(X) :- a@X(X), range(X, 0, 3).`, "already bound"},
-		{"cartesian", `
+	{"undefined const in event", `r out@X(X) :- a@X(X, boop).`, "undefined constant"},
+	{"periodic missing period", `r out@X(X) :- periodic@X(X, E).`, "periodic needs"},
+	{"periodic var period", `r out@X(X) :- periodic@X(X, E, P).`, "must be a constant"},
+	{"periodic var count", `r out@X(X) :- periodic@X(X, E, 1, C2).`, "must be a constant"},
+	{"range arity", `r out@X(X, I) :- a@X(X), range(I, 3).`, "range needs"},
+	{"range non-var", `r out@X(X) :- a@X(X), range(7, 0, 3).`, "fresh variable"},
+	{"range bound var", `r out@X(X) :- a@X(X), range(X, 0, 3).`, "already bound"},
+	{"cartesian", `
 			materialize(t, 10, 10, keys(1)).
 			r out@X(X) :- a@X(X), t@X(Q).`, "shares no variables"},
-		{"neg no shared", `
+	{"neg no shared", `
 			materialize(t, 10, 10, keys(1)).
 			r out@X(X) :- a@X(X), not t@X(Q).`, "shares no variables"},
-		{"neg repeated fresh", `
+	{"neg repeated fresh", `
 			materialize(t, 10, 10, keys(1,2)).
 			r out@X(X) :- a@X(X), not t@X(X, Q, Q).`, "repeated fresh variable"},
-		{"multi agg", `r out@X(X, min<A>, max<A>) :- a@X(X, A).`, "multiple aggregates"},
-		{"agg unbound", `r out@X(X, min<Q>) :- a@X(X).`, "is unbound"},
-		{"min star", `r out@X(X, min<*>) :- a@X(X, A).`, "only valid for count"},
-		{"count non-event field", `
+	{"multi agg", `r out@X(X, min<A>, max<A>) :- a@X(X, A).`, "multiple aggregates"},
+	{"agg unbound", `r out@X(X, min<Q>) :- a@X(X).`, "is unbound"},
+	{"min star", `r out@X(X, min<*>) :- a@X(X, A).`, "only valid for count"},
+	{"count non-event field", `
 			materialize(t, 10, 10, keys(1)).
 			r out@X(X, M, count<*>) :- a@X(X), t@X(X, M).`, "not bound by the event"},
-		{"head loc not first", `r out@Y(X, Y) :- a@X(X, Y).`, "first head argument"},
-		{"located empty head", `r out@Y() :- a@Y(Y).`, "no arguments"},
-		{"arity conflict", `
+	{"head loc not first", `r out@Y(X, Y) :- a@X(X, Y).`, "first head argument"},
+	{"located empty head", `r out@Y() :- a@Y(Y).`, "no arguments"},
+	{"arity conflict", `
 			a1 out@X(X) :- e1@X(X).
 			a2 out@X(X, Y) :- e2@X(X, Y).`, "arity"},
-		{"tableagg delete", `
+	{"tableagg delete", `
 			materialize(t, 10, 10, keys(1)).
 			materialize(best, 10, 10, keys(1)).
 			r delete best@X(X, min<C>) :- t@X(X, C).`, "cannot be deletions"},
-		{"tableagg literal arg", `
+	{"tableagg literal arg", `
 			materialize(t, 10, 10, keys(1)).
 			r best@X(X, min<C>) :- t@X(X, C, 9).`, "must be variables"},
-		{"tableagg head expr", `
+	{"tableagg head expr", `
 			materialize(t, 10, 10, keys(1)).
 			r best@X(X, min<C>, "x") :- t@X(X, C).`, "must be variables"},
-		{"tableagg unbound group", `
+	{"tableagg unbound group", `
 			materialize(t, 10, 10, keys(1)).
 			r best@X(X, Q, min<C>) :- t@X(X, C).`, "not bound"},
-		{"tableagg min star", `
+	{"tableagg min star", `
 			materialize(t, 10, 10, keys(1)).
 			r best@X(X, min<*>) :- t@X(X, C).`, "only valid for count"},
-		{"tableagg agg unbound", `
+	{"tableagg agg unbound", `
 			materialize(t, 10, 10, keys(1)).
 			r best@X(X, min<Q>) :- t@X(X, C).`, "not bound"},
-		{"wildcard in head", `r out@X(X, _) :- a@X(X).`, ""},
-	}
-	for _, c := range cases {
+	{"wildcard in head", `r out@X(X, _) :- a@X(X).`, ""},
+}
+
+func TestCompileDiagnostics(t *testing.T) {
+	for _, c := range diagnosticCases {
 		t.Run(c.name, func(t *testing.T) {
 			compileErr(t, c.src, c.want)
 		})
@@ -108,22 +110,17 @@ func TestRepeatedVarInEventAtom(t *testing.T) {
 
 func TestRepeatedFreshVarInBodyAtom(t *testing.T) {
 	// t(X, Q, Q): fresh Q repeated inside the joined atom becomes a
-	// post-join equality.
+	// post-join equality, fused into the join as its filter.
 	p := compile(t, `
 		materialize(t, 10, 10, keys(1)).
 		r out@X(X, Q) :- evt@X(X), t@X(X, Q, Q).
 	`)
-	var joins, selects int
-	for _, op := range p.Rules[0].Ops {
-		switch op.(type) {
-		case *OpJoin:
-			joins++
-		case *OpSelect:
-			selects++
-		}
+	ops := p.Rules[0].Ops
+	if len(ops) != 1 {
+		t.Fatalf("ops = %+v", ops)
 	}
-	if joins != 1 || selects != 1 {
-		t.Fatalf("joins=%d selects=%d", joins, selects)
+	if j, ok := ops[0].(*OpJoin); !ok || len(j.Filters) != 1 {
+		t.Fatalf("join = %+v, want one fused equality filter", ops[0])
 	}
 }
 
@@ -171,8 +168,8 @@ func TestCallCompilation(t *testing.T) {
 
 func TestUnaryOperators(t *testing.T) {
 	p := compile(t, `r out@X(X, A, B) :- evt@X(X, V), A := -V, B := !V.`)
-	if len(p.Rules[0].Ops) != 2 {
-		t.Fatalf("ops = %v", p.Rules[0].Ops)
+	if a, ok := p.Rules[0].Ops[0].(*OpAssign); len(p.Rules[0].Ops) != 1 || !ok || len(a.Progs) != 2 {
+		t.Fatalf("ops = %v, want one run of two assignments", p.Rules[0].Ops)
 	}
 }
 

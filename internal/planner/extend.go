@@ -82,10 +82,8 @@ func Extend(base *Plan, prog *overlog.Program, extra map[string]val.Value) (*Pla
 	}
 
 	baseRules, baseAggs := len(p.Rules), len(p.TableAggs)
-	for _, r := range prog.Rules {
-		if err := p.compileRule(r); err != nil {
-			return nil, nil, err
-		}
+	if err := p.addRules(prog.Rules, NewCatalogStats(p)); err != nil {
+		return nil, nil, err
 	}
 	taken := make(map[string]bool, baseRules+baseAggs)
 	for _, r := range p.Rules[:baseRules] {
@@ -95,7 +93,6 @@ func Extend(base *Plan, prog *overlog.Program, extra map[string]val.Value) (*Pla
 		taken[ta.ID] = true
 	}
 	p.ensureRuleIDs(baseRules, baseAggs, taken)
-	p.planRules(baseRules, NewCatalogStats(p))
 	delta.Rules = p.Rules[baseRules:]
 	delta.TableAggs = p.TableAggs[baseAggs:]
 

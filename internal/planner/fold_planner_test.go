@@ -8,10 +8,11 @@ import (
 	"p2/internal/dataflow"
 )
 
-func foldOp(r *Rule) *OpFoldJoin {
+// foldOp returns r's folded join, or nil.
+func foldOp(r *Rule) *OpJoin {
 	for _, op := range r.Ops {
-		if f, ok := op.(*OpFoldJoin); ok {
-			return f
+		if j, ok := op.(*OpJoin); ok && j.Fold != nil {
+			return j
 		}
 	}
 	return nil
@@ -35,7 +36,7 @@ func TestFoldChordLookupRules(t *testing.T) {
 	if f2 == nil {
 		t.Fatalf("L2 should fold: %v", byID["L2"].Ops)
 	}
-	if f2.Table != "finger" || f2.Fn != dataflow.AggMin || f2.Input == nil {
+	if f2.Table != "finger" || f2.Fold.Fn != dataflow.AggMin || f2.Fold.Input == nil {
 		t.Fatalf("L2 fold shape wrong: %+v", f2)
 	}
 	if byID["L2"].Agg != nil {
@@ -46,7 +47,7 @@ func TestFoldChordLookupRules(t *testing.T) {
 	if f3 == nil {
 		t.Fatalf("L3 should fold: %v", byID["L3"].Ops)
 	}
-	if f3.Table != "finger" || len(f3.Filters) != 2 || f3.Input == nil {
+	if f3.Table != "finger" || len(f3.Filters) != 2 || f3.Fold.Input == nil {
 		t.Fatalf("L3 fold shape wrong: %+v", f3)
 	}
 }
@@ -89,7 +90,7 @@ func TestFoldCountOverJoin(t *testing.T) {
 	if f == nil {
 		t.Fatalf("count<*> over a join should fold: %v", opt.Rules[0].Ops)
 	}
-	if f.Fn != dataflow.AggCount || f.Input != nil || len(f.Filters) != 1 {
+	if f.Fold.Fn != dataflow.AggCount || f.Fold.Input != nil || len(f.Filters) != 1 {
 		t.Fatalf("count fold shape wrong: %+v", f)
 	}
 }
@@ -117,7 +118,7 @@ func TestFoldRecordsDistinctColumns(t *testing.T) {
 		if want == nil {
 			continue
 		}
-		if f := foldOp(r); f == nil || !slices.Equal(f.Distinct, want) {
+		if f := foldOp(r); f == nil || !slices.Equal(f.Fold.Distinct, want) {
 			t.Fatalf("%s fold = %+v, want distinct columns %v", r.ID, f, want)
 		}
 		if !strings.Contains(r.OrderString(), " distinct[2") {
@@ -138,8 +139,8 @@ func TestFoldRecordsDistinctColumns(t *testing.T) {
 		if f == nil {
 			t.Fatalf("%s: rule should still fold: %v", name, r.Ops)
 		}
-		if f.Distinct != nil || strings.Contains(r.OrderString(), "distinct") {
-			t.Fatalf("%s: fold records distinct columns %v (order %q), want none", name, f.Distinct, r.OrderString())
+		if f.Fold.Distinct != nil || strings.Contains(r.OrderString(), "distinct") {
+			t.Fatalf("%s: fold records distinct columns %v (order %q), want none", name, f.Fold.Distinct, r.OrderString())
 		}
 	}
 }

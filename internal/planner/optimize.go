@@ -4,18 +4,17 @@ import (
 	"p2/internal/overlog"
 )
 
-// The cost-based planner, the last pass of Compile and Extend. It
-// rewrites the compiled rule strands under a simple nested-loop cost
-// model: selections are pushed past joins so fused filters run as early
-// as their variables allow, and (where equivalence permits) body atoms
-// are greedily reordered smallest-estimated-fan-out first. Both
-// transformations are realized by recompiling the parsed rule
-// (Rule.Src) under a permuted body order — the compiler's
-// variable-environment machinery re-derives every working-tuple
-// position, join key, and head projection, so a planned strand is
-// correct by construction, not by patching.
+// The cost-based planner, part of Compile and Extend. It picks each
+// rule's body order under a simple nested-loop cost model before the
+// rule is lowered: selections are pushed past joins so fused filters run
+// as early as their variables allow, and (where equivalence permits)
+// body atoms are greedily reordered smallest-estimated-fan-out first.
+// The rule is then lowered once, in that order — the compiler's
+// variable-environment machinery derives every working-tuple position,
+// join key, and head projection from it, so a planned strand is correct
+// by construction, not by patching.
 //
-// Equivalence discipline. Each rule is classified before any rewrite:
+// Equivalence discipline. Each rule is classified before it is planned:
 //
 //   - frozen: the body or head draws randomness (f_rand, f_coinFlip).
 //     Any transformation changes how many draws happen or their order,
@@ -55,83 +54,83 @@ const (
 	costAssign = 0.5  // PEL eval + working-tuple extension
 )
 
-// Optimize returns a copy of p whose rules have been planned against
-// st (nil means the catalog heuristics, the estimates Compile plans
-// with). Planning works from each rule's source, so re-planning a
-// compiled plan with nil stats returns the plan Compile made. The
-// configuration argument is ignored (see OptimizerConfig).
+// Optimize compiles p's source again, planning every rule against st
+// (nil means the catalog heuristics, the estimates Compile plans with),
+// so re-planning a compiled plan with nil stats returns the plan Compile
+// made. The configuration argument is ignored (see OptimizerConfig).
+// p's source compiled once, so it compiles again; should it not, p is
+// returned as it is.
 func Optimize(p *Plan, st Stats, _ OptimizerConfig) *Plan {
-	out := p.clone()
-	if st == nil {
-		st = NewCatalogStats(out)
+	out, err := compileProg(p.Source, p.Defines, true, st)
+	if err != nil {
+		return p
 	}
-	out.planRules(0, st)
 	return out
 }
 
-// planRules replaces every rule from p.Rules[from] on by its planned
-// form. Rules the equivalence analysis freezes — and rules without
-// source ASTs — keep their textual strand; every rule the planner does
-// touch is recompiled into a fresh object with a non-nil Order, even
-// when the chosen order matches the textual one. Rule IDs are
-// preserved, so sysRule and sysPlan rows keyed on them name the same
-// rules as the textual plan does.
-func (p *Plan) planRules(from int, st Stats) {
-	for i := from; i < len(p.Rules); i++ {
-		r := p.Rules[i]
-		order, cost, fold, ok := p.planRule(r, st)
-		if !ok {
-			continue
-		}
-		nr, isAgg, err := p.compileRuleWith(r.Src, order, fold)
-		if err != nil || isAgg || nr == nil {
-			continue
-		}
-		nr.ID = r.ID
-		nr.CostEst = cost
-		p.Rules[i] = nr
-	}
-}
-
-// planRule chooses a body order for r. ok is false when the rule must
-// not be touched (frozen, no source, or the greedy search bailed).
-// fold is true when the rule is additionally eligible for the
-// aggregate-into-join fusion: fully reorderable (so the aggregate is
-// already known order-insensitive with an event-bound head) and
-// carrying a head aggregate — tryFold validates the structural shape.
-func (p *Plan) planRule(r *Rule, st Stats) (order []int, cost float64, fold, ok bool) {
-	if r.Src == nil {
-		return nil, 0, false, false
-	}
-	c := &ruleCtx{plan: p, rule: r.Src, env: make(map[string]int)}
-	event, rest, _, isAgg, err := c.classify()
-	if err != nil || isAgg {
-		return nil, 0, false, false
-	}
-	infos := p.termInfos(rest)
+// planRule chooses a body order for s. ok is false when the rule must
+// not be planned (frozen, its textual order does not lower, or the
+// greedy search bailed). fold is true when the rule is additionally
+// eligible for the aggregate-into-join fusion: fully reorderable (so
+// the aggregate is already known order-insensitive with an event-bound
+// head) and carrying a head aggregate — tryFold validates the
+// structural shape.
+func (p *Plan) planRule(s *ruleShape, st Stats) (order []int, cost float64, fold, ok bool) {
+	infos := p.termInfos(s.rest)
 	bound := make(map[string]bool)
-	for _, a := range event.Args {
+	for _, a := range s.event.Args {
 		if v, isVar := p.resolve(a).(*overlog.VarRef); isVar {
 			bound[v.Name] = true
 		}
 	}
-	mode := p.ruleMode(r.Src, r.Materialized || r.Delete, bound)
+	if !textualBinds(infos, bound) {
+		return nil, 0, false, false
+	}
+	mode := p.ruleMode(s.rule, p.IsTable(s.rule.Head.Name), bound)
 	if mode == modeFrozen {
 		return nil, 0, false, false
 	}
 	if mode == modePushdown {
 		order = pushdownOrder(infos, bound)
 	} else {
-		for _, a := range r.Src.Head.Args {
-			if _, isAgg := a.(*overlog.AggRef); isAgg {
-				fold = true
-			}
-		}
+		fold = headHasAgg(s.rule.Head)
 		if order, ok = greedyOrder(infos, bound, st); !ok {
 			return nil, 0, false, false
 		}
 	}
 	return order, p.costOrder(infos, order, bound, st), fold, true
+}
+
+// textualBinds reports whether the textual order binds every variable
+// before a term reads it, each variable at most once, and gives every
+// probe a key — the order-dependent checks of the lowering. A planned
+// order can meet them where the textual one fails; such a rule is not
+// planned, so the textual lowering reports its error, as it does for a
+// plan compiled textually.
+func textualBinds(infos []termInfo, boundInit map[string]bool) bool {
+	bound := copyBound(boundInit)
+	for i := range infos {
+		ti := &infos[i]
+		switch ti.kind {
+		case termJoin, termAntiJoin:
+			if len(ti.joinKey(bound)) == 0 {
+				return false
+			}
+		case termAssign, termRange:
+			for _, d := range ti.defs {
+				if bound[d] {
+					return false
+				}
+			}
+		}
+		if !depsBound(ti.deps, bound) {
+			return false
+		}
+		for _, d := range ti.defs {
+			bound[d] = true
+		}
+	}
+	return true
 }
 
 // ruleMode classifies r; headWrites reports whether the head inserts
@@ -548,29 +547,4 @@ func copyBound(m map[string]bool) map[string]bool {
 		out[k] = v
 	}
 	return out
-}
-
-// ShareKind classifies whether a strand's leading probe can share its
-// raw match set with other strands on the same trigger: the strand's
-// first positive join must be preceded only by selections (which pass
-// the event tuple through untouched), and the strand must not write
-// the probed table synchronously while it runs.
-func (p *Plan) ShareableJoin(r *Rule) (joinIndex int, ok bool) {
-	for i, op := range r.Ops {
-		switch o := op.(type) {
-		case *OpSelect:
-			continue
-		case *OpJoin:
-			if o.Neg {
-				return 0, false
-			}
-			if p.syncWrites(r.HeadName)[o.Table] && (r.Materialized || r.Delete) {
-				return 0, false
-			}
-			return i, true
-		default:
-			return 0, false
-		}
-	}
-	return 0, false
 }

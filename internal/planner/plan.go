@@ -98,11 +98,21 @@ type Op interface{ op() }
 
 // OpJoin probes a table with keys drawn from the working tuple. Neg
 // makes it an antijoin (the "not" prefix).
+//
+// A positive join carries the steps that follow it in the rule, fused
+// in by the lowering: Filters are the selections right after it, run
+// over the virtual concatenation input++match before any tuple is
+// built, and Assigns the assignment run after those, which fill the
+// emitted tuple's trailing fields. With Fold set it is the rule's final
+// join fused with the rule's aggregate instead, and has no Assigns.
 type OpJoin struct {
 	Table     string
 	StreamKey []int
 	TableKey  []int
 	Neg       bool
+	Filters   []*pel.Program
+	Assigns   []*pel.Program
+	Fold      *Fold
 }
 
 // OpSelect filters the working tuple through a boolean PEL program.
@@ -110,9 +120,10 @@ type OpSelect struct {
 	Prog *pel.Program
 }
 
-// OpAssign appends one computed field to the working tuple.
+// OpAssign appends one computed field per program to the working tuple:
+// a run of consecutive assignments, built as one tuple.
 type OpAssign struct {
-	Prog *pel.Program
+	Progs []*pel.Program
 }
 
 // OpRange appends an iteration variable ranging over [Lo, Hi],
@@ -122,33 +133,26 @@ type OpRange struct {
 	Lo, Hi *pel.Program
 }
 
-// OpFoldJoin is the rule's final join fused with its per-event
-// aggregate — produced only by the planner, and only when the fusion
-// is invisible in the derived tuples (see dataflow.FoldJoin). Filters
-// and the aggregate Input evaluate over the virtual concatenation
-// stream++match; no working tuple is materialized per match. A rule
-// whose Ops end in an OpFoldJoin emits through the fold's Flush, and
-// its HeadProgs use the event++aggregate layout (as count/sum/avg
-// always do).
+// Fold is the per-event aggregate a rule's final join folds its matches
+// into — set only by the planner, and only when the fusion is invisible
+// in the derived tuples (see dataflow.FoldJoin). The join's Filters and
+// Input evaluate over input++match; no working tuple is materialized per
+// match. A folded rule emits through the fold's Flush, and its HeadProgs
+// use the event++aggregate layout (as count/sum/avg always do).
 //
-// Distinct lists the table columns Filters and Input read, recorded
+// Distinct lists the table columns the filters and Input read, recorded
 // only for min/max over pure programs: matches that agree on them fold
 // identically, so the element evaluates one of each adjacent run.
-type OpFoldJoin struct {
-	Table     string
-	StreamKey []int
-	TableKey  []int
-	Filters   []*pel.Program
-	Input     *pel.Program // nil for count<*>
-	Fn        dataflow.AggFunc
-	Distinct  []int
+type Fold struct {
+	Fn       dataflow.AggFunc
+	Input    *pel.Program // nil for count<*>
+	Distinct []int
 }
 
-func (*OpJoin) op()     {}
-func (*OpSelect) op()   {}
-func (*OpAssign) op()   {}
-func (*OpRange) op()    {}
-func (*OpFoldJoin) op() {}
+func (*OpJoin) op()   {}
+func (*OpSelect) op() {}
+func (*OpAssign) op() {}
+func (*OpRange) op()  {}
 
 // StreamAgg describes a per-event head aggregate.
 type StreamAgg struct {
@@ -171,10 +175,6 @@ type Rule struct {
 	// Materialized reports whether the head relation is a table.
 	Materialized bool
 
-	// Src is the parsed rule this strand was compiled from. The
-	// planner recompiles it under different body orders; nil (rules
-	// constructed programmatically) leaves the strand as built.
-	Src *overlog.Rule
 	// Order is the planner-chosen visit order of the non-event body
 	// terms, as indices into their textual sequence. It is non-nil
 	// exactly when the planner planned the rule (empty for a rule whose
@@ -194,7 +194,7 @@ type Rule struct {
 // OrderString returns the planner-chosen body order ("0,2,1"), or "-"
 // for the textual order of a rule the planner leaves alone, followed by
 // " distinct[cols]" when the rule ends in a fold that evaluates one
-// match per run of equal columns (OpFoldJoin.Distinct). This is the
+// match per run of equal columns (Fold.Distinct). This is the
 // sysPlan Order column.
 func (r *Rule) OrderString() string { return r.orderStr }
 
@@ -210,8 +210,8 @@ func (r *Rule) renderOrder() string {
 		}
 		fmt.Fprintf(&sb, "%d", o)
 	}
-	if f, ok := r.Ops[len(r.Ops)-1].(*OpFoldJoin); ok && len(f.Distinct) > 0 {
-		fmt.Fprintf(&sb, " distinct%v", f.Distinct)
+	if j, ok := r.Ops[len(r.Ops)-1].(*OpJoin); ok && j.Fold != nil && len(j.Fold.Distinct) > 0 {
+		fmt.Fprintf(&sb, " distinct%v", j.Fold.Distinct)
 	}
 	return sb.String()
 }
@@ -279,26 +279,13 @@ func (p *Plan) String() string {
 		for _, op := range r.Ops {
 			switch o := op.(type) {
 			case *OpJoin:
-				neg := ""
-				if o.Neg {
-					neg = "anti"
-				}
-				fmt.Fprintf(&sb, " -> %sjoin %s%v=%v", neg, o.Table, o.StreamKey, o.TableKey)
+				o.render(&sb)
 			case *OpSelect:
 				fmt.Fprintf(&sb, " -> select[%s]", o.Prog)
 			case *OpAssign:
-				fmt.Fprintf(&sb, " -> assign[%s]", o.Prog)
+				renderAssigns(&sb, o.Progs)
 			case *OpRange:
 				fmt.Fprintf(&sb, " -> range[%s..%s]", o.Lo, o.Hi)
-			case *OpFoldJoin:
-				fmt.Fprintf(&sb, " -> foldjoin %s%v=%v", o.Table, o.StreamKey, o.TableKey)
-				for _, f := range o.Filters {
-					fmt.Fprintf(&sb, " where[%s]", f)
-				}
-				fmt.Fprintf(&sb, " %s", o.Fn)
-				if len(o.Distinct) > 0 {
-					fmt.Fprintf(&sb, " distinct%v", o.Distinct)
-				}
 			}
 		}
 		if r.Agg != nil {
@@ -325,6 +312,36 @@ func (p *Plan) String() string {
 		fmt.Fprintf(&sb, "fact %s/%d\n", f.Name, len(f.Args))
 	}
 	return sb.String()
+}
+
+// render writes the join as the steps it fuses: the probe, then each
+// filter as a select and each assignment; a folded join as one foldjoin.
+func (o *OpJoin) render(sb *strings.Builder) {
+	switch {
+	case o.Neg:
+		fmt.Fprintf(sb, " -> antijoin %s%v=%v", o.Table, o.StreamKey, o.TableKey)
+	case o.Fold != nil:
+		fmt.Fprintf(sb, " -> foldjoin %s%v=%v", o.Table, o.StreamKey, o.TableKey)
+		for _, f := range o.Filters {
+			fmt.Fprintf(sb, " where[%s]", f)
+		}
+		fmt.Fprintf(sb, " %s", o.Fold.Fn)
+		if len(o.Fold.Distinct) > 0 {
+			fmt.Fprintf(sb, " distinct%v", o.Fold.Distinct)
+		}
+	default:
+		fmt.Fprintf(sb, " -> join %s%v=%v", o.Table, o.StreamKey, o.TableKey)
+		for _, f := range o.Filters {
+			fmt.Fprintf(sb, " -> select[%s]", f)
+		}
+		renderAssigns(sb, o.Assigns)
+	}
+}
+
+func renderAssigns(sb *strings.Builder, progs []*pel.Program) {
+	for _, p := range progs {
+		fmt.Fprintf(sb, " -> assign[%s]", p)
+	}
 }
 
 func sortedTables(m map[string]*TableSpec) []*TableSpec {

@@ -124,15 +124,15 @@ func TestStreamTriggerWithJoin(t *testing.T) {
 	if r.Trigger.Kind != TrigStream || r.Trigger.Name != "refreshEvent" {
 		t.Fatalf("trigger = %+v", r.Trigger)
 	}
-	if len(r.Ops) != 2 {
+	if len(r.Ops) != 1 {
 		t.Fatalf("ops = %+v", r.Ops)
 	}
 	join, ok := r.Ops[0].(*OpJoin)
 	if !ok || join.Table != "sequence" || join.StreamKey[0] != 0 || join.TableKey[0] != 0 {
 		t.Fatalf("join = %+v", r.Ops[0])
 	}
-	if _, ok := r.Ops[1].(*OpAssign); !ok {
-		t.Fatalf("assign = %+v", r.Ops[1])
+	if len(join.Assigns) != 1 {
+		t.Fatalf("join = %+v, want the assignment fused in", join)
 	}
 }
 

@@ -66,7 +66,6 @@ type Table struct {
 
 	onInsert  []func(*tuple.Tuple)
 	onDelete  []func(*tuple.Tuple)
-	onRefresh []func(*tuple.Tuple)
 	onReplace []func(*tuple.Tuple)
 	inserting *tuple.Tuple
 
@@ -81,7 +80,7 @@ type Table struct {
 	// version counts content mutations (row added or removed). Pure
 	// refreshes do not bump it: they change no bucket, so a probe
 	// result cached at version v is still exact after any number of
-	// refreshes. Shared probe caches key on this.
+	// refreshes. A distinct fold's row cache keys on this.
 	version uint64
 
 	stats Stats
@@ -175,10 +174,6 @@ func (tb *Table) OnInsert(fn func(*tuple.Tuple)) { tb.onInsert = append(tb.onIns
 // explicit deletion, FIFO eviction, or TTL expiry.
 func (tb *Table) OnDelete(fn func(*tuple.Tuple)) { tb.onDelete = append(tb.onDelete, fn) }
 
-// OnRefresh registers fn to run when an identical tuple is re-inserted
-// (its TTL renewed but no delta produced).
-func (tb *Table) OnRefresh(fn func(*tuple.Tuple)) { tb.onRefresh = append(tb.onRefresh, fn) }
-
 // OnReplace registers fn to run with the row displaced by a primary-key
 // replacement. It fires immediately before the replacement's OnInsert
 // callbacks — always as a pair — so incremental listeners (continuous
@@ -219,9 +214,6 @@ func (tb *Table) Insert(t *tuple.Tuple) InsertResult {
 			existing.expires = tb.expiry(now)
 			tb.moveToBack(existing)
 			tb.stats.Refreshes++
-			for _, fn := range tb.onRefresh {
-				fn(t)
-			}
 			return InsertResult{Stored: true}
 		}
 		old := existing.t
@@ -443,50 +435,6 @@ func (tb *Table) Delete(t *tuple.Tuple) bool {
 	}
 	tb.removeRow(r, true)
 	return true
-}
-
-// victim is a deferred removal: the row is re-resolved by primary key
-// at removal time and checked by tuple identity, because the delete
-// listeners of an earlier victim may themselves have removed (and the
-// arena may have recycled) the row this victim referred to.
-type victim struct {
-	pk string
-	t  *tuple.Tuple
-}
-
-// removeVictims removes each victim that is still resident, returning
-// the count actually removed.
-func (tb *Table) removeVictims(victims []victim) int {
-	n := 0
-	for _, v := range victims {
-		if r, ok := tb.rows[v.pk]; ok && r.t == v.t {
-			tb.removeRow(r, true)
-			n++
-		}
-	}
-	return n
-}
-
-// DeleteWhere removes every live row for which pred returns true,
-// returning the count.
-func (tb *Table) DeleteWhere(pred func(*tuple.Tuple) bool) int {
-	tb.Expire()
-	var victims []victim
-	for r := tb.head; r != nil; r = r.next {
-		if pred(r.t) {
-			victims = append(victims, victim{r.pk, r.t})
-		}
-	}
-	return tb.removeVictims(victims)
-}
-
-// Clear removes every row, firing delete listeners.
-func (tb *Table) Clear() {
-	var victims []victim
-	for r := tb.head; r != nil; r = r.next {
-		victims = append(victims, victim{r.pk, r.t})
-	}
-	tb.removeVictims(victims)
 }
 
 // Expire removes rows past their lifetime, firing delete listeners.

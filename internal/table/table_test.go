@@ -71,16 +71,15 @@ func TestPrimaryKeyReplacement(t *testing.T) {
 func TestIdenticalRefreshNoDelta(t *testing.T) {
 	loop := eventloop.NewSim()
 	tb := New("member", 10, 0, []int{1}, loop)
-	inserts, refreshes := 0, 0
+	inserts := 0
 	tb.OnInsert(func(*tuple.Tuple) { inserts++ })
-	tb.OnRefresh(func(*tuple.Tuple) { refreshes++ })
 	tb.Insert(member("a", 1))
 	loop.Run(5)
 	res := tb.Insert(member("a", 1))
 	if res.Delta {
 		t.Error("identical reinsert must not be a delta")
 	}
-	if inserts != 1 || refreshes != 1 {
+	if refreshes := tb.Stats().Refreshes; inserts != 1 || refreshes != 1 {
 		t.Errorf("inserts=%d refreshes=%d", inserts, refreshes)
 	}
 	// Refresh must extend the lifetime: at t=12 the original would have
@@ -156,22 +155,6 @@ func TestExplicitDelete(t *testing.T) {
 	}
 	if deleted != 1 || tb.Len() != 0 {
 		t.Fatalf("deleted=%d len=%d", deleted, tb.Len())
-	}
-}
-
-func TestDeleteWhereAndClear(t *testing.T) {
-	loop := eventloop.NewSim()
-	tb := New("m", Infinity, 0, []int{1}, loop)
-	for _, a := range []string{"a", "b", "c"} {
-		tb.Insert(member(a, 1))
-	}
-	n := tb.DeleteWhere(func(tp *tuple.Tuple) bool { return tp.Field(1).AsStr() != "b" })
-	if n != 2 || tb.Len() != 1 {
-		t.Fatalf("DeleteWhere removed %d, len %d", n, tb.Len())
-	}
-	tb.Clear()
-	if tb.Len() != 0 {
-		t.Fatal("clear failed")
 	}
 }
 

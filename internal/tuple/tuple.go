@@ -73,12 +73,6 @@ func (t *Tuple) Loc() string {
 	return t.fields[0].AsStr()
 }
 
-// WithName returns a copy of t under a different relation name, sharing
-// the field storage (safe because tuples are immutable).
-func (t *Tuple) WithName(name string) *Tuple {
-	return &Tuple{name: name, fields: t.fields}
-}
-
 // Equal reports deep equality of name and all fields.
 func (t *Tuple) Equal(o *Tuple) bool {
 	if t.name != o.name || len(t.fields) != len(o.fields) {

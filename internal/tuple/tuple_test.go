@@ -33,17 +33,6 @@ func TestBasics(t *testing.T) {
 	}
 }
 
-func TestWithNameSharesFields(t *testing.T) {
-	a := mk("succ", val.Str("n1"), val.MakeID(id.Hash("s")))
-	b := a.WithName("succEvent")
-	if b.Name() != "succEvent" || !b.Field(1).Equal(a.Field(1)) {
-		t.Error("WithName must preserve fields")
-	}
-	if a.Name() != "succ" {
-		t.Error("original must be untouched")
-	}
-}
-
 func TestEqual(t *testing.T) {
 	a := mk("t", val.Int(1), val.Str("x"))
 	b := mk("t", val.Int(1), val.Str("x"))

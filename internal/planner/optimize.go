@@ -58,8 +58,7 @@ const (
 // (nil means the catalog heuristics, the estimates Compile plans with),
 // so re-planning a compiled plan with nil stats returns the plan Compile
 // made. The configuration argument is ignored (see OptimizerConfig).
-// p's source compiled once, so it compiles again; should it not, p is
-// returned as it is.
+// Should p's source no longer compile, p is returned unchanged.
 func Optimize(p *Plan, st Stats, _ OptimizerConfig) *Plan {
 	out, err := compileProg(p.Source, p.Defines, true, st)
 	if err != nil {

@@ -11,6 +11,13 @@
 // constructs the head tuple. Rules whose body is a lone table with an
 // aggregate head compile to continuous table aggregates instead.
 //
+// The strand's shape is decided here and only here: every rule is
+// classified first, then each stream rule's body order is planned (see
+// optimize.go) and the rule is lowered once, in that order, already
+// fused — a join carries the selections and assignments after it, an
+// assignment run is one op, and a foldable aggregate is the final
+// join's Fold. The engine builds one element per op.
+//
 // The planner enforces the restrictions the paper states for its 2005
 // implementation: rule bodies must be collocated (one location variable)
 // and joins are stream×table only; multi-stream bodies are rejected with

@@ -23,7 +23,7 @@ import (
 // skips the match, exactly as a Select after the join would.
 type probe struct {
 	ix        *table.Index
-	streamKey []int
+	streamKey []int // key positions in the incoming tuple
 	keyBuf    []byte
 	probes    *int64
 	filters   []*pel.Program

@@ -50,6 +50,25 @@ func TestSimAfterFreeSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestSimAtFreeSteadyStateZeroAlloc pins the absolute-time twin of
+// AfterFree — the simulated network's per-datagram schedule — at zero
+// allocations once the pool is warm.
+func TestSimAtFreeSteadyStateZeroAlloc(t *testing.T) {
+	s := NewSim()
+	fn := func() {}
+	for i := 0; i < 8; i++ {
+		s.AtFree(s.Now()+0.1, fn)
+	}
+	s.RunFor(1)
+	allocs := testing.AllocsPerRun(200, func() {
+		s.AtFree(s.Now()+0.1, fn)
+		s.RunFor(1)
+	})
+	if allocs != 0 {
+		t.Fatalf("AtFree steady state allocated %.1f/op, want 0", allocs)
+	}
+}
+
 // TestSimPendingConstantTime covers the live-timer gauge: canceled
 // timers must leave the count the moment Cancel runs, without waiting
 // to be popped, and DPC entries count until drained.

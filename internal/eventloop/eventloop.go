@@ -11,7 +11,9 @@
 //     P2 nodes over real UDP sockets.
 //
 // Scheduling has two lanes. Timed work goes through a binary heap of
-// Timer structs. Deferred procedure calls (§3.3) — same-instant FIFO
+// value entries, each carrying its (time, sequence) key inline beside
+// its Timer, so a sift compares keys without dereferencing a Timer.
+// Deferred procedure calls (§3.3) — same-instant FIFO
 // work by definition — go through a dedicated ring buffer that bypasses
 // the heap entirely: a Defer is one ring slot, no Timer, no heap push,
 // no allocation. Ordering against At(now) timers stays deterministic
@@ -22,7 +24,6 @@
 package eventloop
 
 import (
-	"container/heap"
 	"errors"
 	"math"
 	"sync"
@@ -84,14 +85,12 @@ const (
 	stFree                        // no handle retained; pool on pop
 )
 
-// Timer is a handle to a scheduled callback.
+// Timer is a handle to a scheduled callback. Its firing time and
+// sequence live in the heap entry that carries it, not here.
 type Timer struct {
-	at    float64
-	seq   uint64
 	fn    func()
 	state atomic.Uint32
 	live  *atomic.Int64 // owning loop's live-timer gauge
-	index int           // heap position, -1 when popped
 }
 
 // Cancel prevents the callback from firing. Safe to call after firing,
@@ -152,35 +151,70 @@ func (t *Timer) take() bool {
 // canceled reports whether Cancel has been called.
 func (t *Timer) canceled() bool { return t.state.Load()&stCanceled != 0 }
 
-// timerHeap orders timers by (time, insertion sequence) so simultaneous
-// events fire deterministically in scheduling order.
-type timerHeap []*Timer
+// heapEntry is one heap slot: the ordering key inline beside the event
+// it orders, so sifting never dereferences the event.
+type heapEntry[E any] struct {
+	at  float64
+	seq uint64
+	ev  E
+}
 
-func (h timerHeap) Len() int { return len(h) }
-func (h timerHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before orders entries by (time, insertion sequence), so simultaneous
+// events fire deterministically in scheduling order.
+func (e *heapEntry[E]) before(o *heapEntry[E]) bool {
+	return e.at < o.at || e.at == o.at && e.seq < o.seq
+}
+
+// eventHeap is a binary min-heap of entries: the timer heap of Sim and
+// Real (E = *Timer) and ShardedSim's control lane (E = *BarrierEvent).
+// The entry at index 0 is the earliest.
+type eventHeap[E any] []heapEntry[E]
+
+// push adds ev at (at, seq), sifting it up from the last slot.
+func (h *eventHeap[E]) push(at float64, seq uint64, ev E) {
+	e := heapEntry[E]{at: at, seq: seq, ev: ev}
+	*h = append(*h, e)
+	s := *h
+	i := len(s) - 1
+	for i > 0 {
+		up := (i - 1) / 2
+		if !e.before(&s[up]) {
+			break
+		}
+		s[i] = s[up]
+		i = up
 	}
-	return h[i].seq < h[j].seq
+	s[i] = e
 }
-func (h timerHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *timerHeap) Push(x any) {
-	t := x.(*Timer)
-	t.index = len(*h)
-	*h = append(*h, t)
-}
-func (h *timerHeap) Pop() any {
-	old := *h
-	n := len(old)
-	t := old[n-1]
-	old[n-1] = nil
-	t.index = -1
-	*h = old[:n-1]
-	return t
+
+// pop removes the earliest entry, sifting the last one down from the
+// root.
+func (h *eventHeap[E]) pop() {
+	s := *h
+	n := len(s) - 1
+	last := s[n]
+	s[n] = heapEntry[E]{}
+	s = s[:n]
+	*h = s
+	if n == 0 {
+		return
+	}
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && s[r].before(&s[c]) {
+			c = r
+		}
+		if !s[c].before(&last) {
+			break
+		}
+		s[i] = s[c]
+		i = c
+	}
+	s[i] = last
 }
 
 // dpc is one deferred procedure call: the callback plus its position in
@@ -245,10 +279,15 @@ const maxTimerPool = 256
 // shard-ownership rule — see the package documentation in sharded.go).
 // Everything pinned to a shard (nodes, tables, transports) inherits the
 // same rule.
+//
+// A scheduled timer costs one heap entry and one Timer; AfterFree and
+// AtFree take the Timer from a pool and return it when it fires, so a
+// steady stream of fire-and-forget events — periodic re-arms, the
+// simulated network's datagram arrivals — allocates nothing.
 type Sim struct {
 	now   float64
 	seq   uint64
-	heap  timerHeap
+	heap  eventHeap[*Timer]
 	dq    dpcRing
 	livec atomic.Int64 // scheduled, uncanceled timers (not DPCs)
 	pool  []*Timer     // recycled fire-and-forget timers
@@ -283,17 +322,24 @@ func (s *Sim) AfterFree(d float64, fn func()) {
 	s.schedule(s.now+d, fn, stFree)
 }
 
+// AtFree is AfterFree at absolute virtual time t (clamped to now): a
+// caller that computed an absolute time schedules it exactly, where
+// AfterFree(t-now) would round it through the subtraction.
+func (s *Sim) AtFree(t float64, fn func()) {
+	s.schedule(t, fn, stFree)
+}
+
 func (s *Sim) schedule(at float64, fn func(), flags uint32) *Timer {
 	if at < s.now {
 		at = s.now
 	}
 	s.seq++
 	tm := s.get()
-	tm.at, tm.seq, tm.fn = at, s.seq, fn
+	tm.fn = fn
 	tm.live = &s.livec
 	tm.state.Store(flags)
 	s.livec.Add(1)
-	heap.Push(&s.heap, tm)
+	s.heap.push(at, s.seq, tm)
 	return tm
 }
 
@@ -329,15 +375,14 @@ func (s *Sim) Defer(fn func()) {
 // was scheduled earlier than the ring's oldest entry.
 func (s *Sim) next(limit float64) (func(), bool) {
 	for {
-		var top *Timer
-		for s.heap.Len() > 0 {
-			tm := s.heap[0]
-			if tm.canceled() {
-				heap.Pop(&s.heap)
+		var top *heapEntry[*Timer]
+		for len(s.heap) > 0 {
+			if tm := s.heap[0].ev; tm.canceled() {
+				s.heap.pop()
 				s.recycle(tm)
 				continue
 			}
-			top = tm
+			top = &s.heap[0]
 			break
 		}
 		if s.dq.n > 0 {
@@ -348,14 +393,15 @@ func (s *Sim) next(limit float64) (func(), bool) {
 		if top == nil || top.at > limit {
 			return nil, false
 		}
-		heap.Pop(&s.heap)
-		if !top.take() {
-			s.recycle(top)
+		at, tm := top.at, top.ev
+		s.heap.pop()
+		if !tm.take() {
+			s.recycle(tm)
 			continue
 		}
-		s.now = top.at
-		fn := top.fn
-		s.recycle(top)
+		s.now = at
+		fn := tm.fn
+		s.recycle(tm)
 		return fn, true
 	}
 }
@@ -407,7 +453,7 @@ func (s *Sim) Pending() int { return int(s.livec.Load()) + s.dq.n }
 type Real struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
-	heap   timerHeap
+	heap   eventHeap[*Timer]
 	seq    uint64
 	posted []func()
 	dq     dpcRing
@@ -432,9 +478,9 @@ func (r *Real) At(t float64, fn func()) *Timer {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.seq++
-	tm := &Timer{at: t, seq: r.seq, fn: fn, live: &r.livec}
+	tm := &Timer{fn: fn, live: &r.livec}
 	r.livec.Add(1)
-	heap.Push(&r.heap, tm)
+	r.heap.push(t, r.seq, tm)
 	r.cond.Signal()
 	return tm
 }
@@ -547,10 +593,10 @@ func (r *Real) Run() {
 			if r.dq.n > 0 || len(r.posted) > 0 {
 				break
 			}
-			if r.heap.Len() > 0 {
-				next := r.heap[0]
-				if next.canceled() {
-					heap.Pop(&r.heap)
+			if len(r.heap) > 0 {
+				next := &r.heap[0]
+				if next.ev.canceled() {
+					r.heap.pop()
 					continue
 				}
 				wait := next.at - r.Now()
@@ -575,18 +621,18 @@ func (r *Real) Run() {
 		r.posted = r.posted[:0]
 		now := r.Now()
 		due = due[:0]
-		for r.heap.Len() > 0 {
-			next := r.heap[0]
-			if next.canceled() {
-				heap.Pop(&r.heap)
+		for len(r.heap) > 0 {
+			tm := r.heap[0].ev
+			if tm.canceled() {
+				r.heap.pop()
 				continue
 			}
-			if next.at > now {
+			if r.heap[0].at > now {
 				break
 			}
-			heap.Pop(&r.heap)
-			next.take()
-			due = append(due, next)
+			r.heap.pop()
+			tm.take()
+			due = append(due, tm)
 		}
 		r.mu.Unlock()
 		// Deferred procedure calls run first and re-drain after every

@@ -38,7 +38,6 @@
 package eventloop
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"runtime"
@@ -61,11 +60,8 @@ type Exchanger interface {
 // AtBarrier. Cancel prevents it from running; safe to call from the
 // coordinator goroutine only.
 type BarrierEvent struct {
-	at       float64
-	seq      uint64
 	fn       func()
 	canceled bool
-	index    int
 }
 
 // Cancel prevents the control callback from running.
@@ -73,35 +69,6 @@ func (e *BarrierEvent) Cancel() {
 	if e != nil {
 		e.canceled = true
 	}
-}
-
-type barrierHeap []*BarrierEvent
-
-func (h barrierHeap) Len() int { return len(h) }
-func (h barrierHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h barrierHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *barrierHeap) Push(x any) {
-	e := x.(*BarrierEvent)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
-func (h *barrierHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
-	return e
 }
 
 // spinYields is how many times an idle worker yields its processor
@@ -142,7 +109,7 @@ type ShardedSim struct {
 	now       float64
 
 	exchangers []Exchanger
-	controls   barrierHeap
+	controls   eventHeap[*BarrierEvent]
 	ctlSeq     uint64
 
 	gen     atomic.Uint64 // epoch generation; closedGen after Close
@@ -258,19 +225,19 @@ func (ss *ShardedSim) AtBarrier(t float64, fn func()) *BarrierEvent {
 		t = ss.now
 	}
 	ss.ctlSeq++
-	e := &BarrierEvent{at: t, seq: ss.ctlSeq, fn: fn}
-	heap.Push(&ss.controls, e)
+	e := &BarrierEvent{fn: fn}
+	ss.controls.push(t, ss.ctlSeq, e)
 	return e
 }
 
 // nextControl returns the time of the earliest live control callback,
 // discarding canceled ones, or +Inf when none is pending.
 func (ss *ShardedSim) nextControl() float64 {
-	for ss.controls.Len() > 0 {
-		if e := ss.controls[0]; !e.canceled {
+	for len(ss.controls) > 0 {
+		if e := &ss.controls[0]; !e.ev.canceled {
 			return e.at
 		}
-		heap.Pop(&ss.controls)
+		ss.controls.pop()
 	}
 	return math.Inf(1)
 }
@@ -282,7 +249,9 @@ func (ss *ShardedSim) runBarrier() {
 		x.Exchange(ss.now)
 	}
 	for ss.nextControl() <= ss.now {
-		heap.Pop(&ss.controls).(*BarrierEvent).fn()
+		fn := ss.controls[0].ev.fn
+		ss.controls.pop()
+		fn()
 	}
 }
 

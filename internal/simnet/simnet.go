@@ -34,6 +34,12 @@
 //     independent of the shard count, which is what makes a P-shard run
 //     bit-identical to a 1-shard run.
 //
+// In both modes a datagram is scheduled the same way: as an arrival,
+// pooled on the destination shard, fired by Sim.AtFree at exactly the
+// arrival time the sender computed. One delivery path serves both;
+// single-loop arrivals carry the destination record resolved at send
+// time, sharded ones resolve it when they land.
+//
 // Liveness bookkeeping differs slightly between the modes: the
 // single-loop sender short-circuits datagrams to addresses already dead
 // or unknown at send time (charging PacketsLost to the sender), while a
@@ -282,7 +288,8 @@ type shardNet struct {
 	loop     *eventloop.Sim
 	nodes    map[string]*node
 	outbox   []datagram
-	orphaned int64 // datagrams to addresses that never attached
+	orphaned int64      // datagrams to addresses that never attached
+	free     []*arrival // recycled arrivals of datagrams this shard delivered
 }
 
 type node struct {
@@ -307,6 +314,69 @@ type datagram struct {
 	dstSh   int
 	size    int64
 	payload []byte
+}
+
+// arrival is one datagram scheduled on the shard that delivers it.
+// Arrivals are pooled on that shard's free list, and each is scheduled
+// with its land method value, bound once when the arrival is built, so
+// a datagram in flight costs the loop one pooled Timer and no closure.
+// The list is touched by the shard's own handlers (an intra-domain send
+// and every landing) and by Exchange, which runs while every shard is
+// parked.
+type arrival struct {
+	sh      *shardNet
+	dst     *node // resolved at send time in single-loop mode; nil when sharded
+	from    string
+	to      string
+	size    int64
+	payload []byte
+	land    func() // a.deliver, bound once
+}
+
+// maxArrivalPool bounds each shard's free list of arrivals, as
+// maxTimerPool bounds the loop's Timer pool.
+const maxArrivalPool = 256
+
+// arrive schedules delivery of payload from from to to at time at on
+// sh, with dst already resolved when the sender could see it.
+func (sh *shardNet) arrive(at float64, dst *node, from, to string, size int64, payload []byte) {
+	var a *arrival
+	if n := len(sh.free); n > 0 {
+		a = sh.free[n-1]
+		sh.free[n-1] = nil
+		sh.free = sh.free[:n-1]
+	} else {
+		a = &arrival{sh: sh}
+		a.land = a.deliver
+	}
+	a.dst, a.from, a.to, a.size, a.payload = dst, from, to, size, payload
+	sh.loop.AtFree(at, a.land)
+}
+
+// deliver lands the datagram: it copies the arrival out and returns it
+// to the free list before delivering, so a handler that sends reuses
+// it. Liveness is judged here, by the owning shard.
+func (a *arrival) deliver() {
+	sh, dst, from, to, size, payload := a.sh, a.dst, a.from, a.to, a.size, a.payload
+	if len(sh.free) < maxArrivalPool {
+		a.dst, a.from, a.to, a.payload = nil, "", "", nil
+		sh.free = append(sh.free, a)
+	}
+	if dst == nil {
+		if dst = sh.nodes[to]; dst == nil {
+			sh.orphaned++
+			return
+		}
+	}
+	if dst.dead {
+		// Died while the datagram was in flight; charged to the
+		// destination in both modes.
+		dst.stats.PacketsLost++
+		return
+	}
+	dst.stats.BytesReceived += size
+	dst.stats.PacketsRecv++
+	dst.deliver(from, payload)
 }
 
 // New creates a simulated network in single-loop mode.
@@ -577,18 +647,7 @@ func (n *Net) send(src *node, to string, payload []byte) {
 			src.stats.PacketsLost++
 			return
 		}
-		from := src.addr
-		sh.loop.At(arrive, func() {
-			if dst.dead {
-				// Died while the datagram was in flight; charge the loss
-				// to the destination, exactly as the sharded path does.
-				dst.stats.PacketsLost++
-				return
-			}
-			dst.stats.BytesReceived += size
-			dst.stats.PacketsRecv++
-			dst.deliver(from, payload)
-		})
+		sh.arrive(arrive, dst, src.addr, to, size, payload)
 		return
 	}
 	d := datagram{
@@ -633,28 +692,14 @@ func (n *Net) Exchange(now float64) {
 	for i := range all {
 		n.schedule(all[i])
 	}
-	clear(all) // the scheduled closures hold their own copies
+	clear(all) // the scheduled arrivals hold their own copies
 	n.merge = all[:0]
 }
 
-// schedule queues d's delivery on its destination shard. Liveness is
-// judged at delivery time by the owning shard.
+// schedule queues d's delivery on its destination shard; the
+// destination record is resolved when it lands.
 func (n *Net) schedule(d datagram) {
-	sh := n.shards[d.dstSh]
-	sh.loop.At(d.arrive, func() {
-		dst := sh.nodes[d.to]
-		if dst == nil {
-			sh.orphaned++
-			return
-		}
-		if dst.dead {
-			dst.stats.PacketsLost++
-			return
-		}
-		dst.stats.BytesReceived += d.size
-		dst.stats.PacketsRecv++
-		dst.deliver(d.from, d.payload)
-	})
+	n.shards[d.dstSh].arrive(d.arrive, nil, d.from, d.to, d.size, d.payload)
 }
 
 type endpoint struct {

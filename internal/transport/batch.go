@@ -14,6 +14,11 @@ package transport
 // refuses one (congestion window full); the refused batch's records stay
 // queued and the poke re-enters the flush when the window opens, which
 // means backpressure automatically produces fuller datagrams.
+//
+// Nothing on this path builds a closure per flush: armed peers wait in
+// a per-transport FIFO with one Defer of the bound runner each (the
+// engine's strand trigger pattern, so flushes run in arming order),
+// and the poke a refused batch leaves is the bound flush itself.
 
 // maxBatchRecords caps records per datagram; Deframe drops a frame whose
 // count field claims more.
@@ -32,19 +37,26 @@ type Batch struct {
 	maxBytes int // record bytes per datagram (MTU minus maxDataHeaderLen)
 	maxRecs  int // records per datagram; 1 disables coalescing
 	capacity int // backlog bound per destination; 0 = unbounded
+
+	armed []*peer // peers with a deferred flush, in arming order; one Defer per entry
+	head  int     // index of the oldest armed peer
+	runFn func()  // b.runNext, bound once
+	poke  poke    // b.flush, bound once
 }
 
 func newBatch(tr *Transport, next batchSink, maxBytes, maxRecs, capacity int) *Batch {
 	if maxBytes < 1 {
 		maxBytes = 1 // degenerate MTU: every record ships alone
 	}
-	return &Batch{
+	b := &Batch{
 		tr:       tr,
 		next:     next,
 		maxBytes: maxBytes,
 		maxRecs:  maxRecs,
 		capacity: capacity,
 	}
+	b.runFn, b.poke = b.runNext, b.flush
+	return b
 }
 
 // push queues one record and arms the end-of-handler flush. A full
@@ -60,11 +72,28 @@ func (b *Batch) push(p *peer, rec record) {
 	q.recs = append(q.recs, rec)
 	if !q.armed {
 		q.armed = true
-		b.tr.loop.Defer(func() {
-			q.armed = false
-			b.flush(p)
-		})
+		b.armed = append(b.armed, p)
+		b.tr.loop.Defer(b.runFn)
 	}
+}
+
+// runNext is the deferred flush: it pops the oldest armed peer and
+// flushes it.
+func (b *Batch) runNext() {
+	p := b.armed[b.head]
+	b.armed[b.head] = nil
+	b.head++
+	if b.head == len(b.armed) {
+		b.armed, b.head = b.armed[:0], 0
+	} else if b.head > 32 && b.head*2 >= len(b.armed) {
+		// Slide a never-empty FIFO down so its backing array stays
+		// bounded by the armed high-water mark.
+		kept := copy(b.armed, b.armed[b.head:])
+		clear(b.armed[kept:])
+		b.armed, b.head = b.armed[:kept], 0
+	}
+	p.q.armed = false
+	b.flush(p)
 }
 
 // flush packs the queue into batches and pushes them downstream until
@@ -78,13 +107,15 @@ func (b *Batch) flush(p *peer) {
 		// Pack from the front without consuming: a refused batch's
 		// records must stay queued. A single over-budget record still
 		// ships alone — the endpoint decides its fate, as UDP would.
-		n, bytes := 1, len(q.recs[0].wire)
-		for n < len(q.recs) && n < b.maxRecs && bytes+len(q.recs[n].wire) <= b.maxBytes {
-			bytes += len(q.recs[n].wire)
+		n, bytes := 1, q.recs[0].size
+		for n < len(q.recs) && n < b.maxRecs && bytes+q.recs[n].size <= b.maxBytes {
+			bytes += q.recs[n].size
 			n++
 		}
-		wb := &wireBatch{dst: p, recs: append([]record(nil), q.recs[:n]...), bytes: bytes}
-		if !b.next.pushBatch(wb, func() { b.flush(p) }) {
+		// The batch takes the queue's prefix itself, capped so appends
+		// to the queue can never write into it.
+		wb := &wireBatch{dst: p, recs: q.recs[:n:n], bytes: bytes}
+		if !b.next.pushBatch(wb, b.poke) {
 			return // window full; the poke re-enters flush
 		}
 		q.recs = q.recs[n:]

@@ -17,10 +17,16 @@ import (
 )
 
 // cycleAllocs is how many times one send → frame → deliver → delayed
-// ack → clear cycle between two transports allocated at PR 19, simnet
-// and the event loop included: the ceiling TestCycleAllocs holds the
-// chain to.
-const cycleAllocs = 21
+// ack → clear cycle between two transports allocates, simnet and the
+// event loop included: the ceiling TestCycleAllocs holds the chain to.
+// The nine are the data frame, simnet's copy of it, the wire batch, the
+// queue's backing array, the delayed-ack timer, the bare ack frame and
+// its copy, and the decoded tuple with its field slice.
+const cycleAllocs = 9
+
+// roundTripAllocs is the ceiling TestRoundTripAllocs holds
+// BenchmarkRoundTrip's allocations per delivered tuple to.
+const roundTripAllocs = 6
 
 // cycle returns a function that sends one tuple from a to b and runs
 // the loop until its acknowledgment has cleared the ledger.
@@ -53,30 +59,30 @@ func BenchmarkSendReceive(b *testing.B) {
 	}
 }
 
-// BenchmarkRoundTrip is one transport exchanging steady bidirectional
+// roundTrip builds one transport exchanging steady bidirectional
 // traffic with 32 peer transports on one virtual loop: every 10 ms (half
 // the ack delay, so acks ride the next round's data frames) the hub
-// sends each peer a tuple and each peer sends the hub one. It reports
-// wall time and allocations per delivered tuple, all 33 transports,
-// simnet and the loop included.
-func BenchmarkRoundTrip(b *testing.B) {
+// sends each peer a tuple and each peer sends the hub one. It returns
+// a function that runs one round, the hub, and the count of tuples delivered
+// (at the hub and at the peers).
+func roundTrip(tb testing.TB) (round func(), hub *Transport, delivered *int) {
 	const fanout = 32
 	loop := eventloop.NewSim()
 	scfg := simnet.DefaultConfig()
 	scfg.Domains = 1
 	net := simnet.New(loop, scfg)
-	delivered := 0
+	delivered = new(int)
 	mk := func(addr string) *Transport {
 		var tr *Transport
 		ep, err := net.Attach(addr, func(from string, p []byte) { tr.Deliver(from, p) })
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		tr = New(loop, ep, DefaultConfig())
-		tr.OnReceive(func(string, *tuple.Tuple) { delivered++ })
+		tr.OnReceive(func(string, *tuple.Tuple) { *delivered++ })
 		return tr
 	}
-	hub := mk("hub")
+	hub = mk("hub")
 	addrs := make([]string, fanout)
 	peers := make([]*Transport, fanout)
 	for i := range peers {
@@ -84,7 +90,7 @@ func BenchmarkRoundTrip(b *testing.B) {
 		peers[i] = mk(addrs[i])
 	}
 	msg := tp(1)
-	round := func() {
+	round = func() {
 		for i, p := range peers {
 			hub.Send(addrs[i], msg)
 			p.Send("hub", msg)
@@ -94,7 +100,32 @@ func BenchmarkRoundTrip(b *testing.B) {
 	for range 100 {
 		round() // open the windows, settle the RTT estimates
 	}
-	delivered = 0
+	*delivered = 0
+	return round, hub, delivered
+}
+
+// TestRoundTripAllocs pins the steady exchange BenchmarkRoundTrip
+// measures at roundTripAllocs allocations per delivered tuple.
+func TestRoundTripAllocs(t *testing.T) {
+	round, _, delivered := roundTrip(t)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range 50 {
+		round()
+	}
+	runtime.ReadMemStats(&after)
+	perTuple := float64(after.Mallocs-before.Mallocs) / float64(*delivered)
+	t.Logf("%.2f allocations per delivered tuple", perTuple)
+	if perTuple > roundTripAllocs {
+		t.Fatalf("the steady exchange allocates %.2f times per delivered tuple, want at most %d", perTuple, roundTripAllocs)
+	}
+}
+
+// BenchmarkRoundTrip reports wall time and allocations per delivered
+// tuple of roundTrip's exchange, all 33 transports, simnet and the loop
+// included.
+func BenchmarkRoundTrip(b *testing.B) {
+	round, hub, delivered := roundTrip(b)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	b.ResetTimer()
@@ -103,9 +134,9 @@ func BenchmarkRoundTrip(b *testing.B) {
 	}
 	b.StopTimer()
 	runtime.ReadMemStats(&after)
-	if st := hub.Stats(); delivered < fanout*b.N || st.Retransmits != 0 || st.AcksPiggybacked == 0 {
-		b.Fatalf("not the steady exchange the benchmark describes: %d delivered in %d rounds, %+v", delivered, b.N, st)
+	if st := hub.Stats(); *delivered < 32*b.N || st.Retransmits != 0 || st.AcksPiggybacked == 0 {
+		b.Fatalf("not the steady exchange the benchmark describes: %d delivered in %d rounds, %+v", *delivered, b.N, st)
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(delivered), "ns/tuple")
-	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(delivered), "allocs/tuple")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(*delivered), "ns/tuple")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(*delivered), "allocs/tuple")
 }

@@ -23,7 +23,7 @@ type ccState struct {
 	srtt     float64
 	rttvar   float64
 	rto      float64
-	stalled  poke // armed by a refused push; fired when the window opens
+	stalled  poke // armed by a refused push; fired with the peer when the window opens
 }
 
 // pushBatch admits wb into the window or refuses it. On admission the
@@ -80,7 +80,8 @@ func (c *CCTx) onAck(p *peer, cum uint64) {
 	if st.cwnd > c.tr.cfg.WindowMax {
 		st.cwnd = c.tr.cfg.WindowMax
 	}
-	c.open(st)
+	clear(cleared) // Retry reuses the slice; keep no acked batch alive in it
+	c.open(p)
 }
 
 // sample folds one RTT measurement into the estimator.
@@ -107,14 +108,13 @@ func (c *CCTx) onTimeout(p *peer) {
 // budget and pokes the backlog.
 func (c *CCTx) onGiveUp(p *peer) {
 	p.cc.inflight--
-	c.open(&p.cc)
+	c.open(p)
 }
 
-// open fires the stalled poke, if any — capacity freed, try again.
-func (c *CCTx) open(st *ccState) {
-	if st.stalled != nil {
-		pk := st.stalled
-		st.stalled = nil
-		pk()
+// open fires p's stalled poke, if any — capacity freed, try again.
+func (c *CCTx) open(p *peer) {
+	if pk := p.cc.stalled; pk != nil {
+		p.cc.stalled = nil
+		pk(p)
 	}
 }

@@ -54,8 +54,9 @@ import (
 //
 // firstSeq numbers the first record; the count records that follow are
 // consecutively numbered and each is a self-delimiting tuple.Marshal
-// encoding. Unreliable chains send zeros for the sequence fields and
-// the receiver ignores them.
+// encoding, which Frame writes in place with tuple.AppendMarshal.
+// Unreliable chains send zeros for the sequence fields and the receiver
+// ignores them.
 const (
 	frameData = 0x00
 	frameAck  = 0x01
@@ -137,8 +138,9 @@ func parseDataHeader(b []byte) (h dataHeader, recs []byte, ok bool) {
 
 // Frame is the bottom send-path element — §3.4's socket handling: it
 // encodes batches into datagrams (stamping the piggybacked cumulative
-// ack), hands them to the endpoint, and keeps the wire accounting the
-// sysNet relation reports.
+// ack and encoding each record's tuple straight into the datagram, one
+// allocation of exactly the frame's size), hands them to the endpoint,
+// and keeps the wire accounting the sysNet relation reports.
 type Frame struct {
 	tr *Transport
 }
@@ -170,7 +172,7 @@ func (f *Frame) pushBatch(wb *wireBatch, _ poke) bool {
 	hdr := len(appendDataHeader(hb[:0], h))
 	buf := append(make([]byte, 0, hdr+wb.bytes), hb[:hdr]...)
 	for _, rec := range wb.recs {
-		buf = append(buf, rec.wire...)
+		buf = rec.t.AppendMarshal(buf)
 	}
 	wb.sentAt = tr.loop.Now()
 	tr.ep.Send(p.addr, buf)
@@ -189,7 +191,7 @@ func (f *Frame) pushBatch(wb *wireBatch, _ poke) bool {
 	if tr.onSent != nil {
 		// hdr, the header bytes written, is charged to the first tuple.
 		for _, rec := range wb.recs {
-			tr.onSent(p.addr, rec.t, len(rec.wire)+hdr, wb.rexmit)
+			tr.onSent(p.addr, rec.t, rec.size+hdr, wb.rexmit)
 			hdr = 0
 		}
 	}
@@ -212,7 +214,8 @@ func (f *Frame) sendAck(p *peer, cum uint64, epoch uint32) {
 // creates a record; an ack from an address with none acknowledges
 // nothing.
 type Deframe struct {
-	tr *Transport
+	tr     *Transport
+	tuples []*tuple.Tuple // decode buffer, reused across datagrams
 }
 
 func (d *Deframe) deliver(from string, frame []byte) {
@@ -236,33 +239,51 @@ func (d *Deframe) deliver(from string, frame []byte) {
 		if !ok {
 			return
 		}
-		tuples := make([]*tuple.Tuple, 0, h.count)
-		for range h.count {
-			t, n, err := tuple.Unmarshal(rest)
-			if err != nil {
-				return // corrupt datagram; a real network could produce these
-			}
-			tuples = append(tuples, t)
-			rest = rest[n:]
+		// Decode into the reused buffer, taken out of d while in use so
+		// a delivery that re-enters Deframe decodes into its own.
+		tuples := d.tuples[:0]
+		d.tuples = nil
+		tuples, ok = decodeRecords(tuples, rest, h.count)
+		if ok {
+			d.data(from, h, tuples)
 		}
-		if len(rest) > 0 {
-			return // bytes after the last record: not a frame this encoder wrote
-		}
-		p := tr.receiver(from)
-		if tr.ack == nil {
-			tr.deliverUp(p, tuples) // unreliable chain: no ack, no dedup
-			return
-		}
-		rs := &p.rcv
-		if rs.epochSet && h.epoch < rs.epoch {
-			return // datagram of a previous incarnation, still in flight
-		}
-		if !rs.epochSet || h.epoch > rs.epoch {
-			rs.rebind(h.epoch) // new incarnation: fresh sequence space
-		}
-		if h.ackEpoch == tr.wireEpoch(p) {
-			tr.cc.onAck(p, h.cumAck) // the piggybacked ack
-		}
-		tr.ack.push(p, h.skip, h.first, tuples)
+		clear(tuples)
+		d.tuples = tuples[:0]
 	}
+}
+
+// decodeRecords appends count records decoded from b to out; it fails
+// on a corrupt record (a real network could produce these) and on bytes
+// after the last one (not a frame this encoder wrote).
+func decodeRecords(out []*tuple.Tuple, b []byte, count int) ([]*tuple.Tuple, bool) {
+	for range count {
+		t, n, err := tuple.Unmarshal(b)
+		if err != nil {
+			return out, false
+		}
+		out = append(out, t)
+		b = b[n:]
+	}
+	return out, len(b) == 0
+}
+
+// data pushes one decoded data frame from from into the receive chain.
+func (d *Deframe) data(from string, h dataHeader, tuples []*tuple.Tuple) {
+	tr := d.tr
+	p := tr.receiver(from)
+	if tr.ack == nil {
+		tr.deliverUp(p, tuples) // unreliable chain: no ack, no dedup
+		return
+	}
+	rs := &p.rcv
+	if rs.epochSet && h.epoch < rs.epoch {
+		return // datagram of a previous incarnation, still in flight
+	}
+	if !rs.epochSet || h.epoch > rs.epoch {
+		rs.rebind(h.epoch) // new incarnation: fresh sequence space
+	}
+	if h.ackEpoch == tr.wireEpoch(p) {
+		tr.cc.onAck(p, h.cumAck) // the piggybacked ack
+	}
+	tr.ack.push(p, h.skip, h.first, tuples)
 }

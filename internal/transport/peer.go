@@ -8,9 +8,12 @@ import (
 // peer is everything the transport holds about one remote address: the
 // state each element of the chain keeps per destination, in one record
 // that Send and Deliver resolve once and the elements pass along. The
-// closures that outlive a handler (the deferred flush, the stalled
-// poke, the retransmission timeout, the delayed ack) capture the
-// record, never the address.
+// callbacks that outlive a handler are built once, never per packet:
+// the deferred flush and the stalled poke are bound once per transport
+// and take the record as an argument (Batch.runNext pops it from the
+// armed FIFO; a poke is called with it), while the retransmission
+// timeout and the delayed ack are one closure per peer, built on first
+// use, capturing the record, never the address.
 //
 // A record's lifetime is one rule, enforced by reclaimSend and sweep:
 //

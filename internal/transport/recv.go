@@ -35,6 +35,7 @@ type recvState struct {
 	ackPending bool // cum must reach the peer (piggyback or bare ack)
 	ackArmed   bool // a delayed-ack callback is scheduled
 	ackTimer   *eventloop.Timer
+	ackFn      func() // Ack.fire for this peer, built on the first arm
 }
 
 // rebind resets the sequence space for a new peer incarnation. The
@@ -129,18 +130,25 @@ func (a *Ack) schedule(p *peer) {
 		return
 	}
 	rs.ackArmed = true
-	fire := func() {
-		rs.ackArmed = false
-		rs.ackTimer = nil
-		if rs.ackPending && !a.tr.closed {
-			rs.ackPending = false
-			a.tr.frm.sendAck(p, rs.cum, rs.epoch)
-		}
+	if rs.ackFn == nil {
+		rs.ackFn = func() { a.fire(p) }
 	}
 	if d := a.tr.cfg.AckDelay; d > 0 {
-		rs.ackTimer = a.tr.loop.After(d, fire)
+		rs.ackTimer = a.tr.loop.After(d, rs.ackFn)
 	} else {
-		a.tr.loop.Defer(fire)
+		a.tr.loop.Defer(rs.ackFn)
+	}
+}
+
+// fire is the delayed-ack callback: it sends the bare ack unless a data
+// frame toward p has claimed it since the arm.
+func (a *Ack) fire(p *peer) {
+	rs := &p.rcv
+	rs.ackArmed = false
+	rs.ackTimer = nil
+	if rs.ackPending && !a.tr.closed {
+		rs.ackPending = false
+		a.tr.frm.sendAck(p, rs.cum, rs.epoch)
 	}
 }
 

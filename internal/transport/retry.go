@@ -51,8 +51,9 @@ type destRetry struct {
 // the receiver buffered above the hole. A batch that exhausts the
 // retry budget is dropped, each of its tuples reported through OnDrop.
 type Retry struct {
-	tr   *Transport
-	next *Frame
+	tr      *Transport
+	next    *Frame
+	cleared []*wireBatch // clear's result, reused across acks
 }
 
 // pushBatch records wb as in flight, transmits it, and ensures the
@@ -129,7 +130,8 @@ func (r *Retry) onTimeout(p *peer) {
 
 // clear removes every batch toward p fully covered by the cumulative
 // acknowledgment — always a prefix of the ledger — returns them in
-// sequence order, and re-arms the timer for whatever is left.
+// sequence order, and re-arms the timer for whatever is left. The
+// returned slice is Retry's own, valid until the next clear.
 func (r *Retry) clear(p *peer, cum uint64) []*wireBatch {
 	d := &p.rty
 	n := 0
@@ -139,11 +141,11 @@ func (r *Retry) clear(p *peer, cum uint64) []*wireBatch {
 	if n == 0 {
 		return nil
 	}
-	out := slices.Clone(d.pend[:n])
+	r.cleared = append(r.cleared[:0], d.pend[:n]...)
 	d.pend = slices.Delete(d.pend, 0, n)
 	d.strikes = 0 // the peer acknowledged — it is alive
 	r.arm(p)
-	return out
+	return r.cleared
 }
 
 // close cancels p's timer and reports its in-flight tuples dropped with

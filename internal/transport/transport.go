@@ -5,9 +5,10 @@
 // composed per node.
 //
 // The send path is Serialize → Batch → CCTx → Retry → Frame: tuples are
-// marshaled, coalesced into MTU-budget datagrams per destination,
-// admitted through a per-destination AIMD congestion window, remembered
-// for RTO-driven retransmission, and framed onto a netif.Endpoint. The
+// sized, coalesced into MTU-budget datagrams per destination, admitted
+// through a per-destination AIMD congestion window, remembered for
+// RTO-driven retransmission, and encoded into frames on a
+// netif.Endpoint (each transmission encodes its tuples afresh). The
 // receive path mirrors it: Deframe → Ack → Dedup → Deliver. Elements
 // hand batches to each other with the push/poke discipline of §3.3: a
 // push that returns false means "no capacity — the poke fires when some
@@ -63,7 +64,13 @@ type Config struct {
 	MaxRTO     float64
 	WindowInit float64 // initial congestion window, datagrams in flight
 	WindowMax  float64 // cap on the window
-	QueueCap   int     // per-destination backlog (tuples) behind the window
+	// QueueCap bounds each destination's backlog: the tuples queued
+	// behind its congestion window. Past it Send refuses the tuple,
+	// reported once through OnDrop as BacklogOverflow, so a node queues
+	// at most QueueCap × (peers with a send half) tuples. 0 leaves the
+	// backlog unbounded; the unreliable chain, which drains every
+	// handler, has none.
+	QueueCap int
 	// AckDelay is how long the receiver waits for a reverse-path data
 	// frame to piggyback the cumulative ack before emitting a bare ack
 	// datagram. <= 0 acknowledges at the end of the current handler.
@@ -223,14 +230,18 @@ type Stats struct {
 }
 
 // poke is the "capacity freed — try again" continuation the elements
-// hand each other. Pokes are idempotent retry hints: an element may
-// receive one it no longer cares about, and re-examines its state.
-type poke func()
+// hand each other, called with the peer whose capacity freed. Pokes
+// are idempotent retry hints: an element may receive one it no longer
+// cares about, and re-examines its state. Taking the peer as an
+// argument lets an element bind its poke once per transport (Batch's
+// is its flush method) instead of building a closure per refusal.
+type poke func(*peer)
 
 // batchSink is the downstream port type on the send path: the Batch
 // element pushes packed batches into CCTx (reliable chains) or straight
 // into Frame. A false return means the batch was NOT consumed (the
-// congestion window is full) and pk fires when capacity frees.
+// congestion window is full) and pk fires, with the batch's peer, when
+// capacity frees.
 type batchSink interface {
 	pushBatch(wb *wireBatch, pk poke) bool
 }

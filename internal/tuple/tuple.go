@@ -125,7 +125,13 @@ func (t *Tuple) String() string {
 // on-the-wire format and also what the simulator charges against link
 // capacity.
 func (t *Tuple) Marshal() []byte {
-	b := make([]byte, 0, t.EncodedSize())
+	return t.AppendMarshal(make([]byte, 0, t.EncodedSize()))
+}
+
+// AppendMarshal appends the Marshal encoding to b — exactly
+// EncodedSize bytes — and returns the extended buffer. The transport
+// encodes each record straight into its datagram with it.
+func (t *Tuple) AppendMarshal(b []byte) []byte {
 	b = binary.AppendUvarint(b, uint64(len(t.name)))
 	b = append(b, t.name...)
 	b = binary.AppendUvarint(b, uint64(len(t.fields)))

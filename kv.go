@@ -77,8 +77,17 @@ func (op *KVOp) Latency() float64 { return op.Completed - op.Issued }
 // Wait blocks until the operation completes or the timeout elapses,
 // reporting completion. Use it on UDP deployments, where responses
 // arrive asynchronously; on a simulation time only advances inside
-// Run, so check Done between Run calls instead.
+// Run, so check Done between Run calls instead. An operation already
+// complete reports true whatever the timeout: the completion is looked
+// at before the timer, which a caller descheduled for longer than a
+// short timeout would otherwise find ready too, and a select between
+// two ready cases picks either.
 func (op *KVOp) Wait(timeout time.Duration) bool {
+	select {
+	case <-op.done:
+		return true
+	default:
+	}
 	select {
 	case <-op.done:
 		return true

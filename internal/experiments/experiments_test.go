@@ -132,6 +132,7 @@ func TestFig3QuickShapes(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	res.Print(&buf)
+	checkGolden(t, "fig3-quick-77.txt", buf.String())
 	for _, want := range []string{"Figure 3(i)", "Figure 3(ii)", "Figure 3(iii)", "mean"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Fatalf("report missing %q", want)
@@ -167,6 +168,7 @@ func TestFig4QuickShapes(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	res.Print(&buf)
+	checkGolden(t, "fig4-quick-99.txt", buf.String())
 	for _, want := range []string{"Figure 4(i)", "Figure 4(ii)", "Figure 4(iii)"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Fatalf("report missing %q", want)

@@ -21,6 +21,7 @@ func TestKVWorkload(t *testing.T) {
 	}
 
 	rep := RunKV(h, KVOpts{Rate: 10, Duration: 20, Seed: 7})
+	checkGolden(t, "kv.txt", fmt.Sprintf("%+v\n", rep))
 	issued := rep.PutsIssued + rep.GetsIssued
 	if issued < 150 || issued > 250 {
 		t.Fatalf("issued %d ops; a rate-10 20s Poisson window should land near 200", issued)
@@ -58,6 +59,7 @@ func TestKVWorkloadDeterministicAcrossShards(t *testing.T) {
 		return fmt.Sprintf("%+v", rep)
 	}
 	a, b := run(1), run(4)
+	checkGolden(t, "kv-shards.txt", a+"\n")
 	if a != b {
 		t.Fatalf("KV workload report differs across shard counts:\n  shards=1: %s\n  shards=4: %s", a, b)
 	}

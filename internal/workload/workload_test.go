@@ -21,6 +21,7 @@ func TestOpenLoopWorkload(t *testing.T) {
 	}
 
 	rep := Run(h, Opts{Rate: 10, Duration: 20, Seed: 7})
+	checkGolden(t, "openloop.txt", fmt.Sprintf("%+v\n", rep))
 	if rep.Issued < 150 || rep.Issued > 250 {
 		t.Fatalf("issued %d lookups; a rate-10 20s Poisson window should land near 200", rep.Issued)
 	}
@@ -55,6 +56,7 @@ func TestOpenLoopDeterministicAcrossShards(t *testing.T) {
 		return fmt.Sprintf("%+v", rep)
 	}
 	a, b := run(1), run(4)
+	checkGolden(t, "openloop-wan-shards.txt", a+"\n")
 	if a != b {
 		t.Fatalf("workload report differs across shard counts:\n  shards=1: %s\n  shards=4: %s", a, b)
 	}

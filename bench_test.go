@@ -22,7 +22,6 @@ import (
 	"p2/internal/chordref"
 	"p2/internal/eventloop"
 	"p2/internal/experiments"
-	"p2/internal/harness"
 	"p2/internal/id"
 	"p2/internal/overlog"
 	"p2/internal/planner"
@@ -32,142 +31,87 @@ import (
 	"p2/internal/val"
 )
 
-// staticRing builds a converged P2 Chord ring for lookup benchmarks.
-func staticRing(b *testing.B, n int) *harness.Chord {
-	b.Helper()
-	h := harness.NewChord(harness.Opts{N: n, Seed: 1, JoinSpacing: 0.5})
-	h.Run(float64(n)*0.5 + 200)
-	if rc := h.RingCorrectness(); rc < 0.9 {
-		b.Fatalf("ring correctness %.2f", rc)
+// benchFig3 runs Figure 3's generator at quick scale, one static ring
+// size per sub-benchmark, and hands each size's result to report.
+func benchFig3(b *testing.B, report func(b *testing.B, s *experiments.StaticSizeResult)) {
+	sc := experiments.QuickScale()
+	for _, n := range sc.StaticSizes {
+		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
+			one := sc
+			one.StaticSizes = []int{n}
+			var res *experiments.Fig3Result
+			for i := 0; i < b.N; i++ {
+				res = experiments.RunFig3(one, 1)
+			}
+			report(b, res.PerSize[0])
+		})
 	}
-	return h
+}
+
+// benchFig4 runs Figure 4's generator at quick scale, one mean session
+// time per sub-benchmark, and hands each session's result to report.
+func benchFig4(b *testing.B, report func(b *testing.B, s *experiments.ChurnSessionResult)) {
+	sc := experiments.QuickScale()
+	for _, sessMin := range sc.SessionsMin {
+		b.Run(fmt.Sprintf("session=%gmin", sessMin), func(b *testing.B) {
+			one := sc
+			one.SessionsMin = []float64{sessMin}
+			var res *experiments.Fig4Result
+			for i := 0; i < b.N; i++ {
+				res = experiments.RunFig4(one, 1)
+			}
+			report(b, res.PerSession[0])
+		})
+	}
 }
 
 // BenchmarkFig3iHopCount reproduces Figure 3(i): mean lookup hop count
 // on a static ring, expected ≈ log2(N)/2.
 func BenchmarkFig3iHopCount(b *testing.B) {
-	for _, n := range []int{16, 32} {
-		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
-			h := staticRing(b, n)
-			b.ResetTimer()
-			totalHops, done := 0, 0
-			for i := 0; i < b.N; i++ {
-				for j := 0; j < 20; j++ {
-					lr := h.Lookup(h.RandomLiveAddr(), h.RandomKey())
-					h.Run(10)
-					if lr.Done {
-						totalHops += lr.Hops
-						done++
-					}
-				}
-			}
-			if done > 0 {
-				b.ReportMetric(float64(totalHops)/float64(done), "hops/lookup")
-			}
-		})
-	}
+	benchFig3(b, func(b *testing.B, s *experiments.StaticSizeResult) {
+		b.ReportMetric(s.MeanHops, "hops/lookup")
+	})
 }
 
 // BenchmarkFig3iiMaintenanceBW reproduces Figure 3(ii): idle
 // maintenance bandwidth per node, expected well under 1 kB/s.
 func BenchmarkFig3iiMaintenanceBW(b *testing.B) {
-	for _, n := range []int{16, 32} {
-		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
-			h := staticRing(b, n)
-			b.ResetTimer()
-			var bps float64
-			for i := 0; i < b.N; i++ {
-				h.ResetTraffic()
-				h.Run(30)
-				_, maint := h.TrafficBytes()
-				bps = float64(maint) / float64(n) / 30
-			}
-			b.ReportMetric(bps, "B/s/node")
-		})
-	}
+	benchFig3(b, func(b *testing.B, s *experiments.StaticSizeResult) {
+		b.ReportMetric(s.MaintBPSPerNode, "B/s/node")
+	})
 }
 
 // BenchmarkFig3iiiLatency reproduces Figure 3(iii): lookup latency
 // distribution on the transit-stub topology.
 func BenchmarkFig3iiiLatency(b *testing.B) {
-	h := staticRing(b, 32)
-	b.ResetTimer()
-	var lats []float64
-	for i := 0; i < b.N; i++ {
-		for j := 0; j < 20; j++ {
-			lr := h.Lookup(h.RandomLiveAddr(), h.RandomKey())
-			h.Run(10)
-			if lr.Done {
-				lats = append(lats, lr.Latency())
-			}
-		}
-	}
-	cdf := experiments.NewCDF(lats)
-	b.ReportMetric(cdf.Percentile(0.5)*1000, "p50-ms")
-	b.ReportMetric(cdf.Percentile(0.96)*1000, "p96-ms")
+	benchFig3(b, func(b *testing.B, s *experiments.StaticSizeResult) {
+		b.ReportMetric(s.LatencyCDF.Percentile(0.5)*1000, "p50-ms")
+		b.ReportMetric(s.LatencyCDF.Percentile(0.96)*1000, "p96-ms")
+	})
 }
 
 // BenchmarkFig4iChurnBW reproduces Figure 4(i): maintenance bandwidth
 // under churn.
 func BenchmarkFig4iChurnBW(b *testing.B) {
-	h := staticRing(b, 24)
-	b.ResetTimer()
-	var bps float64
-	for i := 0; i < b.N; i++ {
-		h.StartChurn(8 * 60)
-		h.ResetTraffic()
-		h.Run(120)
-		h.StopChurn()
-		_, maint := h.TrafficBytes()
-		bps = float64(maint) / 24 / 120
-	}
-	b.ReportMetric(bps, "B/s/node")
+	benchFig4(b, func(b *testing.B, s *experiments.ChurnSessionResult) {
+		b.ReportMetric(s.MaintBPSPerNode, "B/s/node")
+	})
 }
 
 // BenchmarkFig4iiConsistency reproduces Figure 4(ii): fraction of
 // simultaneous lookups agreeing on an owner under churn.
 func BenchmarkFig4iiConsistency(b *testing.B) {
-	for _, sessMin := range []float64{2, 16} {
-		b.Run(fmt.Sprintf("session=%gmin", sessMin), func(b *testing.B) {
-			h := staticRing(b, 24)
-			h.StartChurn(sessMin * 60)
-			h.Run(30)
-			b.ResetTimer()
-			sum, probes := 0.0, 0
-			for i := 0; i < b.N; i++ {
-				for j := 0; j < 5; j++ {
-					sum += h.ConsistencyProbe(5, 12)
-					probes++
-				}
-			}
-			h.StopChurn()
-			b.ReportMetric(sum/float64(probes), "consistent-frac")
-		})
-	}
+	benchFig4(b, func(b *testing.B, s *experiments.ChurnSessionResult) {
+		b.ReportMetric(s.MeanConsistency, "consistent-frac")
+	})
 }
 
 // BenchmarkFig4iiiChurnLatency reproduces Figure 4(iii): lookup latency
 // under churn.
 func BenchmarkFig4iiiChurnLatency(b *testing.B) {
-	h := staticRing(b, 24)
-	h.StartChurn(8 * 60)
-	h.Run(30)
-	b.ResetTimer()
-	var lats []float64
-	for i := 0; i < b.N; i++ {
-		for j := 0; j < 20; j++ {
-			lr := h.Lookup(h.RandomLiveAddr(), h.RandomKey())
-			h.Run(12)
-			if lr.Done {
-				lats = append(lats, lr.Latency())
-			}
-		}
-	}
-	h.StopChurn()
-	if len(lats) > 0 {
-		cdf := experiments.NewCDF(lats)
-		b.ReportMetric(cdf.Percentile(0.5)*1000, "p50-ms")
-	}
+	benchFig4(b, func(b *testing.B, s *experiments.ChurnSessionResult) {
+		b.ReportMetric(s.LatencyCDF.Percentile(0.5)*1000, "p50-ms")
+	})
 }
 
 // BenchmarkTransportThroughput measures the wire cost of bulk tuple
@@ -227,7 +171,7 @@ func BenchmarkTransportThroughput(b *testing.B) {
 func BenchmarkNodeMemoryFootprint(b *testing.B) {
 	var fp experiments.Footprint
 	for i := 0; i < b.N; i++ {
-		fp = experiments.MeasureFootprint(8, 60)
+		fp = experiments.MeasureFootprint(experiments.QuickScale(), 8, 60)
 	}
 	b.ReportMetric(float64(fp.BytesPerNode)/1024, "kB/node")
 }
@@ -236,11 +180,16 @@ func BenchmarkNodeMemoryFootprint(b *testing.B) {
 // lookups on the OverLog-driven engine — the "CPU usage comparable to
 // C++ implementations" axis, paired with BenchmarkLookupHandcoded.
 func BenchmarkLookupDeclarative(b *testing.B) {
-	h := staticRing(b, 16)
+	h := experiments.NewChord(experiments.ChordOpts{N: 16, Seed: 1, JoinSpacing: 0.5})
+	defer h.D.Close()
+	h.D.Run(16*0.5 + 200)
+	if rc := h.RingCorrectness(); rc < 0.9 {
+		b.Fatalf("ring correctness %.2f", rc)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h.Lookup(h.RandomLiveAddr(), h.RandomKey())
-		h.Run(10)
+		h.D.Run(10)
 	}
 }
 
@@ -302,7 +251,7 @@ func BenchmarkCompileChord(b *testing.B) {
 func BenchmarkAblationSuccessorList(b *testing.B) {
 	var rows []experiments.SuccessorAblationRow
 	for i := 0; i < b.N; i++ {
-		rows = experiments.RunSuccessorAblation(20, 0.25, []int{1, 4}, 5)
+		rows = experiments.RunSuccessorAblation(experiments.QuickScale(), 20, 0.25, []int{1, 4}, 5)
 	}
 	b.ReportMetric(rows[0].RingCorrectness, "correct-s1")
 	b.ReportMetric(rows[1].RingCorrectness, "correct-s4")
@@ -313,7 +262,7 @@ func BenchmarkAblationSuccessorList(b *testing.B) {
 func BenchmarkAblationTransport(b *testing.B) {
 	var rows []experiments.TransportAblationRow
 	for i := 0; i < b.N; i++ {
-		rows = experiments.RunTransportAblation(16, []float64{0.15}, 25, 9)
+		rows = experiments.RunTransportAblation(experiments.QuickScale(), 16, []float64{0.15}, 25, 9)
 	}
 	for _, r := range rows {
 		frac := float64(r.Completed) / float64(r.Issued)

@@ -18,17 +18,14 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"time"
 
 	"p2"
 	"p2/internal/experiments"
-	"p2/internal/harness"
 	"p2/internal/overlays"
 	"p2/internal/scenario"
 	"p2/internal/simnet"
 	"p2/internal/trace"
-	"p2/internal/workload"
 )
 
 func main() {
@@ -98,7 +95,7 @@ func main() {
 	sc.Shards = *shards
 	switch *topology {
 	case "paper":
-		// sc.Net stays nil: each harness builds the default topology.
+		// sc.Net stays nil: every network gets the default topology.
 	case "wan":
 		wan := simnet.TransitStubWAN(4, 4, *seed)
 		sc.Net = &wan
@@ -106,10 +103,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown topology %q (paper|wan)\n", *topology)
 		os.Exit(2)
 	}
-	// The ablation and footprint experiments build their own harness
-	// options; they pick the shard count up from the environment.
-	os.Setenv(harness.EnvShards, strconv.Itoa(*shards))
-
 	if *placement {
 		dumpPlacement(sc, *shards)
 	}
@@ -130,16 +123,16 @@ func main() {
 	case "ablation":
 		run("ablation", func() {
 			experiments.PrintSuccessorAblation(os.Stdout,
-				experiments.RunSuccessorAblation(24, 0.25, []int{1, 2, 4}, *seed))
+				experiments.RunSuccessorAblation(sc, 24, 0.25, []int{1, 2, 4}, *seed))
 			fmt.Println()
 			experiments.PrintTransportAblation(os.Stdout,
-				experiments.RunTransportAblation(16, []float64{0.05, 0.15, 0.30}, 30, *seed))
+				experiments.RunTransportAblation(sc, 16, []float64{0.05, 0.15, 0.30}, 30, *seed))
 		})
 	case "mem":
 		run("mem", func() {
 			fmt.Printf("== Memory footprint (paper §1: ~800 kB working set per node) ==\n")
 			for _, n := range memSizes(sc) {
-				fp := experiments.MeasureFootprint(n, 60)
+				fp := experiments.MeasureFootprint(sc, n, 60)
 				fmt.Printf("nodes: %5d   heap/node: %.0f kB   run delta: %.0f kB   control: %.0f kB   interner: %d entries / %.0f kB\n",
 					fp.Nodes, float64(fp.BytesPerNode)/1024, float64(fp.TotalHeapDelta)/1024,
 					float64(fp.ControlDelta)/1024, fp.InternEntries, float64(fp.InternBytes)/1024)
@@ -151,12 +144,12 @@ func main() {
 		experiments.SpecComplexity().Print(os.Stdout)
 		fmt.Println()
 		run("mem", func() {
-			fp := experiments.MeasureFootprint(8, 60)
+			fp := experiments.MeasureFootprint(sc, 8, 60)
 			fmt.Printf("== Memory footprint ==\nnodes: %d   heap/node: %.0f kB\n",
 				fp.Nodes, float64(fp.BytesPerNode)/1024)
 		})
 		run("mem-1k", func() {
-			fp := experiments.MeasureFootprint(1000, 30)
+			fp := experiments.MeasureFootprint(sc, 1000, 30)
 			fmt.Printf("== Memory footprint at 1k (scale-out gauge) ==\nnodes: %d   heap/node: %.0f kB\n",
 				fp.Nodes, float64(fp.BytesPerNode)/1024)
 		})
@@ -256,12 +249,10 @@ func dumpPlacement(sc experiments.Scale, shards int) {
 	fmt.Printf("per-shard node counts: %v\n\n", perShard)
 }
 
-// runWorkload drives the open-loop workload driver against the
-// scale's largest static ring and prints its percentile report — the
-// lookup stream first (hops + latency + completion), then the
-// replicated key-value PUT/GET mix (per-op latency, completion,
-// staleness). This is the ROADMAP follow-on that surfaces
-// internal/workload's reports through the CLI.
+// runWorkload drives the open-loop drivers against the scale's largest
+// static ring and prints their percentile reports — the lookup stream
+// first (hops + latency + completion), then the replicated key-value
+// PUT/GET mix (per-op latency, completion, staleness).
 func runWorkload(w io.Writer, sc experiments.Scale, seed int64) {
 	n := 0
 	for _, size := range sc.StaticSizes {
@@ -270,23 +261,27 @@ func runWorkload(w io.Writer, sc experiments.Scale, seed int64) {
 		}
 	}
 	rate, dur := 10.0, sc.MeasureTime
+	ring := func(kv bool) *experiments.Chord {
+		h := experiments.NewChord(experiments.ChordOpts{N: n, Seed: seed, JoinSpacing: sc.JoinSpacing, Net: sc.Net, Shards: sc.Shards, KV: kv})
+		h.D.Run(h.JoinDeadline() + sc.SettleTime)
+		return h
+	}
+	lo := experiments.LookupOpts{Rate: rate, Duration: dur, Seed: seed}
 
 	fmt.Fprintf(w, "== Open-loop lookup workload (n=%d, %.0f lookups/s for %.0fs) ==\n", n, rate, dur)
-	h := harness.NewChord(harness.Opts{N: n, Seed: seed, JoinSpacing: sc.JoinSpacing, Net: sc.Net, Shards: sc.Shards})
-	h.Run(h.JoinDeadline() + sc.SettleTime)
+	h := ring(false)
 	fmt.Fprintf(w, "ring correctness before load: %.3f\n", h.RingCorrectness())
-	rep := workload.Run(h, workload.Opts{Rate: rate, Duration: dur, Seed: seed})
+	rep := experiments.RunLookups(h, lo)
 	fmt.Fprintf(w, "issued %d, completed %d (%.1f%%)\n", rep.Issued, rep.Completed, 100*rep.CompletionRate())
 	fmt.Fprintf(w, "hops    p50/p99/p999: %.0f / %.0f / %.0f (mean %.2f)\n", rep.HopP50, rep.HopP99, rep.HopP999, rep.MeanHops)
 	fmt.Fprintf(w, "latency p50/p99/p999: %.1f / %.1f / %.1f ms\n",
 		rep.LatencyP50*1000, rep.LatencyP99*1000, rep.LatencyP999*1000)
-	h.Close()
+	h.D.Close()
 
 	fmt.Fprintf(w, "\n== Key-value PUT/GET mix (n=%d, %.0f ops/s for %.0fs, R=%d Q=%d) ==\n",
 		n, rate, dur, p2.KVReplicas, p2.KVQuorum)
-	hk := harness.NewChord(harness.Opts{N: n, Seed: seed, JoinSpacing: sc.JoinSpacing, Net: sc.Net, Shards: sc.Shards, KV: true})
-	hk.Run(hk.JoinDeadline() + sc.SettleTime)
-	kr := workload.RunKV(hk, workload.KVOpts{Rate: rate, Duration: dur, Seed: seed})
+	hk := ring(true)
+	kr := experiments.RunKV(hk, experiments.KVOpts{LookupOpts: lo})
 	fmt.Fprintf(w, "puts %d/%d, gets %d/%d completed (%.1f%% overall)\n",
 		kr.PutsCompleted, kr.PutsIssued, kr.GetsCompleted, kr.GetsIssued, 100*kr.CompletionRate())
 	fmt.Fprintf(w, "put latency p50/p99/p999: %.1f / %.1f / %.1f ms\n",
@@ -294,5 +289,5 @@ func runWorkload(w io.Writer, sc experiments.Scale, seed int64) {
 	fmt.Fprintf(w, "get latency p50/p99/p999: %.1f / %.1f / %.1f ms\n",
 		kr.GetP50*1000, kr.GetP99*1000, kr.GetP999*1000)
 	fmt.Fprintf(w, "stale gets: %d (%.2f%%), misses: %d\n", kr.StaleGets, 100*kr.StalenessRate(), kr.Misses)
-	hk.Close()
+	hk.D.Close()
 }

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"p2"
-	"p2/internal/harness"
 	"p2/internal/simnet"
 	"p2/internal/val"
 )
@@ -24,20 +23,21 @@ type SuccessorAblationRow struct {
 	LiveNodes       int
 }
 
-// RunSuccessorAblation builds an n-node ring per successor-list size,
-// kills killFrac of the nodes at once, waits out the recovery horizon,
-// and reports how much of the ring survived. With a single successor
-// the ring partitions; with the default list of 4-5 it heals.
-func RunSuccessorAblation(n int, killFrac float64, sizes []int, seed int64) []SuccessorAblationRow {
+// RunSuccessorAblation builds an n-node ring per successor-list size
+// on sc's shards and topology, kills killFrac of the nodes at once,
+// waits out the recovery horizon, and reports how much of the ring
+// survived. With a single successor the ring partitions; with the
+// default list of 4-5 it heals.
+func RunSuccessorAblation(sc Scale, n int, killFrac float64, sizes []int, seed int64) []SuccessorAblationRow {
 	var rows []SuccessorAblationRow
 	for _, size := range sizes {
-		h := harness.NewChord(harness.Opts{
-			N: n, Seed: seed, JoinSpacing: 0.5,
+		h := NewChord(ChordOpts{
+			N: n, Seed: seed, JoinSpacing: 0.5, Shards: sc.Shards, Net: sc.Net,
 			Defines: map[string]val.Value{"succSize": val.Int(int64(size))},
 		})
-		h.Run(float64(n)*0.5 + 300)
+		h.D.Run(float64(n)*0.5 + 300)
 		// Kill a random burst (never the landmark).
-		live := h.LiveAddrs()
+		live := h.D.Addrs()
 		kill := int(killFrac * float64(len(live)))
 		killed := 0
 		for _, a := range live {
@@ -47,17 +47,17 @@ func RunSuccessorAblation(n int, killFrac float64, sizes []int, seed int64) []Su
 			if a == live[0] {
 				continue // landmark
 			}
-			h.Kill(a)
+			h.D.Kill(a)
 			killed++
 		}
-		h.Run(240) // failure detection + stabilization horizon
+		h.D.Run(240) // failure detection + stabilization horizon
 		rows = append(rows, SuccessorAblationRow{
 			SuccSize:        size,
 			KilledFrac:      killFrac,
 			RingCorrectness: h.RingCorrectness(),
-			LiveNodes:       len(h.LiveAddrs()),
+			LiveNodes:       len(h.D.Addrs()),
 		})
-		h.Close() // per ring: don't hold finished shard workers across iterations
+		h.D.Close() // per ring: don't hold finished shard workers across iterations
 	}
 	return rows
 }
@@ -81,32 +81,36 @@ type TransportAblationRow struct {
 	Completed int
 }
 
-// RunTransportAblation measures lookup completion on a lossy network
-// with and without the reliable transport. Multi-hop lookups compound
-// per-hop loss, so raw UDP collapses where retransmission holds.
-func RunTransportAblation(n int, lossRates []float64, lookups int, seed int64) []TransportAblationRow {
+// RunTransportAblation measures lookup completion on sc's topology
+// (and shards), made lossy, with and without the reliable transport.
+// Multi-hop lookups compound per-hop loss, so raw UDP collapses where
+// retransmission holds.
+func RunTransportAblation(sc Scale, n int, lossRates []float64, lookups int, seed int64) []TransportAblationRow {
 	var rows []TransportAblationRow
 	for _, loss := range lossRates {
 		for _, reliable := range []bool{true, false} {
 			cfg := simnet.DefaultConfig()
+			if sc.Net != nil {
+				cfg = *sc.Net
+			}
 			cfg.LossRate = loss
 			tc := p2.DefaultTransportConfig()
 			tc.Unreliable = !reliable
-			h := harness.NewChord(harness.Opts{
-				N: n, Seed: seed, JoinSpacing: 0.5, Net: &cfg, Transport: &tc,
+			h := NewChord(ChordOpts{
+				N: n, Seed: seed, JoinSpacing: 0.5, Shards: sc.Shards, Net: &cfg, Transport: &tc,
 			})
-			h.Run(float64(n)*0.5 + 250)
+			h.D.Run(float64(n)*0.5 + 250)
 			row := TransportAblationRow{LossRate: loss, Reliable: reliable}
 			for i := 0; i < lookups; i++ {
 				lr := h.Lookup(h.RandomLiveAddr(), h.RandomKey())
-				h.Run(12)
+				h.D.Run(12)
 				row.Issued++
 				if lr.Done {
 					row.Completed++
 				}
 			}
 			rows = append(rows, row)
-			h.Close() // per ring: don't hold finished shard workers across iterations
+			h.D.Close() // per ring: don't hold finished shard workers across iterations
 		}
 	}
 	return rows

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"p2/internal/simnet"
 )
 
 // TestSuccessorAblation validates the paper's §5.2 criticism of
@@ -13,7 +15,7 @@ func TestSuccessorAblation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second simulation")
 	}
-	rows := RunSuccessorAblation(20, 0.25, []int{1, 4}, 5)
+	rows := RunSuccessorAblation(QuickScale(), 20, 0.25, []int{1, 4}, 5)
 	if len(rows) != 2 {
 		t.Fatal("missing rows")
 	}
@@ -41,7 +43,7 @@ func TestTransportAblation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second simulation")
 	}
-	rows := RunTransportAblation(16, []float64{0.15}, 25, 9)
+	rows := RunTransportAblation(QuickScale(), 16, []float64{0.15}, 25, 9)
 	if len(rows) != 2 {
 		t.Fatal("missing rows")
 	}
@@ -64,5 +66,28 @@ func TestTransportAblation(t *testing.T) {
 	PrintTransportAblation(&buf, rows)
 	if !strings.Contains(buf.String(), "reliable") {
 		t.Fatal("print malformed")
+	}
+}
+
+// TestAblationsUseScaleTopology runs both ablations on a topology whose
+// every link takes 10^4 virtual seconds, so no datagram arrives within
+// a run: no ring can form, and a lookup completes only where its
+// requester answers it alone (the landmark, whose ring is itself). An
+// ablation that built the default topology instead of sc.Net would
+// report a healed ring and nearly every lookup completed.
+func TestAblationsUseScaleTopology(t *testing.T) {
+	silent := simnet.DefaultConfig()
+	silent.IntraLatency, silent.InterLatency = 1e4, 1e4
+	sc := QuickScale()
+	sc.Net = &silent
+	for _, r := range RunSuccessorAblation(sc, 8, 0.25, []int{4}, 1) {
+		if r.RingCorrectness > 0 {
+			t.Errorf("succSize=%d: ring correctness %.2f on a network that delivers nothing", r.SuccSize, r.RingCorrectness)
+		}
+	}
+	for _, r := range RunTransportAblation(sc, 8, []float64{0}, 10, 1) {
+		if r.Completed > r.Issued/2 {
+			t.Errorf("reliable=%v: %d/%d lookups completed on a network that delivers nothing", r.Reliable, r.Completed, r.Issued)
+		}
 	}
 }

@@ -1,25 +1,4 @@
-// Package harness builds and measures Chord overlays for the
-// evaluation (§5): static rings for Figure 3, churned rings for
-// Figure 4, with the metrics the paper reports — lookup hop counts,
-// lookup latency, per-node maintenance bandwidth, and Bamboo-style
-// lookup consistency.
-//
-// The harness is a thin Chord-metrics layer over the public
-// p2.Deployment API: node placement, spawn/kill/replace routing through
-// the barrier control lane, churn scheduling, and per-address seed
-// derivation all belong to the Deployment; the harness adds only the
-// Chord-specific parts — landmark bootstrap facts, lookup issuance and
-// watch taps, traffic classification, and ring ground truth.
-//
-// Everything runs in virtual time, deterministically, on a Simulated
-// deployment of Opts.Shards parallel shards (1 = the sharded machinery
-// on the driver goroutine — the determinism baseline). A P-shard run
-// reports bit-identical metrics to the same seed at 1 shard
-// (TestShardedDeterminism enforces it): all randomness that shapes an
-// individual node derives from (Seed, address) alone, and the
-// harness-level rng only drives workload choices made between Run
-// calls (which node looks up which key).
-package harness
+package experiments
 
 import (
 	"fmt"
@@ -38,13 +17,13 @@ import (
 	"p2/internal/val"
 )
 
-// EnvShards is the environment variable CI uses to run the whole
-// simulation suite at a chosen shard count: any NewChord whose Opts
-// leave Shards at zero picks up its value.
-const EnvShards = "P2_SIM_SHARDS"
+// envShards is the environment variable CI uses to run the whole
+// simulation suite at a chosen shard count: any NewChord whose
+// ChordOpts leave Shards at zero picks up its value.
+const envShards = "P2_SIM_SHARDS"
 
-// Opts configures a Chord network build.
-type Opts struct {
+// ChordOpts configures a Chord network build.
+type ChordOpts struct {
 	N           int     // initial population
 	Seed        int64   // master seed
 	JoinSpacing float64 // seconds between node starts (default 0.5)
@@ -69,8 +48,8 @@ type Opts struct {
 	// defers to the P2_SIM_SHARDS environment variable (absent: 1).
 	Shards int
 	// KV layers the replicated key-value service (internal/kvs) onto
-	// every node's plan, so workload drivers can issue PUT/GET ops
-	// through the deployment's KV client.
+	// every node's plan, so RunKV can issue PUT/GET ops through the
+	// deployment's KV client.
 	KV bool
 }
 
@@ -79,7 +58,7 @@ func resolveShards(v int) int {
 		return v
 	}
 	if v == 0 {
-		if s := os.Getenv(EnvShards); s != "" {
+		if s := os.Getenv(envShards); s != "" {
 			if n, err := strconv.Atoi(s); err == nil && n >= 1 {
 				return n
 			}
@@ -108,17 +87,21 @@ func (lr *LookupResult) Latency() float64 {
 	return lr.Completed - lr.Issued
 }
 
-// Chord is a running Chord deployment under measurement.
+// Chord is a running Chord deployment under measurement: a thin
+// Chord-metrics layer over a simulated p2.Deployment. Node placement,
+// spawn/kill/replace routing through the barrier control lane, churn
+// scheduling, per-address seed derivation and the clock belong to the
+// Deployment, which callers drive through D; Chord adds only the
+// Chord-specific parts — landmark bootstrap facts, lookup issuance and
+// watch taps, traffic classification, and ring ground truth.
 type Chord struct {
-	// D is the underlying simulated deployment; tests reach through it
-	// for structural operations the harness does not wrap (Partition,
-	// DomainOf, ...).
+	// D is the underlying simulated deployment: Run, Now, Addrs, Node,
+	// Kill, Close and the structural operations (Partition,
+	// DomainOf, ...) are called on it directly.
 	D    *p2.Deployment
 	Plan *p2.Plan
 
-	opts      Opts
 	rng       *rand.Rand
-	created   []string // every address ever spawned, in creation order
 	landmark  string
 	nextID    int
 	lookupSeq int
@@ -140,7 +123,7 @@ type Chord struct {
 // NewChord builds (but does not yet run) a Chord network: nodes start
 // staggered on the virtual clock — through the deployment's barrier
 // control lane — and join through the first node.
-func NewChord(opts Opts) *Chord {
+func NewChord(opts ChordOpts) *Chord {
 	if opts.JoinSpacing <= 0 {
 		opts.JoinSpacing = 0.5
 	}
@@ -156,7 +139,7 @@ func NewChord(opts Opts) *Chord {
 	}
 	d, err := p2.NewDeployment(p2.Simulated, dopts...)
 	if err != nil {
-		panic(fmt.Sprintf("harness: deployment: %v", err))
+		panic(fmt.Sprintf("experiments: deployment: %v", err))
 	}
 	plan := overlays.ChordPlan
 	if opts.KV {
@@ -165,7 +148,6 @@ func NewChord(opts Opts) *Chord {
 	h := &Chord{
 		D:       d,
 		Plan:    plan(opts.Defines),
-		opts:    opts,
 		rng:     rand.New(rand.NewSource(opts.Seed)),
 		pending: make(map[string]*LookupResult),
 	}
@@ -198,13 +180,6 @@ func NewChord(opts Opts) *Chord {
 // scale tests are measured from here.
 func (h *Chord) JoinDeadline() float64 { return h.joinDeadline }
 
-// Close releases deployment resources (shard worker goroutines). The
-// harness must not be run afterwards.
-func (h *Chord) Close() { h.D.Close() }
-
-// Shards returns the shard count.
-func (h *Chord) Shards() int { return h.D.Shards() }
-
 // nextAddr mints the next node address. Driver only, so address
 // assignment — and everything derived from it: domain, shard, per-node
 // random streams — is deterministic.
@@ -221,9 +196,8 @@ func (h *Chord) nextAddr() string {
 func (h *Chord) spawn(addr string) *p2.Handle {
 	n, err := h.D.Spawn(addr, h.Plan)
 	if err != nil {
-		panic(fmt.Sprintf("harness: spawn %s: %v", addr, err))
+		panic(fmt.Sprintf("experiments: spawn %s: %v", addr, err))
 	}
-	h.created = append(h.created, addr)
 
 	if h.landmark == "" {
 		h.landmark = addr
@@ -285,39 +259,6 @@ func (h *Chord) spawn(addr string) *p2.Handle {
 	return n
 }
 
-// Spawn starts one additional node joining through the landmark — the
-// late-join entry point for tests and interactive drivers. Call from
-// the driver between Run invocations.
-func (h *Chord) Spawn() *p2.Handle { return h.spawn(h.nextAddr()) }
-
-// Node returns the live node at addr (nil if dead or unknown).
-func (h *Chord) Node(addr string) *p2.Handle { return h.D.Node(addr) }
-
-// LiveAddrs returns the addresses of running nodes in creation order —
-// the deployment's live set.
-func (h *Chord) LiveAddrs() []string { return h.D.Addrs() }
-
-// PlacementMap returns every created node's shard assignment — the
-// node→shard map cmd/p2sim dumps.
-func (h *Chord) PlacementMap() map[string]int {
-	out := make(map[string]int, len(h.created))
-	for _, a := range h.created {
-		out[a] = h.D.ShardOf(a)
-	}
-	return out
-}
-
-// Now returns the current virtual time.
-func (h *Chord) Now() float64 { return h.D.Now() }
-
-// Run advances virtual time by d seconds.
-func (h *Chord) Run(d float64) { h.RunEvents(d) }
-
-// RunEvents advances virtual time by d seconds and returns the number
-// of events fired — the simulator-throughput gauge the benchmarks
-// meter.
-func (h *Chord) RunEvents(d float64) int { return h.D.Run(d) }
-
 // Lookup issues one lookup for key from the given node and returns its
 // result record (filled in as the simulation progresses).
 func (h *Chord) Lookup(from string, key id.ID) *LookupResult {
@@ -327,7 +268,7 @@ func (h *Chord) Lookup(from string, key id.ID) *LookupResult {
 		EventID: eid,
 		Key:     key,
 		From:    from,
-		Issued:  h.Now(),
+		Issued:  h.D.Now(),
 	}
 	h.pending[eid] = lr
 	h.Results = append(h.Results, lr)
@@ -338,7 +279,7 @@ func (h *Chord) Lookup(from string, key id.ID) *LookupResult {
 
 // RandomLiveAddr picks a uniformly random live node.
 func (h *Chord) RandomLiveAddr() string {
-	live := h.LiveAddrs()
+	live := h.D.Addrs()
 	return live[h.rng.Intn(len(live))]
 }
 
@@ -347,17 +288,17 @@ func (h *Chord) RandomKey() id.ID { return id.Random(h.rng) }
 
 // IdealOwner computes the ground-truth successor of key among live
 // nodes — the node every consistent lookup should return. It delegates
-// to chordref.Owner, the shared oracle, so the harness and the fault
-// lab's differential checks can never drift apart.
+// to chordref.Owner, the shared oracle, so these experiments and the
+// fault lab's differential checks can never drift apart.
 func (h *Chord) IdealOwner(key id.ID) string {
-	return chordref.Owner(key, h.LiveAddrs())
+	return chordref.Owner(key, h.D.Addrs())
 }
 
 // RingCorrectness returns the fraction of live nodes whose bestSucc is
 // the true next live node on the identifier ring — the convergence
 // metric for static experiments.
 func (h *Chord) RingCorrectness() float64 {
-	live := h.LiveAddrs()
+	live := h.D.Addrs()
 	if len(live) == 0 {
 		return 0
 	}
@@ -406,24 +347,17 @@ func (h *Chord) ResetTraffic() {
 	h.D.ResetNetStats()
 }
 
-// Kill crash-stops the node at addr — process-crash semantics for
-// churn. Call from the driver between runs or from a barrier callback.
-func (h *Chord) Kill(addr string) { h.D.Kill(addr) }
-
 // StartChurn begins Bamboo-style churn: every node except the landmark
 // lives for an exponentially distributed session with the given mean,
 // then dies and is immediately replaced by a fresh node joining through
 // the landmark, keeping the population constant. Scheduling, session
-// derivation, and the kill itself belong to the deployment; the
-// harness only provisions each replacement.
+// derivation, and the kill itself belong to the deployment; Chord only
+// provisions each replacement. D.DisableChurn stops it.
 func (h *Chord) StartChurn(meanSession float64) {
 	h.D.EnableChurn(meanSession, func(d *p2.Deployment, died string) *p2.Handle {
 		return h.spawn(h.nextAddr())
 	}, h.landmark)
 }
-
-// StopChurn cancels scheduled deaths.
-func (h *Chord) StopChurn() { h.D.DisableChurn() }
 
 // ConsistencyProbe issues the same key lookup from sample random live
 // nodes at once and reports, after waiting timeout seconds, the
@@ -435,7 +369,7 @@ func (h *Chord) ConsistencyProbe(sample int, timeout float64) float64 {
 	key := h.RandomKey()
 	var results []*LookupResult
 	seen := make(map[string]bool)
-	live := h.LiveAddrs()
+	live := h.D.Addrs()
 	if sample > len(live) {
 		sample = len(live)
 	}
@@ -447,7 +381,7 @@ func (h *Chord) ConsistencyProbe(sample int, timeout float64) float64 {
 		seen[from] = true
 		results = append(results, h.Lookup(from, key))
 	}
-	h.Run(timeout)
+	h.D.Run(timeout)
 	counts := make(map[string]int)
 	for _, lr := range results {
 		if lr.Done {

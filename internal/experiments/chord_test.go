@@ -1,4 +1,4 @@
-package harness
+package experiments
 
 import (
 	"testing"
@@ -10,16 +10,16 @@ import (
 // reproduction: a real Chord ring, built purely by executing the
 // OverLog specification, converges to the ideal successor ring.
 func TestSmallRingConverges(t *testing.T) {
-	h := NewChord(Opts{N: 8, Seed: 42, JoinSpacing: 1})
-	h.Run(120)
+	h := NewChord(ChordOpts{N: 8, Seed: 42, JoinSpacing: 1})
+	h.D.Run(120)
 	if rc := h.RingCorrectness(); rc < 1.0 {
 		t.Fatalf("ring correctness = %.2f after 120 s, want 1.0", rc)
 	}
 }
 
 func TestLookupsResolveToIdealOwner(t *testing.T) {
-	h := NewChord(Opts{N: 10, Seed: 7, JoinSpacing: 1})
-	h.Run(150)
+	h := NewChord(ChordOpts{N: 10, Seed: 7, JoinSpacing: 1})
+	h.D.Run(150)
 	if rc := h.RingCorrectness(); rc < 1.0 {
 		t.Fatalf("ring not converged: %.2f", rc)
 	}
@@ -27,7 +27,7 @@ func TestLookupsResolveToIdealOwner(t *testing.T) {
 	for i := 0; i < total; i++ {
 		key := h.RandomKey()
 		lr := h.Lookup(h.RandomLiveAddr(), key)
-		h.Run(10)
+		h.D.Run(10)
 		if !lr.Done {
 			t.Fatalf("lookup %d never completed", i)
 		}
@@ -41,12 +41,12 @@ func TestLookupsResolveToIdealOwner(t *testing.T) {
 }
 
 func TestLookupHopsAreLogarithmic(t *testing.T) {
-	h := NewChord(Opts{N: 16, Seed: 3, JoinSpacing: 1})
-	h.Run(250) // let fingers populate
+	h := NewChord(ChordOpts{N: 16, Seed: 3, JoinSpacing: 1})
+	h.D.Run(250) // let fingers populate
 	totalHops, n := 0, 30
 	for i := 0; i < n; i++ {
 		lr := h.Lookup(h.RandomLiveAddr(), h.RandomKey())
-		h.Run(10)
+		h.D.Run(10)
 		if lr.Done {
 			totalHops += lr.Hops
 		}
@@ -59,10 +59,10 @@ func TestLookupHopsAreLogarithmic(t *testing.T) {
 }
 
 func TestMaintenanceTrafficFlowsAndClassifies(t *testing.T) {
-	h := NewChord(Opts{N: 5, Seed: 1, JoinSpacing: 1})
-	h.Run(60)
+	h := NewChord(ChordOpts{N: 5, Seed: 1, JoinSpacing: 1})
+	h.D.Run(60)
 	h.ResetTraffic()
-	h.Run(30)
+	h.D.Run(30)
 	lookupB, maintB := h.TrafficBytes()
 	if maintB == 0 {
 		t.Fatal("no maintenance traffic measured")
@@ -77,33 +77,33 @@ func TestMaintenanceTrafficFlowsAndClassifies(t *testing.T) {
 }
 
 func TestNodeFailureHealsRing(t *testing.T) {
-	h := NewChord(Opts{N: 8, Seed: 11, JoinSpacing: 1})
-	h.Run(120)
+	h := NewChord(ChordOpts{N: 8, Seed: 11, JoinSpacing: 1})
+	h.D.Run(120)
 	if h.RingCorrectness() < 1.0 {
 		t.Fatal("ring not converged before failure")
 	}
 	// Kill two non-landmark nodes.
-	live := h.LiveAddrs()
-	h.Kill(live[3])
-	h.Kill(live[5])
+	live := h.D.Addrs()
+	h.D.Kill(live[3])
+	h.D.Kill(live[5])
 	// Ring must re-converge among survivors within the failure
 	// detection + stabilization horizon.
-	h.Run(120)
+	h.D.Run(120)
 	if rc := h.RingCorrectness(); rc < 1.0 {
 		t.Fatalf("ring correctness after failures = %.2f", rc)
 	}
-	if got := len(h.LiveAddrs()); got != 6 {
+	if got := len(h.D.Addrs()); got != 6 {
 		t.Fatalf("live nodes = %d, want 6", got)
 	}
 }
 
 func TestLateJoinIntegrates(t *testing.T) {
-	h := NewChord(Opts{N: 6, Seed: 5, JoinSpacing: 1})
-	h.Run(100)
-	before := len(h.LiveAddrs())
-	h.Spawn()
-	h.Run(90)
-	if len(h.LiveAddrs()) != before+1 {
+	h := NewChord(ChordOpts{N: 6, Seed: 5, JoinSpacing: 1})
+	h.D.Run(100)
+	before := len(h.D.Addrs())
+	h.spawn(h.nextAddr())
+	h.D.Run(90)
+	if len(h.D.Addrs()) != before+1 {
 		t.Fatal("late joiner not live")
 	}
 	if rc := h.RingCorrectness(); rc < 1.0 {
@@ -112,8 +112,8 @@ func TestLateJoinIntegrates(t *testing.T) {
 }
 
 func TestConsistencyProbeOnStableRing(t *testing.T) {
-	h := NewChord(Opts{N: 10, Seed: 9, JoinSpacing: 1})
-	h.Run(150)
+	h := NewChord(ChordOpts{N: 10, Seed: 9, JoinSpacing: 1})
+	h.D.Run(150)
 	frac := h.ConsistencyProbe(5, 10)
 	if frac < 1.0 {
 		t.Fatalf("stable ring consistency = %.2f, want 1.0", frac)
@@ -121,12 +121,12 @@ func TestConsistencyProbeOnStableRing(t *testing.T) {
 }
 
 func TestChurnKeepsPopulationConstant(t *testing.T) {
-	h := NewChord(Opts{N: 10, Seed: 13, JoinSpacing: 0.5})
-	h.Run(60)
+	h := NewChord(ChordOpts{N: 10, Seed: 13, JoinSpacing: 0.5})
+	h.D.Run(60)
 	h.StartChurn(30) // aggressive: mean 30 s sessions
-	h.Run(120)
-	h.StopChurn()
-	if got := len(h.LiveAddrs()); got != 10 {
+	h.D.Run(120)
+	h.D.DisableChurn()
+	if got := len(h.D.Addrs()); got != 10 {
 		t.Fatalf("population under churn = %d, want 10", got)
 	}
 	// Under extreme churn some lookups may fail, but the system must
@@ -138,13 +138,13 @@ func TestChurnKeepsPopulationConstant(t *testing.T) {
 }
 
 func TestIdealOwnerWraps(t *testing.T) {
-	h := NewChord(Opts{N: 4, Seed: 2, JoinSpacing: 0.1})
-	h.Run(10)
+	h := NewChord(ChordOpts{N: 4, Seed: 2, JoinSpacing: 0.1})
+	h.D.Run(10)
 	// A key greater than every node ID wraps to the smallest.
 	maxID := id.Zero
 	var minAddr string
 	minID := id.Zero.Sub(id.One)
-	for _, a := range h.LiveAddrs() {
+	for _, a := range h.D.Addrs() {
 		nid := id.Hash(a)
 		if maxID.Less(nid) {
 			maxID = nid

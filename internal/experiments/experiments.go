@@ -1,10 +1,22 @@
-// Package experiments regenerates every figure and quantified claim in
-// the paper's evaluation section (§5). Each Fig* function runs the
-// workload the paper describes and returns the series it plots;
-// cmd/p2sim prints them and bench_test.go wraps them as benchmarks.
+// Package experiments is the simulated-measurement driver: every
+// figure and quantified claim of the paper's evaluation section (§5),
+// the ablations, the memory-footprint gauge and the open-loop lookup
+// and KV workloads, all built on Chord, one measurement layer over a
+// simulated p2.Deployment. Each Fig* function runs the workload the
+// paper describes and returns the series it plots; cmd/p2sim prints
+// them and bench_test.go wraps them as benchmarks.
 //
 // Scale presets let the same code run at paper scale (100-500 nodes,
 // 20-minute churn runs) or at smoke-test scale for CI.
+//
+// Everything runs in virtual time, deterministically, on a Simulated
+// deployment of ChordOpts.Shards parallel shards (1 = the sharded
+// machinery on the driver goroutine — the determinism baseline). A
+// P-shard run reports bit-identical metrics to the same seed at 1
+// shard (TestShardedDeterminism enforces it): all randomness that
+// shapes an individual node derives from (Seed, address) alone, and
+// the drivers' own rngs only drive workload choices made between Run
+// calls or at barriers (which node looks up which key).
 package experiments
 
 import (
@@ -13,8 +25,7 @@ import (
 	"math"
 	"sort"
 
-	"p2/internal/harness"
-	"p2/internal/id"
+	"p2/internal/chordref"
 	"p2/internal/overlays"
 	"p2/internal/overlog"
 	"p2/internal/simnet"
@@ -37,13 +48,15 @@ type Scale struct {
 	Probes        int       // consistency probes per session time
 	ProbeSample   int       // simultaneous lookups per probe
 	ProbeTimeout  float64
-	// Execution (orthogonal to sizing): harness shard count. >= 1 runs
-	// each network across that many parallel event-loop shards; 0
-	// defers to P2_SIM_SHARDS (cmd/p2sim sets it from -shards).
+	// Execution (orthogonal to sizing): shard count of every network
+	// the scale builds. >= 1 runs each network across that many
+	// parallel event-loop shards; 0 defers to P2_SIM_SHARDS (cmd/p2sim
+	// sets it from -shards).
 	Shards int
-	// Net overrides the network topology for every harness the scale
-	// builds; nil keeps the paper's default GT-ITM-style configuration
-	// (cmd/p2sim sets it from -topology).
+	// Net overrides the network topology of every network the scale
+	// builds, ablations and footprint rings included; nil keeps the
+	// paper's default GT-ITM-style configuration (cmd/p2sim sets it
+	// from -topology).
 	Net *simnet.Config
 }
 
@@ -113,7 +126,7 @@ func NewCDF(samples []float64) CDF {
 // smallest sample at or above which lie at least p of the samples, the
 // ceil(p·n)-th in sorted order (p=0 gives the minimum). NaN when there
 // are no samples. This is the one percentile outside the benchmark rig;
-// the workload reports use it too.
+// the open-loop reports use it too.
 func (c CDF) Percentile(p float64) float64 {
 	if len(c) == 0 {
 		return math.NaN()
@@ -174,15 +187,15 @@ func RunFig3(sc Scale, seed int64) *Fig3Result {
 }
 
 func runStaticSize(sc Scale, n int, seed int64) *StaticSizeResult {
-	h := harness.NewChord(harness.Opts{N: n, Seed: seed, JoinSpacing: sc.JoinSpacing, Shards: sc.Shards, Net: sc.Net})
-	defer h.Close()
-	h.Run(float64(n)*sc.JoinSpacing + sc.SettleTime)
+	h := NewChord(ChordOpts{N: n, Seed: seed, JoinSpacing: sc.JoinSpacing, Shards: sc.Shards, Net: sc.Net})
+	defer h.D.Close()
+	h.D.Run(float64(n)*sc.JoinSpacing + sc.SettleTime)
 
 	out := &StaticSizeResult{N: n, HopHist: make(map[int]int)}
 
 	// Idle maintenance-bandwidth window (Figure 3ii): no lookups.
 	h.ResetTraffic()
-	h.Run(sc.MeasureTime)
+	h.D.Run(sc.MeasureTime)
 	_, maint := h.TrafficBytes()
 	out.MaintBPSPerNode = float64(maint) / float64(n) / sc.MeasureTime
 
@@ -192,7 +205,7 @@ func runStaticSize(sc Scale, n int, seed int64) *StaticSizeResult {
 	for i := 0; i < sc.Lookups; i++ {
 		key := h.RandomKey()
 		lr := h.Lookup(h.RandomLiveAddr(), key)
-		h.Run(sc.LookupWait)
+		h.D.Run(sc.LookupWait)
 		out.Issued++
 		if lr.Done {
 			out.Completed++
@@ -244,14 +257,14 @@ func RunFig4(sc Scale, seed int64) *Fig4Result {
 }
 
 func runChurnSession(sc Scale, sessMin float64, seed int64) *ChurnSessionResult {
-	h := harness.NewChord(harness.Opts{N: sc.ChurnN, Seed: seed, JoinSpacing: sc.JoinSpacing, Shards: sc.Shards, Net: sc.Net})
-	defer h.Close()
-	h.Run(float64(sc.ChurnN)*sc.JoinSpacing + sc.SettleTime)
+	h := NewChord(ChordOpts{N: sc.ChurnN, Seed: seed, JoinSpacing: sc.JoinSpacing, Shards: sc.Shards, Net: sc.Net})
+	defer h.D.Close()
+	h.D.Run(float64(sc.ChurnN)*sc.JoinSpacing + sc.SettleTime)
 
 	out := &ChurnSessionResult{SessionMin: sessMin}
 	h.StartChurn(sessMin * 60)
 	h.ResetTraffic()
-	start := h.Now()
+	start := h.D.Now()
 
 	// Interleave consistency probes across the churn window; each
 	// probe advances the clock by its timeout, churn running throughout.
@@ -265,13 +278,13 @@ func runChurnSession(sc Scale, sessMin float64, seed int64) *ChurnSessionResult 
 	}
 	for i := 0; i < sc.Probes; i++ {
 		fracs = append(fracs, h.ConsistencyProbe(sc.ProbeSample, sc.ProbeTimeout))
-		h.Run(gap)
+		h.D.Run(gap)
 	}
-	if rem := sc.ChurnDuration - (h.Now() - start); rem > 0 {
-		h.Run(rem)
+	if rem := sc.ChurnDuration - (h.D.Now() - start); rem > 0 {
+		h.D.Run(rem)
 	}
-	elapsed := h.Now() - start
-	h.StopChurn()
+	elapsed := h.D.Now() - start
+	h.D.DisableChurn()
 
 	_, maint := h.TrafficBytes()
 	out.MaintBPSPerNode = float64(maint) / float64(sc.ChurnN) / elapsed
@@ -307,7 +320,7 @@ func SpecComplexity() Complexity {
 		ChordRules:     chord.RuleCount() + len(chord.Facts),
 		ChordTables:    len(chord.Materialize),
 		NaradaRules:    narada.RuleCount(),
-		HandcodedLines: handcodedLines(),
+		HandcodedLines: chordref.SourceLines(),
 	}
 }
 
@@ -418,13 +431,4 @@ func (c Complexity) Print(w io.Writer) {
 	fmt.Fprintf(w, "%-34s %d rules (+%d tables)\n", "Chord in OverLog:", c.ChordRules, c.ChordTables)
 	fmt.Fprintf(w, "%-34s %d rules\n", "Narada mesh in OverLog:", c.NaradaRules)
 	fmt.Fprintf(w, "%-34s %d lines of Go\n", "Hand-coded Chord (internal/chordref):", c.HandcodedLines)
-}
-
-// key sanity: a random workload helper used by tests.
-func randomKeys(n int, seed int64) []id.ID {
-	keys := make([]id.ID, n)
-	for i := range keys {
-		keys[i] = id.Hash(fmt.Sprintf("key-%d-%d", seed, i))
-	}
-	return keys
 }

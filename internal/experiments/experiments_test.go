@@ -180,7 +180,7 @@ func TestMemoryFootprint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("heap measurement")
 	}
-	fp := MeasureFootprint(8, 60)
+	fp := MeasureFootprint(QuickScale(), 8, 60)
 	if fp.BytesPerNode == 0 {
 		t.Fatal("no footprint measured")
 	}
@@ -188,14 +188,5 @@ func TestMemoryFootprint(t *testing.T) {
 	// the same order of magnitude (well under 8 MB).
 	if fp.BytesPerNode > 8<<20 {
 		t.Fatalf("footprint %d bytes/node is beyond the same order of magnitude as 800 kB", fp.BytesPerNode)
-	}
-}
-
-func TestRandomKeysDeterministic(t *testing.T) {
-	a, b := randomKeys(5, 1), randomKeys(5, 1)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("keys must be deterministic per seed")
-		}
 	}
 }

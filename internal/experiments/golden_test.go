@@ -12,7 +12,7 @@ var update = flag.Bool("update", false, "rewrite every golden under testdata/")
 // checkGolden compares got with testdata/name byte for byte. After an
 // intended change of output, rewrite the goldens with
 //
-//	go test ./internal/experiments -run 'Quick|Workload' -update
+//	go test ./internal/experiments -run 'Quick|Workload|AcrossShards' -update
 func checkGolden(t *testing.T, name, got string) {
 	t.Helper()
 	path := filepath.Join("testdata", name)

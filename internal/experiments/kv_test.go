@@ -1,11 +1,9 @@
-package workload
+package experiments
 
 import (
 	"fmt"
 	"os"
 	"testing"
-
-	"p2/internal/harness"
 )
 
 // TestKVWorkload drives the open-loop PUT/GET mix against a converged
@@ -13,14 +11,14 @@ import (
 // completes, latencies are ordered, and staleness stays marginal on a
 // static ring.
 func TestKVWorkload(t *testing.T) {
-	h := harness.NewChord(harness.Opts{N: 32, Seed: 1, JoinSpacing: 0.1, KV: true})
-	defer h.Close()
-	h.Run(32*0.1 + 200)
+	h := NewChord(ChordOpts{N: 32, Seed: 1, JoinSpacing: 0.1, KV: true})
+	defer h.D.Close()
+	h.D.Run(32*0.1 + 200)
 	if rc := h.RingCorrectness(); rc < 1.0 {
 		t.Fatalf("ring correctness %.2f before workload", rc)
 	}
 
-	rep := RunKV(h, KVOpts{Rate: 10, Duration: 20, Seed: 7})
+	rep := RunKV(h, KVOpts{LookupOpts: LookupOpts{Rate: 10, Duration: 20, Seed: 7}})
 	checkGolden(t, "kv.txt", fmt.Sprintf("%+v\n", rep))
 	issued := rep.PutsIssued + rep.GetsIssued
 	if issued < 150 || issued > 250 {
@@ -52,10 +50,10 @@ func TestKVWorkload(t *testing.T) {
 // shards.
 func TestKVWorkloadDeterministicAcrossShards(t *testing.T) {
 	run := func(shards int) string {
-		h := harness.NewChord(harness.Opts{N: 24, Seed: 3, JoinSpacing: 0.1, Shards: shards, KV: true})
-		defer h.Close()
-		h.Run(24*0.1 + 120)
-		rep := RunKV(h, KVOpts{Rate: 5, Duration: 10, Seed: 11})
+		h := NewChord(ChordOpts{N: 24, Seed: 3, JoinSpacing: 0.1, Shards: shards, KV: true})
+		defer h.D.Close()
+		h.D.Run(24*0.1 + 120)
+		rep := RunKV(h, KVOpts{LookupOpts: LookupOpts{Rate: 5, Duration: 10, Seed: 11}})
 		return fmt.Sprintf("%+v", rep)
 	}
 	a, b := run(1), run(4)
@@ -85,15 +83,15 @@ func TestChurnedWorkloadSoak(t *testing.T) {
 		n, rate, dur, session = 1000, 50.0, 60.0, 1200.0
 	}
 	run := func(shards int) (KVReport, string) {
-		h := harness.NewChord(harness.Opts{
+		h := NewChord(ChordOpts{
 			N: n, Seed: 5, JoinSpacing: 0.05, JoinRamp: n >= 256,
 			KV: true, Shards: shards,
 		})
-		defer h.Close()
-		h.Run(h.JoinDeadline() + 120)
+		defer h.D.Close()
+		h.D.Run(h.JoinDeadline() + 120)
 		h.StartChurn(session)
-		rep := RunKV(h, KVOpts{Rate: rate, Duration: dur, Seed: 9})
-		h.StopChurn()
+		rep := RunKV(h, KVOpts{LookupOpts: LookupOpts{Rate: rate, Duration: dur, Seed: 9}})
+		h.D.DisableChurn()
 		return rep, fmt.Sprintf("%+v", rep)
 	}
 	repA, a := run(1)

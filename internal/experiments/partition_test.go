@@ -1,4 +1,4 @@
-package harness
+package experiments
 
 import (
 	"testing"
@@ -12,12 +12,12 @@ func TestPartitionDegradesAndHeals(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second simulation")
 	}
-	h := NewChord(Opts{N: 10, Seed: 17, JoinSpacing: 1})
-	h.Run(150)
+	h := NewChord(ChordOpts{N: 10, Seed: 17, JoinSpacing: 1})
+	h.D.Run(150)
 	if h.RingCorrectness() < 1.0 {
 		t.Fatal("not converged")
 	}
-	live := h.LiveAddrs()
+	live := h.D.Addrs()
 	groupA, groupB := live[:5], live[5:]
 	cut := func(on bool) {
 		for _, a := range groupA {
@@ -27,7 +27,7 @@ func TestPartitionDegradesAndHeals(t *testing.T) {
 		}
 	}
 	cut(true)
-	h.Run(120) // failure detectors fire, ring reorganizes per side
+	h.D.Run(120) // failure detectors fire, ring reorganizes per side
 
 	// Lookups issued inside one partition must not resolve to owners on
 	// the other side.
@@ -35,7 +35,7 @@ func TestPartitionDegradesAndHeals(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		from := groupA[i%len(groupA)]
 		lr := h.Lookup(from, h.RandomKey())
-		h.Run(12)
+		h.D.Run(12)
 		if lr.Done {
 			for _, b := range groupB {
 				if lr.Owner == b {
@@ -52,7 +52,7 @@ func TestPartitionDegradesAndHeals(t *testing.T) {
 	// Healing requires re-join (partition-side rings must re-merge);
 	// C6/C7 re-join through the landmark plus stabilization gossip do
 	// this within a few cycles.
-	h.Run(300)
+	h.D.Run(300)
 	if rc := h.RingCorrectness(); rc < 0.8 {
 		t.Fatalf("ring correctness after heal = %.2f", rc)
 	}
@@ -60,7 +60,7 @@ func TestPartitionDegradesAndHeals(t *testing.T) {
 	done := 0
 	for i := 0; i < 10; i++ {
 		lr := h.Lookup(h.RandomLiveAddr(), h.RandomKey())
-		h.Run(12)
+		h.D.Run(12)
 		if lr.Done {
 			done++
 		}

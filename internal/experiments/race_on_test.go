@@ -1,6 +1,6 @@
 //go:build race
 
-package harness
+package experiments
 
 // raceEnabled mirrors the -race build tag. The 512-node determinism
 // soak skips under the race detector — its 64-node sibling exercises

@@ -1,4 +1,4 @@
-package workload
+package experiments
 
 import (
 	"fmt"
@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"testing"
 
-	"p2/internal/harness"
 	"p2/internal/simnet"
 )
 
@@ -36,14 +35,14 @@ func TestScale10k(t *testing.T) {
 	}
 
 	wan := simnet.TransitStubWAN(8, 4, 17)
-	h := harness.NewChord(harness.Opts{N: n, Seed: 1, JoinSpacing: 0.01,
+	h := NewChord(ChordOpts{N: n, Seed: 1, JoinSpacing: 0.01,
 		JoinRamp: true, Net: &wan})
-	defer h.Close()
+	defer h.D.Close()
 
 	// Ramped build (4%/s growth, capped at 100 joins/s) keeps every
 	// prefix of the ring converged; the settle window then only has to
 	// absorb the tail of in-flight stabilization.
-	h.Run(h.JoinDeadline() + 120)
+	h.D.Run(h.JoinDeadline() + 120)
 	// Converged means the successor graph is the true ring for (almost)
 	// every node; at 10k a handful of stragglers mid-stabilization are
 	// tolerated, total wedging is not.
@@ -51,7 +50,7 @@ func TestScale10k(t *testing.T) {
 		t.Fatalf("ring correctness %.4f after build+settle; deployment did not converge", rc)
 	}
 
-	rep := Run(h, Opts{Rate: 100, Duration: 60, Seed: 2})
+	rep := RunLookups(h, LookupOpts{Rate: 100, Duration: 60, Seed: 2})
 	if rep.Issued == 0 {
 		t.Fatal("workload issued nothing")
 	}

@@ -1,4 +1,4 @@
-package harness
+package experiments
 
 import (
 	"fmt"
@@ -7,7 +7,7 @@ import (
 	"p2/internal/simnet"
 )
 
-// chordSummary captures every harness metric the paper's figures are
+// chordSummary captures every Chord metric the paper's figures are
 // built from, rendered to exact (bit-comparable) values.
 type chordSummary struct {
 	events      int
@@ -24,26 +24,26 @@ type chordSummary struct {
 // shard count and summarizes the metrics. A nil net runs the paper
 // topology; otherwise the given one (the WAN determinism test).
 func runShardedWorkload(n, shards int, seed int64, spacing float64, churn bool, net *simnet.Config) chordSummary {
-	h := NewChord(Opts{N: n, Seed: seed, JoinSpacing: spacing, Shards: shards, Net: net})
-	defer h.Close()
-	h.Run(float64(n)*spacing + 15)
+	h := NewChord(ChordOpts{N: n, Seed: seed, JoinSpacing: spacing, Shards: shards, Net: net})
+	defer h.D.Close()
+	h.D.Run(float64(n)*spacing + 15)
 
 	h.ResetTraffic()
 	for i := 0; i < 20; i++ {
 		h.Lookup(h.RandomLiveAddr(), h.RandomKey())
-		h.Run(0.75)
+		h.D.Run(0.75)
 	}
-	events := h.RunEvents(10)
+	events := h.D.Run(10)
 
 	if churn {
 		h.StartChurn(45)
-		h.Run(15)
-		h.StopChurn()
+		h.D.Run(15)
+		h.D.DisableChurn()
 		for i := 0; i < 10; i++ {
 			h.Lookup(h.RandomLiveAddr(), h.RandomKey())
-			h.Run(0.75)
+			h.D.Run(0.75)
 		}
-		h.Run(10)
+		h.D.Run(10)
 	}
 
 	lb, mb := h.TrafficBytes()
@@ -52,14 +52,23 @@ func runShardedWorkload(n, shards int, seed int64, spacing float64, churn bool, 
 		ring:        h.RingCorrectness(),
 		lookupBytes: lb,
 		maintBytes:  mb,
-		live:        len(h.LiveAddrs()),
-		placement:   h.PlacementMap(),
+		live:        len(h.D.Addrs()),
+		placement:   placementOf(h),
 	}
 	for _, lr := range h.Results {
 		s.lookups = append(s.lookups, fmt.Sprintf("%s %s->%s done=%v hops=%d t=%.9f",
 			lr.EventID, lr.From, lr.Owner, lr.Done, lr.Hops, lr.Completed))
 	}
 	return s
+}
+
+// placementOf maps every live node of h to its shard.
+func placementOf(h *Chord) map[string]int {
+	out := make(map[string]int)
+	for _, a := range h.D.Addrs() {
+		out[a] = h.D.ShardOf(a)
+	}
+	return out
 }
 
 func diffSummaries(t *testing.T, label string, a, b chordSummary) {
@@ -89,7 +98,7 @@ func diffSummaries(t *testing.T, label string, a, b chordSummary) {
 
 // TestShardedDeterminism is the tentpole guarantee at working scale: a
 // 64-node Chord run — including churn, whose kills and replacements are
-// barrier work — reports bit-identical harness metrics at 1, 3, and 4
+// barrier work — reports bit-identical Chord metrics at 1, 3, and 4
 // shards under the same seed.
 func TestShardedDeterminism(t *testing.T) {
 	base := runShardedWorkload(64, 1, 42, 0.05, true, nil)
@@ -140,10 +149,10 @@ func TestShardedDeterminism512(t *testing.T) {
 // a domain lands on shard = domain mod P, so intra-domain chatter never
 // crosses a shard boundary.
 func TestShardedPlacementByDomain(t *testing.T) {
-	h := NewChord(Opts{N: 24, Seed: 3, JoinSpacing: 0.01, Shards: 4})
-	defer h.Close()
-	h.Run(5)
-	pm := h.PlacementMap()
+	h := NewChord(ChordOpts{N: 24, Seed: 3, JoinSpacing: 0.01, Shards: 4})
+	defer h.D.Close()
+	h.D.Run(5)
+	pm := placementOf(h)
 	if len(pm) != 24 {
 		t.Fatalf("placement has %d entries, want 24", len(pm))
 	}
@@ -159,21 +168,21 @@ func TestShardedPlacementByDomain(t *testing.T) {
 // sharded mode: kills and replacements through the barrier lane keep
 // the population constant and the ring functional.
 func TestShardedChurnKeepsPopulation(t *testing.T) {
-	h := NewChord(Opts{N: 16, Seed: 11, JoinSpacing: 0.2, Shards: 3})
-	defer h.Close()
-	h.Run(60)
+	h := NewChord(ChordOpts{N: 16, Seed: 11, JoinSpacing: 0.2, Shards: 3})
+	defer h.D.Close()
+	h.D.Run(60)
 	h.StartChurn(30)
-	h.Run(90)
-	h.StopChurn()
-	if got := len(h.LiveAddrs()); got != 16 {
+	h.D.Run(90)
+	h.D.DisableChurn()
+	if got := len(h.D.Addrs()); got != 16 {
 		t.Fatalf("live population %d, want 16", got)
 	}
 	if h.nextID <= 16 {
 		t.Fatal("churn never replaced a node")
 	}
-	h.Run(60)
+	h.D.Run(60)
 	lr := h.Lookup(h.RandomLiveAddr(), h.RandomKey())
-	h.Run(10)
+	h.D.Run(10)
 	if !lr.Done {
 		t.Fatal("post-churn lookup failed")
 	}

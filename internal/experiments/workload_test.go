@@ -1,10 +1,9 @@
-package workload
+package experiments
 
 import (
 	"fmt"
 	"testing"
 
-	"p2/internal/harness"
 	"p2/internal/simnet"
 )
 
@@ -13,14 +12,14 @@ import (
 // everything completes, percentiles are ordered, and hop counts sit in
 // the O(log N) band.
 func TestOpenLoopWorkload(t *testing.T) {
-	h := harness.NewChord(harness.Opts{N: 32, Seed: 1, JoinSpacing: 0.1})
-	defer h.Close()
-	h.Run(32*0.1 + 200)
+	h := NewChord(ChordOpts{N: 32, Seed: 1, JoinSpacing: 0.1})
+	defer h.D.Close()
+	h.D.Run(32*0.1 + 200)
 	if rc := h.RingCorrectness(); rc < 1.0 {
 		t.Fatalf("ring correctness %.2f before workload", rc)
 	}
 
-	rep := Run(h, Opts{Rate: 10, Duration: 20, Seed: 7})
+	rep := RunLookups(h, LookupOpts{Rate: 10, Duration: 20, Seed: 7})
 	checkGolden(t, "openloop.txt", fmt.Sprintf("%+v\n", rep))
 	if rep.Issued < 150 || rep.Issued > 250 {
 		t.Fatalf("issued %d lookups; a rate-10 20s Poisson window should land near 200", rep.Issued)
@@ -43,16 +42,16 @@ func TestOpenLoopWorkload(t *testing.T) {
 }
 
 // TestOpenLoopDeterministicAcrossShards pins the driver to the same
-// bit-identity discipline as the harness: the same seed must produce
+// bit-identity discipline as Chord itself: the same seed must produce
 // the same report — every count and every percentile — at 1 and 4
 // shards, on the WAN topology.
 func TestOpenLoopDeterministicAcrossShards(t *testing.T) {
 	run := func(shards int) string {
 		wan := simnet.TransitStubWAN(3, 3, 5)
-		h := harness.NewChord(harness.Opts{N: 24, Seed: 3, JoinSpacing: 0.1, Shards: shards, Net: &wan})
-		defer h.Close()
-		h.Run(24*0.1 + 60)
-		rep := Run(h, Opts{Rate: 5, Duration: 10, Seed: 11})
+		h := NewChord(ChordOpts{N: 24, Seed: 3, JoinSpacing: 0.1, Shards: shards, Net: &wan})
+		defer h.D.Close()
+		h.D.Run(24*0.1 + 60)
+		rep := RunLookups(h, LookupOpts{Rate: 5, Duration: 10, Seed: 11})
 		return fmt.Sprintf("%+v", rep)
 	}
 	a, b := run(1), run(4)

@@ -2,7 +2,7 @@ package overlays
 
 // Functional tests: each shipped overlay actually *runs* and exhibits
 // its defining behaviour on the simulated network. The Chord overlay
-// has its own deeper suite in internal/harness.
+// has its own deeper suite in internal/experiments.
 
 import (
 	"fmt"

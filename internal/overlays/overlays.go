@@ -21,7 +21,7 @@
 //     L2 uses.
 //   - Timer constants are defines (the paper does not publish its
 //     values): the settings every run uses are the define lines below,
-//     overridden per deployment through harness.Opts.Defines where an
+//     overridden per deployment through experiments.ChordOpts.Defines where an
 //     experiment varies one (the successor-list ablation's succSize).
 package overlays
 

@@ -26,24 +26,24 @@ type dfClock struct{ now float64 }
 
 func (c *dfClock) Now() float64 { return c.now }
 
-func joinFixture(rows, fanout int, filters ...*pel.Program) (*Join, *table.Table) {
+func joinFixture(rows, fanout int, filters ...*pel.Program) (*Join, *Ctx) {
 	tb := table.New("t", table.Infinity, 0, []int{0, 1}, &dfClock{})
 	for i := 0; i < rows; i++ {
 		tb.Insert(tuple.New("t",
 			val.Str(fmt.Sprintf("addr%d", i%(rows/fanout))), val.Int(int64(i)), val.Int(int64(i*3))))
 	}
-	j := NewJoin(tb, []int{0}, []int{0}, filters, nil, &pel.Env{}, "w", new(Scratch))
+	j := NewJoin(0, []int{0}, filters, nil, "w")
 	j.Connect(discard())
-	return j, tb
+	return j, node(&pel.Env{}, nil, tb.EnsureIndex([]int{0}))
 }
 
 // TestJoinPushAllocBudget pins the equijoin at zero allocations per
 // event, emitted matches included: each is a working tuple in scratch.
 func TestJoinPushAllocBudget(t *testing.T) {
-	j, _ := joinFixture(64, 8)
+	j, c := joinFixture(64, 8)
 	event := tuple.New("e", val.Str("addr3"), val.Str("payload"))
 	allocs := testing.AllocsPerRun(200, func() {
-		j.Push(event)
+		j.Push(c, event)
 	})
 	if allocs != 0 {
 		t.Fatalf("Join.Push allocated %.1f per event (8 matches), want 0", allocs)
@@ -54,23 +54,23 @@ func TestJoinPushAllocBudget(t *testing.T) {
 // the head's two allocations per head derived: the intermediate joined
 // tuples live in the shared scratch.
 func TestStrandAllocatesOnlyTheHead(t *testing.T) {
-	sc := new(Scratch)
 	tb := table.New("t", table.Infinity, 0, []int{0, 1}, &dfClock{})
 	for i := 0; i < 4; i++ {
 		tb.Insert(tuple.New("t", val.Str("a"), val.Int(int64(i))))
 	}
 	// e(a) ++ t(a, i) ++ t(a, j): 16 heads h(i, j) per event.
-	j1 := NewJoin(tb, []int{0}, []int{0}, nil, nil, nil, "w", sc)
-	j2 := NewJoin(tb, []int{0}, []int{0}, nil, nil, nil, "w", sc)
-	head := NewProject("h", []*pel.Program{fieldProg(2), fieldProg(4)}, &pel.Env{})
+	j1 := NewJoin(0, []int{0}, nil, nil, "w")
+	j2 := NewJoin(0, []int{0}, nil, nil, "w")
+	head := NewProject("h", []*pel.Program{fieldProg(2), fieldProg(4)}, 0)
 	heads := 0
 	j1.Connect(j2)
 	j2.Connect(head)
-	head.Connect(NewSink(func(*tuple.Tuple) { heads++ }))
+	c := node(&pel.Env{}, nil, tb.EnsureIndex([]int{0}))
+	c.Deliver = func(int, *tuple.Tuple) { heads++ }
 	event := tuple.New("e", val.Str("a"))
 	allocs := testing.AllocsPerRun(100, func() {
 		heads = 0
-		j1.Push(event)
+		j1.Push(c, event)
 	})
 	if heads != 16 || allocs != 2*16 {
 		t.Fatalf("Join → Join → Project allocated %.1f per event for %d heads, want 2 per head", allocs, heads)
@@ -83,10 +83,11 @@ func TestMultiAssignPushZeroAlloc(t *testing.T) {
 	ma := NewMultiAssign([]*pel.Program{
 		pel.NewBuilder().Field(1).Const(val.Int(10)).Op(pel.OpAdd).Build(),
 		pel.NewBuilder().Field(2).Const(val.Int(2)).Op(pel.OpMul).Build(),
-	}, &pel.Env{}, new(Scratch))
+	})
 	ma.Connect(discard())
+	c := node(&pel.Env{}, nil)
 	in := tuple.New("e", val.Str("n"), val.Int(5))
-	if allocs := testing.AllocsPerRun(200, func() { ma.Push(in) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(200, func() { ma.Push(c, in) }); allocs != 0 {
 		t.Fatalf("MultiAssign.Push allocated %.1f/op, want 0", allocs)
 	}
 }
@@ -103,14 +104,13 @@ func TestFoldJoinFlushAllocatesOnlyTheHead(t *testing.T) {
 	// evt(X, V) ++ dist(X, D, U): min over V - D where D < V.
 	in := pel.NewBuilder().Field(3).Field(1).Op(pel.OpLt).Build()
 	gap := pel.NewBuilder().Field(1).Field(3).Op(pel.OpSub).Build()
-	f := NewFoldJoin(tb, []int{0}, []int{0}, AggMin, gap, []*pel.Program{in}, []int{1}, &pel.Env{}, new(Scratch))
-	head := NewProject("h", []*pel.Program{fieldProg(0), fieldProg(2)}, &pel.Env{})
-	f.Connect(head)
-	head.Connect(discard())
+	f := NewFoldJoin(0, []int{0}, AggMin, gap, []*pel.Program{in}, []int{1}, 0)
+	f.Connect(NewProject("h", []*pel.Program{fieldProg(0), fieldProg(2)}, 0))
+	c := node(&pel.Env{}, nil, tb.EnsureIndex([]int{0}))
 	ev := tuple.New("evt", val.Str("n1"), val.Int(3))
 	allocs := testing.AllocsPerRun(200, func() {
-		f.Push(ev)
-		f.Flush(ev)
+		f.Push(c, ev)
+		f.Flush(c, ev)
 	})
 	if allocs != 2 {
 		t.Fatalf("FoldJoin Push+Flush into Project allocated %.1f per event, want 2 (the head)", allocs)
@@ -120,10 +120,10 @@ func TestFoldJoinFlushAllocatesOnlyTheHead(t *testing.T) {
 // TestJoinPushMissZeroAlloc pins the no-match probe — the common case
 // on sparse indices — at zero allocations.
 func TestJoinPushMissZeroAlloc(t *testing.T) {
-	j, _ := joinFixture(64, 8)
+	j, c := joinFixture(64, 8)
 	event := tuple.New("e", val.Str("nobody"), val.Str("payload"))
 	allocs := testing.AllocsPerRun(200, func() {
-		j.Push(event)
+		j.Push(c, event)
 	})
 	if allocs != 0 {
 		t.Fatalf("no-match Join.Push allocated %.1f/op, want 0", allocs)
@@ -137,10 +137,10 @@ func TestJoinFilteredMatchesDoNotAllocate(t *testing.T) {
 	// Predicate over the concatenation e(loc, pay) ++ t(loc, i, i*3):
 	// field 3 (t's i) < 0 is always false, so every match is filtered.
 	prog := pel.NewBuilder().Field(3).Const(val.Int(0)).Op(pel.OpLt).Build()
-	j, _ := joinFixture(64, 8, prog)
+	j, c := joinFixture(64, 8, prog)
 	event := tuple.New("e", val.Str("addr3"), val.Str("payload"))
 	allocs := testing.AllocsPerRun(200, func() {
-		j.Push(event)
+		j.Push(c, event)
 	})
 	if allocs != 0 {
 		t.Fatalf("fully-filtered Join.Push allocated %.1f/op, want 0", allocs)
@@ -151,7 +151,6 @@ func TestJoinFilteredMatchesDoNotAllocate(t *testing.T) {
 // filter+assigns emits exactly what the unfused Join→Select→MultiAssign
 // chain emits.
 func TestJoinFusionMatchesUnfusedChain(t *testing.T) {
-	env := &pel.Env{}
 	sel := pel.NewBuilder().Field(3).Const(val.Int(30)).Op(pel.OpLt).Build()
 	asn := pel.NewBuilder().Field(3).Const(val.Int(100)).Op(pel.OpAdd).Build()
 
@@ -163,22 +162,21 @@ func TestJoinFusionMatchesUnfusedChain(t *testing.T) {
 		}
 		var got []*tuple.Tuple
 		sink := collect(&got)
-		sc := new(Scratch)
 		var filters, assigns []*pel.Program
 		if fused {
 			filters, assigns = []*pel.Program{sel}, []*pel.Program{asn}
 		}
-		j := NewJoin(tb, []int{0}, []int{0}, filters, assigns, env, "w", sc)
+		j := NewJoin(0, []int{0}, filters, assigns, "w")
 		if fused {
 			j.Connect(sink)
 		} else {
-			s := NewSelect(sel, env)
-			a := NewMultiAssign([]*pel.Program{asn}, env, sc)
+			s := NewSelect(sel)
+			a := NewMultiAssign([]*pel.Program{asn})
 			j.Connect(s)
 			s.Connect(a)
 			a.Connect(sink)
 		}
-		j.Push(tuple.New("e", val.Str("addr3"), val.Str("payload")))
+		j.Push(node(&pel.Env{}, nil, tb.EnsureIndex([]int{0})), tuple.New("e", val.Str("addr3"), val.Str("payload")))
 		return got
 	}
 
@@ -197,22 +195,21 @@ func TestJoinFusionMatchesUnfusedChain(t *testing.T) {
 // against a chain of one-step elements, including later programs
 // reading earlier results.
 func TestMultiAssignMatchesAssignChain(t *testing.T) {
-	env := &pel.Env{}
 	p1 := pel.NewBuilder().Field(1).Const(val.Int(10)).Op(pel.OpAdd).Build()
 	p2 := pel.NewBuilder().Field(2).Const(val.Int(2)).Op(pel.OpMul).Build() // reads p1's result
 	in := tuple.New("e", val.Str("n"), val.Int(5))
 
 	var fused, chained []*tuple.Tuple
-	sc := new(Scratch)
-	ma := NewMultiAssign([]*pel.Program{p1, p2}, env, sc)
+	c := node(&pel.Env{}, nil)
+	ma := NewMultiAssign([]*pel.Program{p1, p2})
 	ma.Connect(collect(&fused))
-	ma.Push(in)
+	ma.Push(c, in)
 
-	a1 := NewMultiAssign([]*pel.Program{p1}, env, sc)
-	a2 := NewMultiAssign([]*pel.Program{p2}, env, sc)
+	a1 := NewMultiAssign([]*pel.Program{p1})
+	a2 := NewMultiAssign([]*pel.Program{p2})
 	a1.Connect(a2)
 	a2.Connect(collect(&chained))
-	a1.Push(in)
+	a1.Push(c, in)
 
 	if len(fused) != 1 || len(chained) != 1 || !fused[0].Equal(chained[0]) {
 		t.Fatalf("fused %v != chained %v", fused, chained)
@@ -222,12 +219,12 @@ func TestMultiAssignMatchesAssignChain(t *testing.T) {
 func BenchmarkJoinPush(b *testing.B) {
 	for _, fanout := range []int{1, 8} {
 		b.Run(fmt.Sprintf("fanout=%d", fanout), func(b *testing.B) {
-			j, _ := joinFixture(64, fanout)
+			j, c := joinFixture(64, fanout)
 			event := tuple.New("e", val.Str("addr3"), val.Str("payload"))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				j.Push(event)
+				j.Push(c, event)
 			}
 		})
 	}
@@ -236,47 +233,47 @@ func BenchmarkJoinPush(b *testing.B) {
 func BenchmarkJoinPushFiltered(b *testing.B) {
 	// Keep ~1 of 8 matches, Chord-style.
 	prog := pel.NewBuilder().Field(3).Const(val.Int(8)).Op(pel.OpLt).Build()
-	j, _ := joinFixture(64, 8, prog)
+	j, c := joinFixture(64, 8, prog)
 	event := tuple.New("e", val.Str("addr0"), val.Str("payload"))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		j.Push(event)
+		j.Push(c, event)
 	}
 }
 
 func BenchmarkMultiAssign(b *testing.B) {
-	env := &pel.Env{}
 	progs := []*pel.Program{
 		pel.NewBuilder().Field(1).Const(val.Int(10)).Op(pel.OpAdd).Build(),
 		pel.NewBuilder().Field(2).Const(val.Int(2)).Op(pel.OpMul).Build(),
 		pel.NewBuilder().Field(3).Const(val.Int(1)).Op(pel.OpSub).Build(),
 	}
-	ma := NewMultiAssign(progs, env, new(Scratch))
+	ma := NewMultiAssign(progs)
 	ma.Connect(discard())
+	c := node(&pel.Env{}, nil)
 	in := tuple.New("e", val.Str("n"), val.Int(5))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ma.Push(in)
+		ma.Push(c, in)
 	}
 }
 
 // fingerScan is rule L2's fold over a full Chord finger table:
 // evt(NI, K, N) ++ finger(NI, I, B, BI), filter B in (N, K), input
 // K - B - 1, reading match column B alone. target names finger i's
-// node; the fold and its event are node n0's.
-func fingerScan(target func(i int) int, distinct []int) (*FoldJoin, *table.Table, *tuple.Tuple) {
+// node; the fold and its event are node n0's, and so is the Ctx.
+func fingerScan(target func(i int) int, distinct []int) (*FoldJoin, *Ctx, *tuple.Tuple) {
 	tb := table.New("finger", table.Infinity, 0, []int{0, 1}, &dfClock{})
 	for i := 0; i < 160; i++ {
 		tb.Insert(fingerRow("n0", i, target(i)))
 	}
 	in := pel.NewBuilder().Field(5).Field(2).Field(1).In(false, false).Build()
 	dist := pel.NewBuilder().Field(1).Field(5).Op(pel.OpSub).Const(val.MakeID(id.One)).Op(pel.OpSub).Build()
-	f := NewFoldJoin(tb, []int{0}, []int{0}, AggMin, dist, []*pel.Program{in}, distinct, &pel.Env{}, new(Scratch))
+	f := NewFoldJoin(0, []int{0}, AggMin, dist, []*pel.Program{in}, distinct, 0)
 	f.Connect(discard())
 	ev := tuple.New("evt", val.Str("n0"), val.MakeID(id.Hash("key")), val.MakeID(id.Hash("n0")))
-	return f, tb, ev
+	return f, node(&pel.Env{}, nil, tb.EnsureIndex([]int{0})), ev
 }
 
 func fingerRow(node string, i, target int) *tuple.Tuple {
@@ -294,9 +291,10 @@ func chordTarget(i int) int { return max(0, i-152) }
 // on the programs, so a filterless min over the same table counts them:
 // every row it evaluates bumps its match count.
 func evalsPerProbe(tb *table.Table, ev *tuple.Tuple, distinct []int) float64 {
-	f := NewFoldJoin(tb, []int{0}, []int{0}, AggMin, fieldProg(5), nil, distinct, &pel.Env{}, new(Scratch))
-	f.Push(ev)
-	return float64(f.count)
+	f := NewFoldJoin(0, []int{0}, AggMin, fieldProg(5), nil, distinct, 0)
+	c := node(&pel.Env{}, nil, tb.EnsureIndex([]int{0}))
+	f.Push(c, ev)
+	return float64(c.fold(0).count)
 }
 
 // BenchmarkFoldJoinFingerScan measures one lookup hop's finger scan
@@ -322,30 +320,27 @@ func evalsPerProbe(tb *table.Table, ev *tuple.Tuple, distinct []int) float64 {
 // so the bound moved to 12%: about 15 ns a row, still under the 20 ns
 // that 5% allowed before.
 func BenchmarkFoldJoinFingerScan(b *testing.B) {
-	run := func(b *testing.B, f *FoldJoin, tb *table.Table, ev *tuple.Tuple) (evals, visits float64) {
-		var probes int64
-		f.CountProbes(&probes)
-		f.Push(ev) // the first probe records the rows
-		f.Flush(ev)
-		probes = 0
+	run := func(b *testing.B, f *FoldJoin, c *Ctx, ev *tuple.Tuple) (evals, visits float64) {
+		f.Push(c, ev) // the first probe records the rows
+		f.Flush(c, ev)
+		c.Probes = 0
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			f.Push(ev)
-			f.Flush(ev)
+			f.Push(c, ev)
+			f.Flush(c, ev)
 		}
 		b.StopTimer()
-		f.CountProbes(nil)
-		evals = evalsPerProbe(tb, ev, f.distinct)
-		visits = float64(probes-int64(b.N)) / float64(b.N)
+		evals = evalsPerProbe(c.Indexes[0].Table(), ev, f.distinct)
+		visits = float64(c.Probes-int64(b.N)) / float64(b.N)
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/probe")
 		b.ReportMetric(evals, "evals/probe")
 		b.ReportMetric(visits, "visits/probe")
 		return evals, visits
 	}
 	b.Run("chord", func(b *testing.B) {
-		f, tb, ev := fingerScan(chordTarget, []int{2})
-		e, v := run(b, f, tb, ev)
+		f, c, ev := fingerScan(chordTarget, []int{2})
+		e, v := run(b, f, c, ev)
 		if e > 10 {
 			b.Fatalf("%v evals/probe over 8 distinct targets in insertion order, want <= 10", e)
 		}
@@ -354,7 +349,8 @@ func BenchmarkFoldJoinFingerScan(b *testing.B) {
 		}
 	})
 	b.Run("churned", func(b *testing.B) {
-		f, tb, ev := fingerScan(chordTarget, []int{2})
+		f, c, ev := fingerScan(chordTarget, []int{2})
+		tb := c.Indexes[0].Table()
 		rng := rand.New(rand.NewSource(1))
 		targets := make([]int, 160)
 		for i := range targets {
@@ -369,12 +365,12 @@ func BenchmarkFoldJoinFingerScan(b *testing.B) {
 				}
 			}
 		}
-		run(b, f, tb, ev)
+		run(b, f, c, ev)
 	})
 	var skip, plain time.Duration // measured once, in the first round
 	b.Run("all-distinct", func(b *testing.B) {
-		f, tb, ev := fingerScan(func(i int) int { return i }, []int{2})
-		run(b, f, tb, ev)
+		f, c, ev := fingerScan(func(i int) int { return i }, []int{2})
+		run(b, f, c, ev)
 		if plain == 0 {
 			// The same scan with no distinct columns is the code before
 			// the skip existed. Before every probe, another node's finger
@@ -384,15 +380,16 @@ func BenchmarkFoldJoinFingerScan(b *testing.B) {
 			// taking turns to go first, and compare their best times: the
 			// comparison must survive a noisy host, and it is made once,
 			// however many rounds the benchmark runs.
-			every, everyTb, _ := fingerScan(func(i int) int { return i }, nil)
+			every, everyC, _ := fingerScan(func(i int) int { return i }, nil)
 			other := [2]*tuple.Tuple{fingerRow("n1", 0, 0), fingerRow("n1", 0, 1)}
-			block := func(f *FoldJoin, tb *table.Table) time.Duration {
+			block := func(f *FoldJoin, c *Ctx) time.Duration {
+				tb := c.Indexes[0].Table()
 				var d time.Duration
 				for i := 0; i < 50; i++ {
 					tb.Insert(other[i%2])
 					start := time.Now()
-					f.Push(ev)
-					f.Flush(ev)
+					f.Push(c, ev)
+					f.Flush(c, ev)
 					d += time.Since(start)
 				}
 				return d
@@ -400,11 +397,11 @@ func BenchmarkFoldJoinFingerScan(b *testing.B) {
 			skip, plain = time.Duration(1<<62), time.Duration(1<<62)
 			for i := 0; i < 240; i++ {
 				if i%2 == 0 { // neither side always goes first
-					skip = min(skip, block(f, tb))
+					skip = min(skip, block(f, c))
 				}
-				plain = min(plain, block(every, everyTb))
+				plain = min(plain, block(every, everyC))
 				if i%2 == 1 {
-					skip = min(skip, block(f, tb))
+					skip = min(skip, block(f, c))
 				}
 			}
 		}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 
 	"p2/internal/pel"
-	"p2/internal/table"
 	"p2/internal/tuple"
 	"p2/internal/val"
 )
@@ -46,16 +45,22 @@ import (
 // refreshes do not, and keep the cache. A warm lookup hop folds its ~8
 // rows and visits no others; a miss walks exactly as an uncached probe
 // does and records the rows it evaluates.
+//
+// The cache and the accumulator are the node's (its Ctx slot): table
+// versions count one node's mutations, so a cache keyed on them means
+// nothing on another node.
 type FoldJoin struct {
 	Base
 	probe
-	tbl *table.Table
-	sc  *Scratch
 
 	input    *pel.Program // aggregate input; nil for count<*>
 	distinct []int        // match columns the programs read; nil: evaluate every match
 	fn       AggFunc
+	slot     int // the cache and accumulator's slot in Ctx
+}
 
+// foldState is one node's row cache and accumulator for one FoldJoin.
+type foldState struct {
 	// The distinct rows of the last walk, and the key and Version they
 	// were recorded at.
 	memoKey  []byte
@@ -68,44 +73,43 @@ type FoldJoin struct {
 	acc   val.Value
 }
 
-// NewFoldJoin builds a fused join+aggregate element emitting into sc.
-// input is the aggregate's value over input++match (nil only for
-// count<*>); filters run before it, in order. distinct, when non-empty,
-// promises that fn is min or max and that filters and input are pure
-// functions of the event and those match columns.
-func NewFoldJoin(tbl *table.Table, streamKey, tableKey []int,
-	fn AggFunc, input *pel.Program, filters []*pel.Program, distinct []int, env *pel.Env, sc *Scratch) *FoldJoin {
-	f := &FoldJoin{
-		probe:    newProbe(tbl, streamKey, tableKey, filters, env),
-		tbl:      tbl,
-		sc:       sc,
+// NewFoldJoin builds a fused join+aggregate element probing index
+// ordinal ix, whose cache and accumulator are Ctx slot slot. input is
+// the aggregate's value over input++match (nil only for count<*>);
+// filters run before it, in order. distinct, when non-empty, promises
+// that fn is min or max and that filters and input are pure functions
+// of the event and those match columns.
+func NewFoldJoin(ix int, streamKey []int, fn AggFunc, input *pel.Program,
+	filters []*pel.Program, distinct []int, slot int) *FoldJoin {
+	return &FoldJoin{
+		probe:    newProbe(ix, streamKey, filters),
 		input:    input,
 		distinct: distinct,
 		fn:       fn,
-		acc:      val.Null,
+		slot:     slot,
 	}
-	if f.vm == nil {
-		f.vm = pel.NewVM()
-	}
-	return f
 }
 
 // Push probes the table and folds every surviving match into the
 // accumulator. Nothing flows downstream until Flush.
-func (f *FoldJoin) Push(t *tuple.Tuple) {
-	key := f.key(t)
+func (f *FoldJoin) Push(c *Ctx, t *tuple.Tuple) {
+	st := c.fold(f.slot)
+	ix := c.Indexes[f.ix]
+	key, mk := c.pushKey(t, f.streamKey)
+	defer c.popKey(mk)
 	if len(f.distinct) == 0 {
-		f.ix.Each(key, func(m *tuple.Tuple) bool {
-			f.visit()
-			f.fold(t, m)
+		ix.Each(key, func(m *tuple.Tuple) bool {
+			c.Probes++
+			f.fold(c, st, t, m)
 			return true
 		})
 		return
 	}
-	f.tbl.Expire() // so Version below already counts what this probe would expire
-	if f.memoOK && f.memoVer == f.tbl.Version() && bytes.Equal(f.memoKey, key) {
-		for _, m := range f.memoRows {
-			f.fold(t, m)
+	tbl := ix.Table()
+	tbl.Expire() // so Version below already counts what this probe would expire
+	if st.memoOK && st.memoVer == tbl.Version() && bytes.Equal(st.memoKey, key) {
+		for _, m := range st.memoRows {
+			f.fold(c, st, t, m)
 		}
 		return
 	}
@@ -113,40 +117,40 @@ func (f *FoldJoin) Push(t *tuple.Tuple) {
 	// skip, per row, so it is one closure over a peek (this probe's
 	// expiry pass ran above) and compares the first distinct column
 	// inline: that column decides almost every row.
-	rows := f.memoRows[:0]
+	rows := st.memoRows[:0]
 	var prev *tuple.Tuple
 	first, rest := f.distinct[0], f.distinct[1:]
-	f.ix.PeekEach(key, func(m *tuple.Tuple) bool {
-		f.visit()
+	ix.PeekEach(key, func(m *tuple.Tuple) bool {
+		c.Probes++
 		if prev != nil && val.Same(prev.Field(first), m.Field(first)) && sameAt(prev, m, rest) {
 			return true
 		}
 		prev = m
 		rows = append(rows, m)
-		f.fold(t, m)
+		f.fold(c, st, t, m)
 		return true
 	})
-	f.memoKey = append(f.memoKey[:0], key...)
-	f.memoVer, f.memoRows, f.memoOK = f.tbl.Version(), rows, true
+	st.memoKey = append(st.memoKey[:0], key...)
+	st.memoVer, st.memoRows, st.memoOK = tbl.Version(), rows, true
 }
 
 // fold evaluates one match over input++match and folds it into the
 // accumulator.
-func (f *FoldJoin) fold(t, m *tuple.Tuple) {
-	if !f.pass(t, m) {
+func (f *FoldJoin) fold(c *Ctx, st *foldState, t, m *tuple.Tuple) {
+	if !f.pass(c, t, m) {
 		return // match filtered out
 	}
 	if f.input != nil {
-		v, err := f.vm.EvalJoined(f.input, t, m, f.env)
+		v, err := c.vm.EvalJoined(f.input, t, m, c.Env)
 		if err != nil {
 			return // underivable match dropped, as MultiAssign would
 		}
-		if !f.seen || improves(f.fn, v, f.acc) {
-			f.acc = v // count never reads it
+		if !st.seen || improves(f.fn, v, st.acc) {
+			st.acc = v // count never reads it
 		}
-		f.seen = true
+		st.seen = true
 	}
-	f.count++
+	st.count++
 }
 
 // sameAt reports whether a and b hold identical values at every column
@@ -164,26 +168,27 @@ func sameAt(a, b *tuple.Tuple, cols []int) bool {
 // and resets. Semantics match AggStream: min/max emit only when at least
 // one match folded; count emits its (possibly zero) total on every
 // event.
-func (f *FoldJoin) Flush(event *tuple.Tuple) {
-	defer f.reset()
+func (f *FoldJoin) Flush(c *Ctx, event *tuple.Tuple) {
+	st := c.fold(f.slot)
+	defer st.reset()
 	if event == nil {
 		return
 	}
 	var result val.Value
 	switch f.fn {
 	case AggMin, AggMax:
-		if !f.seen {
+		if !st.seen {
 			return
 		}
-		result = f.acc
+		result = st.acc
 	case AggCount:
-		result = val.Int(f.count)
+		result = val.Int(st.count)
 	default:
 		return
 	}
-	emitAppended(&f.Base, f.sc, event, result)
+	emitAppended(c, &f.Base, event, result)
 }
 
-func (f *FoldJoin) reset() {
-	f.seen, f.count, f.acc = false, 0, val.Null
+func (st *foldState) reset() {
+	st.seen, st.count, st.acc = false, 0, val.Null
 }

@@ -28,11 +28,15 @@ func foldFixture(t *testing.T, ds ...int64) *table.Table {
 // fieldProg reads one position of the virtual concatenation.
 func fieldProg(i int) *pel.Program { return pel.NewBuilder().Field(i).Build() }
 
-func runFold(f *FoldJoin, ev *tuple.Tuple) []*tuple.Tuple {
+// onKey0 is a Ctx whose index ordinal 0 is tbl's index on column 0.
+func onKey0(tbl *table.Table, e *pel.Env) *Ctx { return node(e, nil, tbl.EnsureIndex([]int{0})) }
+
+func runFold(f *FoldJoin, tbl *table.Table, ev *tuple.Tuple) []*tuple.Tuple {
 	var got []*tuple.Tuple
 	f.Connect(collect(&got))
-	f.Push(ev)
-	f.Flush(ev)
+	c := onKey0(tbl, env(eventloop.NewSim()))
+	f.Push(c, ev)
+	f.Flush(c, ev)
 	return got
 }
 
@@ -41,17 +45,17 @@ func TestFoldJoinMinMatchesJoinPlusAggStream(t *testing.T) {
 	ev := tp("evt", val.Str("n1"), val.Int(7))
 
 	// Unfused reference: join then AggStream over the concat position 3.
-	sc := new(Scratch)
-	j := NewJoin(tbl, []int{0}, []int{0}, nil, nil, nil, "w", sc)
-	agg := NewAggStream(AggMin, 3, sc)
+	c := onKey0(tbl, nil)
+	j := NewJoin(0, []int{0}, nil, nil, "w")
+	agg := NewAggStream(AggMin, 3, 0)
 	var ref []*tuple.Tuple
 	j.Connect(agg)
 	agg.Connect(collect(&ref))
-	j.Push(ev)
-	agg.Flush(ev)
+	j.Push(c, ev)
+	agg.Flush(c, ev)
 
-	f := NewFoldJoin(tbl, []int{0}, []int{0}, AggMin, fieldProg(3), nil, nil, env(eventloop.NewSim()), new(Scratch))
-	got := runFold(f, ev)
+	f := NewFoldJoin(0, []int{0}, AggMin, fieldProg(3), nil, nil, 0)
+	got := runFold(f, tbl, ev)
 
 	if len(ref) != 1 || len(got) != 1 {
 		t.Fatalf("emitted ref=%d fold=%d tuples, want 1 each", len(ref), len(got))
@@ -74,8 +78,8 @@ func TestFoldJoinMaxAndFilters(t *testing.T) {
 	ev := tp("evt", val.Str("n1"), val.Int(7))
 	// Filter: concat position 3 (D) < 40, so the largest row is excluded.
 	filt := pel.NewBuilder().Field(3).Const(val.Int(40)).Op(pel.OpLt).Build()
-	f := NewFoldJoin(tbl, []int{0}, []int{0}, AggMax, fieldProg(3), []*pel.Program{filt}, nil, env(eventloop.NewSim()), new(Scratch))
-	got := runFold(f, ev)
+	f := NewFoldJoin(0, []int{0}, AggMax, fieldProg(3), []*pel.Program{filt}, nil, 0)
+	got := runFold(f, tbl, ev)
 	if len(got) != 1 || got[0].Field(2).AsInt() != 30 {
 		t.Fatalf("filtered max = %v, want 30", got)
 	}
@@ -84,8 +88,8 @@ func TestFoldJoinMaxAndFilters(t *testing.T) {
 func TestFoldJoinMinNoMatchesEmitsNothing(t *testing.T) {
 	tbl := foldFixture(t) // only the nX row
 	ev := tp("evt", val.Str("n1"), val.Int(7))
-	f := NewFoldJoin(tbl, []int{0}, []int{0}, AggMin, fieldProg(3), nil, nil, env(eventloop.NewSim()), new(Scratch))
-	if got := runFold(f, ev); len(got) != 0 {
+	f := NewFoldJoin(0, []int{0}, AggMin, fieldProg(3), nil, nil, 0)
+	if got := runFold(f, tbl, ev); len(got) != 0 {
 		t.Fatalf("min over zero matches emitted %v", got)
 	}
 }
@@ -93,8 +97,8 @@ func TestFoldJoinMinNoMatchesEmitsNothing(t *testing.T) {
 func TestFoldJoinCountEmitsZero(t *testing.T) {
 	tbl := foldFixture(t) // no matching rows
 	ev := tp("evt", val.Str("n1"), val.Int(7))
-	f := NewFoldJoin(tbl, []int{0}, []int{0}, AggCount, nil, nil, nil, env(eventloop.NewSim()), new(Scratch))
-	got := runFold(f, ev)
+	f := NewFoldJoin(0, []int{0}, AggCount, nil, nil, nil, 0)
+	got := runFold(f, tbl, ev)
 	if len(got) != 1 || got[0].Field(2).AsInt() != 0 {
 		t.Fatalf("count over zero matches = %v, want event++0", got)
 	}
@@ -108,8 +112,8 @@ func TestFoldJoinErroringInputDropsRow(t *testing.T) {
 	// sees it, so the fold must count nothing — and still emit the
 	// count aggregate's zero.
 	input := pel.NewBuilder().Op(pel.OpAdd).Build()
-	f := NewFoldJoin(tbl, []int{0}, []int{0}, AggCount, input, nil, nil, env(eventloop.NewSim()), new(Scratch))
-	got := runFold(f, ev)
+	f := NewFoldJoin(0, []int{0}, AggCount, input, nil, nil, 0)
+	got := runFold(f, tbl, ev)
 	if len(got) != 1 || got[0].Field(2).AsInt() != 0 {
 		t.Fatalf("count with all rows erroring = %v, want event++0", got)
 	}
@@ -117,16 +121,17 @@ func TestFoldJoinErroringInputDropsRow(t *testing.T) {
 
 func TestFoldJoinResetsBetweenEvents(t *testing.T) {
 	tbl := foldFixture(t, 5, 9)
-	f := NewFoldJoin(tbl, []int{0}, []int{0}, AggMin, fieldProg(3), nil, nil, env(eventloop.NewSim()), new(Scratch))
+	f := NewFoldJoin(0, []int{0}, AggMin, fieldProg(3), nil, nil, 0)
 	var got []*tuple.Tuple
 	f.Connect(collect(&got))
+	c := onKey0(tbl, env(eventloop.NewSim()))
 
 	ev1 := tp("evt", val.Str("n1"), val.Int(1))
-	f.Push(ev1)
-	f.Flush(ev1)
+	f.Push(c, ev1)
+	f.Flush(c, ev1)
 	ev2 := tp("evt", val.Str("nNone"), val.Int(2))
-	f.Push(ev2)
-	f.Flush(ev2)
+	f.Push(c, ev2)
+	f.Flush(c, ev2)
 
 	if len(got) != 1 {
 		t.Fatalf("second (matchless) event must emit nothing: %v", got)
@@ -191,24 +196,26 @@ func TestFoldJoinDistinctMatchesChain(t *testing.T) {
 				return &pel.Env{Clock: loop, Rand: rand.New(rand.NewSource(seed)), Local: "n1"}
 			}
 
-			sc := new(Scratch)
 			var assigns []*pel.Program
 			aggPos := -1
 			if c.input != nil {
 				assigns = []*pel.Program{c.input}
 				aggPos = 6
 			}
-			j := NewJoin(tbl, []int{0}, []int{0}, c.filters, assigns, envFor(), "w", sc)
-			agg := NewAggStream(c.fn, aggPos, sc)
+			// The chain and the fold run as two nodes sharing a table,
+			// each with its own randomness from the same seed.
+			cj, cf := node(envFor(), nil, ix), node(envFor(), nil, ix)
+			j := NewJoin(0, []int{0}, c.filters, assigns, "w")
+			agg := NewAggStream(c.fn, aggPos, 0)
 			var ref, got []*tuple.Tuple
 			j.Connect(agg)
 			agg.Connect(collect(&ref))
-			f := NewFoldJoin(tbl, []int{0}, []int{0}, c.fn, c.input, c.filters, c.distinct, envFor(), sc)
+			f := NewFoldJoin(0, []int{0}, c.fn, c.input, c.filters, c.distinct, 0)
 			f.Connect(collect(&got))
 
 			both := func() {
-				j.Push(ev)
-				f.Push(ev)
+				j.Push(cj, ev)
+				f.Push(cf, ev)
 			}
 			if trial%4 == 0 && n > 0 {
 				// Mid-probe delete: under a live outer probe removals leave
@@ -229,10 +236,10 @@ func TestFoldJoinDistinctMatchesChain(t *testing.T) {
 			}
 			if c.name == "min unfiltered" {
 				rows += int64(tbl.Len())
-				evaluated += f.count
+				evaluated += cf.fold(0).count
 			}
-			agg.Flush(ev)
-			f.Flush(ev)
+			agg.Flush(cj, ev)
+			f.Flush(cf, ev)
 
 			if len(got) != len(ref) {
 				t.Fatalf("%s trial %d: fold emitted %d tuples, chain %d", c.name, trial, len(got), len(ref))
@@ -287,9 +294,8 @@ func TestFoldJoinCacheTracksTable(t *testing.T) {
 		}
 		tbl.Insert(tp("rel", val.Str("nX"), val.Int(-9), val.Int(0), val.Int(99))) // another key, never folded
 
-		var probes int64
-		cached := NewFoldJoin(tbl, []int{0}, []int{0}, fn, half, []*pel.Program{bBelowV}, []int{1, 2}, e, new(Scratch))
-		cached.CountProbes(&probes)
+		cached := NewFoldJoin(0, []int{0}, fn, half, []*pel.Program{bBelowV}, []int{1, 2}, 0)
+		c := onKey0(tbl, e)
 		var got []*tuple.Tuple
 		cached.Connect(collect(&got))
 
@@ -323,14 +329,14 @@ func TestFoldJoinCacheTracksTable(t *testing.T) {
 			for probe := 0; probe < 2; probe++ {
 				ev := tp("evt", val.Str("n1"), val.Int(int64(rng.Intn(4))))
 				got = got[:0]
-				before := probes
-				cached.Push(ev)
-				cached.Flush(ev)
-				if refreshed && probe == 0 && probes-before != 1 {
-					t.Fatalf("step %d: probe after an identical refresh counted %d, want 1 (cache kept)", step, probes-before)
+				before := c.Probes
+				cached.Push(c, ev)
+				cached.Flush(c, ev)
+				if refreshed && probe == 0 && c.Probes-before != 1 {
+					t.Fatalf("step %d: probe after an identical refresh counted %d, want 1 (cache kept)", step, c.Probes-before)
 				}
-				if probe == 1 && probes-before != 1 {
-					t.Fatalf("step %d: second probe at one version counted %d, want 1 (the first recorded its walk)", step, probes-before)
+				if probe == 1 && c.Probes-before != 1 {
+					t.Fatalf("step %d: second probe at one version counted %d, want 1 (the first recorded its walk)", step, c.Probes-before)
 				}
 				checkFold(t, step, fn, half, bBelowV, tbl, e, ev, got)
 			}
@@ -349,17 +355,17 @@ func TestFoldJoinCacheTracksTable(t *testing.T) {
 func checkFold(t *testing.T, step int, fn AggFunc, input, filter *pel.Program, tbl *table.Table, e *pel.Env, ev *tuple.Tuple, got []*tuple.Tuple) {
 	t.Helper()
 	var fresh, ref []*tuple.Tuple
-	sc := new(Scratch)
-	f := NewFoldJoin(tbl, []int{0}, []int{0}, fn, input, []*pel.Program{filter}, []int{1, 2}, e, sc)
+	c := onKey0(tbl, e)
+	f := NewFoldJoin(0, []int{0}, fn, input, []*pel.Program{filter}, []int{1, 2}, 0)
 	f.Connect(collect(&fresh))
-	f.Push(ev)
-	f.Flush(ev)
-	j := NewJoin(tbl, []int{0}, []int{0}, []*pel.Program{filter}, []*pel.Program{input}, e, "w", sc)
-	agg := NewAggStream(fn, 6, sc)
+	f.Push(c, ev)
+	f.Flush(c, ev)
+	j := NewJoin(0, []int{0}, []*pel.Program{filter}, []*pel.Program{input}, "w")
+	agg := NewAggStream(fn, 6, 0)
 	j.Connect(agg)
 	agg.Connect(collect(&ref))
-	j.Push(ev)
-	agg.Flush(ev)
+	j.Push(c, ev)
+	agg.Flush(c, ev)
 
 	if len(got) != len(fresh) || len(got) != len(ref) {
 		t.Fatalf("step %d %v: cached fold emitted %d, fresh fold %d, chain %d", step, fn, len(got), len(fresh), len(ref))

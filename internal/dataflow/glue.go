@@ -1,46 +1,26 @@
 package dataflow
 
-import (
-	"p2/internal/eventloop"
-	"p2/internal/tuple"
-)
+import "p2/internal/eventloop"
 
-// Sink terminates a push chain by invoking a callback per tuple.
-type Sink struct {
-	fn func(*tuple.Tuple)
-}
-
-// NewSink wraps fn as a push endpoint.
-func NewSink(fn func(*tuple.Tuple)) *Sink { return &Sink{fn: fn} }
-
-// Push hands t to the callback.
-func (s *Sink) Push(t *tuple.Tuple) { s.fn(t) }
-
-// Periodic emits periodic(addr, eventID, period) tuples every period
-// seconds — OverLog's built-in periodic() stream (§2.3). A count > 0
-// limits the number of firings; jitter staggers the first firing to
-// avoid lock-step synchronization across nodes.
+// Periodic ticks every period seconds — the timer behind OverLog's
+// built-in periodic() stream (§2.3). A count > 0 limits the number of
+// firings. It is one node's: tick builds that node's periodic tuple and
+// runs the rule's strand for it.
 type Periodic struct {
-	Base
 	loop    eventloop.Loop
-	addr    string
 	period  float64
 	count   int64 // remaining firings; < 0 = unlimited
-	seq     int64
 	stopped bool
-	mk      func(addr string, seq int64, period float64) *tuple.Tuple
+	tick    func()
 	fireFn  func() // bound once; each tick re-arms on a pooled timer
 }
 
-// NewPeriodic creates a periodic source pushing downstream once
-// started. mk builds each emitted tuple (the planner supplies one that
-// matches the periodic predicate's arity).
-func NewPeriodic(loop eventloop.Loop, addr string, period float64, count int64,
-	mk func(addr string, seq int64, period float64) *tuple.Tuple) *Periodic {
+// NewPeriodic creates a periodic source calling tick once started.
+func NewPeriodic(loop eventloop.Loop, period float64, count int64, tick func()) *Periodic {
 	if count == 0 {
 		count = -1
 	}
-	p := &Periodic{loop: loop, addr: addr, period: period, count: count, mk: mk}
+	p := &Periodic{loop: loop, period: period, count: count, tick: tick}
 	p.fireFn = p.fire
 	return p
 }
@@ -59,8 +39,7 @@ func (p *Periodic) fire() {
 	if p.stopped || p.count == 0 {
 		return
 	}
-	p.seq++
-	p.PushOut(p.mk(p.addr, p.seq, p.period))
+	p.tick()
 	if p.count > 0 {
 		p.count--
 	}

@@ -13,11 +13,7 @@ func tp(name string, vs ...val.Value) *tuple.Tuple { return tuple.New(name, vs..
 func TestPeriodicEmitsOnSchedule(t *testing.T) {
 	loop := eventloop.NewSim()
 	var fired []float64
-	mk := func(addr string, seq int64, period float64) *tuple.Tuple {
-		return tp("periodic", val.Str(addr), val.Str("e"), val.Float(period))
-	}
-	p := NewPeriodic(loop, "n1", 2.0, 3, mk)
-	p.Connect(NewSink(func(*tuple.Tuple) { fired = append(fired, loop.Now()) }))
+	p := NewPeriodic(loop, 2.0, 3, func() { fired = append(fired, loop.Now()) })
 	p.Start(0.5)
 	loop.Run(20)
 	if len(fired) != 3 {
@@ -34,9 +30,7 @@ func TestPeriodicEmitsOnSchedule(t *testing.T) {
 func TestPeriodicUnlimitedAndStop(t *testing.T) {
 	loop := eventloop.NewSim()
 	n := 0
-	mk := func(addr string, seq int64, period float64) *tuple.Tuple { return tp("periodic") }
-	p := NewPeriodic(loop, "n1", 1.0, 0, mk) // 0 = unlimited
-	p.Connect(NewSink(func(*tuple.Tuple) { n++ }))
+	p := NewPeriodic(loop, 1.0, 0, func() { n++ }) // 0 = unlimited
 	p.Start(0)
 	loop.Run(10.5)
 	if n != 11 {
@@ -54,9 +48,7 @@ func TestPeriodicOneShot(t *testing.T) {
 	// Narada uses for initialization facts.
 	loop := eventloop.NewSim()
 	n := 0
-	mk := func(addr string, seq int64, period float64) *tuple.Tuple { return tp("periodic") }
-	p := NewPeriodic(loop, "n1", 0, 1, mk)
-	p.Connect(NewSink(func(*tuple.Tuple) { n++ }))
+	p := NewPeriodic(loop, 0, 1, func() { n++ })
 	p.Start(0)
 	loop.Run(5)
 	if n != 1 {
@@ -70,5 +62,5 @@ func TestUnconnectedPortPanics(t *testing.T) {
 			t.Fatal("expected panic on unconnected port")
 		}
 	}()
-	NewMultiAssign(nil, nil, new(Scratch)).Push(tp("x"))
+	NewMultiAssign(nil).Push(new(Ctx), tp("x"))
 }

@@ -14,67 +14,27 @@ import (
 // deleting one, is the engine's deliverHead, not an element.
 
 // probe is the index lookup Join, FoldJoin and NotJoin share: the
-// probe key, rendered from the input into a reusable buffer; the probe
-// counter; and the fused filters, run over the virtual concatenation
+// index ordinal and the input positions the probe key is rendered from,
+// and the fused filters, run over the virtual concatenation
 // input++match before any tuple is built. OverLog join bodies are
 // dominated by range predicates that keep one match in many (Chord's
 // "K in (N, S]" finger walks), so filtering during the probe removes
 // most of a strand's tuple construction. A filter that fails or errors
 // skips the match, exactly as a Select after the join would.
 type probe struct {
-	ix        *table.Index
+	ix        int   // ordinal of the probed index in Ctx.Indexes
 	streamKey []int // key positions in the incoming tuple
-	keyBuf    []byte
-	probes    *int64
 	filters   []*pel.Program
-	vm        *pel.VM // nil until the element has a program to run
-	env       *pel.Env
 }
 
-func newProbe(tbl *table.Table, streamKey, tableKey []int, filters []*pel.Program, env *pel.Env) probe {
-	p := probe{
-		ix:        tbl.EnsureIndex(tableKey),
-		streamKey: append([]int(nil), streamKey...),
-		filters:   filters,
-		env:       env,
-	}
-	if len(filters) > 0 {
-		p.vm = pel.NewVM()
-	}
-	return p
-}
-
-// CountProbes points the element at a shared counter: one per probe,
-// plus one per candidate row visited when the probe walks the index (an
-// antijoin's existence check visits none). A probe FoldJoin answers
-// from its row cache counts its one and visits no rows: the walk it
-// skipped is the work the cache exists to avoid, and the counter (the
-// engine's Stats.Probes) is how a run observes it.
-func (p *probe) CountProbes(c *int64) { p.probes = c }
-
-// key renders t's probe key into the buffer and counts the probe.
-// Strands run one at a time to completion and downstream re-derivations
-// are deferred, so an element is never re-entered while it probes and
-// the buffer is safe to reuse.
-func (p *probe) key(t *tuple.Tuple) []byte {
-	p.keyBuf = t.AppendKey(p.keyBuf[:0], p.streamKey)
-	if p.probes != nil {
-		*p.probes++
-	}
-	return p.keyBuf
-}
-
-// visit counts one candidate row the walk visits.
-func (p *probe) visit() {
-	if p.probes != nil {
-		*p.probes++
-	}
+func newProbe(ix int, streamKey []int, filters []*pel.Program) probe {
+	return probe{ix: ix, streamKey: append([]int(nil), streamKey...), filters: filters}
 }
 
 // pass reports whether match m survives every filter over t++m.
-func (p *probe) pass(t, m *tuple.Tuple) bool {
+func (p *probe) pass(c *Ctx, t, m *tuple.Tuple) bool {
 	for _, f := range p.filters {
-		v, err := p.vm.EvalJoined(f, t, m, p.env)
+		v, err := c.vm.EvalJoined(f, t, m, c.Env)
 		if err != nil || !v.AsBool() {
 			return false
 		}
@@ -92,63 +52,59 @@ func (p *probe) pass(t, m *tuple.Tuple) bool {
 // slot, exactly as a downstream MultiAssign would — minus that
 // element's second tuple construction per match.
 //
-// The probe allocates nothing: the index handle is resolved once at
-// construction, the probe key renders into a reusable buffer, matches
-// are visited in place via Index.Each rather than collected into a
-// result slice, and each emitted tuple is a working tuple taken from
-// the node's Scratch and released once the downstream Push returns.
+// The probe allocates nothing: the index handle is the node's, resolved
+// once when it was created, the probe key renders onto the node's key
+// stack, matches are visited in place via Index.Each rather than
+// collected into a result slice, and each emitted tuple is a working
+// tuple taken from the node's Scratch and released once the downstream
+// Push returns.
 type Join struct {
 	Base
 	probe
 	assigns []*pel.Program
 	outName string
-	sc      *Scratch
 }
 
-// NewJoin builds an equijoin element with its filters and assignments,
-// emitting into sc, and resolves the table's index handle, creating the
-// index if needed.
-func NewJoin(tbl *table.Table, streamKey, tableKey []int, filters, assigns []*pel.Program,
-	env *pel.Env, outName string, sc *Scratch) *Join {
-	j := &Join{probe: newProbe(tbl, streamKey, tableKey, filters, env), assigns: assigns, outName: outName, sc: sc}
-	if j.vm == nil && len(assigns) > 0 {
-		j.vm = pel.NewVM()
-	}
-	return j
+// NewJoin builds an equijoin element probing index ordinal ix with the
+// key at streamKey, with its filters and assignments.
+func NewJoin(ix int, streamKey []int, filters, assigns []*pel.Program, outName string) *Join {
+	return &Join{probe: newProbe(ix, streamKey, filters), assigns: assigns, outName: outName}
 }
 
 // Push probes the table and emits all surviving matches downstream.
-func (j *Join) Push(t *tuple.Tuple) {
+func (j *Join) Push(c *Ctx, t *tuple.Tuple) {
 	na := t.Arity()
-	j.ix.Each(j.key(t), func(m *tuple.Tuple) bool {
-		j.visit()
-		j.emitMatch(t, na, m)
+	key, mk := c.pushKey(t, j.streamKey)
+	c.Indexes[j.ix].Each(key, func(m *tuple.Tuple) bool {
+		c.Probes++
+		j.emitMatch(c, t, na, m)
 		return true
 	})
+	c.popKey(mk)
 }
 
 // emitMatch runs the filters and assignments against one candidate row
 // and pushes the concatenated working tuple; filtered or underivable
 // matches are simply skipped.
-func (j *Join) emitMatch(t *tuple.Tuple, na int, m *tuple.Tuple) {
-	if !j.pass(t, m) {
+func (j *Join) emitMatch(c *Ctx, t *tuple.Tuple, na int, m *tuple.Tuple) {
+	if !j.pass(c, t, m) {
 		return
 	}
 	base := na + m.Arity()
-	out, fields, mk := j.sc.take(j.outName, base+len(j.assigns))
-	defer j.sc.release(mk)
+	out, fields, mk := c.Scratch.take(j.outName, base+len(j.assigns))
+	defer c.Scratch.release(mk)
 	copy(fields, t.Fields())
 	copy(fields[na:], m.Fields())
 	for i, prog := range j.assigns {
 		// Each assignment sees the fields earlier ones filled; the
 		// tuple goes downstream only after every slot is in place.
-		v, err := j.vm.Eval(prog, out, j.env)
+		v, err := c.vm.Eval(prog, out, c.Env)
 		if err != nil {
 			return // underivable match dropped, as MultiAssign would
 		}
 		fields[base+i] = v
 	}
-	j.PushOut(out)
+	j.PushOut(c, out)
 }
 
 // NotJoin is the antijoin used for "not pred(...)" bodies: the input
@@ -158,40 +114,39 @@ type NotJoin struct {
 	probe
 }
 
-// NewNotJoin builds an antijoin element.
-func NewNotJoin(tbl *table.Table, streamKey, tableKey []int) *NotJoin {
-	return &NotJoin{probe: newProbe(tbl, streamKey, tableKey, nil, nil)}
+// NewNotJoin builds an antijoin element probing index ordinal ix.
+func NewNotJoin(ix int, streamKey []int) *NotJoin {
+	return &NotJoin{probe: newProbe(ix, streamKey, nil)}
 }
 
 // Push forwards t iff the table has no matching row.
-func (j *NotJoin) Push(t *tuple.Tuple) {
-	if j.ix.Contains(j.key(t)) {
+func (j *NotJoin) Push(c *Ctx, t *tuple.Tuple) {
+	key, mk := c.pushKey(t, j.streamKey)
+	found := c.Indexes[j.ix].Contains(key)
+	c.popKey(mk)
+	if found {
 		return // match exists: tuple eliminated
 	}
-	j.PushOut(t)
+	j.PushOut(c, t)
 }
 
 // Select filters tuples through a boolean PEL program.
 type Select struct {
 	Base
 	prog *pel.Program
-	vm   *pel.VM
-	env  *pel.Env
 }
 
 // NewSelect builds a PEL-parameterized filter.
-func NewSelect(prog *pel.Program, env *pel.Env) *Select {
-	return &Select{prog: prog, vm: pel.NewVM(), env: env}
-}
+func NewSelect(prog *pel.Program) *Select { return &Select{prog: prog} }
 
 // Push forwards t iff the program evaluates truthy. Evaluation errors
 // drop the tuple — a rule body that fails to evaluate derives nothing.
-func (s *Select) Push(t *tuple.Tuple) {
-	v, err := s.vm.Eval(s.prog, t, s.env)
+func (s *Select) Push(c *Ctx, t *tuple.Tuple) {
+	v, err := c.vm.Eval(s.prog, t, c.Env)
 	if err != nil || !v.AsBool() {
 		return
 	}
-	s.PushOut(t)
+	s.PushOut(c, t)
 }
 
 // MultiAssign evaluates a run of consecutive "X := expr" steps, each
@@ -206,16 +161,11 @@ func (s *Select) Push(t *tuple.Tuple) {
 type MultiAssign struct {
 	Base
 	progs []*pel.Program
-	vm    *pel.VM
-	env   *pel.Env
-	sc    *Scratch
 }
 
-// NewMultiAssign builds a fused run of appending evaluators emitting
-// into sc; each program appends one trailing field, in order.
-func NewMultiAssign(progs []*pel.Program, env *pel.Env, sc *Scratch) *MultiAssign {
-	return &MultiAssign{progs: progs, vm: pel.NewVM(), env: env, sc: sc}
-}
+// NewMultiAssign builds a fused run of appending evaluators; each
+// program appends one trailing field, in order.
+func NewMultiAssign(progs []*pel.Program) *MultiAssign { return &MultiAssign{progs: progs} }
 
 // Push emits t extended with every evaluated value. Later programs see
 // the fields earlier ones appended, exactly as a chain of one-step
@@ -225,49 +175,48 @@ func NewMultiAssign(progs []*pel.Program, env *pel.Env, sc *Scratch) *MultiAssig
 // runs. The tuple goes downstream only once every field is in place, so
 // the in-place writes never touch a tuple another element can observe.
 // Any evaluation error drops the tuple.
-func (a *MultiAssign) Push(t *tuple.Tuple) {
+func (a *MultiAssign) Push(c *Ctx, t *tuple.Tuple) {
 	n := t.Arity()
-	out, fields, mk := a.sc.take(t.Name(), n+len(a.progs))
-	defer a.sc.release(mk)
+	out, fields, mk := c.Scratch.take(t.Name(), n+len(a.progs))
+	defer c.Scratch.release(mk)
 	copy(fields, t.Fields())
 	for i, prog := range a.progs {
-		v, err := a.vm.Eval(prog, out, a.env)
+		v, err := c.vm.Eval(prog, out, c.Env)
 		if err != nil {
 			return
 		}
 		fields[n+i] = v
 	}
-	a.PushOut(out)
+	a.PushOut(c, out)
 }
 
 // Project constructs the rule-head tuple: one PEL program per output
 // field, evaluated against the incoming (joined, extended) working
-// tuple. It is the one strand element that allocates: the head is the
-// only tuple that leaves the strand.
+// tuple, and hands it to the node with the rule ordinal it was built
+// for. It ends every strand, and it is the one strand element that
+// allocates: the head is the only tuple that leaves the strand.
 type Project struct {
-	Base
 	outName string
 	progs   []*pel.Program
-	vm      *pel.VM
-	env     *pel.Env
+	rule    int
 }
 
-// NewProject builds a head constructor.
-func NewProject(outName string, progs []*pel.Program, env *pel.Env) *Project {
-	return &Project{outName: outName, progs: progs, vm: pel.NewVM(), env: env}
+// NewProject builds a head constructor delivering as rule.
+func NewProject(outName string, progs []*pel.Program, rule int) *Project {
+	return &Project{outName: outName, progs: progs, rule: rule}
 }
 
-// Push emits the projected head tuple.
-func (p *Project) Push(t *tuple.Tuple) {
+// Push derives the head tuple and delivers it.
+func (p *Project) Push(c *Ctx, t *tuple.Tuple) {
 	fields := make([]val.Value, len(p.progs))
 	for i, prog := range p.progs {
-		v, err := p.vm.Eval(prog, t, p.env)
+		v, err := c.vm.Eval(prog, t, c.Env)
 		if err != nil {
 			return // head underivable; drop
 		}
 		fields[i] = v
 	}
-	p.PushOut(tuple.New(p.outName, fields...))
+	c.Deliver(p.rule, tuple.New(p.outName, fields...))
 }
 
 // AggFunc names an aggregate function.
@@ -311,18 +260,22 @@ func (f AggFunc) String() string {
 //     fields (like the member address Y in P0's "pick the member with
 //     the max random number") therefore come from the winning row. The
 //     rows arrive as working tuples that are rewritten once their Push
-//     returns, so the exemplar is a copy in a buffer of the element's
-//     own.
+//     returns, so the exemplar is a copy in a buffer of the node's own.
 //   - count/sum/avg are accumulators: Flush emits the event tuple with
 //     the aggregate value appended. count emits even when zero rows
 //     arrived — Narada's R5/R6 "membersFound ... C == 0" idiom; sum and
 //     avg emit only when at least one row arrived.
+//
+// What accumulates between Push and Flush is the node's: its Ctx slot.
 type AggStream struct {
 	Base
 	fn     AggFunc
 	aggPos int // aggregated field position in the working tuple; -1 for count<*>
-	sc     *Scratch
+	slot   int // the accumulator's slot in Ctx
+}
 
+// streamState is one node's accumulator for one AggStream.
+type streamState struct {
 	count   int64
 	sum     float64
 	seen    bool
@@ -331,24 +284,25 @@ type AggStream struct {
 	bestVal val.Value
 }
 
-// NewAggStream builds a per-event aggregator; count/sum/avg emit into
-// sc.
-func NewAggStream(fn AggFunc, aggPos int, sc *Scratch) *AggStream {
-	return &AggStream{fn: fn, aggPos: aggPos, sc: sc}
+// NewAggStream builds a per-event aggregator whose accumulator is Ctx
+// slot slot.
+func NewAggStream(fn AggFunc, aggPos, slot int) *AggStream {
+	return &AggStream{fn: fn, aggPos: aggPos, slot: slot}
 }
 
 // Push accumulates one working tuple.
-func (a *AggStream) Push(t *tuple.Tuple) {
-	a.count++
+func (a *AggStream) Push(c *Ctx, t *tuple.Tuple) {
+	st := c.stream(a.slot)
+	st.count++
 	switch a.fn {
 	case AggMin, AggMax:
-		if v := t.Field(a.aggPos); !a.seen || improves(a.fn, v, a.bestVal) {
-			a.bestBuf = append(a.bestBuf[:0], t.Fields()...)
-			a.best.Reset(t.Name(), a.bestBuf)
-			a.seen, a.bestVal = true, v
+		if v := t.Field(a.aggPos); !st.seen || improves(a.fn, v, st.bestVal) {
+			st.bestBuf = append(st.bestBuf[:0], t.Fields()...)
+			st.best.Reset(t.Name(), st.bestBuf)
+			st.seen, st.bestVal = true, v
 		}
 	case AggSum, AggAvg:
-		a.sum += t.Field(a.aggPos).AsFloat()
+		st.sum += t.Field(a.aggPos).AsFloat()
 	}
 }
 
@@ -363,41 +317,42 @@ func improves(fn AggFunc, v, cur val.Value) bool {
 // For min/max the winning row's copy flows downstream (its aggPos field
 // already holds the extremum). For count/sum/avg the event tuple flows
 // with the aggregate appended as a trailing field, in a working tuple.
-func (a *AggStream) Flush(event *tuple.Tuple) {
-	defer a.reset()
+func (a *AggStream) Flush(c *Ctx, event *tuple.Tuple) {
+	st := c.stream(a.slot)
+	defer st.reset()
 	switch a.fn {
 	case AggMin, AggMax:
-		if a.seen {
-			a.PushOut(&a.best)
+		if st.seen {
+			a.PushOut(c, &st.best)
 		}
 	case AggCount:
 		if event != nil {
-			emitAppended(&a.Base, a.sc, event, val.Int(a.count))
+			emitAppended(c, &a.Base, event, val.Int(st.count))
 		}
 	case AggSum, AggAvg:
-		if event == nil || a.count == 0 {
+		if event == nil || st.count == 0 {
 			return
 		}
-		v := a.sum
+		v := st.sum
 		if a.fn == AggAvg {
-			v /= float64(a.count)
+			v /= float64(st.count)
 		}
-		emitAppended(&a.Base, a.sc, event, val.Float(v))
+		emitAppended(c, &a.Base, event, val.Float(v))
 	}
 }
 
-func (a *AggStream) reset() {
-	a.count, a.sum, a.seen, a.bestVal = 0, 0, false, val.Null
+func (st *streamState) reset() {
+	st.count, st.sum, st.seen, st.bestVal = 0, 0, false, val.Null
 }
 
 // emitAppended pushes event ++ v through b as a working tuple taken
-// from sc — the output of every per-event accumulator.
-func emitAppended(b *Base, sc *Scratch, event *tuple.Tuple, v val.Value) {
-	out, fields, mk := sc.take(event.Name(), event.Arity()+1)
-	defer sc.release(mk)
+// from c's scratch — the output of every per-event accumulator.
+func emitAppended(c *Ctx, b *Base, event *tuple.Tuple, v val.Value) {
+	out, fields, mk := c.Scratch.take(event.Name(), event.Arity()+1)
+	defer c.Scratch.release(mk)
 	copy(fields, event.Fields())
 	fields[len(fields)-1] = v
-	b.PushOut(out)
+	b.PushOut(c, out)
 }
 
 // aggState accumulates one table-aggregate group.
@@ -462,8 +417,13 @@ func (s *aggState) result(fn AggFunc) val.Value {
 // notification, so one Insert — even one that displaces a row or
 // evicts another — emits at most one change per affected group. The
 // win over scan-per-delta shows in BenchmarkAggTable*.
+//
+// Unlike the strand elements, an AggTable is one node's: it hooks that
+// node's table and keeps its groups, and pushes its results downstream
+// on behalf of the node's Ctx.
 type AggTable struct {
 	Base
+	ctx      *Ctx
 	tbl      *table.Table
 	groupIx  *table.Index // exemplar refresh handle; nil for accumulators
 	fn       AggFunc
@@ -480,14 +440,15 @@ type AggTable struct {
 	evicted   []string
 }
 
-// NewAggTable builds the element and hooks the table's listeners. The
-// accumulators start empty: when wiring onto a table that already holds
-// rows, connect the output and then call Recompute, which both seeds
-// the state and emits the current groups (the engine's install path
-// does exactly this).
-func NewAggTable(tbl *table.Table, fn AggFunc, groupPos []int, aggPos int,
+// NewAggTable builds the element for the node c over its table tbl and
+// hooks the table's listeners. The accumulators start empty: when
+// wiring onto a table that already holds rows, connect the output and
+// then call Recompute, which both seeds the state and emits the current
+// groups (the engine's install path does exactly this).
+func NewAggTable(c *Ctx, tbl *table.Table, fn AggFunc, groupPos []int, aggPos int,
 	outName string) *AggTable {
 	a := &AggTable{
+		ctx:      c,
 		tbl:      tbl,
 		fn:       fn,
 		groupPos: append([]int(nil), groupPos...),
@@ -621,7 +582,7 @@ func (a *AggTable) refresh(key string) {
 	fields := make([]val.Value, 0, len(group)+1)
 	fields = append(fields, group...)
 	fields = append(fields, v)
-	a.PushOut(tuple.New(a.outName, fields...))
+	a.PushOut(a.ctx, tuple.New(a.outName, fields...))
 }
 
 // Recompute rebuilds the accumulators from a full scan and emits every
@@ -656,25 +617,20 @@ func (a *AggTable) Recompute() {
 type Range struct {
 	Base
 	lo, hi *pel.Program
-	vm     *pel.VM
-	env    *pel.Env
-	sc     *Scratch
 }
 
-// NewRange builds a range generator emitting into sc.
-func NewRange(lo, hi *pel.Program, env *pel.Env, sc *Scratch) *Range {
-	return &Range{lo: lo, hi: hi, vm: pel.NewVM(), env: env, sc: sc}
-}
+// NewRange builds a range generator.
+func NewRange(lo, hi *pel.Program) *Range { return &Range{lo: lo, hi: hi} }
 
 // Push expands t over the iteration range. One working tuple carries
 // every copy: downstream is done with it when its Push returns, so
 // only the iteration field changes between emissions.
-func (r *Range) Push(t *tuple.Tuple) {
-	loV, err := r.vm.Eval(r.lo, t, r.env)
+func (r *Range) Push(c *Ctx, t *tuple.Tuple) {
+	loV, err := c.vm.Eval(r.lo, t, c.Env)
 	if err != nil {
 		return
 	}
-	hiV, err := r.vm.Eval(r.hi, t, r.env)
+	hiV, err := c.vm.Eval(r.hi, t, c.Env)
 	if err != nil {
 		return
 	}
@@ -682,11 +638,11 @@ func (r *Range) Push(t *tuple.Tuple) {
 	if lo > hi {
 		return
 	}
-	out, fields, mk := r.sc.take(t.Name(), t.Arity()+1)
-	defer r.sc.release(mk)
+	out, fields, mk := c.Scratch.take(t.Name(), t.Arity()+1)
+	defer c.Scratch.release(mk)
 	copy(fields, t.Fields())
 	for v := lo; v <= hi; v++ {
 		fields[len(fields)-1] = val.Int(v)
-		r.PushOut(out)
+		r.PushOut(c, out)
 	}
 }

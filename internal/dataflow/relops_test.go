@@ -15,11 +15,16 @@ func env(loop eventloop.Loop) *pel.Env {
 	return &pel.Env{Clock: loop, Rand: rand.New(rand.NewSource(7)), Local: "n1"}
 }
 
+// sink ends a chain in a function of each tuple.
+type sink func(*tuple.Tuple)
+
+func (f sink) Push(_ *Ctx, t *tuple.Tuple) { f(t) }
+
 // collect ends a chain in a sink that keeps a copy of every tuple it
 // receives: what reaches a sink may be a working tuple, rewritten once
 // the sink returns.
-func collect(out *[]*tuple.Tuple) *Sink {
-	return NewSink(func(t *tuple.Tuple) { *out = append(*out, clone(t)) })
+func collect(out *[]*tuple.Tuple) sink {
+	return func(t *tuple.Tuple) { *out = append(*out, clone(t)) }
 }
 
 func clone(t *tuple.Tuple) *tuple.Tuple {
@@ -27,7 +32,19 @@ func clone(t *tuple.Tuple) *tuple.Tuple {
 }
 
 // discard ends a chain whose output a benchmark or alloc pin ignores.
-func discard() *Sink { return NewSink(func(*tuple.Tuple) {}) }
+func discard() sink { return func(*tuple.Tuple) {} }
+
+// node is one node's Ctx over the given indexes, ordinal 0 first, whose
+// heads are collected into out (nil: dropped).
+func node(e *pel.Env, out *[]*tuple.Tuple, ixs ...*table.Index) *Ctx {
+	c := &Ctx{Env: e, Indexes: ixs}
+	c.Deliver = func(_ int, t *tuple.Tuple) {
+		if out != nil {
+			*out = append(*out, t)
+		}
+	}
+	return c
+}
 
 func TestJoinEmitsAllMatches(t *testing.T) {
 	loop := eventloop.NewSim()
@@ -38,10 +55,10 @@ func TestJoinEmitsAllMatches(t *testing.T) {
 	nb.Insert(tp("neighbor", val.Str("nX"), val.Str("n4"))) // different X
 
 	// Join refreshSeq(X, S) with neighbor(X, Y) on X.
-	j := NewJoin(nb, []int{0}, []int{0}, nil, nil, nil, "r_j1", new(Scratch))
+	j := NewJoin(0, []int{0}, nil, nil, "r_j1")
 	var got []*tuple.Tuple
 	j.Connect(collect(&got))
-	j.Push(tp("refreshSeq", val.Str("n1"), val.Int(7)))
+	j.Push(node(nil, nil, nb.EnsureIndex([]int{0})), tp("refreshSeq", val.Str("n1"), val.Int(7)))
 
 	if len(got) != 2 {
 		t.Fatalf("join emitted %d tuples, want 2", len(got))
@@ -62,10 +79,10 @@ func TestJoinEmitsAllMatches(t *testing.T) {
 func TestJoinNoMatchEmitsNothing(t *testing.T) {
 	loop := eventloop.NewSim()
 	nb := table.New("neighbor", table.Infinity, 0, []int{1}, loop)
-	j := NewJoin(nb, []int{0}, []int{0}, nil, nil, nil, "out", new(Scratch))
+	j := NewJoin(0, []int{0}, nil, nil, "out")
 	var got []*tuple.Tuple
 	j.Connect(collect(&got))
-	j.Push(tp("evt", val.Str("n1")))
+	j.Push(node(nil, nil, nb.EnsureIndex([]int{0})), tp("evt", val.Str("n1")))
 	if len(got) != 0 {
 		t.Fatalf("empty table join emitted %v", got)
 	}
@@ -77,10 +94,10 @@ func TestJoinMultiFieldKey(t *testing.T) {
 	member.Insert(tp("member", val.Str("n1"), val.Str("a"), val.Int(1)))
 	member.Insert(tp("member", val.Str("n1"), val.Str("b"), val.Int(2)))
 	// Join on (field0, field1) of stream against (0, 1) of table.
-	j := NewJoin(member, []int{0, 1}, []int{0, 1}, nil, nil, nil, "out", new(Scratch))
+	j := NewJoin(0, []int{0, 1}, nil, nil, "out")
 	var got []*tuple.Tuple
 	j.Connect(collect(&got))
-	j.Push(tp("refresh", val.Str("n1"), val.Str("b")))
+	j.Push(node(nil, nil, member.EnsureIndex([]int{0, 1})), tp("refresh", val.Str("n1"), val.Str("b")))
 	if len(got) != 1 || got[0].Field(4).AsInt() != 2 {
 		t.Fatalf("multi-key join got %v", got)
 	}
@@ -90,16 +107,17 @@ func TestNotJoin(t *testing.T) {
 	loop := eventloop.NewSim()
 	member := table.New("member", table.Infinity, 0, []int{1}, loop)
 	member.Insert(tp("member", val.Str("n1"), val.Str("a")))
-	nj := NewNotJoin(member, []int{1}, []int{1})
+	nj := NewNotJoin(0, []int{1})
+	c := node(nil, nil, member.EnsureIndex([]int{1}))
 	var got []*tuple.Tuple
 	nj.Connect(collect(&got))
 	// "a" is known: eliminated.
-	nj.Push(tp("candidate", val.Str("n1"), val.Str("a")))
+	nj.Push(c, tp("candidate", val.Str("n1"), val.Str("a")))
 	if len(got) != 0 {
 		t.Fatal("antijoin must eliminate matches")
 	}
 	// "z" unknown: passes.
-	nj.Push(tp("candidate", val.Str("n1"), val.Str("z")))
+	nj.Push(c, tp("candidate", val.Str("n1"), val.Str("z")))
 	if len(got) != 1 {
 		t.Fatal("antijoin must pass non-matches")
 	}
@@ -109,11 +127,12 @@ func TestSelectFilters(t *testing.T) {
 	loop := eventloop.NewSim()
 	// Keep tuples with field1 > 10.
 	prog := pel.NewBuilder().Field(1).Const(val.Int(10)).Op(pel.OpGt).Build()
-	sel := NewSelect(prog, env(loop))
+	sel := NewSelect(prog)
+	c := node(env(loop), nil)
 	var got []*tuple.Tuple
 	sel.Connect(collect(&got))
-	sel.Push(tp("x", val.Str("n1"), val.Int(5)))
-	sel.Push(tp("x", val.Str("n1"), val.Int(15)))
+	sel.Push(c, tp("x", val.Str("n1"), val.Int(5)))
+	sel.Push(c, tp("x", val.Str("n1"), val.Int(15)))
 	if len(got) != 1 || got[0].Field(1).AsInt() != 15 {
 		t.Fatalf("select got %v", got)
 	}
@@ -122,10 +141,10 @@ func TestSelectFilters(t *testing.T) {
 func TestSelectErrorDropsTuple(t *testing.T) {
 	loop := eventloop.NewSim()
 	bad := pel.NewBuilder().Op(pel.OpAdd).Build() // underflow
-	sel := NewSelect(bad, env(loop))
+	sel := NewSelect(bad)
 	var got []*tuple.Tuple
 	sel.Connect(collect(&got))
-	sel.Push(tp("x"))
+	sel.Push(node(env(loop), nil), tp("x"))
 	if len(got) != 0 {
 		t.Fatal("error must drop the tuple")
 	}
@@ -135,10 +154,10 @@ func TestAssignAppends(t *testing.T) {
 	loop := eventloop.NewSim()
 	// NewSeq := Seq + 1 where Seq is field 1.
 	prog := pel.NewBuilder().Field(1).Const(val.Int(1)).Op(pel.OpAdd).Build()
-	a := NewMultiAssign([]*pel.Program{prog}, env(loop), new(Scratch))
+	a := NewMultiAssign([]*pel.Program{prog})
 	var got []*tuple.Tuple
 	a.Connect(collect(&got))
-	a.Push(tp("seq", val.Str("n1"), val.Int(41)))
+	a.Push(node(env(loop), nil), tp("seq", val.Str("n1"), val.Int(41)))
 	if len(got) != 1 || got[0].Arity() != 3 || got[0].Field(2).AsInt() != 42 {
 		t.Fatalf("assign got %v", got)
 	}
@@ -150,12 +169,17 @@ func TestProjectBuildsHead(t *testing.T) {
 		pel.NewBuilder().Field(2).Build(),
 		pel.NewBuilder().Field(0).Build(),
 	}
-	p := NewProject("head", progs, env(loop))
+	p := NewProject("head", progs, 7)
 	var got []*tuple.Tuple
-	p.Connect(collect(&got))
-	p.Push(tp("work", val.Str("a"), val.Str("b"), val.Str("c")))
-	if len(got) != 1 || got[0].Name() != "head" {
-		t.Fatalf("project got %v", got)
+	var rules []int
+	c := node(env(loop), nil)
+	c.Deliver = func(rule int, t *tuple.Tuple) {
+		rules = append(rules, rule)
+		got = append(got, t)
+	}
+	p.Push(c, tp("work", val.Str("a"), val.Str("b"), val.Str("c")))
+	if len(got) != 1 || got[0].Name() != "head" || rules[0] != 7 {
+		t.Fatalf("project delivered %v as rules %v", got, rules)
 	}
 	if got[0].Field(0).AsStr() != "c" || got[0].Field(1).AsStr() != "a" {
 		t.Fatalf("projection wrong: %v", got[0])
@@ -164,13 +188,14 @@ func TestProjectBuildsHead(t *testing.T) {
 
 func TestAggStreamMinIsExemplar(t *testing.T) {
 	// L2-style: min<D> with D at field 1; the WHOLE winning row flows.
-	agg := NewAggStream(AggMin, 1, new(Scratch))
+	agg := NewAggStream(AggMin, 1, 0)
+	c := new(Ctx)
 	var got []*tuple.Tuple
 	agg.Connect(collect(&got))
-	agg.Push(tp("w", val.Str("fingerA"), val.Int(30)))
-	agg.Push(tp("w", val.Str("fingerB"), val.Int(10)))
-	agg.Push(tp("w", val.Str("fingerC"), val.Int(99)))
-	agg.Flush(tp("evt"))
+	agg.Push(c, tp("w", val.Str("fingerA"), val.Int(30)))
+	agg.Push(c, tp("w", val.Str("fingerB"), val.Int(10)))
+	agg.Push(c, tp("w", val.Str("fingerC"), val.Int(99)))
+	agg.Flush(c, tp("evt"))
 	if len(got) != 1 {
 		t.Fatalf("agg emitted %d, want 1", len(got))
 	}
@@ -180,7 +205,7 @@ func TestAggStreamMinIsExemplar(t *testing.T) {
 	}
 	// Flush resets state.
 	got = nil
-	agg.Flush(tp("evt"))
+	agg.Flush(c, tp("evt"))
 	if len(got) != 0 {
 		t.Fatal("second flush must be empty")
 	}
@@ -189,13 +214,14 @@ func TestAggStreamMinIsExemplar(t *testing.T) {
 func TestAggStreamMaxPicksWinnerRow(t *testing.T) {
 	// Narada P0: pick the member with the max random number — the
 	// member address rides along with the winning row.
-	agg := NewAggStream(AggMax, 1, new(Scratch))
+	agg := NewAggStream(AggMax, 1, 0)
+	c := new(Ctx)
 	var got []*tuple.Tuple
 	agg.Connect(collect(&got))
-	agg.Push(tp("w", val.Str("memberA"), val.Float(0.2)))
-	agg.Push(tp("w", val.Str("memberB"), val.Float(0.9)))
-	agg.Push(tp("w", val.Str("memberC"), val.Float(0.5)))
-	agg.Flush(tp("evt"))
+	agg.Push(c, tp("w", val.Str("memberA"), val.Float(0.2)))
+	agg.Push(c, tp("w", val.Str("memberB"), val.Float(0.9)))
+	agg.Push(c, tp("w", val.Str("memberC"), val.Float(0.5)))
+	agg.Flush(c, tp("evt"))
 	if len(got) != 1 || got[0].Field(0).AsStr() != "memberB" {
 		t.Fatalf("max exemplar = %v", got)
 	}
@@ -206,11 +232,12 @@ func TestAggStreamMaxPicksWinnerRow(t *testing.T) {
 // between pushes, as a strand's scratch does: the exemplar must keep the
 // better row's fields.
 func TestAggStreamExemplarOutlivesWorkingTuple(t *testing.T) {
-	for _, c := range []struct {
+	for _, k := range []struct {
 		fn         AggFunc
 		best, rest int64
 	}{{AggMin, 10, 40}, {AggMax, 40, 10}} {
-		agg := NewAggStream(c.fn, 1, new(Scratch))
+		agg := NewAggStream(k.fn, 1, 0)
+		c := new(Ctx)
 		var got []*tuple.Tuple
 		agg.Connect(collect(&got))
 		var w tuple.Tuple
@@ -218,23 +245,24 @@ func TestAggStreamExemplarOutlivesWorkingTuple(t *testing.T) {
 		w.Reset("w", fields)
 		push := func(name string, d int64) {
 			fields[0], fields[1] = val.Str(name), val.Int(d)
-			agg.Push(&w)
+			agg.Push(c, &w)
 		}
-		push("better", c.best)
-		push("worse1", c.rest)
-		push("worse2", c.rest+1)
-		agg.Flush(tp("evt"))
-		if len(got) != 1 || got[0].Field(0).AsStr() != "better" || got[0].Field(1).AsInt() != c.best {
-			t.Fatalf("%v exemplar = %v, want w(better, %d)", c.fn, got, c.best)
+		push("better", k.best)
+		push("worse1", k.rest)
+		push("worse2", k.rest+1)
+		agg.Flush(c, tp("evt"))
+		if len(got) != 1 || got[0].Field(0).AsStr() != "better" || got[0].Field(1).AsInt() != k.best {
+			t.Fatalf("%v exemplar = %v, want w(better, %d)", k.fn, got, k.best)
 		}
 	}
 }
 
 func TestAggStreamMinMaxNoRowsEmitsNothing(t *testing.T) {
-	agg := NewAggStream(AggMin, 0, new(Scratch))
+	agg := NewAggStream(AggMin, 0, 0)
+	c := new(Ctx)
 	var got []*tuple.Tuple
 	agg.Connect(collect(&got))
-	agg.Flush(tp("evt"))
+	agg.Flush(c, tp("evt"))
 	if len(got) != 0 {
 		t.Fatal("min with no rows must emit nothing")
 	}
@@ -243,13 +271,14 @@ func TestAggStreamMinMaxNoRowsEmitsNothing(t *testing.T) {
 func TestAggStreamCountSumAvg(t *testing.T) {
 	event := tp("refresh", val.Str("n1"), val.Str("addr9"))
 	check := func(fn AggFunc, want val.Value) {
-		agg := NewAggStream(fn, 0, new(Scratch))
+		agg := NewAggStream(fn, 0, 0)
+		c := new(Ctx)
 		var got []*tuple.Tuple
 		agg.Connect(collect(&got))
 		for _, v := range []int64{4, 9, 2} {
-			agg.Push(tp("w", val.Int(v)))
+			agg.Push(c, tp("w", val.Int(v)))
 		}
-		agg.Flush(event)
+		agg.Flush(c, event)
 		if len(got) != 1 {
 			t.Fatalf("%v emitted %d", fn, len(got))
 		}
@@ -269,11 +298,12 @@ func TestAggStreamCountSumAvg(t *testing.T) {
 
 func TestAggStreamZeroCount(t *testing.T) {
 	// Narada R5/R6: count<*> with no matching rows emits C == 0.
-	agg := NewAggStream(AggCount, -1, new(Scratch))
+	agg := NewAggStream(AggCount, -1, 0)
+	c := new(Ctx)
 	var got []*tuple.Tuple
 	agg.Connect(collect(&got))
 	event := tp("refresh", val.Str("n1"), val.Str("addr9"))
-	agg.Flush(event)
+	agg.Flush(c, event)
 	if len(got) != 1 {
 		t.Fatalf("zero count not emitted: %v", got)
 	}
@@ -282,19 +312,21 @@ func TestAggStreamZeroCount(t *testing.T) {
 	}
 	// Sum/avg with no rows stay silent.
 	for _, fn := range []AggFunc{AggSum, AggAvg} {
-		agg := NewAggStream(fn, 0, new(Scratch))
+		agg := NewAggStream(fn, 0, 0)
+		c := new(Ctx)
 		var out []*tuple.Tuple
 		agg.Connect(collect(&out))
-		agg.Flush(event)
+		agg.Flush(c, event)
 		if len(out) != 0 {
 			t.Fatalf("%v with no rows emitted %v", fn, out)
 		}
 	}
 	// Nil event (defensive): nothing emitted.
-	agg2 := NewAggStream(AggCount, -1, new(Scratch))
+	agg2 := NewAggStream(AggCount, -1, 0)
+	c2 := new(Ctx)
 	var out2 []*tuple.Tuple
 	agg2.Connect(collect(&out2))
-	agg2.Flush(nil)
+	agg2.Flush(c2, nil)
 	if len(out2) != 0 {
 		t.Fatal("nil event must emit nothing")
 	}
@@ -314,7 +346,7 @@ func TestAggTableEmitsOnChange(t *testing.T) {
 	succ := table.New("succDist", table.Infinity, 0, []int{1}, loop)
 	var got []*tuple.Tuple
 	// min<D> grouped by node address (field 0), D at field 2.
-	agg := NewAggTable(succ, AggMin, []int{0}, 2, "bestSuccDist")
+	agg := NewAggTable(new(Ctx), succ, AggMin, []int{0}, 2, "bestSuccDist")
 	agg.Connect(collect(&got))
 
 	succ.Insert(tp("succDist", val.Str("n1"), val.Str("s1"), val.Int(40)))
@@ -342,7 +374,7 @@ func TestAggTableExpiryTriggersRecompute(t *testing.T) {
 	loop := eventloop.NewSim()
 	succ := table.New("succDist", 10, 0, []int{1}, loop)
 	var got []*tuple.Tuple
-	agg := NewAggTable(succ, AggMin, []int{0}, 2, "best")
+	agg := NewAggTable(new(Ctx), succ, AggMin, []int{0}, 2, "best")
 	agg.Connect(collect(&got))
 	succ.Insert(tp("succDist", val.Str("n1"), val.Str("s1"), val.Int(5)))
 	loop.Run(5)
@@ -365,7 +397,7 @@ func TestHandWiredRuleStrand(t *testing.T) {
 	neighbor.Insert(tp("neighbor", val.Str("n1"), val.Str("n2")))
 	neighbor.Insert(tp("neighbor", val.Str("n1"), val.Str("n3")))
 
-	join := NewJoin(neighbor, []int{0}, []int{0}, nil, nil, nil, "r6_w", new(Scratch))
+	join := NewJoin(0, []int{0}, nil, nil, "r6_w")
 	// Work tuple layout after join: [X, S, X', Y] — project head
 	// member(Y, X, S, f_now, true).
 	head := NewProject("member", []*pel.Program{
@@ -374,13 +406,12 @@ func TestHandWiredRuleStrand(t *testing.T) {
 		pel.NewBuilder().Field(1).Build(),
 		pel.NewBuilder().Op(pel.OpNow).Build(),
 		pel.NewBuilder().Const(val.Bool(true)).Build(),
-	}, e)
+	}, 0)
 	var got []*tuple.Tuple
 	join.Connect(head)
-	head.Connect(collect(&got))
 
 	loop.Run(3.5)
-	join.Push(tp("refreshSeq", val.Str("n1"), val.Int(8)))
+	join.Push(node(e, &got, neighbor.EnsureIndex([]int{0})), tp("refreshSeq", val.Str("n1"), val.Int(8)))
 
 	if len(got) != 2 {
 		t.Fatalf("strand derived %d tuples, want 2", len(got))
@@ -404,12 +435,13 @@ func BenchmarkJoinProbe(b *testing.B) {
 	for i := 0; i < 8; i++ {
 		nb.Insert(tp("neighbor", val.Str("n1"), val.Str("p"+string(rune('a'+i)))))
 	}
-	j := NewJoin(nb, []int{0}, []int{0}, nil, nil, nil, "out", new(Scratch))
+	j := NewJoin(0, []int{0}, nil, nil, "out")
 	j.Connect(discard())
+	c := node(nil, nil, nb.EnsureIndex([]int{0}))
 	evt := tp("refreshSeq", val.Str("n1"), val.Int(1))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		j.Push(evt)
+		j.Push(c, evt)
 	}
 }

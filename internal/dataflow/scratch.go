@@ -6,7 +6,8 @@ import (
 )
 
 // Scratch is the storage a node's strands build their working tuples
-// in: a mark/release stack of value slots and tuple headers. Join,
+// in (Ctx.Scratch): a mark/release stack of value slots and tuple
+// headers. Join,
 // MultiAssign, Range, FoldJoin.Flush and AggStream's count/sum/avg take
 // their output from it, push it downstream, and release it when
 // PushOut returns, so a strand allocates only the head Project builds —
@@ -23,11 +24,13 @@ import (
 // outstanding working tuples keep pointing into the old array, which
 // the collector frees once they are released. Capacity never shrinks,
 // so it settles at the largest stack depth any strand reaches — the
-// sum of the working-tuple arities along its chain, which the engine
-// computes from the plan and states as the node's bound.
+// sum of the working-tuple arities along its chain, which the planner
+// computes when it builds the plan's strands and the engine states as
+// the node's bound.
 //
-// The zero value is ready to use. A Scratch belongs to one node and is
-// not safe for concurrent use.
+// The zero value is ready to use. The elements that take from a
+// Scratch are shared by every node of a plan, but the Scratch is not:
+// each node's lives in its Ctx, and it is not safe for concurrent use.
 type Scratch struct {
 	vals []val.Value
 	tups []tuple.Tuple

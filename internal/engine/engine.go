@@ -1,7 +1,8 @@
-// Package engine implements the P2 node runtime: it instantiates a
-// compiled Plan as a live dataflow graph on one node — tables, rule
-// strands, periodic timers, continuous table aggregates, and the
-// network stack — and executes it on a run-to-completion event loop.
+// Package engine implements the P2 node runtime: it runs a compiled
+// Plan on one node — tables, rule strands, periodic timers, continuous
+// table aggregates, and the network stack — on a run-to-completion
+// event loop. The rule strands' elements are the plan's, shared by
+// every node running it; a node holds only its state for them.
 //
 // This is the component Figure 1 of the paper calls the "runtime plan
 // executor". A Node is wired to a netif.Network (simulated or real UDP)
@@ -142,11 +143,11 @@ type Node struct {
 
 	ep         netif.Endpoint
 	trans      *transport.Transport
-	env        *pel.Env
 	rng        *rand.Rand
 	tables     map[string]*table.Table
 	tableOrder []string // sorted names; deterministic sweep order
-	strands    map[string][]*strand
+	fires      []int64  // strand runs per plan rule, by position in plan.Rules, for sysRule
+	aggFires   []int64  // head emissions per plan table aggregate, for sysRule
 	periodics  []*dataflow.Periodic
 	watchers   map[string][]WatchFunc
 	eventSeq   int64
@@ -155,8 +156,6 @@ type Node struct {
 	stats      Stats
 	sweeper    *eventloop.Timer
 	startTime  float64
-	allStrands []*strand    // every strand, in build order, for sysRule
-	aggFires   []*ruleFires // table-aggregate counters for sysRule
 	introTimer *eventloop.Timer
 	// sysConsumer caches "sys* rows have an audience": an explicit
 	// refresh interval, a plan that reads a system relation, or a
@@ -166,71 +165,50 @@ type Node struct {
 	sysref      *sysRefresh       // incremental system-table refresh cache
 	health      *health.Evaluator // condition engine, fed by the refresh
 
-	// scratch holds every strand's working tuples (see dataflow.Scratch);
-	// scratchBound is the most any built strand can hold in it at once.
-	scratch      dataflow.Scratch
-	scratchBound dataflow.ScratchSize
+	// ctx is the node's state for the plan's element graph: its indexes,
+	// scratch, VM, environment and probe counter (see dataflow.Ctx).
+	ctx     dataflow.Ctx
+	pending pending
 }
 
-// flusher is the end-of-event hook shared by the two aggregate
-// elements: a plain AggStream stage, or a FoldJoin carrying the fused
-// aggregate. Exactly one (or neither) terminates a strand.
-type flusher interface {
-	Flush(event *tuple.Tuple)
-}
-
-// stage is a strand-internal element: it takes pushes and has one
-// downstream binding. buildChain collects stages, so wiring the chain
-// is checked at compile time.
-type stage interface {
-	dataflow.Pusher
-	Connect(next dataflow.Pusher)
-}
-
-// strand is one rule's compiled element chain plus its trigger runner:
-// a preallocated FIFO of pending events and a single func value handed
-// to the loop's DPC lane, so triggering a strand allocates nothing —
-// no per-tuple closure, no Timer.
-type strand struct {
-	rule  *planner.Rule
-	entry dataflow.Pusher
-	agg   flusher
-	fires int64
-
-	node  *Node
-	queue []*tuple.Tuple // pending trigger events; one Defer per entry
+// pending is the node's FIFO of triggered strand runs — a rule's
+// position in the plan and its event — and runFn the one func value
+// handed to the loop's DPC lane per entry, so triggering a strand
+// allocates nothing: no per-tuple closure, no Timer. A node's Defers
+// run in the order they were made, so the k-th runFn call pops the
+// k-th entry, and the node's strands run in exactly the order a
+// closure deferred per run would give.
+type pending struct {
+	runs  []strandRun
 	head  int
 	runFn func() // bound once to runNext
 }
 
-// runNext pops the oldest pending event and executes the strand for it.
-// Each queued event has exactly one matching Defer, so global FIFO
-// ordering across strands is identical to deferring a closure per
-// tuple.
-func (s *strand) runNext() {
-	t := s.queue[s.head]
-	s.queue[s.head] = nil
-	s.head++
-	if s.head == len(s.queue) {
-		s.queue = s.queue[:0]
-		s.head = 0
-	} else if s.head > 32 && s.head*2 >= len(s.queue) {
-		// Slide a perpetually non-empty queue down so the backing
-		// array stays bounded by the outstanding-event high-water mark.
-		kept := copy(s.queue, s.queue[s.head:])
-		for i := kept; i < len(s.queue); i++ {
-			s.queue[i] = nil
-		}
-		s.queue = s.queue[:kept]
-		s.head = 0
-	}
-	s.node.runStrand(s, t)
+// strandRun is one triggered run of rule (a position in plan.Rules)
+// over event.
+type strandRun struct {
+	rule  int
+	event *tuple.Tuple
 }
 
-// ruleFires counts head emissions of a continuous table aggregate.
-type ruleFires struct {
-	id    string
-	fires int64
+// runNext pops the oldest pending run and executes it.
+func (n *Node) runNext() {
+	q := &n.pending
+	r := q.runs[q.head]
+	q.runs[q.head] = strandRun{}
+	q.head++
+	if q.head == len(q.runs) {
+		q.runs = q.runs[:0]
+		q.head = 0
+	} else if q.head > 32 && q.head*2 >= len(q.runs) {
+		// Slide a perpetually non-empty queue down so the backing
+		// array stays bounded by the outstanding-run high-water mark.
+		kept := copy(q.runs, q.runs[q.head:])
+		clear(q.runs[kept:])
+		q.runs = q.runs[:kept]
+		q.head = 0
+	}
+	n.runStrand(r.rule, r.event)
 }
 
 // NewNode builds a node for addr executing plan over net, scheduling on
@@ -250,11 +228,12 @@ func NewNode(addr string, loop eventloop.Loop, net netif.Network, plan *planner.
 		opts:     opts,
 		rng:      rng,
 		tables:   make(map[string]*table.Table),
-		strands:  make(map[string][]*strand),
 		watchers: make(map[string][]WatchFunc),
 		sysref:   newSysRefresh(),
 	}
-	n.env = &pel.Env{Clock: loop, Rand: rng, Local: addr}
+	n.ctx.Env = &pel.Env{Clock: loop, Rand: rng, Local: addr}
+	n.ctx.Deliver = n.deliverHead
+	n.pending.runFn = n.runNext
 	return n
 }
 
@@ -271,14 +250,19 @@ func hashAddr(addr string) int64 {
 func (n *Node) Addr() string { return n.addr }
 
 // Stats returns a copy of the node's counters.
-func (n *Node) Stats() Stats { return n.stats }
+func (n *Node) Stats() Stats {
+	st := n.stats
+	st.Probes = n.ctx.Probes
+	return st
+}
 
 // ScratchCap reports how far the node's strand scratch has grown and
-// the bound its plan fixes for it: the most any one strand built on
-// this node holds at once (see scratchUse). The scratch never shrinks,
-// and grows only to what a take needs, so capacity stays within bound.
+// the bound its plan fixes for it: the most any one of the plan's
+// strands holds at once (planner.Plan.Scratch). The scratch never
+// shrinks, and grows only to what a take needs, so capacity stays
+// within bound.
 func (n *Node) ScratchCap() (capacity, bound dataflow.ScratchSize) {
-	return n.scratch.Cap(), n.scratchBound
+	return n.ctx.Scratch.Cap(), n.plan.Scratch()
 }
 
 // Transport exposes the node's transport for accounting taps.
@@ -362,11 +346,12 @@ func (n *Node) Start() error {
 	for _, name := range names {
 		n.tables[name] = n.newTable(n.plan.Tables[name])
 	}
+	n.ensureIndexes()
 	for _, r := range n.plan.Rules {
-		n.buildStrand(r)
+		n.addStrand(r)
 	}
 	for _, ta := range n.plan.TableAggs {
-		n.buildTableAgg(ta)
+		n.addTableAgg(ta)
 	}
 	if n.opts.TraceWriter != nil {
 		for _, name := range n.plan.Watches {
@@ -478,123 +463,37 @@ func (n *Node) scheduleSweep() {
 	})
 }
 
-// buildStrand compiles one rule into a chain of dataflow elements.
-func (n *Node) buildStrand(r *planner.Rule) {
-	s := &strand{rule: r, node: n}
-	s.runFn = s.runNext
-	n.buildChain(s)
-	n.allStrands = append(n.allStrands, s)
+// ensureIndexes creates, on the node's tables, every index of its plan
+// the node does not have yet, so each join probes Ctx.Indexes by the
+// ordinal the plan gave it. Every indexed table exists by then: a join
+// over a system table makes the plan a sys* consumer, and consumers
+// get the system tables before their strands.
+func (n *Node) ensureIndexes() {
+	for _, spec := range n.plan.Indexes()[len(n.ctx.Indexes):] {
+		n.ctx.Indexes = append(n.ctx.Indexes, n.tables[spec.Table].EnsureIndex(spec.Key))
+	}
+}
+
+// addStrand gives the node its state for the plan's next rule — its
+// fire counter — and starts the rule's timer if a periodic triggers it.
+func (n *Node) addStrand(r *planner.Rule) {
+	n.fires = append(n.fires, 0)
 	if r.Trigger.Kind == planner.TrigPeriodic {
-		n.startPeriodic(r, s)
-	} else {
-		n.strands[r.Trigger.Name] = append(n.strands[r.Trigger.Name], s)
+		n.startPeriodic(len(n.fires)-1, r)
 	}
 }
 
-// buildChain builds the dataflow element chain for s.rule, one element
-// per op, and installs it on the strand.
-func (n *Node) buildChain(s *strand) {
-	r := s.rule
-	var elems []stage
-	var flush flusher
-	use := scratchUse{width: r.Trigger.Arity}
-
-	for _, op := range r.Ops {
-		switch o := op.(type) {
-		case *planner.OpJoin:
-			tbl := n.tables[o.Table]
-			switch {
-			case o.Neg:
-				nj := dataflow.NewNotJoin(tbl, o.StreamKey, o.TableKey)
-				nj.CountProbes(&n.stats.Probes)
-				elems = append(elems, nj)
-			case o.Fold != nil:
-				fj := dataflow.NewFoldJoin(tbl, o.StreamKey, o.TableKey,
-					o.Fold.Fn, o.Fold.Input, o.Filters, o.Fold.Distinct, n.env, &n.scratch)
-				fj.CountProbes(&n.stats.Probes)
-				elems = append(elems, fj)
-				flush = fj
-			default:
-				j := dataflow.NewJoin(tbl, o.StreamKey, o.TableKey, o.Filters, o.Assigns, n.env, "w", &n.scratch)
-				j.CountProbes(&n.stats.Probes)
-				elems = append(elems, j)
-				use.take(n.plan.Arities[o.Table] + len(o.Assigns))
-			}
-		case *planner.OpSelect:
-			elems = append(elems, dataflow.NewSelect(o.Prog, n.env))
-		case *planner.OpAssign:
-			elems = append(elems, dataflow.NewMultiAssign(o.Progs, n.env, &n.scratch))
-			use.take(len(o.Progs))
-		case *planner.OpRange:
-			elems = append(elems, dataflow.NewRange(o.Lo, o.Hi, n.env, &n.scratch))
-			use.take(1)
-		}
-	}
-	if r.Agg != nil {
-		agg := dataflow.NewAggStream(r.Agg.Fn, r.Agg.AggPos, &n.scratch)
-		elems = append(elems, agg)
-		flush = agg
-	}
-	project := dataflow.NewProject(r.HeadName, r.HeadProgs, n.env)
-	elems = append(elems, project)
-	sink := dataflow.NewSink(func(t *tuple.Tuple) { n.deliverHead(r, t) })
-
-	// Wire the chain: each element feeds the next, the last the sink.
-	for i := 0; i < len(elems)-1; i++ {
-		elems[i].Connect(elems[i+1])
-	}
-	elems[len(elems)-1].Connect(sink)
-
-	s.entry, s.agg = elems[0], flush
-	if _, fold := flush.(*dataflow.FoldJoin); fold || r.Agg != nil && r.Agg.Fn != dataflow.AggMin && r.Agg.Fn != dataflow.AggMax {
-		use.flush(r.Trigger.Arity + 1)
-	}
-	n.scratchBound.Vals = max(n.scratchBound.Vals, use.most.Vals)
-	n.scratchBound.Tuples = max(n.scratchBound.Tuples, use.most.Tuples)
-}
-
-// scratchUse tallies, from the plan's arities, the most of the node's
-// scratch one run of a strand holds at once. Every element that takes a
-// working tuple holds it until its downstream Push returns, so along the
-// push chain the takes nest and their arities add up: a join's input ++
-// match ++ fused assignments, an assignment run's input ++ one slot per
-// step, a range's input ++ 1. The flush that ends an aggregate strand —
-// a fold's, or a count/sum/avg AggStream's event ++ aggregate — runs
-// after the chain has released everything, so it only has to fit alone.
-// A tuple longer than its relation's planned arity raises the use by the
-// excess; no compiled rule derives one.
-type scratchUse struct {
-	width int                  // arity of the working tuple so far
-	most  dataflow.ScratchSize // what the strand holds at its deepest
-}
-
-// take records an element extending the working tuple by extra fields.
-func (u *scratchUse) take(extra int) {
-	u.width += extra
-	u.most.Vals += u.width
-	u.most.Tuples++
-}
-
-// flush records the end-of-event emission of an arity-wide tuple.
-func (u *scratchUse) flush(arity int) {
-	u.most.Vals = max(u.most.Vals, arity)
-	u.most.Tuples = max(u.most.Tuples, 1)
-}
-
-func (n *Node) startPeriodic(r *planner.Rule, s *strand) {
-	trig := r.Trigger
-	extra := trig.Extra
-	ruleID := r.ID
-	mk := func(addr string, seq int64, period float64) *tuple.Tuple {
+func (n *Node) startPeriodic(i int, r *planner.Rule) {
+	trig := &r.Trigger
+	tick := func() {
 		n.eventSeq++
-		fields := make([]val.Value, 0, 2+len(extra))
-		fields = append(fields, val.Str(addr))
-		fields = append(fields, val.Str(fmt.Sprintf("%s!%s!%d", addr, ruleID, n.eventSeq)))
-		fields = append(fields, extra...)
-		return tuple.New("periodic", fields...)
+		fields := make([]val.Value, 0, 2+len(trig.Extra))
+		fields = append(fields, val.Str(n.addr))
+		fields = append(fields, val.Str(fmt.Sprintf("%s!%s!%d", n.addr, r.ID, n.eventSeq)))
+		fields = append(fields, trig.Extra...)
+		n.runStrand(i, tuple.New("periodic", fields...))
 	}
-	p := dataflow.NewPeriodic(n.loop, n.addr, trig.Period, trig.Count, mk)
-	p.Connect(dataflow.NewSink(func(t *tuple.Tuple) { n.runStrand(s, t) }))
+	p := dataflow.NewPeriodic(n.loop, trig.Period, trig.Count, tick)
 	n.periodics = append(n.periodics, p)
 	// The first firing lands one period out; with jitter enabled the
 	// phase is uniformly random in (0, period] so nodes do not tick in
@@ -606,47 +505,50 @@ func (n *Node) startPeriodic(r *planner.Rule, s *strand) {
 	p.Start(delay)
 }
 
-func (n *Node) buildTableAgg(ta *planner.TableAggRule) {
-	tbl := n.tables[ta.Table]
-	agg := dataflow.NewAggTable(tbl, ta.Fn, ta.GroupPos, ta.AggPos, "g")
-	project := dataflow.NewProject(ta.HeadName, ta.HeadProgs, n.env)
-	rule := &planner.Rule{ID: ta.ID, HeadName: ta.HeadName, Materialized: ta.Materialized}
-	rf := &ruleFires{id: ta.ID}
-	n.aggFires = append(n.aggFires, rf)
-	sink := dataflow.NewSink(func(t *tuple.Tuple) {
-		rf.fires++
-		n.deliverHead(rule, t)
-	})
-	agg.Connect(project)
-	project.Connect(sink)
+// addTableAgg keeps the plan's next table aggregate, ta, over the
+// node's table, feeding the plan's shared head projection.
+func (n *Node) addTableAgg(ta *planner.TableAggRule) {
+	agg := dataflow.NewAggTable(&n.ctx, n.tables[ta.Table], ta.Fn, ta.GroupPos, ta.AggPos, "g")
+	agg.Connect(ta.Head)
+	n.aggFires = append(n.aggFires, 0)
 	// Rules installed at runtime aggregate over tables that may already
 	// hold rows; surface the current groups now that the chain is wired.
 	// At node start tables are empty and this is a no-op.
 	agg.Recompute()
 }
 
-// runStrand executes one rule strand for one event, run-to-completion.
-func (n *Node) runStrand(s *strand, event *tuple.Tuple) {
+// runStrand executes the strand of plan rule i for one event,
+// run-to-completion: the plan's elements, the node's state.
+func (n *Node) runStrand(i int, event *tuple.Tuple) {
 	if n.stopped {
 		return
 	}
 	n.stats.RulesFired++
-	s.fires++
-	s.entry.Push(event)
-	if s.agg != nil {
-		s.agg.Flush(event)
+	n.fires[i]++
+	r := n.plan.Rules[i]
+	r.Entry.Push(&n.ctx, event)
+	if r.Flush != nil {
+		r.Flush.Flush(&n.ctx, event)
 	}
 }
 
-// deliverHead routes a derived head tuple: delete action, local
-// delivery, or network send, chosen by the tuple's location specifier.
-func (n *Node) deliverHead(r *planner.Rule, t *tuple.Tuple) {
+// deliverHead routes the head tuple a plan rule derived — rule is its
+// position in plan.Rules, or ^j for TableAggs[j] — as a delete action,
+// local delivery, or network send, chosen by the rule and the tuple's
+// location specifier.
+func (n *Node) deliverHead(rule int, t *tuple.Tuple) {
+	del := false
+	if rule < 0 {
+		n.aggFires[^rule]++
+	} else {
+		del = n.plan.Rules[rule].Delete
+	}
 	if n.stopped {
 		return
 	}
 	n.stats.TuplesDerived++
-	if r.Delete {
-		if tbl := n.tables[r.HeadName]; tbl != nil {
+	if del {
+		if tbl := n.tables[t.Name()]; tbl != nil {
 			if tbl.Delete(t) {
 				n.notifyWatch(t, DirDeleted, "")
 			}
@@ -685,12 +587,12 @@ func (n *Node) deliverLocal(t *tuple.Tuple, dir Direction) {
 		res := tbl.Insert(t)
 		if res.Delta {
 			n.notifyWatch(t, DirInserted, "")
-			n.trigger(name, t)
+			n.trigger(n.plan.Triggered(name), t)
 		}
 		return
 	}
-	if _, ok := n.strands[name]; ok {
-		n.trigger(name, t)
+	if rules := n.plan.Triggered(name); rules != nil {
+		n.trigger(rules, t)
 		return
 	}
 	if len(n.watchers[name]) == 0 {
@@ -698,14 +600,15 @@ func (n *Node) deliverLocal(t *tuple.Tuple, dir Direction) {
 	}
 }
 
-// trigger schedules every strand listening on name. Runs are deferred
-// so each strand executes run-to-completion with a quiesced stack. The
-// event rides the strand's own pending queue and the strand's
-// preallocated runner goes on the DPC ring — no closure per tuple.
-func (n *Node) trigger(name string, t *tuple.Tuple) {
-	for _, s := range n.strands[name] {
-		s.queue = append(s.queue, t)
-		n.loop.Defer(s.runFn)
+// trigger schedules the strands of the given plan rules for t. Runs
+// are deferred so each strand executes run-to-completion with a
+// quiesced stack. The run rides the node's pending queue and the
+// node's preallocated runner goes on the DPC ring — no closure per
+// tuple.
+func (n *Node) trigger(rules []int, t *tuple.Tuple) {
+	for _, i := range rules {
+		n.pending.runs = append(n.pending.runs, strandRun{i, t})
+		n.loop.Defer(n.pending.runFn)
 	}
 }
 

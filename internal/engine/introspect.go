@@ -213,22 +213,22 @@ func (n *Node) RefreshSystemTables() {
 		}
 		n.deliverLocal(t, DirDerived)
 	}
-	for _, s := range n.allStrands {
-		emitRule(s.rule.ID, s.fires)
+	for i, fires := range n.fires {
+		emitRule(n.plan.Rules[i].ID, fires)
 	}
-	for _, rf := range n.aggFires {
-		emitRule(rf.id, rf.fires)
+	for j, fires := range n.aggFires {
+		emitRule(n.plan.TableAggs[j].ID, fires)
 	}
 
 	// sysPlan reports the plan of every rule strand; a frozen rule, which
 	// the planner leaves in textual order, reports order "-", cost 0. A
 	// plan is fixed when its rule is compiled, so each row renders once
 	// and every refresh only renews its TTL.
-	for _, s := range n.allStrands {
-		t := sr.planTup[s.rule.ID]
+	for _, r := range n.plan.Rules[:len(n.fires)] {
+		t := sr.planTup[r.ID]
 		if t == nil {
-			t = introspect.PlanTuple(addr, planStat(s.rule))
-			sr.planTup[s.rule.ID] = t
+			t = introspect.PlanTuple(addr, planStat(r))
+			sr.planTup[r.ID] = t
 		}
 		n.deliverLocal(t, DirDerived)
 	}
@@ -420,9 +420,9 @@ func (n *Node) KVStats() (introspect.KVStat, bool) {
 	if gp := n.tables[kvs.GetPendingTable]; gp != nil {
 		st.Pending += gp.Len()
 	}
-	for _, s := range n.allStrands {
-		if kvs.RepairRules[s.rule.ID] {
-			st.Repairs += s.fires
+	for i, fires := range n.fires {
+		if kvs.RepairRules[n.plan.Rules[i].ID] {
+			st.Repairs += fires
 		}
 	}
 	return st, true
@@ -443,12 +443,12 @@ func (n *Node) TableStats() []introspect.TableStat {
 // executions for event rules, head emissions for continuous table
 // aggregates.
 func (n *Node) RuleStats() []introspect.RuleStat {
-	out := make([]introspect.RuleStat, 0, len(n.allStrands)+len(n.aggFires))
-	for _, s := range n.allStrands {
-		out = append(out, introspect.RuleStat{ID: s.rule.ID, Fires: s.fires})
+	out := make([]introspect.RuleStat, 0, len(n.fires)+len(n.aggFires))
+	for i, fires := range n.fires {
+		out = append(out, introspect.RuleStat{ID: n.plan.Rules[i].ID, Fires: fires})
 	}
-	for _, rf := range n.aggFires {
-		out = append(out, introspect.RuleStat{ID: rf.id, Fires: rf.fires})
+	for j, fires := range n.aggFires {
+		out = append(out, introspect.RuleStat{ID: n.plan.TableAggs[j].ID, Fires: fires})
 	}
 	return out
 }
@@ -456,9 +456,9 @@ func (n *Node) RuleStats() []introspect.RuleStat {
 // PlanStats reports the planner's plan per rule strand, in build order.
 // A frozen rule reports its textual plan: order "-", cost 0.
 func (n *Node) PlanStats() []introspect.PlanStat {
-	out := make([]introspect.PlanStat, 0, len(n.allStrands))
-	for _, s := range n.allStrands {
-		out = append(out, planStat(s.rule))
+	out := make([]introspect.PlanStat, 0, len(n.fires))
+	for _, r := range n.plan.Rules[:len(n.fires)] {
+		out = append(out, planStat(r))
 	}
 	return out
 }
@@ -509,8 +509,10 @@ func (n *Node) Install(src string) error {
 	if err != nil {
 		return fmt.Errorf("engine: install on %s: %w", n.addr, err)
 	}
-	// Commit point: instantiate tables first so strand construction can
-	// index them, then wire rules and aggregates, then inject facts.
+	// Commit point: instantiate tables first so the node can index them
+	// for the new strands, then take on rules and aggregates, then
+	// inject facts. Extend built the new rules' elements on newPlan;
+	// the base plan, and every other node running it, is untouched.
 	n.plan = newPlan
 	for _, ts := range delta.Tables {
 		n.tables[ts.Name] = n.newTable(ts)
@@ -520,17 +522,18 @@ func (n *Node) Install(src string) error {
 	// plan sweeps identically to one that started with it.
 	sort.Strings(n.tableOrder)
 	// Monitoring grafts are the usual first sys* consumer: materialize
-	// the system tables before strand construction so joins against
-	// them have a table to probe.
+	// the system tables before indexing so joins against them have a
+	// table to probe.
 	if !n.sysConsumer && planReadsSys(n.plan) {
 		n.sysConsumer = true
 		n.ensureSysTables()
 	}
+	n.ensureIndexes()
 	for _, r := range delta.Rules {
-		n.buildStrand(r)
+		n.addStrand(r)
 	}
 	for _, ta := range delta.TableAggs {
-		n.buildTableAgg(ta)
+		n.addTableAgg(ta)
 	}
 	if n.opts.TraceWriter != nil {
 		for _, name := range delta.Watches {

@@ -214,7 +214,9 @@ func (p *Program) String() string {
 }
 
 // VM executes PEL programs. A VM is reusable and not safe for concurrent
-// use — exactly one lives per dataflow strand.
+// use — exactly one lives per node (in its dataflow.Ctx), serving every
+// element of every strand the node runs: an evaluation finishes before
+// the element that ran it pushes anything downstream.
 type VM struct {
 	stack []val.Value
 }
@@ -222,9 +224,9 @@ type VM struct {
 // NewVM returns a fresh VM. The operand stack starts nil and run sizes
 // it to the depth Build measured for the deepest program evaluated so
 // far — steady-state evaluation is allocation-free without a fixed-size
-// preallocation on every VM. A dataflow graph holds one VM per element,
-// tens of thousands of them across a big deployment, and most programs
-// are a handful of slots deep.
+// preallocation on every VM. A big deployment holds one VM per node,
+// tens of thousands of them, and most programs are a handful of slots
+// deep.
 func NewVM() *VM { return &VM{} }
 
 // Eval runs p against the input tuple and environment, returning the

@@ -76,6 +76,7 @@ func compileProg(prog *overlog.Program, extra map[string]val.Value, plan bool, s
 		return nil, err
 	}
 	p.ensureRuleIDs(0, 0, nil)
+	p.buildGraph(0, 0)
 	return p, nil
 }
 

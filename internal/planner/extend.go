@@ -2,6 +2,7 @@ package planner
 
 import (
 	"fmt"
+	"slices"
 
 	"p2/internal/introspect"
 	"p2/internal/overlog"
@@ -93,6 +94,7 @@ func Extend(base *Plan, prog *overlog.Program, extra map[string]val.Value) (*Pla
 		taken[ta.ID] = true
 	}
 	p.ensureRuleIDs(baseRules, baseAggs, taken)
+	p.buildGraph(baseRules, baseAggs)
 	delta.Rules = p.Rules[baseRules:]
 	delta.TableAggs = p.TableAggs[baseAggs:]
 
@@ -111,8 +113,8 @@ func Extend(base *Plan, prog *overlog.Program, extra map[string]val.Value) (*Pla
 }
 
 // clone returns a copy of p whose maps and slices can grow without
-// touching p — compiled rules, specs, and facts are shared by pointer,
-// never mutated.
+// touching p — compiled rules, specs, facts and the element graph are
+// shared by pointer, never mutated.
 func (p *Plan) clone() *Plan {
 	c := &Plan{
 		Source:    p.Source,
@@ -123,6 +125,14 @@ func (p *Plan) clone() *Plan {
 		Watches:   append([]string(nil), p.Watches...),
 		Defines:   make(map[string]val.Value, len(p.Defines)),
 		Arities:   make(map[string]int, len(p.Arities)),
+		indexes:   slices.Clip(p.indexes),
+		triggers:  make(map[string][]int, len(p.triggers)),
+		scratch:   p.scratch,
+		folds:     p.folds,
+		streams:   p.streams,
+	}
+	for k, v := range p.triggers {
+		c.triggers[k] = slices.Clip(v) // appends copy, leaving p's untouched
 	}
 	for k, v := range p.Tables {
 		c.Tables[k] = v

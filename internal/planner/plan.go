@@ -1,7 +1,8 @@
 // Package planner compiles parsed OverLog programs into executable
 // plans: table schemas, per-rule dataflow strand specifications, facts,
-// and watches (§3.5). The engine instantiates one dataflow graph per
-// node from a Plan.
+// and watches (§3.5), and the element graph of every rule, which all
+// nodes running the plan share; the engine gives each node only its
+// state.
 //
 // Compilation follows the paper's translation: each rule becomes a
 // strand headed by its event (the body's unique stream predicate, a
@@ -47,6 +48,15 @@ type Plan struct {
 	Defines   map[string]val.Value
 	// Arities records the inferred arity of every relation.
 	Arities map[string]int
+
+	// The element graph (graph.go) beyond the rules' own strands: built
+	// when Compile or Extend finishes, shared by every node running the
+	// plan, each pushing through it with its own dataflow.Ctx.
+	indexes  []IndexSpec
+	triggers map[string][]int // relation -> positions in Rules
+	scratch  dataflow.ScratchSize
+	folds    int // dataflow.Ctx fold slots handed out
+	streams  int // dataflow.Ctx aggregate slots handed out
 }
 
 // TableSpec describes one materialized relation.
@@ -192,6 +202,12 @@ type Rule struct {
 	// tuple-touch units; comparable only within one rule).
 	CostEst float64
 
+	// Entry is the first element of the rule's strand and Flush the
+	// aggregate that ends it (nil without one): the graph buildGraph
+	// built, shared by every node and every plan extending this one.
+	Entry dataflow.Pusher
+	Flush dataflow.Flusher
+
 	// orderStr is OrderString's text, rendered when the rule is compiled:
 	// a compiled rule never changes, and every node running it may read
 	// it at once.
@@ -233,6 +249,10 @@ type TableAggRule struct {
 	HeadName     string
 	HeadProgs    []*pel.Program // input layout: group fields ++ aggregate
 	Materialized bool
+	// Head projects the aggregate's rows into head tuples: shared, like
+	// a strand, while each node keeps the aggregate itself over its own
+	// table.
+	Head *dataflow.Project
 }
 
 // FactArg is either a constant or the local-address placeholder (fact

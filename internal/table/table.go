@@ -495,6 +495,9 @@ func indexSig(positions []int) string {
 // Positions returns the indexed field positions. Treat as read-only.
 func (ix *Index) Positions() []int { return ix.positions }
 
+// Table returns the table the index belongs to.
+func (ix *Index) Table() *Table { return ix.tb }
+
 // Each visits every live tuple whose indexed fields equal the rendered
 // key (as produced by tuple.AppendKey over the probe positions),
 // stopping early if fn returns false. This is the zero-allocation probe
@@ -519,8 +522,8 @@ func (ix *Index) Each(key []byte, fn func(*tuple.Tuple) bool) {
 // recurse into the listener chain.
 //
 // The key buffer must stay stable for the duration of the visit (true
-// for the per-element scratch buffers equijoins use: a strand element
-// is never re-entered while its Push is active).
+// for the key stack equijoins render into: a probe's key stays put until
+// its walk returns, and the probes downstream render past it).
 func (ix *Index) PeekEach(key []byte, fn func(*tuple.Tuple) bool) {
 	bucket := ix.m[string(key)]
 	end := len(bucket)

@@ -81,17 +81,22 @@ func (op *KVOp) Latency() float64 { return op.Completed - op.Issued }
 // complete reports true whatever the timeout: the completion is looked
 // at before the timer, which a caller descheduled for longer than a
 // short timeout would otherwise find ready too, and a select between
-// two ready cases picks either.
+// two ready cases picks either. The timer is stopped on return: under
+// the module's pre-1.23 timer rules an unfired timer stays live until
+// it expires, and a closed loop of fast operations would otherwise
+// hold one per operation for the whole timeout.
 func (op *KVOp) Wait(timeout time.Duration) bool {
 	select {
 	case <-op.done:
 		return true
 	default:
 	}
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
 	select {
 	case <-op.done:
 		return true
-	case <-time.After(timeout):
+	case <-timer.C:
 		return false
 	}
 }

@@ -451,9 +451,7 @@ func (d *Deployment) SpawnOpts(addr string, plan *Plan, opts NodeOptions) (*Hand
 			nif = trace.WrapNetwork(nif, d.recorder, loop.Now)
 		}
 		if d.faults != nil {
-			nif = netif.WithFaults(nif, d.faults, func(delay float64, fn func()) {
-				loop.After(delay, fn)
-			})
+			nif = netif.WithFaults(nif, d.faults, loop.AfterFree)
 		}
 		h.node = engine.NewNode(addr, loop, nif, plan, opts)
 		errc := make(chan error, 1)

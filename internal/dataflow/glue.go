@@ -29,7 +29,7 @@ func NewPeriodic(loop eventloop.Loop, period float64, count int64, tick func()) 
 // only control: no timer handle is kept, so the ticking rides pooled
 // fire-and-forget timers.
 func (p *Periodic) Start(delay float64) {
-	eventloop.ScheduleFree(p.loop, delay, p.fireFn)
+	p.loop.AfterFree(delay, p.fireFn)
 }
 
 // Stop halts future firings.
@@ -44,6 +44,6 @@ func (p *Periodic) fire() {
 		p.count--
 	}
 	if p.count != 0 && p.period > 0 {
-		eventloop.ScheduleFree(p.loop, p.period, p.fireFn)
+		p.loop.AfterFree(p.period, p.fireFn)
 	}
 }

@@ -360,14 +360,11 @@ func (n *Node) healthSample() (sample health.Sample, ks introspect.KVStat, kvOK 
 // the scheduler queue length (shared with other nodes when several sim
 // nodes run one loop).
 func (n *Node) NodeStat() introspect.NodeStat {
-	st := introspect.NodeStat{
+	return introspect.NodeStat{
 		UptimeS: n.loop.Now() - n.startTime,
 		Events:  n.stats.RulesFired,
+		Queue:   n.loop.Pending(),
 	}
-	if p, ok := n.loop.(interface{ Pending() int }); ok {
-		st.Queue = p.Pending()
-	}
-	return st
 }
 
 // tableStat maps one table's counters into its sysTable row — the

@@ -56,21 +56,6 @@ type Exchanger interface {
 	Exchange(now float64)
 }
 
-// BarrierEvent is a handle to a control-lane callback scheduled with
-// AtBarrier. Cancel prevents it from running; safe to call from the
-// coordinator goroutine only.
-type BarrierEvent struct {
-	fn       func()
-	canceled bool
-}
-
-// Cancel prevents the control callback from running.
-func (e *BarrierEvent) Cancel() {
-	if e != nil {
-		e.canceled = true
-	}
-}
-
 // spinYields is how many times an idle worker yields its processor
 // while waiting for the next epoch before it parks. Barrier work is
 // usually a few microseconds, so a worker spinning through it picks up
@@ -109,8 +94,7 @@ type ShardedSim struct {
 	now       float64
 
 	exchangers []Exchanger
-	controls   eventHeap[*BarrierEvent]
-	ctlSeq     uint64
+	controls   Sim // the AtBarrier lane, run by the coordinator
 
 	gen     atomic.Uint64 // epoch generation; closedGen after Close
 	end     float64       // boundary of generation gen; written before gen
@@ -218,26 +202,21 @@ func (ss *ShardedSim) AddExchanger(x Exchanger) {
 // installing a partition) that touch cross-shard state and therefore
 // must run while every shard is quiescent. The epoch in progress ends
 // at t, so fn runs at exactly t, after every shard event due at or
-// before t. Callbacks due at the same time run in schedule order.
-// Coordinator goroutine only.
-func (ss *ShardedSim) AtBarrier(t float64, fn func()) *BarrierEvent {
-	if t < ss.now {
-		t = ss.now
-	}
-	ss.ctlSeq++
-	e := &BarrierEvent{fn: fn}
-	ss.controls.push(t, ss.ctlSeq, e)
-	return e
+// before t. Callbacks due at the same time run in schedule order, and
+// Cancel on the returned Timer suppresses the callback. Coordinator
+// goroutine only.
+func (ss *ShardedSim) AtBarrier(t float64, fn func()) *Timer {
+	// The lane's own clock reads the last control's time, which may
+	// trail ss.now; clamping here keeps a late control after the ones
+	// already due at ss.now.
+	return ss.controls.At(max(t, ss.now), fn)
 }
 
 // nextControl returns the time of the earliest live control callback,
-// discarding canceled ones, or +Inf when none is pending.
+// or +Inf when none is pending.
 func (ss *ShardedSim) nextControl() float64 {
-	for len(ss.controls) > 0 {
-		if e := &ss.controls[0]; !e.ev.canceled {
-			return e.at
-		}
-		ss.controls.pop()
+	if top := ss.controls.top(); top != nil {
+		return top.at
 	}
 	return math.Inf(1)
 }
@@ -248,9 +227,11 @@ func (ss *ShardedSim) runBarrier() {
 	for _, x := range ss.exchangers {
 		x.Exchange(ss.now)
 	}
-	for ss.nextControl() <= ss.now {
-		fn := ss.controls[0].ev.fn
-		ss.controls.pop()
+	for {
+		fn, ok := ss.controls.popDue(ss.now)
+		if !ok {
+			return
+		}
 		fn()
 	}
 }
@@ -292,16 +273,6 @@ func (ss *ShardedSim) Run(until float64) int {
 
 // RunFor advances the simulation by d seconds of virtual time.
 func (ss *ShardedSim) RunFor(d float64) int { return ss.Run(ss.now + d) }
-
-// Pending sums pending events across shards (coordinator only, between
-// Run calls).
-func (ss *ShardedSim) Pending() int {
-	n := 0
-	for _, s := range ss.shards {
-		n += s.Pending()
-	}
-	return n
-}
 
 // Close releases the worker goroutines by publishing a terminal
 // generation. The ShardedSim must not be run afterwards; Close is

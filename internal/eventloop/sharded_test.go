@@ -62,7 +62,8 @@ func TestShardedRunCountsEvents(t *testing.T) {
 }
 
 // TestAtBarrierOrdering checks the control lane: callbacks run in
-// (time, schedule order), and Cancel suppresses them.
+// (time, schedule order), and Cancel suppresses them, also from a
+// control due at the same instant.
 func TestAtBarrierOrdering(t *testing.T) {
 	ss := NewShardedSim(2, 0.002)
 	defer ss.Close()
@@ -72,6 +73,10 @@ func TestAtBarrierOrdering(t *testing.T) {
 	ss.AtBarrier(0, func() { order = append(order, "a") })
 	ev := ss.AtBarrier(0.005, func() { order = append(order, "x") })
 	ev.Cancel()
+	// A control may cancel another due at the same instant.
+	var victim *Timer
+	ss.AtBarrier(0.004, func() { victim.Cancel() })
+	victim = ss.AtBarrier(0.004, func() { order = append(order, "y") })
 	// Control callbacks may schedule more control callbacks.
 	ss.AtBarrier(0.001, func() {
 		ss.AtBarrier(0.006, func() { order = append(order, "d") })

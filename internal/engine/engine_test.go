@@ -36,6 +36,12 @@ func newRigOpts(t *testing.T, src string, opts Options, addrs ...string) *rig {
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
+	return newPlanRig(t, plan, opts, addrs...)
+}
+
+// newPlanRig is newRigOpts for an already compiled plan.
+func newPlanRig(t *testing.T, plan *planner.Plan, opts Options, addrs ...string) *rig {
+	t.Helper()
 	loop := eventloop.NewSim()
 	cfg := simnet.DefaultConfig()
 	cfg.Domains = 1

@@ -10,6 +10,7 @@ import (
 
 	"p2/internal/health"
 	"p2/internal/introspect"
+	"p2/internal/overlays"
 	"p2/internal/tuple"
 	"p2/internal/val"
 )
@@ -304,4 +305,38 @@ func TestInstalledRulesAppearInSysRule(t *testing.T) {
 		}
 	}
 	t.Fatal("installed rule B1 missing from sysRule")
+}
+
+// TestRefreshSteadyStateAllocs pins the refresh's steady state: on an
+// idle node, where no counter moved since the last pass, every cached
+// row re-delivers its tuple and the pass allocates only for the rows
+// that always change (sysNode's uptime, the health reasons that quote
+// the clock). Four is the reading on both a ping-pong pair and a
+// three-node Chord ring.
+func TestRefreshSteadyStateAllocs(t *testing.T) {
+	const maxAllocs = 4
+	pp := newRigOpts(t, pingPongSrc, Options{IntrospectInterval: 1}, "a", "b")
+	pingN(pp, "a", "b", 3)
+	pp.loop.Run(5)
+
+	ring := newPlanRig(t, overlays.ChordPlan(nil), Options{IntrospectInterval: 1}, "c0", "c1", "c2")
+	for i, a := range []string{"c0", "c1", "c2"} {
+		landmark := "-"
+		if i > 0 {
+			landmark = "c0"
+		}
+		ring.nodes[a].InjectTuple(tuple.New("landmark", val.Str(a), val.Str(landmark)))
+		ring.nodes[a].InjectTuple(tuple.New("join", val.Str(a), val.Str(a+"!boot")))
+	}
+	ring.loop.Run(60)
+
+	for _, c := range []struct {
+		name string
+		n    *Node
+	}{{"pingpong", pp.nodes["a"]}, {"chord", ring.nodes["c1"]}} {
+		c.n.RefreshSystemTables() // warm every row cache
+		if got := testing.AllocsPerRun(100, c.n.RefreshSystemTables); got > maxAllocs {
+			t.Errorf("%s: steady-state refresh allocates %.1f times, want <= %d", c.name, got, maxAllocs)
+		}
+	}
 }

@@ -38,10 +38,6 @@ type Options struct {
 	// Transport tunes reliability and congestion control; zero value
 	// uses transport.DefaultConfig.
 	Transport *transport.Config
-	// SweepInterval is how often finite-TTL tables are swept for
-	// expired tuples (default 1 s). Sweeps keep continuous aggregates
-	// current even when a table is otherwise idle.
-	SweepInterval float64
 	// NoJitter disables the random stagger of first periodic firings.
 	// Experiments that need lock-step timers set it.
 	NoJitter bool
@@ -162,7 +158,7 @@ type Node struct {
 	// Go-level Watch on one. Recomputed at Start and Install, set by
 	// Watch — never scanned per tick.
 	sysConsumer bool
-	sysref      *sysRefresh       // incremental system-table refresh cache
+	sysref      sysRefresh        // incremental system-table refresh cache
 	health      *health.Evaluator // condition engine, fed by the refresh
 
 	// ctx is the node's state for the plan's element graph: its indexes,
@@ -216,9 +212,6 @@ func (n *Node) runNext() {
 // compiled and never modifies it, so every node of a deployment may
 // share one plan (Install moves a node onto its own extended copy).
 func NewNode(addr string, loop eventloop.Loop, net netif.Network, plan *planner.Plan, opts Options) *Node {
-	if opts.SweepInterval <= 0 {
-		opts.SweepInterval = 1.0
-	}
 	rng := rand.New(rand.NewSource(opts.Seed ^ int64(len(addr))*7919 ^ hashAddr(addr)))
 	n := &Node{
 		addr:     addr,
@@ -229,7 +222,6 @@ func NewNode(addr string, loop eventloop.Loop, net netif.Network, plan *planner.
 		rng:      rng,
 		tables:   make(map[string]*table.Table),
 		watchers: make(map[string][]WatchFunc),
-		sysref:   newSysRefresh(),
 	}
 	n.ctx.Env = &pel.Env{Clock: loop, Rand: rng, Local: addr}
 	n.ctx.Deliver = n.deliverHead
@@ -446,13 +438,17 @@ func (n *Node) InjectTuple(t *tuple.Tuple) {
 	})
 }
 
+// sweepInterval is how often, in seconds, finite-TTL tables are swept
+// for expired tuples, even when a table is otherwise idle.
+const sweepInterval = 1.0
+
 // scheduleSweep periodically expires finite-TTL tables so deletions
 // (and the continuous aggregates hanging off them) surface promptly.
 func (n *Node) scheduleSweep() {
 	if n.stopped {
 		return
 	}
-	n.sweeper = n.loop.After(n.opts.SweepInterval, func() {
+	n.sweeper = n.loop.After(sweepInterval, func() {
 		if n.stopped {
 			return
 		}

@@ -22,54 +22,54 @@ import (
 	"p2/internal/val"
 )
 
-// sysRefresh caches the previous refresh's counter values and rendered
-// tuples per system-table row. A refresh whose counters are unchanged
-// re-delivers the cached tuple pointer: the table sees an identical
-// tuple, renews its TTL, and produces no delta — and the refresh
-// allocates nothing for it. On a mostly idle overlay that turns the
-// once-a-second snapshot from the node's largest allocator into a
-// near-free TTL renewal pass.
+// rowCache holds one system relation's rows between refreshes: per key,
+// the counters the row was last rendered from and its tuple. The maps
+// allocate on first use; most nodes of a large deployment never refresh.
+type rowCache[K, S comparable] struct {
+	last map[K]S
+	tup  map[K]*tuple.Tuple
+}
+
+// row returns k's tuple at addr for counters s: the cached one when s
+// is unchanged — the table renews its TTL, produces no delta, and the
+// refresh allocates nothing for the row — else render's, now cached.
+func (c *rowCache[K, S]) row(addr val.Value, k K, s S, render func(val.Value, S) *tuple.Tuple) *tuple.Tuple {
+	if c.tup == nil {
+		c.last, c.tup = make(map[K]S), make(map[K]*tuple.Tuple)
+	}
+	if t := c.tup[k]; t != nil && c.last[k] == s {
+		return t
+	}
+	t := render(addr, s)
+	c.last[k], c.tup[k] = s, t
+	return t
+}
+
+// keep forgets every row whose key live rejects.
+func (c *rowCache[K, S]) keep(live func(K) bool) {
+	for k := range c.tup {
+		if !live(k) {
+			delete(c.tup, k)
+			delete(c.last, k)
+		}
+	}
+}
+
+// sysRefresh is the refresh's state between passes: one rowCache per
+// system relation but sysNode, whose uptime always moves, and the
+// buffers the live counters are read into. On a mostly idle overlay
+// the caches make the once-a-second snapshot a near-free TTL renewal.
 type sysRefresh struct {
 	tableNames []string // application relations, sorted, maintained at creation
-	tableLast  map[string]introspect.TableStat
-	tableTup   map[string]*tuple.Tuple
-	ruleLast   map[string]int64
-	ruleTup    map[string]*tuple.Tuple
-	planTup    map[string]*tuple.Tuple // a rule's plan never changes
-	netLast    map[string]introspect.NetStat
-	netTup     map[string]*tuple.Tuple
-	netBuf     []transport.DestStats
+	tables     rowCache[string, introspect.TableStat]
+	rules      rowCache[string, introspect.RuleStat]
+	plans      rowCache[string, introspect.PlanStat]
+	nets       rowCache[string, introspect.NetStat]
+	conds      rowCache[health.ConditionType, introspect.HealthStat]
+	kv         rowCache[struct{}, introspect.KVStat] // the single sysKV row
 
-	healthLast  map[health.ConditionType]introspect.HealthStat
-	healthTup   map[health.ConditionType]*tuple.Tuple
-	healthPeers []health.PeerSample // reused sample buffer
-
-	kvLast introspect.KVStat
-	kvTup  *tuple.Tuple // single sysKV row; nil until first KV refresh
-}
-
-func newSysRefresh() *sysRefresh {
-	// Only tableNames is maintained unconditionally (registerTable at
-	// table creation; healthSample's churn walk reads it). The row
-	// caches allocate on the first actual refresh — most nodes of a
-	// large deployment never run one.
-	return &sysRefresh{}
-}
-
-// ensureCaches allocates the per-row caches on the first refresh.
-func (sr *sysRefresh) ensureCaches() {
-	if sr.tableLast != nil {
-		return
-	}
-	sr.tableLast = make(map[string]introspect.TableStat)
-	sr.tableTup = make(map[string]*tuple.Tuple)
-	sr.ruleLast = make(map[string]int64)
-	sr.ruleTup = make(map[string]*tuple.Tuple)
-	sr.planTup = make(map[string]*tuple.Tuple)
-	sr.netLast = make(map[string]introspect.NetStat)
-	sr.netTup = make(map[string]*tuple.Tuple)
-	sr.healthLast = make(map[health.ConditionType]introspect.HealthStat)
-	sr.healthTup = make(map[health.ConditionType]*tuple.Tuple)
+	netBuf []transport.DestStats // per-peer stats: sysNet rows and health.Sample.Peers
+	kvStat introspect.KVStat     // health.Sample.KV points here
 }
 
 // registerTable records an application relation for the sysTable
@@ -178,13 +178,12 @@ func (n *Node) armIntrospect(iv float64) {
 // engine calls it on a timer; tests and tools may call it directly.
 //
 // The refresh is incremental: rows are delivered in a deterministic
-// order (sysNode, then sysTable / sysRule / sysNet, each sorted by its
-// key), but a row whose counters match the previous refresh reuses the
-// cached tuple, so steady-state refreshes only build tuples for rows
-// that actually changed.
+// order (sysNode, sysTable, sysRule, sysPlan, sysNet, sysKV, then
+// sysHealth, each walked in a fixed order), but a row whose counters
+// match the previous refresh reuses the cached tuple, so steady-state
+// refreshes only build tuples for rows that actually changed.
 func (n *Node) RefreshSystemTables() {
-	sr := n.sysref
-	sr.ensureCaches()
+	sr := &n.sysref
 	n.ensureSysTables() // direct calls may precede any consumer
 	addr := val.Str(n.addr)
 
@@ -192,102 +191,55 @@ func (n *Node) RefreshSystemTables() {
 	n.deliverLocal(introspect.NodeTuple(addr, ns), DirDerived)
 
 	for _, name := range sr.tableNames {
-		tb := n.tables[name]
-		if tb == nil {
-			continue
+		if tb := n.tables[name]; tb != nil {
+			n.deliverLocal(sr.tables.row(addr, name, tableStat(name, tb), introspect.TableTuple), DirDerived)
 		}
-		ts := tableStat(name, tb)
-		t := sr.tableTup[name]
-		if t == nil || ts != sr.tableLast[name] {
-			t = introspect.TableTuple(addr, ts)
-			sr.tableTup[name], sr.tableLast[name] = t, ts
-		}
-		n.deliverLocal(t, DirDerived)
-	}
-
-	emitRule := func(id string, fires int64) {
-		t := sr.ruleTup[id]
-		if t == nil || fires != sr.ruleLast[id] {
-			t = introspect.RuleTuple(addr, introspect.RuleStat{ID: id, Fires: fires})
-			sr.ruleTup[id], sr.ruleLast[id] = t, fires
-		}
-		n.deliverLocal(t, DirDerived)
 	}
 	for i, fires := range n.fires {
-		emitRule(n.plan.Rules[i].ID, fires)
+		rs := introspect.RuleStat{ID: n.plan.Rules[i].ID, Fires: fires}
+		n.deliverLocal(sr.rules.row(addr, rs.ID, rs, introspect.RuleTuple), DirDerived)
 	}
 	for j, fires := range n.aggFires {
-		emitRule(n.plan.TableAggs[j].ID, fires)
+		rs := introspect.RuleStat{ID: n.plan.TableAggs[j].ID, Fires: fires}
+		n.deliverLocal(sr.rules.row(addr, rs.ID, rs, introspect.RuleTuple), DirDerived)
 	}
-
 	// sysPlan reports the plan of every rule strand; a frozen rule, which
 	// the planner leaves in textual order, reports order "-", cost 0. A
 	// plan is fixed when its rule is compiled, so each row renders once
 	// and every refresh only renews its TTL.
 	for _, r := range n.plan.Rules[:len(n.fires)] {
-		t := sr.planTup[r.ID]
-		if t == nil {
-			t = introspect.PlanTuple(addr, planStat(r))
-			sr.planTup[r.ID] = t
-		}
-		n.deliverLocal(t, DirDerived)
+		n.deliverLocal(sr.plans.row(addr, r.ID, planStat(r), introspect.PlanTuple), DirDerived)
 	}
 
-	// The health sample and the sysNet and sysKV rows read the same
-	// counters: healthSample leaves the per-peer stats in sr.netBuf.
-	sample, ks, kvOK := n.healthSample()
-	if n.trans != nil {
-		for i := range sr.netBuf {
-			d := &sr.netBuf[i]
-			st := netStat(d)
-			t := sr.netTup[d.Addr]
-			if t == nil || st != sr.netLast[d.Addr] {
-				t = introspect.NetTuple(addr, st)
-				sr.netTup[d.Addr], sr.netLast[d.Addr] = t, st
-			}
-			n.deliverLocal(t, DirDerived)
-		}
-		// The transport's flow janitor reclaims idle peers; drop their
-		// cached row renderings too, or the caches regrow the O(peers
-		// ever contacted) footprint the janitor exists to bound. The
-		// rows themselves fade by TTL once no refresh renews them.
-		if len(sr.netTup) > len(sr.netBuf) {
-			for a := range sr.netTup {
-				i := sort.Search(len(sr.netBuf), func(i int) bool { return sr.netBuf[i].Addr >= a })
-				if i >= len(sr.netBuf) || sr.netBuf[i].Addr != a {
-					delete(sr.netTup, a)
-					delete(sr.netLast, a)
-				}
-			}
-		}
+	// The health sample holds the rows sysNet and sysKV render from:
+	// sample.Peers is sr.netBuf, sample.KV points at sr.kvStat.
+	sample := n.healthSample()
+	for i := range sample.Peers {
+		d := &sample.Peers[i]
+		n.deliverLocal(sr.nets.row(addr, d.Addr, netStat(d), introspect.NetTuple), DirDerived)
 	}
-
-	// The key-value service's row, on nodes running it: the counters
-	// KVUnderReplicated judges in the health sample.
-	if kvOK {
-		t := sr.kvTup
-		if t == nil || ks != sr.kvLast {
-			t = introspect.KVTuple(addr, ks)
-			sr.kvTup, sr.kvLast = t, ks
-		}
-		n.deliverLocal(t, DirDerived)
+	// The transport's flow janitor reclaims idle peers; drop their
+	// cached rows too, or the cache regrows the O(peers ever contacted)
+	// footprint the janitor exists to bound. The rows themselves fade
+	// by TTL once no refresh renews them.
+	if len(sr.nets.tup) > len(sr.netBuf) {
+		sr.nets.keep(func(a string) bool {
+			return slices.ContainsFunc(sr.netBuf, func(d transport.DestStats) bool { return d.Addr == a })
+		})
+	}
+	if sample.KV != nil {
+		n.deliverLocal(sr.kv.row(addr, struct{}{}, *sample.KV, introspect.KVTuple), DirDerived)
 	}
 
 	// Conditions evaluate from the same counters that fed the rows
 	// above, so sysHealth is consistent with sysNet/sysTable within one
-	// refresh. Rows cache like the others: an unchanged condition
-	// re-delivers its tuple and only renews the TTL.
+	// refresh.
 	for _, c := range n.health.Eval(sample) {
 		hs := introspect.HealthStat{
 			Type: string(c.Type), Status: string(c.Status),
 			Reason: c.Reason, SinceS: c.LastTransition,
 		}
-		t := sr.healthTup[c.Type]
-		if t == nil || hs != sr.healthLast[c.Type] {
-			t = introspect.HealthTuple(addr, hs)
-			sr.healthTup[c.Type], sr.healthLast[c.Type] = t, hs
-		}
-		n.deliverLocal(t, DirDerived)
+		n.deliverLocal(sr.conds.row(addr, c.Type, hs, introspect.HealthTuple), DirDerived)
 	}
 }
 
@@ -296,37 +248,26 @@ func (n *Node) RefreshSystemTables() {
 // snapshot runs (a sys* consumer exists) this reflects the last
 // refresh; before the first one every condition is Unknown. On a node
 // with no sys* audience the conditions are evaluated on the spot from
-// the live counters, so HealthSnapshot and the metrics exporter see
-// current state without paying for the per-second snapshot. With
-// introspection disabled outright (negative interval) conditions stay
-// Unknown, as before.
+// the live counters, rendering no rows, so HealthSnapshot and the
+// metrics exporter see current state without paying for the snapshot.
+// With introspection disabled outright (negative interval) conditions
+// stay Unknown. Runs on the node's loop (Handle.Do or between Runs).
 func (n *Node) Conditions() []health.Condition {
 	if n.health == nil {
 		return nil
 	}
 	if !n.sysConsumer && n.started && !n.stopped && n.introspectInterval() > 0 {
-		n.evalHealthNow()
+		n.health.Eval(n.healthSample())
 	}
 	return slices.Clone(n.health.Conditions())
 }
 
-// evalHealthNow feeds the health evaluator the sample a refresh would
-// build, without rendering or delivering any sys* rows. It runs on the
-// node's loop (Conditions is reached via Handle.Do or between Run
-// calls).
-func (n *Node) evalHealthNow() {
-	sample, _, _ := n.healthSample()
-	n.health.Eval(sample)
-}
-
 // healthSample builds the health evaluator's input from the live
-// counters: cumulative application-table churn, per-peer backlog and
-// drops, and the key-value service's replication state. The per-peer
-// transport stats stay in the refresh cache's netBuf for the sysNet
-// rows; ks is the sysKV row the KV sample comes from, valid when kvOK.
-func (n *Node) healthSample() (sample health.Sample, ks introspect.KVStat, kvOK bool) {
-	sr := n.sysref
-	sample.Now = n.loop.Now()
+// counters: application-table churn, the per-peer transport stats (in
+// sr.netBuf) and the key-value service's sysKV row (in sr.kvStat).
+func (n *Node) healthSample() health.Sample {
+	sr := &n.sysref
+	sample := health.Sample{Now: n.loop.Now()}
 	for _, name := range sr.tableNames {
 		if tb := n.tables[name]; tb != nil {
 			st := tb.Stats()
@@ -336,25 +277,17 @@ func (n *Node) healthSample() (sample health.Sample, ks introspect.KVStat, kvOK 
 	if n.trans != nil {
 		sample.QueueCap = n.trans.Config().QueueCap
 		sr.netBuf = n.trans.PerDestInto(sr.netBuf)
-		sr.healthPeers = sr.healthPeers[:0]
-		for i := range sr.netBuf {
-			d := &sr.netBuf[i]
-			sr.healthPeers = append(sr.healthPeers, health.PeerSample{
-				Addr: d.Addr, Backlog: d.Backlog, Drops: d.Drops,
-			})
-		}
-		sample.Peers = sr.healthPeers
+		sample.Peers = sr.netBuf
 	}
-	if ks, kvOK = n.KVStats(); kvOK {
-		sample.KV = &health.KVSample{
-			Keys: ks.Keys, Replicas: ks.Replicas, Quorum: ks.Quorum, Succs: ks.Succs,
-		}
+	var ok bool
+	if sr.kvStat, ok = n.KVStats(); ok {
+		sample.KV = &sr.kvStat
 	}
-	return sample, ks, kvOK
+	return sample
 }
 
-// The Source implementation below exposes the counters the snapshot is
-// built from; they double as the Go-level introspection API.
+// The accessors below expose the counters the refresh renders; they
+// double as the Go-level introspection API.
 
 // NodeStat reports whole-node liveness: uptime, strand executions, and
 // the scheduler queue length (shared with other nodes when several sim

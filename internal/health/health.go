@@ -16,6 +16,7 @@ import (
 	"sort"
 	"strings"
 
+	"p2/internal/introspect"
 	"p2/internal/transport"
 )
 
@@ -141,41 +142,28 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// PeerSample is one peer's counters at sampling time.
-type PeerSample struct {
-	Addr    string
-	Backlog int // tuples queued behind the congestion window
-	Drops   transport.DropCounts
-}
-
-// KVSample is the key-value service's state at sampling time —
-// mirrored from introspect.KVStat (rather than importing it) to keep
-// this package's dependencies flat, the same pattern as HealthStat on
-// the introspect side.
-type KVSample struct {
-	Keys     int   // keys held in kvStore
-	Replicas int64 // configured replica factor (0 until derived)
-	Quorum   int64 // configured write quorum
-	Succs    int   // live distinct successors — reachable replica fan-out
-}
-
 // Sample is everything one evaluation consumes. The engine builds it
-// from the same counters that feed the sys* tables, on the node's
-// event loop.
+// from the same rows that feed the sys* tables, on the node's event
+// loop.
 type Sample struct {
 	Now      float64 // node clock, seconds
 	Churn    int64   // cumulative inserts+deletes across application tables
 	QueueCap int     // transport per-destination backlog bound (0 = unbounded)
-	Peers    []PeerSample
-	KV       *KVSample // nil on nodes without the key-value service
+	// Peers is the transport's per-peer accounting, sorted by address.
+	// It is the refresh's reused buffer, overwritten by the next
+	// sample: Eval reads it and must not keep it.
+	Peers []transport.DestStats
+	KV    *introspect.KVStat // the sysKV row; nil on nodes without the key-value service
 }
 
 // peerState is the evaluator's per-peer memory: the last observed
-// failure-drop total and when it last advanced.
+// failure-drop count, when it last advanced, and the evaluation that
+// last sampled the peer.
 type peerState struct {
 	lastFail   int64
 	lastFailAt float64
 	seen       bool // lastFailAt is meaningful
+	sampled    int64
 }
 
 // Evaluator computes the condition catalogue from successive Samples.
@@ -188,10 +176,9 @@ type Evaluator struct {
 	lastEvalAt  float64
 	lastChurn   int64
 	lastChurnAt float64 // when Churn last advanced
-	peers       map[string]*peerState
-	lastFailTot int64
+	peers       map[string]peerState
+	failTot     int64   // failure drops observed, summed over per-peer increases
 	lastFailAt  float64 // when any retry-budget drop was last observed
-	failSeen    bool
 }
 
 // NewEvaluator builds an evaluator whose conditions start Unknown with
@@ -199,7 +186,7 @@ type Evaluator struct {
 func NewEvaluator(cfg Config, now float64) *Evaluator {
 	e := &Evaluator{
 		cfg:         cfg.withDefaults(),
-		peers:       make(map[string]*peerState),
+		peers:       make(map[string]peerState),
 		lastChurnAt: now,
 	}
 	for _, ct := range ConditionTypes() {
@@ -238,25 +225,35 @@ func (e *Evaluator) Eval(s Sample) []Condition {
 	// Track per-peer failure drops (RetryExhausted + PeerDead): a peer
 	// is suspect while its failure counter advanced within the suspect
 	// window. Healing is decay — once traffic stops being abandoned,
-	// the suspicion ages out.
+	// the suspicion ages out. A count below the last one means the flow
+	// janitor reclaimed the flow: the whole count is new failures.
 	var suspects []string
-	var failTot int64
+	var failNew int64
 	for _, p := range s.Peers {
 		fails := p.Drops[transport.RetryExhausted] + p.Drops[transport.PeerDead]
-		failTot += fails
 		ps := e.peers[p.Addr]
-		if ps == nil {
-			ps = &peerState{}
-			e.peers[p.Addr] = ps
+		inc := fails - ps.lastFail
+		if inc < 0 {
+			inc = fails
 		}
-		if fails > ps.lastFail {
-			ps.lastFail, ps.lastFailAt, ps.seen = fails, now, true
+		if inc > 0 {
+			failNew += inc
+			ps.lastFailAt, ps.seen = now, true
 		}
-		if ps.seen && now-ps.lastFailAt < cfg.SuspectWindow {
+		ps.lastFail, ps.sampled = fails, e.evals
+		e.peers[p.Addr] = ps
+		if e.suspect(ps, now) {
 			suspects = append(suspects, p.Addr)
 		}
 	}
 	sort.Strings(suspects)
+	// Forget unreported peers once their suspicion ages out: the memory
+	// tracks the transport's working set of peers, not its history.
+	for addr, ps := range e.peers {
+		if ps.sampled != e.evals && !e.suspect(ps, now) {
+			delete(e.peers, addr)
+		}
+	}
 
 	// Partitioned.
 	if len(suspects) > 0 {
@@ -268,12 +265,12 @@ func (e *Evaluator) Eval(s Sample) []Condition {
 
 	// RetryBudgetExhausted: raised while abandoned-tuple counters are
 	// still advancing (same decay window as Partitioned).
-	if failTot > e.lastFailTot {
-		e.lastFailTot, e.lastFailAt, e.failSeen = failTot, now, true
+	if failNew > 0 {
+		e.failTot, e.lastFailAt = e.failTot+failNew, now
 	}
-	if e.failSeen && now-e.lastFailAt < cfg.SuspectWindow {
+	if e.failTot > 0 && now-e.lastFailAt < cfg.SuspectWindow {
 		e.set(RetryBudgetExhausted, StatusTrue,
-			fmt.Sprintf("%d tuple(s) abandoned after full retry budget", e.lastFailTot), now)
+			fmt.Sprintf("%d tuple(s) abandoned after full retry budget", e.failTot), now)
 	} else {
 		e.set(RetryBudgetExhausted, StatusFalse, "no recent retry-budget drops", now)
 	}
@@ -287,8 +284,8 @@ func (e *Evaluator) Eval(s Sample) []Condition {
 		}
 	}
 	worstAddr, worstBacklog := "", 0
-	for _, p := range s.Peers {
-		if p.Backlog > worstBacklog {
+	for i := range s.Peers {
+		if p := &s.Peers[i]; p.Backlog > worstBacklog {
 			worstAddr, worstBacklog = p.Addr, p.Backlog
 		}
 	}
@@ -354,6 +351,12 @@ func (e *Evaluator) Eval(s Sample) []Condition {
 	e.evals++
 	e.lastEvalAt = now
 	return e.conds
+}
+
+// suspect reports whether a peer's failures advanced within the
+// suspect window.
+func (e *Evaluator) suspect(ps peerState, now float64) bool {
+	return ps.seen && now-ps.lastFailAt < e.cfg.SuspectWindow
 }
 
 // peerList renders up to three suspect addresses.

@@ -29,7 +29,11 @@
 // The planner registers these schemas in every Plan (so rules joining
 // them classify as stream×table equijoins); the engine instantiates
 // them per node and feeds them from its own counters — the split keeps
-// this package free of engine dependencies and cycle-free.
+// this package free of engine dependencies and cycle-free. The engine's
+// refresh keeps one row cache for every relation: a row whose counters
+// did not change re-delivers the tuple rendered last time. The health
+// evaluator reads the same rows (the transport's per-peer stats behind
+// sysNet, the KVStat behind sysKV), not a copy of them.
 package introspect
 
 import (
@@ -170,9 +174,9 @@ type KVStat struct {
 
 // The render helpers below are the single source of truth for each
 // system relation's field order and arity. The engine's incremental
-// refresh composes them (it caches rendered tuples per row and only
-// re-renders when a row's counters change) — a schema change edits
-// exactly one function per relation.
+// refresh passes them to its row cache, which re-renders a row only
+// when its counters change — a schema change edits exactly one
+// function per relation.
 
 // NodeTuple renders one sysNode row.
 func NodeTuple(addr val.Value, ns NodeStat) *tuple.Tuple {

@@ -77,8 +77,8 @@ func (c *CCTx) onAck(p *peer, cum uint64) {
 	if freshest != nil && !recovery {
 		c.sample(st, c.tr.loop.Now()-freshest.sentAt)
 	}
-	if st.cwnd > c.tr.cfg.WindowMax {
-		st.cwnd = c.tr.cfg.WindowMax
+	if st.cwnd > windowMax {
+		st.cwnd = windowMax
 	}
 	clear(cleared) // Retry reuses the slice; keep no acked batch alive in it
 	c.open(p)

@@ -76,7 +76,7 @@ func (tr *Transport) peer(addr string) *peer {
 func (tr *Transport) resetSend(p *peer) {
 	p.sending = false
 	p.q = sendQueue{}
-	p.cc = ccState{cwnd: tr.cfg.WindowInit, ssthresh: tr.cfg.WindowMax, rto: tr.cfg.InitialRTO}
+	p.cc = ccState{cwnd: tr.cfg.WindowInit, ssthresh: windowMax, rto: tr.cfg.InitialRTO}
 	p.rty = destRetry{timeoutFn: p.rty.timeoutFn}
 	p.acct = destAcct{}
 }

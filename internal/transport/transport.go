@@ -63,7 +63,6 @@ type Config struct {
 	MinRTO     float64
 	MaxRTO     float64
 	WindowInit float64 // initial congestion window, datagrams in flight
-	WindowMax  float64 // cap on the window
 	// QueueCap bounds each destination's backlog: the tuples queued
 	// behind its congestion window. Past it Send refuses the tuple,
 	// reported once through OnDrop as BacklogOverflow, so a node queues
@@ -113,6 +112,9 @@ type Config struct {
 	FlowIdleTTL float64
 }
 
+// windowMax caps the congestion window, in datagrams in flight.
+const windowMax = 64
+
 // DefaultFlowIdleTTL is the flow-state lifetime a zero FlowIdleTTL
 // resolves to: comfortably above the Chord maintenance periods (pings
 // and stabilization keep genuinely live flows warm every few seconds)
@@ -152,7 +154,6 @@ func DefaultConfig() Config {
 		MinRTO:     0.2,
 		MaxRTO:     8.0,
 		WindowInit: 4,
-		WindowMax:  64,
 		QueueCap:   512,
 		AckDelay:   0.02,
 	}

@@ -24,7 +24,7 @@ var bufPool = sync.Pool{New: func() any { return new([maxDatagram]byte) }}
 func (e *endpoint) readLoop(deliver netif.DeliverFunc) {
 	rc, err := e.conn.(syscall.Conn).SyscallConn()
 	if err != nil {
-		return
+		return // only a nil *net.UDPConn has no raw conn
 	}
 	var (
 		payload []byte
@@ -52,7 +52,7 @@ func (e *endpoint) readLoop(deliver netif.DeliverFunc) {
 	}
 	for {
 		if err := rc.Read(recv); err != nil || rerr != nil {
-			return // closed
+			return // closed, or the socket failed
 		}
 		s, ok := senderOf(from)
 		if !ok {

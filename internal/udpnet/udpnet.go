@@ -12,9 +12,9 @@
 // one process-wide pool for the single non-blocking receive, copies
 // the datagram out at its exact length and returns the buffer before
 // the datagram is posted (recv_unix.go). An idle endpoint therefore
-// holds no buffer, and the process holds about one per reader that is
-// receiving at that instant (at most one per P). Other platforms keep
-// a buffer per reader (recv_other.go).
+// holds no buffer, and the process keeps about one per P in the pool,
+// however many endpoints it runs. Other platforms keep a buffer per
+// reader (recv_other.go).
 package udpnet
 
 import (

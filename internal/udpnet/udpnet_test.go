@@ -211,7 +211,7 @@ func attachRecv(t *testing.T, addr string) (netif.Endpoint, <-chan datagram) {
 	loop := eventloop.NewReal()
 	go loop.Run()
 	t.Cleanup(func() { loop.Stop() })
-	got := make(chan datagram, 64)
+	got := make(chan datagram, 1)
 	ep, err := New(loop).Attach(addr, func(from string, p []byte) { got <- datagram{from, p} })
 	if err != nil {
 		t.Fatal(err)

@@ -6,10 +6,14 @@ package engine
 // the transport's cause space.
 
 import (
+	"slices"
 	"testing"
 
 	"p2/internal/health"
 	"p2/internal/introspect"
+	"p2/internal/overlays"
+	"p2/internal/overlog"
+	"p2/internal/planner"
 	"p2/internal/transport"
 )
 
@@ -116,5 +120,36 @@ func TestMonitorSourceInstalls(t *testing.T) {
 	}
 	if lossy := r.nodes["a"].Table("lossyPeer").Scan(); len(lossy) == 0 {
 		t.Fatalf("lossyPeer empty after retry-budget drops")
+	}
+}
+
+// TestInstallMatchesStartingWithTheProgram: a node that starts on Chord
+// and then installs the monitor library ends with the tables, rule
+// counters and indexes of a node that started on both.
+func TestInstallMatchesStartingWithTheProgram(t *testing.T) {
+	chord, monitor := overlog.MustParse(overlays.ChordSource), overlog.MustParse(health.MonitorSource())
+	merged, err := overlog.Merge(chord, monitor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole := newPlanRig(t, planner.MustCompile(merged, nil), Options{}, "a").nodes["a"]
+	grafted := newPlanRig(t, planner.MustCompile(chord, nil), Options{}, "a").nodes["a"]
+	if err := grafted.Install(health.MonitorSource()); err != nil {
+		t.Fatal(err)
+	}
+	shape := func(n *Node) (tables, rules []string, indexes int) {
+		for _, ts := range n.TableStats() {
+			tables = append(tables, ts.Name)
+		}
+		for _, rs := range n.RuleStats() {
+			rules = append(rules, rs.ID)
+		}
+		return tables, rules, len(n.ctx.Indexes)
+	}
+	wt, wr, wi := shape(whole)
+	gt, gr, gi := shape(grafted)
+	if !slices.Equal(gt, wt) || !slices.Equal(gr, wr) || gi != wi {
+		t.Fatalf("installed node: tables %v, rules %v, %d indexes\nwant: tables %v, rules %v, %d indexes",
+			gt, gr, gi, wt, wr, wi)
 	}
 }

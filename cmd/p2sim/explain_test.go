@@ -36,7 +36,7 @@ func TestExplainChordMatchesGolden(t *testing.T) {
 		}},
 		{"chordkv", func() string { return overlays.ChordKVPlan(nil).String() }},
 		{"chord+health", func() string {
-			p, _, err := planner.Extend(overlays.ChordPlan(nil), overlog.MustParse(health.MonitorSource()), nil)
+			p, err := planner.Extend(overlays.ChordPlan(nil), overlog.MustParse(health.MonitorSource()), nil)
 			if err != nil {
 				t.Fatal(err)
 			}

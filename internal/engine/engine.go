@@ -2,7 +2,9 @@
 // Plan on one node — tables, rule strands, periodic timers, continuous
 // table aggregates, and the network stack — on a run-to-completion
 // event loop. The rule strands' elements are the plan's, shared by
-// every node running it; a node holds only its state for them.
+// every node running it; a node holds only its state for them. A node
+// takes its plan on in one idempotent pass, catchUp, at Start and again
+// at each Install, whose extended plan it catches up to the same way.
 //
 // This is the component Figure 1 of the paper calls the "runtime plan
 // executor". A Node is wired to a netif.Network (simulated or real UDP)
@@ -144,6 +146,7 @@ type Node struct {
 	tableOrder []string // sorted names; deterministic sweep order
 	fires      []int64  // strand runs per plan rule, by position in plan.Rules, for sysRule
 	aggFires   []int64  // head emissions per plan table aggregate, for sysRule
+	traced     int      // plan.Watches streamed to the trace writer so far
 	periodics  []*dataflow.Periodic
 	watchers   map[string][]WatchFunc
 	eventSeq   int64
@@ -155,8 +158,8 @@ type Node struct {
 	introTimer *eventloop.Timer
 	// sysConsumer caches "sys* rows have an audience": an explicit
 	// refresh interval, a plan that reads a system relation, or a
-	// Go-level Watch on one. Recomputed at Start and Install, set by
-	// Watch — never scanned per tick.
+	// Go-level Watch on one. Raised by Start, catchUp and Watch — never
+	// scanned per tick.
 	sysConsumer bool
 	sysref      sysRefresh        // incremental system-table refresh cache
 	health      *health.Evaluator // condition engine, fed by the refresh
@@ -276,14 +279,16 @@ func (n *Node) Watch(name string, fn WatchFunc) {
 	if introspect.IsReserved(name) {
 		n.sysConsumer = true
 		if n.started && !n.stopped {
-			n.ensureSysTables()
+			n.catchUp()
 			n.scheduleIntrospect()
 		}
 	}
 }
 
-// Start attaches the node to the network, creates tables, installs
-// facts, and starts periodic timers.
+// Start attaches the node to the network, takes on its plan (catchUp),
+// delivers the plan's facts, and arms the sweep and introspection
+// timers — in that order, so every periodic timer and its jitter draw
+// precedes the facts, and the sweep timer precedes the refresh's.
 func (n *Node) Start() error {
 	if n.started {
 		return fmt.Errorf("engine: node %s already started", n.addr)
@@ -314,48 +319,51 @@ func (n *Node) Start() error {
 	n.health = health.NewEvaluator(hcfg, n.startTime)
 	// A Go-level Watch on a sys* relation registered before Start also
 	// counts as a consumer, so OR rather than overwrite.
-	n.sysConsumer = n.sysConsumer || n.opts.IntrospectInterval > 0 || planReadsSys(n.plan)
-	// Tables are created and later swept in sorted-name order: map
-	// iteration order is randomized per process, and expiry sweeps can
-	// emit deletion deltas whose relative order would otherwise differ
-	// between two same-seed runs — the determinism the sharded
-	// simulator's shards=1 vs shards=P comparison is built on.
-	//
-	// System tables are demand-driven like the refresh that feeds them:
-	// a node with no sys* audience never instantiates them (Table
-	// returns nil), and ensureSysTables materializes them if a consumer
-	// appears later. At 10k nodes that is 60k tables-plus-indexes that
-	// never exist.
-	names := make([]string, 0, len(n.plan.Tables))
-	for name, ts := range n.plan.Tables {
-		if ts.System && !n.sysConsumer {
-			continue
-		}
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	n.tableOrder = names
-	for _, name := range names {
-		n.tables[name] = n.newTable(n.plan.Tables[name])
-	}
-	n.ensureIndexes()
-	for _, r := range n.plan.Rules {
-		n.addStrand(r)
-	}
-	for _, ta := range n.plan.TableAggs {
-		n.addTableAgg(ta)
-	}
-	if n.opts.TraceWriter != nil {
-		for _, name := range n.plan.Watches {
-			n.watchTrace(name)
-		}
-	}
+	n.sysConsumer = n.sysConsumer || n.opts.IntrospectInterval > 0
+	n.catchUp()
 	for _, f := range n.plan.Facts {
 		n.deliverLocal(tupleFromFact(f, n.addr), DirDerived)
 	}
 	n.scheduleSweep()
 	n.scheduleIntrospect()
 	return nil
+}
+
+// catchUp brings the node's state up to its plan, the one way a plan is
+// grafted onto a node — at Start, at Install, and when a sys* audience
+// appears. Each step takes on only what the node lacks, so a second
+// call does nothing: the sys* audience a plan makes, the plan's tables,
+// its indexes, then the strands, table aggregates and watch() traces
+// past those the node already runs.
+//
+// Tables are created and later swept in sorted-name order: map
+// iteration order is randomized per process, and expiry sweeps can emit
+// deletion deltas whose relative order would otherwise differ between
+// two same-seed runs — the determinism the sharded simulator's shards=1
+// vs shards=P comparison is built on. System tables are demand-driven
+// like the refresh that feeds them: a node with no sys* audience never
+// instantiates them (Table returns nil) until a consumer appears. At
+// 10k nodes that is 60k tables-plus-indexes that never exist.
+func (n *Node) catchUp() {
+	n.sysConsumer = n.sysConsumer || planReadsSys(n.plan)
+	for name, ts := range n.plan.Tables {
+		if n.tables[name] == nil && (n.sysConsumer || !ts.System) {
+			n.tables[name] = n.newTable(ts)
+			n.tableOrder = append(n.tableOrder, name)
+		}
+	}
+	sort.Strings(n.tableOrder)
+	n.ensureIndexes()
+	for _, r := range n.plan.Rules[len(n.fires):] {
+		n.addStrand(r)
+	}
+	for _, ta := range n.plan.TableAggs[len(n.aggFires):] {
+		n.addTableAgg(ta)
+	}
+	for n.opts.TraceWriter != nil && n.traced < len(n.plan.Watches) {
+		n.traced++ // first: a sys* watch re-enters catchUp through Watch
+		n.watchTrace(n.plan.Watches[n.traced-1])
+	}
 }
 
 // newTable instantiates one table spec. System tables get a lifetime
@@ -462,8 +470,8 @@ func (n *Node) scheduleSweep() {
 // ensureIndexes creates, on the node's tables, every index of its plan
 // the node does not have yet, so each join probes Ctx.Indexes by the
 // ordinal the plan gave it. Every indexed table exists by then: a join
-// over a system table makes the plan a sys* consumer, and consumers
-// get the system tables before their strands.
+// over a system table makes the plan a sys* consumer, and catchUp gives
+// consumers the system tables before their indexes.
 func (n *Node) ensureIndexes() {
 	for _, spec := range n.plan.Indexes()[len(n.ctx.Indexes):] {
 		n.ctx.Indexes = append(n.ctx.Indexes, n.tables[spec.Table].EnsureIndex(spec.Key))

@@ -142,25 +142,6 @@ func (n *Node) scheduleIntrospect() {
 	n.armIntrospect(iv)
 }
 
-// ensureSysTables materializes any system tables the node skipped at
-// Start (demand-driven: no sys* audience, no tables). Called when a
-// consumer appears later — a Watch on a sys* relation or an Install
-// whose rules read one — before anything probes or fills them. Newly
-// created tables join the sorted sweep order like any other.
-func (n *Node) ensureSysTables() {
-	added := false
-	for name, ts := range n.plan.Tables {
-		if ts.System && n.tables[name] == nil {
-			n.tables[name] = n.newTable(ts)
-			n.tableOrder = append(n.tableOrder, name)
-			added = true
-		}
-	}
-	if added {
-		sort.Strings(n.tableOrder)
-	}
-}
-
 func (n *Node) armIntrospect(iv float64) {
 	n.introTimer = n.loop.After(iv, func() {
 		if n.stopped {
@@ -184,7 +165,13 @@ func (n *Node) armIntrospect(iv float64) {
 // refreshes only build tuples for rows that actually changed.
 func (n *Node) RefreshSystemTables() {
 	sr := &n.sysref
-	n.ensureSysTables() // direct calls may precede any consumer
+	if !n.sysConsumer {
+		// A direct call may precede any audience: give it the system
+		// tables to fill, without arming the refresh for a later one.
+		n.sysConsumer = true
+		n.catchUp()
+		n.sysConsumer = false
+	}
 	addr := val.Str(n.addr)
 
 	ns := n.NodeStat() // uptime always moves; sysNode rebuilds every pass
@@ -422,7 +409,10 @@ func (n *Node) NetStats() []introspect.NetStat {
 // watch() directives attach to the node's trace writer. Installed
 // rules may reference any relation the node already maintains —
 // including the sys* system tables — so monitoring and debugging
-// queries are ordinary OverLog added to a live node.
+// queries are ordinary OverLog added to a live node. The graft is the
+// node catching up to the extended plan, as Start catches up to the
+// start plan, so a node that installed its way to a plan runs it as one
+// that started with it.
 //
 // On error nothing is installed. Call only from the node's event loop
 // (in a simulation, between Run calls; on a UDP node, via Do or
@@ -435,42 +425,16 @@ func (n *Node) Install(src string) error {
 	if err != nil {
 		return fmt.Errorf("engine: install on %s: %w", n.addr, err)
 	}
-	newPlan, delta, err := planner.Extend(n.plan, prog, nil)
+	plan, err := planner.Extend(n.plan, prog, nil)
 	if err != nil {
 		return fmt.Errorf("engine: install on %s: %w", n.addr, err)
 	}
-	// Commit point: instantiate tables first so the node can index them
-	// for the new strands, then take on rules and aggregates, then
-	// inject facts. Extend built the new rules' elements on newPlan;
-	// the base plan, and every other node running it, is untouched.
-	n.plan = newPlan
-	for _, ts := range delta.Tables {
-		n.tables[ts.Name] = n.newTable(ts)
-		n.tableOrder = append(n.tableOrder, ts.Name)
-	}
-	// Keep the sweep order sorted so a node that installed its way to a
-	// plan sweeps identically to one that started with it.
-	sort.Strings(n.tableOrder)
-	// Monitoring grafts are the usual first sys* consumer: materialize
-	// the system tables before indexing so joins against them have a
-	// table to probe.
-	if !n.sysConsumer && planReadsSys(n.plan) {
-		n.sysConsumer = true
-		n.ensureSysTables()
-	}
-	n.ensureIndexes()
-	for _, r := range delta.Rules {
-		n.addStrand(r)
-	}
-	for _, ta := range delta.TableAggs {
-		n.addTableAgg(ta)
-	}
-	if n.opts.TraceWriter != nil {
-		for _, name := range delta.Watches {
-			n.watchTrace(name)
-		}
-	}
-	for _, f := range delta.Facts {
+	// Commit point. Extend built the new rules' elements on plan; the
+	// base plan, and every other node running it, is untouched.
+	facts := len(n.plan.Facts)
+	n.plan = plan
+	n.catchUp()
+	for _, f := range plan.Facts[facts:] {
 		t := tupleFromFact(f, n.addr)
 		n.loop.Defer(func() {
 			if !n.stopped {

@@ -10,7 +10,7 @@ import (
 )
 
 // TestSourceCompiles gates the spec itself: the KV rules must parse
-// and plan both merged with Chord and as an Extend delta over an
+// and plan both merged with Chord and as an Extend graft onto an
 // existing Chord plan (the Install path), and the merged plan must
 // carry the read-repair gate (kvPushed, KG6/KG9) beside the counted
 // repair rules.
@@ -44,7 +44,7 @@ func TestSourceCompiles(t *testing.T) {
 	}
 
 	base := planner.MustCompile(overlog.MustParse(overlays.ChordSource), nil)
-	if _, _, err := planner.Extend(base, overlog.MustParse(kvs.Source), nil); err != nil {
+	if _, err := planner.Extend(base, overlog.MustParse(kvs.Source), nil); err != nil {
 		t.Fatalf("KV source does not Extend a Chord plan: %v", err)
 	}
 }

@@ -2,6 +2,7 @@ package planner
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 
 	"p2/internal/dataflow"
@@ -16,46 +17,69 @@ import (
 // from the catalog (see Optimize): the result is a function of prog and
 // extra alone, and it never changes afterwards, so any number of nodes
 // may run it at once. extra supplies or overrides symbolic constants
-// (the programmatic equivalent of define statements).
+// (the programmatic equivalent of define statements). Compiling is
+// extending the empty plan, which holds only the system tables.
 func Compile(prog *overlog.Program, extra map[string]val.Value) (*Plan, error) {
-	return compileProg(prog, extra, true, nil)
+	return build(nil, prog, extra, true)
 }
 
 // CompileTextual is Compile without planning: every rule body is lowered
 // in its textual order, and nothing folds. It is the reference plan the
 // tests check planned strands against, and no runtime option selects it.
 func CompileTextual(prog *overlog.Program, extra map[string]val.Value) (*Plan, error) {
-	return compileProg(prog, extra, false, nil)
+	return build(nil, prog, extra, false)
 }
 
-// compileProg builds the plan for prog. With plan set every rule is planned
-// against st, or against the catalog when st is nil; without it every
-// rule is lowered textually.
-func compileProg(prog *overlog.Program, extra map[string]val.Value, plan bool, st Stats) (*Plan, error) {
-	p := &Plan{
-		Source:  prog,
-		Tables:  make(map[string]*TableSpec),
-		Defines: make(map[string]val.Value),
-		Arities: make(map[string]int),
-		Watches: append([]string(nil), prog.Watches...),
-	}
-	for _, d := range prog.Defines {
-		p.Defines[d.Name] = d.Value
-	}
-	for k, v := range extra {
-		p.Defines[k] = v
+// build compiles prog onto base, the one way a plan is made: the result
+// shares base's compiled rules, specs, facts and element graph, and
+// appends prog's after them. A nil base is the empty plan (Compile);
+// otherwise prog is a graft (Extend), whose defines leave base's values
+// alone and whose identical re-declarations of base tables are shared.
+// With planned set every new rule is planned from the result's catalog;
+// without it every rule is lowered textually. base is never mutated.
+func build(base *Plan, prog *overlog.Program, extra map[string]val.Value, planned bool) (*Plan, error) {
+	fresh := base == nil
+	var p *Plan
+	if fresh {
+		p = &Plan{
+			Source:  prog,
+			Tables:  make(map[string]*TableSpec),
+			Defines: make(map[string]val.Value),
+			Arities: make(map[string]int),
+		}
+		p.addSystemTables()
+	} else {
+		p = base.clone()
 	}
 
 	for _, m := range prog.Materialize {
-		if _, dup := p.Tables[m.Name]; dup {
-			return nil, fmt.Errorf("planner: table %s materialized twice", m.Name)
-		}
 		if introspect.IsReserved(m.Name) {
 			return nil, fmt.Errorf("planner: table name %s is reserved for system tables (the %q prefix belongs to the runtime)", m.Name, introspect.ReservedPrefix)
 		}
+		if _, dup := p.Tables[m.Name]; dup {
+			if fresh {
+				return nil, fmt.Errorf("planner: table %s materialized twice", m.Name)
+			}
+			continue // an identical re-declaration, as Merge verifies
+		}
 		p.Tables[m.Name] = specFromMaterialize(m)
 	}
-	p.addSystemTables()
+	if !fresh {
+		// Merge checks the graft against base (shared tables declared
+		// identically, defines agreeing) and keeps Source accurate.
+		merged, err := overlog.Merge(base.Source, prog)
+		if err != nil {
+			return nil, err
+		}
+		p.Source = merged
+	}
+
+	for _, d := range prog.Defines {
+		if _, ok := p.Defines[d.Name]; fresh || !ok {
+			p.Defines[d.Name] = d.Value
+		}
+	}
+	maps.Copy(p.Defines, extra)
 
 	if err := p.inferArities(prog); err != nil {
 		return nil, err
@@ -69,14 +93,22 @@ func compileProg(prog *overlog.Program, extra map[string]val.Value, plan bool, s
 		p.Facts = append(p.Facts, spec)
 	}
 
-	if plan && st == nil {
+	var st *CatalogStats
+	if planned {
 		st = NewCatalogStats(p)
 	}
+	rules, aggs := len(p.Rules), len(p.TableAggs)
 	if err := p.addRules(prog.Rules, st); err != nil {
 		return nil, err
 	}
-	p.ensureRuleIDs(0, 0, nil)
-	p.buildGraph(0, 0)
+	p.ensureRuleIDs(rules, aggs)
+	p.buildGraph(rules, aggs)
+
+	for _, w := range prog.Watches {
+		if !slices.Contains(p.Watches, w) {
+			p.Watches = append(p.Watches, w)
+		}
+	}
 	return p, nil
 }
 
@@ -109,14 +141,16 @@ func (p *Plan) addSystemTables() {
 // ensureRuleIDs gives every compiled rule and table aggregate from the
 // given start offsets onward a unique, non-empty identifier — the
 // primary key of the sysRule relation. Anonymous rules get positional
-// names (r1, r2, ...); colliding names get a ~n suffix. taken seeds the
-// in-use set; Extend passes the base plan's IDs (and nonzero offsets,
-// since earlier entries are shared with the base plan and must not be
-// renamed) so installed rules never shadow existing counters.
-func (p *Plan) ensureRuleIDs(startRules, startAggs int, taken map[string]bool) {
-	seen := make(map[string]bool, len(p.Rules)+len(p.TableAggs)+len(taken))
-	for id := range taken {
-		seen[id] = true
+// names (r1, r2, ...); colliding names get a ~n suffix. The entries
+// before the offsets are shared with the plan this one extends: they
+// keep their IDs, and a new rule never shadows their counters.
+func (p *Plan) ensureRuleIDs(startRules, startAggs int) {
+	seen := make(map[string]bool, len(p.Rules)+len(p.TableAggs))
+	for _, r := range p.Rules[:startRules] {
+		seen[r.ID] = true
+	}
+	for _, ta := range p.TableAggs[:startAggs] {
+		seen[ta.ID] = true
 	}
 	ord := startRules + startAggs
 	claim := func(id string) string {
@@ -265,7 +299,7 @@ type ruleShape struct {
 // classified first, so all table aggregates are registered before any
 // rule is planned: planning reads them (syncWrites), wherever in the
 // source they stand. Errors are reported in source order.
-func (p *Plan) addRules(rules []*overlog.Rule, st Stats) error {
+func (p *Plan) addRules(rules []*overlog.Rule, st *CatalogStats) error {
 	shapes := make([]ruleShape, len(rules))
 	for i, r := range rules {
 		shapes[i] = p.classify(r)
@@ -292,7 +326,7 @@ func (p *Plan) addRules(rules []*overlog.Rule, st Stats) error {
 // can bind a variable twice where the textual one does not; such a rule
 // is lowered textually instead, so Compile accepts exactly the programs
 // CompileTextual accepts.
-func (p *Plan) lower(s *ruleShape, st Stats) (*Rule, error) {
+func (p *Plan) lower(s *ruleShape, st *CatalogStats) (*Rule, error) {
 	if st != nil {
 		if order, cost, fold, ok := p.planRule(s, st); ok {
 			if r, err := p.lowerRule(s, order, fold); err == nil {

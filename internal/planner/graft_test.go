@@ -21,7 +21,7 @@ func TestExtendMatchesWholeCompile(t *testing.T) {
 		{"pingpong+monitor", overlays.PingPongSource, health.MonitorSource()},
 	} {
 		a, b := overlog.MustParse(c.a), overlog.MustParse(c.b)
-		ext, _, err := planner.Extend(planner.MustCompile(a, nil), b, nil)
+		ext, err := planner.Extend(planner.MustCompile(a, nil), b, nil)
 		if err != nil {
 			t.Fatalf("%s: extend: %v", c.name, err)
 		}

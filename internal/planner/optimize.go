@@ -54,13 +54,13 @@ const (
 	costAssign = 0.5  // PEL eval + working-tuple extension
 )
 
-// Optimize compiles p's source again, planning every rule against st
-// (nil means the catalog heuristics, the estimates Compile plans with),
-// so re-planning a compiled plan with nil stats returns the plan Compile
-// made. The configuration argument is ignored (see OptimizerConfig).
-// Should p's source no longer compile, p is returned unchanged.
-func Optimize(p *Plan, st Stats, _ OptimizerConfig) *Plan {
-	out, err := compileProg(p.Source, p.Defines, true, st)
+// Optimize compiles p's source again, as Compile does, so re-planning a
+// compiled plan returns the plan Compile made. Should p's source no
+// longer compile, p is returned unchanged. Planning has no inputs beyond
+// the source: the name and the two ignored parameters stay only because
+// the benchmark rig calls Optimize(plan, nil, OptimizerConfig{}).
+func Optimize(p *Plan, _ *CatalogStats, _ OptimizerConfig) *Plan {
+	out, err := build(nil, p.Source, p.Defines, true)
 	if err != nil {
 		return p
 	}
@@ -74,7 +74,7 @@ func Optimize(p *Plan, st Stats, _ OptimizerConfig) *Plan {
 // the aggregate is already known order-insensitive with an event-bound
 // head) and carrying a head aggregate — tryFold validates the
 // structural shape.
-func (p *Plan) planRule(s *ruleShape, st Stats) (order []int, cost float64, fold, ok bool) {
+func (p *Plan) planRule(s *ruleShape, st *CatalogStats) (order []int, cost float64, fold, ok bool) {
 	infos := p.termInfos(s.rest)
 	bound := make(map[string]bool)
 	for _, a := range s.event.Args {
@@ -400,7 +400,7 @@ func (ti *termInfo) joinKey(bound map[string]bool) []int {
 
 // fanout estimates the per-probe output multiplicity of placing the
 // join here, probing with the key the bound variables make.
-func (ti *termInfo) fanout(bound map[string]bool, st Stats) float64 {
+func (ti *termInfo) fanout(bound map[string]bool, st *CatalogStats) float64 {
 	return st.Fanout(ti.table, ti.joinKey(bound))
 }
 
@@ -452,7 +452,7 @@ func pushdownOrder(infos []termInfo, boundInit map[string]bool) []int {
 // whatever needed its variable. Ties break on textual position, which
 // keeps the choice deterministic for identical stats — the property
 // sharded determinism rests on.
-func greedyOrder(infos []termInfo, boundInit map[string]bool, st Stats) ([]int, bool) {
+func greedyOrder(infos []termInfo, boundInit map[string]bool, st *CatalogStats) ([]int, bool) {
 	bound := copyBound(boundInit)
 	order := make([]int, 0, len(infos))
 	placed := make([]bool, len(infos))
@@ -512,7 +512,7 @@ func greedyOrder(infos []termInfo, boundInit map[string]bool, st Stats) ([]int, 
 // range expansions. Antijoins and selections filter (modeled as
 // multiplicity-preserving — conservative, since real selectivity is
 // unknown).
-func (p *Plan) costOrder(infos []termInfo, order []int, boundInit map[string]bool, st Stats) float64 {
+func (p *Plan) costOrder(infos []termInfo, order []int, boundInit map[string]bool, st *CatalogStats) float64 {
 	bound := copyBound(boundInit)
 	tuples, cost := 1.0, 0.0
 	for _, i := range order {

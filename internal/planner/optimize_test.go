@@ -10,18 +10,6 @@ import (
 	"p2/internal/pel"
 )
 
-// stubStats is a hand-set statistics source for steering the greedy
-// planner in tests: a probe of a listed relation returns its
-// cardinality whatever the key, and of an unlisted one a single row.
-type stubStats struct{ card map[string]float64 }
-
-func (s stubStats) Fanout(t string, key []int) float64 {
-	if c, ok := s.card[t]; ok {
-		return c
-	}
-	return 1
-}
-
 // opCounts summarizes a rule's compiled ops for multiset comparison:
 // joins and antijoins per table, and counts of the remaining steps. A
 // join counts the selections and assignments fused into it, and a fold
@@ -168,19 +156,20 @@ func TestCompilePlansEveryRule(t *testing.T) {
 }
 
 // TestOptimizeRandomRulesProperty is the plan-equivalence property
-// test: randomly generated (compilable) rule bodies, optimized under
-// randomly skewed statistics, must always yield a valid permutation of
-// the same operator multiset with identity and trigger intact.
+// test: randomly generated (compilable) rule bodies, planned against
+// randomly drawn declared table sizes, must always yield a valid
+// permutation of the same operator multiset with identity and trigger
+// intact.
 func TestOptimizeRandomRulesProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	tables := []string{"ta", "tb", "tc"}
 	for trial := 0; trial < 200; trial++ {
 		var b strings.Builder
-		b.WriteString(`
-			materialize(ta, infinity, infinity, keys(1,2)).
-			materialize(tb, 30, 50, keys(2)).
-			materialize(tc, infinity, 1, keys(1)).
-		`)
+		fmt.Fprintf(&b, `
+			materialize(ta, infinity, %d, keys(1,2)).
+			materialize(tb, 30, %d, keys(2)).
+			materialize(tc, infinity, %d, keys(1)).
+		`, 1+rng.Intn(64), 1+rng.Intn(64), 1+rng.Intn(64))
 		// Body: the event, then 1-3 table atoms, plus optional
 		// conds/assigns in random textual positions.
 		var terms []string
@@ -216,12 +205,7 @@ func TestOptimizeRandomRulesProperty(t *testing.T) {
 			head, strings.Join(terms, ", "))
 
 		p := compile(t, b.String())
-		st := stubStats{card: map[string]float64{
-			"ta": float64(1 + rng.Intn(1000)),
-			"tb": float64(1 + rng.Intn(1000)),
-			"tc": float64(1 + rng.Intn(1000)),
-		}}
-		opt := Optimize(p, st, OptimizerConfig{})
+		opt := Optimize(p, nil, OptimizerConfig{})
 		for i, orig := range p.Rules {
 			checkEquivalent(t, orig, opt.Rules[i])
 		}
@@ -247,14 +231,18 @@ func TestPushdownMovesFilterBeforeJoin(t *testing.T) {
 	}
 }
 
+// The tests below steer the greedy planner through declared sizes: a
+// probe keyed on the location alone returns every row of the node, so
+// small's declared bound of 2 is its fan-out, against the catalog's 32
+// for an unbounded table.
+
 func TestGreedyPicksSmallerFanoutFirst(t *testing.T) {
+	const rule = "R1 out@X(X, B, S) :- evt@X(X), big@X(X, B), small@X(X, S)."
 	p := compile(t, `
 		materialize(big, 30, infinity, keys(2)).
-		materialize(small, 30, infinity, keys(2)).
-		R1 out@X(X, B, S) :- evt@X(X), big@X(X, B), small@X(X, S).
-	`)
-	st := stubStats{card: map[string]float64{"big": 1000, "small": 2}}
-	opt := Optimize(p, st, OptimizerConfig{})
+		materialize(small, 30, 2, keys(2)).
+	`+rule)
+	opt := Optimize(p, nil, OptimizerConfig{})
 	r := opt.Rules[0]
 	j, ok := r.Ops[0].(*OpJoin)
 	if !ok || j.Table != "small" {
@@ -263,11 +251,14 @@ func TestGreedyPicksSmallerFanoutFirst(t *testing.T) {
 	if r.OrderString() != "1,0" {
 		t.Fatalf("order = %q, want 1,0", r.OrderString())
 	}
-	// Flipped statistics flip the choice.
-	st = stubStats{card: map[string]float64{"big": 2, "small": 1000}}
-	opt = Optimize(p, st, OptimizerConfig{})
+	// Swapped declarations flip the choice.
+	p = compile(t, `
+		materialize(big, 30, 2, keys(2)).
+		materialize(small, 30, infinity, keys(2)).
+	`+rule)
+	opt = Optimize(p, nil, OptimizerConfig{})
 	if j := opt.Rules[0].Ops[0].(*OpJoin); j.Table != "big" {
-		t.Fatalf("flipped stats: first join on %s, want big", j.Table)
+		t.Fatalf("swapped sizes: first join on %s, want big", j.Table)
 	}
 }
 
@@ -292,11 +283,10 @@ func TestEventBoundAggregateReorders(t *testing.T) {
 	// maxSuccDist/bestLookupDist shape, where it matters most.
 	p := compile(t, `
 		materialize(big, 30, infinity, keys(2)).
-		materialize(small, 30, infinity, keys(2)).
+		materialize(small, 30, 2, keys(2)).
 		R1 out@X(X, min<B>) :- evt@X(X, A), big@X(X, B), small@X(X, S), A > 0.
 	`)
-	st := stubStats{card: map[string]float64{"big": 1000, "small": 2}}
-	opt := Optimize(p, st, OptimizerConfig{})
+	opt := Optimize(p, nil, OptimizerConfig{})
 	r := opt.Rules[0]
 	if r.Order == nil {
 		t.Fatal("aggregate rule should be re-planned")
@@ -317,11 +307,10 @@ func TestExemplarAggregateWithBodyHeadVarIsPushdownOnly(t *testing.T) {
 	// floats up.
 	p := compile(t, `
 		materialize(big, 30, infinity, keys(2)).
-		materialize(small, 30, infinity, keys(2)).
+		materialize(small, 30, 2, keys(2)).
 		R1 out@X(X, S, min<B>) :- evt@X(X, A), big@X(X, B), small@X(X, S), A > 0.
 	`)
-	st := stubStats{card: map[string]float64{"big": 1000, "small": 2}}
-	opt := Optimize(p, st, OptimizerConfig{})
+	opt := Optimize(p, nil, OptimizerConfig{})
 	r := opt.Rules[0]
 	if r.Order == nil {
 		t.Fatal("pushdown-only rule should still be re-planned")
@@ -340,11 +329,10 @@ func TestSumAggregateIsPushdownOnly(t *testing.T) {
 	// head pins the atom order.
 	p := compile(t, `
 		materialize(big, 30, infinity, keys(2)).
-		materialize(small, 30, infinity, keys(2)).
+		materialize(small, 30, 2, keys(2)).
 		R1 out@X(X, sum<B>) :- evt@X(X), big@X(X, B), small@X(X, S).
 	`)
-	st := stubStats{card: map[string]float64{"big": 1000, "small": 2}}
-	opt := Optimize(p, st, OptimizerConfig{})
+	opt := Optimize(p, nil, OptimizerConfig{})
 	j, ok := opt.Rules[0].Ops[0].(*OpJoin)
 	if !ok || j.Table != "big" {
 		t.Fatalf("atom order changed under sum<>: %+v", opt.Rules[0].Ops)
@@ -358,12 +346,11 @@ func TestDeleteHeadReordersUnlessSelfReading(t *testing.T) {
 	p := compile(t, `
 		materialize(victim, 30, infinity, keys(2)).
 		materialize(big, 30, infinity, keys(2)).
-		materialize(small, 30, infinity, keys(2)).
+		materialize(small, 30, 2, keys(2)).
 		R1 delete victim@X(X, B) :- evt@X(X), big@X(X, B), small@X(X, S), B == S.
 		R2 delete victim@X(X, S) :- evt@X(X), victim@X(X, B), small@X(X, S), B == S.
 	`)
-	st := stubStats{card: map[string]float64{"big": 1000, "small": 2, "victim": 500}}
-	opt := Optimize(p, st, OptimizerConfig{})
+	opt := Optimize(p, nil, OptimizerConfig{})
 	if j := opt.Rules[0].Ops[0].(*OpJoin); j.Table != "small" {
 		t.Fatalf("non-self-reading delete should reorder small first: %+v", opt.Rules[0].Ops)
 	}
@@ -375,11 +362,10 @@ func TestDeleteHeadReordersUnlessSelfReading(t *testing.T) {
 func TestNegatedRuleKeepsAtomOrder(t *testing.T) {
 	p := compile(t, `
 		materialize(big, 30, infinity, keys(2)).
-		materialize(seen, 30, infinity, keys(1,2)).
+		materialize(seen, 30, 2, keys(1,2)).
 		R1 out@X(X, B) :- evt@X(X), big@X(X, B), not seen@X(X, B).
 	`)
-	st := stubStats{card: map[string]float64{"big": 1000, "seen": 2}}
-	opt := Optimize(p, st, OptimizerConfig{})
+	opt := Optimize(p, nil, OptimizerConfig{})
 	r := opt.Rules[0]
 	j, ok := r.Ops[0].(*OpJoin)
 	if !ok || j.Table != "big" || j.Neg {

@@ -19,6 +19,14 @@
 // assignment run is one op, and a foldable aggregate is the final
 // join's Fold. The engine builds one element per op.
 //
+// One function builds every plan. Compile extends the empty plan, which
+// holds only the system tables; Extend extends a plan a node already
+// runs, sharing everything the base compiled and appending the new
+// program's tables, rules, facts and watches after it. Planning reads
+// only the declarations (CatalogStats), so a plan is a function of its
+// source, and extending A with B plans what compiling A and B merged
+// plans.
+//
 // The planner enforces the restrictions the paper states for its 2005
 // implementation: rule bodies must be collocated (one location variable)
 // and joins are stream×table only; multi-stream bodies are rejected with

@@ -1,18 +1,11 @@
 package planner
 
-// The statistics layer of the cost-based planner. A Stats supplies the
-// per-join fan-out estimates the cost model consumes. CatalogStats
-// derives them purely from the plan's materialize() declarations, and
-// it is the only estimator Compile and Extend plan with: a plan is a
-// function of its source, never of the rows a node happens to hold.
-
-// Stats supplies the estimate the cost model consumes. The planner
-// queries it once per candidate join per rule, when it plans the rule.
-type Stats interface {
-	// Fanout estimates how many rows one probe of the relation returns
-	// when the given key columns (0-based field positions) are bound.
-	Fanout(table string, key []int) float64
-}
+// The statistics layer of the cost-based planner. CatalogStats supplies
+// the per-join fan-out estimates the cost model consumes, derived purely
+// from the plan's materialize() declarations; it is the only estimator,
+// so a plan is a function of its source, never of the rows a node
+// happens to hold. The planner queries it once per candidate join per
+// rule, when it plans the rule.
 
 // OptimizerConfig has no fields: planning is part of compiling and has
 // no settings. The type and p2.WithOptimizer, which accepts it and does

@@ -12,43 +12,30 @@
 // (Config.Seed, address), so one node's outcomes are independent of how
 // other nodes' events interleave.
 //
-// A Net runs in one of two modes:
+// Nodes are partitioned across the shards of an eventloop.ShardedSim
+// by domain (shard = domain mod P), each node's record owned by its
+// shard per the shard-ownership rule (NewSharded). New builds a net of
+// one shard on a plain eventloop.Sim, with no coordinator. A datagram
+// is scheduled as an arrival, pooled on the destination shard, fired by
+// Sim.AtFree at exactly the arrival time the sender computed. An
+// intra-domain datagram never leaves its shard, so it is scheduled
+// directly; so is every datagram of a net without a coordinator. A
+// cross-domain datagram of a sharded net is staged in the sending
+// shard's outbox and merged at the next epoch barrier in canonical
+// (arrival time, sender, sender sequence) order before being scheduled
+// on the destination shard. Because the coordinator's lookahead is the
+// minimum cross-domain latency (Config.Lookahead), a staged datagram's
+// arrival always falls at or beyond the barrier doing the scheduling,
+// so staging never delays delivery; it only fixes a deterministic merge
+// order. Every event of a domain runs on one shard at every P, and
+// whatever schedules it (the domain's own handlers, a canonical merge,
+// the coordinator) does so in an order independent of the shard count,
+// which is what makes a P-shard run bit-identical to a 1-shard run.
 //
-//   - Single-loop (New): every node shares one eventloop.Sim, exactly
-//     the classic arrangement.
-//   - Sharded (NewSharded): nodes are partitioned across the shards of
-//     an eventloop.ShardedSim by domain (shard = domain mod P), each
-//     node's record owned by its shard per the shard-ownership rule.
-//     An intra-domain datagram never leaves its shard, so it is
-//     scheduled directly on the sending shard at its arrival time. A
-//     cross-domain datagram is staged in the sending shard's outbox and
-//     merged at the next epoch barrier in canonical (arrival time,
-//     sender, sender sequence) order before being scheduled on the
-//     destination shard. Because the coordinator's lookahead is the
-//     minimum cross-domain latency (Config.Lookahead), a staged
-//     datagram's arrival always falls at or beyond the barrier doing
-//     the scheduling, so staging never delays delivery; it only fixes a
-//     deterministic merge order. Every event of a domain runs on one
-//     shard at every P, and whatever schedules it (the domain's own
-//     handlers, a canonical merge, the coordinator) does so in an order
-//     independent of the shard count, which is what makes a P-shard run
-//     bit-identical to a 1-shard run.
-//
-// In both modes a datagram is scheduled the same way: as an arrival,
-// pooled on the destination shard, fired by Sim.AtFree at exactly the
-// arrival time the sender computed. One delivery path serves both;
-// single-loop arrivals carry the destination record resolved at send
-// time, sharded ones resolve it when they land.
-//
-// Liveness bookkeeping differs slightly between the modes: the
-// single-loop sender short-circuits datagrams to addresses already dead
-// or unknown at send time (charging PacketsLost to the sender), while a
-// sharded sender cannot peek at another shard's records and instead the
-// destination shard discards the datagram at delivery time (charging
-// the destination, or a per-shard orphan counter when the address never
-// attached). A destination dying while the datagram is in flight is
-// charged to the destination in both modes. Totals agree; only
-// attribution and increment timing differ.
+// Liveness is judged by the destination's shard when a datagram lands,
+// since a sender cannot peek at another shard's records: a datagram to
+// a dead node is charged to the destination, and one to an address that
+// never attached to a per-shard orphan counter.
 //
 // Byte counters per node feed the maintenance-bandwidth figures.
 package simnet
@@ -258,14 +245,13 @@ type Stats struct {
 	PacketsLost   int64
 }
 
-// Net is the simulated network. In single-loop mode all methods must
-// run on the simulation goroutine. In sharded mode, Attach / Kill /
-// Partition / the Stats family are coordinator-only (between epochs),
-// while Send on an endpoint runs on the owning node's shard.
+// Net is the simulated network. Attach / Kill / Partition / the Stats
+// family are coordinator-only (between epochs; with no coordinator, on
+// the simulation goroutine), while Send on an endpoint runs on the
+// owning node's shard.
 type Net struct {
-	loop *eventloop.Sim        // single-loop mode (nil when sharded)
-	ss   *eventloop.ShardedSim // sharded mode (nil when single-loop)
-	cfg  Config
+	ss  *eventloop.ShardedSim // the coordinator; nil for a net built by New
+	cfg Config
 
 	shards []*shardNet
 	// partitioned pairs; key "a|b" with a < b lexically. Mutated by the
@@ -325,7 +311,6 @@ type datagram struct {
 // parked.
 type arrival struct {
 	sh      *shardNet
-	dst     *node // resolved at send time in single-loop mode; nil when sharded
 	from    string
 	to      string
 	size    int64
@@ -337,9 +322,8 @@ type arrival struct {
 // maxTimerPool bounds the loop's Timer pool.
 const maxArrivalPool = 256
 
-// arrive schedules delivery of payload from from to to at time at on
-// sh, with dst already resolved when the sender could see it.
-func (sh *shardNet) arrive(at float64, dst *node, from, to string, size int64, payload []byte) {
+// arrive schedules delivery of payload from from to to at time at on sh.
+func (sh *shardNet) arrive(at float64, from, to string, size int64, payload []byte) {
 	var a *arrival
 	if n := len(sh.free); n > 0 {
 		a = sh.free[n-1]
@@ -349,7 +333,7 @@ func (sh *shardNet) arrive(at float64, dst *node, from, to string, size int64, p
 		a = &arrival{sh: sh}
 		a.land = a.deliver
 	}
-	a.dst, a.from, a.to, a.size, a.payload = dst, from, to, size, payload
+	a.from, a.to, a.size, a.payload = from, to, size, payload
 	sh.loop.AtFree(at, a.land)
 }
 
@@ -357,20 +341,17 @@ func (sh *shardNet) arrive(at float64, dst *node, from, to string, size int64, p
 // to the free list before delivering, so a handler that sends reuses
 // it. Liveness is judged here, by the owning shard.
 func (a *arrival) deliver() {
-	sh, dst, from, to, size, payload := a.sh, a.dst, a.from, a.to, a.size, a.payload
+	sh, from, to, size, payload := a.sh, a.from, a.to, a.size, a.payload
 	if len(sh.free) < maxArrivalPool {
-		a.dst, a.from, a.to, a.payload = nil, "", "", nil
+		a.from, a.to, a.payload = "", "", nil
 		sh.free = append(sh.free, a)
 	}
+	dst := sh.nodes[to]
 	if dst == nil {
-		if dst = sh.nodes[to]; dst == nil {
-			sh.orphaned++
-			return
-		}
+		sh.orphaned++
+		return
 	}
 	if dst.dead {
-		// Died while the datagram was in flight; charged to the
-		// destination in both modes.
 		dst.stats.PacketsLost++
 		return
 	}
@@ -379,10 +360,10 @@ func (a *arrival) deliver() {
 	dst.deliver(from, payload)
 }
 
-// New creates a simulated network in single-loop mode.
+// New creates a simulated network of one shard on loop, with no
+// coordinator: every datagram is scheduled when it is sent.
 func New(loop *eventloop.Sim, cfg Config) *Net {
 	n := newNet(cfg)
-	n.loop = loop
 	n.shards = []*shardNet{{loop: loop, nodes: make(map[string]*node)}}
 	return n
 }
@@ -412,9 +393,6 @@ func newNet(cfg Config) *Net {
 	return &Net{cfg: cfg, cuts: make(map[string]bool)}
 }
 
-// Sharded reports whether the net runs across a ShardedSim.
-func (n *Net) Sharded() bool { return n.ss != nil }
-
 // DomainOf returns addr's stub domain: a pure function of the address,
 // so placement is stable across runs and computable without touching
 // any node records — cmd/p2sim previews node→shard placement maps from
@@ -423,7 +401,7 @@ func (c Config) DomainOf(addr string) int {
 	d := c.domains()
 	h := fnv.New32a()
 	h.Write([]byte(addr))
-	return int(h.Sum32()) % d
+	return int(h.Sum32() % uint32(d))
 }
 
 // DomainOf returns addr's stub domain (see Config.DomainOf).
@@ -449,8 +427,8 @@ func nodeSeed(seed int64, addr string) int64 {
 }
 
 // Attach registers addr. Domain placement hashes the address, so a
-// node's location — and, sharded, its shard — is stable across runs.
-// In sharded mode Attach is coordinator-only (quiescent shards).
+// node's location and shard are stable across runs. Attach is
+// coordinator-only (quiescent shards).
 func (n *Net) Attach(addr string, deliver netif.DeliverFunc) (netif.Endpoint, error) {
 	sh := n.shards[n.ShardOf(addr)]
 	if existing, ok := sh.nodes[addr]; ok && !existing.dead {
@@ -473,7 +451,7 @@ func (n *Net) lookup(addr string) *node {
 }
 
 // Kill marks addr dead: its in-flight and future datagrams vanish.
-// Used by the churn generator. Coordinator-only in sharded mode.
+// Used by the churn generator. Coordinator-only.
 func (n *Net) Kill(addr string) {
 	if nd := n.lookup(addr); nd != nil {
 		nd.dead = true
@@ -573,7 +551,7 @@ func (n *Net) TotalStats() Stats {
 }
 
 // send models the datagram's journey; called by endpoints on the
-// sender's own shard (or the single loop). Everything computed here —
+// sender's own shard. Everything computed here —
 // serialization queueing, latency, the loss draw — reads only
 // sender-owned state, so sharded senders never reach across a shard
 // boundary.
@@ -639,22 +617,11 @@ func (n *Net) send(src *node, to string, payload []byte) {
 	}
 	arrive := src.linkFree + delay + n.extraLatency
 
-	if n.ss == nil {
-		// Single-loop: the sender may inspect the destination directly
-		// and short-circuit doomed datagrams at send time.
-		dst := n.lookup(to)
-		if dst == nil || dst.dead {
-			src.stats.PacketsLost++
-			return
-		}
-		sh.arrive(arrive, dst, src.addr, to, size, payload)
-		return
-	}
 	d := datagram{
 		arrive: arrive, from: src.addr, seq: src.sendSeq,
 		to: to, dstSh: n.ShardOf(to), size: size, payload: payload,
 	}
-	if !crossDomain {
+	if !crossDomain || n.ss == nil {
 		// The destination shares the sender's shard: deliver directly.
 		n.schedule(d)
 		return
@@ -699,7 +666,7 @@ func (n *Net) Exchange(now float64) {
 // schedule queues d's delivery on its destination shard; the
 // destination record is resolved when it lands.
 func (n *Net) schedule(d datagram) {
-	n.shards[d.dstSh].arrive(d.arrive, nil, d.from, d.to, d.size, d.payload)
+	n.shards[d.dstSh].arrive(d.arrive, d.from, d.to, d.size, d.payload)
 }
 
 type endpoint struct {

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"fmt"
 	"testing"
 
 	"p2/internal/eventloop"
@@ -122,9 +123,26 @@ func TestKillDropsTraffic(t *testing.T) {
 	if len(*gotA) != 0 {
 		t.Fatal("dead node sent traffic")
 	}
-	st := n.Stats("a")
-	if st.PacketsLost != 1 {
-		t.Fatalf("lost = %d, want 1", st.PacketsLost)
+	// The lost datagram is charged where it landed: to the dead
+	// destination, not the sender.
+	if la, lb := n.Stats("a").PacketsLost, n.Stats("b").PacketsLost; la != 0 || lb != 1 {
+		t.Fatalf("lost = %d at a, %d at b; want 0 and 1", la, lb)
+	}
+	if lost := n.TotalStats().PacketsLost; lost != 1 {
+		t.Fatalf("total lost = %d, want 1", lost)
+	}
+}
+
+// TestDomainOfIsInRange: placement hashes to a domain in [0, Domains)
+// whatever the width of int, so a node's shard is a valid index on
+// 32-bit platforms too.
+func TestDomainOfIsInRange(t *testing.T) {
+	cfg := DefaultConfig()
+	for i := 0; i < 64; i++ {
+		addr := fmt.Sprintf("n%d:p2", i)
+		if d := cfg.DomainOf(addr); d < 0 || d >= cfg.Domains {
+			t.Fatalf("DomainOf(%q) = %d, want one of [0, %d)", addr, d, cfg.Domains)
+		}
 	}
 }
 

@@ -29,7 +29,7 @@ func privMember(addr string, seq int64) *tuple.Tuple {
 func TestInternedReplaceIsExact(t *testing.T) {
 	loop := eventloop.NewSim()
 	tb := New("member", Infinity, 0, []int{1}, loop)
-	tb.Insert(tuple.New("member", val.Str("n1"), val.InternedStr("a"), val.Int(1)))
+	tb.Insert(tuple.New("member", val.Str("n1"), val.Str(val.InternBytes([]byte("a"))), val.Int(1)))
 	res := tb.Insert(privMember("a", 2))
 	if !res.Delta || res.Replaced == nil || res.Replaced.Field(2).AsInt() != 1 {
 		t.Fatalf("private-copy replacement missed the interned row: %+v", res)

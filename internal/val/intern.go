@@ -22,7 +22,7 @@ package val
 //     and a shard that reaches internShardCap entries is flushed
 //     wholesale. A flushed string is not "lost" — subsequent
 //     duplicates simply stop sharing until it is re-admitted.
-//   - Transparency: Intern(s) returns a string byte-equal to s, so
+//   - Transparency: InternBytes(b) returns a string byte-equal to b, so
 //     interned and uninterned values compare, hash, render, and
 //     marshal identically. Nothing observable depends on interning;
 //     the regression suite pins this across table replace/expire/evict.
@@ -54,43 +54,9 @@ func init() {
 	}
 }
 
-// internHash is FNV-1a over the bytes, folded to a shard index.
-func internHash(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
-}
-
-// Intern returns the canonical copy of s: byte-equal to s, shared with
-// every other Intern caller that presented the same bytes. Strings too
-// long for the table return unchanged.
-func Intern(s string) string {
-	if len(s) == 0 || len(s) > internMaxLen {
-		return s
-	}
-	sh := &interner[internHash(s)&(internShards-1)]
-	sh.mu.RLock()
-	c, ok := sh.m[s]
-	sh.mu.RUnlock()
-	if ok {
-		return c
-	}
-	sh.mu.Lock()
-	if c, ok = sh.m[s]; !ok {
-		if len(sh.m) >= internShardCap {
-			sh.m = make(map[string]string)
-		}
-		sh.m[s] = s
-		c = s
-	}
-	sh.mu.Unlock()
-	return c
-}
-
-// InternBytes is Intern for a scratch byte buffer: the common hit path
+// InternBytes returns the canonical copy of b's bytes: byte-equal to b,
+// shared with every other caller that presented the same bytes. Strings
+// too long for the table return as a private copy. The common hit path
 // probes the shard map via map[string(b)] — which Go compiles without
 // materializing a string — so re-rendering an already-interned key
 // allocates nothing. Only a genuinely new byte sequence is copied.
@@ -98,7 +64,7 @@ func InternBytes(b []byte) string {
 	if len(b) == 0 || len(b) > internMaxLen {
 		return string(b)
 	}
-	h := uint32(2166136261)
+	h := uint32(2166136261) // FNV-1a, folded to a shard index
 	for _, c := range b {
 		h ^= uint32(c)
 		h *= 16777619
@@ -122,10 +88,6 @@ func InternBytes(b []byte) string {
 	sh.mu.Unlock()
 	return c
 }
-
-// InternedStr is Str through the interner — the constructor for values
-// known to recur, such as addresses.
-func InternedStr(s string) Value { return Str(Intern(s)) }
 
 // InternStats reports the interner's current occupancy — the
 // MeasureFootprint report includes it so the memory anatomy of a big

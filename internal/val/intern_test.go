@@ -7,20 +7,20 @@ import (
 )
 
 // TestInternTransparency pins the contract everything else leans on:
-// Intern returns a string byte-equal to its argument, and repeated
+// InternBytes returns a string byte-equal to its argument, and repeated
 // calls with equal bytes share one canonical backing array.
 func TestInternTransparency(t *testing.T) {
-	a := Intern(string([]byte{'c', 'h', 'o', 'r', 'd'}))
-	b := Intern(string([]byte{'c', 'h', 'o', 'r', 'd'}))
+	a := InternBytes([]byte{'c', 'h', 'o', 'r', 'd'})
+	b := InternBytes([]byte{'c', 'h', 'o', 'r', 'd'})
 	if a != "chord" || b != "chord" {
-		t.Fatalf("Intern changed bytes: %q %q", a, b)
+		t.Fatalf("InternBytes changed bytes: %q %q", a, b)
 	}
 	if unsafe.StringData(a) != unsafe.StringData(b) {
-		t.Fatal("two Intern calls with equal bytes did not share backing storage")
+		t.Fatal("two InternBytes calls with equal bytes did not share backing storage")
 	}
 	c := InternBytes([]byte("chord"))
 	if unsafe.StringData(c) != unsafe.StringData(a) {
-		t.Fatal("InternBytes did not join the canonical copy Intern made")
+		t.Fatal("a third call did not join the canonical copy")
 	}
 }
 
@@ -31,11 +31,11 @@ func TestInternLongStringsPassThrough(t *testing.T) {
 	for i := range long {
 		long[i] = 'x'
 	}
-	if got := Intern(string(long)); got != string(long) {
+	if got := InternBytes(long); got != string(long) {
 		t.Fatal("long string mutated")
 	}
 	entries0, _ := InternStats()
-	Intern(string(long))
+	InternBytes(long)
 	InternBytes(long)
 	if entries1, _ := InternStats(); entries1 > entries0 {
 		t.Fatalf("over-length strings entered the table: %d -> %d entries", entries0, entries1)
@@ -52,8 +52,8 @@ func TestInternFlushStaysTransparent(t *testing.T) {
 	const distinct = internShards * internShardCap * 2
 	for i := 0; i < distinct; i++ {
 		s := fmt.Sprintf("flush-probe-%d", i)
-		if got := Intern(s); got != s {
-			t.Fatalf("Intern(%q) = %q", s, got)
+		if got := InternBytes([]byte(s)); got != s {
+			t.Fatalf("InternBytes(%q) = %q", s, got)
 		}
 	}
 	entries, bytes := InternStats()
@@ -66,8 +66,8 @@ func TestInternFlushStaysTransparent(t *testing.T) {
 	// Early strings were flushed out; re-interning must still be exact.
 	for i := 0; i < 100; i++ {
 		s := fmt.Sprintf("flush-probe-%d", i)
-		if got := Intern(s); got != s {
-			t.Fatalf("post-flush Intern(%q) = %q", s, got)
+		if got := InternBytes([]byte(s)); got != s {
+			t.Fatalf("post-flush InternBytes(%q) = %q", s, got)
 		}
 	}
 }
@@ -78,7 +78,7 @@ func TestInternFlushStaysTransparent(t *testing.T) {
 // string.
 func TestInternBytesHitAllocFree(t *testing.T) {
 	buf := []byte("n42:p2-alloc-probe")
-	Intern(string(buf)) // admit it
+	InternBytes(buf) // admit it
 	allocs := testing.AllocsPerRun(100, func() {
 		if InternBytes(buf) == "" {
 			t.Fatal("empty")
@@ -94,7 +94,7 @@ func TestInternBytesHitAllocFree(t *testing.T) {
 // render identically — nothing observable may depend on interning.
 func TestInternedValuesIndistinguishable(t *testing.T) {
 	private := string([]byte("n7:p2"))
-	a := InternedStr(private)
+	a := Str(InternBytes([]byte(private)))
 	b := Str(private)
 	if a.Cmp(b) != 0 {
 		t.Fatal("interned and private values compare unequal")

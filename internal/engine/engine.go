@@ -146,12 +146,12 @@ type Node struct {
 	tableOrder []string // sorted names; deterministic sweep order
 	fires      []int64  // strand runs per plan rule, by position in plan.Rules, for sysRule
 	aggFires   []int64  // head emissions per plan table aggregate, for sysRule
-	traced     int      // plan.Watches streamed to the trace writer so far
 	periodics  []*dataflow.Periodic
 	watchers   map[string][]WatchFunc
 	eventSeq   int64
 	started    bool
 	stopped    bool
+	traced     int32 // plan.Watches streamed to the trace writer so far; sits in the flags' padding
 	stats      Stats
 	sweeper    *eventloop.Timer
 	startTime  float64
@@ -360,7 +360,7 @@ func (n *Node) catchUp() {
 	for _, ta := range n.plan.TableAggs[len(n.aggFires):] {
 		n.addTableAgg(ta)
 	}
-	for n.opts.TraceWriter != nil && n.traced < len(n.plan.Watches) {
+	for n.opts.TraceWriter != nil && int(n.traced) < len(n.plan.Watches) {
 		n.traced++ // first: a sys* watch re-enters catchUp through Watch
 		n.watchTrace(n.plan.Watches[n.traced-1])
 	}

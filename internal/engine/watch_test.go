@@ -84,3 +84,35 @@ func TestWatchWithoutWriterIsSilent(t *testing.T) {
 		t.Fatal("rules did not fire")
 	}
 }
+
+// TestWatchDirectiveOnSystemRelation: a watch() over a sys* relation,
+// compiled in or installed, makes the node a sys* audience and streams
+// each refresh's row once.
+func TestWatchDirectiveOnSystemRelation(t *testing.T) {
+	plan := planner.MustCompile(overlog.MustParse(`
+		watch(sysNode).
+		watch(pong).
+		P2 pong@X(X, Y, E) :- ping@Y(Y, X, E).
+	`), nil)
+	loop := eventloop.NewSim()
+	net := simnet.New(loop, simnet.DefaultConfig())
+	var bufA, bufB bytes.Buffer
+	a := NewNode("a", loop, net, plan, Options{Seed: 1, TraceWriter: &bufA})
+	b := NewNode("b", loop, net, planner.MustCompile(overlog.MustParse(`
+		P2 pong@X(X, Y, E) :- ping@Y(Y, X, E).
+	`), nil), Options{Seed: 2, TraceWriter: &bufB})
+	for _, n := range []*Node{a, b} {
+		if err := n.Start(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.Install("watch(sysNode)."); err != nil {
+		t.Fatal(err)
+	}
+	loop.Run(3.5) // refreshes at 1, 2 and 3 s
+	for name, buf := range map[string]*bytes.Buffer{"compiled": &bufA, "installed": &bufB} {
+		if got := strings.Count(buf.String(), " derived sysNode("); got != 3 {
+			t.Errorf("%s: %d sysNode rows traced in 3.5 s, want 3:\n%s", name, got, buf.String())
+		}
+	}
+}

@@ -20,8 +20,10 @@ var update = flag.Bool("update", false, "rewrite every golden plan under testdat
 // here. The chord case is -explain's own output; the others are the
 // Plan.String dumps of the other shipped overlays, of Chord+KV, and of
 // Chord with the health monitor library grafted through planner.Extend
-// (what Install compiles). After an intended plan change, rewrite them
-// all with
+// (what Install compiles). The .textual cases pin the same compiled
+// programs lowered by planner.CompileTextual, the unplanned reference:
+// textual body order, no folded aggregates. After an intended plan
+// change, rewrite them all with
 //
 //	go test ./cmd/p2sim -run TestExplainChordMatchesGolden -update
 func TestExplainChordMatchesGolden(t *testing.T) {
@@ -47,6 +49,29 @@ func TestExplainChordMatchesGolden(t *testing.T) {
 		{"gossip", func() string { return overlays.GossipPlan(nil).String() }},
 		{"linkstate", func() string { return overlays.LinkStatePlan(nil).String() }},
 		{"pingpong", func() string { return overlays.PingPongPlan(nil).String() }},
+	}
+	for _, c := range []struct {
+		name string
+		plan *planner.Plan
+	}{
+		{"chord", overlays.ChordPlan(nil)},
+		{"chordkv", overlays.ChordKVPlan(nil)},
+		{"narada", overlays.NaradaPlan(nil)},
+		{"narada+multicast", overlays.NaradaMulticastPlan(nil)},
+		{"gossip", overlays.GossipPlan(nil)},
+		{"linkstate", overlays.LinkStatePlan(nil)},
+		{"pingpong", overlays.PingPongPlan(nil)},
+	} {
+		cases = append(cases, struct {
+			name string
+			dump func() string
+		}{c.name + ".textual", func() string {
+			p, err := planner.CompileTextual(c.plan.Source, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p.String()
+		}})
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -13,7 +13,9 @@
 //	   -fact 'join=127.0.0.1:7002,boot2' -watch bestSucc
 //
 // Facts are name=field,field,... where the first field is usually the
-// node's own address. Watched relations print every event.
+// node's own address. Each -watch R adds a watch(R). directive to the
+// spec, so it and the spec's own watch() directives print every event
+// of the relation on standard output.
 //
 // The node's runtime is itself queryable: -top renders a live view of
 // the sys* system tables (tables, rule firings, per-peer traffic), and
@@ -76,6 +78,9 @@ func main() {
 		}
 		src = string(data)
 	}
+	for _, w := range watches {
+		src += "\nwatch(" + w + ")."
+	}
 	plan, err := p2.Compile(src, nil)
 	if err != nil {
 		fatal("compiling spec: %v", err)
@@ -85,7 +90,10 @@ func main() {
 	tcfg.Unreliable = *unreliable
 	tcfg.NoBatch = *noBatch
 	tcfg.AckDelay = ackDelay.Seconds()
-	opts := []p2.Option{p2.WithSeed(*seed), p2.WithTransport(tcfg)}
+	opts := []p2.Option{
+		p2.WithSeed(*seed), p2.WithTransport(tcfg),
+		p2.WithNodeDefaults(p2.NodeOptions{TraceWriter: os.Stdout}),
+	}
 	if *metrics != "" {
 		opts = append(opts, p2.WithMetrics(*metrics))
 	}
@@ -115,12 +123,6 @@ func main() {
 	}
 
 	node.Do(func(n *p2.Node) {
-		for _, w := range watches {
-			w := w
-			n.Watch(w, func(ev p2.WatchEvent) {
-				fmt.Printf("%8.3f %-9s %s %s\n", ev.Time, ev.Dir, peerArrow(ev), ev.Tuple)
-			})
-		}
 		for _, f := range facts {
 			name, fields, err := parseFact(f)
 			if err != nil {
@@ -231,16 +233,6 @@ func renderTop(node *p2.Handle) string {
 		fmt.Fprintf(&sb, "%-24s %-8s %s\n", c.Type, c.Status, c.Reason)
 	}
 	return sb.String()
-}
-
-func peerArrow(ev p2.WatchEvent) string {
-	switch ev.Dir {
-	case p2.DirSent:
-		return "-> " + ev.Peer
-	case p2.DirReceived:
-		return "<- " + ev.Peer
-	}
-	return ""
 }
 
 // parseFact decodes "name=f1,f2,...". Fields parse as int, then float,

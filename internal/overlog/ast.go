@@ -143,6 +143,28 @@ func (*Binary) expr()    {}
 func (*RangeTest) expr() {}
 func (*AggRef) expr()    {}
 
+// Walk calls f on e and then on each expression inside it, depth first
+// and left to right: a Unary's operand, a Binary's X before its Y, a
+// RangeTest's K, Lo and Hi, a Call's arguments in order.
+func Walk(e Expr, f func(Expr)) {
+	f(e)
+	switch x := e.(type) {
+	case *Unary:
+		Walk(x.X, f)
+	case *Binary:
+		Walk(x.X, f)
+		Walk(x.Y, f)
+	case *RangeTest:
+		Walk(x.K, f)
+		Walk(x.Lo, f)
+		Walk(x.Hi, f)
+	case *Call:
+		for _, a := range x.Args {
+			Walk(a, f)
+		}
+	}
+}
+
 // String renderings reproduce parseable OverLog, used by tests
 // (print→reparse round trips) and the olgc inspector.
 

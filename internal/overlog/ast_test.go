@@ -124,3 +124,23 @@ func TestProgramStringIncludesDefinesAndWatches(t *testing.T) {
 		}
 	}
 }
+
+// TestWalkVisitsDepthFirstLeftToRight pins the order the planner's
+// checks rely on to name the first offending variable or call.
+func TestWalkVisitsDepthFirstLeftToRight(t *testing.T) {
+	prog := MustParse(`r out(X) :- e(X), f_sha1(A - -B) in (C, f_toID(D)], !(E < F).`)
+	var got []string
+	for _, trm := range prog.Rules[0].Body[1:] {
+		Walk(trm.(*Cond).Expr, func(e Expr) {
+			switch x := e.(type) {
+			case *VarRef:
+				got = append(got, x.Name)
+			case *Call:
+				got = append(got, x.Name)
+			}
+		})
+	}
+	if want := "f_sha1 A B C f_toID D E F"; strings.Join(got, " ") != want {
+		t.Fatalf("Walk visited %q, want %q", strings.Join(got, " "), want)
+	}
+}

@@ -2,6 +2,7 @@ package overlog
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"p2/internal/val"
@@ -85,8 +86,6 @@ func (p *parser) statement(prog *Program) error {
 }
 
 func (p *parser) materialize(prog *Program) error {
-	line := p.cur.line
-	_ = line
 	if err := p.advance(); err != nil {
 		return err
 	}
@@ -302,7 +301,7 @@ func (p *parser) ruleOrFact(prog *Program) error {
 		} else {
 			// Not an ID: rewind by re-parsing from the atom using the
 			// saved head token.
-			return p.ruleBody(prog, "", save, line)
+			return p.ruleBody(prog, "", save, line, false)
 		}
 	}
 	del := false
@@ -322,14 +321,10 @@ func (p *parser) ruleOrFact(prog *Program) error {
 	if err := p.advance(); err != nil {
 		return err
 	}
-	return p.ruleBodyDel(prog, id, headTok, line, del)
+	return p.ruleBody(prog, id, headTok, line, del)
 }
 
-func (p *parser) ruleBody(prog *Program, id string, headTok token, line int) error {
-	return p.ruleBodyDel(prog, id, headTok, line, false)
-}
-
-func (p *parser) ruleBodyDel(prog *Program, id string, headTok token, line int, del bool) error {
+func (p *parser) ruleBody(prog *Program, id string, headTok token, line int, del bool) error {
 	head, err := p.atomAfterName(headTok)
 	if err != nil {
 		return err
@@ -531,84 +526,51 @@ func isFuncName(s string) bool {
 	return len(s) > 2 && s[0] == 'f' && s[1] == '_'
 }
 
-// Expression parsing: precedence climbing.
-// Levels (low to high): || ; && ; comparisons and "in" ; + - ; * / % ;
-// << >> ; unary ; primary.
-
-func (p *parser) expr() (Expr, error) { return p.orExpr() }
-
-func (p *parser) orExpr() (Expr, error) {
-	x, err := p.andExpr()
-	if err != nil {
-		return nil, err
-	}
-	for p.cur.kind == tokOr {
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		y, err := p.andExpr()
-		if err != nil {
-			return nil, err
-		}
-		x = &Binary{Op: "||", X: x, Y: y}
-	}
-	return x, nil
+// binaryLevels lists the infix operators by precedence, loosest first:
+// || ; && ; comparisons (and "in", see binary) ; + - ; * / % ; << >>.
+// Every level is left-associative; unary operators bind tighter still.
+var binaryLevels = [][]tokKind{
+	{tokOr},
+	{tokAnd},
+	{tokEq, tokNe, tokLt, tokLe, tokGt, tokGe},
+	{tokPlus, tokMinus},
+	{tokStar, tokSlash, tokPct},
+	{tokShl, tokShr},
 }
 
-func (p *parser) andExpr() (Expr, error) {
-	x, err := p.cmpExpr()
-	if err != nil {
-		return nil, err
-	}
-	for p.cur.kind == tokAnd {
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		y, err := p.cmpExpr()
-		if err != nil {
-			return nil, err
-		}
-		x = &Binary{Op: "&&", X: x, Y: y}
-	}
-	return x, nil
-}
+const (
+	cmpLevel = 2 // where "K in (Lo, Hi]" parses
+	addLevel = 3 // the level interval bounds parse at
+)
 
-func (p *parser) cmpExpr() (Expr, error) {
-	x, err := p.addExpr()
+func (p *parser) expr() (Expr, error) { return p.binary(0) }
+
+// binary parses a chain of the operators at level, each operand an
+// expression of the levels above it. An "in" ends its comparison chain.
+func (p *parser) binary(level int) (Expr, error) {
+	if level == len(binaryLevels) {
+		return p.unaryExpr()
+	}
+	x, err := p.binary(level + 1)
 	if err != nil {
 		return nil, err
 	}
 	for {
-		var op string
-		switch p.cur.kind {
-		case tokEq:
-			op = "=="
-		case tokNe:
-			op = "!="
-		case tokLt:
-			op = "<"
-		case tokLe:
-			op = "<="
-		case tokGt:
-			op = ">"
-		case tokGe:
-			op = ">="
-		case tokIdent:
-			if p.cur.text == "in" {
-				return p.rangeTest(x)
-			}
-			return x, nil
-		default:
+		if level == cmpLevel && p.cur.kind == tokIdent && p.cur.text == "in" {
+			return p.rangeTest(x)
+		}
+		op := p.cur.kind
+		if !slices.Contains(binaryLevels[level], op) {
 			return x, nil
 		}
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
-		y, err := p.addExpr()
+		y, err := p.binary(level + 1)
 		if err != nil {
 			return nil, err
 		}
-		x = &Binary{Op: op, X: x, Y: y}
+		x = &Binary{Op: op.String(), X: x, Y: y}
 	}
 }
 
@@ -628,7 +590,7 @@ func (p *parser) rangeTest(k Expr) (Expr, error) {
 	if err := p.advance(); err != nil {
 		return nil, err
 	}
-	lo, err := p.addExpr()
+	lo, err := p.binary(addLevel)
 	if err != nil {
 		return nil, err
 	}
@@ -636,7 +598,7 @@ func (p *parser) rangeTest(k Expr) (Expr, error) {
 	if _, err := p.expect(tokComma); err != nil {
 		return nil, err
 	}
-	hi, err := p.addExpr()
+	hi, err := p.binary(addLevel)
 	if err != nil {
 		return nil, err
 	}
@@ -651,91 +613,20 @@ func (p *parser) rangeTest(k Expr) (Expr, error) {
 	return rt, p.advance()
 }
 
-func (p *parser) addExpr() (Expr, error) {
-	x, err := p.mulExpr()
-	if err != nil {
+// unaryExpr parses a primary under any number of prefix "-" and "!".
+func (p *parser) unaryExpr() (Expr, error) {
+	op := p.cur.kind
+	if op != tokMinus && op != tokBang {
+		return p.primary()
+	}
+	if err := p.advance(); err != nil {
 		return nil, err
 	}
-	for p.cur.kind == tokPlus || p.cur.kind == tokMinus {
-		op := "+"
-		if p.cur.kind == tokMinus {
-			op = "-"
-		}
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		y, err := p.mulExpr()
-		if err != nil {
-			return nil, err
-		}
-		x = &Binary{Op: op, X: x, Y: y}
-	}
-	return x, nil
-}
-
-func (p *parser) mulExpr() (Expr, error) {
-	x, err := p.shiftExpr()
-	if err != nil {
-		return nil, err
-	}
-	for p.cur.kind == tokStar || p.cur.kind == tokSlash || p.cur.kind == tokPct {
-		op := map[tokKind]string{tokStar: "*", tokSlash: "/", tokPct: "%"}[p.cur.kind]
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		y, err := p.shiftExpr()
-		if err != nil {
-			return nil, err
-		}
-		x = &Binary{Op: op, X: x, Y: y}
-	}
-	return x, nil
-}
-
-func (p *parser) shiftExpr() (Expr, error) {
 	x, err := p.unaryExpr()
 	if err != nil {
 		return nil, err
 	}
-	for p.cur.kind == tokShl || p.cur.kind == tokShr {
-		op := "<<"
-		if p.cur.kind == tokShr {
-			op = ">>"
-		}
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		y, err := p.unaryExpr()
-		if err != nil {
-			return nil, err
-		}
-		x = &Binary{Op: op, X: x, Y: y}
-	}
-	return x, nil
-}
-
-func (p *parser) unaryExpr() (Expr, error) {
-	switch p.cur.kind {
-	case tokMinus:
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		x, err := p.unaryExpr()
-		if err != nil {
-			return nil, err
-		}
-		return &Unary{Op: "-", X: x}, nil
-	case tokBang:
-		if err := p.advance(); err != nil {
-			return nil, err
-		}
-		x, err := p.unaryExpr()
-		if err != nil {
-			return nil, err
-		}
-		return &Unary{Op: "!", X: x}, nil
-	}
-	return p.primary()
+	return &Unary{Op: op.String(), X: x}, nil
 }
 
 func (p *parser) primary() (Expr, error) {

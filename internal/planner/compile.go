@@ -392,7 +392,7 @@ func (p *Plan) lowerRule(s *ruleShape, order []int, fold bool) (*Rule, error) {
 	}
 
 	if fold {
-		c.tryFold(len(s.event.Args))
+		c.tryFold()
 	}
 
 	rule := &Rule{
@@ -477,6 +477,7 @@ func (c *ruleCtx) checkCollocation() error {
 		}
 	}
 	// Located function calls must match the body location.
+	bad := ""
 	for _, t := range c.rule.Body {
 		var e overlog.Expr
 		switch term := t.(type) {
@@ -487,7 +488,12 @@ func (c *ruleCtx) checkCollocation() error {
 		default:
 			continue
 		}
-		if bad := findMislocatedCall(e, loc); bad != "" {
+		overlog.Walk(e, func(e overlog.Expr) {
+			if x, ok := e.(*overlog.Call); ok && bad == "" && x.Loc != "" && x.Loc != loc {
+				bad = x.Name + "@" + x.Loc
+			}
+		})
+		if bad != "" {
 			return c.errf("function %s located off the rule body", bad)
 		}
 	}
@@ -495,34 +501,6 @@ func (c *ruleCtx) checkCollocation() error {
 		return c.errf("delete heads must be local to the rule body")
 	}
 	return nil
-}
-
-func findMislocatedCall(e overlog.Expr, loc string) string {
-	switch x := e.(type) {
-	case *overlog.Call:
-		if x.Loc != "" && x.Loc != loc {
-			return x.Name + "@" + x.Loc
-		}
-		for _, a := range x.Args {
-			if bad := findMislocatedCall(a, loc); bad != "" {
-				return bad
-			}
-		}
-	case *overlog.Unary:
-		return findMislocatedCall(x.X, loc)
-	case *overlog.Binary:
-		if bad := findMislocatedCall(x.X, loc); bad != "" {
-			return bad
-		}
-		return findMislocatedCall(x.Y, loc)
-	case *overlog.RangeTest:
-		for _, sub := range []overlog.Expr{x.K, x.Lo, x.Hi} {
-			if bad := findMislocatedCall(sub, loc); bad != "" {
-				return bad
-			}
-		}
-	}
-	return ""
 }
 
 // classify checks the rule's order-independent restrictions and finds
@@ -580,7 +558,7 @@ func (p *Plan) classify(r *overlog.Rule) ruleShape {
 		}
 		// A lone-table body with an aggregate head is a continuous
 		// table aggregate.
-		if headHasAgg(r.Head) && atomCount == 1 && len(r.Body) == 1 {
+		if agg, _, _ := headAgg(r.Head); agg != nil && atomCount == 1 && len(r.Body) == 1 {
 			s.err = p.compileTableAgg(r, firstTable)
 			return s
 		}
@@ -596,13 +574,19 @@ func (p *Plan) classify(r *overlog.Rule) ruleShape {
 	return s
 }
 
-func headHasAgg(h *overlog.Atom) bool {
-	for _, a := range h.Args {
-		if _, ok := a.(*overlog.AggRef); ok {
-			return true
+// headAgg returns the head's first aggregate and its argument index,
+// or nil and -1 when the head has none; many reports a second one.
+func headAgg(h *overlog.Atom) (agg *overlog.AggRef, at int, many bool) {
+	at = -1
+	for i, a := range h.Args {
+		if ar, ok := a.(*overlog.AggRef); ok {
+			if agg != nil {
+				return agg, at, true
+			}
+			agg, at = ar, i
 		}
 	}
-	return false
+	return agg, at, false
 }
 
 func (c *ruleCtx) compileTrigger(event *overlog.Atom, kind TriggerKind) (Trigger, error) {
@@ -777,39 +761,25 @@ func (c *ruleCtx) compileRange(a *overlog.Atom) error {
 }
 
 // tryFold fuses the rule's aggregate into its final join (see Fold)
-// when the head carries one min/max/count aggregate and every
-// non-aggregate head field is event-bound, so the per-match working
-// tuples the fusion skips were never observable. Structural
+// when the head carries one min/max/count aggregate. It is asked only
+// for a fully reorderable rule, whose min/max head fields are all
+// event-bound (ruleMode), so the per-match working tuples the fusion
+// skips were never observable; a count head that is not event-bound
+// fails in compileHead, folded or not. Structural
 // requirements: the strand ends in a positive join whose fused steps
 // are selections plus at most one assignment, which must define the
 // aggregate's value (it becomes the fold input, evaluated over the
 // virtual concatenation — an erroring input drops the match exactly as
 // the assignment would). Any other shape declines silently and the rule
 // keeps its aggregate stage.
-func (c *ruleCtx) tryFold(eventArity int) {
-	var aggArg *overlog.AggRef
-	for _, a := range c.rule.Head.Args {
-		if ar, ok := a.(*overlog.AggRef); ok {
-			if aggArg != nil {
-				return
-			}
-			aggArg = ar
-		}
-	}
-	if aggArg == nil {
+func (c *ruleCtx) tryFold() {
+	aggArg, _, many := headAgg(c.rule.Head)
+	if aggArg == nil || many {
 		return
 	}
 	fn, err := aggFunc(aggArg.Fn)
 	if err != nil || (fn != dataflow.AggMin && fn != dataflow.AggMax && fn != dataflow.AggCount) {
 		return
-	}
-	for _, a := range c.rule.Head.Args {
-		if _, ok := a.(*overlog.AggRef); ok {
-			continue
-		}
-		if firstVarBeyond(a, c.env, eventArity) != "" {
-			return
-		}
 	}
 	aggPos := -1
 	if aggArg.Var != "*" {
@@ -864,16 +834,9 @@ func matchReads(split int, progs []*pel.Program) []int {
 // compileHead builds the head projection and aggregate specification.
 func (c *ruleCtx) compileHead(rule *Rule, eventArity int) error {
 	head := c.rule.Head
-	var aggArg *overlog.AggRef
-	aggIndex := -1
-	for i, a := range head.Args {
-		if ar, ok := a.(*overlog.AggRef); ok {
-			if aggArg != nil {
-				return c.errf("multiple aggregates in head")
-			}
-			aggArg = ar
-			aggIndex = i
-		}
+	aggArg, aggIndex, many := headAgg(head)
+	if many {
+		return c.errf("multiple aggregates in head")
 	}
 	if err := c.checkHeadLoc(head, aggArg); err != nil {
 		return err
@@ -932,7 +895,15 @@ func (c *ruleCtx) compileHead(rule *Rule, eventArity int) error {
 					pel.NewBuilder().Field(eventArity).Build())
 				continue
 			}
-			if v := firstVarBeyond(a, c.env, eventArity); v != "" {
+			v := ""
+			overlog.Walk(a, func(e overlog.Expr) {
+				if x, ok := e.(*overlog.VarRef); ok && v == "" {
+					if pos, bound := c.env[x.Name]; bound && pos >= eventArity {
+						v = x.Name
+					}
+				}
+			})
+			if v != "" {
 				return c.errf("%s head field %s is not bound by the event; %s aggregates require event-bound fields", aggArg.Fn, v, aggArg.Fn)
 			}
 			prog, err := c.compileExpr(a)
@@ -965,37 +936,6 @@ func (c *ruleCtx) checkHeadLoc(head *overlog.Atom, agg *overlog.AggRef) error {
 		}
 	}
 	return c.errf("head location @%s must be the first head argument", head.Loc)
-}
-
-// firstVarBeyond returns a variable in e whose binding position is at
-// or beyond limit, or "" if all variables are bound below limit.
-func firstVarBeyond(e overlog.Expr, env map[string]int, limit int) string {
-	switch x := e.(type) {
-	case *overlog.VarRef:
-		if pos, ok := env[x.Name]; ok && pos >= limit {
-			return x.Name
-		}
-	case *overlog.Unary:
-		return firstVarBeyond(x.X, env, limit)
-	case *overlog.Binary:
-		if v := firstVarBeyond(x.X, env, limit); v != "" {
-			return v
-		}
-		return firstVarBeyond(x.Y, env, limit)
-	case *overlog.RangeTest:
-		for _, sub := range []overlog.Expr{x.K, x.Lo, x.Hi} {
-			if v := firstVarBeyond(sub, env, limit); v != "" {
-				return v
-			}
-		}
-	case *overlog.Call:
-		for _, a := range x.Args {
-			if v := firstVarBeyond(a, env, limit); v != "" {
-				return v
-			}
-		}
-	}
-	return ""
 }
 
 func aggFunc(name string) (dataflow.AggFunc, error) {
@@ -1113,6 +1053,17 @@ var binOps = map[string]pel.Op{
 	">": pel.OpGt, ">=": pel.OpGe, "&&": pel.OpAnd, "||": pel.OpOr,
 }
 
+// builtins holds each built-in function's argument count and the PEL
+// operator that computes it from its arguments.
+var builtins = map[string]struct {
+	args int
+	op   pel.Op
+}{
+	"f_now": {0, pel.OpNow}, "f_rand": {0, pel.OpRand}, "f_localAddr": {0, pel.OpLocal},
+	"f_coinFlip": {1, pel.OpCoinFlip}, "f_sha1": {1, pel.OpSha1},
+	"f_toID": {1, pel.OpToID}, "f_toStr": {1, pel.OpToStr},
+}
+
 func (c *ruleCtx) emit(b *pel.Builder, e overlog.Expr) error {
 	switch x := e.(type) {
 	case *overlog.Lit:
@@ -1163,72 +1114,23 @@ func (c *ruleCtx) emit(b *pel.Builder, e overlog.Expr) error {
 		}
 		b.In(x.LoClosed, x.HiClosed)
 	case *overlog.Call:
-		return c.emitCall(b, x)
+		fn, ok := builtins[x.Name]
+		if !ok {
+			return c.errf("unknown function %s", x.Name)
+		}
+		if len(x.Args) != fn.args {
+			return c.errf("%s expects %d argument(s), got %d", x.Name, fn.args, len(x.Args))
+		}
+		for _, a := range x.Args {
+			if err := c.emit(b, a); err != nil {
+				return err
+			}
+		}
+		b.Op(fn.op)
 	case *overlog.AggRef:
 		return c.errf("aggregate %s<%s> outside rule head", x.Fn, x.Var)
 	default:
 		return c.errf("unsupported expression %T", e)
-	}
-	return nil
-}
-
-func (c *ruleCtx) emitCall(b *pel.Builder, x *overlog.Call) error {
-	expectArgs := func(n int) error {
-		if len(x.Args) != n {
-			return c.errf("%s expects %d argument(s), got %d", x.Name, n, len(x.Args))
-		}
-		return nil
-	}
-	switch x.Name {
-	case "f_now":
-		if err := expectArgs(0); err != nil {
-			return err
-		}
-		b.Op(pel.OpNow)
-	case "f_rand":
-		if err := expectArgs(0); err != nil {
-			return err
-		}
-		b.Op(pel.OpRand)
-	case "f_localAddr":
-		if err := expectArgs(0); err != nil {
-			return err
-		}
-		b.Op(pel.OpLocal)
-	case "f_coinFlip":
-		if err := expectArgs(1); err != nil {
-			return err
-		}
-		if err := c.emit(b, x.Args[0]); err != nil {
-			return err
-		}
-		b.Op(pel.OpCoinFlip)
-	case "f_sha1":
-		if err := expectArgs(1); err != nil {
-			return err
-		}
-		if err := c.emit(b, x.Args[0]); err != nil {
-			return err
-		}
-		b.Op(pel.OpSha1)
-	case "f_toID":
-		if err := expectArgs(1); err != nil {
-			return err
-		}
-		if err := c.emit(b, x.Args[0]); err != nil {
-			return err
-		}
-		b.Op(pel.OpToID)
-	case "f_toStr":
-		if err := expectArgs(1); err != nil {
-			return err
-		}
-		if err := c.emit(b, x.Args[0]); err != nil {
-			return err
-		}
-		b.Op(pel.OpToStr)
-	default:
-		return c.errf("unknown function %s", x.Name)
 	}
 	return nil
 }

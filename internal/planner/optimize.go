@@ -1,6 +1,8 @@
 package planner
 
 import (
+	"maps"
+
 	"p2/internal/overlog"
 )
 
@@ -67,13 +69,12 @@ func Optimize(p *Plan, _ *CatalogStats, _ OptimizerConfig) *Plan {
 	return out
 }
 
-// planRule chooses a body order for s. ok is false when the rule must
-// not be planned (frozen, its textual order does not lower, or the
-// greedy search bailed). fold is true when the rule is additionally
-// eligible for the aggregate-into-join fusion: fully reorderable (so
-// the aggregate is already known order-insensitive with an event-bound
-// head) and carrying a head aggregate — tryFold validates the
-// structural shape.
+// planRule chooses a body order for s and its cost. ok is false when
+// the rule must not be planned: it is frozen, its textual order does not
+// lower, or the search found no runnable term. fold is true when the
+// rule is fully reorderable, so a head aggregate may also fuse into its
+// final join: the aggregate is known order-insensitive with an
+// event-bound head (tryFold validates the structural shape).
 func (p *Plan) planRule(s *ruleShape, st *CatalogStats) (order []int, cost float64, fold, ok bool) {
 	infos := p.termInfos(s.rest)
 	bound := make(map[string]bool)
@@ -82,54 +83,20 @@ func (p *Plan) planRule(s *ruleShape, st *CatalogStats) (order []int, cost float
 			bound[v.Name] = true
 		}
 	}
-	if !textualBinds(infos, bound) {
+	// The textual order, the one a frozen rule keeps, must place every
+	// term where it is ready. A planned order can meet that where the
+	// textual one fails; such a rule is not planned, so the textual
+	// lowering reports its error, as it does for a plan compiled
+	// textually.
+	if _, _, ok := placeTerms(infos, bound, modeFrozen, st); !ok {
 		return nil, 0, false, false
 	}
 	mode := p.ruleMode(s.rule, p.IsTable(s.rule.Head.Name), bound)
 	if mode == modeFrozen {
 		return nil, 0, false, false
 	}
-	if mode == modePushdown {
-		order = pushdownOrder(infos, bound)
-	} else {
-		fold = headHasAgg(s.rule.Head)
-		if order, ok = greedyOrder(infos, bound, st); !ok {
-			return nil, 0, false, false
-		}
-	}
-	return order, p.costOrder(infos, order, bound, st), fold, true
-}
-
-// textualBinds reports whether the textual order binds every variable
-// before a term reads it, each variable at most once, and gives every
-// probe a key — the order-dependent checks of the lowering. A planned
-// order can meet them where the textual one fails; such a rule is not
-// planned, so the textual lowering reports its error, as it does for a
-// plan compiled textually.
-func textualBinds(infos []termInfo, boundInit map[string]bool) bool {
-	bound := copyBound(boundInit)
-	for i := range infos {
-		ti := &infos[i]
-		switch ti.kind {
-		case termJoin, termAntiJoin:
-			if len(ti.joinKey(bound)) == 0 {
-				return false
-			}
-		case termAssign, termRange:
-			for _, d := range ti.defs {
-				if bound[d] {
-					return false
-				}
-			}
-		}
-		if !depsBound(ti.deps, bound) {
-			return false
-		}
-		for _, d := range ti.defs {
-			bound[d] = true
-		}
-	}
-	return true
+	order, cost, ok = placeTerms(infos, bound, mode, st)
+	return order, cost, mode == modeFull, ok
 }
 
 // ruleMode classifies r; headWrites reports whether the head inserts
@@ -233,51 +200,28 @@ func (p *Plan) syncWrites(head string) map[string]bool {
 // f_rand and f_coinFlip consume rng state per evaluation, so even
 // moving a filter changes the draw sequence.
 func ruleImpure(r *overlog.Rule) bool {
-	for _, a := range r.Head.Args {
-		if exprImpure(a) {
-			return true
+	impure := false
+	walk := func(es ...overlog.Expr) {
+		for _, e := range es {
+			overlog.Walk(e, func(e overlog.Expr) {
+				if c, ok := e.(*overlog.Call); ok && (c.Name == "f_rand" || c.Name == "f_coinFlip") {
+					impure = true
+				}
+			})
 		}
 	}
+	walk(r.Head.Args...)
 	for _, t := range r.Body {
 		switch term := t.(type) {
 		case *overlog.Assign:
-			if exprImpure(term.Expr) {
-				return true
-			}
+			walk(term.Expr)
 		case *overlog.Cond:
-			if exprImpure(term.Expr) {
-				return true
-			}
+			walk(term.Expr)
 		case *overlog.Atom:
-			for _, a := range term.Args {
-				if exprImpure(a) {
-					return true
-				}
-			}
+			walk(term.Args...)
 		}
 	}
-	return false
-}
-
-func exprImpure(e overlog.Expr) bool {
-	switch x := e.(type) {
-	case *overlog.Call:
-		if x.Name == "f_rand" || x.Name == "f_coinFlip" {
-			return true
-		}
-		for _, a := range x.Args {
-			if exprImpure(a) {
-				return true
-			}
-		}
-	case *overlog.Unary:
-		return exprImpure(x.X)
-	case *overlog.Binary:
-		return exprImpure(x.X) || exprImpure(x.Y)
-	case *overlog.RangeTest:
-		return exprImpure(x.K) || exprImpure(x.Lo) || exprImpure(x.Hi)
-	}
-	return false
+	return impure
 }
 
 // termKind classifies one non-event body term for ordering.
@@ -309,23 +253,32 @@ type termInfo struct {
 
 // termInfos extracts ordering metadata from the textual rest terms.
 func (p *Plan) termInfos(rest []overlog.Term) []termInfo {
+	vars := func(es ...overlog.Expr) (names []string) {
+		for _, e := range es {
+			overlog.Walk(e, func(e overlog.Expr) {
+				if v, ok := e.(*overlog.VarRef); ok {
+					names = append(names, v.Name)
+				}
+			})
+		}
+		return names
+	}
 	infos := make([]termInfo, 0, len(rest))
 	for i, t := range rest {
 		ti := termInfo{idx: i}
 		switch term := t.(type) {
 		case *overlog.Cond:
 			ti.kind = termCond
-			ti.deps = exprVarNames(term.Expr, nil)
+			ti.deps = vars(term.Expr)
 		case *overlog.Assign:
 			ti.kind = termAssign
-			ti.deps = exprVarNames(term.Expr, nil)
+			ti.deps = vars(term.Expr)
 			ti.defs = []string{term.Var}
 		case *overlog.Atom:
 			if term.Name == "range" {
 				ti.kind = termRange
 				if len(term.Args) == 3 {
-					ti.deps = exprVarNames(term.Args[1], nil)
-					ti.deps = exprVarNames(term.Args[2], ti.deps)
+					ti.deps = vars(term.Args[1], term.Args[2])
 					if v, isVar := p.resolve(term.Args[0]).(*overlog.VarRef); isVar {
 						ti.defs = []string{v.Name}
 					}
@@ -358,33 +311,6 @@ func (p *Plan) termInfos(rest []overlog.Term) []termInfo {
 	return infos
 }
 
-func exprVarNames(e overlog.Expr, into []string) []string {
-	switch x := e.(type) {
-	case *overlog.VarRef:
-		return append(into, x.Name)
-	case *overlog.Unary:
-		return exprVarNames(x.X, into)
-	case *overlog.Binary:
-		return exprVarNames(x.Y, exprVarNames(x.X, into))
-	case *overlog.RangeTest:
-		return exprVarNames(x.Hi, exprVarNames(x.Lo, exprVarNames(x.K, into)))
-	case *overlog.Call:
-		for _, a := range x.Args {
-			into = exprVarNames(a, into)
-		}
-	}
-	return into
-}
-
-func depsBound(deps []string, bound map[string]bool) bool {
-	for _, d := range deps {
-		if !bound[d] {
-			return false
-		}
-	}
-	return true
-}
-
 // joinKey returns the atom-relative positions that are bound (or
 // literal) under the current bound set — the index key a join placed
 // here would probe with.
@@ -404,118 +330,104 @@ func (ti *termInfo) fanout(bound map[string]bool, st *CatalogStats) float64 {
 	return st.Fanout(ti.table, ti.joinKey(bound))
 }
 
-// pushdownOrder keeps non-selection terms textual and floats each
-// selection to the earliest point where its variables are bound. A
-// filter never changes what a nested-loop enumeration produces or in
-// what order, so this is safe in every non-frozen mode.
-func pushdownOrder(infos []termInfo, boundInit map[string]bool) []int {
-	bound := copyBound(boundInit)
-	order := make([]int, 0, len(infos))
-	placed := make([]bool, len(infos))
-	placeConds := func() {
-		for j := range infos {
-			if !placed[j] && infos[j].kind == termCond && depsBound(infos[j].deps, bound) {
-				placed[j] = true
-				order = append(order, j)
+// ready reports whether ti can run once the variables in bound are
+// bound: it reads only bound variables, binds none a second time, and
+// probes with a key (a join without one would be a cartesian product).
+// These are the order-dependent checks of the lowering.
+func (ti *termInfo) ready(bound map[string]bool) bool {
+	switch ti.kind {
+	case termJoin, termAntiJoin:
+		if len(ti.joinKey(bound)) == 0 {
+			return false
+		}
+	case termAssign, termRange:
+		for _, d := range ti.defs {
+			if bound[d] {
+				return false
 			}
 		}
 	}
-	for i := range infos {
-		if infos[i].kind == termCond {
-			continue
-		}
-		placeConds()
-		placed[i] = true
-		order = append(order, i)
-		for _, d := range infos[i].defs {
-			bound[d] = true
+	for _, d := range ti.deps {
+		if !bound[d] {
+			return false
 		}
 	}
-	placeConds()
-	for i := range infos { // conds whose deps never bind cannot exist in a compiled rule
-		if !placed[i] {
-			order = append(order, i)
-		}
-	}
-	return order
+	return true
 }
 
-// greedyOrder picks terms one at a time: any runnable selection first
-// (filter as early as possible), then the runnable join with the
-// smallest estimated fan-out, then range generators, and assignments
-// dead last. Assignments never filter, so running one earlier than
-// strictly necessary only multiplies work: on overlay steady-state
-// traffic most probes find nothing, and an assignment hoisted above
-// such a join executes per event instead of (almost) never. Deferring
-// them still unblocks dependent terms — when nothing else is runnable
-// the earliest runnable assignment is placed, which re-eligibilizes
-// whatever needed its variable. Ties break on textual position, which
-// keeps the choice deterministic for identical stats — the property
-// sharded determinism rests on.
-func greedyOrder(infos []termInfo, boundInit map[string]bool, st *CatalogStats) ([]int, bool) {
-	bound := copyBound(boundInit)
-	order := make([]int, 0, len(infos))
+// placeTerms builds a body order one term per step, placing the term
+// mode picks, and runs the cost model as the order grows: cost
+// accumulates tuple touches, and multiplicity multiplies through join
+// fan-outs and range expansions. Antijoins and selections filter
+// (modeled as multiplicity-preserving — conservative, since real
+// selectivity is unknown). ok is false when no term can be placed, or
+// the pick is not ready where it lands. The picks are:
+//
+//   - frozen: the next term in textual order.
+//   - pushdown: the first ready selection, else the next other term in
+//     textual order. A filter never changes what a nested-loop
+//     enumeration produces or in what order, so this is safe in every
+//     non-frozen mode.
+//   - full: the first ready selection (filter as early as possible),
+//     else the ready join with the smallest estimated fan-out, else the
+//     first ready range generator, else the first ready assignment.
+//     Assignments never filter, so running one earlier than strictly
+//     necessary only multiplies work: on overlay steady-state traffic
+//     most probes find nothing, and an assignment hoisted above such a
+//     join executes per event instead of (almost) never. Deferring them
+//     still unblocks dependent terms — when nothing else is ready the
+//     earliest ready assignment is placed, which readies whatever
+//     needed its variable. Ties break on textual position, which keeps
+//     the choice deterministic for identical stats — the property
+//     sharded determinism rests on.
+func placeTerms(infos []termInfo, eventBound map[string]bool, mode ruleMode, st *CatalogStats) (order []int, cost float64, ok bool) {
+	bound := maps.Clone(eventBound)
 	placed := make([]bool, len(infos))
+	first := func(want func(*termInfo) bool) int {
+		for i := range infos {
+			if !placed[i] && want(&infos[i]) {
+				return i
+			}
+		}
+		return -1
+	}
+	readyAs := func(k termKind) func(*termInfo) bool {
+		return func(ti *termInfo) bool { return ti.kind == k && ti.ready(bound) }
+	}
+	pick := func() int {
+		if mode == modeFrozen {
+			return first(func(*termInfo) bool { return true })
+		}
+		if i := first(readyAs(termCond)); i >= 0 {
+			return i
+		}
+		if mode == modePushdown {
+			return first(func(ti *termInfo) bool { return ti.kind != termCond })
+		}
+		best, bestFanout := -1, 0.0
+		for i := range infos {
+			if !placed[i] && readyAs(termJoin)(&infos[i]) {
+				if f := infos[i].fanout(bound, st); best < 0 || f < bestFanout {
+					best, bestFanout = i, f
+				}
+			}
+		}
+		if best >= 0 {
+			return best
+		}
+		if i := first(readyAs(termRange)); i >= 0 {
+			return i
+		}
+		return first(readyAs(termAssign))
+	}
+
+	order = make([]int, 0, len(infos))
+	tuples := 1.0
 	for len(order) < len(infos) {
-		pick := -1
-		for i := range infos { // selections, textual order
-			if !placed[i] && infos[i].kind == termCond && depsBound(infos[i].deps, bound) {
-				pick = i
-				break
-			}
+		i := pick()
+		if i < 0 || !infos[i].ready(bound) {
+			return nil, 0, false
 		}
-		if pick < 0 {
-			best := -1.0
-			for i := range infos { // joins, min fan-out
-				if placed[i] || infos[i].kind != termJoin {
-					continue
-				}
-				if len(infos[i].joinKey(bound)) == 0 {
-					continue // would be a cartesian product here
-				}
-				f := infos[i].fanout(bound, st)
-				if pick < 0 || f < best {
-					pick, best = i, f
-				}
-			}
-		}
-		if pick < 0 {
-			for i := range infos { // ranges, textual order
-				if !placed[i] && infos[i].kind == termRange && depsBound(infos[i].deps, bound) {
-					pick = i
-					break
-				}
-			}
-		}
-		if pick < 0 {
-			for i := range infos { // assignments, last resort
-				if !placed[i] && infos[i].kind == termAssign && depsBound(infos[i].deps, bound) {
-					pick = i
-					break
-				}
-			}
-		}
-		if pick < 0 {
-			return nil, false // no runnable term; keep the textual plan
-		}
-		placed[pick] = true
-		order = append(order, pick)
-		for _, d := range infos[pick].defs {
-			bound[d] = true
-		}
-	}
-	return order, true
-}
-
-// costOrder runs the cost model over a chosen order: cost accumulates
-// tuple touches, multiplicity multiplies through join fan-outs and
-// range expansions. Antijoins and selections filter (modeled as
-// multiplicity-preserving — conservative, since real selectivity is
-// unknown).
-func (p *Plan) costOrder(infos []termInfo, order []int, boundInit map[string]bool, st *CatalogStats) float64 {
-	bound := copyBound(boundInit)
-	tuples, cost := 1.0, 0.0
-	for _, i := range order {
 		ti := &infos[i]
 		switch ti.kind {
 		case termCond:
@@ -533,17 +445,11 @@ func (p *Plan) costOrder(infos []termInfo, order []int, boundInit map[string]boo
 			tuples *= catalogRangeFanout
 			cost += tuples
 		}
+		placed[i] = true
+		order = append(order, i)
 		for _, d := range ti.defs {
 			bound[d] = true
 		}
 	}
-	return cost
-}
-
-func copyBound(m map[string]bool) map[string]bool {
-	out := make(map[string]bool, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
+	return order, cost, true
 }

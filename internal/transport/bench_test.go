@@ -105,16 +105,18 @@ func roundTrip(tb testing.TB) (round func(), hub *Transport, delivered *int) {
 }
 
 // TestRoundTripAllocs pins the steady exchange BenchmarkRoundTrip
-// measures at roundTripAllocs allocations per delivered tuple.
+// measures at roundTripAllocs allocations per delivered tuple. It counts
+// with testing.AllocsPerRun, which runs on one P and reports whole
+// allocations per round, so an allocation by another goroutine of the
+// test process (the runtime's, the testing package's) does not land on
+// the exchange's count as it does in a whole-process MemStats delta.
 func TestRoundTripAllocs(t *testing.T) {
+	const runs, perRound = 50, 64 // a round: the hub sends each of 32 peers a tuple, each sends one back
 	round, _, delivered := roundTrip(t)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for range 50 {
-		round()
+	perTuple := testing.AllocsPerRun(runs, round) / perRound
+	if want := (runs + 1) * perRound; *delivered != want { // AllocsPerRun adds one warm-up round
+		t.Fatalf("%d rounds delivered %d tuples, want %d", runs+1, *delivered, want)
 	}
-	runtime.ReadMemStats(&after)
-	perTuple := float64(after.Mallocs-before.Mallocs) / float64(*delivered)
 	t.Logf("%.2f allocations per delivered tuple", perTuple)
 	if perTuple > roundTripAllocs {
 		t.Fatalf("the steady exchange allocates %.2f times per delivered tuple, want at most %d", perTuple, roundTripAllocs)

@@ -47,6 +47,7 @@
 //	       DropsRetry, DropsClosed, DropsDead, DropsOverflow)
 //	sysNode(@N, UptimeS, EventsProcessed, QueueLen)
 //	sysHealth(@N, Type, Status, Reason, SinceS)
+//	sysKV(@N, Keys, Replicas, Quorum, Succs, Repairs, Expiries, Pending)
 //
 // Monitoring queries are just more OverLog: Node.Install compiles
 // rules at runtime and grafts them into the live dataflow, where they
@@ -69,12 +70,10 @@
 // bodies are re-ordered (cheapest join first), selections are pushed
 // past joins, and fully-reorderable min/max/count rules fuse their
 // final join with the aggregate into a fold that never materializes a
-// per-match tuple. At run time, rules on the same trigger that begin
-// with the same table probe share it through one cached lookup. Plans
-// are made once, from catalog heuristics, so a plan is a function of
-// its source: every node of a deployment runs the plan it was spawned
-// with, and it never changes. Node.Install plans the rules it grafts
-// the same way. No option selects the textual plan; a frozen rule (one
+// per-match tuple. Plans are made once, from catalog heuristics, so a
+// plan is a function of its source: every node of a deployment runs
+// the plan it was spawned with, and it never changes. Node.Install
+// plans the rules it grafts the same way. No option selects the textual plan; a frozen rule (one
 // that draws randomness) keeps its textual order and reports Order "-".
 // Plans are queryable per rule via the sysPlan system table ("@N,
 // Rule, Order, CostEst, Replans"; Replans is always 0, kept until the
@@ -87,7 +86,7 @@
 // Layered on the system tables is an operability subsystem: every
 // introspection refresh also evaluates a catalogue of typed health
 // conditions (Converged, Partitioned, ChurnStorm, RetryBudgetExhausted,
-// BacklogSaturated) with status/reason/lastTransition semantics,
+// BacklogSaturated, KVUnderReplicated) with status/reason/lastTransition semantics,
 // queryable from OverLog via the sysHealth table, from Go via
 // Handle.Conditions and Deployment.HealthSnapshot, and from the
 // outside via the Prometheus /metrics endpoint a UDP deployment serves

@@ -406,7 +406,7 @@ func placeTerms(infos []termInfo, eventBound map[string]bool, mode ruleMode, st 
 		}
 		best, bestFanout := -1, 0.0
 		for i := range infos {
-			if !placed[i] && readyAs(termJoin)(&infos[i]) {
+			if !placed[i] && infos[i].kind == termJoin && infos[i].ready(bound) {
 				if f := infos[i].fanout(bound, st); best < 0 || f < bestFanout {
 					best, bestFanout = i, f
 				}

@@ -955,7 +955,8 @@ func aggFunc(name string) (dataflow.AggFunc, error) {
 }
 
 // compileTableAgg handles rules like "bestSuccDist(NI, min<D>) :-
-// succDist(NI, S, D)": a continuous aggregate over one table.
+// succDist(NI, S, D)": a continuous aggregate over one table. Its
+// caller routes only a head with an aggregate here.
 func (p *Plan) compileTableAgg(r *overlog.Rule, atom *overlog.Atom) error {
 	c := &ruleCtx{plan: p, rule: r, env: make(map[string]int)}
 	if r.Delete {
@@ -973,21 +974,18 @@ func (p *Plan) compileTableAgg(r *overlog.Rule, atom *overlog.Atom) error {
 			return c.errf("table aggregate body arguments must be variables")
 		}
 	}
-	var aggArg *overlog.AggRef
+	aggArg, aggIndex, many := headAgg(r.Head)
+	if many {
+		return c.errf("multiple aggregates in head")
+	}
 	ta := &TableAggRule{
 		ID:           r.ID,
 		Table:        atom.Name,
 		HeadName:     r.Head.Name,
 		Materialized: p.IsTable(r.Head.Name),
 	}
-	var groupOrds []int // head arg index -> group ordinal
-	for _, raw := range r.Head.Args {
-		if ar, ok := raw.(*overlog.AggRef); ok {
-			if aggArg != nil {
-				return c.errf("multiple aggregates in head")
-			}
-			aggArg = ar
-			groupOrds = append(groupOrds, -1)
+	for i, raw := range r.Head.Args {
+		if i == aggIndex {
 			continue
 		}
 		v, ok := p.resolve(raw).(*overlog.VarRef)
@@ -998,11 +996,7 @@ func (p *Plan) compileTableAgg(r *overlog.Rule, atom *overlog.Atom) error {
 		if !bound {
 			return c.errf("head variable %s not bound by %s", v.Name, atom.Name)
 		}
-		groupOrds = append(groupOrds, len(ta.GroupPos))
 		ta.GroupPos = append(ta.GroupPos, pos)
-	}
-	if aggArg == nil {
-		return c.errf("table aggregate rule lacks an aggregate") // unreachable by classify
 	}
 	fn, err := aggFunc(aggArg.Fn)
 	if err != nil {
@@ -1024,11 +1018,15 @@ func (p *Plan) compileTableAgg(r *overlog.Rule, atom *overlog.Atom) error {
 	if err := c.checkHeadLoc(r.Head, aggArg); err != nil {
 		return err
 	}
-	// Head projection over [group fields..., aggregate].
+	// Head projection over [group fields..., aggregate]: the group
+	// fields keep their head order, so each after the aggregate sits one
+	// ordinal lower.
 	for i := range r.Head.Args {
-		ord := groupOrds[i]
-		if ord < 0 {
+		ord := i
+		if i == aggIndex {
 			ord = len(ta.GroupPos)
+		} else if i > aggIndex {
+			ord--
 		}
 		ta.HeadProgs = append(ta.HeadProgs, pel.NewBuilder().Field(ord).Build())
 	}

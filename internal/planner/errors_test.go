@@ -66,6 +66,14 @@ var diagnosticCases = []struct {
 	{"tableagg unbound group", `
 			materialize(t, 10, 10, keys(1)).
 			r best@X(X, Q, min<C>) :- t@X(X, C).`, "not bound"},
+	{"tableagg multi agg", `
+			materialize(t, 10, 10, keys(1)).
+			r best@X(X, min<C>, max<C>) :- t@X(X, C).`, "multiple aggregates"},
+	// A non-variable head field before the second aggregate: the head's
+	// aggregates are counted before its fields are checked.
+	{"tableagg field before second agg", `
+			materialize(t, 10, 10, keys(1)).
+			r best@X(X, "x", min<C>, max<C>) :- t@X(X, C).`, "multiple aggregates"},
 	{"tableagg min star", `
 			materialize(t, 10, 10, keys(1)).
 			r best@X(X, min<*>) :- t@X(X, C).`, "only valid for count"},

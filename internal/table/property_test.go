@@ -9,12 +9,13 @@ import (
 	"p2/internal/val"
 )
 
-// Property test guarding the cached-key refactor: rows cache their
-// rendered primary and per-index key strings at add time, and removal
-// paths (explicit delete, TTL expiry, FIFO eviction, primary-key
-// replacement) trust those caches. A stale or wrongly-shared cached key
+// Property tests guarding removal: rows cache no key, so every removal
+// path (explicit delete, TTL expiry, FIFO eviction, primary-key
+// replacement) renders the row's primary and index keys again from its
+// tuple and finds the map entries by those bytes. A key rendered from
+// the wrong positions, or a bucket written back under the wrong key,
 // would leave a ghost row in some index bucket or strand a live row
-// outside its bucket — exactly what this test hunts: after every
+// outside its bucket — exactly what these tests hunt: after every
 // operation, every secondary index's contents must match ground truth
 // derived from a full Scan.
 
@@ -65,7 +66,8 @@ func checkIndexes(t *testing.T, tb *Table, ixs []*Index, probeKeys []map[string]
 // insert/replace/refresh/delete/expire/evict sequences over a table
 // with a TTL, a size bound, and two secondary indices (one sharing a
 // field with the primary key), checking every index against ground
-// truth after each operation.
+// truth after each operation — so each key a removal renders again
+// must name the bucket the row was added to.
 func TestIndexContentsMatchScanUnderRandomOps(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		seed := seed
@@ -194,4 +196,89 @@ func TestIndexConsistentUnderMidProbeMutation(t *testing.T) {
 	if len(got) != len(scan) {
 		t.Fatalf("post-probe index has %d rows, scan %d", len(got), len(scan))
 	}
+}
+
+// FuzzTableOps decodes its input, four bytes per operation, into
+// inserts, replacements, refreshes, deletes, clock advances and FIFO
+// eviction bursts on a table with a TTL, a size bound and two secondary
+// indexes. A probe operation runs Index.Each over a live bucket and
+// issues the next one to three operations from inside the visit, one per
+// visited row, so removals hit the tombstone path and compact when the
+// probe ends; probes nest when one of those is a probe too. The probe
+// must visit only resident rows, none twice, and every index is checked
+// against a Scan after each operation, inside a visit or not.
+func FuzzTableOps(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 3, 1, 0, 0, 0, 6, 0, 0, 0, 3, 1, 2, 0})
+	f.Add([]byte{5, 3, 0, 0, 6, 1, 1, 0, 6, 0, 1, 0, 1, 2, 0, 0, 4, 30, 0, 0, 2, 0, 0, 0})
+	f.Add([]byte{0, 0, 0, 0, 0, 1, 0, 1, 0, 2, 0, 2, 6, 0, 0, 0, 5, 7, 0, 0, 6, 1, 2, 0, 3, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		clk := &propClock{}
+		tb := New("p", 40, 8, []int{0, 1}, clk)
+		ixs := []*Index{tb.EnsureIndex([]int{1}), tb.EnsureIndex([]int{2, 0})}
+		probeKeys := []map[string]bool{{}, {}}
+		mk := func(a, b, c byte) *tuple.Tuple {
+			return tuple.New("p", val.Str(fmt.Sprintf("a%d", a%6)), val.Int(int64(b%4)), val.Int(int64(c%3)))
+		}
+		// pick returns a resident row chosen by b, or nil.
+		pick := func(b byte) *tuple.Tuple {
+			if scan := tb.Scan(); len(scan) > 0 {
+				return scan[int(b)%len(scan)]
+			}
+			return nil
+		}
+		var step func() bool
+		step = func() bool {
+			if len(data) < 4 {
+				return false
+			}
+			op, a, b, c := data[0], data[1], data[2], data[3]
+			data = data[4:]
+			switch op % 7 {
+			case 0: // insert: a new key, a replacement or a refresh
+				tb.Insert(mk(a, b, c))
+			case 1: // replacement of a resident row
+				if old := pick(a); old != nil {
+					tb.Insert(tuple.New("p", old.Field(0), old.Field(1), val.Int(int64(b)+10)))
+				}
+			case 2: // refresh of a resident row
+				if old := pick(a); old != nil {
+					tb.Insert(old)
+				}
+			case 3: // explicit delete by primary key
+				tb.Delete(mk(a, b, 0))
+			case 4: // time passes; TTLs expire
+				clk.now += float64(a % 50)
+				tb.Expire()
+			case 5: // burst of inserts past the size bound: FIFO eviction
+				for i := byte(0); i < 3+a%8; i++ {
+					tb.Insert(mk(a+i, b+i/6, c))
+				}
+			case 6: // the next operation runs inside a live probe
+				if at := pick(a); at != nil {
+					ix := ixs[b%2]
+					key := at.AppendKey(nil, ix.Positions())
+					seen := map[*tuple.Tuple]bool{}
+					nested := int(c%3) + 1
+					ix.Each(key, func(m *tuple.Tuple) bool {
+						if r := tb.rows[m.Key(tb.pk)]; r == nil || r.t != m || seen[m] {
+							t.Fatalf("probe visited %v: resident %v, seen before %v", m, r != nil && r.t == m, seen[m])
+						}
+						seen[m] = true
+						if nested > 0 {
+							nested--
+							step()
+						}
+						return true
+					})
+				}
+			}
+			checkIndexes(t, tb, ixs, probeKeys)
+			if n := tb.Len(); n > 8 {
+				t.Fatalf("table exceeded maxSize: %d", n)
+			}
+			return true
+		}
+		for step() {
+		}
+	})
 }

@@ -12,19 +12,21 @@
 // design. Insert and delete listeners let the planner turn table deltas
 // into dataflow events and keep continuous aggregates current.
 //
-// The probe path is allocation-free: every row caches its rendered
-// primary and per-index key strings at add time (removal and
-// replacement never re-render), and equijoins resolve an *Index handle
+// The probe path is allocation-free: equijoins resolve an *Index handle
 // once at wiring time, then probe it with Index.Each against a scratch
 // key buffer — no signature strings, no result slices.
 //
-// Row storage is compact: rows carry intrusive insertion-order links
-// (no container/list element per row), are allocated from per-table
-// blocks and recycled through a free list (steady-state churn — the
-// constant replace/expire/re-derive cycle of soft state — allocates no
-// row structs), and every rendered key is interned through the global
-// symbol table, so the thousands of rows across a deployment that
-// embed the same address share one backing array.
+// Row storage is compact: a resident row is its tuple, its expiry and
+// two intrusive insertion-order links (no container/list element, no
+// cached keys). Rows come from per-table blocks and are recycled through
+// a free list, so steady-state churn — the constant replace/expire/
+// re-derive cycle of soft state — allocates no row structs. Stored keys
+// are interned through the global symbol table, so the thousands of
+// rows across a deployment that embed the same address share one
+// backing array. Removal renders a row's keys again from its immutable
+// tuple: the rendered bytes find each map entry without allocating, and
+// interning them again returns, also without allocating, the stored key
+// string that a map write or delete needs.
 package table
 
 import (
@@ -61,7 +63,7 @@ type Table struct {
 	head, tail *row            // insertion order, oldest first (intrusive)
 	free       *row            // recycled rows, linked through row.next
 	blockLen   int             // next arena block size
-	indices    []*Index        // creation order; row.ixKeys is parallel
+	indices    []*Index        // creation order
 	bySig      map[string]*Index
 
 	onInsert  []func(*tuple.Tuple)
@@ -75,7 +77,7 @@ type Table struct {
 	// zero.
 	probing int
 
-	scratch []byte // probe/insert key render buffer
+	scratch []byte // key render buffer for insert, delete and removal
 
 	// version counts content mutations (row added or removed). Pure
 	// refreshes do not bump it: they change no bucket, so a probe
@@ -96,15 +98,14 @@ type Stats struct {
 	Refreshes int64 // identical re-insertions that only renewed a TTL
 }
 
-// row is a resident tuple plus its cached keys and intrusive links.
-// Rows are arena-allocated and recycled: a *row is only valid while the
-// row is resident, and nothing outside this package ever holds one.
+// row is a resident tuple, its expiry and its intrusive links: 32 bytes
+// on 64-bit, no cached key (removal renders keys from the immutable
+// tuple). Rows are arena-allocated and recycled: a *row is only valid
+// while resident, and nothing outside this package ever holds one.
 type row struct {
 	t          *tuple.Tuple
 	expires    float64
-	prev, next *row     // insertion-order links; next doubles as the free-list link
-	pk         string   // rendered primary key, cached (interned) at add time
-	ixKeys     []string // rendered per-index keys, parallel to Table.indices
+	prev, next *row // insertion-order links; next doubles as the free-list link
 }
 
 // Index is a secondary equality index over a fixed set of field
@@ -113,7 +114,6 @@ type row struct {
 type Index struct {
 	tb        *Table
 	positions []int
-	ord       int // position in Table.indices; row.ixKeys[ord] is this index's key
 	m         map[string][]*row
 	dirty     []string // bucket keys tombstoned while a probe was live
 	appends   uint64   // bumped per bucket append; live probes re-read on change
@@ -199,10 +199,10 @@ type InsertResult struct {
 // eviction, and TTL stamping. Arity must match prior rows (enforced by
 // the planner; here we only guard the key positions).
 //
-// The primary key is rendered exactly once, into a scratch buffer; pure
-// refreshes (the steady state of periodic re-derivation) allocate
-// nothing, and replacements reuse the displaced row's cached key
-// string.
+// The primary key is rendered into a scratch buffer; pure refreshes
+// (the steady state of periodic re-derivation) allocate nothing, and a
+// replacement re-links the displaced row's struct, whose primary-key
+// map entry already holds the same key.
 func (tb *Table) Insert(t *tuple.Tuple) InsertResult {
 	tb.Expire()
 	now := tb.clock.Now()
@@ -217,9 +217,8 @@ func (tb *Table) Insert(t *tuple.Tuple) InsertResult {
 			return InsertResult{Stored: true}
 		}
 		old := existing.t
-		pk := existing.pk // same key bytes; reuse the interned string
-		tb.removeRow(existing, false)
-		tb.addRow(t, now, pk)
+		tb.unplace(existing)
+		tb.place(existing, t, now)
 		tb.stats.Inserts++
 		for _, fn := range tb.onReplace {
 			fn(old)
@@ -238,7 +237,7 @@ func (tb *Table) Insert(t *tuple.Tuple) InsertResult {
 	prev := tb.inserting
 	tb.inserting = t
 	for tb.maxSize > 0 && len(tb.rows) > tb.maxSize {
-		tb.removeRow(tb.head, true)
+		tb.removeRow(tb.head)
 	}
 	tb.inserting = prev
 	tb.stats.Inserts++
@@ -256,8 +255,8 @@ func (tb *Table) expiry(now float64) float64 {
 }
 
 // newRow takes a row from the free list, refilling it from a fresh
-// arena block when empty. Recycled rows keep their ixKeys capacity, so
-// steady-state churn re-renders keys into storage it already owns.
+// arena block when empty. A recycled row holds no key, so reusing it
+// only sets its fields again.
 func (tb *Table) newRow() *row {
 	if tb.free == nil {
 		if tb.blockLen < rowBlockMin {
@@ -284,12 +283,7 @@ func (tb *Table) newRow() *row {
 // a new row at any point.
 func (tb *Table) recycle(r *row) {
 	r.t = nil
-	r.pk = ""
 	r.prev = nil
-	for i := range r.ixKeys {
-		r.ixKeys[i] = ""
-	}
-	r.ixKeys = r.ixKeys[:0]
 	r.next = tb.free
 	tb.free = r
 }
@@ -330,68 +324,75 @@ func (tb *Table) moveToBack(r *row) {
 	tb.pushBack(r)
 }
 
-// addRow stores t under the pre-rendered primary key pk, rendering and
-// caching each secondary-index key once. Keys are interned through the
-// global symbol table: a bucket key rendered on one node — or in one
-// tuple field — shares storage with every other appearance of the same
-// bytes, and re-adding a previously seen key allocates nothing.
+// addRow stores t in a new row under the interned primary key pk.
 func (tb *Table) addRow(t *tuple.Tuple, now float64, pk string) {
-	tb.version++
 	r := tb.newRow()
-	r.t, r.expires, r.pk = t, tb.expiry(now), pk
-	tb.pushBack(r)
 	tb.rows[pk] = r
-	if n := len(tb.indices); n > 0 {
-		if cap(r.ixKeys) >= n {
-			r.ixKeys = r.ixKeys[:n]
-		} else {
-			r.ixKeys = make([]string, n)
-		}
-		for i, ix := range tb.indices {
-			tb.scratch = t.AppendKey(tb.scratch[:0], ix.positions)
-			k := val.InternBytes(tb.scratch)
-			r.ixKeys[i] = k
-			ix.m[k] = append(ix.m[k], r)
-			ix.appends++
-		}
+	tb.place(r, t, now)
+}
+
+// place stores t in r and links r as the newest row, appending it to
+// each index's bucket. Keys are interned through the global symbol
+// table: a bucket key rendered on one node — or in one tuple field —
+// shares storage with every other appearance of the same bytes, and
+// re-adding a previously seen key allocates nothing.
+func (tb *Table) place(r *row, t *tuple.Tuple, now float64) {
+	tb.version++
+	r.t, r.expires = t, tb.expiry(now)
+	tb.pushBack(r)
+	for _, ix := range tb.indices {
+		tb.scratch = t.AppendKey(tb.scratch[:0], ix.positions)
+		k := val.InternBytes(tb.scratch)
+		ix.m[k] = append(ix.m[k], r)
+		ix.appends++
 	}
 }
 
-// removeRow unlinks r using its cached key strings — nothing is
-// re-rendered; when notify is set the delete listeners fire. While a
+// unplace undoes place: it unlinks r from the insertion order and takes
+// it out of every index bucket, rendering each index key again from
+// r's tuple into tb.scratch. The bucket is found by the rendered bytes.
+// A map write or delete needs a string, and converting the buffer would
+// allocate for keys over 32 bytes, so those take the interned key (a
+// key too long to intern allocates here as it did when added). While a
 // probe is visiting buckets, slots are tombstoned in place (and
 // compacted when the probe finishes) so no probe sees a row twice.
-// The row is recycled before listeners run, so r must not be touched
-// after this call.
-func (tb *Table) removeRow(r *row, notify bool) {
+func (tb *Table) unplace(r *row) {
 	tb.version++
-	delete(tb.rows, r.pk)
 	tb.unlink(r)
-	for i, ix := range tb.indices {
-		k := r.ixKeys[i]
-		bucket := ix.m[k]
+	for _, ix := range tb.indices {
+		tb.scratch = r.t.AppendKey(tb.scratch[:0], ix.positions)
+		bucket := ix.m[string(tb.scratch)]
 		for j, cand := range bucket {
 			if cand == r {
 				if tb.probing > 0 {
 					bucket[j] = nil
-					ix.dirty = append(ix.dirty, k)
+					ix.dirty = append(ix.dirty, val.InternBytes(tb.scratch))
 				} else if len(bucket) == 1 {
-					delete(ix.m, k)
+					delete(ix.m, val.InternBytes(tb.scratch))
 				} else {
 					bucket[j] = bucket[len(bucket)-1]
-					ix.m[k] = bucket[:len(bucket)-1]
+					ix.m[val.InternBytes(tb.scratch)] = bucket[:len(bucket)-1]
 				}
 				break
 			}
 		}
 	}
+}
+
+// removeRow deletes r — explicit delete, FIFO eviction or TTL expiry —
+// and fires the delete listeners. The primary key is rendered again
+// from r's tuple and, like the index keys in unplace, interned to name
+// the map entry. The row is recycled before listeners run, so r must
+// not be touched after this call.
+func (tb *Table) removeRow(r *row) {
+	tb.scratch = r.t.AppendKey(tb.scratch[:0], tb.pk)
+	delete(tb.rows, val.InternBytes(tb.scratch))
+	tb.unplace(r)
 	t := r.t
 	tb.recycle(r)
-	if notify {
-		tb.stats.Deletes++
-		for _, fn := range tb.onDelete {
-			fn(t)
-		}
+	tb.stats.Deletes++
+	for _, fn := range tb.onDelete {
+		fn(t)
 	}
 }
 
@@ -433,7 +434,7 @@ func (tb *Table) Delete(t *tuple.Tuple) bool {
 	if !ok {
 		return false
 	}
-	tb.removeRow(r, true)
+	tb.removeRow(r)
 	return true
 }
 
@@ -452,7 +453,7 @@ func (tb *Table) Expire() int {
 	now := tb.clock.Now()
 	n := 0
 	for tb.head != nil && tb.head.expires <= now {
-		tb.removeRow(tb.head, true)
+		tb.removeRow(tb.head)
 		n++
 	}
 	return n
@@ -470,13 +471,11 @@ func (tb *Table) EnsureIndex(positions []int) *Index {
 	ix := &Index{
 		tb:        tb,
 		positions: append([]int(nil), positions...),
-		ord:       len(tb.indices),
 		m:         make(map[string][]*row),
 	}
 	for r := tb.head; r != nil; r = r.next {
 		tb.scratch = r.t.AppendKey(tb.scratch[:0], ix.positions)
 		k := val.InternBytes(tb.scratch)
-		r.ixKeys = append(r.ixKeys, k)
 		ix.m[k] = append(ix.m[k], r)
 	}
 	tb.indices = append(tb.indices, ix)

@@ -113,7 +113,7 @@ func pinRow(seq, v int64) *tuple.Tuple {
 }
 
 // TestRemovalZeroAlloc pins every way a row leaves a table at zero
-// allocations, now that removal renders the row's keys again: a
+// allocations, although removal renders the row's keys again: a
 // primary-key replacement, an explicit Delete, TTL expiry and FIFO
 // eviction. Each run re-adds what it removed; the pins cover that too.
 func TestRemovalZeroAlloc(t *testing.T) {

@@ -57,7 +57,8 @@ func condOf(h *p2.Handle, typ p2.ConditionType) (p2.Condition, bool) {
 // cut() → raised → heal() plus quiet → cleared. The call sequence is
 // identical for every runtime; only the deployment and the cut/heal
 // actions differ.
-func driveTransitions(t *testing.T, d *p2.Deployment, a, b string, cut, heal func()) {
+// spawned, when set, sees each node as it is spawned.
+func driveTransitions(t *testing.T, d *p2.Deployment, a, b string, cut, heal func(), spawned func(*p2.Handle)) {
 	t.Helper()
 	defer d.Close()
 	plan := p2.MustCompile(partSpec, nil)
@@ -65,8 +66,13 @@ func driveTransitions(t *testing.T, d *p2.Deployment, a, b string, cut, heal fun
 	if err != nil {
 		t.Fatalf("spawn %s: %v", a, err)
 	}
-	if _, err := d.Spawn(b, plan); err != nil {
+	hb, err := d.Spawn(b, plan)
+	if err != nil {
 		t.Fatalf("spawn %s: %v", b, err)
+	}
+	if spawned != nil {
+		spawned(ha)
+		spawned(hb)
 	}
 
 	eid := 0
@@ -131,25 +137,32 @@ func TestPartitionConditionTransitionsSimulated(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		shards := shards
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			d, err := p2.NewDeployment(p2.Simulated, p2.WithSeed(11),
-				p2.WithShards(shards), p2.WithNodeDefaults(healthNodeOpts(3)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			const a, b = "h0:p2", "h1:p2"
-			driveTransitions(t, d, a, b,
-				func() {
-					if err := d.Partition(a, b, true); err != nil {
-						t.Fatalf("partition: %v", err)
-					}
-				},
-				func() {
-					if err := d.Partition(a, b, false); err != nil {
-						t.Fatalf("heal: %v", err)
-					}
-				})
+			simulatedTransitions(t, shards, nil)
 		})
 	}
+}
+
+// simulatedTransitions drives the Partitioned lifecycle on a simulated
+// two-node deployment, cutting and healing the link between them.
+func simulatedTransitions(t *testing.T, shards int, spawned func(*p2.Handle)) {
+	t.Helper()
+	d, err := p2.NewDeployment(p2.Simulated, p2.WithSeed(11),
+		p2.WithShards(shards), p2.WithNodeDefaults(healthNodeOpts(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const a, b = "h0:p2", "h1:p2"
+	driveTransitions(t, d, a, b,
+		func() {
+			if err := d.Partition(a, b, true); err != nil {
+				t.Fatalf("partition: %v", err)
+			}
+		},
+		func() {
+			if err := d.Partition(a, b, false); err != nil {
+				t.Fatalf("heal: %v", err)
+			}
+		}, spawned)
 }
 
 func TestPartitionConditionTransitionsUDP(t *testing.T) {
@@ -171,7 +184,7 @@ func TestPartitionConditionTransitionsUDP(t *testing.T) {
 	// sending, and the suspicion ages out.
 	driveTransitions(t, d, addrs[0], addrs[1],
 		func() { d.Kill(addrs[1]) },
-		func() {})
+		func() {}, nil)
 }
 
 // churnedHealthSnapshot builds a 64-node churned Chord deployment via
@@ -239,5 +252,45 @@ func TestHealthSnapshotBitIdentical(t *testing.T) {
 	}
 	if len(s1.Overlay) != want {
 		t.Fatalf("overlay rollup has %d conditions, want %d", len(s1.Overlay), want)
+	}
+}
+
+// TestReadingConditionsChangesNothing: reading a deployment's health is
+// a read. Two HealthSnapshot calls with no Run between them agree,
+// whether or not the nodes have a sys* audience.
+func TestReadingConditionsChangesNothing(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts p2.NodeOptions
+	}{
+		{"unmonitored", p2.NodeOptions{}},
+		{"monitored", p2.NodeOptions{IntrospectInterval: 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d, err := p2.NewDeployment(p2.Simulated, p2.WithSeed(3), p2.WithNodeDefaults(tc.opts))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer d.Close()
+			plan := p2.MustCompile(p2.ChordSource, nil)
+			for i := 0; i < 8; i++ {
+				addr := fmt.Sprintf("r%d:p2", i)
+				h, err := d.Spawn(addr, plan)
+				if err != nil {
+					t.Fatal(err)
+				}
+				lm := "r0:p2"
+				if i == 0 {
+					lm = "-"
+				}
+				h.AddFact("landmark", p2.Str(addr), p2.Str(lm))
+				h.AddFact("join", p2.Str(addr), p2.Str(addr+"!boot"))
+			}
+			d.Run(3)
+			first, second := d.HealthSnapshot(), d.HealthSnapshot()
+			if !reflect.DeepEqual(first, second) {
+				t.Errorf("reading the conditions changed them:\nfirst:  %+v\nsecond: %+v", first, second)
+			}
+		})
 	}
 }

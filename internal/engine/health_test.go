@@ -6,7 +6,14 @@ package engine
 // the transport's cause space.
 
 import (
+	"bytes"
+	"cmp"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
 	"slices"
+	"strconv"
 	"testing"
 
 	"p2/internal/health"
@@ -28,11 +35,82 @@ func TestNetStatDropArityMatchesCauses(t *testing.T) {
 	}
 }
 
-func TestSysHealthPopulates(t *testing.T) {
+var update = flag.Bool("update", false, "rewrite every golden under testdata/")
+
+// sysHealthRun is TestSysHealthPopulates' run: a two-node ping-pong
+// refreshing every second. It returns the rig and every sysHealth delta
+// either node made, one a line: time, node, type, status, since, reason.
+// Lines are ordered by time, node and catalogue position; deltas equal
+// on all three keep the order they were made in.
+func sysHealthRun(t *testing.T) (*rig, []byte) {
 	// Explicit interval: force the refresh on without a sys* consumer.
 	r := newRigOpts(t, pingPongSrc, Options{IntrospectInterval: 1}, "a", "b")
+	type line struct {
+		time float64
+		node string
+		typ  int
+		text string
+	}
+	var lines []line
+	for _, addr := range []string{"a", "b"} {
+		r.nodes[addr].Watch(introspect.HealthRelation, func(ev WatchEvent) {
+			if ev.Dir != DirInserted {
+				return
+			}
+			row := ev.Tuple
+			typ := slices.Index(health.ConditionTypes(), health.ConditionType(row.Field(1).AsStr()))
+			lines = append(lines, line{ev.Time, ev.Node, typ, fmt.Sprintf("%s %s %s %s since=%s %q\n",
+				strconv.FormatFloat(ev.Time, 'g', -1, 64), ev.Node,
+				row.Field(1).AsStr(), row.Field(2).AsStr(),
+				strconv.FormatFloat(row.Field(4).AsFloat(), 'g', -1, 64), row.Field(3).AsStr())})
+		})
+	}
 	pingN(r, "a", "b", 2)
 	r.loop.Run(3)
+	slices.SortStableFunc(lines, func(x, y line) int {
+		if c := cmp.Compare(x.time, y.time); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(x.node, y.node); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.typ, y.typ)
+	})
+	var b bytes.Buffer
+	for _, ln := range lines {
+		b.WriteString(ln.text)
+	}
+	return r, b.Bytes()
+}
+
+// TestSysHealthDeltasMatchGolden pins every sysHealth delta of
+// TestSysHealthPopulates' run. After an intended change, rewrite the
+// golden with
+//
+//	go test ./internal/engine -run TestSysHealthDeltasMatchGolden -update
+func TestSysHealthDeltasMatchGolden(t *testing.T) {
+	_, got := sysHealthRun(t)
+	path := filepath.Join("testdata", "syshealth.golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("sysHealth deltas differ from %s (run with -update after an intended change):\n%s", path, got)
+	}
+}
+
+func TestSysHealthPopulates(t *testing.T) {
+	r, _ := sysHealthRun(t)
 
 	rows := sysRows(r, "a", introspect.HealthRelation)
 	if len(rows) != len(health.ConditionTypes()) {

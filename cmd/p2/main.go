@@ -90,9 +90,12 @@ func main() {
 	tcfg.Unreliable = *unreliable
 	tcfg.NoBatch = *noBatch
 	tcfg.AckDelay = ackDelay.Seconds()
+	nodeOpts := p2.NodeOptions{TraceWriter: os.Stdout}
+	if *top {
+		nodeOpts.IntrospectInterval = 1 // the view's conditions are derived on each refresh
+	}
 	opts := []p2.Option{
-		p2.WithSeed(*seed), p2.WithTransport(tcfg),
-		p2.WithNodeDefaults(p2.NodeOptions{TraceWriter: os.Stdout}),
+		p2.WithSeed(*seed), p2.WithTransport(tcfg), p2.WithNodeDefaults(nodeOpts),
 	}
 	if *metrics != "" {
 		opts = append(opts, p2.WithMetrics(*metrics))

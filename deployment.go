@@ -170,7 +170,9 @@ func WithOptimizer(OptimizerConfig) Option {
 
 // WithMetrics serves Prometheus text metrics for every live node at
 // http://addr/metrics (e.g. ":9090"; pass ":0" to pick a free port and
-// read it back from MetricsAddr). UDP deployments only — a simulated
+// read it back from MetricsAddr). Every node it serves refreshes its
+// sys* tables (a zero NodeOptions.IntrospectInterval becomes 1 s), so
+// its health conditions are judged. UDP deployments only — a simulated
 // deployment runs in virtual time, where a wall-clock scraper has no
 // consistent moment to observe; use HealthSnapshot there instead.
 func WithMetrics(addr string) Option {
@@ -432,6 +434,9 @@ func (d *Deployment) SpawnOpts(addr string, plan *Plan, opts NodeOptions) (*Hand
 	}
 	tc.Epoch = epoch
 	opts.Transport = &tc
+	if d.metricsLn != nil && opts.IntrospectInterval == 0 {
+		opts.IntrospectInterval = 1 // the conditions /metrics serves need an audience
+	}
 
 	h := &Handle{d: d, addr: addr}
 	if d.coord != nil {

@@ -3,9 +3,9 @@ package p2
 // The deployment-level health surface: typed conditions re-exported
 // from internal/health, the structured HealthSnapshot API, and the
 // Prometheus /metrics endpoint of UDP deployments (WithMetrics). The
-// per-node machinery — the condition evaluator fed by every
-// introspection refresh, the sysHealth system table, the transport's
-// classified drop counters — lives in the engine; this file is the
+// per-node machinery — the OverLog condition rules deriving sysHealth
+// on every introspection refresh, the transport's classified drop
+// counters — lives in the engine and internal/health; this file is the
 // operator-facing view over it.
 
 import (
@@ -28,16 +28,13 @@ func IsSystemRelation(name string) bool { return introspect.IsReserved(name) }
 type (
 	// Condition is one evaluated health condition: type, ternary
 	// status, human-readable reason, and the node time of the last
-	// status transition. Conditions are recomputed on every
-	// introspection refresh and mirrored into the sysHealth table.
+	// status transition — one of the node's sysHealth rows, which the
+	// condition library derives on every introspection refresh.
 	Condition = health.Condition
 	// ConditionType names a condition in the catalogue.
 	ConditionType = health.ConditionType
 	// ConditionStatus is a condition's ternary state.
 	ConditionStatus = health.Status
-	// HealthConfig tunes the condition evaluator's thresholds; set it
-	// via NodeOptions.Health.
-	HealthConfig = health.Config
 	// NodeHealth is one node's condition catalogue inside a snapshot.
 	NodeHealth = health.NodeHealth
 	// HealthSnapshot is a whole-deployment health capture (see
@@ -88,9 +85,10 @@ func DropCauses() []DropCause { return transport.DropCauses() }
 // node with Handle.Install.
 func HealthMonitorSource() string { return health.MonitorSource() }
 
-// Conditions returns the node's most recently evaluated condition
-// catalogue, in canonical order. Before the first introspection
-// refresh (or with introspection disabled) every condition is Unknown.
+// Conditions returns the node's condition catalogue, in canonical
+// order, as its sysHealth rows hold it. On a node without a sys*
+// audience, or before its first introspection refresh, every condition
+// is Unknown.
 func (h *Handle) Conditions() []Condition {
 	var out []Condition
 	h.Do(func(n *Node) { out = n.Conditions() })
@@ -101,7 +99,8 @@ func (h *Handle) Conditions() []Condition {
 // overlay-wide rollup, nodes sorted by address. On a simulated
 // deployment call it from driver context; the result is then a pure
 // function of (seed, program, virtual time) — bit-identical at every
-// shard count. On UDP it reflects each node's latest refresh.
+// shard count. It reflects each node's latest refresh; nodes without a
+// sys* audience report Unknown throughout.
 func (d *Deployment) HealthSnapshot() HealthSnapshot {
 	snap := HealthSnapshot{Time: d.Now()}
 	nodes := d.Nodes()

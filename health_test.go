@@ -32,16 +32,14 @@ const partSpec = `
 	P1 ping@Y(Y, X, E) :- pingEvent@X(X, Y, E).
 `
 
-// healthNodeOpts tunes node defaults so failure classification and
-// suspect decay play out in a few seconds of virtual or wall time: a
-// single fast retry before a tuple is abandoned, sub-second
-// introspection refreshes, and a short suspicion window.
-func healthNodeOpts(suspectWindow float64) p2.NodeOptions {
+// healthNodeOpts tunes node defaults so failure classification plays
+// out in a few seconds of virtual or wall time: a single fast retry
+// before a tuple is abandoned, and sub-second introspection refreshes.
+func healthNodeOpts() p2.NodeOptions {
 	tcfg := p2.DefaultTransportConfig()
 	tcfg.MaxRetries = 1
 	tcfg.InitialRTO, tcfg.MinRTO, tcfg.MaxRTO = 0.3, 0.2, 0.5
-	hcfg := p2.HealthConfig{SuspectWindow: suspectWindow}
-	return p2.NodeOptions{Transport: &tcfg, Health: &hcfg, IntrospectInterval: 0.5}
+	return p2.NodeOptions{Transport: &tcfg, IntrospectInterval: 0.5}
 }
 
 func condOf(h *p2.Handle, typ p2.ConditionType) (p2.Condition, bool) {
@@ -55,13 +53,14 @@ func condOf(h *p2.Handle, typ p2.ConditionType) (p2.Condition, bool) {
 
 // driveTransitions runs the Partitioned lifecycle on d: healthy link →
 // cut() → raised → heal() plus quiet → cleared. The call sequence is
-// identical for every runtime; only the deployment and the cut/heal
-// actions differ.
-// spawned, when set, sees each node as it is spawned.
-func driveTransitions(t *testing.T, d *p2.Deployment, a, b string, cut, heal func(), spawned func(*p2.Handle)) {
+// identical for every runtime; only the deployment, the cut/heal
+// actions and the suspect window, shortened so that suspicion decays in
+// a few seconds, differ. spawned, when set, sees each node as it is
+// spawned.
+func driveTransitions(t *testing.T, d *p2.Deployment, a, b string, window float64, cut, heal func(), spawned func(*p2.Handle)) {
 	t.Helper()
 	defer d.Close()
-	plan := p2.MustCompile(partSpec, nil)
+	plan := p2.MustCompile(partSpec, map[string]p2.Value{"sysSuspectWindow": p2.Float(window)})
 	ha, err := d.Spawn(a, plan)
 	if err != nil {
 		t.Fatalf("spawn %s: %v", a, err)
@@ -147,12 +146,12 @@ func TestPartitionConditionTransitionsSimulated(t *testing.T) {
 func simulatedTransitions(t *testing.T, shards int, spawned func(*p2.Handle)) {
 	t.Helper()
 	d, err := p2.NewDeployment(p2.Simulated, p2.WithSeed(11),
-		p2.WithShards(shards), p2.WithNodeDefaults(healthNodeOpts(3)))
+		p2.WithShards(shards), p2.WithNodeDefaults(healthNodeOpts()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	const a, b = "h0:p2", "h1:p2"
-	driveTransitions(t, d, a, b,
+	driveTransitions(t, d, a, b, 3,
 		func() {
 			if err := d.Partition(a, b, true); err != nil {
 				t.Fatalf("partition: %v", err)
@@ -175,14 +174,14 @@ func TestPartitionConditionTransitionsUDP(t *testing.T) {
 		addrs = append(addrs, a)
 	}
 	d, err := p2.NewDeployment(p2.UDP, p2.WithSeed(11),
-		p2.WithNodeDefaults(healthNodeOpts(2)))
+		p2.WithNodeDefaults(healthNodeOpts()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// On UDP the "partition" is a peer death; the heal is pure decay —
 	// the survivor stops seeing new failure drops once the test stops
 	// sending, and the suspicion ages out.
-	driveTransitions(t, d, addrs[0], addrs[1],
+	driveTransitions(t, d, addrs[0], addrs[1], 2,
 		func() { d.Kill(addrs[1]) },
 		func() {}, nil)
 }

@@ -54,13 +54,6 @@ type Options struct {
 	// negative disables introspection entirely, leaving the system
 	// tables empty.
 	IntrospectInterval float64
-	// Health overrides the health evaluator's thresholds; nil uses
-	// health.DefaultConfig(). Conditions are evaluated on every
-	// introspection refresh and delivered as sysHealth rows; on nodes
-	// whose refresh never armed (demand-driven, no consumer) the
-	// Conditions accessor evaluates them on demand instead. Disabling
-	// introspection (negative interval) disables them too.
-	Health *health.Config
 	// TraceWriter, when set, receives one line per event on every
 	// relation the program watch()es — the paper's on-line debugging
 	// facility (§3.5's logging ports, §7 "On-line distributed
@@ -161,8 +154,7 @@ type Node struct {
 	// Go-level Watch on one. Raised by Start, catchUp and Watch — never
 	// scanned per tick.
 	sysConsumer bool
-	sysref      sysRefresh        // incremental system-table refresh cache
-	health      *health.Evaluator // condition engine, fed by the refresh
+	sysref      sysRefresh // incremental system-table refresh cache
 
 	// ctx is the node's state for the plan's element graph: its indexes,
 	// scratch, VM, environment and probe counter (see dataflow.Ctx).
@@ -312,11 +304,6 @@ func (n *Node) Start() error {
 	n.trans.OnReceive(n.onNetReceive)
 
 	n.startTime = n.loop.Now()
-	hcfg := health.DefaultConfig()
-	if n.opts.Health != nil {
-		hcfg = *n.opts.Health
-	}
-	n.health = health.NewEvaluator(hcfg, n.startTime)
 	// A Go-level Watch on a sys* relation registered before Start also
 	// counts as a consumer, so OR rather than overwrite.
 	n.sysConsumer = n.sysConsumer || n.opts.IntrospectInterval > 0
@@ -332,9 +319,10 @@ func (n *Node) Start() error {
 // catchUp brings the node's state up to its plan, the one way a plan is
 // grafted onto a node — at Start, at Install, and when a sys* audience
 // appears. Each step takes on only what the node lacks, so a second
-// call does nothing: the sys* audience a plan makes, the plan's tables,
-// its indexes, then the strands, table aggregates and watch() traces
-// past those the node already runs.
+// call does nothing: the sys* audience a plan makes, the health
+// condition library an audience needs (health.Graft), the plan's
+// tables, its indexes, then the strands, table aggregates and watch()
+// traces past those the node already runs.
 //
 // Tables are created and later swept in sorted-name order: map
 // iteration order is randomized per process, and expiry sweeps can emit
@@ -346,6 +334,9 @@ func (n *Node) Start() error {
 // 10k nodes that is 60k tables-plus-indexes that never exist.
 func (n *Node) catchUp() {
 	n.sysConsumer = n.sysConsumer || planReadsSys(n.plan)
+	if n.sysConsumer && n.trans != nil && n.plan.Tables[health.SuspectTable] == nil {
+		n.plan = health.Graft(n.plan, n.trans.Config().QueueCap)
+	}
 	for name, ts := range n.plan.Tables {
 		if n.tables[name] == nil && (n.sysConsumer || !ts.System) {
 			n.tables[name] = n.newTable(ts)

@@ -56,20 +56,20 @@ func (c *rowCache[K, S]) keep(live func(K) bool) {
 }
 
 // sysRefresh is the refresh's state between passes: one rowCache per
-// system relation but sysNode, whose uptime always moves, and the
-// buffers the live counters are read into. On a mostly idle overlay
-// the caches make the once-a-second snapshot a near-free TTL renewal.
+// system relation the engine renders but sysNode, whose uptime always
+// moves, and the buffer the per-peer counters are read into. sysHealth
+// is derived by the condition library's rules, not rendered here. On a
+// mostly idle overlay the caches make the once-a-second snapshot a
+// near-free TTL renewal.
 type sysRefresh struct {
 	tableNames []string // application relations, sorted, maintained at creation
 	tables     rowCache[string, introspect.TableStat]
 	rules      rowCache[string, introspect.RuleStat]
 	plans      rowCache[string, introspect.PlanStat]
 	nets       rowCache[string, introspect.NetStat]
-	conds      rowCache[health.ConditionType, introspect.HealthStat]
 	kv         rowCache[struct{}, introspect.KVStat] // the single sysKV row
 
-	netBuf []transport.DestStats // per-peer stats: sysNet rows and health.Sample.Peers
-	kvStat introspect.KVStat     // health.Sample.KV points here
+	netBuf []transport.DestStats // per-peer stats the sysNet rows render from
 }
 
 // registerTable records an application relation for the sysTable
@@ -159,10 +159,12 @@ func (n *Node) armIntrospect(iv float64) {
 // engine calls it on a timer; tests and tools may call it directly.
 //
 // The refresh is incremental: rows are delivered in a deterministic
-// order (sysNode, sysTable, sysRule, sysPlan, sysNet, sysKV, then
-// sysHealth, each walked in a fixed order), but a row whose counters
-// match the previous refresh reuses the cached tuple, so steady-state
-// refreshes only build tuples for rows that actually changed.
+// order (sysNode, sysTable, sysRule, sysPlan, sysNet, sysKV, each
+// walked in a fixed order), but a row whose counters match the previous
+// refresh reuses the cached tuple, so steady-state refreshes only build
+// tuples for rows that actually changed. The sysNode delta triggers the
+// condition library, whose strands run after the refresh returns, with
+// every row of it in place; they derive the sysHealth rows.
 func (n *Node) RefreshSystemTables() {
 	sr := &n.sysref
 	if !n.sysConsumer {
@@ -198,11 +200,11 @@ func (n *Node) RefreshSystemTables() {
 		n.deliverLocal(sr.plans.row(addr, r.ID, planStat(r), introspect.PlanTuple), DirDerived)
 	}
 
-	// The health sample holds the rows sysNet and sysKV render from:
-	// sample.Peers is sr.netBuf, sample.KV points at sr.kvStat.
-	sample := n.healthSample()
-	for i := range sample.Peers {
-		d := &sample.Peers[i]
+	if n.trans != nil {
+		sr.netBuf = n.trans.PerDestInto(sr.netBuf)
+	}
+	for i := range sr.netBuf {
+		d := &sr.netBuf[i]
 		n.deliverLocal(sr.nets.row(addr, d.Addr, netStat(d), introspect.NetTuple), DirDerived)
 	}
 	// The transport's flow janitor reclaims idle peers; drop their
@@ -214,63 +216,22 @@ func (n *Node) RefreshSystemTables() {
 			return slices.ContainsFunc(sr.netBuf, func(d transport.DestStats) bool { return d.Addr == a })
 		})
 	}
-	if sample.KV != nil {
-		n.deliverLocal(sr.kv.row(addr, struct{}{}, *sample.KV, introspect.KVTuple), DirDerived)
-	}
-
-	// Conditions evaluate from the same counters that fed the rows
-	// above, so sysHealth is consistent with sysNet/sysTable within one
-	// refresh.
-	for _, c := range n.health.Eval(sample) {
-		hs := introspect.HealthStat{
-			Type: string(c.Type), Status: string(c.Status),
-			Reason: c.Reason, SinceS: c.LastTransition,
-		}
-		n.deliverLocal(sr.conds.row(addr, c.Type, hs, introspect.HealthTuple), DirDerived)
+	if kv, ok := n.KVStats(); ok {
+		n.deliverLocal(sr.kv.row(addr, struct{}{}, kv, introspect.KVTuple), DirDerived)
 	}
 }
 
-// Conditions returns the node's most recently evaluated health
-// catalogue (a copy, in canonical order). On a node whose periodic
-// snapshot runs (a sys* consumer exists) this reflects the last
-// refresh; before the first one every condition is Unknown. On a node
-// with no sys* audience the conditions are evaluated on the spot from
-// the live counters, rendering no rows, so HealthSnapshot and the
-// metrics exporter see current state without paying for the snapshot.
-// With introspection disabled outright (negative interval) conditions
-// stay Unknown. Runs on the node's loop (Handle.Do or between Runs).
+// Conditions returns the node's health catalogue in canonical order,
+// read from its sysHealth rows. The condition library a sys* audience
+// grafts derives them on every refresh; on a node without an audience,
+// or before its first refresh, every condition reads Unknown. Reading
+// changes nothing. Runs on the node's loop (Handle.Do or between Runs).
 func (n *Node) Conditions() []health.Condition {
-	if n.health == nil {
-		return nil
+	var rows []*tuple.Tuple
+	if tb := n.tables[introspect.HealthRelation]; tb != nil {
+		rows = tb.Scan()
 	}
-	if !n.sysConsumer && n.started && !n.stopped && n.introspectInterval() > 0 {
-		n.health.Eval(n.healthSample())
-	}
-	return slices.Clone(n.health.Conditions())
-}
-
-// healthSample builds the health evaluator's input from the live
-// counters: application-table churn, the per-peer transport stats (in
-// sr.netBuf) and the key-value service's sysKV row (in sr.kvStat).
-func (n *Node) healthSample() health.Sample {
-	sr := &n.sysref
-	sample := health.Sample{Now: n.loop.Now()}
-	for _, name := range sr.tableNames {
-		if tb := n.tables[name]; tb != nil {
-			st := tb.Stats()
-			sample.Churn += st.Inserts + st.Deletes
-		}
-	}
-	if n.trans != nil {
-		sample.QueueCap = n.trans.Config().QueueCap
-		sr.netBuf = n.trans.PerDestInto(sr.netBuf)
-		sample.Peers = sr.netBuf
-	}
-	var ok bool
-	if sr.kvStat, ok = n.KVStats(); ok {
-		sample.KV = &sr.kvStat
-	}
-	return sample
+	return health.FromRows(rows)
 }
 
 // The accessors below expose the counters the refresh renders; they

@@ -97,9 +97,9 @@ func TestSystemTablesPopulate(t *testing.T) {
 
 // TestIntrospectionLazy pins the demand-driven default: a node whose
 // program never reads a sys* relation arms no introspection timer at
-// all, so the tables stay empty; health conditions still evaluate on
-// demand, and a
-// Go-level Watch on a system table arms the refresh after the fact.
+// all, so the tables stay empty and its health conditions read Unknown
+// (reading them arms nothing); a Go-level Watch on a system table arms
+// the refresh after the fact.
 func TestIntrospectionLazy(t *testing.T) {
 	r := newRig(t, pingPongSrc, "a", "b")
 	pingN(r, "a", "b", 2)
@@ -109,16 +109,15 @@ func TestIntrospectionLazy(t *testing.T) {
 	if n.Table(introspect.NodeRelation) != nil {
 		t.Fatal("sysNode instantiated with no sys* consumer anywhere")
 	}
-	// Conditions evaluate on demand: a healthy ping-pong pair must not
-	// report Unknown across the board.
-	known := 0
+	// No audience, no conditions: every one reads Unknown, and reading
+	// them neither instantiates the system tables nor arms a refresh.
 	for _, c := range n.Conditions() {
-		if c.Status != health.StatusUnknown {
-			known++
+		if c.Status != health.StatusUnknown || c.Reason != "no samples yet" {
+			t.Fatalf("condition without an audience: %+v", c)
 		}
 	}
-	if known == 0 {
-		t.Fatalf("on-demand conditions all Unknown: %+v", n.Conditions())
+	if n.Table(introspect.HealthRelation) != nil || n.introTimer != nil {
+		t.Fatal("reading the conditions gave the node an audience")
 	}
 
 	// A Go-level watch on a system table is a consumer: the refresh

@@ -5,19 +5,19 @@
 // operators — as sysHealth tuples queryable from OverLog, as a
 // structured HealthSnapshot, and as Prometheus text metrics.
 //
-// The evaluator is deliberately deterministic: it consumes only the
-// node's own counters and the node's clock, both of which are
-// bit-identical across simulator shard counts, so a sharded replay
-// produces byte-for-byte the same conditions as a serial one.
+// The conditions are judged in OverLog: a rule library over sysNode,
+// sysNet, sysTable and sysKV derives the sysHealth rows, and Graft puts
+// it on a node's plan when the node first gains a sys* audience. The rules read only the node's own
+// counters and clock, both bit-identical across simulator shard
+// counts, so a sharded replay derives byte-for-byte the same
+// conditions as a serial one. Go code here only reads the rows back
+// (FromRows) and folds them across nodes (Rollup).
 package health
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 
-	"p2/internal/introspect"
-	"p2/internal/transport"
+	"p2/internal/tuple"
 )
 
 // ConditionType names one evaluated condition.
@@ -32,8 +32,8 @@ const (
 	// Partitioned: at least one peer has abandoned tuples (retry budget
 	// exhausted or presumed dead) within the suspect window.
 	Partitioned ConditionType = "Partitioned"
-	// ChurnStorm: application-table delta rate exceeds the configured
-	// threshold — membership or state is thrashing.
+	// ChurnStorm: application-table delta rate exceeds 50 deltas/s —
+	// membership or state is thrashing.
 	ChurnStorm ConditionType = "ChurnStorm"
 	// RetryBudgetExhausted: tuples were abandoned after their full
 	// retry budget within the suspect window.
@@ -80,7 +80,7 @@ func (s Status) Gauge() float64 {
 }
 
 // Condition is one evaluated condition: what it asserts, whether it
-// currently holds, why, and when it last flipped.
+// currently holds, why, and when it last flipped — one sysHealth row.
 type Condition struct {
 	Type           ConditionType
 	Status         Status
@@ -88,283 +88,21 @@ type Condition struct {
 	LastTransition float64 // node time (seconds) of the last Status change
 }
 
-// Config holds the evaluator's thresholds. The zero value resolves to
-// the defaults below.
-type Config struct {
-	// SuspectWindow is how long (seconds) a peer stays suspect after
-	// its last abandoned tuple, and how long RetryBudgetExhausted
-	// stays raised after the last budget-exhausted drop. Default 10.
-	SuspectWindow float64
-	// ConvergeWindow is how long (seconds) the application tables must
-	// stay delta-free before Converged turns True. Default 5.
-	ConvergeWindow float64
-	// ChurnRate is the application-table delta rate (inserts+deletes
-	// per second, measured between evaluations) above which ChurnStorm
-	// raises. Default 50.
-	ChurnRate float64
-	// BacklogFraction of the transport's QueueCap at which a peer's
-	// backlog counts as saturated. Default 0.5.
-	BacklogFraction float64
-	// BacklogFloor is the absolute backlog that saturates when
-	// QueueCap is unbounded (0). Default 256.
-	BacklogFloor int
-}
-
-// DefaultConfig returns the default thresholds.
-func DefaultConfig() Config {
-	return Config{
-		SuspectWindow:   10,
-		ConvergeWindow:  5,
-		ChurnRate:       50,
-		BacklogFraction: 0.5,
-		BacklogFloor:    256,
-	}
-}
-
-// withDefaults resolves zero fields to their defaults.
-func (c Config) withDefaults() Config {
-	d := DefaultConfig()
-	if c.SuspectWindow <= 0 {
-		c.SuspectWindow = d.SuspectWindow
-	}
-	if c.ConvergeWindow <= 0 {
-		c.ConvergeWindow = d.ConvergeWindow
-	}
-	if c.ChurnRate <= 0 {
-		c.ChurnRate = d.ChurnRate
-	}
-	if c.BacklogFraction <= 0 {
-		c.BacklogFraction = d.BacklogFraction
-	}
-	if c.BacklogFloor <= 0 {
-		c.BacklogFloor = d.BacklogFloor
-	}
-	return c
-}
-
-// Sample is everything one evaluation consumes. The engine builds it
-// from the same rows that feed the sys* tables, on the node's event
-// loop.
-type Sample struct {
-	Now      float64 // node clock, seconds
-	Churn    int64   // cumulative inserts+deletes across application tables
-	QueueCap int     // transport per-destination backlog bound (0 = unbounded)
-	// Peers is the transport's per-peer accounting, sorted by address.
-	// It is the refresh's reused buffer, overwritten by the next
-	// sample: Eval reads it and must not keep it.
-	Peers []transport.DestStats
-	KV    *introspect.KVStat // the sysKV row; nil on nodes without the key-value service
-}
-
-// peerState is the evaluator's per-peer memory: the last observed
-// failure-drop count, when it last advanced, and the evaluation that
-// last sampled the peer.
-type peerState struct {
-	lastFail   int64
-	lastFailAt float64
-	seen       bool // lastFailAt is meaningful
-	sampled    int64
-}
-
-// Evaluator computes the condition catalogue from successive Samples.
-// It is single-goroutine state, owned by the node's event loop.
-type Evaluator struct {
-	cfg   Config
-	conds []Condition // canonical order, ConditionTypes()
-
-	evals       int64
-	lastEvalAt  float64
-	lastChurn   int64
-	lastChurnAt float64 // when Churn last advanced
-	peers       map[string]peerState
-	failTot     int64   // failure drops observed, summed over per-peer increases
-	lastFailAt  float64 // when any retry-budget drop was last observed
-}
-
-// NewEvaluator builds an evaluator whose conditions start Unknown with
-// LastTransition = now.
-func NewEvaluator(cfg Config, now float64) *Evaluator {
-	e := &Evaluator{
-		cfg:         cfg.withDefaults(),
-		peers:       make(map[string]peerState),
-		lastChurnAt: now,
-	}
+// FromRows reads a node's sysHealth rows into the catalogue, in
+// canonical order. A condition with no row reads Unknown, "no samples
+// yet": the node has no sys* audience, or has not refreshed yet.
+func FromRows(rows []*tuple.Tuple) []Condition {
+	out := make([]Condition, 0, len(ConditionTypes()))
 	for _, ct := range ConditionTypes() {
-		e.conds = append(e.conds, Condition{
-			Type: ct, Status: StatusUnknown, Reason: "no samples yet", LastTransition: now,
-		})
-	}
-	return e
-}
-
-// Conditions returns the most recently evaluated catalogue, in
-// canonical order. The slice is shared; callers must not mutate it.
-func (e *Evaluator) Conditions() []Condition { return e.conds }
-
-// set transitions (or just re-reasons) one condition.
-func (e *Evaluator) set(ct ConditionType, status Status, reason string, now float64) {
-	for i := range e.conds {
-		if e.conds[i].Type != ct {
-			continue
+		c := Condition{Type: ct, Status: StatusUnknown, Reason: "no samples yet"}
+		for _, r := range rows {
+			if r.Field(1).AsStr() == string(ct) {
+				c.Status, c.Reason, c.LastTransition = Status(r.Field(2).AsStr()), r.Field(3).AsStr(), r.Field(4).AsFloat()
+			}
 		}
-		if e.conds[i].Status != status {
-			e.conds[i].Status = status
-			e.conds[i].LastTransition = now
-		}
-		e.conds[i].Reason = reason
-		return
+		out = append(out, c)
 	}
-}
-
-// Eval folds one sample into the evaluator and returns the updated
-// catalogue (the same slice Conditions returns).
-func (e *Evaluator) Eval(s Sample) []Condition {
-	now := s.Now
-	cfg := e.cfg
-
-	// Track per-peer failure drops (RetryExhausted + PeerDead): a peer
-	// is suspect while its failure counter advanced within the suspect
-	// window. Healing is decay — once traffic stops being abandoned,
-	// the suspicion ages out. A count below the last one means the flow
-	// janitor reclaimed the flow: the whole count is new failures.
-	var suspects []string
-	var failNew int64
-	for _, p := range s.Peers {
-		fails := p.Drops[transport.RetryExhausted] + p.Drops[transport.PeerDead]
-		ps := e.peers[p.Addr]
-		inc := fails - ps.lastFail
-		if inc < 0 {
-			inc = fails
-		}
-		if inc > 0 {
-			failNew += inc
-			ps.lastFailAt, ps.seen = now, true
-		}
-		ps.lastFail, ps.sampled = fails, e.evals
-		e.peers[p.Addr] = ps
-		if e.suspect(ps, now) {
-			suspects = append(suspects, p.Addr)
-		}
-	}
-	sort.Strings(suspects)
-	// Forget unreported peers once their suspicion ages out: the memory
-	// tracks the transport's working set of peers, not its history.
-	for addr, ps := range e.peers {
-		if ps.sampled != e.evals && !e.suspect(ps, now) {
-			delete(e.peers, addr)
-		}
-	}
-
-	// Partitioned.
-	if len(suspects) > 0 {
-		e.set(Partitioned, StatusTrue,
-			fmt.Sprintf("%d peer(s) unreachable: %s", len(suspects), peerList(suspects)), now)
-	} else {
-		e.set(Partitioned, StatusFalse, "all peers acknowledging", now)
-	}
-
-	// RetryBudgetExhausted: raised while abandoned-tuple counters are
-	// still advancing (same decay window as Partitioned).
-	if failNew > 0 {
-		e.failTot, e.lastFailAt = e.failTot+failNew, now
-	}
-	if e.failTot > 0 && now-e.lastFailAt < cfg.SuspectWindow {
-		e.set(RetryBudgetExhausted, StatusTrue,
-			fmt.Sprintf("%d tuple(s) abandoned after full retry budget", e.failTot), now)
-	} else {
-		e.set(RetryBudgetExhausted, StatusFalse, "no recent retry-budget drops", now)
-	}
-
-	// BacklogSaturated: worst peer against the threshold.
-	thresh := cfg.BacklogFloor
-	if s.QueueCap > 0 {
-		thresh = int(cfg.BacklogFraction * float64(s.QueueCap))
-		if thresh < 1 {
-			thresh = 1
-		}
-	}
-	worstAddr, worstBacklog := "", 0
-	for i := range s.Peers {
-		if p := &s.Peers[i]; p.Backlog > worstBacklog {
-			worstAddr, worstBacklog = p.Addr, p.Backlog
-		}
-	}
-	if worstBacklog >= thresh {
-		e.set(BacklogSaturated, StatusTrue,
-			fmt.Sprintf("backlog toward %s is %d (threshold %d)", worstAddr, worstBacklog, thresh), now)
-	} else {
-		e.set(BacklogSaturated, StatusFalse,
-			fmt.Sprintf("worst backlog %d below threshold %d", worstBacklog, thresh), now)
-	}
-
-	// KVUnderReplicated: the key-value service's replica fan-out (the
-	// node plus its live successors) against the write quorum. Pure
-	// function of the sample, so sharded and serial runs agree.
-	switch {
-	case s.KV == nil:
-		e.set(KVUnderReplicated, StatusUnknown, "kv service not running", now)
-	case s.KV.Replicas == 0:
-		e.set(KVUnderReplicated, StatusUnknown, "replication parameters not yet derived", now)
-	case s.KV.Keys > 0 && int64(s.KV.Succs+1) < s.KV.Quorum:
-		e.set(KVUnderReplicated, StatusTrue,
-			fmt.Sprintf("%d key(s) held with replica fan-out %d below quorum %d",
-				s.KV.Keys, s.KV.Succs+1, s.KV.Quorum), now)
-	default:
-		e.set(KVUnderReplicated, StatusFalse,
-			fmt.Sprintf("replica fan-out %d of %d meets quorum %d",
-				s.KV.Succs+1, s.KV.Replicas, s.KV.Quorum), now)
-	}
-
-	// Churn tracking: rate between evaluations, and the time the
-	// application tables last produced a delta.
-	if s.Churn > e.lastChurn {
-		e.lastChurnAt = now
-	}
-	if e.evals > 0 && now > e.lastEvalAt {
-		rate := float64(s.Churn-e.lastChurn) / (now - e.lastEvalAt)
-		if rate > cfg.ChurnRate {
-			e.set(ChurnStorm, StatusTrue,
-				fmt.Sprintf("%.0f table deltas/s exceeds %.0f", rate, cfg.ChurnRate), now)
-		} else {
-			e.set(ChurnStorm, StatusFalse,
-				fmt.Sprintf("%.0f table deltas/s within %.0f", rate, cfg.ChurnRate), now)
-		}
-	}
-	e.lastChurn = s.Churn
-
-	// Converged: tables delta-free for the converge window and no peer
-	// suspect. Unknown until the node has been sampled that long.
-	quiet := now - e.lastChurnAt
-	switch {
-	case quiet >= cfg.ConvergeWindow && len(suspects) == 0:
-		e.set(Converged, StatusTrue,
-			fmt.Sprintf("no table deltas for %.1fs", quiet), now)
-	case e.evals == 0 && quiet < cfg.ConvergeWindow:
-		// Still warming up: leave Unknown rather than flapping False.
-	case len(suspects) > 0:
-		e.set(Converged, StatusFalse,
-			fmt.Sprintf("%d peer(s) unreachable", len(suspects)), now)
-	default:
-		e.set(Converged, StatusFalse, "tables still churning", now)
-	}
-
-	e.evals++
-	e.lastEvalAt = now
-	return e.conds
-}
-
-// suspect reports whether a peer's failures advanced within the
-// suspect window.
-func (e *Evaluator) suspect(ps peerState, now float64) bool {
-	return ps.seen && now-ps.lastFailAt < e.cfg.SuspectWindow
-}
-
-// peerList renders up to three suspect addresses.
-func peerList(addrs []string) string {
-	if len(addrs) > 3 {
-		return strings.Join(addrs[:3], ",") + ",…"
-	}
-	return strings.Join(addrs, ",")
+	return out
 }
 
 // NodeHealth is one node's evaluated catalogue, as HealthSnapshot

@@ -30,10 +30,12 @@
 // them classify as stream×table equijoins); the engine instantiates
 // them per node and feeds them from its own counters — the split keeps
 // this package free of engine dependencies and cycle-free. The engine's
-// refresh keeps one row cache for every relation: a row whose counters
-// did not change re-delivers the tuple rendered last time. The health
-// evaluator reads the same rows (the transport's per-peer stats behind
-// sysNet, the KVStat behind sysKV), not a copy of them.
+// refresh keeps one row cache for every relation it renders: a row
+// whose counters did not change re-delivers the tuple rendered last
+// time. sysHealth is the exception: no counter renders it. The health
+// condition library (internal/health), rules over sysNode, sysNet,
+// sysTable and sysKV that the engine grafts onto a node with a sys*
+// audience, derives its rows from those same rows on every refresh.
 package introspect
 
 import (
@@ -86,7 +88,7 @@ func Defs() []Def {
 		{Name: NodeRelation, Arity: 4, Keys: []int{0},
 			Doc: "sysNode(@N, UptimeS, EventsProcessed, QueueLen): whole-node liveness"},
 		{Name: HealthRelation, Arity: 5, Keys: []int{0, 1},
-			Doc: "sysHealth(@N, Type, Status, Reason, SinceS): evaluated health conditions — Status is True/False/Unknown, SinceS the node time of the last status transition"},
+			Doc: "sysHealth(@N, Type, Status, Reason, SinceS): health conditions, derived by the condition library's rules — Status is True/False/Unknown, SinceS the node time of the last status transition"},
 		{Name: KVRelation, Arity: 8, Keys: []int{0},
 			Doc: "sysKV(@N, Keys, Replicas, Quorum, Succs, Repairs, Expiries, Pending): key-value service state — keys held, configured replica factor and write quorum, live successor count, cumulative repair-rule fires and lease expiries, in-flight client ops"},
 	}
@@ -150,16 +152,6 @@ type NodeStat struct {
 	Queue   int   // pending events on the node's scheduler
 }
 
-// HealthStat is one evaluated condition, as the health subsystem
-// reports it — mirrored here (rather than importing internal/health)
-// so the planner's dependency on this package stays cycle-free.
-type HealthStat struct {
-	Type   string  // condition name, e.g. "Partitioned"
-	Status string  // "True", "False", or "Unknown"
-	Reason string  // human-readable cause for the current status
-	SinceS float64 // node time of the last status transition
-}
-
 // KVStat is the key-value service's per-node state, populated only on
 // nodes running the kvs rules (the engine detects the kvStore table).
 type KVStat struct {
@@ -172,10 +164,11 @@ type KVStat struct {
 	Pending  int   // in-flight client ops parked in the pending tables
 }
 
-// The render helpers below are the single source of truth for each
-// system relation's field order and arity. The engine's incremental
-// refresh passes them to its row cache, which re-renders a row only
-// when its counters change — a schema change edits exactly one
+// The render helpers below are the single source of truth for the field
+// order and arity of each system relation the engine renders (all but
+// sysHealth, whose rows the condition rules derive). The engine's
+// incremental refresh passes them to its row cache, which re-renders a
+// row only when its counters change — a schema change edits exactly one
 // function per relation.
 
 // NodeTuple renders one sysNode row.
@@ -219,11 +212,4 @@ func KVTuple(addr val.Value, ks KVStat) *tuple.Tuple {
 		addr, val.Int(int64(ks.Keys)), val.Int(ks.Replicas), val.Int(ks.Quorum),
 		val.Int(int64(ks.Succs)), val.Int(ks.Repairs), val.Int(ks.Expiries),
 		val.Int(int64(ks.Pending)))
-}
-
-// HealthTuple renders one sysHealth row.
-func HealthTuple(addr val.Value, hs HealthStat) *tuple.Tuple {
-	return tuple.New(HealthRelation,
-		addr, val.Str(hs.Type), val.Str(hs.Status), val.Str(hs.Reason),
-		val.Float(hs.SinceS))
 }

@@ -18,14 +18,16 @@ type Program struct {
 }
 
 // Materialize declares a soft-state table: name, tuple lifetime in
-// seconds (Infinite for "infinity"), maximum row count (0 for
-// "infinity"), and 1-based primary key field positions.
+// seconds (Infinite for "infinity", or the name of a define holding it),
+// maximum row count (0 for "infinity"), and 1-based primary key field
+// positions.
 type Materialize struct {
-	Name     string
-	Lifetime float64
-	Infinite bool // lifetime was the literal "infinity"
-	Size     int  // 0 = unbounded
-	Keys     []int
+	Name         string
+	Lifetime     float64
+	LifetimeName string // the define that holds the lifetime, resolved at compile time
+	Infinite     bool   // lifetime was the literal "infinity"
+	Size         int    // 0 = unbounded
+	Keys         []int
 }
 
 // Define binds a symbolic constant (e.g. tFix, addThresh) to a literal
@@ -291,7 +293,10 @@ func (f *Fact) String() string {
 
 func (m *Materialize) String() string {
 	life := "infinity"
-	if !m.Infinite {
+	switch {
+	case m.LifetimeName != "":
+		life = m.LifetimeName
+	case !m.Infinite:
 		life = strconv.FormatFloat(m.Lifetime, 'f', -1, 64)
 	}
 	size := "infinity"

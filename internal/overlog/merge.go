@@ -57,8 +57,8 @@ func Merge(progs ...*Program) (*Program, error) {
 }
 
 func sameMaterialize(a, b *Materialize) bool {
-	if a.Name != b.Name || a.Infinite != b.Infinite ||
-		a.Lifetime != b.Lifetime || a.Size != b.Size || len(a.Keys) != len(b.Keys) {
+	if a.Name != b.Name || a.Infinite != b.Infinite || a.Lifetime != b.Lifetime ||
+		a.LifetimeName != b.LifetimeName || a.Size != b.Size || len(a.Keys) != len(b.Keys) {
 		return false
 	}
 	for i := range a.Keys {

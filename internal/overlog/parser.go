@@ -116,6 +116,11 @@ func (p *parser) materialize(prog *Program) error {
 		if err := p.advance(); err != nil {
 			return err
 		}
+	case p.cur.kind == tokIdent:
+		m.LifetimeName = p.cur.text
+		if err := p.advance(); err != nil {
+			return err
+		}
 	default:
 		return p.errf("materialize(%s): bad lifetime %q", m.Name, p.cur.text)
 	}

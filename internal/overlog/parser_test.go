@@ -328,7 +328,7 @@ func TestComments(t *testing.T) {
 
 func TestParseErrors(t *testing.T) {
 	cases := []string{
-		`materialize(t, bogus, 10, keys(1)).`,
+		`materialize(t, "10", 10, keys(1)).`,
 		`materialize(t, 10, bogus, keys(1)).`,
 		`materialize(t, 10, 10, nokeys(1)).`,
 		`materialize(t, 10, 10, keys(0)).`, // 1-based

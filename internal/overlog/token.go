@@ -13,6 +13,7 @@
 //	statement   = materialize | define | watch | rule | fact .
 //	materialize = "materialize" "(" name "," lifetime "," size ","
 //	              "keys" "(" int { "," int } ")" ")" "." .
+//	lifetime    = number | "infinity" | name .   (a name is a define)
 //	define      = "define" "(" name "," literal ")" "." .
 //	watch       = "watch" "(" name ")" "." .
 //	rule        = [ ruleID ] [ "delete" ] atom ":-" term { "," term } "." .

@@ -20,14 +20,14 @@ import (
 // (the programmatic equivalent of define statements). Compiling is
 // extending the empty plan, which holds only the system tables.
 func Compile(prog *overlog.Program, extra map[string]val.Value) (*Plan, error) {
-	return build(nil, prog, extra, true)
+	return build(nil, prog, extra, true, false)
 }
 
 // CompileTextual is Compile without planning: every rule body is lowered
 // in its textual order, and nothing folds. It is the reference plan the
 // tests check planned strands against, and no runtime option selects it.
 func CompileTextual(prog *overlog.Program, extra map[string]val.Value) (*Plan, error) {
-	return build(nil, prog, extra, false)
+	return build(nil, prog, extra, false, false)
 }
 
 // build compiles prog onto base, the one way a plan is made: the result
@@ -36,8 +36,10 @@ func CompileTextual(prog *overlog.Program, extra map[string]val.Value) (*Plan, e
 // otherwise prog is a graft (Extend), whose defines leave base's values
 // alone and whose identical re-declarations of base tables are shared.
 // With planned set every new rule is planned from the result's catalog;
-// without it every rule is lowered textually. base is never mutated.
-func build(base *Plan, prog *overlog.Program, extra map[string]val.Value, planned bool) (*Plan, error) {
+// without it every rule is lowered textually. With system set prog may
+// materialize and derive relations in the reserved sys* namespace (see
+// ExtendSystem). base is never mutated.
+func build(base *Plan, prog *overlog.Program, extra map[string]val.Value, planned, system bool) (*Plan, error) {
 	fresh := base == nil
 	var p *Plan
 	if fresh {
@@ -52,8 +54,15 @@ func build(base *Plan, prog *overlog.Program, extra map[string]val.Value, planne
 		p = base.clone()
 	}
 
+	for _, d := range prog.Defines {
+		if _, ok := p.Defines[d.Name]; fresh || !ok {
+			p.Defines[d.Name] = d.Value
+		}
+	}
+	maps.Copy(p.Defines, extra)
+
 	for _, m := range prog.Materialize {
-		if introspect.IsReserved(m.Name) {
+		if introspect.IsReserved(m.Name) && !system {
 			return nil, fmt.Errorf("planner: table name %s is reserved for system tables (the %q prefix belongs to the runtime)", m.Name, introspect.ReservedPrefix)
 		}
 		if _, dup := p.Tables[m.Name]; dup {
@@ -62,7 +71,11 @@ func build(base *Plan, prog *overlog.Program, extra map[string]val.Value, planne
 			}
 			continue // an identical re-declaration, as Merge verifies
 		}
-		p.Tables[m.Name] = specFromMaterialize(m)
+		spec, err := p.specFromMaterialize(m)
+		if err != nil {
+			return nil, err
+		}
+		p.Tables[m.Name] = spec
 	}
 	if !fresh {
 		// Merge checks the graft against base (shared tables declared
@@ -73,13 +86,6 @@ func build(base *Plan, prog *overlog.Program, extra map[string]val.Value, planne
 		}
 		p.Source = merged
 	}
-
-	for _, d := range prog.Defines {
-		if _, ok := p.Defines[d.Name]; fresh || !ok {
-			p.Defines[d.Name] = d.Value
-		}
-	}
-	maps.Copy(p.Defines, extra)
 
 	if err := p.inferArities(prog); err != nil {
 		return nil, err
@@ -98,7 +104,7 @@ func build(base *Plan, prog *overlog.Program, extra map[string]val.Value, planne
 		st = NewCatalogStats(p)
 	}
 	rules, aggs := len(p.Rules), len(p.TableAggs)
-	if err := p.addRules(prog.Rules, st); err != nil {
+	if err := p.addRules(prog.Rules, st, system); err != nil {
 		return nil, err
 	}
 	p.ensureRuleIDs(rules, aggs)
@@ -112,9 +118,17 @@ func build(base *Plan, prog *overlog.Program, extra map[string]val.Value, planne
 	return p, nil
 }
 
-// specFromMaterialize lowers a materialize() declaration to a spec.
-func specFromMaterialize(m *overlog.Materialize) *TableSpec {
+// specFromMaterialize lowers a materialize() declaration to a spec,
+// reading a lifetime given by name from the plan's defines.
+func (p *Plan) specFromMaterialize(m *overlog.Materialize) (*TableSpec, error) {
 	ttl := m.Lifetime
+	if m.LifetimeName != "" {
+		v, ok := p.Defines[m.LifetimeName]
+		if !ok {
+			return nil, fmt.Errorf("planner: table %s: undefined constant %q for its lifetime", m.Name, m.LifetimeName)
+		}
+		ttl = v.AsFloat()
+	}
 	if m.Infinite || ttl <= 0 {
 		ttl = table.Infinity
 	}
@@ -122,7 +136,7 @@ func specFromMaterialize(m *overlog.Materialize) *TableSpec {
 	for i, k := range m.Keys {
 		keys[i] = k - 1 // OverLog keys() is 1-based
 	}
-	return &TableSpec{Name: m.Name, TTL: ttl, MaxSize: m.Size, Keys: keys}
+	return &TableSpec{Name: m.Name, TTL: ttl, MaxSize: m.Size, Keys: keys}, nil
 }
 
 // addSystemTables registers the introspection relations in the plan so
@@ -299,10 +313,10 @@ type ruleShape struct {
 // classified first, so all table aggregates are registered before any
 // rule is planned: planning reads them (syncWrites), wherever in the
 // source they stand. Errors are reported in source order.
-func (p *Plan) addRules(rules []*overlog.Rule, st *CatalogStats) error {
+func (p *Plan) addRules(rules []*overlog.Rule, st *CatalogStats, system bool) error {
 	shapes := make([]ruleShape, len(rules))
 	for i, r := range rules {
-		shapes[i] = p.classify(r)
+		shapes[i] = p.classify(r, system)
 	}
 	for i := range shapes {
 		s := &shapes[i]
@@ -505,14 +519,14 @@ func (c *ruleCtx) checkCollocation() error {
 
 // classify checks the rule's order-independent restrictions and finds
 // its event and trigger kind, or compiles it as a continuous table
-// aggregate.
-func (p *Plan) classify(r *overlog.Rule) ruleShape {
+// aggregate. system admits heads in the sys* namespace.
+func (p *Plan) classify(r *overlog.Rule, system bool) ruleShape {
 	c := &ruleCtx{plan: p, rule: r, env: make(map[string]int)}
 	s := ruleShape{rule: r}
 	// Rules may join and aggregate the sys* system tables but never
 	// write them: the runtime owns their contents, and a spoofed or
 	// deleted row would silently corrupt every monitor built on them.
-	if introspect.IsReserved(r.Head.Name) {
+	if introspect.IsReserved(r.Head.Name) && !system {
 		s.err = c.errf("head %s writes into the reserved system-table namespace (%q prefix); system tables are read-only from OverLog", r.Head.Name, introspect.ReservedPrefix)
 		return s
 	}

@@ -26,7 +26,17 @@ import (
 // declaration must be identical, and the table is shared. Defines from
 // prog must agree with base's; extra overrides both, as in Compile.
 func Extend(base *Plan, prog *overlog.Program, extra map[string]val.Value) (*Plan, error) {
-	return build(base, prog, extra, true)
+	return build(base, prog, extra, true, false)
+}
+
+// ExtendSystem is Extend for the runtime's own rule libraries: prog may
+// also materialize relations in the reserved sys* namespace and derive
+// rows into them, the system tables included. No user program reaches
+// it, so no user relation can collide with a library's. Unless planned
+// is set the new rules are lowered textually, as CompileTextual lowers
+// a program: the reference a library's plan is checked against.
+func ExtendSystem(base *Plan, prog *overlog.Program, extra map[string]val.Value, planned bool) (*Plan, error) {
+	return build(base, prog, extra, planned, true)
 }
 
 // clone returns a copy of p whose maps and slices can grow without

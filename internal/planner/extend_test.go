@@ -150,3 +150,50 @@ func TestExtendResolvesNewDefines(t *testing.T) {
 		t.Fatalf("extra define did not override: %v", ext.Defines["thresh"])
 	}
 }
+
+// TestLifetimeFromDefine: a table's lifetime may name a define, which a
+// program or Compile's defines map supplies; an undefined one fails to
+// compile, and the declaration prints back as written.
+func TestLifetimeFromDefine(t *testing.T) {
+	src := `materialize(seen, window, infinity, keys(1)).`
+	p, err := Compile(parse(t, src+"define(window, 4)."), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ttl := p.Tables["seen"].TTL; ttl != 4 {
+		t.Fatalf("lifetime from the program's define = %v, want 4", ttl)
+	}
+	p, err = Compile(parse(t, src), map[string]val.Value{"window": val.Float(2.5)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ttl := p.Tables["seen"].TTL; ttl != 2.5 {
+		t.Fatalf("lifetime from the defines map = %v, want 2.5", ttl)
+	}
+	if _, err := Compile(parse(t, src), nil); err == nil || !strings.Contains(err.Error(), "window") {
+		t.Fatalf("undefined lifetime constant: err = %v", err)
+	}
+	if got := p.Source.Materialize[0].String(); got != "materialize(seen, window, infinity, keys(1))." {
+		t.Fatalf("declaration prints as %q", got)
+	}
+}
+
+// TestExtendSystemWritesReservedNames: only ExtendSystem may declare and
+// derive sys* relations.
+func TestExtendSystemWritesReservedNames(t *testing.T) {
+	base := MustCompile(parse(t, extendBase), nil)
+	lib := parse(t, `
+		materialize(sysSeen, infinity, infinity, keys(1, 2)).
+		S1 sysSeen@N(N, D) :- link@N(N, D).
+	`)
+	if _, err := Extend(base, lib, nil); err == nil {
+		t.Fatal("Extend accepted a sys* table")
+	}
+	ext, err := ExtendSystem(base, lib, nil, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ext.Tables["sysSeen"] == nil || ext.Tables["sysSeen"].System {
+		t.Fatalf("library table spec = %+v, want a plain table", ext.Tables["sysSeen"])
+	}
+}

@@ -62,7 +62,7 @@ const (
 // the source: the name and the two ignored parameters stay only because
 // the benchmark rig calls Optimize(plan, nil, OptimizerConfig{}).
 func Optimize(p *Plan, _ *CatalogStats, _ OptimizerConfig) *Plan {
-	out, err := build(nil, p.Source, p.Defines, true)
+	out, err := build(nil, p.Source, p.Defines, true, false)
 	if err != nil {
 		return p
 	}

@@ -83,14 +83,21 @@
 //
 // # Observability
 //
-// Layered on the system tables is an operability subsystem: every
-// introspection refresh also evaluates a catalogue of typed health
-// conditions (Converged, Partitioned, ChurnStorm, RetryBudgetExhausted,
-// BacklogSaturated, KVUnderReplicated) with status/reason/lastTransition semantics,
-// queryable from OverLog via the sysHealth table, from Go via
-// Handle.Conditions and Deployment.HealthSnapshot, and from the
-// outside via the Prometheus /metrics endpoint a UDP deployment serves
-// under WithMetrics (cmd/p2 -metrics). Abandoned tuples carry a
+// Layered on the system tables is an operability subsystem: a
+// catalogue of typed health conditions (Converged, Partitioned,
+// ChurnStorm, RetryBudgetExhausted, BacklogSaturated,
+// KVUnderReplicated) with status/reason/lastTransition semantics,
+// judged by OverLog rules over sysNode, sysNet, sysTable and sysKV.
+// A node grafts those rules when it first gains a sys* audience, and
+// they derive its sysHealth rows on every refresh; a node without an
+// audience reports every condition Unknown. The thresholds are
+// constants of the rules, except the suspect window, the define
+// sysSuspectWindow (10 s unless a program or Compile's defines set
+// it). The conditions are queryable from OverLog via the sysHealth
+// table, from Go via Handle.Conditions and Deployment.HealthSnapshot,
+// and from the outside via the Prometheus /metrics endpoint a UDP
+// deployment serves under WithMetrics (cmd/p2 -metrics), which gives
+// every node an audience. Abandoned tuples carry a
 // structured DropCause (RetryExhausted, SessionClosed, PeerDead,
 // BacklogOverflow), aggregated per peer in sysNet and per cause in the
 // p2_drops_total metric. HealthMonitorSource is a shipped OverLog rule

@@ -683,8 +683,9 @@ func (d *Deployment) Partition(a, b string, cut bool) error {
 	return fmt.Errorf("p2: partition on a UDP deployment requires WithFaults")
 }
 
-// SetLossRate changes the per-datagram loss probability at runtime —
-// the loss-burst fault knob, uniform across the deployment. Structural
+// SetLossRate changes the per-datagram loss probability at runtime,
+// uniform across the deployment; a scenario's loss burst raises it for
+// a while and then lowers it. Structural
 // action — driver context on a simulated deployment (where the change
 // stays bit-identical across shard counts); enforced by the WithFaults
 // layer on UDP.

@@ -112,15 +112,13 @@ func TestShardedDeterminism(t *testing.T) {
 
 // TestShardedDeterminismWAN re-runs the determinism guarantee on the
 // transit-stub WAN model with every dynamic effect armed — per-link
-// measured latencies, 10% jitter, border-router queuing draws, transit
-// serialization, and Gilbert-Elliott loss bursts. All of it is modeled
-// from sender-owned state (per-node rng streams, the sender's link
-// clock), so a churned 64-node run must stay bit-identical at 1, 3,
-// and 4 shards; this test is what pins that discipline for the WAN
-// code paths.
+// measured latencies, 10% jitter, border-router queuing draws, and
+// transit serialization. All of it is modeled from sender-owned state
+// (per-node rng streams, the sender's link clock), so a churned 64-node
+// run must stay bit-identical at 1, 3, and 4 shards; this test is what
+// pins that discipline for the WAN code paths.
 func TestShardedDeterminismWAN(t *testing.T) {
 	wan := simnet.TransitStubWAN(3, 3, 99)
-	wan.BurstEnter, wan.BurstExit, wan.BurstLoss = 0.01, 0.25, 0.5
 	base := runShardedWorkload(64, 1, 42, 0.05, true, &wan)
 	if len(base.lookups) == 0 {
 		t.Fatal("workload issued no lookups")

@@ -96,16 +96,6 @@ type Config struct {
 	// backbone serialization delay of size/TransitBps on top of the
 	// access-link serialization (paper: 100 Mbps router links).
 	TransitBps float64
-
-	// Correlated loss bursts (Gilbert-Elliott), evolved per datagram on
-	// the sending node's stream: in the good state a datagram enters the
-	// bad state with probability BurstEnter; in the bad state it exits
-	// with probability BurstExit and is otherwise lost with probability
-	// BurstLoss. Zero BurstEnter disables the machinery (and consumes no
-	// draws). Uniform LossRate still applies independently.
-	BurstEnter float64
-	BurstExit  float64
-	BurstLoss  float64
 }
 
 // DefaultConfig reproduces the paper's Emulab topology.
@@ -286,7 +276,6 @@ type node struct {
 	rng      *rand.Rand // per-node stream: (Seed, addr)-derived
 	sendSeq  uint64     // datagrams sent; canonical merge tie-breaker
 	linkFree float64    // time the access link next becomes idle
-	burstBad bool       // Gilbert-Elliott loss state (sender-side)
 	dead     bool
 	stats    Stats
 }
@@ -475,8 +464,9 @@ func (n *Net) Partition(a, b string, cut bool) {
 	}
 }
 
-// SetLossRate changes the uniform datagram loss probability at runtime —
-// the loss-burst fault knob. Coordinator-only in sharded mode. The
+// SetLossRate changes the uniform datagram loss probability at runtime;
+// a scenario's loss burst raises it for a while and then lowers it.
+// Coordinator-only in sharded mode. The
 // change is deterministic across shard counts: loss draws come from
 // per-node rng streams and are only consumed while the rate is positive,
 // so every node sees the same draw sequence whatever the placement.
@@ -572,23 +562,6 @@ func (n *Net) send(src *node, to string, payload []byte) {
 		src.stats.PacketsLost++
 		return
 	}
-	// Correlated loss bursts: evolve the sender's Gilbert-Elliott state,
-	// then draw the loss while bad. All draws come from the sender's own
-	// stream, so burst placement is independent of event interleaving.
-	if n.cfg.BurstEnter > 0 {
-		if src.burstBad {
-			if src.rng.Float64() < n.cfg.BurstExit {
-				src.burstBad = false
-			}
-		} else if src.rng.Float64() < n.cfg.BurstEnter {
-			src.burstBad = true
-		}
-		if src.burstBad && src.rng.Float64() < n.cfg.BurstLoss {
-			src.stats.PacketsLost++
-			return
-		}
-	}
-
 	sh := n.shards[src.shard]
 	now := sh.loop.Now()
 	// Serialization against the sender's access link, with queueing.

@@ -165,49 +165,3 @@ func TestIntraDomainSkipsBarrier(t *testing.T) {
 type exchangerFunc func(now float64)
 
 func (f exchangerFunc) Exchange(now float64) { f(now) }
-
-// TestBurstLossIsPerNodeDeterministic pins the Gilbert-Elliott
-// machinery to the per-node-stream discipline: the same node sending
-// the same datagram sequence loses the same datagrams regardless of
-// what any other node does in between — the property that keeps burst
-// placement identical at every shard count.
-func TestBurstLossIsPerNodeDeterministic(t *testing.T) {
-	run := func(noise bool) []int64 {
-		cfg := DefaultConfig()
-		cfg.BurstEnter = 0.05
-		cfg.BurstExit = 0.3
-		cfg.BurstLoss = 0.8
-		loop := eventloop.NewSim()
-		net := New(loop, cfg)
-		send := func(addr string) netif.Endpoint {
-			ep, err := net.Attach(addr, func(string, []byte) {})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return ep
-		}
-		a := send("a:p2")
-		b := send("b:p2")
-		n := send("noise:p2")
-		for i := 0; i < 200; i++ {
-			at := float64(i) * 0.01
-			loop.At(at, func() {
-				a.Send("b:p2", []byte("x"))
-				if noise {
-					// Interleave unrelated traffic; a's loss draws must not move.
-					n.Send("a:p2", []byte("y"))
-					b.Send("noise:p2", []byte("z"))
-				}
-			})
-		}
-		loop.Run(10)
-		return []int64{net.Stats("a:p2").PacketsLost, net.Stats("a:p2").PacketsSent}
-	}
-	quiet, noisy := run(false), run(true)
-	if quiet[0] != noisy[0] || quiet[1] != noisy[1] {
-		t.Fatalf("node a's loss pattern moved with unrelated traffic: %v vs %v", quiet, noisy)
-	}
-	if quiet[0] == 0 {
-		t.Fatal("burst loss never fired; the machinery is dead")
-	}
-}

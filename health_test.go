@@ -12,8 +12,8 @@ package p2_test
 //
 // TestHealthSnapshotBitIdentical extends the determinism guarantee to
 // the health surface: a churned 64-node Chord deployment's
-// HealthSnapshot — every status, reason string, and transition time —
-// is bit-identical at 1 and 4 shards.
+// HealthSnapshot — every status, reason string, and transition time
+// the condition rules derive — is bit-identical at 1 and 4 shards.
 
 import (
 	"fmt"
@@ -187,11 +187,14 @@ func TestPartitionConditionTransitionsUDP(t *testing.T) {
 }
 
 // churnedHealthSnapshot builds a 64-node churned Chord deployment via
-// the public API and captures its HealthSnapshot from driver context.
+// the public API, every node refreshing its sys* tables so the
+// condition rules run, and captures its HealthSnapshot from driver
+// context.
 func churnedHealthSnapshot(t *testing.T, shards int) p2.HealthSnapshot {
 	t.Helper()
 	plan := p2.MustCompile(p2.ChordSource, nil)
-	d, err := p2.NewDeployment(p2.Simulated, p2.WithSeed(5), p2.WithShards(shards))
+	d, err := p2.NewDeployment(p2.Simulated, p2.WithSeed(5), p2.WithShards(shards),
+		p2.WithNodeDefaults(p2.NodeOptions{IntrospectInterval: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,6 +254,23 @@ func TestHealthSnapshotBitIdentical(t *testing.T) {
 	}
 	if len(s1.Overlay) != want {
 		t.Fatalf("overlay rollup has %d conditions, want %d", len(s1.Overlay), want)
+	}
+	// The rules judged every condition the Chord nodes can have (they
+	// run no key-value service): an all-Unknown catalogue is identical
+	// at every shard count too, and proves nothing.
+	for _, ct := range p2.ConditionTypes() {
+		if ct == p2.KVUnderReplicated {
+			continue
+		}
+		known := false
+		for _, n := range s1.Nodes {
+			for _, c := range n.Conditions {
+				known = known || (c.Type == ct && c.Status != p2.ConditionUnknown)
+			}
+		}
+		if !known {
+			t.Errorf("%s reads Unknown on every node", ct)
+		}
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"p2/internal/overlays"
 	"p2/internal/overlog"
 	"p2/internal/planner"
+	"p2/internal/transport"
 )
 
 var update = flag.Bool("update", false, "rewrite every golden plan under testdata/")
@@ -18,15 +19,20 @@ var update = flag.Bool("update", false, "rewrite every golden plan under testdat
 // TestExplainChordMatchesGolden pins every shipped plan byte for byte,
 // so any change to the planner's choices, costs or rendering shows up
 // here. The chord case is -explain's own output; the others are the
-// Plan.String dumps of the other shipped overlays, of Chord+KV, and of
+// Plan.String dumps of the other shipped overlays, of Chord+KV, of
 // Chord with the health monitor library grafted through planner.Extend
-// (what Install compiles). The .textual cases pin the same compiled
-// programs lowered by planner.CompileTextual, the unplanned reference:
-// textual body order, no folded aggregates. After an intended plan
-// change, rewrite them all with
+// (what Install compiles), and of the health condition library grafted
+// onto the empty plan as a node with a sys* audience and the default
+// transport grafts it. The .textual cases pin the same compiled
+// programs lowered by planner.CompileTextual (the library's by
+// planner.ExtendSystem unplanned), the unplanned reference: textual
+// body order, no folded aggregates. After an intended plan change,
+// rewrite them all with
 //
 //	go test ./cmd/p2sim -run TestExplainChordMatchesGolden -update
 func TestExplainChordMatchesGolden(t *testing.T) {
+	empty := planner.MustCompile(overlog.MustParse(""), nil)
+	queueCap := transport.DefaultConfig().QueueCap
 	cases := []struct {
 		name string
 		dump func() string
@@ -39,6 +45,15 @@ func TestExplainChordMatchesGolden(t *testing.T) {
 		{"chordkv", func() string { return overlays.ChordKVPlan(nil).String() }},
 		{"chord+health", func() string {
 			p, err := planner.Extend(overlays.ChordPlan(nil), overlog.MustParse(health.MonitorSource()), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p.String()
+		}},
+		{"health", func() string { return health.Graft(empty, queueCap).String() }},
+		{"health.textual", func() string {
+			lib := health.Graft(empty, queueCap)
+			p, err := planner.ExtendSystem(empty, lib.Source, lib.Defines, false)
 			if err != nil {
 				t.Fatal(err)
 			}

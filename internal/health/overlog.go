@@ -207,8 +207,8 @@ func Graft(plan *planner.Plan, queueCap int) *planner.Plan {
 	}
 	out, err := planner.ExtendSystem(plan, conditionProg(), defines, true)
 	if err != nil {
-		// Only a program using the library's relation names at other
-		// arities can get here.
+		// The planner keeps programs out of the library's relations,
+		// so only a library that does not compile gets here.
 		panic(fmt.Sprintf("health: the condition library does not graft onto the plan: %v", err))
 	}
 	return out

@@ -530,6 +530,17 @@ func (p *Plan) classify(r *overlog.Rule, system bool) ruleShape {
 		s.err = c.errf("head %s writes into the reserved system-table namespace (%q prefix); system tables are read-only from OverLog", r.Head.Name, introspect.ReservedPrefix)
 		return s
 	}
+	// Nor may they read the relations the runtime's own rule libraries
+	// keep there: a library grafted later would meet them at another
+	// arity.
+	for _, t := range r.Body {
+		if a, ok := t.(*overlog.Atom); ok && introspect.IsReserved(a.Name) && !system {
+			if ts := p.Tables[a.Name]; ts == nil || !ts.System {
+				s.err = c.errf("%s is not a system table (the %q prefix belongs to the runtime)", a.Name, introspect.ReservedPrefix)
+				return s
+			}
+		}
+	}
 	if s.err = c.checkCollocation(); s.err != nil {
 		return s
 	}

@@ -179,7 +179,8 @@ func TestLifetimeFromDefine(t *testing.T) {
 }
 
 // TestExtendSystemWritesReservedNames: only ExtendSystem may declare and
-// derive sys* relations.
+// derive sys* relations, and a program compiled otherwise reads only
+// the system tables there, before the library is grafted or after.
 func TestExtendSystemWritesReservedNames(t *testing.T) {
 	base := MustCompile(parse(t, extendBase), nil)
 	lib := parse(t, `
@@ -195,5 +196,11 @@ func TestExtendSystemWritesReservedNames(t *testing.T) {
 	}
 	if ext.Tables["sysSeen"] == nil || ext.Tables["sysSeen"].System {
 		t.Fatalf("library table spec = %+v, want a plain table", ext.Tables["sysSeen"])
+	}
+	reader := parse(t, `R1 out@N(N, D) :- sysSeen@N(N, D).`)
+	for _, p := range []*Plan{base, ext} {
+		if _, err := Extend(p, reader, nil); err == nil || !strings.Contains(err.Error(), "not a system table") {
+			t.Errorf("a program reading sysSeen compiled: err = %v", err)
+		}
 	}
 }

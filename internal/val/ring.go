@@ -42,13 +42,13 @@ func ringInt(n int64) ring {
 func (v Value) ring() ring {
 	switch v.kind {
 	case KID:
-		return ringOf(v.str)
+		return ringOf(v.str())
 	case KInt, KBool:
 		return ringInt(int64(v.num))
 	case KFloat, KTime:
 		return ringInt(int64(math.Float64frombits(v.num)))
 	case KStr:
-		x, err := id.Parse(v.str)
+		x, err := id.Parse(v.str())
 		if err != nil {
 			return ring{}
 		}
@@ -64,7 +64,7 @@ func (x ring) value() Value {
 	binary.BigEndian.PutUint32(b[0:], uint32(x.hi))
 	binary.BigEndian.PutUint64(b[4:], x.mid)
 	binary.BigEndian.PutUint64(b[12:], x.lo)
-	return Value{kind: KID, str: string(b[:])}
+	return strValue(KID, string(b[:]))
 }
 
 func (x ring) add(y ring) ring {

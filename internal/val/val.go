@@ -20,6 +20,7 @@ import (
 	"math/bits"
 	"strconv"
 	"strings"
+	"unsafe"
 
 	"p2/internal/id"
 )
@@ -49,25 +50,45 @@ func (k Kind) String() string {
 
 // Value is an immutable variant. The zero Value is Null.
 //
-// The layout is 32 bytes: a string header, a word of numeric payload,
-// and the kind tag. Identifiers do not get an inline [5]uint32 — a KID
-// stores its 20 big-endian payload bytes in str, interned through the
-// global symbol table. Values are the bulk of resident memory (every
-// tuple field, PEL stack slot, and table key), and IDs are the most
-// duplicated payload a Chord deployment holds — every node's
-// identifier recurs in finger and successor rows across the ring — so
-// this both shrinks the slot by a third versus an inline ID and
-// collapses all copies of one identifier into one 20-byte allocation.
-// Big-endian byte order makes lexicographic comparison of the payload
-// strings coincide with numeric ID order, so comparisons never decode.
-// Ring arithmetic (Add, Sub, Shl, Shr, Neg, In) reads the payload as
-// three machine words and renders each result once (see ring); package
-// id is the reference semantics it is tested against.
+// The layout is three words (24 bytes; 16 on 32-bit): a payload
+// pointer, a word of numeric payload, and the kind tag. Values are the
+// bulk of resident memory — every tuple field, PEL stack slot and table
+// key — so the slot is kept as narrow as Go allows. A KStr or KID
+// payload is its bytes' address in ptr and their count in num, read
+// back as a string by str; every other kind keeps its bit pattern in
+// num and a nil ptr, so the zero Value is Null. Identifiers do not get
+// an inline [5]uint32 — a KID holds its 20 big-endian payload bytes as
+// a string, interned through the global symbol table. IDs are the most
+// duplicated payload a Chord deployment holds — every node's identifier
+// recurs in finger and successor rows across the ring — so all copies
+// of one identifier collapse into one 20-byte allocation. Big-endian
+// byte order makes lexicographic comparison of the payload coincide
+// with numeric ID order, so comparisons never decode. Ring arithmetic
+// (Add, Sub, Shl, Shr, Neg and In) reads the payload as three machine
+// words and renders each result once (see ring); package id is the
+// reference semantics it is tested against.
+//
+// Values are not comparable with ==: two equal strings at different
+// addresses would compare unequal. Use Same, Equal or Cmp, which read
+// the payload bytes. The ptr is an unsafe.Pointer rather than a *byte
+// so that reflect.DeepEqual compares it by address, which can only
+// report equal values as different, never different values (Str("ab"),
+// Str("ac")) as equal by their first byte.
 type Value struct {
-	str  string // KStr payload; KID payload as 20 big-endian bytes (interned)
-	num  uint64 // bool/int/float/time payload (bit pattern)
+	_    [0]func()      // no ==: it would compare payload addresses
+	ptr  unsafe.Pointer // KStr/KID: the payload bytes; nil for other kinds
+	num  uint64         // KStr/KID: the payload length; else bool/int/float/time bits
 	kind Kind
 }
+
+// strValue wraps s as a KStr or KID payload.
+func strValue(k Kind, s string) Value {
+	return Value{kind: k, ptr: unsafe.Pointer(unsafe.StringData(s)), num: uint64(len(s))}
+}
+
+// str returns the payload of a KStr or KID value. It must not be called
+// on other kinds, whose num is not a length.
+func (v Value) str() string { return unsafe.String((*byte)(v.ptr), int(v.num)) }
 
 // Null is the null value.
 var Null = Value{}
@@ -88,7 +109,7 @@ func Int(v int64) Value { return Value{kind: KInt, num: uint64(v)} }
 func Float(v float64) Value { return Value{kind: KFloat, num: math.Float64bits(v)} }
 
 // Str wraps a string.
-func Str(s string) Value { return Value{kind: KStr, str: s} }
+func Str(s string) Value { return strValue(KStr, s) }
 
 // MakeID wraps a 160-bit identifier. The payload is rendered to its
 // canonical 20 bytes as a fresh short-lived string — deliberately NOT
@@ -102,7 +123,7 @@ func Str(s string) Value { return Value{kind: KStr, str: s} }
 func MakeID(x id.ID) Value {
 	var b [id.Bytes]byte
 	x.PutBytes(&b)
-	return Value{kind: KID, str: string(b[:])}
+	return strValue(KID, string(b[:]))
 }
 
 // idZeroStr is the KID payload of the zero identifier.
@@ -128,9 +149,9 @@ func (v Value) AsBool() bool {
 	case KFloat, KTime:
 		return math.Float64frombits(v.num) != 0
 	case KStr:
-		return v.str != ""
+		return v.num != 0
 	case KID:
-		return v.str != idZeroStr
+		return v.str() != idZeroStr
 	}
 	return false
 }
@@ -146,10 +167,10 @@ func (v Value) AsInt() int64 {
 	case KFloat, KTime:
 		return int64(math.Float64frombits(v.num))
 	case KStr:
-		n, _ := strconv.ParseInt(v.str, 10, 64)
+		n, _ := strconv.ParseInt(v.str(), 10, 64)
 		return n
 	case KID:
-		return int64(id.FromString(v.str).Uint64())
+		return int64(id.FromString(v.str()).Uint64())
 	}
 	return 0
 }
@@ -162,10 +183,10 @@ func (v Value) AsFloat() float64 {
 	case KFloat, KTime:
 		return math.Float64frombits(v.num)
 	case KStr:
-		f, _ := strconv.ParseFloat(v.str, 64)
+		f, _ := strconv.ParseFloat(v.str(), 64)
 		return f
 	case KID:
-		return float64(id.FromString(v.str).Uint64())
+		return float64(id.FromString(v.str()).Uint64())
 	}
 	return 0
 }
@@ -173,7 +194,7 @@ func (v Value) AsFloat() float64 {
 // AsStr returns the string payload, or the rendering for other kinds.
 func (v Value) AsStr() string {
 	if v.kind == KStr {
-		return v.str
+		return v.str()
 	}
 	return v.String()
 }
@@ -184,13 +205,13 @@ func (v Value) AsStr() string {
 func (v Value) AsID() id.ID {
 	switch v.kind {
 	case KID:
-		return id.FromString(v.str)
+		return id.FromString(v.str())
 	case KInt, KBool:
 		return id.FromInt64(int64(v.num))
 	case KFloat, KTime:
 		return id.FromInt64(int64(math.Float64frombits(v.num)))
 	case KStr:
-		x, err := id.Parse(v.str)
+		x, err := id.Parse(v.str())
 		if err != nil {
 			return id.Zero
 		}
@@ -209,7 +230,12 @@ func (v Value) Equal(o Value) bool { return v.Cmp(o) == 0 }
 // Same reports whether a and b are identical in kind and payload: any
 // pure computation gives the same result on either. Equal is not that
 // (Int(3) equals Float(3.0), yet 3/2 != 3.0/2).
-func Same(a, b Value) bool { return a.kind == b.kind && a.num == b.num && a.str == b.str }
+func Same(a, b Value) bool {
+	if a.kind != b.kind || a.num != b.num {
+		return false
+	}
+	return a.kind != KStr && a.kind != KID || a.str() == b.str()
+}
 
 // Cmp totally orders values: by kind rank first, then payload.
 // Numeric kinds (bool, int, float, time) compare against each other by
@@ -224,9 +250,12 @@ func (v Value) Cmp(o Value) int {
 	case v.kind != o.kind:
 		return cmp.Compare(v.kind, o.kind)
 	}
+	if v.kind == KNull {
+		return 0
+	}
 	// Strings, and IDs as big-endian payload bytes: lexicographic order
-	// is numeric order. Null equals Null.
-	return strings.Compare(v.str, o.str)
+	// is numeric order.
+	return strings.Compare(v.str(), o.str())
 }
 
 func (v Value) numericRank() bool {
@@ -252,9 +281,9 @@ func (v Value) String() string {
 	case KFloat:
 		return strconv.FormatFloat(math.Float64frombits(v.num), 'g', -1, 64)
 	case KStr:
-		return v.str
+		return v.str()
 	case KID:
-		return "0x" + id.FromString(v.str).Short()
+		return "0x" + id.FromString(v.str()).Short()
 	case KTime:
 		return strconv.FormatFloat(math.Float64frombits(v.num), 'f', 3, 64) + "s"
 	}
@@ -402,10 +431,10 @@ func (v Value) AppendBinary(dst []byte) []byte {
 	case KFloat, KTime:
 		dst = binary.BigEndian.AppendUint64(dst, v.num)
 	case KStr:
-		dst = binary.AppendUvarint(dst, uint64(len(v.str)))
-		dst = append(dst, v.str...)
+		dst = binary.AppendUvarint(dst, v.num)
+		dst = append(dst, v.str()...)
 	case KID:
-		dst = append(dst, v.str...)
+		dst = append(dst, v.str()...)
 	}
 	return dst
 }
@@ -426,7 +455,7 @@ func (v Value) EncodedSize() int {
 	case KFloat, KTime:
 		return 9
 	case KStr:
-		return 1 + UvarintLen(uint64(len(v.str))) + len(v.str)
+		return 1 + UvarintLen(v.num) + int(v.num)
 	case KID:
 		return 1 + id.Bytes
 	}
@@ -496,7 +525,7 @@ func DecodeValue(b []byte) (Value, int, error) {
 		}
 		// The payload bytes are already canonical big-endian: intern them
 		// directly, with no decode/re-encode round trip.
-		return Value{kind: KID, str: InternBytes(rest[:id.Bytes])}, 1 + id.Bytes, nil
+		return strValue(KID, InternBytes(rest[:id.Bytes])), 1 + id.Bytes, nil
 	}
 	return Null, 0, fmt.Errorf("val: unknown kind %d", b[0])
 }

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"p2/internal/id"
 )
@@ -171,6 +172,41 @@ func TestSame(t *testing.T) {
 	}
 	if Same(Float(2.5), Time(2.5)) || Same(Str(""), Null) || Same(Bool(true), Int(1)) {
 		t.Error("equal payloads of different kinds are not Same")
+	}
+}
+
+// TestValueIsThreeWords pins the slot every tuple field, scratch slot and
+// PEL stack slot is made of: a payload pointer, a word of payload and
+// the kind (24 bytes on 64-bit, 16 on 32-bit, where uint64 aligns to 4).
+func TestValueIsThreeWords(t *testing.T) {
+	word := unsafe.Sizeof(uintptr(0))
+	if got, want := unsafe.Sizeof(Value{}), word+8+word; got > want {
+		t.Fatalf("a Value is %d bytes, want at most %d", got, want)
+	}
+}
+
+// TestEmptyStrings: an empty string's payload pointer may be nil or not,
+// depending on where the string came from, and no answer may depend on
+// it. Str("") stays a string, not Null.
+func TestEmptyStrings(t *testing.T) {
+	dec, _, err := DecodeValue([]byte{byte(KStr), 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := []byte("abc")
+	empties := []Value{Str(""), Str(strings.Clone("")), Str(string(buf[:0])), Str("abc"[3:]), Str(InternBytes(nil)), Str(strings.Repeat("x", 0)), dec}
+	for i, a := range empties {
+		for j, b := range empties {
+			if !Same(a, b) || !a.Equal(b) || a.Cmp(b) != 0 {
+				t.Errorf("empty strings %d and %d differ", i, j)
+			}
+		}
+		if Same(a, Null) || a.Equal(Null) || a.Cmp(Null) != 1 || a.IsNull() || a.AsBool() {
+			t.Errorf("empty string %d is taken for Null or for true", i)
+		}
+		if a.String() != "" || !bytes.Equal(a.AppendBinary(nil), []byte{byte(KStr), 0}) || a.EncodedSize() != 2 {
+			t.Errorf("empty string %d prints %q and encodes % x", i, a.String(), a.AppendBinary(nil))
+		}
 	}
 }
 
@@ -467,6 +503,48 @@ func FuzzDecodeValue(f *testing.F) {
 		}
 		if enc := v.AppendBinary(nil); n != v.EncodedSize() || !bytes.Equal(enc, data[:n]) {
 			t.Fatalf("decoded %v from % x, which re-encodes to % x (EncodedSize %d)", v, data[:n], enc, v.EncodedSize())
+		}
+	})
+}
+
+// rebuilt returns a copy of v whose string payload, if any, is a fresh
+// copy of the bytes at another address.
+func rebuilt(v Value) Value {
+	if v.kind == KStr || v.kind == KID {
+		return strValue(v.kind, strings.Clone(v.str()))
+	}
+	return Value{kind: v.kind, num: v.num}
+}
+
+// FuzzValueCompare: a value's answers depend on its payload bytes, never
+// on their address. Every value the decoder accepts agrees in every
+// respect with a copy whose payload is a fresh clone, and two decoded
+// values are Same exactly when they encode to the same bytes.
+func FuzzValueCompare(f *testing.F) {
+	seeds := []Value{Null, Bool(false), Int(-3), Float(2.5), Time(1.5), Str(""), Str("ab"), Str("ac"), MakeID(id.One), MakeID(id.Zero)}
+	for i, a := range seeds {
+		f.Add(a.AppendBinary(nil), seeds[(i+1)%len(seeds)].AppendBinary(nil))
+	}
+	f.Fuzz(func(t *testing.T, da, db []byte) {
+		a, _, errA := DecodeValue(da)
+		b, _, errB := DecodeValue(db)
+		for _, v := range []Value{a, b} {
+			c := rebuilt(v)
+			if !Same(v, c) || !v.Equal(c) || v.Cmp(c) != 0 || c.Cmp(v) != 0 {
+				t.Fatalf("%v and its rebuilt copy differ", v)
+			}
+			if v.String() != c.String() || !bytes.Equal(v.AppendBinary(nil), c.AppendBinary(nil)) || v.AsBool() != c.AsBool() {
+				t.Fatalf("%v and its rebuilt copy print or encode differently", v)
+			}
+		}
+		if errA != nil || errB != nil {
+			return
+		}
+		if same, enc := Same(a, b), bytes.Equal(a.AppendBinary(nil), b.AppendBinary(nil)); same != enc {
+			t.Fatalf("Same(%v, %v) is %v, yet their encodings equal: %v", a, b, same, enc)
+		}
+		if a.Cmp(b) != -b.Cmp(a) {
+			t.Fatalf("Cmp(%v, %v) is %d, Cmp back is %d", a, b, a.Cmp(b), b.Cmp(a))
 		}
 	})
 }

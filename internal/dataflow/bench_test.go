@@ -17,7 +17,7 @@ import (
 // folds' flushes and the accumulators build their outputs in a Scratch
 // and release them when the downstream Push returns, so the pins below
 // hold every one of them at zero allocations and a whole strand at the
-// two Project's head costs — its field slice and tuple header.
+// one Project's head costs — its tuple, header and fields in one block.
 // BenchmarkFoldJoinFingerScan pins what a lookup hop's finger fold
 // evaluates and visits: about 8 of 160 rows evaluated, and none visited
 // once its row cache is warm.
@@ -51,8 +51,8 @@ func TestJoinPushAllocBudget(t *testing.T) {
 }
 
 // TestStrandAllocatesOnlyTheHead pins a Join → Join → Project strand at
-// the head's two allocations per head derived: the intermediate joined
-// tuples live in the shared scratch.
+// one allocation per head derived, the head's block (tuple.Make): the
+// intermediate joined tuples live in the shared scratch.
 func TestStrandAllocatesOnlyTheHead(t *testing.T) {
 	tb := table.New("t", table.Infinity, 0, []int{0, 1}, &dfClock{})
 	for i := 0; i < 4; i++ {
@@ -72,8 +72,8 @@ func TestStrandAllocatesOnlyTheHead(t *testing.T) {
 		heads = 0
 		j1.Push(c, event)
 	})
-	if heads != 16 || allocs != 2*16 {
-		t.Fatalf("Join → Join → Project allocated %.1f per event for %d heads, want 2 per head", allocs, heads)
+	if heads != 16 || allocs != 16 {
+		t.Fatalf("Join → Join → Project allocated %.1f per event for %d heads, want 1 per head", allocs, heads)
 	}
 }
 
@@ -93,7 +93,7 @@ func TestMultiAssignPushZeroAlloc(t *testing.T) {
 }
 
 // TestFoldJoinFlushAllocatesOnlyTheHead pins a fold's Push and Flush
-// into Project at the head's two allocations: the event ++ aggregate
+// into Project at the head's one allocation: the event ++ aggregate
 // tuple Flush emits is a working tuple. (The programs are integer
 // arithmetic: ID arithmetic allocates its results in package val.)
 func TestFoldJoinFlushAllocatesOnlyTheHead(t *testing.T) {
@@ -112,8 +112,8 @@ func TestFoldJoinFlushAllocatesOnlyTheHead(t *testing.T) {
 		f.Push(c, ev)
 		f.Flush(c, ev)
 	})
-	if allocs != 2 {
-		t.Fatalf("FoldJoin Push+Flush into Project allocated %.1f per event, want 2 (the head)", allocs)
+	if allocs != 1 {
+		t.Fatalf("FoldJoin Push+Flush into Project allocated %.1f per event, want 1 (the head)", allocs)
 	}
 }
 

@@ -208,7 +208,8 @@ func NewProject(outName string, progs []*pel.Program, rule int) *Project {
 
 // Push derives the head tuple and delivers it.
 func (p *Project) Push(c *Ctx, t *tuple.Tuple) {
-	fields := make([]val.Value, len(p.progs))
+	head := tuple.Make(p.outName, len(p.progs))
+	fields := head.Fields()
 	for i, prog := range p.progs {
 		v, err := c.vm.Eval(prog, t, c.Env)
 		if err != nil {
@@ -216,7 +217,7 @@ func (p *Project) Push(c *Ctx, t *tuple.Tuple) {
 		}
 		fields[i] = v
 	}
-	c.Deliver(p.rule, tuple.New(p.outName, fields...))
+	c.Deliver(p.rule, head)
 }
 
 // AggFunc names an aggregate function.
@@ -579,10 +580,11 @@ func (a *AggTable) refresh(key string) {
 		return
 	}
 	a.last[key] = v
-	fields := make([]val.Value, 0, len(group)+1)
-	fields = append(fields, group...)
-	fields = append(fields, v)
-	a.PushOut(a.ctx, tuple.New(a.outName, fields...))
+	out := tuple.Make(a.outName, len(group)+1)
+	fields := out.Fields()
+	copy(fields, group)
+	fields[len(group)] = v
+	a.PushOut(a.ctx, out)
 }
 
 // Recompute rebuilds the accumulators from a full scan and emits every

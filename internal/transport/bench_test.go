@@ -19,14 +19,14 @@ import (
 // cycleAllocs is how many times one send → frame → deliver → delayed
 // ack → clear cycle between two transports allocates, simnet and the
 // event loop included: the ceiling TestCycleAllocs holds the chain to.
-// The nine are the data frame, simnet's copy of it, the wire batch, the
+// The eight are the data frame, simnet's copy of it, the wire batch, the
 // queue's backing array, the delayed-ack timer, the bare ack frame and
-// its copy, and the decoded tuple with its field slice.
-const cycleAllocs = 9
+// its copy, and the decoded tuple, whose fields share its block.
+const cycleAllocs = 8
 
 // roundTripAllocs is the ceiling TestRoundTripAllocs holds
 // BenchmarkRoundTrip's allocations per delivered tuple to.
-const roundTripAllocs = 6
+const roundTripAllocs = 5
 
 // cycle returns a function that sends one tuple from a to b and runs
 // the loop until its acknowledgment has cleared the ledger.

@@ -9,6 +9,12 @@
 // reference-count role). Anything that needs a modified tuple builds a
 // new one.
 //
+// A tuple the hot paths build — a derived head, an aggregate's emission,
+// a tuple decoded off the wire — comes from Make as one block holding
+// the header and its fields, so it costs one allocation and one object
+// for the collector, not two. New, which takes a caller's field slice,
+// serves the cold paths.
+//
 // Working tuples are the one exception: the intermediates a strand
 // builds between its event and its head (a join's concatenation, an
 // assignment's extension) live in the node's dataflow.Scratch and are
@@ -21,6 +27,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"strings"
+	"unsafe"
 
 	"p2/internal/val"
 )
@@ -33,9 +40,51 @@ type Tuple struct {
 }
 
 // New builds a tuple with the given name and fields. The fields slice is
-// owned by the tuple afterwards; callers must not mutate it.
+// owned by the tuple afterwards; callers must not mutate it. The header
+// and the fields are two objects; a hot path that fills its fields one
+// by one uses Make instead.
 func New(name string, fields ...val.Value) *Tuple {
 	return &Tuple{name: name, fields: fields}
+}
+
+// Make returns a tuple named name with n Null fields for the caller to
+// fill through Fields before the tuple leaves its hands; it is immutable
+// from then on, as every other tuple. Up to the arity of the largest
+// shipped rule head (7) the header and the fields are one allocation;
+// a wider tuple takes two, as New's do.
+func Make(name string, n int) *Tuple {
+	if n > 0 && n < len(blocks) {
+		return blocks[n](name, n)
+	}
+	return &Tuple{name: name, fields: make([]val.Value, n)}
+}
+
+// block is a tuple header with its fields, an array of Values, behind it.
+type block[F any] struct {
+	t Tuple
+	f F
+}
+
+// inBlock allocates a block whose F is [n]val.Value and points the
+// header's fields at the array. The header is the block's first field,
+// so the tuple pointer keeps the whole block alive.
+func inBlock[F any](name string, n int) *Tuple {
+	b := &block[F]{}
+	b.t.name = name
+	b.t.fields = unsafe.Slice((*val.Value)(unsafe.Pointer(&b.f)), n)
+	return &b.t
+}
+
+// blocks[n] allocates the block of a tuple with n fields.
+var blocks = [...]func(string, int) *Tuple{
+	nil,
+	inBlock[[1]val.Value],
+	inBlock[[2]val.Value],
+	inBlock[[3]val.Value],
+	inBlock[[4]val.Value],
+	inBlock[[5]val.Value],
+	inBlock[[6]val.Value],
+	inBlock[[7]val.Value],
 }
 
 // Reset re-points t at name and fields, which t owns afterwards. It is
@@ -169,14 +218,14 @@ func Unmarshal(b []byte) (*Tuple, int, error) {
 	if err != nil || arity > uint64(len(b)-off) {
 		return nil, 0, fmt.Errorf("tuple %s: arity malformed or beyond the %d bytes left", name, len(b)-off)
 	}
-	fields := make([]val.Value, arity)
-	for i := range fields {
+	t := Make(name, int(arity))
+	for i := range t.fields {
 		v, n, err := val.DecodeValue(b[off:])
 		if err != nil {
 			return nil, 0, fmt.Errorf("tuple %s field %d: %v", name, i, err)
 		}
-		fields[i] = v
+		t.fields[i] = v
 		off += n
 	}
-	return &Tuple{name: name, fields: fields}, off, nil
+	return t, off, nil
 }

@@ -159,6 +159,36 @@ func BenchmarkMarshal(b *testing.B) {
 	}
 }
 
+// TestMakeIsOneBlock: Make hands back n Null fields whose capacity ends
+// at the tuple's arity, in one allocation up to the widest shipped head
+// (7 fields) and two beyond it; Unmarshal decodes into the same block.
+func TestMakeIsOneBlock(t *testing.T) {
+	for n := 0; n <= 9; n++ {
+		var tp *Tuple
+		allocs := testing.AllocsPerRun(100, func() { tp = Make("h", n) })
+		want := 1.0
+		if n > 7 {
+			want = 2
+		}
+		if allocs != want {
+			t.Errorf("Make(h, %d) allocated %.1f times, want %.0f", n, allocs, want)
+		}
+		if tp.Name() != "h" || tp.Arity() != n || cap(tp.Fields()) != n {
+			t.Fatalf("Make(h, %d) = %v with capacity %d", n, tp, cap(tp.Fields()))
+		}
+		for i, f := range tp.Fields() {
+			if !f.IsNull() {
+				t.Fatalf("Make(h, %d) field %d is %v, want null", n, i, f)
+			}
+		}
+	}
+	buf := mk("lookup", val.Str("10.0.0.1:4000"), val.MakeID(id.Hash("k")), val.Int(3)).Marshal()
+	Unmarshal(buf) // interns the strings
+	if allocs := testing.AllocsPerRun(100, func() { Unmarshal(buf) }); allocs != 1 {
+		t.Errorf("Unmarshal of a 3-field tuple allocated %.1f times, want 1", allocs)
+	}
+}
+
 func BenchmarkUnmarshal(b *testing.B) {
 	buf := mk("lookup", val.Str("10.0.0.1:4000"), val.MakeID(id.Hash("k")),
 		val.Str("10.0.0.2:4000"), val.Str("evt-12345")).Marshal()
@@ -185,7 +215,7 @@ func allocBytes(f func()) uint64 {
 
 // FuzzUnmarshal: on arbitrary bytes the decoder never panics, never
 // allocates more than a small multiple of its input (a one-byte null
-// field becomes a 32-byte Value, the worst ratio), and whatever it
+// field becomes a 24-byte Value, the worst ratio), and whatever it
 // accepts re-marshals to exactly the bytes it consumed.
 func FuzzUnmarshal(f *testing.F) {
 	f.Add(mk("t").Marshal())

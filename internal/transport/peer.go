@@ -156,7 +156,6 @@ func (tr *Transport) receiver(from string) *peer {
 	p := tr.peer(from)
 	if !p.receiving {
 		p.receiving = true
-		p.rcv.high = make(map[uint64]bool)
 		tr.armJanitor()
 	}
 	p.rcv.lastAt = tr.loop.Now()

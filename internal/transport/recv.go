@@ -26,7 +26,7 @@ const seqSanityWindow = 1 << 22
 // sequence space rebinds from zero.
 type recvState struct {
 	cum      uint64          // all seqs <= cum delivered
-	high     map[uint64]bool // out-of-order seqs above cum
+	high     map[uint64]bool // out-of-order seqs above cum; nil until the first arrives
 	recvd    int64           // tuples delivered upward (post-dedup)
 	epoch    uint32          // incarnation whose stream cum/high count
 	epochSet bool            // epoch learned from a data frame
@@ -55,8 +55,18 @@ func (r *recvState) seen(seq uint64) bool {
 }
 
 // mark records n consecutive seqs starting at first as delivered and
-// compacts the out-of-order set into the cumulative counter.
+// compacts the out-of-order set into the cumulative counter. A frame
+// that continues cum while nothing waits above it — the in-order
+// stream, almost every frame — moves cum alone: the set would take the
+// seqs and give them straight back.
 func (r *recvState) mark(first uint64, n int) {
+	if first == r.cum+1 && len(r.high) == 0 {
+		r.cum += uint64(n)
+		return
+	}
+	if r.high == nil {
+		r.high = make(map[uint64]bool)
+	}
 	for s := first; s < first+uint64(n); s++ {
 		if s > r.cum {
 			r.high[s] = true

@@ -537,8 +537,8 @@ func TestAdvanceLargeSkipIsBounded(t *testing.T) {
 }
 
 func TestRecvStateCumulativeCompaction(t *testing.T) {
-	rs := &recvState{high: make(map[uint64]bool)}
-	rs.mark(2, 2) // seqs 2,3 out of order
+	rs := &recvState{}
+	rs.mark(2, 2) // seqs 2,3 out of order: the set is made here
 	if rs.cum != 0 || len(rs.high) != 2 {
 		t.Fatalf("out-of-order state wrong: cum=%d high=%v", rs.cum, rs.high)
 	}

@@ -110,7 +110,8 @@ func (t *Tuple) Field(i int) val.Value {
 	return t.fields[i]
 }
 
-// Fields returns the underlying field slice. Treat it as read-only.
+// Fields returns the underlying field slice. Treat it as read-only,
+// except to fill a tuple from Make before it leaves the caller's hands.
 func (t *Tuple) Fields() []val.Value { return t.fields }
 
 // Loc returns the tuple's location specifier — field 0 as a string

@@ -80,7 +80,7 @@ func TestDeleteNoRerender(t *testing.T) {
 		t.Fatal("delete missed")
 	}
 	key := victim.Key([]int{1})
-	for _, m := range rowsAt(tb, ix.Positions(), key) {
+	for _, m := range rowsAt(tb, ix.positions, key) {
 		if m.Equal(victim) {
 			t.Fatal("deleted row still indexed")
 		}

@@ -34,15 +34,15 @@ func checkIndexes(t *testing.T, tb *Table, ixs []*Index, probeKeys []map[string]
 	for i, ix := range ixs {
 		want := make(map[string][]*tuple.Tuple)
 		for _, row := range scan {
-			k := row.Key(ix.Positions())
+			k := row.Key(ix.positions)
 			want[k] = append(want[k], row)
 			probeKeys[i][k] = true
 		}
 		for k := range probeKeys[i] {
-			got := rowsAt(tb, ix.Positions(), k)
+			got := rowsAt(tb, ix.positions, k)
 			if len(got) != len(want[k]) {
 				t.Fatalf("index %v key %q: %d rows via index, %d via scan",
-					ix.Positions(), k, len(got), len(want[k]))
+					ix.positions, k, len(got), len(want[k]))
 			}
 			matched := make([]bool, len(want[k]))
 			for _, g := range got {
@@ -55,7 +55,7 @@ func checkIndexes(t *testing.T, tb *Table, ixs []*Index, probeKeys []map[string]
 					}
 				}
 				if !found {
-					t.Fatalf("index %v key %q returned %v not present in scan", ix.Positions(), k, g)
+					t.Fatalf("index %v key %q returned %v not present in scan", ix.positions, k, g)
 				}
 			}
 		}
@@ -64,10 +64,10 @@ func checkIndexes(t *testing.T, tb *Table, ixs []*Index, probeKeys []map[string]
 
 // TestIndexContentsMatchScanUnderRandomOps drives long random
 // insert/replace/refresh/delete/expire/evict sequences over a table
-// with a TTL, a size bound, and two secondary indices (one sharing a
-// field with the primary key), checking every index against ground
-// truth after each operation — so each key a removal renders again
-// must name the bucket the row was added to.
+// with a TTL, a size bound, two secondary indices (one sharing a field
+// with the primary key) and the primary-key index, checking every index
+// against ground truth after each operation — so each key a removal
+// renders again must name the bucket the row was added to.
 func TestIndexContentsMatchScanUnderRandomOps(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		seed := seed
@@ -78,8 +78,9 @@ func TestIndexContentsMatchScanUnderRandomOps(t *testing.T) {
 			ixs := []*Index{
 				tb.EnsureIndex([]int{1}),
 				tb.EnsureIndex([]int{2, 0}),
+				tb.EnsureIndex([]int{0, 1}),
 			}
-			probeKeys := []map[string]bool{{}, {}}
+			probeKeys := []map[string]bool{{}, {}, {}}
 
 			mk := func(a, b, c int64) *tuple.Tuple {
 				return tuple.New("p",
@@ -192,7 +193,7 @@ func TestIndexConsistentUnderMidProbeMutation(t *testing.T) {
 	}
 	// After the probe, buckets are compacted: index and scan agree.
 	scan := tb.Scan()
-	got := rowsAt(tb, ix.Positions(), string(key))
+	got := rowsAt(tb, ix.positions, string(key))
 	if len(got) != len(scan) {
 		t.Fatalf("post-probe index has %d rows, scan %d", len(got), len(scan))
 	}
@@ -200,13 +201,15 @@ func TestIndexConsistentUnderMidProbeMutation(t *testing.T) {
 
 // FuzzTableOps decodes its input, four bytes per operation, into
 // inserts, replacements, refreshes, deletes, clock advances and FIFO
-// eviction bursts on a table with a TTL, a size bound and two secondary
-// indexes. A probe operation runs Index.Each over a live bucket and
-// issues the next one to three operations from inside the visit, one per
-// visited row, so removals hit the tombstone path and compact when the
-// probe ends; probes nest when one of those is a probe too. The probe
-// must visit only resident rows, none twice, and every index is checked
-// against a Scan after each operation, inside a visit or not.
+// eviction bursts on a table with a TTL, a size bound, two secondary
+// indexes and the primary-key index, which has no buckets of its own
+// and probes the rows map. A probe operation runs Index.Each through
+// one of the three over a live key and issues the next one to three
+// operations from inside the visit, one per visited row, so removals
+// hit the tombstone path and compact when the probe ends; probes nest
+// when one of those is a probe too. The probe must visit only resident
+// rows, none twice, and every index is checked against a Scan after
+// each operation, inside a visit or not.
 func FuzzTableOps(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 1, 0, 0, 0, 6, 0, 0, 0, 3, 1, 2, 0})
 	f.Add([]byte{5, 3, 0, 0, 6, 1, 1, 0, 6, 0, 1, 0, 1, 2, 0, 0, 4, 30, 0, 0, 2, 0, 0, 0})
@@ -214,8 +217,8 @@ func FuzzTableOps(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		clk := &propClock{}
 		tb := New("p", 40, 8, []int{0, 1}, clk)
-		ixs := []*Index{tb.EnsureIndex([]int{1}), tb.EnsureIndex([]int{2, 0})}
-		probeKeys := []map[string]bool{{}, {}}
+		ixs := []*Index{tb.EnsureIndex([]int{1}), tb.EnsureIndex([]int{2, 0}), tb.EnsureIndex([]int{0, 1})}
+		probeKeys := []map[string]bool{{}, {}, {}}
 		mk := func(a, b, c byte) *tuple.Tuple {
 			return tuple.New("p", val.Str(fmt.Sprintf("a%d", a%6)), val.Int(int64(b%4)), val.Int(int64(c%3)))
 		}
@@ -255,8 +258,8 @@ func FuzzTableOps(f *testing.F) {
 				}
 			case 6: // the next operation runs inside a live probe
 				if at := pick(a); at != nil {
-					ix := ixs[b%2]
-					key := at.AppendKey(nil, ix.Positions())
+					ix := ixs[b%3]
+					key := at.AppendKey(nil, ix.positions)
 					seen := map[*tuple.Tuple]bool{}
 					nested := int(c%3) + 1
 					ix.Each(key, func(m *tuple.Tuple) bool {

@@ -14,26 +14,29 @@
 //
 // The probe path is allocation-free: equijoins resolve an *Index handle
 // once at wiring time, then probe it with Index.Each against a scratch
-// key buffer — no signature strings, no result slices.
+// key buffer — no signature strings, no result slices. An index over
+// exactly the primary key is the primary-key map itself: it keeps no
+// buckets of its own, which would hold the same rows under the same
+// keys a second time.
 //
 // Row storage is compact: a resident row is its tuple, its expiry and
 // two intrusive insertion-order links (no container/list element, no
-// cached keys). Rows come from per-table blocks and are recycled through
-// a free list, so steady-state churn — the constant replace/expire/
-// re-derive cycle of soft state — allocates no row structs. Stored keys
-// are interned through the global symbol table, so the thousands of
-// rows across a deployment that embed the same address share one
-// backing array. Removal renders a row's keys again from its immutable
-// tuple: the rendered bytes find each map entry without allocating, and
-// interning them again returns, also without allocating, the stored key
-// string that a map write or delete needs.
+// cached keys). Rows come from per-table blocks, one row first and
+// doubling from there, and are recycled through a free list, so
+// steady-state churn — the constant replace/expire/re-derive cycle of
+// soft state — allocates no row structs. Stored keys are interned
+// through the global symbol table, so the thousands of rows across a
+// deployment that embed the same address share one backing array.
+// Removal renders a row's keys again from its immutable tuple: the
+// rendered bytes find each map entry without allocating, and interning
+// them again returns, also without allocating, the stored key string
+// that a map write or delete needs.
 package table
 
 import (
 	"math"
+	"slices"
 	"sort"
-	"strconv"
-	"strings"
 
 	"p2/internal/eventloop"
 	"p2/internal/tuple"
@@ -43,11 +46,12 @@ import (
 // Infinity marks an unbounded lifetime or size in a table declaration.
 const Infinity = math.MaxFloat64
 
-// Row blocks start small — most tables hold a handful of rows (a
-// Chord node's successor list is 4, its predecessor 1) — and double up
-// to rowBlockMax as the table proves it churns.
+// Row blocks start at one row — many tables never hold more (a Chord
+// node's predecessor, its best successor, its landmark) and most hold a
+// handful (its successor list is 4) — and double up to rowBlockMax as
+// the table proves it grows or churns.
 const (
-	rowBlockMin = 8
+	rowBlockMin = 1
 	rowBlockMax = 64
 )
 
@@ -63,8 +67,8 @@ type Table struct {
 	head, tail *row            // insertion order, oldest first (intrusive)
 	free       *row            // recycled rows, linked through row.next
 	blockLen   int             // next arena block size
-	indices    []*Index        // creation order
-	bySig      map[string]*Index
+	indices    []*Index        // secondary indexes with buckets, creation order
+	pkIndex    *Index          // the index over exactly pk, served by rows; nil until asked for
 
 	onInsert  []func(*tuple.Tuple)
 	onDelete  []func(*tuple.Tuple)
@@ -110,13 +114,16 @@ type row struct {
 
 // Index is a secondary equality index over a fixed set of field
 // positions — the handle equijoins resolve once at wiring time and
-// probe on every event. Obtained from Table.EnsureIndex.
+// probe on every event. Obtained from Table.EnsureIndex. An index over
+// exactly the primary key, in its order, keeps no buckets: its m is
+// nil and it probes the table's primary-key map, where a key names at
+// most one row.
 type Index struct {
 	tb        *Table
 	positions []int
-	m         map[string][]*row
-	dirty     []string // bucket keys tombstoned while a probe was live
-	appends   uint64   // bumped per bucket append; live probes re-read on change
+	m         map[string][]*row // nil for the primary-key index
+	dirty     []string          // bucket keys tombstoned while a probe was live
+	appends   uint64            // bumped per bucket append; live probes re-read on change
 }
 
 // New creates a table. ttl is the tuple lifetime in seconds (use
@@ -134,7 +141,6 @@ func New(name string, ttl float64, maxSize int, pk []int, clock eventloop.Clock)
 		pk:      append([]int(nil), pk...),
 		clock:   clock,
 		rows:    make(map[string]*row),
-		bySig:   make(map[string]*Index),
 	}
 }
 
@@ -462,11 +468,20 @@ func (tb *Table) Expire() int {
 // EnsureIndex returns the secondary index over the given field
 // positions, creating it (and backfilling existing rows) on first use.
 // The returned handle is stable for the table's lifetime — equijoins
-// resolve it once at wiring time and probe it directly.
+// resolve it once at wiring time and probe it directly. The primary
+// key's own positions, in its order, name the bucketless primary-key
+// index.
 func (tb *Table) EnsureIndex(positions []int) *Index {
-	sig := indexSig(positions)
-	if ix, ok := tb.bySig[sig]; ok {
-		return ix
+	if slices.Equal(positions, tb.pk) {
+		if tb.pkIndex == nil {
+			tb.pkIndex = &Index{tb: tb, positions: tb.pk}
+		}
+		return tb.pkIndex
+	}
+	for _, ix := range tb.indices { // a table has a few indexes at most
+		if slices.Equal(ix.positions, positions) {
+			return ix
+		}
 	}
 	ix := &Index{
 		tb:        tb,
@@ -479,20 +494,8 @@ func (tb *Table) EnsureIndex(positions []int) *Index {
 		ix.m[k] = append(ix.m[k], r)
 	}
 	tb.indices = append(tb.indices, ix)
-	tb.bySig[sig] = ix
 	return ix
 }
-
-func indexSig(positions []int) string {
-	parts := make([]string, len(positions))
-	for i, p := range positions {
-		parts[i] = strconv.Itoa(p)
-	}
-	return strings.Join(parts, ",")
-}
-
-// Positions returns the indexed field positions. Treat as read-only.
-func (ix *Index) Positions() []int { return ix.positions }
 
 // Table returns the table the index belongs to.
 func (ix *Index) Table() *Table { return ix.tb }
@@ -524,6 +527,14 @@ func (ix *Index) Each(key []byte, fn func(*tuple.Tuple) bool) {
 // for the key stack equijoins render into: a probe's key stays put until
 // its walk returns, and the probes downstream render past it).
 func (ix *Index) PeekEach(key []byte, fn func(*tuple.Tuple) bool) {
+	if ix.m == nil {
+		// The primary-key index: one row at most, so the visit cannot
+		// meet a row twice or one its own side effects added.
+		if r := ix.tb.rows[string(key)]; r != nil {
+			fn(r.t)
+		}
+		return
+	}
 	bucket := ix.m[string(key)]
 	end := len(bucket)
 	if end == 0 {
@@ -556,6 +567,9 @@ func (ix *Index) PeekEach(key []byte, fn func(*tuple.Tuple) bool) {
 // antijoin probe.
 func (ix *Index) Contains(key []byte) bool {
 	ix.tb.Expire()
+	if ix.m == nil {
+		return ix.tb.rows[string(key)] != nil
+	}
 	for _, r := range ix.m[string(key)] {
 		if r != nil {
 			return true

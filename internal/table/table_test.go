@@ -55,6 +55,37 @@ func TestInsertAndLookupPK(t *testing.T) {
 	}
 }
 
+// TestPrimaryKeyIndexHasNoBuckets: an index over exactly the primary
+// key is one handle served by the rows map, with no bucket map and no
+// place among the indexes a row is added to; the same positions in
+// another order are an ordinary index.
+func TestPrimaryKeyIndexHasNoBuckets(t *testing.T) {
+	tb := New("member", Infinity, 0, []int{0, 1}, eventloop.NewSim())
+	tb.Insert(member("a", 1))
+	pk := tb.EnsureIndex([]int{0, 1})
+	if again := tb.EnsureIndex(tb.PrimaryKey()); again != pk {
+		t.Fatal("EnsureIndex(pk) returned two handles")
+	}
+	if pk.m != nil || len(tb.indices) != 0 {
+		t.Fatalf("the primary-key index keeps buckets: m=%v, %d indexes", pk.m, len(tb.indices))
+	}
+	key := member("a", 1).Key([]int{0, 1})
+	if got := rowsAt(tb, []int{0, 1}, key); len(got) != 1 || !got[0].Equal(member("a", 1)) {
+		t.Fatalf("primary-key probe = %v", got)
+	}
+	if !pk.Contains([]byte(key)) || pk.Contains([]byte(member("b", 1).Key([]int{0, 1}))) {
+		t.Fatal("primary-key Contains disagrees with the rows")
+	}
+
+	swapped := tb.EnsureIndex([]int{1, 0})
+	if swapped == pk || swapped.m == nil || len(tb.indices) != 1 || tb.EnsureIndex([]int{1, 0}) != swapped {
+		t.Fatal("pk positions in another order did not get one ordinary index")
+	}
+	if got := rowsAt(tb, []int{1, 0}, member("a", 1).Key([]int{1, 0})); len(got) != 1 {
+		t.Fatalf("reordered-pk probe = %v", got)
+	}
+}
+
 func TestPrimaryKeyReplacement(t *testing.T) {
 	loop := eventloop.NewSim()
 	tb := New("member", Infinity, 0, []int{1}, loop)

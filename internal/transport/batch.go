@@ -63,7 +63,7 @@ func newBatch(tr *Transport, next batchSink, maxBytes, maxRecs, capacity int) *B
 // backlog refuses the record and reports it dropped with cause
 // BacklogOverflow — admission failure, classified like any other drop.
 func (b *Batch) push(p *peer, rec record) {
-	q := &p.q
+	q := &p.send.q
 	if b.capacity > 0 && len(q.recs) >= b.capacity {
 		b.tr.stats.QueueDrops++
 		b.tr.dropUp(p, rec.t, BacklogOverflow)
@@ -92,7 +92,7 @@ func (b *Batch) runNext() {
 		clear(b.armed[kept:])
 		b.armed, b.head = b.armed[:kept], 0
 	}
-	p.q.armed = false
+	p.send.q.armed = false
 	b.flush(p)
 }
 
@@ -102,7 +102,7 @@ func (b *Batch) flush(p *peer) {
 	if b.tr.closed {
 		return
 	}
-	q := &p.q
+	q := &p.send.q
 	for len(q.recs) > 0 {
 		// Pack from the front without consuming: a refused batch's
 		// records must stay queued. A single over-budget record still
@@ -126,7 +126,7 @@ func (b *Batch) flush(p *peer) {
 // close drops every record queued toward p, reporting each through
 // OnDrop with cause SessionClosed.
 func (b *Batch) close(p *peer) {
-	for _, rec := range p.q.recs {
+	for _, rec := range p.send.q.recs {
 		b.tr.dropUp(p, rec.t, SessionClosed)
 	}
 }

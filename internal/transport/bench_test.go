@@ -36,7 +36,7 @@ func cycle(tb testing.TB) func() {
 	return func() {
 		r.a.Send("b", msg)
 		r.loop.RunFor(0.1)
-		if r.a.InFlight("b") != 0 {
+		if inFlight(r.a, "b") != 0 {
 			tb.Fatal("the cycle did not complete")
 		}
 	}

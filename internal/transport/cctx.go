@@ -30,7 +30,7 @@ type ccState struct {
 // batch's records receive consecutive sequence numbers and the batch
 // moves down to Retry.
 func (c *CCTx) pushBatch(wb *wireBatch, pk poke) bool {
-	st := &wb.dst.cc
+	st := &wb.dst.send.cc
 	if float64(st.inflight) >= st.cwnd {
 		st.stalled = pk
 		return false
@@ -50,7 +50,10 @@ func (c *CCTx) pushBatch(wb *wireBatch, pk poke) bool {
 // clear batches whose acknowledgment was stalled behind a hole, and
 // their inflated wait times are queueing artifacts, not path RTT.
 func (c *CCTx) onAck(p *peer, cum uint64) {
-	st := &p.cc
+	if p.send == nil {
+		return // nothing was sent under this epoch, so nothing to clear
+	}
+	st := &p.send.cc
 	cleared := c.tr.rty.clear(p, cum)
 	if len(cleared) == 0 {
 		return
@@ -99,7 +102,7 @@ func (c *CCTx) sample(st *ccState, rtt float64) {
 // onTimeout applies multiplicative decrease and restarts slow start —
 // called by Retry before each retransmission.
 func (c *CCTx) onTimeout(p *peer) {
-	st := &p.cc
+	st := &p.send.cc
 	st.ssthresh = math.Max(float64(st.inflight)/2, 2)
 	st.cwnd = 1
 }
@@ -107,14 +110,14 @@ func (c *CCTx) onTimeout(p *peer) {
 // onGiveUp frees the window slot of a batch dropped after the retry
 // budget and pokes the backlog.
 func (c *CCTx) onGiveUp(p *peer) {
-	p.cc.inflight--
+	p.send.cc.inflight--
 	c.open(p)
 }
 
 // open fires p's stalled poke, if any — capacity freed, try again.
 func (c *CCTx) open(p *peer) {
-	if pk := p.cc.stalled; pk != nil {
-		p.cc.stalled = nil
+	if pk := p.send.cc.stalled; pk != nil {
+		p.send.cc.stalled = nil
 		pk(p)
 	}
 }

@@ -119,7 +119,7 @@ func TestCloseDropsAreSessionClosed(t *testing.T) {
 		r.a.Send("b", tp(i))
 	}
 	r.loop.RunFor(0) // flush: in flight + backlog, nothing acked
-	inflight, backlog := r.a.InFlight("b"), r.a.Backlog("b")
+	inflight, backlog := inFlight(r.a, "b"), dest(r.a, "b").Backlog
 	if inflight == 0 || backlog == 0 {
 		t.Fatalf("test needs both flight (%d) and backlog (%d)", inflight, backlog)
 	}
@@ -208,9 +208,9 @@ func TestCloseMidBurstUnderDupReorder(t *testing.T) {
 	}
 	// a gave up on everything b never acknowledged — classified as
 	// network failure (RetryExhausted then PeerDead), never wedged.
-	if r.a.InFlight("b") != 0 || r.a.Backlog("b") != 0 {
+	if inFlight(r.a, "b") != 0 || dest(r.a, "b").Backlog != 0 {
 		t.Fatalf("survivor wedged: inflight=%d backlog=%d",
-			r.a.InFlight("b"), r.a.Backlog("b"))
+			inFlight(r.a, "b"), dest(r.a, "b").Backlog)
 	}
 	delivered := int64(len(r.got))
 	gaveUp := int64(cr.count(RetryExhausted) + cr.count(PeerDead))

@@ -75,7 +75,7 @@ func TestReplaceEpochUnwedgesDedup(t *testing.T) {
 	if len(got) != 10 {
 		t.Fatalf("replaced incarnation delivered %d of 10 — dedup state not rebound", len(got))
 	}
-	if fl := a2.InFlight("b"); fl != 0 {
+	if fl := inFlight(a2, "b"); fl != 0 {
 		t.Fatalf("new incarnation still has %d in flight: its acks were filtered", fl)
 	}
 	if d := a2.Stats().Drops; d != 0 {
@@ -121,18 +121,18 @@ func TestStaleEpochAckIgnored(t *testing.T) {
 		r.a.Send("ghost", tp(i)) // never acked: stays in flight
 	}
 	r.loop.RunFor(0)
-	inflight := r.a.InFlight("ghost")
+	inflight := inFlight(r.a, "ghost")
 	if inflight == 0 {
 		t.Fatal("test needs flight state")
 	}
 
 	r.a.Deliver("ghost", appendAck(nil, 6<<16, 1000)) // previous incarnation
-	if got := r.a.InFlight("ghost"); got != inflight {
+	if got := inFlight(r.a, "ghost"); got != inflight {
 		t.Fatalf("stale ack cleared flight state: %d -> %d", inflight, got)
 	}
 
 	r.a.Deliver("ghost", appendAck(nil, 7<<16, 1000)) // the wire epoch of an unevicted flow
-	if got := r.a.InFlight("ghost"); got != 0 {
+	if got := inFlight(r.a, "ghost"); got != 0 {
 		t.Fatalf("current-epoch ack ignored: %d still in flight", got)
 	}
 }

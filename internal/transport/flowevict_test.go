@@ -33,7 +33,7 @@ func TestFlowIdleEvictionReclaimsState(t *testing.T) {
 	}
 	r.loop.Run(5)
 	r.assertExactlyOnce(t, 5)
-	if p := r.a.peers["b"]; p == nil || !p.sending || p.cc.nextSeq == 0 || p.acct.frames == 0 {
+	if p := r.a.peers["b"]; p == nil || p.send == nil || p.send.cc.nextSeq == 0 || p.send.acct.frames == 0 {
 		t.Fatal("test needs live flow state to reclaim")
 	}
 
@@ -97,7 +97,7 @@ func TestFlowResumesUnderFreshEpoch(t *testing.T) {
 	if got := flowEpoch(r.a, "b"); got <= oldEpoch {
 		t.Fatalf("resumed flow kept wire epoch %d (was %d), want a bump", got, oldEpoch)
 	}
-	if fl := r.a.InFlight("b"); fl != 0 {
+	if fl := inFlight(r.a, "b"); fl != 0 {
 		t.Fatalf("resumed flow has %d in flight: its acks were filtered", fl)
 	}
 	if d := r.a.Stats().Drops; d != 0 {
@@ -115,10 +115,10 @@ func TestFlowEvictionRefusedWhileInFlight(t *testing.T) {
 	r.net.Partition("a", "b", true)
 	r.a.Send("b", tp(1))
 	r.loop.RunFor(3 * cfg.FlowIdleTTL)
-	if r.a.InFlight("b") == 0 {
+	if inFlight(r.a, "b") == 0 {
 		t.Fatal("test needs a batch still in flight")
 	}
-	if p := r.a.peers["b"]; p == nil || !p.sending || len(p.rty.pend) == 0 {
+	if p := r.a.peers["b"]; p == nil || p.send == nil || len(p.send.rty.pend) == 0 {
 		t.Fatal("janitor reclaimed a flow with batches pending retransmission")
 	}
 }
@@ -132,7 +132,7 @@ func TestFlowIdleTTLDisabled(t *testing.T) {
 	r.a.Send("b", tp(1))
 	r.loop.Run(5)
 	r.loop.RunFor(10 * DefaultFlowIdleTTL)
-	if p := r.a.peers["b"]; p == nil || !p.sending || p.cc.nextSeq == 0 {
+	if p := r.a.peers["b"]; p == nil || p.send == nil || p.send.cc.nextSeq == 0 {
 		t.Fatal("flow state reclaimed despite FlowIdleTTL < 0")
 	}
 	if p := r.b.peers["a"]; p == nil || !p.receiving {

@@ -166,7 +166,7 @@ func (f *Frame) pushBatch(wb *wireBatch, _ poke) bool {
 		// flight, so the receiver can advance its cumulative counter
 		// across abandoned holes. The ledger always contains the batch
 		// being framed, so skip never reaches into it.
-		h.skip = p.rty.pend[0].first - 1
+		h.skip = p.send.rty.pend[0].first - 1
 	}
 	var hb [maxDataHeaderLen]byte // on the stack, so the datagram is allocated at its exact size
 	hdr := len(appendDataHeader(hb[:0], h))
@@ -180,7 +180,7 @@ func (f *Frame) pushBatch(wb *wireBatch, _ poke) bool {
 	n := int64(len(wb.recs))
 	tr.stats.TuplesSent += n
 	tr.stats.Frames++
-	a := &p.acct
+	a := &p.send.acct
 	a.sent += n
 	a.frames++
 	a.sentBytes += int64(len(buf))

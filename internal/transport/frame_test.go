@@ -118,7 +118,7 @@ func TestWorstCaseHeaderFitsMTU(t *testing.T) {
 	tr.Send("peer", tp(0))
 	loop.RunFor(0)
 	p.bump = 0xffff
-	p.cc.nextSeq = 1 << 63
+	p.send.cc.nextSeq = 1 << 63
 	ep.sent = nil
 	for i := int64(0); i < 2000; i++ {
 		tr.Send("peer", tp(i))

@@ -33,7 +33,7 @@ func TestReliableChainsSurvivePartition(t *testing.T) {
 			if len(r.got) != 20 {
 				t.Fatalf("pre-partition delivered %d of 20", len(r.got))
 			}
-			healthyWindow := r.a.Window("b")
+			healthyWindow := dest(r.a, "b").Cwnd
 			if healthyWindow <= cfg.WindowInit {
 				t.Fatalf("window did not grow while healthy: %v", healthyWindow)
 			}
@@ -48,7 +48,7 @@ func TestReliableChainsSurvivePartition(t *testing.T) {
 			if len(dropped) != 20 {
 				t.Fatalf("dropped %d of 20 despite partition outlasting the retry budget", len(dropped))
 			}
-			if w := r.a.Window("b"); w != 1 {
+			if w := dest(r.a, "b").Cwnd; w != 1 {
 				t.Fatalf("window = %v under partition, want collapse to 1", w)
 			}
 			if len(r.got) != 20 {
@@ -75,12 +75,12 @@ func TestReliableChainsSurvivePartition(t *testing.T) {
 				}
 				seen[v] = true
 			}
-			if w := r.a.Window("b"); w <= 1 {
+			if w := dest(r.a, "b").Cwnd; w <= 1 {
 				t.Fatalf("window did not recover after heal: %v", w)
 			}
-			if r.a.InFlight("b") != 0 || r.a.Backlog("b") != 0 {
+			if inFlight(r.a, "b") != 0 || dest(r.a, "b").Backlog != 0 {
 				t.Fatalf("stack not quiesced after heal: inflight=%d backlog=%d",
-					r.a.InFlight("b"), r.a.Backlog("b"))
+					inFlight(r.a, "b"), dest(r.a, "b").Backlog)
 			}
 		})
 	}
@@ -108,7 +108,7 @@ func TestSingleLossRetransmitsOnlyTheHole(t *testing.T) {
 	if rx := r.a.Stats().Retransmits; rx != 1 {
 		t.Fatalf("retransmits = %d, want exactly 1 (only the lost frame)", rx)
 	}
-	if r.a.InFlight("b") != 0 {
+	if inFlight(r.a, "b") != 0 {
 		t.Fatal("flight not drained after the hole healed")
 	}
 }
@@ -129,7 +129,7 @@ func TestUnreliableChainUnderPartition(t *testing.T) {
 		t.Fatal("tuples crossed the partition")
 	}
 	// Fire-and-forget: the cut must leave no state accumulating.
-	if r.a.InFlight("b") != 0 || r.a.Backlog("b") != 0 {
+	if inFlight(r.a, "b") != 0 || dest(r.a, "b").Backlog != 0 {
 		t.Fatal("unreliable chain accumulated state under partition")
 	}
 	r.net.Partition("a", "b", false)

@@ -12,8 +12,18 @@ import (
 // the deferred flush and the stalled poke are bound once per transport
 // and take the record as an argument (Batch.runNext pops it from the
 // armed FIFO; a poke is called with it), while the retransmission
-// timeout and the delayed ack are one closure per peer, built on first
-// use, capturing the record, never the address.
+// timeout (one per send half) and the delayed ack (one per record) are
+// closures built on first use, capturing the record, never the address.
+//
+// Every peer pays for the record, so it holds inline only the address,
+// the restart count and the 64-byte receive half, which two records in
+// three carry at Chord+KV set-up. The send half (backlog, window and
+// RTT estimate, retransmission ledger, wire accounting) is three times
+// that size and more than a third of the records never have one: the
+// peer sends this node data and gets acks, and nothing else. So it is
+// a *sendHalf that Send makes on first use and reclaimSend drops; a
+// record without one reports the initial window and RTO and zero
+// counters, as a fresh half would.
 //
 // A record's lifetime is one rule, enforced by reclaimSend and sweep:
 //
@@ -41,20 +51,22 @@ import (
 //     must never go backwards: 16 bits per peer ever contacted.
 type peer struct {
 	addr string
-
-	// Send half; sending is set by Send and cleared by reclaimSend.
-	sending bool
-	sentAt  float64 // loop time of the most recent Send toward the peer
-	bump    uint16  // flow restarts; low half of the wire epoch
-	q       sendQueue
-	cc      ccState
-	rty     destRetry
-	acct    destAcct
+	send *sendHalf // nil until Send, and again after reclaimSend
+	bump uint16    // flow restarts; low half of the wire epoch
 
 	// Receive half; receiving is set by the first data frame and
 	// cleared by sweep.
 	receiving bool
 	rcv       recvState
+}
+
+// sendHalf is the sender-side state toward one peer.
+type sendHalf struct {
+	sentAt float64 // loop time of the most recent Send toward the peer
+	q      sendQueue
+	cc     ccState
+	rty    destRetry
+	acct   destAcct
 }
 
 // peer returns (creating if needed) the record for addr.
@@ -63,7 +75,6 @@ func (tr *Transport) peer(addr string) *peer {
 	if p == nil {
 		p = &peer{addr: addr, bump: tr.retired[addr]}
 		delete(tr.retired, addr)
-		tr.resetSend(p)
 		tr.peers[addr] = p
 		i, _ := slices.BinarySearchFunc(tr.order, addr, func(o *peer, a string) int { return strings.Compare(o.addr, a) })
 		tr.order = slices.Insert(tr.order, i, p)
@@ -71,31 +82,22 @@ func (tr *Transport) peer(addr string) *peer {
 	return p
 }
 
-// resetSend puts the send half in its initial state. The timeout
-// closure survives: it captures the record, which is reset in place.
-func (tr *Transport) resetSend(p *peer) {
-	p.sending = false
-	p.q = sendQueue{}
-	p.cc = ccState{cwnd: tr.cfg.WindowInit, ssthresh: windowMax, rto: tr.cfg.InitialRTO}
-	p.rty = destRetry{timeoutFn: p.rty.timeoutFn}
-	p.acct = destAcct{}
-}
-
 // reclaimSend applies the send-half rule to a peer idle past the TTL;
 // it refuses (the janitor simply retries next sweep) while anything
 // toward the peer is live, or when the flow-epoch space is exhausted.
 func (tr *Transport) reclaimSend(p *peer) {
-	if len(p.q.recs) > 0 || p.q.armed || len(p.rty.pend) > 0 || p.rty.timer != nil ||
-		p.cc.inflight > 0 || p.cc.stalled != nil {
+	s := p.send
+	if len(s.q.recs) > 0 || s.q.armed || len(s.rty.pend) > 0 || s.rty.timer != nil ||
+		s.cc.inflight > 0 || s.cc.stalled != nil {
 		return
 	}
-	if p.cc.nextSeq > 0 {
+	if s.cc.nextSeq > 0 {
 		if p.bump == 0xffff {
 			return // keep the state instead
 		}
 		p.bump++
 	}
-	tr.resetSend(p)
+	p.send = nil
 }
 
 // armJanitor schedules the flow sweep if one is not already pending.
@@ -119,13 +121,13 @@ func (tr *Transport) sweep() {
 	now := tr.loop.Now()
 	kept := tr.order[:0]
 	for _, p := range tr.order {
-		if p.sending && now-p.sentAt >= ttl {
+		if p.send != nil && now-p.send.sentAt >= ttl {
 			tr.reclaimSend(p)
 		}
 		if p.receiving && now-p.rcv.lastAt >= recvTTL && !p.rcv.ackPending && !p.rcv.ackArmed {
 			p.receiving, p.rcv = false, recvState{}
 		}
-		if p.sending || p.receiving {
+		if p.send != nil || p.receiving {
 			kept = append(kept, p)
 			continue
 		}

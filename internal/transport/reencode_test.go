@@ -180,10 +180,10 @@ func TestBacklogBoundedPerPeer(t *testing.T) {
 	total := 0
 	for p := 0; p < peers; p++ {
 		to := fmt.Sprint("ghost", p)
-		if got := tr.Backlog(to); got != queueCap {
+		if got := dest(tr, to).Backlog; got != queueCap {
 			t.Fatalf("backlog toward %s = %d, want QueueCap %d", to, got, queueCap)
 		}
-		total += tr.Backlog(to) + tr.InFlight(to)
+		total += dest(tr, to).Backlog + inFlight(tr, to)
 	}
 	for tu, n := range dropped {
 		if n != 1 {

@@ -60,9 +60,10 @@ type Retry struct {
 // destination's timer is armed.
 func (r *Retry) pushBatch(wb *wireBatch, _ poke) bool {
 	p := wb.dst
-	p.rty.pend = append(p.rty.pend, wb)
+	d := &p.send.rty
+	d.pend = append(d.pend, wb)
 	r.next.pushBatch(wb, nil)
-	if p.rty.timer == nil {
+	if d.timer == nil {
 		r.arm(p)
 	}
 	return true
@@ -72,7 +73,7 @@ func (r *Retry) pushBatch(wb *wireBatch, _ poke) bool {
 // The disarmed timer's struct is released to the loop's pool — acks
 // re-arm on every cleared batch, so this path churns constantly.
 func (r *Retry) arm(p *peer) {
-	d := &p.rty
+	d := &p.send.rty
 	if d.timer != nil {
 		d.timer.CancelFree()
 		d.timer = nil
@@ -87,7 +88,7 @@ func (r *Retry) arm(p *peer) {
 	// the cap also bounds the whole episode to MaxRTO*(MaxRetries+1)
 	// seconds, which is what lets the receive side forget idle flows on
 	// a schedule no late retransmission can outrun.
-	delay := math.Min(p.cc.rto*math.Pow(2, float64(d.pend[0].retries)), r.tr.cfg.MaxRTO)
+	delay := math.Min(p.send.cc.rto*math.Pow(2, float64(d.pend[0].retries)), r.tr.cfg.MaxRTO)
 	d.timer = r.tr.loop.After(delay, d.timeoutFn)
 }
 
@@ -97,7 +98,7 @@ func (r *Retry) onTimeout(p *peer) {
 	if r.tr.closed {
 		return
 	}
-	d := &p.rty
+	d := &p.send.rty
 	d.timer = nil
 	if len(d.pend) == 0 {
 		return
@@ -133,7 +134,7 @@ func (r *Retry) onTimeout(p *peer) {
 // sequence order, and re-arms the timer for whatever is left. The
 // returned slice is Retry's own, valid until the next clear.
 func (r *Retry) clear(p *peer, cum uint64) []*wireBatch {
-	d := &p.rty
+	d := &p.send.rty
 	n := 0
 	for n < len(d.pend) && d.pend[n].last() <= cum {
 		n++
@@ -152,10 +153,11 @@ func (r *Retry) clear(p *peer, cum uint64) []*wireBatch {
 // cause SessionClosed — teardown is not a retry failure, and must never
 // masquerade as one.
 func (r *Retry) close(p *peer) {
-	if p.rty.timer != nil {
-		p.rty.timer.Cancel()
+	d := &p.send.rty
+	if d.timer != nil {
+		d.timer.Cancel()
 	}
-	for _, wb := range p.rty.pend {
+	for _, wb := range d.pend {
 		for _, rec := range wb.recs {
 			r.tr.dropUp(p, rec.t, SessionClosed)
 		}

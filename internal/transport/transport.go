@@ -357,25 +357,27 @@ func (tr *Transport) Stats() Stats { return tr.stats }
 func (tr *Transport) Config() Config { return tr.cfg }
 
 // Send queues t for delivery to the given address through the send
-// chain. It stamps the peer's send-path activity clock; a flow resuming
-// after sitting idle past the TTL is reclaimed first — right here, not
-// just by the janitor — so a resumed flow always starts under a fresh
-// epoch instead of continuing a sequence space the peer may have
-// forgotten.
+// chain, making the peer's send half if it has none. It stamps the
+// peer's send-path activity clock; a flow resuming after sitting idle
+// past the TTL is reclaimed first — right here, not just by the janitor
+// — so a resumed flow always starts under a fresh epoch instead of
+// continuing a sequence space the peer may have forgotten.
 func (tr *Transport) Send(to string, t *tuple.Tuple) {
 	if tr.closed {
 		return
 	}
 	p := tr.peer(to)
-	if ttl := tr.cfg.flowTTL(); ttl > 0 {
-		now := tr.loop.Now()
-		if p.sending && now-p.sentAt >= ttl {
-			tr.reclaimSend(p)
-		}
-		p.sentAt = now
+	ttl, now := tr.cfg.flowTTL(), tr.loop.Now()
+	if ttl > 0 && p.send != nil && now-p.send.sentAt >= ttl {
+		tr.reclaimSend(p)
+	}
+	if p.send == nil {
+		p.send = &sendHalf{cc: ccState{cwnd: tr.cfg.WindowInit, ssthresh: windowMax, rto: tr.cfg.InitialRTO}}
+	}
+	p.send.sentAt = now
+	if ttl > 0 {
 		tr.armJanitor()
 	}
-	p.sending = true
 	tr.ser.push(p, t)
 }
 
@@ -396,11 +398,15 @@ func (tr *Transport) Close() {
 	tr.closed = true
 	if tr.rty != nil {
 		for _, p := range tr.order {
-			tr.rty.close(p)
+			if p.send != nil {
+				tr.rty.close(p)
+			}
 		}
 	}
 	for _, p := range tr.order {
-		tr.bat.close(p)
+		if p.send != nil {
+			tr.bat.close(p)
+		}
 		if p.rcv.ackTimer != nil {
 			p.rcv.ackTimer.Cancel()
 		}
@@ -417,7 +423,7 @@ func (tr *Transport) Close() {
 // and per-destination cause vectors before the application upcall.
 func (tr *Transport) dropUp(p *peer, t *tuple.Tuple, cause DropCause) {
 	tr.stats.Dropped[cause]++
-	p.acct.drops[cause]++
+	p.send.acct.drops[cause]++
 	if tr.onDrop != nil {
 		tr.onDrop(p.addr, t, cause)
 	}
@@ -467,54 +473,18 @@ func (tr *Transport) PerDest() []DestStats {
 func (tr *Transport) PerDestInto(out []DestStats) []DestStats {
 	out = out[:0]
 	for _, p := range tr.order {
-		a := &p.acct
-		st := DestStats{
-			Addr: p.addr, Sent: a.sent, Recvd: p.rcv.recvd, Bytes: a.sentBytes,
-			Retries: a.retries, Frames: a.frames, Cwnd: p.cc.cwnd, RTO: p.cc.rto,
-			Backlog: len(p.q.recs), Drops: a.drops,
-		}
-		if a.frames > 0 {
-			st.BatchFill = float64(a.sent) / float64(a.frames)
+		st := DestStats{Addr: p.addr, Recvd: p.rcv.recvd, Cwnd: tr.cfg.WindowInit, RTO: tr.cfg.InitialRTO}
+		if s := p.send; s != nil {
+			a := &s.acct
+			st.Sent, st.Bytes, st.Retries, st.Frames, st.Drops = a.sent, a.sentBytes, a.retries, a.frames, a.drops
+			st.Cwnd, st.RTO, st.Backlog = s.cc.cwnd, s.cc.rto, len(s.q.recs)
+			if a.frames > 0 {
+				st.BatchFill = float64(a.sent) / float64(a.frames)
+			}
 		}
 		out = append(out, st)
 	}
 	return out
-}
-
-// Window reports the current congestion window toward to — exposed for
-// tests and the olgc inspector.
-func (tr *Transport) Window(to string) float64 {
-	if p := tr.peers[to]; p != nil {
-		return p.cc.cwnd
-	}
-	return tr.cfg.WindowInit
-}
-
-// RTO reports the current retransmission timeout toward to.
-func (tr *Transport) RTO(to string) float64 {
-	if p := tr.peers[to]; p != nil {
-		return p.cc.rto
-	}
-	return tr.cfg.InitialRTO
-}
-
-// InFlight reports unacknowledged tuples toward to.
-func (tr *Transport) InFlight(to string) int {
-	n := 0
-	if p := tr.peers[to]; p != nil {
-		for _, wb := range p.rty.pend {
-			n += len(wb.recs)
-		}
-	}
-	return n
-}
-
-// Backlog reports tuples queued toward to behind the congestion window.
-func (tr *Transport) Backlog(to string) int {
-	if p := tr.peers[to]; p != nil {
-		return len(p.q.recs)
-	}
-	return 0
 }
 
 // String summarizes transport state for diagnostics: the composed

@@ -54,6 +54,28 @@ func newRig(t testing.TB, loss float64, cfg Config) *rig {
 	return r
 }
 
+// dest is tr's PerDest row for to, or the row of a peer it holds no
+// state for.
+func dest(tr *Transport, to string) DestStats {
+	for _, d := range tr.PerDest() {
+		if d.Addr == to {
+			return d
+		}
+	}
+	return DestStats{Addr: to, Cwnd: tr.cfg.WindowInit, RTO: tr.cfg.InitialRTO}
+}
+
+// inFlight counts the unacknowledged records toward to.
+func inFlight(tr *Transport, to string) int {
+	n := 0
+	if p := tr.peers[to]; p != nil && p.send != nil {
+		for _, wb := range p.send.rty.pend {
+			n += len(wb.recs)
+		}
+	}
+	return n
+}
+
 // sendSpread submits n tuples from a toward to, spaced dt apart, so
 // they cannot all coalesce into one datagram.
 func (r *rig) sendSpread(to string, n int, dt float64) {
@@ -230,7 +252,7 @@ func TestGiveUpAfterRetries(t *testing.T) {
 	if tr.Stats().Drops != 1 {
 		t.Fatal("drop counter wrong")
 	}
-	if tr.InFlight("ghost") != 0 {
+	if inFlight(tr, "ghost") != 0 {
 		t.Fatal("inflight must be cleared after giving up")
 	}
 }
@@ -239,18 +261,18 @@ func TestCongestionWindowGrowsAndShrinks(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.NoBatch = true // several datagrams in flight grow the window faster
 	r := newRig(t, 0, cfg)
-	w0 := r.a.Window("b")
+	w0 := dest(r.a, "b").Cwnd
 	r.sendSpread("b", 40, 0.01)
 	r.loop.Run(30)
-	if r.a.Window("b") <= w0 {
-		t.Fatalf("window did not grow: %v -> %v", w0, r.a.Window("b"))
+	if dest(r.a, "b").Cwnd <= w0 {
+		t.Fatalf("window did not grow: %v -> %v", w0, dest(r.a, "b").Cwnd)
 	}
-	grown := r.a.Window("b")
+	grown := dest(r.a, "b").Cwnd
 	// Sends into a black hole must collapse that window via timeouts.
 	r.a.Send("ghost", tp(1))
 	r.loop.Run(100)
-	if r.a.Window("ghost") >= grown {
-		t.Fatalf("timeout should shrink ghost window: %v", r.a.Window("ghost"))
+	if dest(r.a, "ghost").Cwnd >= grown {
+		t.Fatalf("timeout should shrink ghost window: %v", dest(r.a, "ghost").Cwnd)
 	}
 }
 
@@ -262,12 +284,12 @@ func TestWindowLimitsInFlight(t *testing.T) {
 		r.a.Send("b", tp(i))
 	}
 	r.loop.RunFor(0) // run the deferred flush only: no time for acks
-	inflight := r.a.InFlight("b")
+	inflight := inFlight(r.a, "b")
 	if float64(inflight) > cfg.WindowInit {
 		t.Fatalf("inflight %d exceeds initial window %v", inflight, cfg.WindowInit)
 	}
-	if r.a.Backlog("b") != 200-inflight {
-		t.Fatalf("backlog = %d, want %d", r.a.Backlog("b"), 200-inflight)
+	if dest(r.a, "b").Backlog != 200-inflight {
+		t.Fatalf("backlog = %d, want %d", dest(r.a, "b").Backlog, 200-inflight)
 	}
 	r.loop.Run(60)
 	r.assertExactlyOnce(t, 200)
@@ -291,10 +313,10 @@ func TestBacklogOverflowDrops(t *testing.T) {
 
 func TestRTOAdaptsToRTT(t *testing.T) {
 	r := newRig(t, 0, DefaultConfig())
-	before := r.a.RTO("b")
+	before := dest(r.a, "b").RTO
 	r.sendSpread("b", 20, 0.2)
 	r.loop.Run(30)
-	after := r.a.RTO("b")
+	after := dest(r.a, "b").RTO
 	// Intra-domain RTT is a few ms (plus the delayed-ack wait); the RTO
 	// should fall from the initial 1 s to the configured floor.
 	if after >= before {
@@ -367,7 +389,7 @@ func TestUnreliableMode(t *testing.T) {
 	if r.b.Stats().AcksSent != 0 || r.b.Stats().AcksPiggybacked != 0 {
 		t.Fatal("unreliable chain must not ack")
 	}
-	if r.a.InFlight("b") != 0 {
+	if inFlight(r.a, "b") != 0 {
 		t.Fatal("unreliable chain must not track flight state")
 	}
 	// The unreliable chain still batches.
@@ -466,7 +488,7 @@ func TestCloseDropsBacklogAndInflight(t *testing.T) {
 		r.a.Send("b", tp(i))
 	}
 	r.loop.RunFor(0) // flush: 4 in flight, 6 backlogged, none acked yet
-	inflight, backlog := r.a.InFlight("b"), r.a.Backlog("b")
+	inflight, backlog := inFlight(r.a, "b"), dest(r.a, "b").Backlog
 	if inflight == 0 || backlog == 0 {
 		t.Fatalf("test needs both flight (%d) and backlog (%d)", inflight, backlog)
 	}

@@ -15,7 +15,7 @@ package val
 //   - Concurrency: tuples are decoded on every shard loop (and every
 //     UDP node loop) at once, so the table is sharded by hash with one
 //     RWMutex per shard; the steady state (string already present) is
-//     a read-lock and a map probe.
+//     a read-lock and a probe.
 //   - Boundedness: soft state means unbounded distinct strings over a
 //     long run (event IDs, timestamps rendered to strings). Interning
 //     is therefore best-effort: only strings up to internMaxLen enter,
@@ -26,8 +26,17 @@ package val
 //     interned and uninterned values compare, hash, render, and
 //     marshal identically. Nothing observable depends on interning;
 //     the regression suite pins this across table replace/expire/evict.
+//   - Footprint: a shard is a set, not a map from a string to itself,
+//     so it is one open-addressed []string, at most 3/4 full, probed
+//     linearly from the hash InternBytes computes anyway: a slot is 16
+//     bytes on 64-bit, where a map[string]string slot is 32 and a
+//     control byte. The empty string never enters (InternBytes returns
+//     it directly), so it marks a free slot.
 
-import "sync"
+import (
+	"sync"
+	"unsafe"
+)
 
 const (
 	internShardBits = 6
@@ -39,50 +48,97 @@ const (
 	// internShardCap bounds one shard's table; at 64 shards the whole
 	// interner holds at most ~1M entries before shards start flushing.
 	internShardCap = 1 << 14
+	// internMinSlots is a shard's table size at start and after a flush.
+	internMinSlots = 16
 )
 
+// internShard is one shard's set: slots holds each admitted string at
+// the first free slot at or after hash>>internShardBits (mod its
+// length, a power of two), and n counts them.
 type internShard struct {
-	mu sync.RWMutex
-	m  map[string]string
+	mu    sync.RWMutex
+	slots []string
+	n     int
 }
 
 var interner [internShards]internShard
 
 func init() {
 	for i := range interner {
-		interner[i].m = make(map[string]string)
+		interner[i].reset()
 	}
+}
+
+// reset empties the shard: the flush, and its state at start.
+func (sh *internShard) reset() {
+	sh.slots, sh.n = make([]string, internMinSlots), 0
+}
+
+// internHash is the FNV-1a hash of b: its low internShardBits pick the
+// shard and the rest the home slot within it.
+func internHash(b []byte) uint32 {
+	h := uint32(2166136261)
+	for _, c := range b {
+		h ^= uint32(c)
+		h *= 16777619
+	}
+	return h
+}
+
+// find returns the slot holding b, or the free slot where b would go.
+// The caller holds sh.mu.
+func (sh *internShard) find(b []byte, h uint32) int {
+	mask := len(sh.slots) - 1
+	i := int(h>>internShardBits) & mask
+	for sh.slots[i] != "" && sh.slots[i] != string(b) {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// add admits s, a copy of b that is not present, under b's hash h: it
+// flushes a full shard and doubles a table that would pass 3/4 load.
+// The caller holds sh.mu for writing.
+func (sh *internShard) add(s string, b []byte, h uint32) {
+	switch {
+	case sh.n >= internShardCap:
+		sh.reset()
+	case 4*(sh.n+1) > 3*len(sh.slots):
+		old := sh.slots
+		sh.slots = make([]string, 2*len(old))
+		for _, o := range old {
+			if o != "" {
+				ob := unsafe.Slice(unsafe.StringData(o), len(o)) // read only
+				sh.slots[sh.find(ob, internHash(ob))] = o
+			}
+		}
+	}
+	sh.slots[sh.find(b, h)] = s
+	sh.n++
 }
 
 // InternBytes returns the canonical copy of b's bytes: byte-equal to b,
 // shared with every other caller that presented the same bytes. Strings
 // too long for the table return as a private copy. The common hit path
-// probes the shard map via map[string(b)] — which Go compiles without
+// compares slots against string(b) — which Go compiles without
 // materializing a string — so re-rendering an already-interned key
 // allocates nothing. Only a genuinely new byte sequence is copied.
 func InternBytes(b []byte) string {
 	if len(b) == 0 || len(b) > internMaxLen {
 		return string(b)
 	}
-	h := uint32(2166136261) // FNV-1a, folded to a shard index
-	for _, c := range b {
-		h ^= uint32(c)
-		h *= 16777619
-	}
+	h := internHash(b)
 	sh := &interner[h&(internShards-1)]
 	sh.mu.RLock()
-	c, ok := sh.m[string(b)]
+	c := sh.slots[sh.find(b, h)]
 	sh.mu.RUnlock()
-	if ok {
+	if c != "" {
 		return c
 	}
 	s := string(b)
 	sh.mu.Lock()
-	if c, ok = sh.m[s]; !ok {
-		if len(sh.m) >= internShardCap {
-			sh.m = make(map[string]string)
-		}
-		sh.m[s] = s
+	if c = sh.slots[sh.find(b, h)]; c == "" {
+		sh.add(s, b, h)
 		c = s
 	}
 	sh.mu.Unlock()
@@ -96,8 +152,8 @@ func InternStats() (entries int, bytes int64) {
 	for i := range interner {
 		sh := &interner[i]
 		sh.mu.RLock()
-		entries += len(sh.m)
-		for s := range sh.m {
+		entries += sh.n
+		for _, s := range sh.slots {
 			bytes += int64(len(s))
 		}
 		sh.mu.RUnlock()

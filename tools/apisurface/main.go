@@ -12,9 +12,10 @@
 // tool dependency-free: signatures are printed exactly as declared,
 // unexported struct fields and interface methods are elided, and
 // everything is sorted so the output is stable across file moves. An
-// alias of a struct declared elsewhere in the module (type X = pkg.Y)
-// is followed to Y's declaration and printed with Y's exported fields,
-// so removing a field behind an alias shows in the diff too.
+// alias of a type declared elsewhere in the module (type X = pkg.Y) is
+// followed to Y's declaration: a struct is printed with Y's exported
+// fields, and each of Y's exported methods gets a line of its own, so
+// removing a field or a method behind an alias shows in the diff too.
 package main
 
 import (
@@ -114,12 +115,18 @@ func parseDir(fset *token.FileSet, dir string) (map[string]*ast.Package, error) 
 }
 
 // module resolves import paths inside the module that holds the dumped
-// package to the struct types they declare.
+// package to the types they declare.
 type module struct {
-	fset    *token.FileSet
-	path    string                                // module path, from go.mod
-	root    string                                // directory holding go.mod
-	structs map[string]map[string]*ast.StructType // import path → type name → struct
+	fset *token.FileSet
+	path string                           // module path, from go.mod
+	root string                           // directory holding go.mod
+	pkgs map[string]map[string]*typeDecls // import path → type name → declarations
+}
+
+// typeDecls is what one named type of a module package declares.
+type typeDecls struct {
+	st      *ast.StructType // nil unless the type is a struct
+	methods []*ast.FuncDecl // exported methods
 }
 
 // findModule walks up from dir to the nearest go.mod.
@@ -133,7 +140,7 @@ func findModule(fset *token.FileSet, dir string) (*module, error) {
 			for _, line := range strings.Split(string(data), "\n") {
 				if f := strings.Fields(line); len(f) == 2 && f[0] == "module" {
 					return &module{fset: fset, path: f[1], root: d,
-						structs: make(map[string]map[string]*ast.StructType)}, nil
+						pkgs: make(map[string]map[string]*typeDecls)}, nil
 				}
 			}
 			return nil, fmt.Errorf("%s/go.mod names no module", d)
@@ -146,9 +153,9 @@ func findModule(fset *token.FileSet, dir string) (*module, error) {
 	}
 }
 
-// aliasedStruct returns the struct that an alias's target sel names, or
-// nil when sel is not a struct declared in this module.
-func (m *module) aliasedStruct(file *ast.File, sel *ast.SelectorExpr) *ast.StructType {
+// aliased returns the declarations of the type an alias's target sel
+// names, or nil when sel is not a type declared in this module.
+func (m *module) aliased(file *ast.File, sel *ast.SelectorExpr) *typeDecls {
 	pkg, ok := sel.X.(*ast.Ident)
 	if !ok {
 		return nil
@@ -169,14 +176,14 @@ func (m *module) aliasedStruct(file *ast.File, sel *ast.SelectorExpr) *ast.Struc
 	return nil
 }
 
-// load parses the module package at ipath once and indexes its struct
-// declarations by name.
-func (m *module) load(ipath string) map[string]*ast.StructType {
-	if s, ok := m.structs[ipath]; ok {
+// load parses the module package at ipath once and indexes its type
+// declarations and their exported methods by type name.
+func (m *module) load(ipath string) map[string]*typeDecls {
+	if s, ok := m.pkgs[ipath]; ok {
 		return s
 	}
-	s := make(map[string]*ast.StructType)
-	m.structs[ipath] = s
+	s := make(map[string]*typeDecls)
+	m.pkgs[ipath] = s
 	rel, ok := strings.CutPrefix(ipath, m.path+"/")
 	if !ok {
 		return s
@@ -185,17 +192,33 @@ func (m *module) load(ipath string) map[string]*ast.StructType {
 	if err != nil {
 		fatal("%v", err)
 	}
+	decls := func(name string) *typeDecls {
+		if s[name] == nil {
+			s[name] = &typeDecls{}
+		}
+		return s[name]
+	}
 	for _, pkg := range pkgs {
 		for _, file := range pkg.Files {
 			for _, decl := range file.Decls {
-				gd, ok := decl.(*ast.GenDecl)
-				if !ok || gd.Tok != token.TYPE {
-					continue
-				}
-				for _, spec := range gd.Specs {
-					ts := spec.(*ast.TypeSpec)
-					if st, ok := ts.Type.(*ast.StructType); ok && ts.Assign == 0 {
-						s[ts.Name.Name] = st
+				switch d := decl.(type) {
+				case *ast.FuncDecl:
+					if d.Recv != nil && d.Name.IsExported() {
+						if name := recvName(d.Recv); name != "" {
+							decls(name).methods = append(decls(name).methods, d)
+						}
+					}
+				case *ast.GenDecl:
+					if d.Tok != token.TYPE {
+						continue
+					}
+					for _, spec := range d.Specs {
+						ts := spec.(*ast.TypeSpec)
+						if ts.Assign != 0 {
+							continue
+						}
+						td := decls(ts.Name.Name)
+						td.st, _ = ts.Type.(*ast.StructType)
 					}
 				}
 			}
@@ -241,12 +264,21 @@ func declLines(mod *module, file *ast.File, decl ast.Decl) []string {
 				ts.Doc, ts.Comment = nil, nil
 				ts.Type = elideUnexported(s.Type)
 				line := render(fset, &ast.GenDecl{Tok: token.TYPE, Specs: []ast.Spec{&ts}})
+				var methods []*ast.FuncDecl
 				if sel, ok := s.Type.(*ast.SelectorExpr); ok && s.Assign != 0 {
-					if st := mod.aliasedStruct(file, sel); st != nil {
-						line += " " + render(fset, elideUnexported(st))
+					if td := mod.aliased(file, sel); td != nil {
+						if td.st != nil {
+							line += " " + render(fset, elideUnexported(td.st))
+						}
+						methods = td.methods
 					}
 				}
 				out = append(out, line)
+				for _, m := range methods {
+					fn := *m
+					fn.Doc, fn.Body = nil, nil
+					out = append(out, "alias "+s.Name.Name+": "+render(fset, &fn))
+				}
 			}
 		}
 		return out
@@ -257,8 +289,14 @@ func declLines(mod *module, file *ast.File, decl ast.Decl) []string {
 // exportedRecv reports whether a method receiver names an exported
 // type.
 func exportedRecv(recv *ast.FieldList) bool {
+	return ast.IsExported(recvName(recv))
+}
+
+// recvName returns the name of the type a method receiver names, or ""
+// when it names none.
+func recvName(recv *ast.FieldList) string {
 	if len(recv.List) != 1 {
-		return false
+		return ""
 	}
 	t := recv.List[0].Type
 	for {
@@ -267,10 +305,12 @@ func exportedRecv(recv *ast.FieldList) bool {
 			t = x.X
 		case *ast.IndexExpr:
 			t = x.X
+		case *ast.IndexListExpr:
+			t = x.X
 		case *ast.Ident:
-			return x.IsExported()
+			return x.Name
 		default:
-			return false
+			return ""
 		}
 	}
 }

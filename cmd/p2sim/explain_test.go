@@ -32,6 +32,11 @@ var update = flag.Bool("update", false, "rewrite every golden plan under testdat
 //	go test ./cmd/p2sim -run TestExplainChordMatchesGolden -update
 func TestExplainChordMatchesGolden(t *testing.T) {
 	empty := planner.MustCompile(overlog.MustParse(""), nil)
+	narada := compile(t, overlays.NaradaSource)
+	naradaMulticast := compile(t, overlays.NaradaSource, overlays.MeshMulticastSource)
+	gossip := compile(t, overlays.GossipSource)
+	linkstate := compile(t, overlays.LinkStateSource)
+	pingpong := compile(t, overlays.PingPongSource)
 	queueCap := transport.DefaultConfig().QueueCap
 	cases := []struct {
 		name string
@@ -59,11 +64,11 @@ func TestExplainChordMatchesGolden(t *testing.T) {
 			}
 			return p.String()
 		}},
-		{"narada", func() string { return overlays.NaradaPlan(nil).String() }},
-		{"narada+multicast", func() string { return overlays.NaradaMulticastPlan(nil).String() }},
-		{"gossip", func() string { return overlays.GossipPlan(nil).String() }},
-		{"linkstate", func() string { return overlays.LinkStatePlan(nil).String() }},
-		{"pingpong", func() string { return overlays.PingPongPlan(nil).String() }},
+		{"narada", narada.String},
+		{"narada+multicast", naradaMulticast.String},
+		{"gossip", gossip.String},
+		{"linkstate", linkstate.String},
+		{"pingpong", pingpong.String},
 	}
 	for _, c := range []struct {
 		name string
@@ -71,11 +76,11 @@ func TestExplainChordMatchesGolden(t *testing.T) {
 	}{
 		{"chord", overlays.ChordPlan(nil)},
 		{"chordkv", overlays.ChordKVPlan(nil)},
-		{"narada", overlays.NaradaPlan(nil)},
-		{"narada+multicast", overlays.NaradaMulticastPlan(nil)},
-		{"gossip", overlays.GossipPlan(nil)},
-		{"linkstate", overlays.LinkStatePlan(nil)},
-		{"pingpong", overlays.PingPongPlan(nil)},
+		{"narada", narada},
+		{"narada+multicast", naradaMulticast},
+		{"gossip", gossip},
+		{"linkstate", linkstate},
+		{"pingpong", pingpong},
 	} {
 		cases = append(cases, struct {
 			name string
@@ -107,4 +112,27 @@ func TestExplainChordMatchesGolden(t *testing.T) {
 			}
 		})
 	}
+}
+
+// compile parses each source, merges them into one program and compiles
+// it with no define overrides.
+func compile(t *testing.T, srcs ...string) *planner.Plan {
+	t.Helper()
+	var progs []*overlog.Program
+	for _, src := range srcs {
+		prog, err := overlog.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		progs = append(progs, prog)
+	}
+	merged, err := overlog.Merge(progs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := planner.Compile(merged, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan
 }

@@ -356,28 +356,23 @@ func emitAppended(c *Ctx, b *Base, event *tuple.Tuple, v val.Value) {
 	b.PushOut(c, out)
 }
 
-// aggState accumulates one table-aggregate group.
+// aggState accumulates one COUNT/SUM/AVG table-aggregate group;
+// exemplar aggregates (MIN/MAX) keep no accumulator and are recomputed
+// from the table.
 type aggState struct {
 	group []val.Value
-	best  val.Value
 	sum   float64
 	count int64
 }
 
 func (s *aggState) add(fn AggFunc, v val.Value) {
 	s.count++
-	switch fn {
-	case AggMin, AggMax:
-		if s.best.IsNull() || improves(fn, v, s.best) {
-			s.best = v
-		}
-	case AggSum, AggAvg:
+	if fn == AggSum || fn == AggAvg {
 		s.sum += v.AsFloat()
 	}
 }
 
-// remove retracts one accumulated value (COUNT/SUM/AVG only; exemplar
-// aggregates are recomputed from the table, never retracted).
+// remove retracts one accumulated value.
 func (s *aggState) remove(fn AggFunc, v val.Value) {
 	s.count--
 	if fn == AggSum || fn == AggAvg {
@@ -391,13 +386,11 @@ func (s *aggState) result(fn AggFunc) val.Value {
 		return val.Int(s.count)
 	case AggSum:
 		return val.Float(s.sum)
-	case AggAvg:
+	default:
 		if s.count == 0 {
 			return val.Null
 		}
 		return val.Float(s.sum / float64(s.count))
-	default:
-		return s.best
 	}
 }
 

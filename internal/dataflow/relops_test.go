@@ -420,7 +420,7 @@ func TestHandWiredRuleStrand(t *testing.T) {
 		if m.Name() != "member" || m.Field(1).AsStr() != "n1" || m.Field(2).AsInt() != 8 {
 			t.Fatalf("bad member tuple %v", m)
 		}
-		if m.Field(3).AsTime() != 3.5 || !m.Field(4).AsBool() {
+		if m.Field(3).AsFloat() != 3.5 || !m.Field(4).AsBool() {
 			t.Fatalf("timestamp/liveness wrong: %v", m)
 		}
 		if m.Field(0).AsStr() != "n2" && m.Field(0).AsStr() != "n3" {

@@ -418,9 +418,6 @@ func (n *Node) Stop() {
 	}
 }
 
-// Running reports whether the node has started and not stopped.
-func (n *Node) Running() bool { return n.started && !n.stopped }
-
 // AddFact injects a tuple as if declared as a fact — used to hand a
 // node its landmark, environment rows, etc. Valid after Start.
 func (n *Node) AddFact(name string, fields ...val.Value) {

@@ -333,8 +333,8 @@ func TestStopSilencesNode(t *testing.T) {
 	if len(*ticks) != n {
 		t.Fatal("stopped node still ticking")
 	}
-	if r.nodes["a"].Running() {
-		t.Fatal("Running() after stop")
+	if n := r.nodes["a"]; n.started && !n.stopped {
+		t.Fatal("running after stop")
 	}
 }
 

@@ -399,17 +399,6 @@ func (s *Sim) next(limit float64) (func(), bool) {
 	return s.popDue(limit)
 }
 
-// Step fires the next pending event, advancing virtual time. It reports
-// whether an event ran.
-func (s *Sim) Step() bool {
-	fn, ok := s.next(math.Inf(1))
-	if !ok {
-		return false
-	}
-	fn()
-	return true
-}
-
 // Run fires events until the queue is empty or virtual time would pass
 // until. It returns the number of events fired. On return the clock
 // reads min(until, time of last event) — or exactly until if the queue

@@ -1,6 +1,7 @@
 package eventloop
 
 import (
+	"math"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -94,15 +95,26 @@ func TestSimStep(t *testing.T) {
 	n := 0
 	s.At(1, func() { n++ })
 	s.At(2, func() { n++ })
-	if !s.Step() || s.Now() != 1 || n != 1 {
+	if !step(s) || s.Now() != 1 || n != 1 {
 		t.Fatal("first step")
 	}
-	if !s.Step() || s.Now() != 2 || n != 2 {
+	if !step(s) || s.Now() != 2 || n != 2 {
 		t.Fatal("second step")
 	}
-	if s.Step() {
+	if step(s) {
 		t.Fatal("empty loop should not step")
 	}
+}
+
+// step fires the next pending event, advancing virtual time. It reports
+// whether an event ran.
+func step(s *Sim) bool {
+	fn, ok := s.next(math.Inf(1))
+	if !ok {
+		return false
+	}
+	fn()
+	return true
 }
 
 func TestSimRunReturnsCount(t *testing.T) {
@@ -230,6 +242,6 @@ func BenchmarkSimScheduleAndFire(b *testing.B) {
 	s := NewSim()
 	for i := 0; i < b.N; i++ {
 		s.After(1, func() {})
-		s.Step()
+		step(s)
 	}
 }

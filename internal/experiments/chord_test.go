@@ -154,7 +154,7 @@ func TestIdealOwnerWraps(t *testing.T) {
 			minAddr = a
 		}
 	}
-	key := maxID.AddUint64(1)
+	key := maxID.Add(id.FromUint64(1))
 	if got := h.IdealOwner(key); got != minAddr {
 		t.Fatalf("IdealOwner wrap = %s, want %s", got, minAddr)
 	}

@@ -135,15 +135,6 @@ func (c CDF) Percentile(p float64) float64 {
 	return c[min(max(i, 0), len(c)-1)]
 }
 
-// FractionBelow returns the CDF value at x.
-func (c CDF) FractionBelow(x float64) float64 {
-	if len(c) == 0 {
-		return math.NaN()
-	}
-	n := sort.SearchFloat64s(c, x)
-	return float64(n) / float64(len(c))
-}
-
 // Mean returns the sample mean.
 func (c CDF) Mean() float64 {
 	if len(c) == 0 {

@@ -163,12 +163,6 @@ func (x ID) Sub(y ID) ID {
 	return z
 }
 
-// AddUint64 returns x + v mod 2^160.
-func (x ID) AddUint64(v uint64) ID { return x.Add(FromUint64(v)) }
-
-// SubUint64 returns x - v mod 2^160.
-func (x ID) SubUint64(v uint64) ID { return x.Sub(FromUint64(v)) }
-
 // Shl returns x << n mod 2^160. Shifting by 160 or more yields zero.
 func (x ID) Shl(n uint) ID {
 	if n >= Bits {

@@ -165,7 +165,7 @@ func TestBetweenBasics(t *testing.T) {
 
 func TestBetweenWrapAround(t *testing.T) {
 	// Interval that wraps through zero: (2^160-5, 10)
-	a := Zero.SubUint64(5)
+	a := Zero.Sub(FromUint64(5))
 	b := FromUint64(10)
 	if !BetweenOO(Zero, a, b) {
 		t.Error("0 should lie in wrapped interval")
@@ -173,7 +173,7 @@ func TestBetweenWrapAround(t *testing.T) {
 	if !BetweenOO(FromUint64(3), a, b) {
 		t.Error("3 should lie in wrapped interval")
 	}
-	if !BetweenOO(Zero.SubUint64(2), a, b) {
+	if !BetweenOO(Zero.Sub(FromUint64(2)), a, b) {
 		t.Error("2^160-2 should lie in wrapped interval")
 	}
 	if BetweenOO(FromUint64(100), a, b) {
@@ -233,7 +233,7 @@ func TestDist(t *testing.T) {
 		t.Errorf("dist(40,100) = %v", got)
 	}
 	// Wrapping distance.
-	if got := a.Dist(b); got != Zero.SubUint64(60) {
+	if got := a.Dist(b); got != Zero.Sub(FromUint64(60)) {
 		t.Errorf("dist(100,40) = %v", got)
 	}
 }

@@ -19,7 +19,7 @@ import (
 // member exactly once.
 func TestMulticastOverNaradaMesh(t *testing.T) {
 	const n = 10
-	plan := NaradaMulticastPlan(nil)
+	plan := mergedPlan(t, NaradaSource, MeshMulticastSource)
 	loop := eventloop.NewSim()
 	net := simnet.New(loop, simnet.DefaultConfig())
 

@@ -377,26 +377,6 @@ func ChordPlan(overrides map[string]val.Value) *planner.Plan {
 	return planner.MustCompile(overlog.MustParse(ChordSource), overrides)
 }
 
-// NaradaPlan compiles the Narada spec with optional define overrides.
-func NaradaPlan(overrides map[string]val.Value) *planner.Plan {
-	return planner.MustCompile(overlog.MustParse(NaradaSource), overrides)
-}
-
-// GossipPlan compiles the gossip spec.
-func GossipPlan(overrides map[string]val.Value) *planner.Plan {
-	return planner.MustCompile(overlog.MustParse(GossipSource), overrides)
-}
-
-// LinkStatePlan compiles the distance-vector routing spec.
-func LinkStatePlan(overrides map[string]val.Value) *planner.Plan {
-	return planner.MustCompile(overlog.MustParse(LinkStateSource), overrides)
-}
-
-// PingPongPlan compiles the quickstart spec.
-func PingPongPlan(overrides map[string]val.Value) *planner.Plan {
-	return planner.MustCompile(overlog.MustParse(PingPongSource), overrides)
-}
-
 // ChordKVPlan merges the Chord spec with the replicated key-value
 // service (internal/kvs) into one compiled dataflow — the ring does
 // the routing, the KV rules do replication, quorum, and repair.
@@ -404,19 +384,6 @@ func ChordKVPlan(overrides map[string]val.Value) *planner.Plan {
 	merged, err := overlog.Merge(
 		overlog.MustParse(ChordSource),
 		overlog.MustParse(kvs.Source),
-	)
-	if err != nil {
-		panic(err)
-	}
-	return planner.MustCompile(merged, overrides)
-}
-
-// NaradaMulticastPlan merges the Narada mesh with the multicast layer
-// into a single compiled dataflow sharing the neighbor table.
-func NaradaMulticastPlan(overrides map[string]val.Value) *planner.Plan {
-	merged, err := overlog.Merge(
-		overlog.MustParse(NaradaSource),
-		overlog.MustParse(MeshMulticastSource),
 	)
 	if err != nil {
 		panic(err)

@@ -84,9 +84,13 @@ func TestLookupReturnsSpecSource(t *testing.T) {
 }
 
 func TestPlanHelpersCompile(t *testing.T) {
-	if ChordPlan(nil) == nil || NaradaPlan(nil) == nil || GossipPlan(nil) == nil ||
-		LinkStatePlan(nil) == nil || PingPongPlan(nil) == nil {
+	if ChordPlan(nil) == nil {
 		t.Fatal("plan helpers failed")
+	}
+	for _, src := range []string{NaradaSource, GossipSource, LinkStateSource, PingPongSource} {
+		if _, err := compileSrc(src); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -99,8 +103,27 @@ func compileSrc(src string) (*planner.Plan, error) {
 	return planner.Compile(prog, nil)
 }
 
+// mergedPlan is a test helper: parse each source, merge them into one
+// program and compile it.
+func mergedPlan(t *testing.T, srcs ...string) *planner.Plan {
+	t.Helper()
+	var progs []*overlog.Program
+	for _, src := range srcs {
+		progs = append(progs, overlog.MustParse(src))
+	}
+	merged, err := overlog.Merge(progs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := planner.Compile(merged, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan
+}
+
 func TestNaradaMulticastPlanCompiles(t *testing.T) {
-	plan := NaradaMulticastPlan(nil)
+	plan := mergedPlan(t, NaradaSource, MeshMulticastSource)
 	if !plan.IsTable("neighbor") || !plan.IsTable("seenMsg") {
 		t.Fatal("merged plan missing shared tables")
 	}

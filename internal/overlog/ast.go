@@ -335,16 +335,6 @@ func (p *Program) String() string {
 	return sb.String()
 }
 
-// TableDecl returns the materialize declaration for name, or nil.
-func (p *Program) TableDecl(name string) *Materialize {
-	for _, m := range p.Materialize {
-		if m.Name == name {
-			return m
-		}
-	}
-	return nil
-}
-
 // RuleCount returns the number of rules — the paper's specification
 // complexity metric (Chord in 47 rules, Narada in 16).
 func (p *Program) RuleCount() int { return len(p.Rules) }

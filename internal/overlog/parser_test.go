@@ -26,21 +26,31 @@ func TestMaterialize(t *testing.T) {
 	if len(p.Materialize) != 3 {
 		t.Fatalf("decls = %d", len(p.Materialize))
 	}
-	nb := p.TableDecl("neighbor")
+	nb := tableDecl(p, "neighbor")
 	if nb.Lifetime != 120 || nb.Infinite || nb.Size != 0 || len(nb.Keys) != 1 || nb.Keys[0] != 2 {
 		t.Fatalf("neighbor = %+v", nb)
 	}
-	seq := p.TableDecl("sequence")
+	seq := tableDecl(p, "sequence")
 	if !seq.Infinite || seq.Size != 1 {
 		t.Fatalf("sequence = %+v", seq)
 	}
-	fg := p.TableDecl("finger")
+	fg := tableDecl(p, "finger")
 	if fg.Size != 160 || len(fg.Keys) != 2 || fg.Keys[1] != 3 {
 		t.Fatalf("finger = %+v", fg)
 	}
-	if p.TableDecl("nope") != nil {
+	if tableDecl(p, "nope") != nil {
 		t.Fatal("missing decl should be nil")
 	}
+}
+
+// tableDecl returns the materialize declaration for name, or nil.
+func tableDecl(p *Program, name string) *Materialize {
+	for _, m := range p.Materialize {
+		if m.Name == name {
+			return m
+		}
+	}
+	return nil
 }
 
 func TestSimpleRule(t *testing.T) {

@@ -165,9 +165,6 @@ func (p *Program) check() (maxDepth int, err error) {
 	return maxDepth, nil
 }
 
-// Len returns the number of instructions.
-func (p *Program) Len() int { return len(p.code) }
-
 // Reads returns the input field positions the program references, in
 // code order, and whether it is pure: its value depends on nothing but
 // those fields (and the node's own address), so it may be evaluated

@@ -130,7 +130,7 @@ func TestBuiltins(t *testing.T) {
 	vm := NewVM()
 
 	now, err := vm.Eval(NewBuilder().Op(OpNow).Build(), tuple.New("x"), e)
-	if err != nil || now.AsTime() != 12.5 {
+	if err != nil || !val.Same(now, val.Time(12.5)) {
 		t.Errorf("f_now = %v, %v", now, err)
 	}
 

@@ -447,12 +447,6 @@ func (n *Net) Kill(addr string) {
 	}
 }
 
-// Alive reports whether addr is attached and not dead.
-func (n *Net) Alive(addr string) bool {
-	nd := n.lookup(addr)
-	return nd != nil && !nd.dead
-}
-
 // Partition cuts or heals bidirectional connectivity between a and b.
 // Coordinator-only in sharded mode.
 func (n *Net) Partition(a, b string, cut bool) {
@@ -501,15 +495,6 @@ func pairKey(a, b string) string {
 // and queuing draws are added per datagram at send time.
 func (n *Net) Latency(a, b string) float64 {
 	return n.cfg.baseLatency(n.DomainOf(a), n.DomainOf(b))
-}
-
-// Stats returns a copy of addr's counters. Coordinator-only in sharded
-// mode.
-func (n *Net) Stats(addr string) Stats {
-	if nd := n.lookup(addr); nd != nil {
-		return nd.stats
-	}
-	return Stats{}
 }
 
 // ResetStats zeroes every node's counters — used between experiment

@@ -97,13 +97,13 @@ func TestReattachAfterKill(t *testing.T) {
 	n := New(loop, DefaultConfig())
 	n.Attach("a", func(string, []byte) {})
 	n.Kill("a")
-	if n.Alive("a") {
+	if alive(n, "a") {
 		t.Fatal("killed node reported alive")
 	}
 	if _, err := n.Attach("a", func(string, []byte) {}); err != nil {
 		t.Fatalf("reattach after kill: %v", err)
 	}
-	if !n.Alive("a") {
+	if !alive(n, "a") {
 		t.Fatal("reattached node should be alive")
 	}
 	_ = loop
@@ -125,7 +125,7 @@ func TestKillDropsTraffic(t *testing.T) {
 	}
 	// The lost datagram is charged where it landed: to the dead
 	// destination, not the sender.
-	if la, lb := n.Stats("a").PacketsLost, n.Stats("b").PacketsLost; la != 0 || lb != 1 {
+	if la, lb := stats(n, "a").PacketsLost, stats(n, "b").PacketsLost; la != 0 || lb != 1 {
 		t.Fatalf("lost = %d at a, %d at b; want 0 and 1", la, lb)
 	}
 	if lost := n.TotalStats().PacketsLost; lost != 1 {
@@ -185,7 +185,7 @@ func TestUniformLoss(t *testing.T) {
 	if delivered < 350 || delivered > 650 {
 		t.Fatalf("delivered %d of 1000 at 50%% loss", delivered)
 	}
-	if n.Stats("a").PacketsLost != int64(1000-delivered) {
+	if stats(n, "a").PacketsLost != int64(1000-delivered) {
 		t.Fatal("loss accounting mismatch")
 	}
 }
@@ -218,10 +218,10 @@ func TestByteAccounting(t *testing.T) {
 	epA.Send("b", make([]byte, 72))
 	loop.Run(1)
 	wantSize := int64(72 + DefaultConfig().HeaderBytes)
-	if s := n.Stats("a"); s.BytesSent != wantSize || s.PacketsSent != 1 {
+	if s := stats(n, "a"); s.BytesSent != wantSize || s.PacketsSent != 1 {
 		t.Fatalf("a stats = %+v", s)
 	}
-	if s := n.Stats("b"); s.BytesReceived != wantSize || s.PacketsRecv != 1 {
+	if s := stats(n, "b"); s.BytesReceived != wantSize || s.PacketsRecv != 1 {
 		t.Fatalf("b stats = %+v", s)
 	}
 	tot := n.TotalStats()
@@ -232,7 +232,7 @@ func TestByteAccounting(t *testing.T) {
 	if n.TotalStats().BytesSent != 0 {
 		t.Fatal("reset failed")
 	}
-	if (n.Stats("missing") != Stats{}) {
+	if (stats(n, "missing") != Stats{}) {
 		t.Fatal("missing node stats should be zero")
 	}
 }
@@ -256,7 +256,7 @@ func TestEndpointClose(t *testing.T) {
 	if len(*gotB) != 0 {
 		t.Fatal("closed endpoint sent")
 	}
-	if n.Alive("a") {
+	if alive(n, "a") {
 		t.Fatal("closed endpoint should be dead")
 	}
 }
@@ -286,4 +286,18 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 			t.Fatal("non-deterministic delivery order")
 		}
 	}
+}
+
+// alive reports whether addr is attached and not dead.
+func alive(n *Net, addr string) bool {
+	nd := n.lookup(addr)
+	return nd != nil && !nd.dead
+}
+
+// stats returns a copy of addr's counters.
+func stats(n *Net, addr string) Stats {
+	if nd := n.lookup(addr); nd != nil {
+		return nd.stats
+	}
+	return Stats{}
 }

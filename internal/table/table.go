@@ -144,18 +144,6 @@ func New(name string, ttl float64, maxSize int, pk []int, clock eventloop.Clock)
 	}
 }
 
-// Name returns the relation name.
-func (tb *Table) Name() string { return tb.name }
-
-// TTL returns the configured lifetime in seconds.
-func (tb *Table) TTL() float64 { return tb.ttl }
-
-// MaxSize returns the configured size bound (0 = unbounded).
-func (tb *Table) MaxSize() int { return tb.maxSize }
-
-// PrimaryKey returns the primary key positions.
-func (tb *Table) PrimaryKey() []int { return tb.pk }
-
 // Stats returns a copy of the table's activity counters.
 func (tb *Table) Stats() Stats { return tb.stats }
 

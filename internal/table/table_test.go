@@ -30,7 +30,7 @@ func rowsAt(tb *Table, positions []int, key string) []*tuple.Tuple {
 // rowAtPK returns the live row with the given rendered primary key, or
 // nil.
 func rowAtPK(tb *Table, key string) *tuple.Tuple {
-	if rows := rowsAt(tb, tb.PrimaryKey(), key); len(rows) == 1 {
+	if rows := rowsAt(tb, tb.pk, key); len(rows) == 1 {
 		return rows[0]
 	}
 	return nil
@@ -63,7 +63,7 @@ func TestPrimaryKeyIndexHasNoBuckets(t *testing.T) {
 	tb := New("member", Infinity, 0, []int{0, 1}, eventloop.NewSim())
 	tb.Insert(member("a", 1))
 	pk := tb.EnsureIndex([]int{0, 1})
-	if again := tb.EnsureIndex(tb.PrimaryKey()); again != pk {
+	if again := tb.EnsureIndex(tb.pk); again != pk {
 		t.Fatal("EnsureIndex(pk) returned two handles")
 	}
 	if pk.m != nil || len(tb.indices) != 0 {
@@ -263,14 +263,14 @@ func TestScanOrders(t *testing.T) {
 func TestAccessors(t *testing.T) {
 	loop := eventloop.NewSim()
 	tb := New("m", 120, 5, []int{1, 2}, loop)
-	if tb.Name() != "m" || tb.TTL() != 120 || tb.MaxSize() != 5 {
+	if tb.name != "m" || tb.ttl != 120 || tb.maxSize != 5 {
 		t.Error("accessors wrong")
 	}
-	if pk := tb.PrimaryKey(); len(pk) != 2 || pk[0] != 1 {
+	if pk := tb.pk; len(pk) != 2 || pk[0] != 1 {
 		t.Error("pk accessor wrong")
 	}
 	// ttl <= 0 normalizes to Infinity.
-	if New("x", 0, 0, nil, loop).TTL() != Infinity {
+	if New("x", 0, 0, nil, loop).ttl != Infinity {
 		t.Error("zero ttl should mean infinity")
 	}
 }

@@ -124,13 +124,6 @@ func (w *Writer) str(s string) {
 	w.bw.WriteString(s)
 }
 
-// Len reports records written so far.
-func (w *Writer) Len() int64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.n
-}
-
 // Close flushes and closes the stream, returning the first error the
 // writer encountered.
 func (w *Writer) Close() error {

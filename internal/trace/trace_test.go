@@ -23,8 +23,8 @@ func TestRoundTrip(t *testing.T) {
 	w.Record(Send, 0.5, "a", "b", []byte{1, 2, 3})
 	w.Record(Recv, 0.75, "a", "b", []byte{1, 2, 3})
 	w.Record(Recv, 1.25, "b", "a", nil)
-	if w.Len() != 3 {
-		t.Fatalf("Len = %d", w.Len())
+	if w.n != 3 {
+		t.Fatalf("records written = %d", w.n)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)

@@ -27,13 +27,12 @@ func recordDrops(tr *Transport) *causeRecorder {
 func (cr *causeRecorder) count(c DropCause) int { return len(cr.byCause[c]) }
 
 // TestRetryExhaustedThenPeerDead: toward a silent peer, the first
-// DeadStrikes budget exhaustions classify as RetryExhausted and every
+// deadStrikes budget exhaustions classify as RetryExhausted and every
 // consecutive one after them as PeerDead.
 func TestRetryExhaustedThenPeerDead(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.NoBatch = true // one tuple per batch: each give-up is one strike
 	cfg.MaxRetries = 1
-	cfg.DeadStrikes = 2
 	r := newRig(t, 0, cfg)
 	cr := recordDrops(r.a)
 
@@ -45,7 +44,7 @@ func TestRetryExhaustedThenPeerDead(t *testing.T) {
 	r.loop.Run(600)
 
 	if got := cr.count(RetryExhausted); got != 2 {
-		t.Fatalf("RetryExhausted drops = %d, want 2 (DeadStrikes)", got)
+		t.Fatalf("RetryExhausted drops = %d, want 2 (deadStrikes)", got)
 	}
 	if got := cr.count(PeerDead); got != 3 {
 		t.Fatalf("PeerDead drops = %d, want 3", got)
@@ -54,8 +53,8 @@ func TestRetryExhaustedThenPeerDead(t *testing.T) {
 	if st.Dropped[RetryExhausted] != 2 || st.Dropped[PeerDead] != 3 {
 		t.Fatalf("Stats.Dropped = %v", st.Dropped)
 	}
-	if st.Dropped.Total() != st.Drops {
-		t.Fatalf("classified total %d != retry-budget drops %d", st.Dropped.Total(), st.Drops)
+	if dropTotal(st.Dropped) != st.Drops {
+		t.Fatalf("classified total %d != retry-budget drops %d", dropTotal(st.Dropped), st.Drops)
 	}
 	// The per-destination vector mirrors the global one.
 	for _, d := range r.a.PerDest() {
@@ -67,39 +66,39 @@ func TestRetryExhaustedThenPeerDead(t *testing.T) {
 	}
 }
 
-// TestAckResetsDeadStrikes: a partition long enough for one give-up,
-// then a heal and an acknowledged exchange, then another partition —
-// the second episode's first give-ups must classify RetryExhausted
-// again, not PeerDead.
+// TestAckResetsDeadStrikes: a partition long enough for deadStrikes
+// give-ups and one more, then a heal and an acknowledged exchange, then
+// another partition — the second episode's first give-up must classify
+// RetryExhausted again, not PeerDead.
 func TestAckResetsDeadStrikes(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.NoBatch = true
 	cfg.MaxRetries = 1
-	cfg.DeadStrikes = 1
 	r := newRig(t, 0, cfg)
 	cr := recordDrops(r.a)
 
 	r.net.Partition("a", "b", true)
-	r.a.Send("b", tp(0))
-	r.a.Send("b", tp(1))
-	r.loop.Run(300)
+	for i := int64(0); i < deadStrikes+1; i++ {
+		r.a.Send("b", tp(i))
+	}
+	r.loop.Run(600)
 	first := cr.count(RetryExhausted)
-	if first != 1 || cr.count(PeerDead) != 1 {
-		t.Fatalf("episode 1: RetryExhausted=%d PeerDead=%d, want 1/1",
+	if first != 2 || cr.count(PeerDead) != 1 {
+		t.Fatalf("episode 1: RetryExhausted=%d PeerDead=%d, want 2/1",
 			first, cr.count(PeerDead))
 	}
 
 	r.net.Partition("a", "b", false)
-	r.a.Send("b", tp(2)) // delivered and acked: strikes reset
+	r.a.Send("b", tp(deadStrikes+1)) // delivered and acked: strikes reset
 	r.loop.RunFor(30)
 	if len(r.got) == 0 {
 		t.Fatal("healed link delivered nothing")
 	}
 
 	r.net.Partition("a", "b", true)
-	r.a.Send("b", tp(3))
+	r.a.Send("b", tp(deadStrikes+2))
 	r.loop.RunFor(300)
-	if got := cr.count(RetryExhausted); got != first+1 {
+	if got := cr.count(RetryExhausted); got != first+1 || cr.count(PeerDead) != 1 {
 		t.Fatalf("episode 2 first give-up classified as %v, want a fresh RetryExhausted (count %d, was %d)",
 			cr.byCause, got, first)
 	}
@@ -245,4 +244,13 @@ func TestDropCauseStrings(t *testing.T) {
 			t.Fatalf("cause %d = %q", c, c.String())
 		}
 	}
+}
+
+// dropTotal sums a drop vector.
+func dropTotal(d DropCounts) int64 {
+	var n int64
+	for _, v := range d {
+		n += v
+	}
+	return n
 }

@@ -191,7 +191,7 @@ func TestBacklogBoundedPerPeer(t *testing.T) {
 		}
 	}
 	st := tr.Stats()
-	if len(dropped) == 0 || int64(len(dropped)) != st.QueueDrops || st.Dropped[BacklogOverflow] != st.QueueDrops || st.Dropped.Total() != st.QueueDrops {
+	if len(dropped) == 0 || int64(len(dropped)) != st.QueueDrops || st.Dropped[BacklogOverflow] != st.QueueDrops || dropTotal(st.Dropped) != st.QueueDrops {
 		t.Fatalf("%d tuples reported dropped, QueueDrops %d, Dropped %v", len(dropped), st.QueueDrops, st.Dropped)
 	}
 	var perDest int64

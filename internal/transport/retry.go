@@ -33,7 +33,7 @@ func (wb *wireBatch) last() uint64 { return wb.first + uint64(len(wb.recs)) - 1 
 // destination so re-arming allocates no closure. strikes counts
 // consecutive batches abandoned after the retry budget with no
 // acknowledgment between — the failure classifier's dead-peer evidence
-// (see Config.DeadStrikes).
+// (see deadStrikes).
 type destRetry struct {
 	pend      []*wireBatch
 	timer     *eventloop.Timer
@@ -108,11 +108,11 @@ func (r *Retry) onTimeout(p *peer) {
 		d.pend = slices.Delete(d.pend, 0, 1)
 		r.tr.stats.Drops += int64(len(o.recs))
 		// Classify the give-up: the first few exhausted batches read as
-		// loss or congestion; past DeadStrikes consecutive exhaustions
+		// loss or congestion; past deadStrikes consecutive exhaustions
 		// with no ack between, the peer is presumed dead.
 		d.strikes++
 		cause := RetryExhausted
-		if d.strikes > r.tr.cfg.deadStrikes() {
+		if d.strikes > deadStrikes {
 			cause = PeerDead
 		}
 		for _, rec := range o.recs {

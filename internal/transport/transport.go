@@ -73,15 +73,9 @@ type Config struct {
 	// AckDelay is how long the receiver waits for a reverse-path data
 	// frame to piggyback the cumulative ack before emitting a bare ack
 	// datagram. <= 0 acknowledges at the end of the current handler.
-	AckDelay float64
-	// DeadStrikes is how many consecutive batches toward one peer may
-	// exhaust the retry budget, with no intervening acknowledgment,
-	// before the peer is presumed dead: drops up to the threshold
-	// classify as RetryExhausted, drops past it as PeerDead. 0 uses
-	// DefaultDeadStrikes.
-	DeadStrikes int
-	Unreliable  bool // fire-and-forget chain: no acks, no retries, no window
-	NoBatch     bool // one tuple per datagram (the pre-batching framing)
+	AckDelay   float64
+	Unreliable bool // fire-and-forget chain: no acks, no retries, no window
+	NoBatch    bool // one tuple per datagram (the pre-batching framing)
 	// Epoch identifies this transport's session incarnation on the
 	// wire. A node restarted at the same address must carry a HIGHER
 	// epoch than its predecessor: peers key their Dedup/Ack state to
@@ -134,17 +128,11 @@ func (c Config) flowTTL() float64 {
 	return c.FlowIdleTTL
 }
 
-// DefaultDeadStrikes is the DeadStrikes value a zero Config field
-// resolves to.
-const DefaultDeadStrikes = 2
-
-// deadStrikes resolves the Config field's default.
-func (c Config) deadStrikes() int {
-	if c.DeadStrikes <= 0 {
-		return DefaultDeadStrikes
-	}
-	return c.DeadStrikes
-}
+// deadStrikes is how many consecutive batches toward one peer may
+// exhaust the retry budget, with no intervening acknowledgment, before
+// the peer is presumed dead: drops up to the threshold classify as
+// RetryExhausted, drops past it as PeerDead.
+const deadStrikes = 2
 
 // DefaultConfig returns production-shaped defaults.
 func DefaultConfig() Config {
@@ -173,7 +161,7 @@ const (
 	// SessionClosed: the transport was closed with the tuple still
 	// queued or in flight; it was never refused by the network.
 	SessionClosed
-	// PeerDead: the retry budget was exhausted DeadStrikes consecutive
+	// PeerDead: the retry budget was exhausted deadStrikes consecutive
 	// times toward the peer with no acknowledgment between — the peer
 	// is presumed crashed or unreachable.
 	PeerDead
@@ -207,15 +195,6 @@ func DropCauses() []DropCause {
 
 // DropCounts is a per-cause drop counter vector, indexed by DropCause.
 type DropCounts [NumDropCauses]int64
-
-// Total sums the vector.
-func (d DropCounts) Total() int64 {
-	var n int64
-	for _, v := range d {
-		n += v
-	}
-	return n
-}
 
 // Stats counts transport-level activity for the bandwidth figures.
 type Stats struct {

@@ -344,6 +344,8 @@ func TestDuplicateSuppressionOnAckLoss(t *testing.T) {
 
 func TestAccountingTap(t *testing.T) {
 	r := newRig(t, 0, DefaultConfig())
+	epA, epB := &tapEndpoint{Endpoint: r.a.ep}, &tapEndpoint{Endpoint: r.b.ep}
+	r.a.ep, r.b.ep = epA, epB
 	var taps, bytes int
 	r.a.OnSent(func(to string, tu *tuple.Tuple, wire int, rexmit bool) {
 		taps++
@@ -369,12 +371,24 @@ func TestAccountingTap(t *testing.T) {
 		t.Fatalf("tap bytes %d do not sum to the %d wire bytes PerDest reports", bytes, st[0].Bytes)
 	}
 	// a sent nothing but those two data frames (b never sends data, so a
-	// owes no acks): the network carried the same bytes plus its own
-	// per-packet header.
-	ns := r.net.Stats("a")
-	if carried := ns.BytesSent - ns.PacketsSent*int64(simnet.DefaultConfig().HeaderBytes); int64(bytes) != carried {
-		t.Fatalf("tap bytes %d do not sum to the %d bytes simnet carried", bytes, carried)
+	// owes no acks): a handed the network the same bytes, and the network
+	// carried what a and b handed it plus its own per-packet header.
+	if sent := sentBytes(epA); int64(bytes) != sent {
+		t.Fatalf("tap bytes %d do not sum to the %d bytes a sent", bytes, sent)
 	}
+	ns := r.net.TotalStats()
+	if carried := ns.BytesSent - ns.PacketsSent*int64(simnet.DefaultConfig().HeaderBytes); carried != sentBytes(epA)+sentBytes(epB) {
+		t.Fatalf("simnet carried %d bytes, a and b sent %d", carried, sentBytes(epA)+sentBytes(epB))
+	}
+}
+
+// sentBytes sums the datagrams sent through e.
+func sentBytes(e *tapEndpoint) int64 {
+	var n int64
+	for _, p := range e.sent {
+		n += int64(len(p))
+	}
+	return n
 }
 
 func TestUnreliableMode(t *testing.T) {

@@ -11,6 +11,8 @@ import (
 	"p2/internal/eventloop"
 	"p2/internal/netif"
 	"p2/internal/overlays"
+	"p2/internal/overlog"
+	"p2/internal/planner"
 	"p2/internal/val"
 )
 
@@ -124,7 +126,7 @@ func TestPingPongOverRealUDP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real sockets")
 	}
-	plan := overlays.PingPongPlan(nil)
+	plan := planner.MustCompile(overlog.MustParse(overlays.PingPongSource), nil)
 
 	addrA, err := ReserveAddr()
 	if err != nil {

@@ -220,9 +220,6 @@ func (v Value) AsID() id.ID {
 	return id.Zero
 }
 
-// AsTime returns the timestamp payload in seconds.
-func (v Value) AsTime() float64 { return v.AsFloat() }
-
 // Equal reports whether two values compare equal under Cmp — numeric
 // kinds by numeric value, so Int(3).Equal(Float(3.0)).
 func (v Value) Equal(o Value) bool { return v.Cmp(o) == 0 }

@@ -114,7 +114,7 @@ func TestCoercions(t *testing.T) {
 	if Bool(true).AsInt() != 1 {
 		t.Error("bool→int")
 	}
-	if Time(12.5).AsTime() != 12.5 {
+	if Time(12.5).AsFloat() != 12.5 {
 		t.Error("time payload")
 	}
 }
@@ -275,11 +275,11 @@ func TestTimeArithmetic(t *testing.T) {
 	}
 	// time + 5 stays a time.
 	tv := Add(Time(30), Int(5))
-	if tv.Kind() != KTime || tv.AsTime() != 35 {
+	if !Same(tv, Time(35)) {
 		t.Errorf("time+int = %v (%v)", tv, tv.Kind())
 	}
 	tv2 := Sub(Time(30), Int(5))
-	if tv2.Kind() != KTime || tv2.AsTime() != 25 {
+	if !Same(tv2, Time(25)) {
 		t.Errorf("time-int = %v (%v)", tv2, tv2.Kind())
 	}
 }
@@ -293,7 +293,7 @@ func TestRingArithmetic(t *testing.T) {
 		t.Errorf("finger target wrong: %v vs %v", k.AsID(), want)
 	}
 	// D := K - B - 1 on the ring.
-	d := Sub(Sub(MakeID(n.AddUint64(100)), MakeID(n)), Int(1))
+	d := Sub(Sub(MakeID(n.Add(id.FromUint64(100))), MakeID(n)), Int(1))
 	if d.AsID() != id.FromUint64(99) {
 		t.Errorf("ring distance = %v", d)
 	}

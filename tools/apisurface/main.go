@@ -264,21 +264,19 @@ func declLines(mod *module, file *ast.File, decl ast.Decl) []string {
 				ts.Doc, ts.Comment = nil, nil
 				ts.Type = elideUnexported(s.Type)
 				line := render(fset, &ast.GenDecl{Tok: token.TYPE, Specs: []ast.Spec{&ts}})
-				var methods []*ast.FuncDecl
 				if sel, ok := s.Type.(*ast.SelectorExpr); ok && s.Assign != 0 {
 					if td := mod.aliased(file, sel); td != nil {
 						if td.st != nil {
 							line += " " + render(fset, elideUnexported(td.st))
 						}
-						methods = td.methods
+						for _, m := range td.methods {
+							fn := *m
+							fn.Doc, fn.Body = nil, nil
+							out = append(out, "alias "+s.Name.Name+": "+render(fset, &fn))
+						}
 					}
 				}
 				out = append(out, line)
-				for _, m := range methods {
-					fn := *m
-					fn.Doc, fn.Body = nil, nil
-					out = append(out, "alias "+s.Name.Name+": "+render(fset, &fn))
-				}
 			}
 		}
 		return out

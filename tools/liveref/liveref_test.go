@@ -1,8 +1,9 @@
 // Package liveref holds the module's live-reference check: every
 // function and method declared in a non-test file under internal/ must
-// be referenced from a non-test file somewhere in the module, so code
-// only its own tests reach is deleted instead of kept. It is a test
-// and nothing else; run it with
+// be referenced from a non-test file somewhere in the module, and every
+// field of a named struct type declared there must be read by one, so
+// code and state only its own tests reach are deleted instead of kept.
+// It is a test and nothing else; run it with
 //
 //	go test ./tools/liveref/
 package liveref
@@ -22,9 +23,9 @@ import (
 	"testing"
 )
 
-// allowed names the functions under internal/ that no shipped program
-// reaches and that stay anyway, each with its reason. A name ending in
-// "*" covers every name it prefixes.
+// allowed names the functions and fields under internal/ that no
+// shipped program reaches and that stay anyway, each with its reason. A
+// name ending in "*" covers every name it prefixes.
 var allowed = map[string]string{
 	"chordref.*": "the reference Chord implementation the engine's tests compare against",
 
@@ -45,10 +46,12 @@ var allowed = map[string]string{
 	"transport.(*Transport).OnDrop": "transport tests assert which tuple each drop was charged to",
 
 	"val.Value.IsNull": "the only null test p2.Value offers a library user, as p2 exports no Kind constants",
+
+	"scenario.Result.Addrs": "fault lab: the replay input the fault-lab tests rebuild a failing run from",
 }
 
 // platforms are the file sets the check type-checks; a function counts
-// as referenced when any of them references it.
+// as referenced, and a field as read, when any of them does so.
 var platforms = []string{"linux", "windows"}
 
 func TestEveryInternalFuncHasALiveReference(t *testing.T) {
@@ -61,7 +64,7 @@ func TestEveryInternalFuncHasALiveReference(t *testing.T) {
 	}
 	for _, name := range dead {
 		if !isAllowed(name) {
-			t.Errorf("%s is referenced only from tests: delete it or use it", name)
+			t.Errorf("%s is used only from tests: delete it or use it", name)
 		}
 	}
 	for pattern := range allowed {
@@ -71,12 +74,15 @@ func TestEveryInternalFuncHasALiveReference(t *testing.T) {
 	}
 }
 
-// TestCheckFindsOnlyTheDeadFunction runs the check on a fixture module
-// that declares one dead function beside the three kinds of reference a
-// plain scan of call sites misses: a method only an interface of the
-// standard library calls, a generic method used only through an
-// instantiation, and a method only a non-unix file references.
-func TestCheckFindsOnlyTheDeadFunction(t *testing.T) {
+// TestCheckFindsOnlyTheDeadNames runs the check on a fixture module
+// that declares one dead function and two dead fields (one read only by
+// a test, one only incremented) beside the kinds of reference a plain
+// scan misses: a method only an interface of the standard library
+// calls, a generic method used only through an instantiation, a method
+// and a field only a non-unix file uses, a field read only through its
+// address, a field only a map key's comparison reads, and a field of a
+// type the module's root package aliases.
+func TestCheckFindsOnlyTheDeadNames(t *testing.T) {
 	declared, got, err := unreferenced("testdata/fixture")
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +90,7 @@ func TestCheckFindsOnlyTheDeadFunction(t *testing.T) {
 	if declared == 0 {
 		t.Fatal("found no declarations in the fixture; the scan is broken")
 	}
-	if want := []string{"lib.Dead"}; fmt.Sprint(got) != fmt.Sprint(want) {
+	if want := []string{"lib.Dead", "lib.Stats.hits", "lib.Stats.written"}; fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("unreferenced = %v, want %v", got, want)
 	}
 }
@@ -116,9 +122,9 @@ func matchesAny(pattern string, names []string) bool {
 }
 
 // unreferenced type-checks the module rooted at root once per platform
-// and returns how many functions its internal/ tree declares and the
-// sorted names of those that no non-test file references on any
-// platform.
+// and returns how many functions and fields its internal/ tree declares
+// and the sorted names of those that no non-test file references (a
+// function) or reads (a field) on any platform.
 func unreferenced(root string) (declared int, names []string, err error) {
 	modPath, err := modulePath(root)
 	if err != nil {
@@ -128,10 +134,12 @@ func unreferenced(root string) (declared int, names []string, err error) {
 	parsed := map[string]*ast.File{}
 	decls := map[string]bool{}
 	used := map[string]bool{}
+	fields := map[token.Pos]string{}
+	read := map[token.Pos]bool{}
 	for _, goos := range platforms {
 		l := &loader{fset: fset, parsed: parsed, root: root, modPath: modPath,
 			pkgs: map[string]*types.Package{}, ifaces: map[string][]*types.Interface{},
-			decls: decls, used: used}
+			decls: decls, used: used, fields: fields, read: read}
 		l.ctx = build.Default
 		l.ctx.GOOS, l.ctx.GOARCH, l.ctx.CgoEnabled = goos, "amd64", false
 		if err := l.run(); err != nil {
@@ -143,8 +151,13 @@ func unreferenced(root string) (declared int, names []string, err error) {
 			names = append(names, name)
 		}
 	}
+	for pos, name := range fields {
+		if !read[pos] {
+			names = append(names, name)
+		}
+	}
 	sort.Strings(names)
-	return len(decls), names, nil
+	return len(decls) + len(fields), names, nil
 }
 
 func modulePath(root string) (string, error) {
@@ -173,6 +186,12 @@ type loader struct {
 	ifaces  map[string][]*types.Interface
 
 	decls, used map[string]bool // by name, across platforms
+
+	// fields and read key a field by its types.Var's position, which
+	// every platform's Var for it shares (each file is parsed once), so
+	// the fields of a function-local type match as well as any other.
+	fields map[token.Pos]string // declared under internal/, with its name
+	read   map[token.Pos]bool
 }
 
 func (l *loader) run() error {
@@ -217,6 +236,23 @@ func (l *loader) run() error {
 		name := funcName(l.modPath, fn)
 		if !l.used[name] && l.satisfies(fn) {
 			l.used[name] = true
+		}
+	}
+	// Library users read the exported fields of every struct the root
+	// package re-exports by an alias.
+	if root := l.pkgs[l.modPath]; root != nil {
+		for _, name := range root.Scope().Names() {
+			tn, ok := root.Scope().Lookup(name).(*types.TypeName)
+			if !ok || !tn.IsAlias() {
+				continue
+			}
+			if st, ok := types.Unalias(tn.Type()).Underlying().(*types.Struct); ok {
+				for i := 0; i < st.NumFields(); i++ {
+					if f := st.Field(i); f.Exported() {
+						l.read[f.Origin().Pos()] = true
+					}
+				}
+			}
 		}
 	}
 	return nil
@@ -340,17 +376,25 @@ func (l *loader) parse(path string) (*ast.File, error) {
 	return f, nil
 }
 
-// record notes what one module package's files declare under internal/
-// and every function they reference outside the referenced function's
-// own body.
+// record notes what one module package's files declare under internal/,
+// every function they reference outside the referenced function's own
+// body and every field they read.
 func (l *loader) record(ipath string, files []*ast.File, info *types.Info) {
 	internal := strings.HasPrefix(ipath+"/", l.modPath+"/internal/")
 	for _, tv := range info.Types {
 		if tv.IsType() {
 			l.addIface(tv.Type)
+			// A map keyed by a struct compares, so reads, all its fields.
+			if m, ok := tv.Type.Underlying().(*types.Map); ok {
+				l.readAll(m.Key())
+			}
 		}
 	}
+	l.readFields(files, info)
 	for _, f := range files {
+		if internal {
+			l.declareFields(ipath, f, info)
+		}
 		for _, d := range f.Decls {
 			// self stays nil outside a function: a package-level
 			// initializer's references all count.
@@ -373,6 +417,87 @@ func (l *loader) record(ipath string, files []*ast.File, info *types.Info) {
 				return true
 			})
 		}
+	}
+}
+
+// declareFields notes the fields of every named struct type f declares,
+// at package level or inside a function. Embedded fields are left out:
+// they compose a type's method set as much as they hold state.
+func (l *loader) declareFields(ipath string, f *ast.File, info *types.Info) {
+	pkg := strings.TrimPrefix(ipath, l.modPath+"/internal/")
+	ast.Inspect(f, func(n ast.Node) bool {
+		ts, ok := n.(*ast.TypeSpec)
+		if !ok {
+			return true
+		}
+		if st, ok := ts.Type.(*ast.StructType); ok {
+			for _, fd := range st.Fields.List {
+				for _, name := range fd.Names {
+					if v, ok := info.Defs[name].(*types.Var); ok && name.Name != "_" {
+						l.fields[v.Pos()] = pkg + "." + ts.Name.Name + "." + name.Name
+					}
+				}
+			}
+		}
+		return true
+	})
+}
+
+// readFields notes every field one package's files read. A use is a
+// read unless it is the target of an assignment (compound ones
+// included) or of ++/--, or a key of a composite literal. Comparing two
+// structs with == or != reads every field of both.
+func (l *loader) readFields(files []*ast.File, info *types.Info) {
+	written := map[*ast.Ident]bool{}
+	target := func(e ast.Expr) {
+		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			written[sel.Sel] = true
+		}
+	}
+	visit := func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for _, e := range n.Lhs {
+				target(e)
+			}
+		case *ast.IncDecStmt:
+			target(n.X)
+		case *ast.KeyValueExpr:
+			if id, ok := n.Key.(*ast.Ident); ok {
+				written[id] = true
+			}
+		case *ast.BinaryExpr:
+			if n.Op == token.EQL || n.Op == token.NEQ {
+				l.readAll(info.TypeOf(n.X))
+				l.readAll(info.TypeOf(n.Y))
+			}
+		}
+		return true
+	}
+	for _, f := range files {
+		ast.Inspect(f, visit)
+	}
+	for id, obj := range info.Uses {
+		if v, ok := obj.(*types.Var); ok && v.IsField() && !written[id] {
+			l.read[v.Origin().Pos()] = true
+		}
+	}
+}
+
+// readAll marks read every field that comparing two values of type t
+// compares.
+func (l *loader) readAll(t types.Type) {
+	if t == nil {
+		return
+	}
+	switch u := t.Underlying().(type) {
+	case *types.Struct:
+		for i := 0; i < u.NumFields(); i++ {
+			l.read[u.Field(i).Origin().Pos()] = true
+			l.readAll(u.Field(i).Type())
+		}
+	case *types.Array:
+		l.readAll(u.Elem())
 	}
 }
 

@@ -1,5 +1,7 @@
 // Package lib declares one function no non-test file references (Dead)
-// beside three the check must count as referenced.
+// beside three the check must count as referenced, and two fields no
+// non-test file reads (Stats.written, Stats.hits) beside four the
+// check must count as read.
 package lib
 
 import "strings"
@@ -23,11 +25,37 @@ type conn struct{}
 // out.
 func (conn) close() {}
 
-// Run is main's entry into the package.
-func Run() {
-	_ = box[int]{v: 1}.get()
-	platform(conn{})
+// Stats holds the fields the check decides on.
+type Stats struct {
+	written int // set and added to here, read only by lib_test.go
+	hits    int // only incremented
+	other   int // read only by lib_other.go
+	addr    int // read only through its address
 }
+
+// Report's fields are read by nothing in the module, but main.go
+// re-exports Report by an alias, so its users read them.
+type Report struct {
+	Total int
+}
+
+// key's field is only ever set, but a map keyed by key compares it.
+type key struct{ id int }
+
+// Run is main's entry into the package.
+func Run() Report {
+	_ = box[int]{v: 1}.get()
+	s := &Stats{written: 1}
+	s.written += 2
+	s.hits++
+	s.other = 2
+	bump(&s.addr)
+	platform(conn{}, s)
+	_ = map[key]bool{{id: 1}: true}
+	return Report{Total: 1}
+}
+
+func bump(p *int) { *p++ }
 
 // Dead is referenced by nothing and is the one name the check reports.
 func Dead() {}

@@ -2,4 +2,7 @@
 
 package lib
 
-func platform(c conn) { c.close() }
+func platform(c conn, s *Stats) {
+	c.close()
+	_ = s.other
+}

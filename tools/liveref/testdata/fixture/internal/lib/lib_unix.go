@@ -2,4 +2,4 @@
 
 package lib
 
-func platform(conn) {}
+func platform(conn, *Stats) {}

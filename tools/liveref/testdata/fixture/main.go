@@ -7,9 +7,12 @@ import (
 	"fixture/internal/lib"
 )
 
+// Report re-exports lib.Report, whose fields users of the module read.
+type Report = lib.Report
+
 func main() {
 	var names lib.List
 	flag.Var(&names, "name", "a name; repeatable")
 	flag.Parse()
-	lib.Run()
+	_ = lib.Run()
 }

@@ -55,7 +55,6 @@ func main() {
 	seed := flag.Int64("seed", time.Now().UnixNano(), "random seed")
 	unreliable := flag.Bool("unreliable", false, "compose the short transport chain: no acks, retries, or congestion control")
 	noBatch := flag.Bool("nobatch", false, "disable tuple batching: one tuple per datagram")
-	ackDelay := flag.Duration("ack-delay", 20*time.Millisecond, "how long to wait for reverse-path data to piggyback acks on")
 	monitor := flag.String("monitor", "", "OverLog file to Install into the running node (monitoring rules)")
 	metrics := flag.String("metrics", "", "serve Prometheus text metrics at this address (e.g. :9090)")
 	record := flag.String("record", "", "record this node's wire traffic to a trace file (replayable with p2sim -replay)")
@@ -89,7 +88,6 @@ func main() {
 	tcfg := p2.DefaultTransportConfig()
 	tcfg.Unreliable = *unreliable
 	tcfg.NoBatch = *noBatch
-	tcfg.AckDelay = ackDelay.Seconds()
 	nodeOpts := p2.NodeOptions{TraceWriter: os.Stdout}
 	if *top {
 		nodeOpts.IntrospectInterval = 1 // the view's conditions are derived on each refresh

@@ -31,7 +31,6 @@ package p2
 // Deployment is thread-safe throughout.
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -108,7 +107,6 @@ type config struct {
 	shards    int
 	topology  *NetConfig
 	transport *TransportConfig
-	defines   map[string]Value
 	nodeOpts  NodeOptions
 	metrics   string // Prometheus listen address; "" disables
 	faults    *netif.FaultConfig
@@ -141,12 +139,6 @@ func WithTopology(cfg NetConfig) Option {
 // SpawnOpts can still override it per node.
 func WithTransport(tc TransportConfig) Option {
 	return func(c *config) { c.transport = &tc }
-}
-
-// WithDefines sets the symbolic constants Deployment.Compile supplies
-// to the OverLog planner.
-func WithDefines(defines map[string]Value) Option {
-	return func(c *config) { c.defines = defines }
 }
 
 // WithNodeDefaults sets the NodeOptions (sweep interval, introspection
@@ -327,16 +319,6 @@ func (d *Deployment) Shards() int {
 	return 1
 }
 
-// Seed returns the master seed.
-func (d *Deployment) Seed() int64 { return d.cfg.seed }
-
-// Compile compiles OverLog source with the deployment's defines
-// (WithDefines) — a convenience so one Deployment value carries every
-// parameter of an experiment.
-func (d *Deployment) Compile(src string) (*Plan, error) {
-	return Compile(src, d.cfg.defines)
-}
-
 // Now returns the deployment clock in seconds: virtual time on a
 // simulated deployment, wall-clock seconds since creation on UDP.
 func (d *Deployment) Now() float64 {
@@ -356,20 +338,6 @@ func (d *Deployment) Run(seconds float64) int {
 	}
 	time.Sleep(time.Duration(seconds * float64(time.Second)))
 	return 0
-}
-
-// RunCtx runs the deployment until ctx is done: a simulated deployment
-// advances virtual time in one-second increments, a UDP one just waits.
-// It returns ctx.Err().
-func (d *Deployment) RunCtx(ctx context.Context) error {
-	if d.coord != nil {
-		for ctx.Err() == nil {
-			d.coord.RunFor(1)
-		}
-		return ctx.Err()
-	}
-	<-ctx.Done()
-	return ctx.Err()
 }
 
 // At schedules fn on the deployment's structural control lane at
@@ -440,7 +408,6 @@ func (d *Deployment) SpawnOpts(addr string, plan *Plan, opts NodeOptions) (*Hand
 
 	h := &Handle{d: d, addr: addr}
 	if d.coord != nil {
-		h.shard = d.net.ShardOf(addr)
 		h.node = engine.NewNode(addr, d.net.ShardLoop(addr), d.net, plan, opts)
 		if err := h.node.Start(); err != nil {
 			return nil, fmt.Errorf("p2: spawn %s: %w", addr, err)
@@ -783,7 +750,6 @@ type Handle struct {
 	d      *Deployment
 	addr   string
 	node   *engine.Node
-	shard  int             // owning shard (Simulated)
 	loop   *eventloop.Real // owning loop (UDP; nil when simulated)
 	killed atomic.Bool
 }
@@ -793,9 +759,6 @@ func (h *Handle) Addr() string { return h.addr }
 
 // Runtime returns the owning deployment's runtime.
 func (h *Handle) Runtime() Runtime { return h.d.rt }
-
-// Shard returns the shard that owns this node (always 0 on UDP).
-func (h *Handle) Shard() int { return h.shard }
 
 // Running reports whether the node is live (not killed).
 func (h *Handle) Running() bool { return !h.killed.Load() }

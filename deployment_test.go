@@ -192,6 +192,61 @@ func TestDeploymentConformance(t *testing.T) {
 	}
 }
 
+// TestFaultStats: Deployment.FaultStats is the one window on the UDP
+// fault injector. With every datagram dropped, one tuple sent between
+// two UDP nodes shows in Dropped; a simulated deployment, whose native
+// faults NetTotals accounts, reports the zero value.
+func TestFaultStats(t *testing.T) {
+	plan := p2.MustCompile(`r1 ping@Y(Y, X) :- go@X(X, Y).`, nil)
+
+	sim, err := p2.NewDeployment(p2.Simulated)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range []string{"a:p2", "b:p2"} {
+		if _, err := sim.Spawn(a, plan); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sim.Node("a:p2").Inject(p2.NewTuple("go", p2.Str("a:p2"), p2.Str("b:p2")))
+	sim.Run(1)
+	if got := sim.FaultStats(); got != (p2.FaultStats{}) {
+		t.Errorf("simulated FaultStats = %+v, want the zero value", got)
+	}
+	sim.Close()
+
+	var addrs []string
+	for i := 0; i < 2; i++ {
+		a, err := udpnet.ReserveAddr()
+		if err != nil {
+			t.Skipf("no loopback UDP: %v", err)
+		}
+		addrs = append(addrs, a)
+	}
+	d, err := p2.NewDeployment(p2.UDP, p2.WithFaults(p2.FaultConfig{DropRate: 1}),
+		p2.WithNodeDefaults(p2.NodeOptions{IntrospectInterval: -1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	for _, a := range addrs {
+		if _, err := d.Spawn(a, plan); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := d.FaultStats(); got != (p2.FaultStats{}) {
+		t.Fatalf("FaultStats before any send = %+v, want the zero value", got)
+	}
+	if err := d.Node(addrs[0]).Inject(p2.NewTuple("go", p2.Str(addrs[0]), p2.Str(addrs[1]))); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); d.FaultStats().Dropped == 0; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("no drop counted 10 s after the send: %+v", d.FaultStats())
+		}
+	}
+}
+
 // runChurnedChord builds a 64-node churned Chord deployment through
 // nothing but the public API and summarizes it exactly.
 func runChurnedChord(t *testing.T, shards int) (events int, totals p2.NetTotals, digest string) {

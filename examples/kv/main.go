@@ -89,8 +89,9 @@ func main() {
 
 	// Failure detection (tDead) plus a few stabilization rounds let the
 	// successor inherit ownership; the KV anti-entropy keeps the
-	// replica count at R on the new ring.
-	time.Sleep(12 * time.Second)
+	// replica count at R on the new ring. Wait until the survivors form
+	// a correct ring again.
+	waitRing(d, *nodes-1, 60*time.Second)
 
 	var reader *p2.Handle
 	for _, h := range handles {

@@ -13,7 +13,7 @@ import (
 	"p2/internal/val"
 )
 
-// A strand allocates only its head. Join, MultiAssign, Range, the
+// A strand allocates only its head. Join, MultiAssign, the
 // folds' flushes and the accumulators build their outputs in a Scratch
 // and release them when the downstream Push returns, so the pins below
 // hold every one of them at zero allocations and a whole strand at the

@@ -308,7 +308,7 @@ func TestFoldJoinCacheTracksTable(t *testing.T) {
 				r := rows[rng.Intn(len(rows))]
 				fs := append([]val.Value(nil), r.Fields()...)
 				fs[1] = twin(fs[1])
-				if res := tbl.Insert(tuple.New("rel", fs...)); res.Delta {
+				if tbl.Insert(tuple.New("rel", fs...)) {
 					t.Fatalf("step %d: re-inserting %v as %v was not a refresh", step, r, fs)
 				}
 				refreshed = true

@@ -604,40 +604,3 @@ func (a *AggTable) Recompute() {
 	}
 	a.refreshEach(order)
 }
-
-// Range is the range(I, Lo, Hi) generator: for each input tuple it
-// evaluates the bounds and emits one copy per integer in [lo, hi] with
-// the iteration value appended — how the naive finger-fixing rule F1
-// walks all finger indices.
-type Range struct {
-	Base
-	lo, hi *pel.Program
-}
-
-// NewRange builds a range generator.
-func NewRange(lo, hi *pel.Program) *Range { return &Range{lo: lo, hi: hi} }
-
-// Push expands t over the iteration range. One working tuple carries
-// every copy: downstream is done with it when its Push returns, so
-// only the iteration field changes between emissions.
-func (r *Range) Push(c *Ctx, t *tuple.Tuple) {
-	loV, err := c.vm.Eval(r.lo, t, c.Env)
-	if err != nil {
-		return
-	}
-	hiV, err := c.vm.Eval(r.hi, t, c.Env)
-	if err != nil {
-		return
-	}
-	lo, hi := loV.AsInt(), hiV.AsInt()
-	if lo > hi {
-		return
-	}
-	out, fields, mk := c.Scratch.take(t.Name(), t.Arity()+1)
-	defer c.Scratch.release(mk)
-	copy(fields, t.Fields())
-	for v := lo; v <= hi; v++ {
-		fields[len(fields)-1] = val.Int(v)
-		r.PushOut(c, out)
-	}
-}

@@ -7,11 +7,10 @@ import (
 
 // Scratch is the storage a node's strands build their working tuples
 // in (Ctx.Scratch): a mark/release stack of value slots and tuple
-// headers. Join,
-// MultiAssign, Range, FoldJoin.Flush and AggStream's count/sum/avg take
-// their output from it, push it downstream, and release it when
-// PushOut returns, so a strand allocates only the head Project builds —
-// the one tuple that leaves it.
+// headers. Join, MultiAssign, FoldJoin.Flush and AggStream's
+// count/sum/avg take their output from it, push it downstream, and
+// release it when PushOut returns, so a strand allocates only the head
+// Project builds — the one tuple that leaves it.
 //
 // Why in-place reuse is safe: a node's strands run one at a time to
 // completion (the engine defers every re-derivation), no element keeps

@@ -41,7 +41,7 @@ type Options struct {
 	// uses transport.DefaultConfig.
 	Transport *transport.Config
 	// NoJitter disables the random stagger of first periodic firings.
-	// Experiments that need lock-step timers set it.
+	// Only the engine's tests set it, to run timers in lock step.
 	NoJitter bool
 	// IntrospectInterval is how often the sys* system tables are
 	// refreshed from runtime counters. Zero (the default) means 1 s,
@@ -106,8 +106,6 @@ type WatchFunc func(WatchEvent)
 type Stats struct {
 	RulesFired    int64
 	TuplesDerived int64
-	TuplesSent    int64
-	TuplesRecv    int64
 	TuplesDropped int64 // no table, strand, or watcher wanted them
 	// Probes counts equijoin work: one per probe, plus one per candidate
 	// row visited when the probe walks the index (antijoins count one per
@@ -552,7 +550,6 @@ func (n *Node) deliverHead(rule int, t *tuple.Tuple) {
 		n.deliverLocal(t, DirDerived)
 		return
 	}
-	n.stats.TuplesSent++
 	n.notifyWatch(t, DirSent, dest)
 	n.trans.Send(dest, t)
 }
@@ -562,7 +559,6 @@ func (n *Node) onNetReceive(from string, t *tuple.Tuple) {
 	if n.stopped {
 		return
 	}
-	n.stats.TuplesRecv++
 	n.notifyWatch(t, DirReceived, from)
 	n.deliverLocal(t, DirDerived)
 }
@@ -576,8 +572,7 @@ func (n *Node) deliverLocal(t *tuple.Tuple, dir Direction) {
 	}
 	name := t.Name()
 	if tbl, ok := n.tables[name]; ok {
-		res := tbl.Insert(t)
-		if res.Delta {
+		if tbl.Insert(t) {
 			n.notifyWatch(t, DirInserted, "")
 			n.trigger(n.plan.Triggered(name), t)
 		}

@@ -295,7 +295,11 @@ func TestRemoteDeliveryStoresInRemoteTable(t *testing.T) {
 	if rows[0].Field(0).AsStr() != "b" {
 		t.Fatalf("remote rows must be relocated: %v", rows[0])
 	}
-	if a.Stats().TuplesSent == 0 || r.nodes["b"].Stats().TuplesRecv == 0 {
+	var recvd int64
+	for _, d := range r.nodes["b"].Transport().PerDest() {
+		recvd += d.Recvd
+	}
+	if a.Transport().Stats().TuplesSent == 0 || recvd == 0 {
 		t.Fatal("network counters silent")
 	}
 }
@@ -342,23 +346,6 @@ func TestDoubleStartFails(t *testing.T) {
 	r := newRig(t, `R1 t@X(X) :- periodic@X(X, E, 1).`, "a")
 	if err := r.nodes["a"].Start(); err == nil {
 		t.Fatal("second start must fail")
-	}
-}
-
-func TestRangeGeneratorInRule(t *testing.T) {
-	src := `
-		F1 fFix@NI(NI, E, I) :- periodic@NI(NI, E, 5, 1), range(I, 0, 3).
-	`
-	r := newRig(t, src, "a")
-	evts := r.watch("a", "fFix", DirDerived)
-	r.loop.Run(6)
-	if len(*evts) != 4 {
-		t.Fatalf("fFix events = %d, want 4", len(*evts))
-	}
-	for i, e := range *evts {
-		if e.Field(2).AsInt() != int64(i) {
-			t.Fatalf("fFix[%d] = %v", i, e)
-		}
 	}
 }
 

@@ -18,10 +18,10 @@ func TestNodeHotFieldOffsets(t *testing.T) {
 		name      string
 		got, want uintptr
 	}{
-		{"unsafe.Sizeof(Node{})", unsafe.Sizeof(n), 720},
+		{"unsafe.Sizeof(Node{})", unsafe.Sizeof(n), 704},
 		{"offset of stats", unsafe.Offsetof(n.stats), 264},
-		{"offset of ctx", unsafe.Offsetof(n.ctx), 472},
-		{"offset of pending", unsafe.Offsetof(n.pending), 680},
+		{"offset of ctx", unsafe.Offsetof(n.ctx), 456},
+		{"offset of pending", unsafe.Offsetof(n.pending), 664},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s = %d, want %d", c.name, c.got, c.want)

@@ -69,9 +69,6 @@ func resolveShards(v int) int {
 
 // LookupResult records one issued lookup's fate.
 type LookupResult struct {
-	EventID   string
-	Key       id.ID
-	From      string
 	Issued    float64
 	Completed float64 // 0 if never
 	Owner     string  // responding node's address
@@ -264,12 +261,7 @@ func (h *Chord) spawn(addr string) *p2.Handle {
 func (h *Chord) Lookup(from string, key id.ID) *LookupResult {
 	h.lookupSeq++
 	eid := fmt.Sprintf("lk!%d", h.lookupSeq)
-	lr := &LookupResult{
-		EventID: eid,
-		Key:     key,
-		From:    from,
-		Issued:  h.D.Now(),
-	}
+	lr := &LookupResult{Issued: h.D.Now()}
 	h.pending[eid] = lr
 	h.Results = append(h.Results, lr)
 	h.D.Node(from).Inject(tuple.New("lookup",

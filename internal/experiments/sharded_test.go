@@ -55,9 +55,9 @@ func runShardedWorkload(n, shards int, seed int64, spacing float64, churn bool, 
 		live:        len(h.D.Addrs()),
 		placement:   placementOf(h),
 	}
-	for _, lr := range h.Results {
-		s.lookups = append(s.lookups, fmt.Sprintf("%s %s->%s done=%v hops=%d t=%.9f",
-			lr.EventID, lr.From, lr.Owner, lr.Done, lr.Hops, lr.Completed))
+	for i, lr := range h.Results {
+		s.lookups = append(s.lookups, fmt.Sprintf("%d ->%s done=%v hops=%d t=%.9f",
+			i, lr.Owner, lr.Done, lr.Hops, lr.Completed))
 	}
 	return s
 }

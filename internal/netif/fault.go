@@ -18,16 +18,15 @@ import (
 // FaultConfig seeds the injector. Rates are per-datagram probabilities;
 // a zero config injects nothing (but still enforces partitions).
 type FaultConfig struct {
-	Seed         int64   // per-endpoint streams derive from (Seed, addr)
-	DropRate     float64 // datagram vanishes
-	DupRate      float64 // datagram sent twice
-	ReorderRate  float64 // datagram held back ReorderDelay, letting later traffic pass
-	ReorderDelay float64 // seconds a reordered datagram is held (0: DefaultReorderDelay)
-	CorruptRate  float64 // a few bytes of the payload are flipped
+	Seed        int64   // per-endpoint streams derive from (Seed, addr)
+	DropRate    float64 // datagram vanishes
+	DupRate     float64 // datagram sent twice
+	ReorderRate float64 // datagram held back reorderDelay, letting later traffic pass
+	CorruptRate float64 // a few bytes of the payload are flipped
 }
 
-// DefaultReorderDelay is the hold-back a zero ReorderDelay resolves to.
-const DefaultReorderDelay = 0.05
+// reorderDelay is how long, in seconds, a reordered datagram is held.
+const reorderDelay = 0.05
 
 // FaultStats counts injected faults across a plane.
 type FaultStats struct {
@@ -53,9 +52,6 @@ type FaultPlane struct {
 
 // NewFaultPlane builds a plane injecting per cfg.
 func NewFaultPlane(cfg FaultConfig) *FaultPlane {
-	if cfg.ReorderDelay <= 0 {
-		cfg.ReorderDelay = DefaultReorderDelay
-	}
 	return &FaultPlane{cfg: cfg, cuts: make(map[string]bool)}
 }
 
@@ -141,7 +137,7 @@ func (p *FaultPlane) judge(rng *rand.Rand, from, to string) verdict {
 	}
 	if p.cfg.ReorderRate > 0 && rng.Float64() < p.cfg.ReorderRate {
 		p.stats.Reordered++
-		v.delay += p.cfg.ReorderDelay
+		v.delay += reorderDelay
 	}
 	return v
 }
@@ -221,5 +217,4 @@ func (e *faultEndpoint) Send(to string, payload []byte) {
 }
 
 func (e *faultEndpoint) LocalAddr() string { return e.inner.LocalAddr() }
-func (e *faultEndpoint) MTU() int          { return e.inner.MTU() }
 func (e *faultEndpoint) Close()            { e.inner.Close() }

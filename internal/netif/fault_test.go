@@ -31,7 +31,6 @@ func (e *memEndpoint) Send(to string, payload []byte) {
 	}
 }
 func (e *memEndpoint) LocalAddr() string { return e.addr }
-func (e *memEndpoint) MTU() int          { return DefaultMTU }
 func (e *memEndpoint) Close()            { e.closed = true }
 
 func attachPair(t *testing.T, net Network) (Endpoint, *[][]byte) {
@@ -116,11 +115,11 @@ func TestFaultCorruptCopiesPayload(t *testing.T) {
 }
 
 func TestFaultReorderDelaysViaScheduler(t *testing.T) {
-	plane := NewFaultPlane(FaultConfig{Seed: 5, ReorderRate: 1, ReorderDelay: 0.01})
+	plane := NewFaultPlane(FaultConfig{Seed: 5, ReorderRate: 1})
 	var held []func()
 	delay := func(d float64, fn func()) {
-		if d <= 0 {
-			t.Fatalf("delay %v", d)
+		if d != reorderDelay {
+			t.Fatalf("delay %v, want %v", d, reorderDelay)
 		}
 		held = append(held, fn)
 	}

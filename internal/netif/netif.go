@@ -23,15 +23,13 @@ type Endpoint interface {
 	Send(to string, payload []byte)
 	// LocalAddr returns the address this endpoint was attached as.
 	LocalAddr() string
-	// MTU returns the largest payload (in bytes) a single datagram
-	// should carry — the budget the transport's batching element packs
-	// tuples against. A non-positive value means "unknown"; callers
-	// fall back to DefaultMTU.
-	MTU() int
 	// Close detaches the endpoint; subsequent sends are dropped.
 	Close()
 }
 
-// DefaultMTU is the datagram payload budget assumed when an endpoint
-// reports no MTU: 1500-byte Ethernet minus IPv4 + UDP headers.
-const DefaultMTU = 1472
+// MTU is the largest payload (in bytes) a single datagram should carry
+// on every network: 1500-byte Ethernet minus IPv4 + UDP headers. UDP
+// can carry more via IP fragmentation, but fragmented datagrams amplify
+// loss, so the transport's batching element packs tuples against this
+// unfragmented budget.
+const MTU = 1472

@@ -43,7 +43,6 @@ type Rule struct {
 	Delete bool
 	Head   *Atom
 	Body   []Term
-	Line   int
 }
 
 // Fact is a body-less statement inserting one tuple at node start.
@@ -51,7 +50,6 @@ type Rule struct {
 type Fact struct {
 	ID   string
 	Atom *Atom
-	Line int
 }
 
 // Term is a rule-body element: an Atom (predicate, possibly negated),

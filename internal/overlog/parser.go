@@ -291,7 +291,6 @@ func (p *parser) watch(prog *Program) error {
 
 // ruleOrFact parses "[ID] [delete] atom [:- body]."
 func (p *parser) ruleOrFact(prog *Program) error {
-	line := p.cur.line
 	id := ""
 	// A leading identifier is a rule ID when the following token starts
 	// a head (another identifier or "delete"), not "(" or "@". The word
@@ -306,7 +305,7 @@ func (p *parser) ruleOrFact(prog *Program) error {
 		} else {
 			// Not an ID: rewind by re-parsing from the atom using the
 			// saved head token.
-			return p.ruleBody(prog, "", save, line, false)
+			return p.ruleBody(prog, "", save, false)
 		}
 	}
 	del := false
@@ -326,10 +325,10 @@ func (p *parser) ruleOrFact(prog *Program) error {
 	if err := p.advance(); err != nil {
 		return err
 	}
-	return p.ruleBody(prog, id, headTok, line, del)
+	return p.ruleBody(prog, id, headTok, del)
 }
 
-func (p *parser) ruleBody(prog *Program, id string, headTok token, line int, del bool) error {
+func (p *parser) ruleBody(prog *Program, id string, headTok token, del bool) error {
 	head, err := p.atomAfterName(headTok)
 	if err != nil {
 		return err
@@ -340,13 +339,13 @@ func (p *parser) ruleBody(prog *Program, id string, headTok token, line int, del
 		if del {
 			return p.errf("facts cannot be deletions")
 		}
-		prog.Facts = append(prog.Facts, &Fact{ID: id, Atom: head, Line: line})
+		prog.Facts = append(prog.Facts, &Fact{ID: id, Atom: head})
 		return nil
 	}
 	if _, err := p.expect(tokIf); err != nil {
 		return err
 	}
-	r := &Rule{ID: id, Delete: del, Head: head, Line: line}
+	r := &Rule{ID: id, Delete: del, Head: head}
 	for {
 		t, err := p.term()
 		if err != nil {

@@ -196,8 +196,8 @@ func MustCompile(prog *overlog.Program, extra map[string]val.Value) *Plan {
 	return p
 }
 
-// builtin relations whose arity varies by use.
-func arityExempt(name string) bool { return name == "periodic" || name == "range" }
+// periodic is the builtin relation whose arity varies by use.
+func arityExempt(name string) bool { return name == "periodic" }
 
 func (p *Plan) inferArities(prog *overlog.Program) error {
 	note := func(name string, n int, where string) error {
@@ -556,8 +556,6 @@ func (p *Plan) classify(r *overlog.Rule, system bool) ruleShape {
 		switch {
 		case a.Name == "periodic":
 			streams = append(streams, a)
-		case a.Name == "range":
-			// generator, never a trigger
 		case p.IsTable(a.Name):
 			if firstTable == nil {
 				firstTable = a
@@ -677,12 +675,8 @@ func (c *ruleCtx) bindAtomArgs(a *overlog.Atom, base int, isEvent bool) error {
 	return nil
 }
 
-// compileBodyAtom turns a non-event body atom into a join, antijoin, or
-// range generator.
+// compileBodyAtom turns a non-event body atom into a join or antijoin.
 func (c *ruleCtx) compileBodyAtom(a *overlog.Atom) error {
-	if a.Name == "range" {
-		return c.compileRange(a)
-	}
 	if !c.plan.IsTable(a.Name) {
 		return c.errf("two event streams in one body (%s): only stream x table equijoins are supported; split the rule", a.Name)
 	}
@@ -760,31 +754,6 @@ func (c *ruleCtx) compileBodyAtom(a *overlog.Atom) error {
 	return nil
 }
 
-func (c *ruleCtx) compileRange(a *overlog.Atom) error {
-	if len(a.Args) != 3 {
-		return c.errf("range needs (Var, Lo, Hi)")
-	}
-	v, ok := c.plan.resolve(a.Args[0]).(*overlog.VarRef)
-	if !ok {
-		return c.errf("range first argument must be a fresh variable")
-	}
-	if _, bound := c.env[v.Name]; bound {
-		return c.errf("range variable %s already bound", v.Name)
-	}
-	lo, err := c.compileExpr(a.Args[1])
-	if err != nil {
-		return err
-	}
-	hi, err := c.compileExpr(a.Args[2])
-	if err != nil {
-		return err
-	}
-	c.ops = append(c.ops, &OpRange{Lo: lo, Hi: hi})
-	c.env[v.Name] = c.width
-	c.width++
-	return nil
-}
-
 // tryFold fuses the rule's aggregate into its final join (see Fold)
 // when the head carries one min/max/count aggregate. It is asked only
 // for a fully reorderable rule, whose min/max head fields are all
@@ -816,7 +785,7 @@ func (c *ruleCtx) tryFold() {
 	}
 	join := c.lastJoin()
 	if join == nil || len(join.Assigns) > 1 {
-		return // antijoin, range, selection or assignments after the last join
+		return // antijoin, selection or assignments after the last join
 	}
 	fold := &Fold{Fn: fn}
 	switch {

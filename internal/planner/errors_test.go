@@ -30,9 +30,9 @@ var diagnosticCases = []struct {
 	{"periodic missing period", `r out@X(X) :- periodic@X(X, E).`, "periodic needs"},
 	{"periodic var period", `r out@X(X) :- periodic@X(X, E, P).`, "must be a constant"},
 	{"periodic var count", `r out@X(X) :- periodic@X(X, E, 1, C2).`, "must be a constant"},
-	{"range arity", `r out@X(X, I) :- a@X(X), range(I, 3).`, "range needs"},
-	{"range non-var", `r out@X(X) :- a@X(X), range(7, 0, 3).`, "fresh variable"},
-	{"range bound var", `r out@X(X) :- a@X(X), range(X, 0, 3).`, "already bound"},
+	// range is an ordinary relation name, so the naive finger-fix body
+	// that once used it as a generator names two event streams.
+	{"range is a stream", `F1 fFix@NI(NI, E, I) :- periodic@NI(NI, E, 10), range(I, 0, 159).`, "two event streams"},
 	{"cartesian", `
 			materialize(t, 10, 10, keys(1)).
 			r out@X(X) :- a@X(X), t@X(Q).`, "shares no variables"},

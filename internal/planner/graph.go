@@ -83,9 +83,6 @@ func (p *Plan) buildChain(i int, r *Rule) {
 		case *OpAssign:
 			elems = append(elems, dataflow.NewMultiAssign(o.Progs))
 			use.take(len(o.Progs))
-		case *OpRange:
-			elems = append(elems, dataflow.NewRange(o.Lo, o.Hi))
-			use.take(1)
 		}
 	}
 	if r.Agg != nil {
@@ -127,7 +124,7 @@ func (p *Plan) index(table string, key []int) int {
 // working tuple holds it until its downstream Push returns, so along the
 // push chain the takes nest and their arities add up: a join's input ++
 // match ++ fused assignments, an assignment run's input ++ one slot per
-// step, a range's input ++ 1. The flush that ends an aggregate strand —
+// step. The flush that ends an aggregate strand —
 // a fold's, or a count/sum/avg AggStream's event ++ aggregate — runs
 // after the chain has released everything, so it only has to fit alone.
 // A tuple longer than its relation's planned arity raises the use by the

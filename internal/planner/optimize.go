@@ -232,7 +232,6 @@ const (
 	termAssign
 	termJoin
 	termAntiJoin
-	termRange
 )
 
 // atomArg is one resolved argument of a body atom.
@@ -243,7 +242,6 @@ type atomArg struct {
 
 // termInfo is the ordering-relevant shape of one body term.
 type termInfo struct {
-	idx   int
 	kind  termKind
 	table string    // joins only
 	args  []atomArg // joins only; atom-relative
@@ -253,19 +251,17 @@ type termInfo struct {
 
 // termInfos extracts ordering metadata from the textual rest terms.
 func (p *Plan) termInfos(rest []overlog.Term) []termInfo {
-	vars := func(es ...overlog.Expr) (names []string) {
-		for _, e := range es {
-			overlog.Walk(e, func(e overlog.Expr) {
-				if v, ok := e.(*overlog.VarRef); ok {
-					names = append(names, v.Name)
-				}
-			})
-		}
+	vars := func(e overlog.Expr) (names []string) {
+		overlog.Walk(e, func(e overlog.Expr) {
+			if v, ok := e.(*overlog.VarRef); ok {
+				names = append(names, v.Name)
+			}
+		})
 		return names
 	}
 	infos := make([]termInfo, 0, len(rest))
-	for i, t := range rest {
-		ti := termInfo{idx: i}
+	for _, t := range rest {
+		var ti termInfo
 		switch term := t.(type) {
 		case *overlog.Cond:
 			ti.kind = termCond
@@ -275,16 +271,6 @@ func (p *Plan) termInfos(rest []overlog.Term) []termInfo {
 			ti.deps = vars(term.Expr)
 			ti.defs = []string{term.Var}
 		case *overlog.Atom:
-			if term.Name == "range" {
-				ti.kind = termRange
-				if len(term.Args) == 3 {
-					ti.deps = vars(term.Args[1], term.Args[2])
-					if v, isVar := p.resolve(term.Args[0]).(*overlog.VarRef); isVar {
-						ti.defs = []string{v.Name}
-					}
-				}
-				break
-			}
 			ti.kind = termJoin
 			if term.Neg {
 				ti.kind = termAntiJoin
@@ -340,7 +326,7 @@ func (ti *termInfo) ready(bound map[string]bool) bool {
 		if len(ti.joinKey(bound)) == 0 {
 			return false
 		}
-	case termAssign, termRange:
+	case termAssign:
 		for _, d := range ti.defs {
 			if bound[d] {
 				return false
@@ -358,9 +344,9 @@ func (ti *termInfo) ready(bound map[string]bool) bool {
 // placeTerms builds a body order one term per step, placing the term
 // mode picks, and runs the cost model as the order grows: cost
 // accumulates tuple touches, and multiplicity multiplies through join
-// fan-outs and range expansions. Antijoins and selections filter
-// (modeled as multiplicity-preserving — conservative, since real
-// selectivity is unknown). ok is false when no term can be placed, or
+// fan-outs. Antijoins and selections filter (modeled as
+// multiplicity-preserving — conservative, since real selectivity is
+// unknown). ok is false when no term can be placed, or
 // the pick is not ready where it lands. The picks are:
 //
 //   - frozen: the next term in textual order.
@@ -370,7 +356,7 @@ func (ti *termInfo) ready(bound map[string]bool) bool {
 //     non-frozen mode.
 //   - full: the first ready selection (filter as early as possible),
 //     else the ready join with the smallest estimated fan-out, else the
-//     first ready range generator, else the first ready assignment.
+//     first ready assignment.
 //     Assignments never filter, so running one earlier than strictly
 //     necessary only multiplies work: on overlay steady-state traffic
 //     most probes find nothing, and an assignment hoisted above such a
@@ -415,9 +401,6 @@ func placeTerms(infos []termInfo, eventBound map[string]bool, mode ruleMode, st 
 		if best >= 0 {
 			return best
 		}
-		if i := first(readyAs(termRange)); i >= 0 {
-			return i
-		}
 		return first(readyAs(termAssign))
 	}
 
@@ -440,9 +423,6 @@ func placeTerms(infos []termInfo, eventBound map[string]bool, mode ruleMode, st 
 			cost += tuples * f // rows examined
 			tuples *= f
 		case termAntiJoin:
-			cost += tuples
-		case termRange:
-			tuples *= catalogRangeFanout
 			cost += tuples
 		}
 		placed[i] = true

@@ -34,8 +34,6 @@ func opCounts(r *Rule) map[string]int {
 			out["select"]++
 		case *OpAssign:
 			out["assign"] += len(o.Progs)
-		case *OpRange:
-			out["range"]++
 		}
 	}
 	return out

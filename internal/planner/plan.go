@@ -151,13 +151,6 @@ type OpAssign struct {
 	Progs []*pel.Program
 }
 
-// OpRange appends an iteration variable ranging over [Lo, Hi],
-// duplicating the working tuple per value — the range(I, lo, hi)
-// generator predicate.
-type OpRange struct {
-	Lo, Hi *pel.Program
-}
-
 // Fold is the per-event aggregate a rule's final join folds its matches
 // into — set only by the planner, and only when the fusion is invisible
 // in the derived tuples (see dataflow.FoldJoin). The join's Filters and
@@ -177,7 +170,6 @@ type Fold struct {
 func (*OpJoin) op()   {}
 func (*OpSelect) op() {}
 func (*OpAssign) op() {}
-func (*OpRange) op()  {}
 
 // StreamAgg describes a per-event head aggregate.
 type StreamAgg struct {
@@ -319,8 +311,6 @@ func (p *Plan) String() string {
 				fmt.Fprintf(&sb, " -> select[%s]", o.Prog)
 			case *OpAssign:
 				renderAssigns(&sb, o.Progs)
-			case *OpRange:
-				fmt.Fprintf(&sb, " -> range[%s..%s]", o.Lo, o.Hi)
 			}
 		}
 		if r.Agg != nil {

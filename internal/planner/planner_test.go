@@ -25,18 +25,25 @@ func compile(t *testing.T, src string) *Plan {
 	return plan
 }
 
+// compileErr checks that both Compile and CompileTextual reject src
+// with an error containing wantSub.
 func compileErr(t *testing.T, src string, wantSub string) {
 	t.Helper()
 	prog, err := overlog.Parse(src)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	_, err = Compile(prog, nil)
-	if err == nil {
-		t.Fatalf("expected compile error containing %q", wantSub)
-	}
-	if !strings.Contains(err.Error(), wantSub) {
-		t.Fatalf("error %q does not contain %q", err.Error(), wantSub)
+	for _, c := range []struct {
+		name    string
+		compile func(*overlog.Program, map[string]val.Value) (*Plan, error)
+	}{{"Compile", Compile}, {"CompileTextual", CompileTextual}} {
+		_, err = c.compile(prog, nil)
+		if err == nil {
+			t.Fatalf("%s: expected compile error containing %q", c.name, wantSub)
+		}
+		if !strings.Contains(err.Error(), wantSub) {
+			t.Fatalf("%s: error %q does not contain %q", c.name, err.Error(), wantSub)
+		}
 	}
 }
 
@@ -254,22 +261,6 @@ func TestLiteralInBodyAtomExtendsKey(t *testing.T) {
 	}
 	if !sawAssign || !sawJoin {
 		t.Fatalf("ops = %+v", r.Ops)
-	}
-}
-
-func TestRangeGenerator(t *testing.T) {
-	p := compile(t, `
-		F1 fFix@NI(NI, E, I) :- periodic@NI(NI, E, 10), range(I, 0, 159).
-	`)
-	r := p.Rules[0]
-	found := false
-	for _, op := range r.Ops {
-		if _, ok := op.(*OpRange); ok {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("no OpRange in ops = %+v", r.Ops)
 	}
 }
 

@@ -18,7 +18,6 @@ const (
 	catalogDefaultRows = 32  // unbounded user table, no better signal
 	catalogSystemRows  = 16  // sys* tables: a handful of rows per node
 	catalogMaxSizeCap  = 64  // declared size bounds are upper bounds, not estimates
-	catalogRangeFanout = 8   // range(I, lo, hi) generator expansion guess
 	defaultKeySkew     = 4.0 // rows per distinct non-key value
 )
 

@@ -114,5 +114,4 @@ type silentEndpoint struct{ addr string }
 func (silentEndpoint) Send(string, []byte) {}
 
 func (e silentEndpoint) LocalAddr() string { return e.addr }
-func (silentEndpoint) MTU() int            { return netif.DefaultMTU }
 func (silentEndpoint) Close()              {}

@@ -67,8 +67,6 @@ type Config struct {
 	StubBps      float64 // access link capacity in bytes/sec (paper: 10 Mbps)
 	LossRate     float64 // uniform datagram loss probability
 	Seed         int64   // rng seed; per-node streams derive from (Seed, addr)
-	HeaderBytes  int     // per-datagram overhead charged (UDP+IP headers)
-	MTU          int     // datagram payload budget endpoints advertise (0: netif.DefaultMTU)
 
 	// Matrix, when non-nil, replaces the uniform two-tier latency model
 	// with a measured one-way propagation matrix: Matrix[i][j] is the
@@ -98,6 +96,10 @@ type Config struct {
 	TransitBps float64
 }
 
+// HeaderBytes is the per-datagram overhead every send is charged: the
+// IPv4 and UDP headers.
+const HeaderBytes = 28
+
 // DefaultConfig reproduces the paper's Emulab topology.
 func DefaultConfig() Config {
 	return Config{
@@ -107,8 +109,6 @@ func DefaultConfig() Config {
 		StubBps:      10e6 / 8, // 10 Mbps
 		LossRate:     0,
 		Seed:         1,
-		HeaderBytes:  28, // IPv4 + UDP
-		MTU:          netif.DefaultMTU,
 	}
 }
 
@@ -215,14 +215,12 @@ func TransitStubWAN(transits, stubsPerTransit int, seed int64) Config {
 		}
 	}
 	return Config{
-		Matrix:      m,
-		StubBps:     10e6 / 8,
-		TransitBps:  100e6 / 8,
-		Jitter:      0.10,
-		QueueMean:   0.002,
-		Seed:        seed,
-		HeaderBytes: 28,
-		MTU:         netif.DefaultMTU,
+		Matrix:     m,
+		StubBps:    10e6 / 8,
+		TransitBps: 100e6 / 8,
+		Jitter:     0.10,
+		QueueMean:  0.002,
+		Seed:       seed,
 	}
 }
 
@@ -534,7 +532,7 @@ func (n *Net) send(src *node, to string, payload []byte) {
 	if src.dead {
 		return
 	}
-	size := int64(len(payload) + n.cfg.HeaderBytes)
+	size := int64(len(payload) + HeaderBytes)
 	src.stats.BytesSent += size
 	src.stats.PacketsSent++
 	src.sendSeq++
@@ -641,12 +639,5 @@ func (e *endpoint) Send(to string, payload []byte) {
 }
 
 func (e *endpoint) LocalAddr() string { return e.node.addr }
-
-func (e *endpoint) MTU() int {
-	if e.net.cfg.MTU > 0 {
-		return e.net.cfg.MTU
-	}
-	return netif.DefaultMTU
-}
 
 func (e *endpoint) Close() { e.node.dead = true }

@@ -200,7 +200,7 @@ func TestSerializationDelayQueues(t *testing.T) {
 	var times []float64
 	n.Attach("b", func(string, []byte) { times = append(times, loop.Now()) })
 	epA := &endpoint{net: n, node: n.lookup("a")}
-	payload := make([]byte, 100-cfg.HeaderBytes)
+	payload := make([]byte, 100-HeaderBytes)
 	epA.Send("b", payload)
 	epA.Send("b", payload)
 	loop.Run(10)
@@ -217,7 +217,7 @@ func TestByteAccounting(t *testing.T) {
 	loop, n, epA, _, _, _ := twoNodeNet(t, DefaultConfig())
 	epA.Send("b", make([]byte, 72))
 	loop.Run(1)
-	wantSize := int64(72 + DefaultConfig().HeaderBytes)
+	wantSize := int64(72 + HeaderBytes)
 	if s := stats(n, "a"); s.BytesSent != wantSize || s.PacketsSent != 1 {
 		t.Fatalf("a stats = %+v", s)
 	}

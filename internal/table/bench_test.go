@@ -60,7 +60,7 @@ func TestRefreshZeroAlloc(t *testing.T) {
 	tb, _, _ := benchTable(64)
 	row := tuple.New("bench", val.Str("n7"), val.Int(7%16), val.Int(7))
 	allocs := testing.AllocsPerRun(200, func() {
-		if res := tb.Insert(row); res.Delta {
+		if tb.Insert(row) {
 			t.Fatal("refresh produced a delta")
 		}
 	})
@@ -129,10 +129,11 @@ func TestRemovalZeroAlloc(t *testing.T) {
 		tb.Insert(pinRow(i, 0))
 	}
 	alt := []*tuple.Tuple{pinRow(3, 1), pinRow(3, 2)}
-	n := 0
+	n, replaced := 0, 0
+	tb.OnReplace(func(*tuple.Tuple) { replaced++ })
 	pin("replacement", func() {
 		n++
-		if res := tb.Insert(alt[n%2]); res.Replaced == nil {
+		if tb.Insert(alt[n%2]); replaced != n {
 			t.Fatal("insert did not replace")
 		}
 	})

@@ -29,10 +29,11 @@ func privMember(addr string, seq int64) *tuple.Tuple {
 func TestInternedReplaceIsExact(t *testing.T) {
 	loop := eventloop.NewSim()
 	tb := New("member", Infinity, 0, []int{1}, loop)
+	var replaced *tuple.Tuple
+	tb.OnReplace(func(old *tuple.Tuple) { replaced = old })
 	tb.Insert(tuple.New("member", val.Str("n1"), val.Str(val.InternBytes([]byte("a"))), val.Int(1)))
-	res := tb.Insert(privMember("a", 2))
-	if !res.Delta || res.Replaced == nil || res.Replaced.Field(2).AsInt() != 1 {
-		t.Fatalf("private-copy replacement missed the interned row: %+v", res)
+	if delta := tb.Insert(privMember("a", 2)); !delta || replaced == nil || replaced.Field(2).AsInt() != 1 {
+		t.Fatalf("private-copy replacement missed the interned row: delta %v, replaced %v", delta, replaced)
 	}
 	if tb.Len() != 1 {
 		t.Fatalf("len after replace = %d; interning split the primary key", tb.Len())
@@ -52,6 +53,8 @@ func TestInternedExpireAndEvict(t *testing.T) {
 	tb := New("member", 120, 3, []int{1}, loop)
 	var deleted []string
 	tb.OnDelete(func(tp *tuple.Tuple) { deleted = append(deleted, tp.Field(1).AsStr()) })
+	replaced := 0
+	tb.OnReplace(func(*tuple.Tuple) { replaced++ })
 
 	for i, a := range []string{"a", "b", "c", "d", "e"} {
 		tb.Insert(privMember(a, int64(i)))
@@ -62,8 +65,8 @@ func TestInternedExpireAndEvict(t *testing.T) {
 	}
 	// Refresh d via a private copy so only c and e expire at t=120.
 	loop.Run(60)
-	if res := tb.Insert(privMember("d", 99)); res.Replaced == nil {
-		t.Fatalf("refresh of d did not replace: %+v", res)
+	if tb.Insert(privMember("d", 99)); replaced != 1 {
+		t.Fatalf("refresh of d replaced %d rows, want 1", replaced)
 	}
 	loop.Run(120.5)
 	if tb.Len() != 1 {
@@ -87,8 +90,8 @@ func TestInternerBoundedUnderKeyChurn(t *testing.T) {
 	for i := 0; i < 200000; i++ {
 		tp := tuple.New("ev", val.Str(privStr("n1")),
 			val.Str(privStr(fmt.Sprintf("event-%d-%d", i, i*7919))), val.Int(int64(i)))
-		if res := tb.Insert(tp); !res.Stored {
-			t.Fatalf("insert %d not stored", i)
+		if !tb.Insert(tp) {
+			t.Fatalf("insert %d changed nothing", i)
 		}
 		if tb.Len() != 1 {
 			t.Fatalf("len = %d at %d", tb.Len(), i)

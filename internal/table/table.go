@@ -57,7 +57,6 @@ const (
 
 // Table is a soft-state relation. Not safe for concurrent use.
 type Table struct {
-	name    string
 	ttl     float64 // seconds; Infinity for immortal tuples
 	maxSize int     // 0 or negative = unbounded
 	pk      []int   // primary key field positions (0-based)
@@ -126,16 +125,16 @@ type Index struct {
 	appends   uint64            // bumped per bucket append; live probes re-read on change
 }
 
-// New creates a table. ttl is the tuple lifetime in seconds (use
-// Infinity for no expiry); maxSize bounds the row count (<= 0 for
-// unbounded); pk lists the 0-based field positions of the primary key.
-// The clock supplies "now" for expiry decisions.
+// New creates a table for the relation name, which only the caller
+// keeps. ttl is the tuple lifetime in seconds (use Infinity for no
+// expiry); maxSize bounds the row count (<= 0 for unbounded); pk lists
+// the 0-based field positions of the primary key. The clock supplies
+// "now" for expiry decisions.
 func New(name string, ttl float64, maxSize int, pk []int, clock eventloop.Clock) *Table {
 	if ttl <= 0 {
 		ttl = Infinity
 	}
 	return &Table{
-		name:    name,
 		ttl:     ttl,
 		maxSize: maxSize,
 		pk:      append([]int(nil), pk...),
@@ -182,22 +181,17 @@ func (tb *Table) OnReplace(fn func(*tuple.Tuple)) { tb.onReplace = append(tb.onR
 // mutation produces one notification.
 func (tb *Table) Inserting() *tuple.Tuple { return tb.inserting }
 
-// InsertResult describes what an Insert did.
-type InsertResult struct {
-	Stored   bool         // tuple is now in the table
-	Delta    bool         // the table's contents changed (fire delta rules)
-	Replaced *tuple.Tuple // previous row displaced by a primary-key match
-}
-
 // Insert stores t, applying primary-key replacement, FIFO size
-// eviction, and TTL stamping. Arity must match prior rows (enforced by
-// the planner; here we only guard the key positions).
+// eviction, and TTL stamping, and reports whether the table's contents
+// changed (a delta to fire rules on): false for a pure refresh. Arity
+// must match prior rows (enforced by the planner; here we only guard
+// the key positions).
 //
 // The primary key is rendered into a scratch buffer; pure refreshes
 // (the steady state of periodic re-derivation) allocate nothing, and a
 // replacement re-links the displaced row's struct, whose primary-key
 // map entry already holds the same key.
-func (tb *Table) Insert(t *tuple.Tuple) InsertResult {
+func (tb *Table) Insert(t *tuple.Tuple) bool {
 	tb.Expire()
 	now := tb.clock.Now()
 	tb.scratch = t.AppendKey(tb.scratch[:0], tb.pk)
@@ -208,7 +202,7 @@ func (tb *Table) Insert(t *tuple.Tuple) InsertResult {
 			existing.expires = tb.expiry(now)
 			tb.moveToBack(existing)
 			tb.stats.Refreshes++
-			return InsertResult{Stored: true}
+			return false
 		}
 		old := existing.t
 		tb.unplace(existing)
@@ -220,7 +214,7 @@ func (tb *Table) Insert(t *tuple.Tuple) InsertResult {
 		for _, fn := range tb.onInsert {
 			fn(t)
 		}
-		return InsertResult{Stored: true, Delta: true, Replaced: old}
+		return true
 	}
 
 	tb.addRow(t, now, val.InternBytes(tb.scratch))
@@ -238,7 +232,7 @@ func (tb *Table) Insert(t *tuple.Tuple) InsertResult {
 	for _, fn := range tb.onInsert {
 		fn(t)
 	}
-	return InsertResult{Stored: true, Delta: true}
+	return true
 }
 
 func (tb *Table) expiry(now float64) float64 {

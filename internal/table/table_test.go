@@ -39,9 +39,10 @@ func rowAtPK(tb *Table, key string) *tuple.Tuple {
 func TestInsertAndLookupPK(t *testing.T) {
 	loop := eventloop.NewSim()
 	tb := New("member", Infinity, 0, []int{1}, loop)
-	res := tb.Insert(member("a", 1))
-	if !res.Stored || !res.Delta || res.Replaced != nil {
-		t.Fatalf("first insert: %+v", res)
+	replaced := 0
+	tb.OnReplace(func(*tuple.Tuple) { replaced++ })
+	if !tb.Insert(member("a", 1)) || replaced != 0 {
+		t.Fatalf("first insert: no delta or %d replaced", replaced)
 	}
 	if tb.Len() != 1 {
 		t.Fatalf("len = %d", tb.Len())
@@ -89,10 +90,11 @@ func TestPrimaryKeyIndexHasNoBuckets(t *testing.T) {
 func TestPrimaryKeyReplacement(t *testing.T) {
 	loop := eventloop.NewSim()
 	tb := New("member", Infinity, 0, []int{1}, loop)
+	var replaced *tuple.Tuple
+	tb.OnReplace(func(old *tuple.Tuple) { replaced = old })
 	tb.Insert(member("a", 1))
-	res := tb.Insert(member("a", 2))
-	if !res.Delta || res.Replaced == nil || res.Replaced.Field(2).AsInt() != 1 {
-		t.Fatalf("replacement: %+v", res)
+	if delta := tb.Insert(member("a", 2)); !delta || replaced == nil || replaced.Field(2).AsInt() != 1 {
+		t.Fatalf("replacement: delta %v, replaced %v", delta, replaced)
 	}
 	if tb.Len() != 1 {
 		t.Fatalf("len after replace = %d", tb.Len())
@@ -106,8 +108,7 @@ func TestIdenticalRefreshNoDelta(t *testing.T) {
 	tb.OnInsert(func(*tuple.Tuple) { inserts++ })
 	tb.Insert(member("a", 1))
 	loop.Run(5)
-	res := tb.Insert(member("a", 1))
-	if res.Delta {
+	if tb.Insert(member("a", 1)) {
 		t.Error("identical reinsert must not be a delta")
 	}
 	if refreshes := tb.Stats().Refreshes; inserts != 1 || refreshes != 1 {
@@ -263,7 +264,7 @@ func TestScanOrders(t *testing.T) {
 func TestAccessors(t *testing.T) {
 	loop := eventloop.NewSim()
 	tb := New("m", 120, 5, []int{1, 2}, loop)
-	if tb.name != "m" || tb.ttl != 120 || tb.maxSize != 5 {
+	if tb.ttl != 120 || tb.maxSize != 5 {
 		t.Error("accessors wrong")
 	}
 	if pk := tb.pk; len(pk) != 2 || pk[0] != 1 {

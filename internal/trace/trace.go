@@ -75,7 +75,6 @@ type Writer struct {
 	out io.Closer
 	bw  *bufio.Writer
 	err error
-	n   int64
 }
 
 // NewWriter starts a trace stream on w, emitting the header.
@@ -114,7 +113,6 @@ func (w *Writer) Record(dir Dir, t float64, src, dst string, payload []byte) {
 	binary.BigEndian.PutUint32(plen[:], uint32(len(payload)))
 	w.bw.Write(plen[:])
 	_, w.err = w.bw.Write(payload)
-	w.n++
 }
 
 func (w *Writer) str(s string) {
@@ -292,5 +290,4 @@ func (e *recEndpoint) Send(to string, payload []byte) {
 }
 
 func (e *recEndpoint) LocalAddr() string { return e.inner.LocalAddr() }
-func (e *recEndpoint) MTU() int          { return e.inner.MTU() }
 func (e *recEndpoint) Close()            { e.inner.Close() }

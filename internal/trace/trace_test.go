@@ -23,9 +23,6 @@ func TestRoundTrip(t *testing.T) {
 	w.Record(Send, 0.5, "a", "b", []byte{1, 2, 3})
 	w.Record(Recv, 0.75, "a", "b", []byte{1, 2, 3})
 	w.Record(Recv, 1.25, "b", "a", nil)
-	if w.n != 3 {
-		t.Fatalf("records written = %d", w.n)
-	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +109,6 @@ func (e *memEp) Send(to string, p []byte) {
 	}
 }
 func (e *memEp) LocalAddr() string { return e.addr }
-func (e *memEp) MTU() int          { return netif.DefaultMTU }
 func (e *memEp) Close()            {}
 
 func TestWrapNetworkRecordsBothDirections(t *testing.T) {

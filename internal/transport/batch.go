@@ -1,7 +1,9 @@
 package transport
 
+import "p2/internal/netif"
+
 // Batch is the packet-scheduling element: it coalesces records bound
-// for one destination into batches that fit the endpoint's MTU budget,
+// for one destination into batches that fit the MTU budget (netif.MTU),
 // so a burst of tuples toward one peer costs one datagram instead of
 // one each.
 //
@@ -30,11 +32,14 @@ type sendQueue struct {
 	armed bool // a deferred flush is scheduled
 }
 
+// maxBatchBytes is the record bytes one datagram carries: the MTU less
+// the widest header.
+const maxBatchBytes = netif.MTU - maxDataHeaderLen
+
 // Batch coalesces per-destination records into MTU-budget batches.
 type Batch struct {
 	tr       *Transport
 	next     batchSink
-	maxBytes int // record bytes per datagram (MTU minus maxDataHeaderLen)
 	maxRecs  int // records per datagram; 1 disables coalescing
 	capacity int // backlog bound per destination; 0 = unbounded
 
@@ -44,14 +49,10 @@ type Batch struct {
 	poke  poke    // b.flush, bound once
 }
 
-func newBatch(tr *Transport, next batchSink, maxBytes, maxRecs, capacity int) *Batch {
-	if maxBytes < 1 {
-		maxBytes = 1 // degenerate MTU: every record ships alone
-	}
+func newBatch(tr *Transport, next batchSink, maxRecs, capacity int) *Batch {
 	b := &Batch{
 		tr:       tr,
 		next:     next,
-		maxBytes: maxBytes,
 		maxRecs:  maxRecs,
 		capacity: capacity,
 	}
@@ -108,7 +109,7 @@ func (b *Batch) flush(p *peer) {
 		// records must stay queued. A single over-budget record still
 		// ships alone — the endpoint decides its fate, as UDP would.
 		n, bytes := 1, q.recs[0].size
-		for n < len(q.recs) && n < b.maxRecs && bytes+q.recs[n].size <= b.maxBytes {
+		for n < len(q.recs) && n < b.maxRecs && bytes+q.recs[n].size <= maxBatchBytes {
 			bytes += q.recs[n].size
 			n++
 		}

@@ -22,7 +22,6 @@ type capEndpoint struct{ sent [][]byte }
 
 func (e *capEndpoint) Send(_ string, p []byte) { e.sent = append(e.sent, p) }
 func (e *capEndpoint) LocalAddr() string       { return "self" }
-func (e *capEndpoint) MTU() int                { return netif.DefaultMTU }
 func (e *capEndpoint) Close()                  {}
 
 // goldenData is a data frame of two records, byte by byte.
@@ -95,7 +94,7 @@ func TestGoldenFrames(t *testing.T) {
 // TestWorstCaseHeaderFitsMTU: maxDataHeaderLen is what the encoder
 // writes when every field is at its widest, and a transport whose epochs
 // and sequence numbers are that wide still packs full batches that fit
-// the endpoint's MTU.
+// netif.MTU.
 func TestWorstCaseHeaderFitsMTU(t *testing.T) {
 	widest := dataHeader{epoch: math.MaxUint32, ackEpoch: math.MaxUint32, cumAck: math.MaxUint64,
 		first: math.MaxUint64, skip: math.MaxUint64, count: maxBatchRecords}
@@ -134,9 +133,9 @@ func TestWorstCaseHeaderFitsMTU(t *testing.T) {
 		t.Fatalf("the frame is not the wide one the test set up: %+v ok=%v", h, ok)
 	}
 	rec := len(tp(0).Marshal())
-	if len(full) > ep.MTU() || len(full) <= ep.MTU()-(maxDataHeaderLen-len(appendDataHeader(nil, h)))-rec {
+	if len(full) > netif.MTU || len(full) <= netif.MTU-(maxDataHeaderLen-len(appendDataHeader(nil, h)))-rec {
 		t.Fatalf("full frame is %d bytes: want within one %d-byte record (and the header's unused width) of the %d-byte MTU, never above",
-			len(full), rec, ep.MTU())
+			len(full), rec, netif.MTU)
 	}
 }
 

@@ -44,7 +44,7 @@ func TestReceiveOnlyPeerHasNoSendHalf(t *testing.T) {
 	if p.send != nil {
 		t.Fatalf("b made a send half for a peer it only acknowledged: %+v", p.send)
 	}
-	const want = "{Addr:a Sent:0 Recvd:5 Bytes:0 Retries:0 Frames:0 Cwnd:4 RTO:1 Backlog:0 BatchFill:0 Drops:[0 0 0 0]}"
+	const want = "{Addr:a Sent:0 Recvd:5 Bytes:0 Retries:0 Cwnd:4 RTO:1 Backlog:0 BatchFill:0 Drops:[0 0 0 0]}"
 	if got := r.b.PerDest(); len(got) != 1 || fmt.Sprintf("%+v", got[0]) != want {
 		t.Fatalf("b.PerDest() = %+v, want [%s]", got, want)
 	}
@@ -84,7 +84,7 @@ func TestReclaimDropsSendHalf(t *testing.T) {
 	if p.send != nil {
 		t.Fatalf("the janitor kept an idle send half: %+v", p.send)
 	}
-	const want = "{Addr:b Sent:0 Recvd:1 Bytes:0 Retries:0 Frames:0 Cwnd:4 RTO:1 Backlog:0 BatchFill:0 Drops:[0 0 0 0]}"
+	const want = "{Addr:b Sent:0 Recvd:1 Bytes:0 Retries:0 Cwnd:4 RTO:1 Backlog:0 BatchFill:0 Drops:[0 0 0 0]}"
 	if got := r.a.PerDest(); len(got) != 1 || fmt.Sprintf("%+v", got[0]) != want {
 		t.Fatalf("a.PerDest() after the reclaim = %+v, want [%s]", got, want)
 	}

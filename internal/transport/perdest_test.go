@@ -30,7 +30,7 @@ func TestPerDestAccounting(t *testing.T) {
 	if st.Sent != 5 || st.Retries != 0 {
 		t.Fatalf("a->b send accounting: %+v", st)
 	}
-	if st.Frames != 1 || st.BatchFill != 5 {
+	if st.BatchFill != 5 {
 		t.Fatalf("a->b: one burst should be one datagram of 5 records: %+v", st)
 	}
 	if st.Bytes <= 5*int64(tp(0).EncodedSize()) {
@@ -118,21 +118,21 @@ func TestPerDestGolden(t *testing.T) {
 	}
 	loop.RunFor(0)
 	check("burst flushed",
-		"{Addr:b Sent:323 Recvd:0 Bytes:2865 Retries:0 Frames:2 Cwnd:2 RTO:1 Backlog:177 BatchFill:161.5 Drops:[0 0 0 0]}",
-		"{Addr:c Sent:10 Recvd:0 Bytes:89 Retries:0 Frames:1 Cwnd:2 RTO:1 Backlog:0 BatchFill:10 Drops:[0 0 0 0]}",
+		"{Addr:b Sent:323 Recvd:0 Bytes:2865 Retries:0 Cwnd:2 RTO:1 Backlog:177 BatchFill:161.5 Drops:[0 0 0 0]}",
+		"{Addr:c Sent:10 Recvd:0 Bytes:89 Retries:0 Cwnd:2 RTO:1 Backlog:0 BatchFill:10 Drops:[0 0 0 0]}",
 	)
 
 	loop.At(0.5, func() { net.Partition("a", "c", false) })
 	loop.Run(3)
 	check("settled",
-		"{Addr:b Sent:500 Recvd:0 Bytes:4480 Retries:0 Frames:4 Cwnd:6 RTO:0.2 Backlog:0 BatchFill:125 Drops:[0 0 0 0]}",
-		"{Addr:c Sent:20 Recvd:0 Bytes:178 Retries:10 Frames:2 Cwnd:2 RTO:1 Backlog:0 BatchFill:10 Drops:[0 0 0 0]}",
-		"{Addr:d Sent:0 Recvd:5 Bytes:0 Retries:0 Frames:0 Cwnd:2 RTO:1 Backlog:0 BatchFill:0 Drops:[0 0 0 0]}",
+		"{Addr:b Sent:500 Recvd:0 Bytes:4480 Retries:0 Cwnd:6 RTO:0.2 Backlog:0 BatchFill:125 Drops:[0 0 0 0]}",
+		"{Addr:c Sent:20 Recvd:0 Bytes:178 Retries:10 Cwnd:2 RTO:1 Backlog:0 BatchFill:10 Drops:[0 0 0 0]}",
+		"{Addr:d Sent:0 Recvd:5 Bytes:0 Retries:0 Cwnd:2 RTO:1 Backlog:0 BatchFill:0 Drops:[0 0 0 0]}",
 	)
 
 	loop.Run(16)
 	check("idle past the send TTL",
-		"{Addr:d Sent:0 Recvd:5 Bytes:0 Retries:0 Frames:0 Cwnd:2 RTO:1 Backlog:0 BatchFill:0 Drops:[0 0 0 0]}",
+		"{Addr:d Sent:0 Recvd:5 Bytes:0 Retries:0 Cwnd:2 RTO:1 Backlog:0 BatchFill:0 Drops:[0 0 0 0]}",
 	)
 
 	for i := int64(0); i < 3; i++ {
@@ -140,8 +140,8 @@ func TestPerDestGolden(t *testing.T) {
 	}
 	loop.Run(17)
 	check("b resumed",
-		"{Addr:b Sent:3 Recvd:0 Bytes:33 Retries:0 Frames:1 Cwnd:3 RTO:0.2 Backlog:0 BatchFill:3 Drops:[0 0 0 0]}",
-		"{Addr:d Sent:0 Recvd:5 Bytes:0 Retries:0 Frames:0 Cwnd:2 RTO:1 Backlog:0 BatchFill:0 Drops:[0 0 0 0]}",
+		"{Addr:b Sent:3 Recvd:0 Bytes:33 Retries:0 Cwnd:3 RTO:0.2 Backlog:0 BatchFill:3 Drops:[0 0 0 0]}",
+		"{Addr:d Sent:0 Recvd:5 Bytes:0 Retries:0 Cwnd:2 RTO:1 Backlog:0 BatchFill:0 Drops:[0 0 0 0]}",
 	)
 	if got := flowEpoch(a, "b"); got != 1 {
 		t.Errorf("resumed flow toward b carries wire epoch %d, want 1", got)
@@ -153,8 +153,8 @@ func TestPerDestGolden(t *testing.T) {
 	trs["d"].Send("a", tp(0))
 	loop.Run(50)
 	check("idle past every TTL, then c and d resumed",
-		"{Addr:c Sent:3 Recvd:0 Bytes:51 Retries:2 Frames:3 Cwnd:1 RTO:1 Backlog:0 BatchFill:1 Drops:[1 0 0 0]}",
-		"{Addr:d Sent:0 Recvd:1 Bytes:0 Retries:0 Frames:0 Cwnd:2 RTO:1 Backlog:0 BatchFill:0 Drops:[0 0 0 0]}",
+		"{Addr:c Sent:3 Recvd:0 Bytes:51 Retries:2 Cwnd:1 RTO:1 Backlog:0 BatchFill:1 Drops:[1 0 0 0]}",
+		"{Addr:d Sent:0 Recvd:1 Bytes:0 Retries:0 Cwnd:2 RTO:1 Backlog:0 BatchFill:0 Drops:[0 0 0 0]}",
 	)
 
 	a.Close()

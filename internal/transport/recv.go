@@ -143,11 +143,7 @@ func (a *Ack) schedule(p *peer) {
 	if rs.ackFn == nil {
 		rs.ackFn = func() { a.fire(p) }
 	}
-	if d := a.tr.cfg.AckDelay; d > 0 {
-		rs.ackTimer = a.tr.loop.After(d, rs.ackFn)
-	} else {
-		a.tr.loop.Defer(rs.ackFn)
-	}
+	rs.ackTimer = a.tr.loop.After(ackDelay, rs.ackFn)
 }
 
 // fire is the delayed-ack callback: it sends the bare ack unless a data

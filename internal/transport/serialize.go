@@ -17,7 +17,6 @@ type record struct {
 // against the MTU budget and OnSent charges, and pushes the record into
 // the Batch element.
 type Serialize struct {
-	tr   *Transport
 	next *Batch
 }
 

@@ -69,11 +69,7 @@ type Config struct {
 	// at most QueueCap × (peers with a send half) tuples. 0 leaves the
 	// backlog unbounded; the unreliable chain, which drains every
 	// handler, has none.
-	QueueCap int
-	// AckDelay is how long the receiver waits for a reverse-path data
-	// frame to piggyback the cumulative ack before emitting a bare ack
-	// datagram. <= 0 acknowledges at the end of the current handler.
-	AckDelay   float64
+	QueueCap   int
 	Unreliable bool // fire-and-forget chain: no acks, no retries, no window
 	NoBatch    bool // one tuple per datagram (the pre-batching framing)
 	// Epoch identifies this transport's session incarnation on the
@@ -109,6 +105,11 @@ type Config struct {
 // windowMax caps the congestion window, in datagrams in flight.
 const windowMax = 64
 
+// ackDelay is how long, in seconds, the receiver waits for a
+// reverse-path data frame to piggyback the cumulative ack on before it
+// sends a bare ack datagram.
+const ackDelay = 0.02
+
 // DefaultFlowIdleTTL is the flow-state lifetime a zero FlowIdleTTL
 // resolves to: comfortably above the Chord maintenance periods (pings
 // and stabilization keep genuinely live flows warm every few seconds)
@@ -143,7 +144,6 @@ func DefaultConfig() Config {
 		MaxRTO:     8.0,
 		WindowInit: 4,
 		QueueCap:   512,
-		AckDelay:   0.02,
 	}
 }
 
@@ -286,10 +286,6 @@ func New(loop eventloop.Loop, ep netif.Endpoint, cfg Config) *Transport {
 	tr.frm = &Frame{tr: tr}
 	tr.dfr = &Deframe{tr: tr}
 
-	mtu := ep.MTU()
-	if mtu <= 0 {
-		mtu = netif.DefaultMTU
-	}
 	maxRecs := maxBatchRecords
 	if cfg.NoBatch {
 		maxRecs = 1
@@ -304,8 +300,8 @@ func New(loop eventloop.Loop, ep netif.Endpoint, cfg Config) *Transport {
 		sink = tr.cc
 		capacity = cfg.QueueCap
 	}
-	tr.bat = newBatch(tr, sink, mtu-maxDataHeaderLen, maxRecs, capacity)
-	tr.ser = &Serialize{tr: tr, next: tr.bat}
+	tr.bat = newBatch(tr, sink, maxRecs, capacity)
+	tr.ser = &Serialize{next: tr.bat}
 	return tr
 }
 
@@ -432,11 +428,10 @@ type DestStats struct {
 	Recvd     int64      // tuples delivered upward from Addr (post-dedup)
 	Bytes     int64      // data bytes put on the wire toward Addr
 	Retries   int64      // records retransmitted toward Addr
-	Frames    int64      // data datagrams sent toward Addr
 	Cwnd      float64    // current congestion window, datagrams
 	RTO       float64    // current retransmission timeout, seconds
 	Backlog   int        // tuples queued behind the window
-	BatchFill float64    // mean records per data datagram (Sent / Frames)
+	BatchFill float64    // mean records per data datagram (Sent / datagrams)
 	Drops     DropCounts // classified drops toward Addr, indexed by DropCause
 }
 
@@ -455,7 +450,7 @@ func (tr *Transport) PerDestInto(out []DestStats) []DestStats {
 		st := DestStats{Addr: p.addr, Recvd: p.rcv.recvd, Cwnd: tr.cfg.WindowInit, RTO: tr.cfg.InitialRTO}
 		if s := p.send; s != nil {
 			a := &s.acct
-			st.Sent, st.Bytes, st.Retries, st.Frames, st.Drops = a.sent, a.sentBytes, a.retries, a.frames, a.drops
+			st.Sent, st.Bytes, st.Retries, st.Drops = a.sent, a.sentBytes, a.retries, a.drops
 			st.Cwnd, st.RTO, st.Backlog = s.cc.cwnd, s.cc.rto, len(s.q.recs)
 			if a.frames > 0 {
 				st.BatchFill = float64(a.sent) / float64(a.frames)

@@ -377,7 +377,7 @@ func TestAccountingTap(t *testing.T) {
 		t.Fatalf("tap bytes %d do not sum to the %d bytes a sent", bytes, sent)
 	}
 	ns := r.net.TotalStats()
-	if carried := ns.BytesSent - ns.PacketsSent*int64(simnet.DefaultConfig().HeaderBytes); carried != sentBytes(epA)+sentBytes(epB) {
+	if carried := ns.BytesSent - ns.PacketsSent*simnet.HeaderBytes; carried != sentBytes(epA)+sentBytes(epB) {
 		t.Fatalf("simnet carried %d bytes, a and b sent %d", carried, sentBytes(epA)+sentBytes(epB))
 	}
 }

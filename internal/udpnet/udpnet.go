@@ -139,11 +139,6 @@ func (e *endpoint) Send(to string, payload []byte) {
 // LocalAddr returns the actual bound address (resolving a ":0" bind).
 func (e *endpoint) LocalAddr() string { return e.conn.LocalAddr().String() }
 
-// MTU advertises the standard Ethernet-path datagram budget. UDP can
-// carry more via IP fragmentation, but fragmented datagrams amplify
-// loss, so the transport packs batches to the unfragmented size.
-func (e *endpoint) MTU() int { return netif.DefaultMTU }
-
 // Close shuts the socket down and stops the reader.
 func (e *endpoint) Close() {
 	e.mu.Lock()

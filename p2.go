@@ -110,7 +110,8 @@
 // Retry → Frame on the send side, Deframe → Ack → Dedup → Deliver on
 // receive. Tuples bound for one destination are coalesced into
 // MTU-budget datagrams, acknowledgments are cumulative and piggybacked
-// on reverse-path data frames, and TransportConfig selects shorter
+// on reverse-path data frames (a receiver with nothing to send back
+// acks alone after a constant 20 ms), and TransportConfig selects shorter
 // chains (Unreliable drops the reliability elements, NoBatch the
 // coalescing). The chain's live state — congestion window, RTO,
 // backlog, batch fill — surfaces per peer in sysNet, so OverLog rules
@@ -308,5 +309,5 @@ func CompileMulti(defines map[string]Value, srcs ...string) (*Plan, error) {
 // Deployments — the runtime-agnostic execution surface — live in
 // deployment.go: NewDeployment, Runtime (Simulated, UDP), the
 // functional options (WithSeed, WithShards, WithTopology,
-// WithTransport, WithDefines, WithNodeDefaults), Deployment, and
+// WithTransport, WithNodeDefaults), Deployment, and
 // Handle.

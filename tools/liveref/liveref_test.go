@@ -74,7 +74,7 @@ func TestEveryInternalFuncHasALiveReference(t *testing.T) {
 	}
 }
 
-// TestCheckFindsOnlyTheDeadNames runs the check on a fixture module
+// TestCheckFindsOnlyTheDeadFunction runs the check on a fixture module
 // that declares one dead function and two dead fields (one read only by
 // a test, one only incremented) beside the kinds of reference a plain
 // scan misses: a method only an interface of the standard library
@@ -82,7 +82,7 @@ func TestEveryInternalFuncHasALiveReference(t *testing.T) {
 // and a field only a non-unix file uses, a field read only through its
 // address, a field only a map key's comparison reads, and a field of a
 // type the module's root package aliases.
-func TestCheckFindsOnlyTheDeadNames(t *testing.T) {
+func TestCheckFindsOnlyTheDeadFunction(t *testing.T) {
 	declared, got, err := unreferenced("testdata/fixture")
 	if err != nil {
 		t.Fatal(err)

@@ -208,7 +208,9 @@ func TestFaultStats(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sim.Node("a:p2").Inject(p2.NewTuple("go", p2.Str("a:p2"), p2.Str("b:p2")))
+	if err := sim.Node("a:p2").Inject(p2.NewTuple("go", p2.Str("a:p2"), p2.Str("b:p2"))); err != nil {
+		t.Fatal(err)
+	}
 	sim.Run(1)
 	if got := sim.FaultStats(); got != (p2.FaultStats{}) {
 		t.Errorf("simulated FaultStats = %+v, want the zero value", got)
